@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .kernels import rs_rd_kernel
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
@@ -21,13 +19,15 @@ from .qbd import (ConvergenceError, StationaryTable, boundary_vector,
 from .spectral import characteristic_roots
 from .twist import harmonic, horizontal_drift, markov_part_stationary, twisted_kernel
 
+_ESCAPE_RESIDUAL = 1e-12
+
 
 @dataclass(frozen=True)
 class EscapeProbs:
     up: float
     down: float
-    x_max_used: int
-    method_gap: float  # absorbing solve vs first-passage iteration
+    x_max_used: int  # always 0: no lattice is cut
+    residual: float  # max |A2 + A1 G + A0 G^2 - G| of the closed-form G
 
 
 @dataclass(frozen=True)
@@ -121,33 +121,13 @@ def _twisted_blocks(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.nda
     return a0, a1, a2
 
 
-def _escape_absorbing(params: ModelParams, x_max: int) -> np.ndarray:
-    """P(never reach level 0) from level 1, by absorbing solve on [0, x_max]."""
-    a0, a1, a2 = _twisted_blocks(params)
-    n = x_max - 1  # unknowns at levels 1..x_max-1
-    size = 2 * n
-    eye2 = np.eye(2)
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(size)
-    for i in range(n):
-        for si in range(2):
-            r = 2 * i + si
-            for sj in range(2):
-                rows.append(r); cols.append(2 * i + sj); vals.append(eye2[si, sj] - a1[si, sj])
-                if i + 1 < n:
-                    rows.append(r); cols.append(2 * (i + 1) + sj); vals.append(-a0[si, sj])
-                if i - 1 >= 0:
-                    rows.append(r); cols.append(2 * (i - 1) + sj); vals.append(-a2[si, sj])
-            if i + 1 == n:
-                rhs[r] = a0[si, :].sum()  # level x_max counts as escaped
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-    v = spla.spsolve(m.tocsc(), rhs)
-    return v[0:2]  # v at level 1, (U, D)
-
-
 def _escape_first_passage(params: ModelParams, tol: float = 1e-14,
                           max_iter: int = 10 ** 6) -> np.ndarray:
-    """Same quantity via the minimal solution of G = A2 + A1 G + A0 G^2."""
+    """Escape probabilities from (0, Up), (0, Down) by iterating
+    G = A2 + A1 G + A0 G^2 from 0 to its minimal solution.
+
+    Numeric reference for the closed form in `escape_probabilities`.
+    """
     a0, a1, a2 = _twisted_blocks(params)
     g = np.zeros((2, 2))
     for _ in range(max_iter):
@@ -158,36 +138,32 @@ def _escape_first_passage(params: ModelParams, tol: float = 1e-14,
         g = g_next
     else:
         raise ConvergenceError("first-passage matrix iteration did not converge")
-    return 1.0 - g @ np.ones(2)
-
-
-def escape_probabilities(params: ModelParams, x_max0: int = 1024,
-                         tol: float = 1e-10,
-                         agreement: float = 1e-8) -> EscapeProbs:
-    """P(twisted chain started at (0, sigma) never revisits level 0).
-
-    Computed two ways (absorbing solve with doubling cut; first-passage
-    matrix iteration) that must agree within `agreement`.
-    """
     up_move = np.array([twisted_kernel(params, Model.MODEL1, (0, s)).prob((1, s))
                         for s in (UP, DOWN)])
-    x_max = x_max0
-    v_prev = None
-    while True:
-        v = _escape_absorbing(params, x_max)
-        if v_prev is not None and np.max(np.abs(v - v_prev)) <= tol:
-            break
-        if x_max > 2 ** 17:
-            raise ConvergenceError("absorbing escape solve did not stabilize")
-        v_prev = v
-        x_max *= 2
-    h_abs = up_move * v
-    h_fp = up_move * _escape_first_passage(params)
-    gap = float(np.max(np.abs(h_abs - h_fp)))
-    if gap > agreement:
-        raise ConvergenceError(f"escape-probability methods disagree by {gap:.3g}")
-    return EscapeProbs(up=float(h_abs[UP]), down=float(h_abs[DOWN]),
-                       x_max_used=x_max, method_gap=gap)
+    return up_move * (1.0 - g @ np.ones(2))
+
+
+def escape_probabilities(params: ModelParams) -> EscapeProbs:
+    """P(twisted chain started at (0, sigma) never revisits level 0).
+
+    The free chain moves down a level only by a service in Up, so under
+    stability its first-passage matrix is G(sigma, U) = 1, G(sigma, D) = 0.
+    The twist rescales it to G~(sigma, U) = h(0, U) / h(1, sigma), hence
+    escape(sigma) = (lambda/C) (h(1, sigma) - 1) / h(0, sigma).  G~ is checked
+    against G = A2 + A1 G + A0 G^2 and must be strictly substochastic.
+    """
+    h = harmonic(params, Model.MODEL1)
+    t2, w = h.base, h.down_weight
+    g = np.array([[1.0 / t2, 0.0], [1.0 / (t2 * w), 0.0]])
+    a0, a1, a2 = _twisted_blocks(params)
+    residual = float(np.max(np.abs(a2 + a1 @ g + a0 @ g @ g - g)))
+    if not (residual <= _ESCAPE_RESIDUAL and np.all(g.sum(axis=1) < 1.0)):
+        raise ArithmeticError(
+            f"closed-form first-passage matrix fails: residual {residual:.3g} "
+            f"(bound {_ESCAPE_RESIDUAL:g}), row sums {g.sum(axis=1)} (must be < 1)")
+    scale = params.lam / params.C
+    return EscapeProbs(up=scale * (t2 - 1.0), down=scale * (t2 - 1.0 / w),
+                       x_max_used=0, residual=residual)
 
 
 def eta(params: ModelParams, model: Model, *, table: StationaryTable | None = None,
@@ -201,13 +177,16 @@ def eta(params: ModelParams, model: Model, *, table: StationaryTable | None = No
     error reported.
     """
     if model is Model.MODEL1:
-        pi0 = boundary_vector(params)
-        h = harmonic(params, model)
-        esc = escape_probabilities(params)
-        value = pi0[UP] * esc.up + pi0[DOWN] * h.value((0, DOWN)) * esc.down
-        return EtaEstimate(value=float(value), std_error=0.0, method="exact")
+        return _eta_model1(params, escape_probabilities(params))
     return _eta_model2(params, table=table, samples=samples, x_escape=x_escape,
                        step_cap=step_cap, seed=seed)
+
+
+def _eta_model1(params: ModelParams, esc: EscapeProbs) -> EtaEstimate:
+    pi0 = boundary_vector(params)
+    h = harmonic(params, Model.MODEL1)
+    value = pi0[UP] * esc.up + pi0[DOWN] * h.value((0, DOWN)) * esc.down
+    return EtaEstimate(value=float(value), std_error=0.0, method="exact")
 
 
 def _model2_twisted_move_table(params: ModelParams):
@@ -303,9 +282,9 @@ def prefactors(params: ModelParams, model: Model, *,
     den = lam + beta - mu - alpha + sqrt_s
     g = sol.g_constant
     if model is Model.MODEL1:
-        est = eta_estimate or eta(params, model)
-        scale = est.value / drift.value
         esc = escape_probabilities(params)
+        est = eta_estimate or _eta_model1(params, esc)
+        scale = est.value / drift.value
         return TailAsymptotic(model=model, gamma=sol.gamma_p,
                               prefactor_up=scale * den / 2.0 / g,
                               prefactor_down=scale * alpha / g,

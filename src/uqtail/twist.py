@@ -27,17 +27,20 @@ class HarmonicFunction:
     base: float
     down_weight: float
 
-    def value(self, state: tuple) -> float:
-        sigma = state[-1]
-        exponent = state[0] if self.model is Model.MODEL1 else state[0] + state[1]
-        w = self.down_weight if sigma == DOWN else 1.0
-        return self.base ** exponent * w
+    def _exponent(self, state: tuple) -> int:
+        return state[0] if self.model is Model.MODEL1 else state[0] + state[1]
 
-    def log_value(self, state: tuple) -> float:
-        sigma = state[-1]
-        exponent = state[0] if self.model is Model.MODEL1 else state[0] + state[1]
-        w = math.log(self.down_weight) if sigma == DOWN else 0.0
-        return exponent * math.log(self.base) + w
+    def _weight(self, state: tuple) -> float:
+        return self.down_weight if state[-1] == DOWN else 1.0
+
+    def value(self, state: tuple) -> float:
+        return self.base ** self._exponent(state) * self._weight(state)
+
+    def ratio(self, origin: tuple, target: tuple) -> float:
+        """h(target) / h(origin) from the change in exponent, so it never
+        overflows however far the states lie from the origin."""
+        d = self._exponent(target) - self._exponent(origin)
+        return self.base ** d * self._weight(target) / self._weight(origin)
 
 
 @dataclass(frozen=True)
@@ -105,16 +108,8 @@ def twisted_kernel(params: ModelParams, model: Model, state: tuple) -> Transitio
     """Free-kernel row reweighted by h(target)/h(origin)."""
     h = harmonic(params, model)
     row = free_kernel(params, model, state)
-    origin_h = h.value(state) if abs(state[0]) < 200 else None
-    targets = []
-    for target, prob in row.targets:
-        if origin_h is not None:
-            weight = h.value(target) / origin_h
-        else:
-            # log-space ratio keeps far-from-origin rows overflow-free
-            weight = math.exp(h.log_value(target) - h.log_value(state))
-        targets.append((target, prob * weight))
-    return TransitionRow(state, tuple(targets))
+    return TransitionRow(state, tuple((target, prob * h.ratio(state, target))
+                                      for target, prob in row.targets))
 
 
 def markov_part_stationary(params: ModelParams, model: Model):

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import escape_probabilities, eta, prefactors, rs_rd_stationary
+from .asymptotics import (_escape_first_passage, escape_probabilities, eta,
+                          prefactors, rs_rd_stationary)
 from .kernels import free_kernel, full_kernel
 from .params import DOWN, UP, Model, ModelParams, make_params
-from .qbd import (exact_stationary_model1, neuts_stability, qbd_blocks,
-                  rate_matrix_closed_form, rate_matrix_iterate,
+from .qbd import (boundary_vector, exact_stationary_model1, neuts_stability,
+                  qbd_blocks, rate_matrix_closed_form, rate_matrix_iterate,
                   rate_matrix_spectrum)
 from .spectral import characteristic_roots, feynman_kac, stability
 from .twist import harmonic, horizontal_drift, twisted_kernel
@@ -184,13 +185,23 @@ def check_eta_bounds() -> CheckResult:
     for params in (PARAMS_A, PARAMS_B):
         est = eta(params, Model.MODEL1)
         esc = escape_probabilities(params)
-        from .qbd import boundary_vector
         h = harmonic(params, Model.MODEL1)
         pi0 = boundary_vector(params)
         upper = pi0[UP] + pi0[DOWN] * h.value((0, DOWN))
         ok = ok and 0.0 < est.value <= upper and 0.0 < esc.up < 1.0 and 0.0 < esc.down < 1.0
         details.append(f"eta={est.value:.6g} in (0,{upper:.6g}]")
     return CheckResult("eta-in-range", ok, "; ".join(details))
+
+
+def check_escape_closed_form(grid: int, seed: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for params in [PARAMS_A, PARAMS_B] + [random_params(rng) for _ in range(grid)]:
+        esc = escape_probabilities(params)
+        gap = np.abs(_escape_first_passage(params) - (esc.up, esc.down))
+        worst = max(worst, float(np.max(gap)))
+    return CheckResult("escape-closed-form", worst <= 1e-10,
+                       f"max |closed form - G iteration| = {worst:.3g}")
 
 
 def check_summability_gate(grid: int, seed: int) -> CheckResult:
@@ -226,6 +237,7 @@ def run_checks(grid: int = 200, seed: int = 7) -> list[CheckResult]:
         check_drift(small, seed + 6),
         check_tail_reproduction(),
         check_eta_bounds(),
+        check_escape_closed_form(small, seed + 8),
         check_summability_gate(grid, seed + 7),
         check_rs_rd_balance(),
     ]

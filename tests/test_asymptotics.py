@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqtail import (DOWN, UP, InvalidParameters, Model, alpha_limits,
                     boundary_vector, characteristic_roots,
@@ -9,6 +12,8 @@ from uqtail import (DOWN, UP, InvalidParameters, Model, alpha_limits,
                     harmonic, make_params, mm1_comparison, prefactors,
                     rate_matrix_closed_form, rs_rd_stationary, tail_fit,
                     truncated_stationary, two_geometric_fit, two_term_tail)
+from uqtail.asymptotics import _escape_first_passage
+from uqtail.cli import main
 from uqtail.qbd import StationaryTable
 from uqtail.verify import random_params
 
@@ -17,11 +22,49 @@ B = make_params(20, 60, 0.01, 1)
 T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
 
 
+def assert_escape_matches_iteration(params):
+    esc = escape_probabilities(params)
+    assert esc.residual <= 1e-12
+    assert 0 < esc.up < 1 and 0 < esc.down < 1
+    assert [esc.up, esc.down] == pytest.approx(_escape_first_passage(params),
+                                               rel=0, abs=1e-10)
+
+
 def test_escape_methods_agree():
     for params in (A, B):
-        esc = escape_probabilities(params)
-        assert esc.method_gap < 1e-8
-        assert 0 < esc.up < 1 and 0 < esc.down < 1
+        assert_escape_matches_iteration(params)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(log_alpha=st.floats(math.log(1e-12), math.log(2.0)),
+       load=st.floats(0.05, 0.95), c_factor=st.sampled_from([1.0, 2.0]))
+def test_escape_closed_form_property(log_alpha, load, c_factor):
+    alpha = math.exp(log_alpha)
+    lam = load * A.beta / (alpha + A.beta) * A.mu
+    default = make_params(lam, A.mu, alpha, A.beta)
+    assert_escape_matches_iteration(
+        make_params(lam, A.mu, alpha, A.beta, C=c_factor * default.C))
+
+
+def test_near_critical_analyze(tmp_path):
+    # A's rates at 0.9999 of the stability bound: gamma_1 = 0.99990
+    lam = 0.9999 * A.beta / (A.alpha + A.beta) * A.mu
+    code = main(["analyze", "--lambda", repr(lam), "--mu", repr(A.mu),
+                 "--alpha", repr(A.alpha), "--beta", repr(A.beta),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    tail = json.loads((tmp_path / "analyze.json").read_text())["tail"]
+    # pi(k) = pi0 R^k with R 2x2, so pi(k, sigma) / gamma_1^k = c + d rho^k
+    # exactly; levels k and k + 1 give c, the exact gamma_1^k coefficient
+    params = make_params(lam, A.mu, A.alpha, A.beta)
+    sol = characteristic_roots(params)
+    gamma1, rho, k = sol.gamma_p, sol.gamma_secondary / sol.gamma_p, 50
+    table = exact_stationary_model1(params, k_max=k + 1)
+    for sigma, key in ((UP, "prefactor_up"), (DOWN, "prefactor_down")):
+        a_k = table.prob((k, sigma)) / gamma1 ** k
+        a_next = table.prob((k + 1, sigma)) / gamma1 ** (k + 1)
+        assert tail[key] == pytest.approx((a_next - rho * a_k) / (1.0 - rho),
+                                          rel=1e-9)
 
 
 def test_eta_exact_model1():

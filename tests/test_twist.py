@@ -53,9 +53,15 @@ def test_harmonic_requires_stability():
 def test_twisted_rows_are_stochastic():
     for state in [(0, UP), (3, DOWN)]:
         assert twisted_kernel(A, Model.MODEL1, state).total() == pytest.approx(1.0)
-    # far from the origin the log-space branch must agree with the direct one
+    # far from the origin h itself would overflow; the row must not
     row = twisted_kernel(A, Model.MODEL1, (500, UP))
     assert row.total() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_twisted_row_far_in_y_does_not_overflow():
+    # base^(x+y) overflows at y = 3000 on T2, though x = 0
+    row = twisted_kernel(T2, Model.MODEL2, (0, 3000, UP))
+    assert row.total() == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 def test_reference_twisted_probabilities():
