@@ -14,7 +14,7 @@ import numpy as np
 from .kernels import rs_rd_kernel
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      make_params)
-from .qbd import (ConvergenceError, StationaryTable, boundary_vector,
+from .qbd import (StationaryTable, boundary_vector, first_passage,
                   truncated_stationary)
 from .spectral import characteristic_roots
 from .twist import harmonic, horizontal_drift, markov_part_stationary, twisted_kernel
@@ -33,8 +33,9 @@ class EscapeProbs:
 @dataclass(frozen=True)
 class EtaEstimate:
     value: float
+    # a truncation bound for Model 2; the name stays because perfbench/spans.py reads it
     std_error: float
-    method: str  # "exact" (Model 1) or "monte-carlo" (Model 2)
+    method: str  # "exact" (Model 1) or "qbd" (Model 2)
 
 
 @dataclass(frozen=True)
@@ -109,38 +110,38 @@ class AlphaLimits:
     prefactor_up_limit_gap: float | None
 
 
-def _twisted_blocks(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(up, local, down) 2x2 blocks of the Model 1 twisted chain."""
-    a0 = np.zeros((2, 2))
-    a1 = np.zeros((2, 2))
-    a2 = np.zeros((2, 2))
-    for sigma in (UP, DOWN):
-        for target, prob in twisted_kernel(params, Model.MODEL1, (1, sigma)).targets:
-            x, sigma2 = target
-            (a0 if x == 2 else a1 if x == 1 else a2)[sigma, sigma2] = prob
-    return a0, a1, a2
+def _twisted_blocks(params: ModelParams, model: Model,
+                    y_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(up, local, down) blocks of the twisted free chain with x as the level.
 
-
-def _escape_first_passage(params: ModelParams, tol: float = 1e-14,
-                          max_iter: int = 10 ** 6) -> np.ndarray:
-    """Escape probabilities from (0, Up), (0, Down) by iterating
-    G = A2 + A1 G + A0 G^2 from 0 to its minimal solution.
-
-    Numeric reference for the closed form in `escape_probabilities`.
+    Model 1 phases are (Up, Down).  Tandem phases are (y, sigma) -> 2y + sigma
+    for y <= y_cut; a y-birth at y_cut stays put, so it folds into the
+    diagonal.  Twisted rows depend on y only through min(y, 1), so four rows
+    build every block.
     """
-    a0, a1, a2 = _twisted_blocks(params)
-    g = np.zeros((2, 2))
-    for _ in range(max_iter):
-        g_next = a2 + a1 @ g + a0 @ g @ g
-        if np.max(np.abs(g_next - g)) <= tol:
-            g = g_next
-            break
-        g = g_next
-    else:
-        raise ConvergenceError("first-passage matrix iteration did not converge")
-    up_move = np.array([twisted_kernel(params, Model.MODEL1, (0, s)).prob((1, s))
-                        for s in (UP, DOWN)])
-    return up_move * (1.0 - g @ np.ones(2))
+    tandem = model is Model.MODEL2
+    blocks = np.zeros((3, 2 * (y_cut + 1), 2 * (y_cut + 1)))
+    for y0 in ((0, 1) if tandem else (0,)):
+        ys = np.arange(1, y_cut + 1) if y0 else np.zeros(1, dtype=int)
+        for sigma in (UP, DOWN):
+            origin = (1, y0, sigma) if tandem else (1, sigma)
+            for target, prob in twisted_kernel(params, model, origin).targets:
+                dy = target[1] - y0 if tandem else 0
+                to = 2 * np.minimum(ys + dy, y_cut) + target[-1]
+                blocks[1 - (target[0] - 1), 2 * ys + sigma, to] += prob
+    return blocks[0], blocks[1], blocks[2]
+
+
+def _escape_first_passage(params: ModelParams, model: Model = Model.MODEL1,
+                          y_cut: int = 0) -> np.ndarray:
+    """Escape probabilities from level 0 for every phase of `_twisted_blocks`.
+
+    The free chain leaves level 0 upwards by the same up block A0 as any
+    level, so escape = A0 (1 - G 1) with G from `qbd.first_passage`.  For
+    Model 1 this is the numeric reference for `escape_probabilities`.
+    """
+    a0, a1, a2 = _twisted_blocks(params, model, y_cut)
+    return a0 @ (1.0 - first_passage(a0, a1, a2).sum(axis=1))
 
 
 def escape_probabilities(params: ModelParams) -> EscapeProbs:
@@ -155,7 +156,7 @@ def escape_probabilities(params: ModelParams) -> EscapeProbs:
     h = harmonic(params, Model.MODEL1)
     t2, w = h.base, h.down_weight
     g = np.array([[1.0 / t2, 0.0], [1.0 / (t2 * w), 0.0]])
-    a0, a1, a2 = _twisted_blocks(params)
+    a0, a1, a2 = _twisted_blocks(params, Model.MODEL1)
     residual = float(np.max(np.abs(a2 + a1 @ g + a0 @ g @ g - g)))
     if not (residual <= _ESCAPE_RESIDUAL and np.all(g.sum(axis=1) < 1.0)):
         raise ArithmeticError(
@@ -166,20 +167,18 @@ def escape_probabilities(params: ModelParams) -> EscapeProbs:
                        x_max_used=0, residual=residual)
 
 
-def eta(params: ModelParams, model: Model, *, table: StationaryTable | None = None,
-        samples: int = 200, x_escape: int = 40, step_cap: int = 10 ** 5,
-        seed: int = 0) -> EtaEstimate:
+def eta(params: ModelParams, model: Model, *,
+        table: StationaryTable | None = None) -> EtaEstimate:
     """Boundary constant: sum over the boundary of pi * h * escape probability.
 
     Model 1 has a two-state boundary, so the value is exact.  The tandem
-    boundary is infinite: pi comes from the truncated oracle and the escape
-    probabilities from Monte Carlo on the twisted chain, with the standard
-    error reported.
+    boundary is infinite: pi comes from the truncated oracle, and the escape
+    probabilities from the first-passage matrix of the twisted free chain
+    with y cut at twice the table's y_max.
     """
     if model is Model.MODEL1:
         return _eta_model1(params, escape_probabilities(params))
-    return _eta_model2(params, table=table, samples=samples, x_escape=x_escape,
-                       step_cap=step_cap, seed=seed)
+    return _eta_model2(params, table)
 
 
 def _eta_model1(params: ModelParams, esc: EscapeProbs) -> EtaEstimate:
@@ -189,22 +188,7 @@ def _eta_model1(params: ModelParams, esc: EscapeProbs) -> EtaEstimate:
     return EtaEstimate(value=float(value), std_error=0.0, method="exact")
 
 
-def _model2_twisted_move_table(params: ModelParams):
-    """Cached twisted move lists keyed by (min(y,1), sigma): (dx, dy, sigma', p)."""
-    cache = {}
-    for y0 in (0, 1):
-        for sigma in (UP, DOWN):
-            moves = []
-            for target, prob in twisted_kernel(params, Model.MODEL2, (0, y0, sigma)).targets:
-                moves.append((target[0], target[1] - y0, target[2], prob))
-            cum = np.cumsum([m[3] for m in moves])
-            cum[-1] = 1.0
-            cache[(y0, sigma)] = (moves, cum)
-    return cache
-
-
-def _eta_model2(params: ModelParams, *, table, samples, x_escape, step_cap,
-                seed) -> EtaEstimate:
+def _eta_model2(params: ModelParams, table: StationaryTable | None) -> EtaEstimate:
     if params.p != 1.0:
         raise InvalidParameters("the boundary constant is computed for the tandem only")
     sol = characteristic_roots(params)
@@ -213,62 +197,38 @@ def _eta_model2(params: ModelParams, *, table, samples, x_escape, step_cap,
     if table is None:
         table = truncated_stationary(params, Model.MODEL2, x_max=60, y_max=60)
     h = harmonic(params, Model.MODEL2)
-    moves = _model2_twisted_move_table(params)
-    rng = np.random.default_rng(seed)
-
-    def escape_estimate(y, sigma):
-        if y == 0:
-            return 0.0, 0.0  # every first move from (0, 0, sigma) revisits level 0
-        wins = 0
-        for _ in range(samples):
-            x, yy, s = 0, y, sigma
-            for _ in range(step_cap):
-                mv, cum = moves[(min(yy, 1), s)]
-                j = int(np.searchsorted(cum, rng.random(), side="right"))
-                dx, dy, s = mv[min(j, len(mv) - 1)][:3]
-                x += dx
-                yy += dy
-                if x == 0:
-                    break
-                if x >= x_escape:
-                    wins += 1
-                    break
-            else:
-                wins += 1  # drift is positive; a capped path counts as escaped
-        p_hat = wins / samples
-        return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / samples)
-
     y_max = table.y_max
-    value = 0.0
-    var = 0.0
-    weights = []
-    for y in range(y_max + 1):
-        for sigma in (UP, DOWN):
-            weight = table.prob((0, y, sigma)) * h.value((0, y, sigma))
-            weights.append(weight)
-            if weight == 0.0:
-                continue
-            p_hat, se = escape_estimate(y, sigma)
-            value += weight * p_hat
-            var += (weight * se) ** 2
-    # geometric-tail gate on the deterministic weights
-    tail = [weights[2 * y] + weights[2 * y + 1] for y in range(y_max - 9, y_max + 1)]
-    ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0]
+    # weights[2y + sigma] = pi(0, y, sigma) h(0, y, sigma), in `_twisted_blocks` order
+    weights = np.array([table.prob((0, y, sigma)) * h.value((0, y, sigma))
+                        for y in range(y_max + 1) for sigma in (UP, DOWN)])
+    # geometric-tail gate on the last min(10, y_max + 1) levels of the weights
+    levels = weights.reshape(-1, 2).sum(axis=1)
+    ys = [y for y in range(max(1, y_max - 8), y_max + 1) if levels[y - 1] > 0]
+    ratios = [float(levels[y] / levels[y - 1]) for y in ys]
     if not ratios or max(ratios) >= 1.0:
-        raise ArithmeticError("boundary sum tail is not decreasing geometrically; "
-                              "enlarge the truncated table")
+        raise ArithmeticError(
+            f"boundary sum tail is not decreasing geometrically: ratios "
+            f"{[round(r, 4) for r in ratios]} at y = {ys}, first >= 1 at y = "
+            f"{next((y for y, r in zip(ys, ratios) if r >= 1.0), None)}; "
+            "enlarge the truncated table")
     rho = max(ratios)
-    remainder = tail[-1] * rho / (1.0 - rho)  # escape probability bounded by 1
-    return EtaEstimate(value=float(value),
-                       std_error=float(math.sqrt(var) + remainder),
-                       method="monte-carlo")
+    remainder = levels[-1] * rho / (1.0 - rho)  # escape probability bounded by 1
+    value, coarse = (
+        float(weights @ _escape_first_passage(params, Model.MODEL2, cut)[:weights.size])
+        for cut in (2 * y_max, y_max))
+    return EtaEstimate(value=value, std_error=abs(value - coarse) + float(remainder),
+                       method="qbd")
 
 
 def prefactors(params: ModelParams, model: Model, *,
                eta_estimate: EtaEstimate | None = None,
                table: StationaryTable | None = None,
                seed: int = 0) -> TailAsymptotic:
-    """Closed-form tail constants of the dominant geometric term."""
+    """Closed-form tail constants of the dominant geometric term.
+
+    `seed` is accepted and unused: nothing here is random, but
+    perfbench/run.py passes it.
+    """
     sol = characteristic_roots(params)
     lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
     if model is Model.MODEL2 and params.p != 1.0:
@@ -292,7 +252,7 @@ def prefactors(params: ModelParams, model: Model, *,
                               secondary_gamma=sol.gamma_secondary,
                               secondary_weight=None, y_ratio=None,
                               provenance="closed-form")
-    est = eta_estimate or eta(params, model, table=table, seed=seed)
+    est = eta_estimate or eta(params, model, table=table)
     b = 1.0 - (lam + beta + mu + alpha - sqrt_s) / (2.0 * mu)
     scale = est.value / drift.value * b
     return TailAsymptotic(model=model, gamma=sol.gamma_p,
@@ -301,7 +261,7 @@ def prefactors(params: ModelParams, model: Model, *,
                           eta=est.value, escape_up=None, escape_down=None,
                           secondary_gamma=sol.gamma_secondary,
                           secondary_weight=None, y_ratio=lam / mu,
-                          provenance="closed-form+monte-carlo")
+                          provenance="closed-form+qbd")
 
 
 def two_term_tail(params: ModelParams, table: StationaryTable,

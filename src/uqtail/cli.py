@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(analyze)
     analyze.add_argument("--limits", action="store_true",
                          help="include vanishing-breakdown-rate limits")
-    analyze.add_argument("--seed", type=int, default=0)
+    # accepted and unused (analyze draws no random numbers): perfbench/run.py passes it
+    analyze.add_argument("--seed", type=int, default=0, help="ignored")
     analyze.set_defaults(func=_cmd_analyze)
 
     sim = subs.add_parser("simulate", help="sample a trajectory (CSV)")

@@ -19,6 +19,9 @@ from .params import (DOWN, UP, STATUS_NAMES, InvalidParameters, Model,
 from .spectral import stability
 
 _BLOCK_TOL = 1e-12
+_FIRST_PASSAGE_TOL = 1e-16  # largest entry of the last doubling's increment
+_FIRST_PASSAGE_DOUBLINGS = 64
+_FIRST_PASSAGE_RESIDUAL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -120,6 +123,37 @@ def rate_matrix_iterate(blocks: QbdBlocks, tol: float = 1e-15,
                                       iterations=iteration, residual=residual)
     residual = np.max(np.abs(r - (r @ r @ blocks.p2 + r @ blocks.p1 + blocks.p0)))
     raise ConvergenceError(f"rate-matrix iteration did not converge; last residual {residual}")
+
+
+def first_passage(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Minimal solution G of G = A2 + A1 G + A0 G^2 by logarithmic reduction
+    (Latouche & Ramaswami, J. Appl. Prob. 30, 1993).
+
+    A0, A1, A2 are the up, local and down blocks of a level-homogeneous QBD;
+    G[i, j] is the probability of first entering the level below in phase j
+    from phase i.  Raises ArithmeticError unless the residual is at most
+    1e-12 and every row sum is at most 1.
+    """
+    eye = np.eye(a1.shape[0])
+    up = np.linalg.solve(eye - a1, a0)
+    down = np.linalg.solve(eye - a1, a2)
+    g, reach = down.copy(), up.copy()
+    for _ in range(_FIRST_PASSAGE_DOUBLINGS):
+        mix = eye - up @ down - down @ up
+        up, down = np.linalg.solve(mix, up @ up), np.linalg.solve(mix, down @ down)
+        step = reach @ down
+        g += step
+        reach = reach @ up
+        if np.max(step) <= _FIRST_PASSAGE_TOL:
+            break
+    residual = float(np.max(np.abs(a2 + a1 @ g + a0 @ g @ g - g)))
+    rows = g.sum(axis=1)
+    if not (residual <= _FIRST_PASSAGE_RESIDUAL and np.all(rows <= 1.0)):
+        raise ArithmeticError(
+            f"first-passage matrix fails: residual {residual:.3g} "
+            f"(bound {_FIRST_PASSAGE_RESIDUAL:g}), "
+            f"max row sum {float(rows.max())!r} (must be <= 1)")
+    return g
 
 
 def rate_matrix_spectrum(R: np.ndarray) -> tuple[float, float]:

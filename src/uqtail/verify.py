@@ -201,7 +201,7 @@ def check_escape_closed_form(grid: int, seed: int) -> CheckResult:
         gap = np.abs(_escape_first_passage(params) - (esc.up, esc.down))
         worst = max(worst, float(np.max(gap)))
     return CheckResult("escape-closed-form", worst <= 1e-10,
-                       f"max |closed form - G iteration| = {worst:.3g}")
+                       f"max |closed form - logarithmic reduction| = {worst:.3g}")
 
 
 def check_summability_gate(grid: int, seed: int) -> CheckResult:

@@ -12,9 +12,9 @@ from uqtail import (DOWN, UP, InvalidParameters, Model, alpha_limits,
                     harmonic, make_params, mm1_comparison, prefactors,
                     rate_matrix_closed_form, rs_rd_stationary, tail_fit,
                     truncated_stationary, two_geometric_fit, two_term_tail)
-from uqtail.asymptotics import _escape_first_passage
+from uqtail.asymptotics import _escape_first_passage, _twisted_blocks
 from uqtail.cli import main
-from uqtail.qbd import StationaryTable
+from uqtail.qbd import StationaryTable, first_passage
 from uqtail.verify import random_params
 
 A = make_params(10, 11, 0.1, 10)
@@ -200,28 +200,73 @@ def test_tail_fit_short_window_rejected():
         tail_fit(table, UP, 3, 6)
 
 
-def test_eta_model2_monte_carlo():
-    table = truncated_stationary(T2, Model.MODEL2, x_max=40, y_max=40)
-    est = eta(T2, Model.MODEL2, table=table, samples=60, seed=1)
-    assert est.method == "monte-carlo"
-    assert est.value > 0 and est.std_error > 0
+@pytest.fixture(scope="module")
+def t2_table():
+    return truncated_stationary(T2, Model.MODEL2, x_max=40, y_max=40)
+
+
+def test_eta_model2_exact(t2_table):
+    # tandem blocks: logarithmic reduction against the plain iteration from 0
+    a0, a1, a2 = _twisted_blocks(T2, Model.MODEL2, 8)
+    g = np.zeros_like(a1)
+    for _ in range(10 ** 5):
+        g_next = a2 + a1 @ g + a0 @ g @ g
+        if np.max(np.abs(g_next - g)) <= 1e-16:
+            break
+        g = g_next
+    assert np.max(np.abs(first_passage(a0, a1, a2) - g_next)) <= 1e-12
+    with pytest.raises(ArithmeticError, match="max row sum"):
+        first_passage(a0, a1, 1.5 * a2)  # rows of A0 + A1 + A2 sum above 1
+    # Model 1 blocks: the closed-form twisted G
+    for params in (A, B):
+        h = harmonic(params, Model.MODEL1)
+        closed = np.array([[1.0 / h.base, 0.0], [1.0 / (h.base * h.down_weight), 0.0]])
+        g = first_passage(*_twisted_blocks(params, Model.MODEL1))
+        assert np.max(np.abs(g - closed)) <= 1e-14
+    est = eta(T2, Model.MODEL2, table=t2_table)
+    assert est.method == "qbd"
+    assert est.value > 0 and 0 < est.std_error <= 1e-6
     # the boundary sum is bounded by sum pi*h (escape probabilities < 1)
     h = harmonic(T2, Model.MODEL2)
-    bound = sum(table.prob((0, y, s)) * h.value((0, y, s))
+    bound = sum(t2_table.prob((0, y, s)) * h.value((0, y, s))
                 for y in range(41) for s in (UP, DOWN))
     assert est.value < bound
 
 
-def test_model2_prefactor_structure():
-    table = truncated_stationary(T2, Model.MODEL2, x_max=40, y_max=40)
-    est = eta(T2, Model.MODEL2, table=table, samples=80, seed=2)
-    asym = prefactors(T2, Model.MODEL2, eta_estimate=est)
+def test_eta_model2_tail_gate(t2_table):
+    # the gate reads the last min(10, y_max + 1) levels, so a short table
+    # passes and brackets the 40x40 value
+    short = eta(T2, Model.MODEL2, table=truncated_stationary(T2, Model.MODEL2,
+                                                              x_max=40, y_max=8))
+    full = eta(T2, Model.MODEL2, table=t2_table)
+    assert abs(short.value - full.value) <= short.std_error
+    # a weighted boundary that stops decreasing is refused, naming the ratios
+    # and the first level where one reached 1
+    h = harmonic(T2, Model.MODEL2)
+    levels = [1.0, 0.5, 0.25, 0.25, 0.3]
+    entries = {(0, y, s): w / h.value((0, y, s)) / 2
+               for y, w in enumerate(levels) for s in (UP, DOWN)}
+    rising = StationaryTable(model=Model.MODEL2, entries=entries, x_max=0,
+                             y_max=len(levels) - 1, residual=0.0, tail_mass_bound=0.0)
+    with pytest.raises(ArithmeticError, match=r"\[0\.5, 0\.5, 1\.0, 1\.2\].*y = 3"):
+        eta(T2, Model.MODEL2, table=rising)
+
+
+def test_model2_prefactor_structure(t2_table):
+    asym = prefactors(T2, Model.MODEL2, table=t2_table)
     assert asym.y_ratio == pytest.approx(10 / 30)
-    assert asym.provenance == "closed-form+monte-carlo"
+    assert asym.provenance == "closed-form+qbd"
     # same Up/Down split as the single-queue model
     single = prefactors(make_params(10, 30, 0.1, 10), Model.MODEL1)
     assert asym.prefactor_up / asym.prefactor_down == pytest.approx(
         single.prefactor_up / single.prefactor_down, rel=1e-10)
+
+
+def test_model2_prefactor_matches_table(t2_table):
+    asym = prefactors(T2, Model.MODEL2, table=t2_table)
+    for sigma, c in ((UP, asym.prefactor_up), (DOWN, asym.prefactor_down)):
+        assert c * asym.gamma ** 30 == pytest.approx(t2_table.prob((30, 0, sigma)),
+                                                     rel=1e-3)
 
 
 def test_model2_feedback_is_shape_only():

@@ -18,6 +18,15 @@ def test_analyze_report(tmp_path, capsys):
     assert "0.91905976022190983" in raw
 
 
+def test_analyze_model2_exact_eta(tmp_path):
+    code = main(["analyze", "--lambda", "1", "--mu", "50", "--alpha", "1.9",
+                 "--beta", "0.6", "--model", "model2", "--out", str(tmp_path)])
+    assert code == 0
+    tail = json.loads((tmp_path / "analyze.json").read_text())["tail"]
+    assert tail["provenance"] == "closed-form+qbd"
+    assert abs(tail["eta"] / 0.0376655319 - 1) <= 1e-6
+
+
 def test_analyze_with_limits(tmp_path):
     code = main(["analyze", *A_FLAGS, "--limits", "--out", str(tmp_path)])
     assert code == 0
