@@ -5,7 +5,6 @@ excursions' slopes at a finite target level.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,21 +41,45 @@ class Trajectory:
 
     def to_csv(self) -> str:
         from . import __version__
-        out = io.StringIO()
-        out.write(f"# version={__version__}\n")
-        out.write("# rng=numpy.random.Generator(PCG64)\n")
-        for key, value in self.params.to_dict(self.model).items():
-            out.write(f"# {key}={value}\n")
-        out.write(f"# seed={self.seed}\n")
+        out = [f"# version={__version__}\n", "# rng=numpy.random.Generator(PCG64)\n"]
+        out += [f"# {key}={value}\n" for key, value in self.params.to_dict(self.model).items()]
+        out.append(f"# seed={self.seed}\n")
         if self.y is None:
-            out.write("step,x,status\n")
-            for i in range(len(self.x)):
-                out.write(f"{i},{self.x[i]},{self.status[i]}\n")
+            out.append("step,x,status\n")
+            columns = (self.x, self.status)
         else:
-            out.write("step,x,y,status\n")
-            for i in range(len(self.x)):
-                out.write(f"{i},{self.x[i]},{self.y[i]},{self.status[i]}\n")
-        return out.getvalue()
+            out.append("step,x,y,status\n")
+            columns = (self.x, self.y, self.status)
+        for first in range(0, len(self.x), _BLOCK):
+            last = min(first + _BLOCK, len(self.x))
+            out.append(_csv_lines([np.arange(first, last)]
+                                  + [column[first:last] for column in columns]))
+        return "".join(out)
+
+
+def _csv_lines(columns: list[np.ndarray]) -> str:
+    """Lines "a,b,...\\n" of non-negative integer columns, as f-strings print them.
+
+    Each field's decimal digits go right-aligned into a uint8 matrix, with
+    byte 0 as padding, followed by its "," or "\\n"; dropping the padding
+    leaves the text.
+    """
+    if any(column.min() < 0 for column in columns):
+        raise ValueError("trajectory columns must be non-negative")
+    widths = [len(str(int(column.max()))) for column in columns]
+    text = np.zeros((len(columns[0]), sum(widths) + len(columns)), dtype=np.uint8)
+    end = 0
+    for column, width in zip(columns, widths):
+        rest, digit = np.divmod(column.astype(np.int64), 10)
+        text[:, end + width - 1] = 48 + digit
+        for pos in range(end + width - 2, end - 1, -1):
+            text[:, pos] = (48 + rest % 10) * (rest > 0)
+            rest //= 10
+        end += width + 1
+        text[:, end - 1] = ord(",")
+    text[:, -1] = ord("\n")
+    flat = text.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -136,20 +159,14 @@ def simulate(params: ModelParams, model: Model, steps: int, seed: int = 0,
     xs = np.empty(steps + 1, dtype=np.int32)
     ss = np.empty(steps + 1, dtype=np.int8)
     if model is Model.MODEL1:
-        x, s = start
-        xs[0], ss[0] = x, s
+        rows = _model1_rows(table)
+        xs[0], ss[0] = start
         i = 1
         while i <= steps:
             block = rng.random(min(_BLOCK, steps + 1 - i))
-            for u in block:
-                cum, moves = table[(1 if x else 0, s)]
-                j = 0
-                while u >= cum[j]:
-                    j += 1
-                dx, s = moves[j]
-                x += dx
-                xs[i], ss[i] = x, s
-                i += 1
+            xs[i:i + len(block)], ss[i:i + len(block)] = _model1_path(
+                rows, block, int(xs[i - 1]), int(ss[i - 1]))
+            i += len(block)
         return Trajectory(params=params, model=model, seed=seed, x=xs, status=ss)
     ys = np.empty(steps + 1, dtype=np.int32)
     x, y, s = start
@@ -168,6 +185,83 @@ def simulate(params: ModelParams, model: Model, steps: int, seed: int = 0,
             xs[i], ys[i], ss[i] = x, y, s
             i += 1
     return Trajectory(params=params, model=model, seed=seed, x=xs, status=ss, y=ys)
+
+
+def _model1_rows(table):
+    """Model 1 rows of _move_table as arrays: thresholds, x deltas, phases."""
+    return {key: (np.maximum.accumulate(cum), np.array([m[0] for m in moves]),
+                  np.array([m[1] for m in moves], dtype=np.int8))
+            for key, (cum, moves) in table.items()}
+
+
+def _model1_move(row, u):
+    """x deltas and phases that the row's per-step rule gives the uniforms u.
+
+    The rule takes the first move j with u < cum[j]; cum was made
+    non-decreasing by a running maximum, which leaves that j unchanged, so
+    np.searchsorted finds it.
+    """
+    cum, dx, phase = row
+    j = np.searchsorted(cum, u, side="right")
+    return dx[j], phase[j]
+
+
+def _model1_path(rows, u, x, s):
+    """Model 1 states after each uniform of u, from (x, s), as the per-step
+    rule of the (min(x, 1), sigma) rows of _move_table gives them.
+
+    Every uniform is classified under the (1, sigma) rows.  The phase chain
+    does not see x there, so the phases come first; x then follows the
+    Lindley recursion x_k = max(x_{k-1} + dx_k, 0).  At x = 0 that turns an
+    Up service into row (0, Up)'s self-loop, whose interval is the union of
+    row (1, Up)'s service and self-loop intervals.  The sums behind a
+    threshold differ between the two rows, so the same threshold can sit an
+    ulp apart (0.67524115755627 vs 0.6752411575562702 on A).  Each step
+    taken from x = 0 is therefore checked against the (0, sigma) row; at the
+    first that disagrees the path takes that row's move and is recomputed
+    from there.
+    """
+    xs = np.empty(len(u), dtype=np.int32)
+    ss = np.empty(len(u), dtype=np.int8)
+    done = 0
+    while done < len(u):
+        v = u[done:]
+        dx_up, to_up = _model1_move(rows[1, UP], v)
+        dx_down, to_down = _model1_move(rows[1, DOWN], v)
+        phase = _phase_path(s, to_up, to_down)
+        before = phase[:-1]
+        level = x + np.cumsum(np.where(before == UP, dx_up, dx_down))
+        level -= np.minimum(np.minimum.accumulate(level), 0)
+        zero = np.flatnonzero(np.concatenate(([x], level[:-1])) == 0)
+        up = before[zero] == UP
+        dx0_up, to0_up = _model1_move(rows[0, UP], v[zero])
+        dx0_down, to0_down = _model1_move(rows[0, DOWN], v[zero])
+        differ = ((np.where(up, dx0_up, dx0_down) != level[zero])
+                  | (np.where(up, to0_up, to0_down) != phase[1:][zero]))
+        k = int(zero[differ][0]) if differ.any() else len(v)
+        xs[done:done + k], ss[done:done + k] = level[:k], phase[1:k + 1]
+        if k == len(v):
+            break
+        dx, to = _model1_move(rows[0, int(before[k])], v[k])
+        x, s = int(dx), int(to)
+        xs[done + k], ss[done + k] = x, s
+        done += k + 1
+    return xs, ss
+
+
+def _phase_path(s, to_up, to_down):
+    """Model 1 phases before the first step and after each step, from phase s.
+
+    Step k leads to to_up[k] from Up and to to_down[k] from Down.  A step
+    whose two targets agree sets the phase; one that keeps Up and Down keeps
+    it, and one that swaps them flips it.  So the phase is the one set last,
+    flipped once per swap since (UP = 0, DOWN = 1).
+    """
+    sets = np.concatenate(([True], to_up == to_down))
+    last = np.maximum.accumulate(np.where(sets, np.arange(len(sets)), 0))
+    swaps = np.concatenate(([0], np.cumsum((to_up == DOWN) & (to_down == UP))))
+    phase = np.concatenate(([s], to_up))[last]
+    return (phase ^ ((swaps - swaps[last]) & 1)).astype(np.int8)
 
 
 def empirical_distribution(trajectory: Trajectory, burn_in: int = 0) -> EmpiricalDistribution:
@@ -210,16 +304,17 @@ def ld_excursions(trajectory: Trajectory, level_k: int,
         raise InvalidParameters("level_k must exceed base_level")
     x = trajectory.x
     status = trajectory.status
+    hits = np.flatnonzero(x >= level_k)
+    lows = np.flatnonzero(x <= base_level)
     excursions = []
     i = 0
-    n = len(x)
-    while i < n:
-        hits = np.nonzero(x[i:] >= level_k)[0]
-        if len(hits) == 0:
+    while True:
+        h = np.searchsorted(hits, i)
+        if h == len(hits):
             break
-        end = i + int(hits[0])
-        low = np.nonzero(x[i:end] <= base_level)[0]
-        start = i + int(low[-1]) if len(low) else i
+        end = int(hits[h])
+        low = np.searchsorted(lows, end) - 1
+        start = int(lows[low]) if low >= 0 else i   # lows[low] >= i: i is 0 or a low visit
         seg = status[start:end + 1]
         down_fraction = float(np.mean(seg == DOWN))
         slope = (int(x[end]) - int(x[start])) / (end - start)
@@ -227,10 +322,10 @@ def ld_excursions(trajectory: Trajectory, level_k: int,
         excursions.append(Excursion(start_step=start, end_step=end, peak=peak,
                                     down_fraction=down_fraction,
                                     slope_estimate=slope))
-        back = np.nonzero(x[end:] <= base_level)[0]
-        if len(back) == 0:
+        back = low + 1
+        if back == len(lows):
             break
-        i = end + int(back[0])
+        i = int(lows[back])
     return excursions
 
 

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uqtail import (DOWN, UP, InvalidParameters, Model, Trajectory,
+from uqtail import (DOWN, UP, Excursion, InvalidParameters, Model, Trajectory,
                     conditioned_excursion_slope, empirical_distribution,
                     excursion_verdict, full_kernel, ld_excursions, make_params,
                     regime_prediction, simulate)
+from uqtail.simulate import (_BLOCK, _model1_path, _model1_rows, _move_table,
+                             _phase_path)
+from uqtail.verify import random_params
 
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
@@ -157,3 +162,152 @@ def test_conditioned_slope_rejects_bad_input():
         conditioned_excursion_slope(A, Model.MODEL1, level_k=2, base_level=2)
     with pytest.raises(InvalidParameters):
         conditioned_excursion_slope(T2, Model.MODEL2, level_k=30)
+
+
+def _reference_path(table, uniforms, start):
+    """The per-step Model 1 sampler: the first move j with u < cum[j] of row
+    (min(x, 1), sigma)."""
+    xs = np.empty(len(uniforms) + 1, dtype=np.int32)
+    ss = np.empty(len(uniforms) + 1, dtype=np.int8)
+    x, s = start
+    xs[0], ss[0] = x, s
+    for i, u in enumerate(uniforms, start=1):
+        cum, moves = table[(1 if x else 0, s)]
+        j = 0
+        while u >= cum[j]:
+            j += 1
+        dx, s = moves[j]
+        x += dx
+        xs[i], ss[i] = x, s
+    return xs, ss
+
+
+def _reference_simulate(params, steps, seed, start=(0, UP)):
+    rng = np.random.default_rng(seed)
+    uniforms = []
+    i = 1
+    while i <= steps:
+        uniforms.append(rng.random(min(_BLOCK, steps + 1 - i)))
+        i += len(uniforms[-1])
+    return _reference_path(_move_table(params, Model.MODEL1), np.concatenate(uniforms), start)
+
+
+def _assert_same_path(params, steps, seed, start):
+    traj = simulate(params, Model.MODEL1, steps=steps, seed=seed, start=start)
+    xs, ss = _reference_simulate(params, steps, seed, start)
+    assert traj.x.dtype == np.int32 and traj.status.dtype == np.int8
+    assert np.array_equal(traj.x, xs) and np.array_equal(traj.status, ss)
+
+
+@pytest.mark.parametrize("rates", [(10, 11, 0.1, 10), (20, 60, 0.01, 1),
+                                   (14, 11, 0.1, 10), (0.0011, 11, 0.1, 10)])
+@pytest.mark.parametrize("start", [(0, UP), (5, DOWN)])
+@pytest.mark.parametrize("steps", [1, 70_000, 2 * _BLOCK + 1])
+def test_sampler_matches_per_step_rule(rates, start, steps):
+    _assert_same_path(make_params(*rates), steps, seed=2024, start=start)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), stable=st.booleans(),
+       start=st.sampled_from([(0, UP), (0, DOWN), (3, UP)]),
+       steps=st.integers(1, 3000))
+def test_sampler_matches_per_step_rule_on_random_sets(seed, stable, start, steps):
+    params = random_params(np.random.default_rng(seed), stable=stable)
+    _assert_same_path(params, steps, seed=seed, start=start)
+
+
+def test_sampler_takes_the_boundary_row_at_an_ulp_gap():
+    # on A, rows (0, Up) and (1, Up) put the Up -> Down threshold at
+    # 0.67524115755627 and 0.6752411575562702; a uniform between them keeps
+    # (1, Up)'s phase but sends (0, Up) Down
+    table = _move_table(A, Model.MODEL1)
+    gap = table[(0, UP)][0][0]
+    assert gap == 0.67524115755627 and table[(1, UP)][0][1] > gap
+    thresholds = [c for cum, _ in table.values() for c in cum[:-1]]
+    edges = np.array(thresholds + [np.nextafter(c, d) for c in thresholds for d in (0.0, 1.0)])
+    rng = np.random.default_rng(5)
+    uniforms = np.where(rng.random(20_000) < 0.5, 0.1, rng.random(20_000))
+    uniforms[::7] = rng.choice(edges, size=len(uniforms[::7]))
+    rows = _model1_rows(table)
+    for start in ((0, UP), (0, DOWN), (4, UP)):
+        xs, ss = _reference_path(table, uniforms, start)
+        at_gap = (xs[:-1] == 0) & (ss[:-1] == UP) & (uniforms == gap)
+        assert at_gap.sum() > 10
+        x, s = _model1_path(rows, uniforms, *start)
+        assert np.array_equal(x, xs[1:]) and np.array_equal(s, ss[1:])
+
+
+def _reference_csv_rows(traj):
+    if traj.y is None:
+        return "".join(f"{i},{traj.x[i]},{traj.status[i]}\n" for i in range(len(traj.x)))
+    return "".join(f"{i},{traj.x[i]},{traj.y[i]},{traj.status[i]}\n"
+                   for i in range(len(traj.x)))
+
+
+def _assert_same_lines(text, expected):
+    # name the first differing line; a diff of the whole text is too slow
+    got, want = text.splitlines(), expected.splitlines()
+    bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
+    assert text == expected
+
+
+@pytest.mark.parametrize("rows", [2, 20, _BLOCK + 3])
+def test_trajectory_csv_matches_fstrings(rows):
+    widths = np.array([0, 9, 10, 99, 100, 99_999, 100_000], dtype=np.int32)
+    x = np.resize(widths, rows)
+    y = np.resize(widths[::-1], rows)
+    status = np.resize(np.array([UP, DOWN], dtype=np.int8), rows)
+    for traj in (Trajectory(params=A, model=Model.MODEL1, seed=3, x=x, status=status),
+                 Trajectory(params=T2, model=Model.MODEL2, seed=3, x=x, status=status, y=y)):
+        head, _, body = traj.to_csv().partition("step,")
+        assert head.endswith("# seed=3\n")
+        _assert_same_lines(body.partition("\n")[2], _reference_csv_rows(traj))
+    one = simulate(A, Model.MODEL1, steps=1, seed=9)
+    assert one.to_csv().endswith("status\n" + _reference_csv_rows(one))
+    with pytest.raises(ValueError):
+        Trajectory(params=A, model=Model.MODEL1, seed=0, x=-x, status=status).to_csv()
+
+
+def _reference_excursions(trajectory, level_k, base_level=2):
+    """ld_excursions as a rescan of x[i:] for every excursion."""
+    x, status = trajectory.x, trajectory.status
+    excursions = []
+    i = 0
+    while i < len(x):
+        hits = np.nonzero(x[i:] >= level_k)[0]
+        if len(hits) == 0:
+            break
+        end = i + int(hits[0])
+        low = np.nonzero(x[i:end] <= base_level)[0]
+        start = i + int(low[-1]) if len(low) else i
+        excursions.append(Excursion(
+            start_step=start, end_step=end, peak=int(x[end]),
+            down_fraction=float(np.mean(status[start:end + 1] == DOWN)),
+            slope_estimate=(int(x[end]) - int(x[start])) / (end - start)))
+        back = np.nonzero(x[end:] <= base_level)[0]
+        if len(back) == 0:
+            break
+        i = end + int(back[0])
+    return excursions
+
+
+@pytest.mark.parametrize("params", [A, B])
+def test_excursions_match_rescan(params):
+    traj = simulate(params, Model.MODEL1, steps=200_000, seed=4)
+    for level_k, base_level in ((30, 2), (8, 0), (12, 5)):
+        found = ld_excursions(traj, level_k=level_k, base_level=base_level)
+        assert found == _reference_excursions(traj, level_k, base_level)
+    assert len(ld_excursions(traj, level_k=8, base_level=0)) > 10
+
+
+def test_phase_path_sets_keeps_and_swaps():
+    # a step whose targets swap Up and Down needs lambda + alpha + beta > C,
+    # which no valid C allows; the phase path still follows it
+    rng = np.random.default_rng(8)
+    to_up, to_down = (rng.integers(0, 2, 500).astype(np.int8) for _ in range(2))
+    for s in (UP, DOWN):
+        expected = [s]
+        for a, b in zip(to_up, to_down):
+            expected.append(a if expected[-1] == UP else b)
+        assert _phase_path(s, to_up, to_down).tolist() == expected
