@@ -6,16 +6,16 @@ and the product-form reference distribution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import rs_rd_kernel
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      make_params)
-from .qbd import (StationaryTable, boundary_vector, first_passage,
-                  truncated_stationary)
+from .qbd import (StationaryTable, _lattice_matrix, _lattice_shape, boundary_vector,
+                  first_passage, truncated_stationary)
 from .spectral import characteristic_roots
 from .twist import harmonic, horizontal_drift, markov_part_stationary, twisted_kernel
 
@@ -402,33 +402,30 @@ def two_geometric_fit(table: StationaryTable, sigma: int, k_min: int,
 
 
 def rs_rd_stationary(params: ModelParams, x_max: int, y_max: int) -> StationaryTable:
-    """Closed-form product stationary law of the rerouting comparison network."""
+    """Closed-form product stationary law of the rerouting comparison network.
+
+    The residual is the global balance of the closed form against the
+    actual kernel, pi P - pi on the window, with P the (x_max + 2) x
+    (y_max + 2) lattice of `_lattice_matrix` so that inflow sources one step
+    outside the window are evaluated in closed form too.  Raises
+    InvalidParameters unless x_max >= 1 and y_max >= 1.
+    """
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
+    _lattice_shape(Model.RSRD, x_max, y_max)   # raises on an empty side
     r = lam / (mu * p)
     if r >= 1.0:
         raise InvalidParameters("product form requires lambda < mu * p")
     norm = (1.0 - r) ** 2
-    share = {UP: beta / (alpha + beta), DOWN: alpha / (alpha + beta)}
-
-    def pi(x, y, sigma):
-        return norm * r ** (x + y) * share[sigma]
-
-    entries = {(x, y, sigma): pi(x, y, sigma)
-               for x in range(x_max + 1) for y in range(y_max + 1)
-               for sigma in (UP, DOWN)}
-    # global-balance residual of the closed form against the actual kernel;
-    # inflow sources one step outside the window are evaluated in closed form
-    inflow = {s: 0.0 for s in entries}
-    for x in range(x_max + 2):
-        for y in range(y_max + 2):
-            for sigma in (UP, DOWN):
-                src = (x, y, sigma)
-                weight = pi(x, y, sigma)
-                for target, prob in rs_rd_kernel(params, src).targets:
-                    if target in inflow:
-                        inflow[target] += weight * prob
-    residual = max(abs(inflow[s] - entries[s]) for s in entries
-                   if s[0] <= x_max and s[1] <= y_max)
+    share = np.array([beta / (alpha + beta), alpha / (alpha + beta)])  # by sigma
+    powers = np.array([r ** k for k in range(x_max + y_max + 3)])
+    x, y = np.ogrid[:x_max + 2, :y_max + 2]
+    pi = norm * powers[x + y][..., None] * share
+    inflow = pi.ravel() @ _lattice_matrix(params, Model.RSRD, pi.shape)
+    window = pi[:x_max + 1, :y_max + 1]
+    residual = float(np.max(np.abs(
+        inflow.reshape(pi.shape)[:x_max + 1, :y_max + 1] - window)))
+    states = itertools.product(range(x_max + 1), range(y_max + 1), (UP, DOWN))
+    entries = dict(zip(states, window.ravel().tolist()))
     tail = 1.0 - (1.0 - r ** (x_max + 1)) * (1.0 - r ** (y_max + 1))
     return StationaryTable(model=Model.RSRD, entries=entries, x_max=x_max,
                            y_max=y_max, residual=residual, tail_mass_bound=tail,

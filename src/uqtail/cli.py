@@ -184,6 +184,8 @@ def _cmd_ldpath(args) -> int:
 def _cmd_tailfit(args) -> int:
     params, model = _resolve_params(args)
     sigma = UP if args.sigma == "up" else DOWN
+    if model is not Model.MODEL1 and args.kmax > args.xmax:
+        raise InvalidParameters(f"--kmax {args.kmax} exceeds the lattice's --xmax {args.xmax}")
     if model is Model.MODEL1:
         table = exact_stationary_model1(params, k_max=max(args.kmax + 5, 50))
     elif model is Model.MODEL2:

@@ -5,6 +5,7 @@ linear-solve oracle shared by every model.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .kernels import full_kernel, rs_rd_kernel
+from .kernels import full_kernel
 from .params import (DOWN, UP, STATUS_NAMES, InvalidParameters, Model,
                      ModelParams, UnstableParameters)
 from .spectral import stability
@@ -231,11 +232,43 @@ def _model1_balance_residual(params: ModelParams, levels: np.ndarray) -> float:
     return worst
 
 
-def _lattice_states(model: Model, x_max: int, y_max: int | None):
-    if model is Model.MODEL1:
-        return [(x, sigma) for x in range(x_max + 1) for sigma in (UP, DOWN)]
-    return [(x, y, sigma) for x in range(x_max + 1)
-            for y in range(y_max + 1) for sigma in (UP, DOWN)]
+def _lattice_shape(model: Model, x_max: int, y_max: int | None) -> tuple:
+    """Array shape of the lattice x <= x_max (y <= y_max) by sigma; a state's
+    index is its C-order position.  Raises InvalidParameters on an empty side."""
+    if x_max < 1 or (model is not Model.MODEL1 and (y_max is None or y_max < 1)):
+        raise InvalidParameters(f"the lattice needs x_max >= 1 and y_max >= 1, "
+                                f"got x_max={x_max}, y_max={y_max}")
+    return (x_max + 1, 2) if model is Model.MODEL1 else (x_max + 1, y_max + 1, 2)
+
+
+def _lattice_matrix(params: ModelParams, model: Model, shape: tuple) -> sp.csr_matrix:
+    """Transition matrix of the chain cut to the lattice `shape` (reflecting cut).
+
+    A row depends on its state only through (min(x, 1), min(y, 1), sigma), so
+    one `full_kernel` row per class is broadcast over the class's states.  Moves
+    leaving the lattice and the self-move fold into the diagonal, added in the
+    row's sorted target order.
+    """
+    coords = np.indices(shape).reshape(len(shape), -1)
+    n = coords.shape[1]
+    corner = np.minimum(coords, 1)   # the row class; sigma is 0 or 1 already
+    edge = np.array(shape)[:, None] - 1
+    diag = np.zeros(n)
+    rows, cols, vals = [], [], []
+    for origin in itertools.product(*[(0, 1)] * (len(shape) - 1), (UP, DOWN)):
+        members = np.flatnonzero((corner == np.array(origin)[:, None]).all(axis=0))
+        at = coords[:, members]
+        for target, prob in full_kernel(params, model, origin).targets:
+            to = at + (np.array(target) - np.array(origin))[:, None]
+            fold = (to > edge).any(axis=0) | (target == origin)
+            diag[members] += np.where(fold, prob, 0.0)
+            rows.append(members[~fold])
+            cols.append(np.ravel_multi_index(to[:, ~fold], shape))
+            vals.append(np.full(rows[-1].size, prob))
+    every = np.arange(n)
+    return sp.csr_matrix((np.concatenate(vals + [diag]),
+                          (np.concatenate(rows + [every]), np.concatenate(cols + [every]))),
+                         shape=(n, n))
 
 
 def truncated_stationary(params: ModelParams, model: Model, x_max: int,
@@ -246,53 +279,30 @@ def truncated_stationary(params: ModelParams, model: Model, x_max: int,
     Probability leaving the lattice is folded back into the diagonal
     (reflecting cut), which keeps rows stochastic and converges to the true
     law as the cut grows.  The universal oracle for the two-server models.
+    P is built from the eight (four for Model 1) row classes of
+    `_lattice_matrix`; the solve is SuperLU on P^T - I with row 0 set to ones.
+    Raises InvalidParameters unless x_max >= 1 and, off Model 1, y_max >= 1.
     """
     if model is Model.MODEL1:
         y_max = None
-        kernel = lambda s: full_kernel(params, model, s)
-    elif model is Model.MODEL2:
-        if y_max is None:
-            raise InvalidParameters("y_max required for the two-server lattice")
-        kernel = lambda s: full_kernel(params, model, s)
-    else:
-        if y_max is None:
-            raise InvalidParameters("y_max required for the two-server lattice")
-        kernel = lambda s: rs_rd_kernel(params, s)
-
-    states = _lattice_states(model, x_max, y_max)
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    rows, cols, vals = [], [], []
-    for s in states:
-        i = index[s]
-        diag_extra = 0.0
-        for target, prob in kernel(s).targets:
-            j = index.get(target)
-            if j is None:
-                diag_extra += prob
-            elif target == s:
-                diag_extra += prob
-            else:
-                rows.append(i)
-                cols.append(j)
-                vals.append(prob)
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag_extra)
-    p = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    a = (p.T - sp.identity(n, format="csr")).tolil()
-    a[0, :] = 1.0
+    elif y_max is None:
+        raise InvalidParameters("y_max required for the two-server lattice")
+    shape = _lattice_shape(model, x_max, y_max)
+    p = _lattice_matrix(params, model, shape)
+    n = p.shape[0]
+    a = sp.vstack([np.ones((1, n)), (p.T - sp.identity(n, format="csr")).tocsr()[1:]],
+                  format="csc")
     b = np.zeros(n)
     b[0] = 1.0
-    pi = spla.spsolve(a.tocsc(), b)
+    pi = spla.spsolve(a, b)
     if np.min(pi) < -1e-10:
         raise ArithmeticError("truncated solve produced negative probabilities")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     residual = float(np.max(np.abs(pi @ p - pi)))
 
-    entries = {s: float(pi[index[s]]) for s in states}
+    states = itertools.product(*(range(k) for k in shape[:-1]), (UP, DOWN))
+    entries = dict(zip(states, pi.tolist()))
     tail = _tail_mass_estimate(model, entries, x_max, y_max)
     if tail > tail_error:
         raise TruncationError(

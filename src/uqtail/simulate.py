@@ -298,7 +298,9 @@ def ld_excursions(trajectory: Trajectory, level_k: int,
     Each excursion runs from the final visit at or below base_level preceding
     a first passage of level_k to the step where level_k is first reached.
     After a passage the search resumes at the first return to base_level or
-    below, so every excursion starts at or below base_level.
+    below, so every excursion starts at or below base_level.  A passage with
+    no earlier visit at or below base_level (the path starts above it) is
+    skipped.
     """
     if level_k <= base_level:
         raise InvalidParameters("level_k must exceed base_level")
@@ -314,14 +316,15 @@ def ld_excursions(trajectory: Trajectory, level_k: int,
             break
         end = int(hits[h])
         low = np.searchsorted(lows, end) - 1
-        start = int(lows[low]) if low >= 0 else i   # lows[low] >= i: i is 0 or a low visit
-        seg = status[start:end + 1]
-        down_fraction = float(np.mean(seg == DOWN))
-        slope = (int(x[end]) - int(x[start])) / (end - start)
-        peak = int(x[end])
-        excursions.append(Excursion(start_step=start, end_step=end, peak=peak,
-                                    down_fraction=down_fraction,
-                                    slope_estimate=slope))
+        if low >= 0:   # lows[low] >= i, as i is 0 or a low visit
+            start = int(lows[low])
+            seg = status[start:end + 1]
+            down_fraction = float(np.mean(seg == DOWN))
+            slope = (int(x[end]) - int(x[start])) / (end - start)
+            peak = int(x[end])
+            excursions.append(Excursion(start_step=start, end_step=end, peak=peak,
+                                        down_fraction=down_fraction,
+                                        slope_estimate=slope))
         back = low + 1
         if back == len(lows):
             break

@@ -14,6 +14,7 @@ from uqtail import (DOWN, UP, InvalidParameters, Model, alpha_limits,
                     truncated_stationary, two_geometric_fit, two_term_tail)
 from uqtail.asymptotics import _escape_first_passage, _twisted_blocks
 from uqtail.cli import main
+from uqtail.kernels import rs_rd_kernel
 from uqtail.qbd import StationaryTable, first_passage
 from uqtail.verify import random_params
 
@@ -291,3 +292,47 @@ def test_rs_rd_rejects_overload():
     assert params.lam < params.mu * params.p
     with pytest.raises(InvalidParameters):
         rs_rd_stationary(over, x_max=5, y_max=5)
+
+
+def _reference_rs_rd(params, x_max, y_max):
+    """rs_rd_stationary as a per-state product form and a per-source balance
+    loop: (entries, residual, tail_mass_bound, truncation_warning)."""
+    lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
+    r = lam / (mu * p)
+    norm = (1.0 - r) ** 2
+    share = {UP: beta / (alpha + beta), DOWN: alpha / (alpha + beta)}
+
+    def pi(x, y, sigma):
+        return norm * r ** (x + y) * share[sigma]
+
+    entries = {(x, y, sigma): pi(x, y, sigma)
+               for x in range(x_max + 1) for y in range(y_max + 1)
+               for sigma in (UP, DOWN)}
+    inflow = dict.fromkeys(entries, 0.0)
+    for x in range(x_max + 2):
+        for y in range(y_max + 2):
+            for sigma in (UP, DOWN):
+                for target, prob in rs_rd_kernel(params, (x, y, sigma)).targets:
+                    if target in inflow:
+                        inflow[target] += pi(x, y, sigma) * prob
+    residual = max(abs(inflow[s] - entries[s]) for s in entries)
+    tail = 1.0 - (1.0 - r ** (x_max + 1)) * (1.0 - r ** (y_max + 1))
+    return entries, residual, tail, tail > 1e-8
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+@pytest.mark.parametrize("x_max,y_max", [(1, 1), (20, 20), (30, 45)])
+def test_rs_rd_matches_per_state_product_form(p, x_max, y_max):
+    params = make_params(10, 30, 0.1, 10, p=p, model=Model.RSRD)
+    entries, residual, tail, warning = _reference_rs_rd(params, x_max, y_max)
+    table = rs_rd_stationary(params, x_max=x_max, y_max=y_max)
+    assert list(table.entries.items()) == list(entries.items())
+    assert (table.residual, table.tail_mass_bound, table.truncation_warning) == \
+        (residual, tail, warning)
+
+
+@pytest.mark.parametrize("x_max,y_max", [(-1, -1), (0, 5), (5, 0)])
+def test_rs_rd_needs_both_sides(x_max, y_max):
+    params = make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD)
+    with pytest.raises(InvalidParameters, match="x_max >= 1 and y_max >= 1"):
+        rs_rd_stationary(params, x_max=x_max, y_max=y_max)

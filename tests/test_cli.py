@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from uqtail.cli import main
 
 A_FLAGS = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
@@ -79,6 +81,28 @@ def test_tailfit_csv(tmp_path, capsys):
     assert "gamma_est=0.919" in capsys.readouterr().out
     lines = (tmp_path / "tailfit.csv").read_text().splitlines()
     assert "k,pi,model_prediction,relative_error" in lines
+
+
+T2_FLAGS = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10"]
+
+
+@pytest.mark.parametrize("model,p", [("model2", "1"), ("rsrd", "0.5")])
+def test_tailfit_rejects_window_beyond_lattice(tmp_path, capsys, model, p):
+    flags = [*T2_FLAGS, "--model", model, "--p", p, "--kmin", "20"]
+    code = main(["tailfit", *flags, "--kmax", "41", "--xmax", "40", "--out", str(tmp_path)])
+    assert code == 1
+    assert "--kmax 41 exceeds the lattice's --xmax 40" in capsys.readouterr().err
+    assert not (tmp_path / "tailfit.csv").exists()
+    assert main(["tailfit", *flags, "--kmax", "40", "--xmax", "40",
+                 "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("model,p", [("model2", "1"), ("rsrd", "0.5")])
+def test_tailfit_rejects_empty_lattice(tmp_path, capsys, model, p):
+    code = main(["tailfit", *T2_FLAGS, "--model", model, "--p", p, "--kmin", "0",
+                 "--kmax", "0", "--xmax", "0", "--out", str(tmp_path)])
+    assert code == 1
+    assert "x_max >= 1 and y_max >= 1" in capsys.readouterr().err
 
 
 def test_compare_mm1(tmp_path):

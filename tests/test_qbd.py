@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uqtail import (DOWN, UP, Model, boundary_vector, characteristic_roots,
+from uqtail import (DOWN, UP, InvalidParameters, Model, TruncationError,
+                    boundary_vector, characteristic_roots,
                     exact_stationary_model1, full_kernel, make_params,
                     neuts_stability, qbd_blocks, rate_matrix_closed_form,
                     rate_matrix_iterate, rate_matrix_spectrum, stability,
                     truncated_stationary)
+from uqtail.qbd import _lattice_matrix, _lattice_shape, _tail_mass_estimate
 from uqtail.verify import random_params
 
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
+T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
 
 
 def test_blocks_partition_the_kernel():
@@ -122,3 +129,105 @@ def test_csv_export_round_trip(tmp_path):
     assert lines[1] == "x,sigma,prob"
     data = table.to_json_dict()
     assert "entries" in data and "residual" in data
+
+
+def _reference_lattice(params, model, x_max, y_max=None, tail_error=0.01):
+    """truncated_stationary as one full_kernel row per lattice state:
+    (entries, residual, tail_mass_bound, truncation_warning), P and A."""
+    if model is Model.MODEL1:
+        states = [(x, sigma) for x in range(x_max + 1) for sigma in (UP, DOWN)]
+    else:
+        states = [(x, y, sigma) for x in range(x_max + 1)
+                  for y in range(y_max + 1) for sigma in (UP, DOWN)]
+    index = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    rows, cols, vals = [], [], []
+    for s in states:
+        i = index[s]
+        diag_extra = 0.0
+        for target, prob in full_kernel(params, model, s).targets:
+            j = index.get(target)
+            if j is None or target == s:
+                diag_extra += prob
+            else:
+                rows.append(i)
+                cols.append(j)
+                vals.append(prob)
+        rows.append(i)
+        cols.append(i)
+        vals.append(diag_extra)
+    p = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    a = (p.T - sp.identity(n, format="csr")).tolil()
+    a[0, :] = 1.0
+    a = a.tocsc()
+    b = np.zeros(n)
+    b[0] = 1.0
+    pi = np.clip(spla.spsolve(a, b), 0.0, None)
+    pi /= pi.sum()
+    residual = float(np.max(np.abs(pi @ p - pi)))
+    entries = {s: float(pi[index[s]]) for s in states}
+    tail = _tail_mass_estimate(model, entries, x_max, y_max)
+    if tail > tail_error:
+        raise TruncationError("tail")
+    return (entries, residual, tail, tail > 1e-8), p, a
+
+
+def _assert_same_sparse(new, ref):
+    assert new.format == ref.format
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(new, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("params,model,x_max,y_max,tail_error", [
+    (A, Model.MODEL1, 300, None, 0.01),
+    (A, Model.MODEL1, 25, None, 0.5),
+    (T2, Model.MODEL2, 40, 40, 0.01),
+    (T2, Model.MODEL2, 60, 60, 0.01),
+    (make_params(10, 30, 0.1, 10, p=0.6, model=Model.MODEL2), Model.MODEL2, 40, 40, 0.5),
+    (make_params(10, 30, 0.1, 10, model=Model.MODEL2, C=200), Model.MODEL2, 40, 40, 0.01),
+    (T2, Model.MODEL2, 30, 17, 0.5),
+    (make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD), Model.RSRD, 20, 33, 0.5),
+])
+def test_lattice_matches_per_state_assembly(monkeypatch, params, model, x_max, y_max,
+                                            tail_error):
+    (entries, residual, tail, warning), p_ref, a_ref = _reference_lattice(
+        params, model, x_max, y_max, tail_error)
+    p = _lattice_matrix(params, model, _lattice_shape(model, x_max, y_max))
+    _assert_same_sparse(p, p_ref)
+    solved = []
+    spsolve = spla.spsolve
+    monkeypatch.setattr(spla, "spsolve", lambda a, b: solved.append(a) or spsolve(a, b))
+    table = truncated_stationary(params, model, x_max=x_max, y_max=y_max,
+                                 tail_error=tail_error)
+    _assert_same_sparse(solved[0], a_ref)
+    assert list(table.entries.items()) == list(entries.items())
+    assert (table.residual, table.tail_mass_bound, table.truncation_warning) == \
+        (residual, tail, warning)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       p=st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+def test_lattice_rows_are_folded_kernel_rows(seed, p):
+    params = random_params(np.random.default_rng(seed), p=p, model=Model.MODEL2)
+    shape = _lattice_shape(Model.MODEL2, 6, 6)
+    matrix = _lattice_matrix(params, Model.MODEL2, shape)
+    for i, state in enumerate(np.ndindex(*shape)):
+        folded = {i: 0.0}
+        for target, prob in full_kernel(params, Model.MODEL2, state).targets:
+            if target == state or max(target[:2]) > 6:
+                folded[i] += prob
+            else:
+                folded[int(np.ravel_multi_index(target, shape))] = prob
+        row = matrix.getrow(i)
+        assert dict(zip(row.indices.tolist(), row.data.tolist())) == folded
+
+
+@pytest.mark.parametrize("model,x_max,y_max", [
+    (Model.MODEL1, 0, None), (Model.MODEL1, -1, None),
+    (Model.MODEL2, 0, 5), (Model.MODEL2, 5, 0), (Model.RSRD, 5, -1)])
+def test_lattice_needs_both_sides(model, x_max, y_max):
+    params = A if model is Model.MODEL1 else make_params(10, 30, 0.1, 10, model=model)
+    with pytest.raises(InvalidParameters, match="x_max >= 1 and y_max >= 1"):
+        truncated_stationary(params, model, x_max=x_max, y_max=y_max)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,11 +282,12 @@ def _reference_excursions(trajectory, level_k, base_level=2):
             break
         end = i + int(hits[0])
         low = np.nonzero(x[i:end] <= base_level)[0]
-        start = i + int(low[-1]) if len(low) else i
-        excursions.append(Excursion(
-            start_step=start, end_step=end, peak=int(x[end]),
-            down_fraction=float(np.mean(status[start:end + 1] == DOWN)),
-            slope_estimate=(int(x[end]) - int(x[start])) / (end - start)))
+        if len(low):   # no low visit before the passage: skip it
+            start = i + int(low[-1])
+            excursions.append(Excursion(
+                start_step=start, end_step=end, peak=int(x[end]),
+                down_fraction=float(np.mean(status[start:end + 1] == DOWN)),
+                slope_estimate=(int(x[end]) - int(x[start])) / (end - start)))
         back = np.nonzero(x[end:] <= base_level)[0]
         if len(back) == 0:
             break
@@ -299,6 +302,23 @@ def test_excursions_match_rescan(params):
         found = ld_excursions(traj, level_k=level_k, base_level=base_level)
         assert found == _reference_excursions(traj, level_k, base_level)
     assert len(ld_excursions(traj, level_k=8, base_level=0)) > 10
+
+
+@pytest.mark.parametrize("level_k", [5, 8])
+def test_excursions_skip_a_start_above_base(level_k):
+    # the path starts at level_k (5), or above base_level and reaches
+    # level_k (8) before base_level: that first passage is no excursion
+    traj = simulate(A, Model.MODEL1, steps=70_000, seed=13, start=(5, DOWN))
+    first_low = int(np.flatnonzero(traj.x <= 2)[0])
+    assert np.flatnonzero(traj.x >= level_k)[0] < first_low
+    found = ld_excursions(traj, level_k=level_k)
+    assert found == _reference_excursions(traj, level_k)
+    tail = Trajectory(A, Model.MODEL1, 13, traj.x[first_low:], traj.status[first_low:])
+    shifted = [dataclasses.replace(e, start_step=e.start_step + first_low,
+                                   end_step=e.end_step + first_low)
+               for e in ld_excursions(tail, level_k=level_k)]
+    assert found == shifted and len(found) > 10
+    assert all(traj.x[e.start_step] <= 2 and e.end_step > e.start_step for e in found)
 
 
 def test_phase_path_sets_keeps_and_swaps():
