@@ -14,10 +14,11 @@ import numpy as np
 
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      make_params)
+from .kernels import row_classes
 from .qbd import (StationaryTable, _lattice_matrix, _lattice_shape, boundary_vector,
-                  first_passage, truncated_stationary)
+                  first_passage, level_blocks, truncated_stationary)
 from .spectral import characteristic_roots
-from .twist import harmonic, horizontal_drift, markov_part_stationary, twisted_kernel
+from .twist import harmonic, horizontal_drift, markov_part_stationary, twist_row
 
 _ESCAPE_RESIDUAL = 1e-12
 
@@ -112,24 +113,13 @@ class AlphaLimits:
 
 def _twisted_blocks(params: ModelParams, model: Model,
                     y_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(up, local, down) blocks of the twisted free chain with x as the level.
-
-    Model 1 phases are (Up, Down).  Tandem phases are (y, sigma) -> 2y + sigma
-    for y <= y_cut; a y-birth at y_cut stays put, so it folds into the
-    diagonal.  Twisted rows depend on y only through min(y, 1), so four rows
-    build every block.
+    """(up, local, down) blocks of the twisted free chain with x as the level,
+    from the twisted x0 = 1 class rows; phases and the y cut as in
+    `qbd.level_blocks`.
     """
-    tandem = model is Model.MODEL2
-    blocks = np.zeros((3, 2 * (y_cut + 1), 2 * (y_cut + 1)))
-    for y0 in ((0, 1) if tandem else (0,)):
-        ys = np.arange(1, y_cut + 1) if y0 else np.zeros(1, dtype=int)
-        for sigma in (UP, DOWN):
-            origin = (1, y0, sigma) if tandem else (1, sigma)
-            for target, prob in twisted_kernel(params, model, origin).targets:
-                dy = target[1] - y0 if tandem else 0
-                to = 2 * np.minimum(ys + dy, y_cut) + target[-1]
-                blocks[1 - (target[0] - 1), 2 * ys + sigma, to] += prob
-    return blocks[0], blocks[1], blocks[2]
+    h = harmonic(params, model)
+    rows = row_classes(params, model).items()
+    return level_blocks([twist_row(row, h) for origin, row in rows if origin[0] == 1], y_cut)
 
 
 def _escape_first_passage(params: ModelParams, model: Model = Model.MODEL1,
@@ -346,13 +336,14 @@ def alpha_limits(lam: float, mu: float, beta: float, p: float = 1.0,
 
 
 def mm1_comparison(params: ModelParams) -> Mm1Comparison:
-    """Match a plain M/M/1 queue with the same effective rates and compare tails."""
-    lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
+    """Match a plain M/M/1 queue with the same effective rates, service
+    beta/(alpha+beta) mu p, and compare tails."""
+    lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
     sol = characteristic_roots(params)
-    mm1_ratio = (alpha + beta) / beta * lam / mu
+    mm1_ratio = (alpha + beta) / beta * lam / (mu * p)
     return Mm1Comparison(gamma_1=sol.gamma_p, mm1_ratio=mm1_ratio,
                          dominance=sol.gamma_p >= mm1_ratio,
-                         lambda0=lam, mu0=beta / (alpha + beta) * mu)
+                         lambda0=lam, mu0=beta / (alpha + beta) * mu * p)
 
 
 def tail_fit(table: StationaryTable, sigma: int, k_min: int, k_max: int,

@@ -21,7 +21,8 @@ from .asymptotics import (alpha_limits, mm1_comparison, prefactors,
                           rs_rd_stationary, tail_fit)
 from .params import (DOWN, UP, InvalidParameters, Model, make_params,
                      params_from_json)
-from .qbd import ConvergenceError, exact_stationary_model1, truncated_stationary
+from .qbd import (ConvergenceError, _lattice_shape, exact_stationary_model1,
+                  truncated_stationary)
 from .simulate import (empirical_distribution, excursion_verdict, ld_excursions,
                        regime_prediction, simulate)
 from .spectral import characteristic_roots, stability
@@ -184,8 +185,15 @@ def _cmd_ldpath(args) -> int:
 def _cmd_tailfit(args) -> int:
     params, model = _resolve_params(args)
     sigma = UP if args.sigma == "up" else DOWN
-    if model is not Model.MODEL1 and args.kmax > args.xmax:
-        raise InvalidParameters(f"--kmax {args.kmax} exceeds the lattice's --xmax {args.xmax}")
+    if model is not Model.MODEL1:
+        _lattice_shape(model, args.xmax, args.xmax)   # raises on an empty lattice
+        if args.kmax > args.xmax:
+            raise InvalidParameters(f"--kmax {args.kmax} exceeds the lattice's --xmax {args.xmax}")
+        if not 0 <= (args.y or 0) <= args.xmax:
+            raise InvalidParameters(f"--y {args.y} lies outside the lattice's 0..{args.xmax}")
+    if args.kmin < 0 or args.kmax - args.kmin < 4:
+        raise InvalidParameters(f"the fit window --kmin {args.kmin} --kmax {args.kmax} "
+                                "needs kmin >= 0 and at least 5 levels")
     if model is Model.MODEL1:
         table = exact_stationary_model1(params, k_max=max(args.kmax + 5, 50))
     elif model is Model.MODEL2:
@@ -212,7 +220,7 @@ def _cmd_tailfit(args) -> int:
 
 def _cmd_compare_mm1(args) -> int:
     params, model = _resolve_params(args)
-    report = {"meta": _meta(params, Model.MODEL1),
+    report = {"meta": _meta(params, model),
               "comparison": _jsonable(mm1_comparison(params))}
     out = _out_dir(args) / "compare_mm1.json"
     out.write_text(_dump(report) + "\n")

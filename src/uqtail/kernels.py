@@ -9,6 +9,7 @@ truncation here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
@@ -105,6 +106,19 @@ def full_kernel(params: ModelParams, model: Model, state: tuple) -> TransitionRo
         x, y, sigma = state
         return _build_row(state, _model2_moves(params, x, y, sigma, bounded=True))
     return rs_rd_kernel(params, state)
+
+
+def row_classes(params: ModelParams, model: Model) -> dict[tuple, TransitionRow]:
+    """Full-chain rows at the class origins (min(x, 1), [min(y, 1),] sigma),
+    keyed by origin in lexicographic order.
+
+    The row at any state is its class row shifted by (state - origin), with
+    the same probabilities; the free row at any x is the x0 = 1 class row
+    shifted the same way.
+    """
+    corners = [(0, 1)] * (1 if model is Model.MODEL1 else 2)
+    return {origin: full_kernel(params, model, origin)
+            for origin in itertools.product(*corners, (UP, DOWN))}
 
 
 def rs_rd_kernel(params: ModelParams, state: tuple) -> TransitionRow:

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .kernels import full_kernel
+from .kernels import row_classes
 from .params import (DOWN, UP, STATUS_NAMES, InvalidParameters, Model,
                      ModelParams, UnstableParameters)
 from .spectral import stability
@@ -90,16 +90,34 @@ class StationaryTable:
                 "entries": [[key(s), p] for s, p in sorted(self.entries.items())]}
 
 
+def level_blocks(rows, y_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(up, local, down) blocks, with x as the level, of class rows at one x0.
+
+    Phases are sigma, or (y, sigma) -> 2y + sigma for y <= y_cut: a row at
+    y0 = 1 stands for every y in 1..y_cut, and a move past y_cut stays at
+    y_cut.  At x0 = 0 the local block is that of level 0.
+    """
+    n = 2 * (y_cut + 1)
+    blocks = np.zeros((3, n, n))
+    ys = np.arange(1, y_cut + 1)
+    for row in rows:
+        x0, sigma = row.origin[0], row.origin[-1]
+        y0 = row.origin[1] if len(row.origin) == 3 else 0
+        for target, prob in row.targets:
+            k, to = x0 + 1 - target[0], target[-1]
+            dy = target[1] - y0 if len(target) == 3 else 0
+            if y0:   # one numpy update for all y; a Python loop over y is slower
+                blocks[k, 2 * ys + sigma, 2 * np.minimum(ys + dy, y_cut) + to] += prob
+            else:    # scalar indexing; numpy's per-call cost would dominate 2x2 blocks
+                blocks[k, sigma, 2 * min(dy, y_cut) + to] += prob
+    return blocks[0], blocks[1], blocks[2]
+
+
 def qbd_blocks(params: ModelParams) -> QbdBlocks:
     """Level-structured 2x2 blocks of the single-server embedded chain."""
-    lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
-    p1_boundary = np.array([[1.0 - (alpha + lam) / C, alpha / C],
-                            [beta / C, 1.0 - (lam + beta) / C]])
-    p0 = np.array([[lam / C, 0.0], [0.0, lam / C]])
-    p2 = np.array([[mu / C, 0.0], [0.0, 0.0]])
-    p1 = np.array([[1.0 - (mu + lam + alpha) / C, alpha / C],
-                   [beta / C, 1.0 - (lam + beta) / C]])
-    return QbdBlocks(p1_boundary=p1_boundary, p0=p0, p1=p1, p2=p2)
+    rows = list(row_classes(params, Model.MODEL1).values())   # x0 = 0, then x0 = 1
+    p0, p1, p2 = level_blocks(rows[2:])
+    return QbdBlocks(p1_boundary=level_blocks(rows[:2])[1], p0=p0, p1=p1, p2=p2)
 
 
 def rate_matrix_closed_form(params: ModelParams) -> np.ndarray:
@@ -208,28 +226,14 @@ def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
         entries[(k, DOWN)] = float(level[DOWN])
         level = level @ r
     tail = float(level @ np.linalg.solve(np.eye(2) - r, np.ones(2)))
-    residual = _model1_balance_residual(params, levels)
+    # max |pi P - pi| over levels 0..k_max-1 of the full chain
+    blocks = qbd_blocks(params)
+    inflow = levels[:-1] @ blocks.p1 + levels[1:] @ blocks.p2
+    inflow[1:] += levels[:-2] @ blocks.p0
+    inflow[:1] = levels[:1] @ blocks.p1_boundary + levels[1:2] @ blocks.p2
+    residual = float(np.max(np.abs(inflow - levels[:-1]), initial=0.0))
     return StationaryTable(model=Model.MODEL1, entries=entries, x_max=k_max,
                            y_max=None, residual=residual, tail_mass_bound=tail)
-
-
-def _model1_balance_residual(params: ModelParams, levels: np.ndarray) -> float:
-    """Max |pi P - pi| over levels 0..k_max-1 of the full chain."""
-    lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
-    k_max = levels.shape[0] - 1
-    worst = 0.0
-    for k in range(k_max):
-        inflow_up = levels[k, UP] * (1.0 - (lam + alpha + (mu if k > 0 else 0.0)) / C) \
-            + levels[k, DOWN] * beta / C \
-            + levels[k + 1, UP] * mu / C
-        inflow_down = levels[k, DOWN] * (1.0 - (lam + beta) / C) \
-            + levels[k, UP] * alpha / C
-        if k > 0:
-            inflow_up += levels[k - 1, UP] * lam / C
-            inflow_down += levels[k - 1, DOWN] * lam / C
-        worst = max(worst, abs(inflow_up - levels[k, UP]),
-                    abs(inflow_down - levels[k, DOWN]))
-    return worst
 
 
 def _lattice_shape(model: Model, x_max: int, y_max: int | None) -> tuple:
@@ -244,10 +248,9 @@ def _lattice_shape(model: Model, x_max: int, y_max: int | None) -> tuple:
 def _lattice_matrix(params: ModelParams, model: Model, shape: tuple) -> sp.csr_matrix:
     """Transition matrix of the chain cut to the lattice `shape` (reflecting cut).
 
-    A row depends on its state only through (min(x, 1), min(y, 1), sigma), so
-    one `full_kernel` row per class is broadcast over the class's states.  Moves
-    leaving the lattice and the self-move fold into the diagonal, added in the
-    row's sorted target order.
+    Each `row_classes` row is broadcast over its class's states.  Moves leaving
+    the lattice and the self-move fold into the diagonal, added in the row's
+    sorted target order.
     """
     coords = np.indices(shape).reshape(len(shape), -1)
     n = coords.shape[1]
@@ -255,10 +258,10 @@ def _lattice_matrix(params: ModelParams, model: Model, shape: tuple) -> sp.csr_m
     edge = np.array(shape)[:, None] - 1
     diag = np.zeros(n)
     rows, cols, vals = [], [], []
-    for origin in itertools.product(*[(0, 1)] * (len(shape) - 1), (UP, DOWN)):
+    for origin, row in row_classes(params, model).items():
         members = np.flatnonzero((corner == np.array(origin)[:, None]).all(axis=0))
         at = coords[:, members]
-        for target, prob in full_kernel(params, model, origin).targets:
+        for target, prob in row.targets:
             to = at + (np.array(target) - np.array(origin))[:, None]
             fold = (to > edge).any(axis=0) | (target == origin)
             diag[members] += np.where(fold, prob, 0.0)

@@ -13,8 +13,8 @@ import scipy.sparse.linalg as spla
 
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      check_state)
-from .kernels import full_kernel
-from .qbd import ConvergenceError, exact_stationary_model1
+from .kernels import row_classes
+from .qbd import ConvergenceError, exact_stationary_model1, qbd_blocks
 
 _BLOCK = 1 << 16
 _SLOPE_TOL = 1e-13          # excursion-length mass left unsummed
@@ -126,23 +126,12 @@ class EmpiricalDistribution:
 def _move_table(params: ModelParams, model: Model):
     """Rows keyed by (min(x,1), [min(y,1),] sigma); moves as state deltas."""
     table = {}
-    if model is Model.MODEL1:
-        for x0 in (0, 1):
-            for sigma in (UP, DOWN):
-                row = full_kernel(params, model, (x0, sigma))
-                moves = [(t[0] - x0, t[1], p) for t, p in row.targets]
-                cum = np.cumsum([m[2] for m in moves])
-                cum[-1] = 1.0
-                table[(x0, sigma)] = (tuple(cum), tuple(m[:2] for m in moves))
-        return table
-    for x0 in (0, 1):
-        for y0 in (0, 1):
-            for sigma in (UP, DOWN):
-                row = full_kernel(params, model, (x0, y0, sigma))
-                moves = [(t[0] - x0, t[1] - y0, t[2], p) for t, p in row.targets]
-                cum = np.cumsum([m[3] for m in moves])
-                cum[-1] = 1.0
-                table[(x0, y0, sigma)] = (tuple(cum), tuple(m[:3] for m in moves))
+    for origin, row in row_classes(params, model).items():
+        moves = tuple((*(t - o for t, o in zip(target[:-1], origin)), target[-1])
+                      for target, _ in row.targets)
+        cum = np.cumsum([prob for _, prob in row.targets])
+        cum[-1] = 1.0
+        table[origin] = (tuple(cum), moves)
     return table
 
 
@@ -338,9 +327,9 @@ def conditioned_excursion_slope(params: ModelParams, model: Model, level_k: int,
 
     An excursion leaves (base, sigma) by a step up and reaches level_k = K
     before returning to base, which it does in T steps.  h, the probability
-    of reaching K before base, solves the harmonic equations of full_kernel
-    rows on levels base+1..K-1.  The excursion starts in phase sigma with
-    weight pi(base, sigma) P((base, sigma) -> (base+1, sigma)) h(base+1, sigma)
+    of reaching K before base, solves the harmonic equations of the
+    `qbd_blocks` on levels base+1..K-1.  The excursion starts in phase sigma
+    with weight pi(base, sigma) P((base, sigma) -> (base+1, sigma)) h(base+1, sigma)
     (pi stationary), and then moves by the Doob transform
     Q^_ij = Q_ij h_j / h_i, the chain conditioned on reaching K first.  The
     law of T is iterated under Q^ until P(T > steps) < 1e-13, which gives
@@ -359,30 +348,20 @@ def conditioned_excursion_slope(params: ModelParams, model: Model, level_k: int,
         raise InvalidParameters("level_k must exceed base_level")
     rise = level_k - base_level
     n = 2 * (rise - 1)
+    blocks = qbd_blocks(params)
     pi_base = exact_stationary_model1(params, k_max=base_level)
-    lift = np.array([pi_base.prob((base_level, s))
-                     * full_kernel(params, model, (base_level, s))
-                     .prob((base_level + 1, s)) for s in (UP, DOWN)])
+    lift = np.array([pi_base.prob((base_level, s)) for s in (UP, DOWN)]) * np.diag(blocks.p0)
     if n == 0:
         return ConditionedSlope(level_k=level_k, base_level=base_level,
                                 mean_slope=1.0, ratio_slope=1.0,
                                 success_probability=1.0, h_residual=0.0, steps=1,
                                 remaining_mass=0.0, h=np.ones((0, 2)))
-    # unknowns (x, sigma) -> 2 (x - base - 1) + sigma; moves to K feed `hit`,
-    # moves to base are killed
-    rows, cols, vals = [], [], []
+    # unknowns (x, sigma) -> 2 (x - base - 1) + sigma on the interior levels,
+    # block-tridiagonal; moves to K feed `hit`, moves to base are killed
+    q = (sp.kron(sp.eye(rise - 1, k=1), blocks.p0) + sp.kron(sp.eye(rise - 1), blocks.p1)
+         + sp.kron(sp.eye(rise - 1, k=-1), blocks.p2)).tocsr()
     hit = np.zeros(n)
-    for x in range(base_level + 1, level_k):
-        for s in (UP, DOWN):
-            i = 2 * (x - base_level - 1) + s
-            for (tx, ts), prob in full_kernel(params, model, (x, s)).targets:
-                if tx >= level_k:
-                    hit[i] += prob
-                elif tx > base_level:
-                    rows.append(i)
-                    cols.append(2 * (tx - base_level - 1) + ts)
-                    vals.append(prob)
-    q = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    hit[-2:] = blocks.p0.sum(axis=1)
     eye = sp.identity(n, format="csc")
     h = spla.spsolve((eye - q).tocsc(), hit)
     if not np.all(np.isfinite(h) & (h > 0.0)):

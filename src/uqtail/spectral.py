@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import row_classes
 from .params import InvalidParameters, Model, ModelParams
 
 
@@ -61,13 +62,12 @@ def feynman_kac(params: ModelParams, theta: float) -> tuple[np.ndarray, float]:
     """Tilted 2x2 phase kernel of the Model 1 free process and its Perron root."""
     if params.p != 1.0:
         raise InvalidParameters("tilted phase kernel is defined for Model 1 (p = 1)")
-    lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
-    et = math.exp(theta)
-    a = lam / C * et + 1.0 - (alpha + mu + lam) / C + mu / C / et
-    b = alpha / C
-    c = beta / C
-    d = lam / C * et + 1.0 - (lam + beta) / C
-    matrix = np.array([[a, b], [c, d]])
+    matrix = np.zeros((2, 2))
+    for (x0, sigma), row in row_classes(params, Model.MODEL1).items():
+        if x0 == 1:
+            for (x, to), prob in row.targets:
+                matrix[sigma, to] += prob * math.exp(theta * (x - x0))
+    (a, b), (c, d) = matrix
     half_gap = math.sqrt(((a - d) / 2.0) ** 2 + b * c)
     return matrix, (a + d) / 2.0 + half_gap
 

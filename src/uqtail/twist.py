@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import TransitionRow, free_kernel
+from .kernels import TransitionRow, free_kernel, row_classes
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, UnstableParameters
 from .spectral import SpectralSolution, characteristic_roots, stability
 
@@ -104,12 +104,15 @@ def harmonic(params: ModelParams, model: Model) -> HarmonicFunction:
     return HarmonicFunction(model=model, base=sol.t2, down_weight=down_weight)
 
 
-def twisted_kernel(params: ModelParams, model: Model, state: tuple) -> TransitionRow:
+def twist_row(row: TransitionRow, h: HarmonicFunction) -> TransitionRow:
     """Free-kernel row reweighted by h(target)/h(origin)."""
-    h = harmonic(params, model)
-    row = free_kernel(params, model, state)
-    return TransitionRow(state, tuple((target, prob * h.ratio(state, target))
-                                      for target, prob in row.targets))
+    return TransitionRow(row.origin, tuple((target, prob * h.ratio(row.origin, target))
+                                           for target, prob in row.targets))
+
+
+def twisted_kernel(params: ModelParams, model: Model, state: tuple) -> TransitionRow:
+    """Twisted row of the free chain at `state` (`twist_row` of its free row)."""
+    return twist_row(free_kernel(params, model, state), harmonic(params, model))
 
 
 def markov_part_stationary(params: ModelParams, model: Model):
@@ -156,30 +159,28 @@ def horizontal_drift(params: ModelParams, model: Model) -> Drift:
     sol = _require_stable(params, model)
     lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
     sqrt_s = math.sqrt(sol.s_p)
+    den_minus = lam + beta + mu + alpha - sqrt_s
+    den_plus = lam + beta - mu - alpha + sqrt_s
     if model is Model.MODEL1:
-        den_minus = lam + beta + mu + alpha - sqrt_s
-        den_plus = lam + beta - mu - alpha + sqrt_s
         value = (den_minus / 2.0 - lam * mu * den_plus / (sol.g_constant * den_minus)) / C
         phi = markov_part_stationary(params, Model.MODEL1)
-        estimate = (phi[UP] * twisted_kernel(params, model, (0, UP)).mean_x_increment()
-                    + phi[DOWN] * twisted_kernel(params, model, (0, DOWN)).mean_x_increment())
+        weights = {(UP,): phi[UP], (DOWN,): phi[DOWN]}
     else:
-        if params.p != 1.0:
+        if model is not Model.MODEL2 or params.p != 1.0:
             raise InvalidParameters("drift is defined for the tandem (p = 1) only")
-        den_minus = lam + beta + mu + alpha - sqrt_s
-        den_plus = lam + beta - mu - alpha + sqrt_s
         value = (den_minus / 2.0
                  - 2.0 * lam * mu * den_plus ** 2
                  / (den_minus * (4.0 * alpha * beta + den_plus ** 2))) / C
         phi = markov_part_stationary(params, Model.MODEL2)
         # rows are identical for all y >= 1, so the geometric tail of phi is
         # aggregated exactly instead of being truncated
-        inc = {(y, sigma): twisted_kernel(params, model, (0, y, sigma)).mean_x_increment()
-               for y in (0, 1) for sigma in (UP, DOWN)}
-        mass_up_pos = phi.up_share * phi.ratio * phi.B / (1.0 - phi.ratio)
-        mass_down_pos = (1.0 - phi.up_share) * phi.ratio * phi.B / (1.0 - phi.ratio)
-        estimate = (phi(0, UP) * inc[(0, UP)] + phi(0, DOWN) * inc[(0, DOWN)]
-                    + mass_up_pos * inc[(1, UP)] + mass_down_pos * inc[(1, DOWN)])
+        weights = {(0, UP): phi(0, UP), (0, DOWN): phi(0, DOWN),
+                   (1, UP): phi.up_share * phi.ratio * phi.B / (1.0 - phi.ratio),
+                   (1, DOWN): (1.0 - phi.up_share) * phi.ratio * phi.B / (1.0 - phi.ratio)}
+    # weighted mean x-increments of the twisted x0 = 1 class rows
+    h = harmonic(params, model)
+    estimate = sum(weights[origin[1:]] * twist_row(row, h).mean_x_increment()
+                   for origin, row in row_classes(params, model).items() if origin[0] == 1)
     if abs(value - estimate) > _DRIFT_AGREEMENT * max(1.0, abs(value)):
         raise ArithmeticError(
             f"drift closed form {value!r} and aggregate {estimate!r} disagree")

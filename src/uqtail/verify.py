@@ -14,7 +14,7 @@ import numpy as np
 from .asymptotics import (_escape_first_passage, escape_probabilities, eta,
                           prefactors, rs_rd_stationary)
 from .kernels import free_kernel, full_kernel
-from .params import DOWN, UP, Model, ModelParams, make_params
+from .params import DOWN, UP, InvalidParameters, Model, ModelParams, make_params
 from .qbd import (boundary_vector, exact_stationary_model1, neuts_stability,
                   qbd_blocks, rate_matrix_closed_form, rate_matrix_iterate,
                   rate_matrix_spectrum)
@@ -225,6 +225,9 @@ def check_rs_rd_balance() -> CheckResult:
 
 
 def run_checks(grid: int = 200, seed: int = 7) -> list[CheckResult]:
+    """Run the suite over `grid` random draws per grid check (grid >= 1)."""
+    if grid < 1:
+        raise InvalidParameters(f"grid must be >= 1, got {grid}")
     small = max(20, grid // 4)
     return [
         check_rows_stochastic(small, seed),

@@ -97,6 +97,24 @@ def test_tailfit_rejects_window_beyond_lattice(tmp_path, capsys, model, p):
                  "--out", str(tmp_path)]) == 0
 
 
+SHORT_WINDOW = "needs kmin >= 0 and at least 5 levels"
+
+
+@pytest.mark.parametrize("model,flags,message", [
+    *[(model, window, SHORT_WINDOW) for model in ("model1", "model2", "rsrd")
+      for window in (["--kmin", "30", "--kmax", "20"], ["--kmin", "20", "--kmax", "23"],
+                     ["--kmin", "-1", "--kmax", "10"])],
+    *[(model, ["--kmin", "20", "--kmax", "30", "--y", y], f"--y {y} lies outside")
+      for model in ("model2", "rsrd") for y in ("50", "41", "-1")],
+])
+def test_tailfit_rejects_bad_window(tmp_path, capsys, model, flags, message):
+    code = main(["tailfit", *T2_FLAGS, "--model", model, *flags, "--xmax", "40",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "tailfit.csv").exists()
+
+
 @pytest.mark.parametrize("model,p", [("model2", "1"), ("rsrd", "0.5")])
 def test_tailfit_rejects_empty_lattice(tmp_path, capsys, model, p):
     code = main(["tailfit", *T2_FLAGS, "--model", model, "--p", p, "--kmin", "0",
@@ -111,6 +129,26 @@ def test_compare_mm1(tmp_path):
     report = json.loads((tmp_path / "compare_mm1.json").read_text())
     assert report["comparison"]["dominance"] is True
     assert abs(report["comparison"]["mm1_ratio"] - 0.918182) < 1e-6
+
+
+def test_compare_mm1_tandem_with_feedback(tmp_path):
+    code = main(["compare-mm1", *T2_FLAGS, "--model", "model2", "--p", "0.5",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "compare_mm1.json").read_text())
+    assert report["meta"]["model"] == "model2"
+    comparison = report["comparison"]
+    assert comparison["mu0"] == pytest.approx(10 / 10.1 * 30 * 0.5, rel=1e-15)
+    assert comparison["mm1_ratio"] == pytest.approx(10.1 / 10 * 10 / 15, rel=1e-15)
+    assert comparison["dominance"] is True
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_verify_rejects_empty_grid(capsys, grid):
+    assert main(["verify", "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert f"grid must be >= 1, got {grid}" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_verify_small_grid(capsys):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqtail import (DOWN, UP, InvalidParameters, Model, free_kernel,
                     full_kernel, make_params, rs_rd_kernel)
+from uqtail.kernels import row_classes
 from uqtail.verify import random_params
 
 A = make_params(10, 11, 0.1, 10)
@@ -97,3 +100,32 @@ def test_mean_x_increment():
 def test_free_kernel_rejects_rsrd():
     with pytest.raises(InvalidParameters):
         free_kernel(RS, Model.RSRD, (0, 0, UP))
+
+
+def _shifted(row, origin):
+    """The targets of `row` moved from its origin to `origin`."""
+    shift = [a - b for a, b in zip(origin[:-1], row.origin)]
+    return tuple(((*(t + d for t, d in zip(target, shift)), target[-1]), prob)
+                 for target, prob in row.targets)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       model=st.sampled_from(list(Model)),
+       p=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+       stable=st.booleans(),
+       x=st.integers(0, 10 ** 6), y=st.integers(0, 10 ** 6),
+       sigma=st.sampled_from([UP, DOWN]))
+def test_rows_are_shifted_class_rows(seed, model, p, stable, x, y, sigma):
+    """Every row is its class row moved to the state, with equal probabilities;
+    the free row at any x is the x0 = 1 class row moved the same way."""
+    params = random_params(np.random.default_rng(seed), p=1.0 if model is Model.MODEL1 else p,
+                           stable=stable, model=model)
+    classes = row_classes(params, model)
+    assert len(classes) == (4 if model is Model.MODEL1 else 8)
+    state = (x, sigma) if model is Model.MODEL1 else (x, y, sigma)
+    corner = tuple(min(v, 1) for v in state[:-1]) + (sigma,)
+    assert full_kernel(params, model, state).targets == _shifted(classes[corner], state)
+    if model is not Model.RSRD:
+        assert free_kernel(params, model, state).targets == \
+            _shifted(classes[(1, *corner[1:])], state)
