@@ -111,26 +111,25 @@ class AlphaLimits:
     prefactor_up_limit_gap: float | None
 
 
-def _twisted_blocks(params: ModelParams, model: Model,
+def _twisted_blocks(params: ModelParams,
                     y_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(up, local, down) blocks of the twisted free chain with x as the level,
     from the twisted x0 = 1 class rows; phases and the y cut as in
     `qbd.level_blocks`.
     """
-    h = harmonic(params, model)
-    rows = row_classes(params, model).items()
+    h = harmonic(params)
+    rows = row_classes(params).items()
     return level_blocks([twist_row(row, h) for origin, row in rows if origin[0] == 1], y_cut)
 
 
-def _escape_first_passage(params: ModelParams, model: Model = Model.MODEL1,
-                          y_cut: int = 0) -> np.ndarray:
+def _escape_first_passage(params: ModelParams, y_cut: int = 0) -> np.ndarray:
     """Escape probabilities from level 0 for every phase of `_twisted_blocks`.
 
     The free chain leaves level 0 upwards by the same up block A0 as any
     level, so escape = A0 (1 - G 1) with G from `qbd.first_passage`.  For
     Model 1 this is the numeric reference for `escape_probabilities`.
     """
-    a0, a1, a2 = _twisted_blocks(params, model, y_cut)
+    a0, a1, a2 = _twisted_blocks(params, y_cut)
     return a0 @ (1.0 - first_passage(a0, a1, a2).sum(axis=1))
 
 
@@ -143,10 +142,12 @@ def escape_probabilities(params: ModelParams) -> EscapeProbs:
     escape(sigma) = (lambda/C) (h(1, sigma) - 1) / h(0, sigma).  G~ is checked
     against G = A2 + A1 G + A0 G^2 and must be strictly substochastic.
     """
-    h = harmonic(params, Model.MODEL1)
+    if params.model is not Model.MODEL1:
+        raise InvalidParameters("the closed-form escape needs a Model 1 parameter set")
+    h = harmonic(params)
     t2, w = h.base, h.down_weight
     g = np.array([[1.0 / t2, 0.0], [1.0 / (t2 * w), 0.0]])
-    a0, a1, a2 = _twisted_blocks(params, Model.MODEL1)
+    a0, a1, a2 = _twisted_blocks(params)
     residual = float(np.max(np.abs(a2 + a1 @ g + a0 @ g @ g - g)))
     if not (residual <= _ESCAPE_RESIDUAL and np.all(g.sum(axis=1) < 1.0)):
         raise ArithmeticError(
@@ -157,8 +158,7 @@ def escape_probabilities(params: ModelParams) -> EscapeProbs:
                        x_max_used=0, residual=residual)
 
 
-def eta(params: ModelParams, model: Model, *,
-        table: StationaryTable | None = None) -> EtaEstimate:
+def eta(params: ModelParams, *, table: StationaryTable | None = None) -> EtaEstimate:
     """Boundary constant: sum over the boundary of pi * h * escape probability.
 
     Model 1 has a two-state boundary, so the value is exact.  The tandem
@@ -166,27 +166,27 @@ def eta(params: ModelParams, model: Model, *,
     probabilities from the first-passage matrix of the twisted free chain
     with y cut at twice the table's y_max.
     """
-    if model is Model.MODEL1:
+    if params.model is Model.MODEL1:
         return _eta_model1(params, escape_probabilities(params))
     return _eta_model2(params, table)
 
 
 def _eta_model1(params: ModelParams, esc: EscapeProbs) -> EtaEstimate:
     pi0 = boundary_vector(params)
-    h = harmonic(params, Model.MODEL1)
+    h = harmonic(params)
     value = pi0[UP] * esc.up + pi0[DOWN] * h.value((0, DOWN)) * esc.down
     return EtaEstimate(value=float(value), std_error=0.0, method="exact")
 
 
 def _eta_model2(params: ModelParams, table: StationaryTable | None) -> EtaEstimate:
-    if params.p != 1.0:
-        raise InvalidParameters("the boundary constant is computed for the tandem only")
+    if params.model is not Model.MODEL2 or params.p != 1.0:
+        raise InvalidParameters("the boundary constant is computed for the tandem (p = 1) only")
     sol = characteristic_roots(params)
     if not params.lam / (params.mu * params.p) < sol.gamma_p:
         raise ArithmeticError("boundary sum not summable: lambda/(mu p) >= gamma_p")
     if table is None:
-        table = truncated_stationary(params, Model.MODEL2, x_max=60, y_max=60)
-    h = harmonic(params, Model.MODEL2)
+        table = truncated_stationary(params, x_max=60, y_max=60)
+    h = harmonic(params)
     y_max = table.y_max
     # weights[2y + sigma] = pi(0, y, sigma) h(0, y, sigma), in `_twisted_blocks` order
     weights = np.array([table.prob((0, y, sigma)) * h.value((0, y, sigma))
@@ -204,48 +204,49 @@ def _eta_model2(params: ModelParams, table: StationaryTable | None) -> EtaEstima
     rho = max(ratios)
     remainder = levels[-1] * rho / (1.0 - rho)  # escape probability bounded by 1
     value, coarse = (
-        float(weights @ _escape_first_passage(params, Model.MODEL2, cut)[:weights.size])
+        float(weights @ _escape_first_passage(params, cut)[:weights.size])
         for cut in (2 * y_max, y_max))
     return EtaEstimate(value=value, std_error=abs(value - coarse) + float(remainder),
                        method="qbd")
 
 
-def prefactors(params: ModelParams, model: Model, *,
-               eta_estimate: EtaEstimate | None = None,
+def prefactors(params: ModelParams, model: Model | None = None, *,
                table: StationaryTable | None = None,
                seed: int = 0) -> TailAsymptotic:
     """Closed-form tail constants of the dominant geometric term.
 
-    `seed` is accepted and unused: nothing here is random, but
-    perfbench/run.py passes it.
+    `model` and `seed` may be omitted; perfbench/run.py passes both.  A given
+    `model` must be params.model; `seed` is unused, as nothing here is random.
     """
+    if model not in (None, params.model):
+        raise InvalidParameters(f"model {model} does not match the parameters' {params.model}")
     sol = characteristic_roots(params)
     lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
-    if model is Model.MODEL2 and params.p != 1.0:
-        return TailAsymptotic(model=model, gamma=sol.gamma_p, prefactor_up=None,
+    if params.model is Model.MODEL2 and params.p != 1.0:
+        return TailAsymptotic(model=params.model, gamma=sol.gamma_p, prefactor_up=None,
                               prefactor_down=None, eta=None, escape_up=None,
                               escape_down=None, secondary_gamma=sol.gamma_secondary,
                               secondary_weight=None, y_ratio=None,
                               provenance="shape-only")
-    drift = horizontal_drift(params, model)
+    drift = horizontal_drift(params)
     sqrt_s = math.sqrt(sol.s_p)
     den = lam + beta - mu - alpha + sqrt_s
     g = sol.g_constant
-    if model is Model.MODEL1:
+    if params.model is Model.MODEL1:
         esc = escape_probabilities(params)
-        est = eta_estimate or _eta_model1(params, esc)
+        est = _eta_model1(params, esc)
         scale = est.value / drift.value
-        return TailAsymptotic(model=model, gamma=sol.gamma_p,
+        return TailAsymptotic(model=params.model, gamma=sol.gamma_p,
                               prefactor_up=scale * den / 2.0 / g,
                               prefactor_down=scale * alpha / g,
                               eta=est.value, escape_up=esc.up, escape_down=esc.down,
                               secondary_gamma=sol.gamma_secondary,
                               secondary_weight=None, y_ratio=None,
                               provenance="closed-form")
-    est = eta_estimate or eta(params, model, table=table)
+    est = eta(params, table=table)
     b = 1.0 - (lam + beta + mu + alpha - sqrt_s) / (2.0 * mu)
     scale = est.value / drift.value * b
-    return TailAsymptotic(model=model, gamma=sol.gamma_p,
+    return TailAsymptotic(model=params.model, gamma=sol.gamma_p,
                           prefactor_up=scale * den / 2.0 / g,
                           prefactor_down=scale * alpha / g,
                           eta=est.value, escape_up=None, escape_down=None,
@@ -261,7 +262,7 @@ def two_term_tail(params: ModelParams, table: StationaryTable,
     w2 is the closed-form dominant prefactor; w3 has no closed form and is
     fitted by least squares on the residuals at small k.
     """
-    asym = prefactors(params, Model.MODEL1)
+    asym = prefactors(params)
     gamma1, gamma = asym.gamma, asym.secondary_gamma
     w2 = asym.prefactor_up
     if k_hi is None:
@@ -313,12 +314,12 @@ def alpha_limits(lam: float, mu: float, beta: float, p: float = 1.0,
     g_at = sol.g_constant
     drift_at = b_at = None
     if p == 1.0:
-        drift_at = horizontal_drift(pe, model).per_time
+        drift_at = horizontal_drift(pe).per_time
         if model is Model.MODEL2:
             b_at = 1.0 - (lam + beta + mu + alpha_eval - math.sqrt(sol.s_p)) / (2.0 * mu)
     c_up_at = c_up_gap = None
     if evaluate_prefactor and model is Model.MODEL1:
-        asym = prefactors(pe, Model.MODEL1)
+        asym = prefactors(pe)
         c_up_at = asym.prefactor_up
         if below:
             target = asym.eta * pe.C / (mu - lam)
@@ -401,6 +402,8 @@ def rs_rd_stationary(params: ModelParams, x_max: int, y_max: int) -> StationaryT
     outside the window are evaluated in closed form too.  Raises
     InvalidParameters unless x_max >= 1 and y_max >= 1.
     """
+    if params.model is not Model.RSRD:
+        raise InvalidParameters("the product form needs an RS-RD parameter set")
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
     _lattice_shape(Model.RSRD, x_max, y_max)   # raises on an empty side
     r = lam / (mu * p)
@@ -411,7 +414,7 @@ def rs_rd_stationary(params: ModelParams, x_max: int, y_max: int) -> StationaryT
     powers = np.array([r ** k for k in range(x_max + y_max + 3)])
     x, y = np.ogrid[:x_max + 2, :y_max + 2]
     pi = norm * powers[x + y][..., None] * share
-    inflow = pi.ravel() @ _lattice_matrix(params, Model.RSRD, pi.shape)
+    inflow = pi.ravel() @ _lattice_matrix(params, pi.shape)
     window = pi[:x_max + 1, :y_max + 1]
     residual = float(np.max(np.abs(
         inflow.reshape(pi.shape)[:x_max + 1, :y_max + 1] - window)))

@@ -77,17 +77,17 @@ def _dump(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _meta(params, model: Model, seed: int | None = None) -> dict:
+def _meta(params, seed: int | None = None) -> dict:
     meta = {"version": __version__, "rng": _RNG_IDENTITY,
-            "params": _jsonable(params.to_dict(model)), "model": model.value}
+            "params": _jsonable(params.to_dict()), "model": params.model.value}
     if seed is not None:
         meta["seed"] = seed
     return meta
 
 
-def _csv_header(params, model: Model, seed: int | None = None, **extra) -> str:
+def _csv_header(params, seed: int | None = None, **extra) -> str:
     lines = [f"# version={__version__}", f"# rng={_RNG_IDENTITY}"]
-    for key, value in params.to_dict(model).items():
+    for key, value in params.to_dict().items():
         lines.append(f"# {key}={_fmt(value) if isinstance(value, float) else value}")
     if seed is not None:
         lines.append(f"# seed={seed}")
@@ -113,9 +113,8 @@ def _resolve_params(args):
         return params_from_json(Path(args.params_file).read_text())
     if None in (args.lam, args.mu, args.alpha, args.beta):
         raise InvalidParameters("provide --lambda --mu --alpha --beta or --params FILE")
-    model = Model(args.model)
     return make_params(args.lam, args.mu, args.alpha, args.beta,
-                       p=args.p, C=args.c, model=model), model
+                       p=args.p, C=args.c, model=Model(args.model))
 
 
 def _out_dir(args) -> Path:
@@ -125,17 +124,17 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_analyze(args) -> int:
-    params, model = _resolve_params(args)
-    report = {"meta": _meta(params, model),
+    params = _resolve_params(args)
+    report = {"meta": _meta(params),
               "spectral": _jsonable(characteristic_roots(params)),
-              "stability": _jsonable(stability(params, model))}
-    if model is not Model.RSRD:
-        if not (model is Model.MODEL2 and params.p < 1.0):
-            report["twist"] = _jsonable(twist_summary(params, model))
-        report["tail"] = _jsonable(prefactors(params, model, seed=args.seed))
+              "stability": _jsonable(stability(params))}
+    if params.model is not Model.RSRD:
+        if not (params.model is Model.MODEL2 and params.p < 1.0):
+            report["twist"] = _jsonable(twist_summary(params))
+        report["tail"] = _jsonable(prefactors(params, seed=args.seed))
     if args.limits:
         report["alpha_limits"] = _jsonable(
-            alpha_limits(params.lam, params.mu, params.beta, p=params.p, model=model))
+            alpha_limits(params.lam, params.mu, params.beta, p=params.p, model=params.model))
     out = _out_dir(args) / "analyze.json"
     out.write_text(_dump(report) + "\n")
     print(_dump(report))
@@ -143,15 +142,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    params, model = _resolve_params(args)
-    traj = simulate(params, model, steps=args.steps, seed=args.seed)
+    params = _resolve_params(args)
+    traj = simulate(params, steps=args.steps, seed=args.seed)
     out = _out_dir(args)
     (out / "trajectory.csv").write_text(traj.to_csv())
     burn = args.burn_in if args.burn_in is not None else args.steps // 10
     emp = empirical_distribution(traj, burn_in=burn)
-    lines = [_csv_header(params, model, seed=args.seed, burn_in=burn,
-                         steps=args.steps)]
-    lines.append("x,y,status,frequency\n" if model is not Model.MODEL1
+    lines = [_csv_header(params, seed=args.seed, burn_in=burn, steps=args.steps)]
+    lines.append("x,y,status,frequency\n" if traj.y is not None
                  else "x,status,frequency\n")
     for state in sorted(emp.entries):
         fields = ",".join(str(v) for v in state)
@@ -164,13 +162,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ldpath(args) -> int:
-    params, model = _resolve_params(args)
-    traj = simulate(params, model, steps=args.steps, seed=args.seed)
+    params = _resolve_params(args)
+    traj = simulate(params, steps=args.steps, seed=args.seed)
     excursions = ld_excursions(traj, level_k=args.level, base_level=args.base_level)
     predicted = regime_prediction(params)
     verdict = excursion_verdict(excursions) if excursions else "NoExcursions"
     out = _out_dir(args)
-    lines = [_csv_header(params, model, seed=args.seed, level=args.level,
+    lines = [_csv_header(params, seed=args.seed, level=args.level,
                          base_level=args.base_level, predicted_regime=predicted,
                          excursion_verdict=verdict),
              "start,end,peak,down_fraction,slope\n"]
@@ -183,8 +181,11 @@ def _cmd_ldpath(args) -> int:
 
 
 def _cmd_tailfit(args) -> int:
-    params, model = _resolve_params(args)
+    params = _resolve_params(args)
+    model = params.model
     sigma = UP if args.sigma == "up" else DOWN
+    if model is Model.MODEL1 and args.y is not None:
+        raise InvalidParameters(f"--y {args.y} given, but Model 1 states have no y")
     if model is not Model.MODEL1:
         _lattice_shape(model, args.xmax, args.xmax)   # raises on an empty lattice
         if args.kmax > args.xmax:
@@ -197,12 +198,12 @@ def _cmd_tailfit(args) -> int:
     if model is Model.MODEL1:
         table = exact_stationary_model1(params, k_max=max(args.kmax + 5, 50))
     elif model is Model.MODEL2:
-        table = truncated_stationary(params, model, x_max=args.xmax, y_max=args.xmax)
+        table = truncated_stationary(params, x_max=args.xmax, y_max=args.xmax)
     else:
         table = rs_rd_stationary(params, x_max=args.xmax, y_max=args.xmax)
     fit = tail_fit(table, sigma, args.kmin, args.kmax, y=args.y)
     out = _out_dir(args)
-    lines = [_csv_header(params, model, gamma_est=fit.gamma_est,
+    lines = [_csv_header(params, gamma_est=fit.gamma_est,
                          log_prefactor_est=fit.log_prefactor_est,
                          k_min=args.kmin, k_max=args.kmax),
              "k,pi,model_prediction,relative_error\n"]
@@ -219,8 +220,8 @@ def _cmd_tailfit(args) -> int:
 
 
 def _cmd_compare_mm1(args) -> int:
-    params, model = _resolve_params(args)
-    report = {"meta": _meta(params, model),
+    params = _resolve_params(args)
+    report = {"meta": _meta(params),
               "comparison": _jsonable(mm1_comparison(params))}
     out = _out_dir(args) / "compare_mm1.json"
     out.write_text(_dump(report) + "\n")

@@ -84,31 +84,31 @@ def _model2_moves(params: ModelParams, x: int, y: int, sigma: int, bounded: bool
     return moves
 
 
-def free_kernel(params: ModelParams, model: Model, state: tuple) -> TransitionRow:
+def free_kernel(params: ModelParams, state: tuple) -> TransitionRow:
     """Row of the boundary-free, x-shift-invariant chain."""
-    check_state(state, model, free=True)
-    if model is Model.MODEL1:
+    check_state(state, params.model, free=True)
+    if params.model is Model.MODEL1:
         x, sigma = state
         return _build_row(state, _model1_moves(params, x, sigma, bounded=False))
-    if model is Model.MODEL2:
+    if params.model is Model.MODEL2:
         x, y, sigma = state
         return _build_row(state, _model2_moves(params, x, y, sigma, bounded=False))
     raise InvalidParameters("free process is defined for Model 1 and Model 2 only")
 
 
-def full_kernel(params: ModelParams, model: Model, state: tuple) -> TransitionRow:
+def full_kernel(params: ModelParams, state: tuple) -> TransitionRow:
     """Row of the full chain; moves leaving the state space fold into the diagonal."""
-    check_state(state, model)
-    if model is Model.MODEL1:
+    check_state(state, params.model)
+    if params.model is Model.MODEL1:
         x, sigma = state
         return _build_row(state, _model1_moves(params, x, sigma, bounded=True))
-    if model is Model.MODEL2:
+    if params.model is Model.MODEL2:
         x, y, sigma = state
         return _build_row(state, _model2_moves(params, x, y, sigma, bounded=True))
     return rs_rd_kernel(params, state)
 
 
-def row_classes(params: ModelParams, model: Model) -> dict[tuple, TransitionRow]:
+def row_classes(params: ModelParams) -> dict[tuple, TransitionRow]:
     """Full-chain rows at the class origins (min(x, 1), [min(y, 1),] sigma),
     keyed by origin in lexicographic order.
 
@@ -116,8 +116,8 @@ def row_classes(params: ModelParams, model: Model) -> dict[tuple, TransitionRow]
     the same probabilities; the free row at any x is the x0 = 1 class row
     shifted the same way.
     """
-    corners = [(0, 1)] * (1 if model is Model.MODEL1 else 2)
-    return {origin: full_kernel(params, model, origin)
+    corners = [(0, 1)] * (1 if params.model is Model.MODEL1 else 2)
+    return {origin: full_kernel(params, origin)
             for origin in itertools.product(*corners, (UP, DOWN))}
 
 
@@ -131,6 +131,8 @@ def rs_rd_kernel(params: ModelParams, state: tuple) -> TransitionRow:
     unique reading under which the product-form stationary law of the
     reference network satisfies global balance.
     """
+    if params.model is not Model.RSRD:
+        raise InvalidParameters("the rerouting kernel needs an RS-RD parameter set")
     check_state(state, Model.RSRD)
     x, y, sigma = state
     lam, mu, beta, p, C = params.lam, params.mu, params.beta, params.p, params.C

@@ -59,14 +59,15 @@ class ModelParams:
     beta: float
     p: float = 1.0
     C: float = 0.0
+    model: Model = Model.MODEL1
 
-    def to_json(self, model: Model) -> str:
-        return json.dumps(self.to_dict(model))
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
-    def to_dict(self, model: Model) -> dict:
+    def to_dict(self) -> dict:
         d = asdict(self)
         d["lambda"] = d.pop("lam")
-        d["model"] = model.value
+        d["model"] = d.pop("model").value
         return d
 
 
@@ -75,24 +76,22 @@ def make_params(lam: float, mu: float, alpha: float, beta: float, p: float = 1.0
     """Build and validate a parameter set, filling in the default C."""
     if C is None:
         C = default_uniformization(lam, mu, alpha, beta, model)
-    return validate(ModelParams(lam, mu, alpha, beta, p, C), model)
+    return validate(ModelParams(lam, mu, alpha, beta, p, C, model))
 
 
-def params_from_dict(d: dict) -> tuple[ModelParams, Model]:
-    model = Model(d.get("model", "model1"))
+def params_from_dict(d: dict) -> ModelParams:
     lam = d["lambda"] if "lambda" in d else d["lam"]
-    C = d.get("C")
-    params = make_params(lam, d["mu"], d["alpha"], d["beta"],
-                         p=d.get("p", 1.0), model=model, C=C)
-    return params, model
+    return make_params(lam, d["mu"], d["alpha"], d["beta"], p=d.get("p", 1.0),
+                       model=Model(d.get("model", "model1")), C=d.get("C"))
 
 
-def params_from_json(text: str) -> tuple[ModelParams, Model]:
+def params_from_json(text: str) -> ModelParams:
     return params_from_dict(json.loads(text))
 
 
-def validate(params: ModelParams, model: Model) -> ModelParams:
+def validate(params: ModelParams) -> ModelParams:
     """Return params unchanged if all invariants hold, else raise."""
+    model = params.model
     for name in ("lam", "mu", "alpha", "beta"):
         value = getattr(params, name)
         label = "lambda" if name == "lam" else name

@@ -115,7 +115,9 @@ def level_blocks(rows, y_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def qbd_blocks(params: ModelParams) -> QbdBlocks:
     """Level-structured 2x2 blocks of the single-server embedded chain."""
-    rows = list(row_classes(params, Model.MODEL1).values())   # x0 = 0, then x0 = 1
+    if params.model is not Model.MODEL1:
+        raise InvalidParameters("the QBD blocks need a Model 1 parameter set")
+    rows = list(row_classes(params).values())   # x0 = 0, then x0 = 1
     p0, p1, p2 = level_blocks(rows[2:])
     return QbdBlocks(p1_boundary=level_blocks(rows[:2])[1], p0=p0, p1=p1, p2=p2)
 
@@ -197,9 +199,9 @@ def neuts_stability(blocks: QbdBlocks) -> bool:
 
 def boundary_vector(params: ModelParams) -> np.ndarray:
     """Stationary probabilities of level 0, (pi(0,U), pi(0,D))."""
-    if not stability(params, Model.MODEL1).stable:
-        raise UnstableParameters("stationary distribution requires stability")
     blocks = qbd_blocks(params)
+    if not stability(params).stable:
+        raise UnstableParameters("stationary distribution requires stability")
     r = rate_matrix_closed_form(params)
     n = blocks.p1_boundary + r @ blocks.p2 - np.eye(2)
     pi0 = np.array([n[1, 0], -n[0, 0]])
@@ -245,7 +247,7 @@ def _lattice_shape(model: Model, x_max: int, y_max: int | None) -> tuple:
     return (x_max + 1, 2) if model is Model.MODEL1 else (x_max + 1, y_max + 1, 2)
 
 
-def _lattice_matrix(params: ModelParams, model: Model, shape: tuple) -> sp.csr_matrix:
+def _lattice_matrix(params: ModelParams, shape: tuple) -> sp.csr_matrix:
     """Transition matrix of the chain cut to the lattice `shape` (reflecting cut).
 
     Each `row_classes` row is broadcast over its class's states.  Moves leaving
@@ -258,7 +260,7 @@ def _lattice_matrix(params: ModelParams, model: Model, shape: tuple) -> sp.csr_m
     edge = np.array(shape)[:, None] - 1
     diag = np.zeros(n)
     rows, cols, vals = [], [], []
-    for origin, row in row_classes(params, model).items():
+    for origin, row in row_classes(params).items():
         members = np.flatnonzero((corner == np.array(origin)[:, None]).all(axis=0))
         at = coords[:, members]
         for target, prob in row.targets:
@@ -274,8 +276,8 @@ def _lattice_matrix(params: ModelParams, model: Model, shape: tuple) -> sp.csr_m
                          shape=(n, n))
 
 
-def truncated_stationary(params: ModelParams, model: Model, x_max: int,
-                         y_max: int | None = None,
+def truncated_stationary(params: ModelParams, model: Model | None = None, *,
+                         x_max: int, y_max: int | None = None,
                          tail_error: float = 0.01) -> StationaryTable:
     """Stationary law of the chain truncated to the lattice, by sparse solve.
 
@@ -285,13 +287,17 @@ def truncated_stationary(params: ModelParams, model: Model, x_max: int,
     P is built from the eight (four for Model 1) row classes of
     `_lattice_matrix`; the solve is SuperLU on P^T - I with row 0 set to ones.
     Raises InvalidParameters unless x_max >= 1 and, off Model 1, y_max >= 1.
+    `model` may be omitted; when given (perfbench/run.py passes it), it must
+    be params.model.
     """
-    if model is Model.MODEL1:
+    if model not in (None, params.model):
+        raise InvalidParameters(f"model {model} does not match the parameters' {params.model}")
+    if params.model is Model.MODEL1:
         y_max = None
     elif y_max is None:
         raise InvalidParameters("y_max required for the two-server lattice")
-    shape = _lattice_shape(model, x_max, y_max)
-    p = _lattice_matrix(params, model, shape)
+    shape = _lattice_shape(params.model, x_max, y_max)
+    p = _lattice_matrix(params, shape)
     n = p.shape[0]
     a = sp.vstack([np.ones((1, n)), (p.T - sp.identity(n, format="csr")).tocsr()[1:]],
                   format="csc")
@@ -306,11 +312,11 @@ def truncated_stationary(params: ModelParams, model: Model, x_max: int,
 
     states = itertools.product(*(range(k) for k in shape[:-1]), (UP, DOWN))
     entries = dict(zip(states, pi.tolist()))
-    tail = _tail_mass_estimate(model, entries, x_max, y_max)
+    tail = _tail_mass_estimate(params.model, entries, x_max, y_max)
     if tail > tail_error:
         raise TruncationError(
             f"estimated tail mass {tail:.3g} exceeds {tail_error}; enlarge the lattice")
-    return StationaryTable(model=model, entries=entries, x_max=x_max, y_max=y_max,
+    return StationaryTable(model=params.model, entries=entries, x_max=x_max, y_max=y_max,
                            residual=residual, tail_mass_bound=tail,
                            truncation_warning=tail > 1e-8)
 

@@ -24,7 +24,6 @@ _SLOPE_MAX_STEPS = 10 ** 6
 @dataclass(frozen=True)
 class Trajectory:
     params: ModelParams
-    model: Model
     seed: int
     x: np.ndarray
     status: np.ndarray
@@ -42,7 +41,7 @@ class Trajectory:
     def to_csv(self) -> str:
         from . import __version__
         out = [f"# version={__version__}\n", "# rng=numpy.random.Generator(PCG64)\n"]
-        out += [f"# {key}={value}\n" for key, value in self.params.to_dict(self.model).items()]
+        out += [f"# {key}={value}\n" for key, value in self.params.to_dict().items()]
         out.append(f"# seed={self.seed}\n")
         if self.y is None:
             out.append("step,x,status\n")
@@ -123,10 +122,10 @@ class EmpiricalDistribution:
         return 0.5 * sum(abs(self.prob(k) - other.prob(k)) for k in keys)
 
 
-def _move_table(params: ModelParams, model: Model):
+def _move_table(params: ModelParams):
     """Rows keyed by (min(x,1), [min(y,1),] sigma); moves as state deltas."""
     table = {}
-    for origin, row in row_classes(params, model).items():
+    for origin, row in row_classes(params).items():
         moves = tuple((*(t - o for t, o in zip(target[:-1], origin)), target[-1])
                       for target, _ in row.targets)
         cum = np.cumsum([prob for _, prob in row.targets])
@@ -135,19 +134,19 @@ def _move_table(params: ModelParams, model: Model):
     return table
 
 
-def simulate(params: ModelParams, model: Model, steps: int, seed: int = 0,
+def simulate(params: ModelParams, steps: int, seed: int = 0,
              start: tuple | None = None) -> Trajectory:
     """Sample a path of the embedded chain, recording every state."""
     if steps < 1:
         raise InvalidParameters("steps must be positive")
     if start is None:
-        start = (0, UP) if model is Model.MODEL1 else (0, 0, UP)
-    check_state(start, model)
-    table = _move_table(params, model)
+        start = (0, UP) if params.model is Model.MODEL1 else (0, 0, UP)
+    check_state(start, params.model)
+    table = _move_table(params)
     rng = np.random.default_rng(seed)
     xs = np.empty(steps + 1, dtype=np.int32)
     ss = np.empty(steps + 1, dtype=np.int8)
-    if model is Model.MODEL1:
+    if params.model is Model.MODEL1:
         rows = _model1_rows(table)
         xs[0], ss[0] = start
         i = 1
@@ -156,7 +155,7 @@ def simulate(params: ModelParams, model: Model, steps: int, seed: int = 0,
             xs[i:i + len(block)], ss[i:i + len(block)] = _model1_path(
                 rows, block, int(xs[i - 1]), int(ss[i - 1]))
             i += len(block)
-        return Trajectory(params=params, model=model, seed=seed, x=xs, status=ss)
+        return Trajectory(params=params, seed=seed, x=xs, status=ss)
     ys = np.empty(steps + 1, dtype=np.int32)
     x, y, s = start
     xs[0], ys[0], ss[0] = x, y, s
@@ -173,7 +172,7 @@ def simulate(params: ModelParams, model: Model, steps: int, seed: int = 0,
             y += dy
             xs[i], ys[i], ss[i] = x, y, s
             i += 1
-    return Trajectory(params=params, model=model, seed=seed, x=xs, status=ss, y=ys)
+    return Trajectory(params=params, seed=seed, x=xs, status=ss, y=ys)
 
 
 def _model1_rows(table):
@@ -321,7 +320,7 @@ def ld_excursions(trajectory: Trajectory, level_k: int,
     return excursions
 
 
-def conditioned_excursion_slope(params: ModelParams, model: Model, level_k: int,
+def conditioned_excursion_slope(params: ModelParams, level_k: int,
                                 base_level: int = 2) -> ConditionedSlope:
     """Exact expectation of ld_excursions' slope estimates for Model 1.
 
@@ -337,11 +336,9 @@ def conditioned_excursion_slope(params: ModelParams, model: Model, level_k: int,
 
     The mean of ratios E[(K - base)/T] exceeds the ratio of means
     (K - base)/E[T] by Jensen's inequality; both fall towards the twisted
-    drift horizontal_drift(params, model).value as K grows.
+    drift horizontal_drift(params).value as K grows.  Raises
+    InvalidParameters off Model 1, from `qbd_blocks`.
     """
-    if model is not Model.MODEL1:
-        raise InvalidParameters("the conditioned excursion slope is defined "
-                                "for Model 1 only")
     if base_level < 0:
         raise InvalidParameters("base_level must be >= 0")
     if level_k <= base_level:

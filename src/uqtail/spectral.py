@@ -60,10 +60,10 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
 
 def feynman_kac(params: ModelParams, theta: float) -> tuple[np.ndarray, float]:
     """Tilted 2x2 phase kernel of the Model 1 free process and its Perron root."""
-    if params.p != 1.0:
-        raise InvalidParameters("tilted phase kernel is defined for Model 1 (p = 1)")
+    if params.model is not Model.MODEL1:
+        raise InvalidParameters("the tilted phase kernel needs a Model 1 parameter set")
     matrix = np.zeros((2, 2))
-    for (x0, sigma), row in row_classes(params, Model.MODEL1).items():
+    for (x0, sigma), row in row_classes(params).items():
         if x0 == 1:
             for (x, to), prob in row.targets:
                 matrix[sigma, to] += prob * math.exp(theta * (x - x0))
@@ -72,10 +72,10 @@ def feynman_kac(params: ModelParams, theta: float) -> tuple[np.ndarray, float]:
     return matrix, (a + d) / 2.0 + half_gap
 
 
-def stability(params: ModelParams, model: Model) -> StabilityReport:
+def stability(params: ModelParams) -> StabilityReport:
     """Closed-form stability test lam < beta/(alpha+beta) * mu * p."""
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
     effective = beta / (alpha + beta) * mu
     stable = lam < effective * p
-    iff = model is Model.MODEL1 or p == 1.0
+    iff = params.model is Model.MODEL1 or p == 1.0
     return StabilityReport(stable=stable, effective_rate=effective, if_and_only_if=iff)

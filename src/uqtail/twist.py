@@ -89,19 +89,19 @@ class TwistSummary:
     drift: Drift
 
 
-def _require_stable(params: ModelParams, model: Model) -> SpectralSolution:
-    if not stability(params, model).stable:
+def _require_stable(params: ModelParams) -> SpectralSolution:
+    if not stability(params).stable:
         raise UnstableParameters("operation requires a stable parameter set")
     return characteristic_roots(params)
 
 
-def harmonic(params: ModelParams, model: Model) -> HarmonicFunction:
+def harmonic(params: ModelParams) -> HarmonicFunction:
     """Closed-form harmonic function of the free process (needs stability)."""
-    sol = _require_stable(params, model)
+    sol = _require_stable(params)
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
     sqrt_s = math.sqrt(sol.s_p)
     down_weight = 2.0 * beta / (lam + beta - mu * p - alpha + sqrt_s)
-    return HarmonicFunction(model=model, base=sol.t2, down_weight=down_weight)
+    return HarmonicFunction(model=params.model, base=sol.t2, down_weight=down_weight)
 
 
 def twist_row(row: TransitionRow, h: HarmonicFunction) -> TransitionRow:
@@ -110,19 +110,19 @@ def twist_row(row: TransitionRow, h: HarmonicFunction) -> TransitionRow:
                                            for target, prob in row.targets))
 
 
-def twisted_kernel(params: ModelParams, model: Model, state: tuple) -> TransitionRow:
+def twisted_kernel(params: ModelParams, state: tuple) -> TransitionRow:
     """Twisted row of the free chain at `state` (`twist_row` of its free row)."""
-    return twist_row(free_kernel(params, model, state), harmonic(params, model))
+    return twist_row(free_kernel(params, state), harmonic(params))
 
 
-def markov_part_stationary(params: ModelParams, model: Model):
+def markov_part_stationary(params: ModelParams):
     """Stationary law of the twisted chain's phase.
 
     Model 1: length-2 array over (Up, Down).  Model 2 (tandem only): the
     product-form law over (y, status).
     """
-    sol = _require_stable(params, model)
-    if model is Model.MODEL1:
+    sol = _require_stable(params)
+    if params.model is Model.MODEL1:
         lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
         den = lam + beta - mu - alpha + math.sqrt(sol.s_p)
         g = sol.g_constant
@@ -134,9 +134,9 @@ def markov_part_stationary(params: ModelParams, model: Model):
 
 def model2_twist_rates(params: ModelParams) -> TwistRates:
     """Twisted phase-chain probabilities for the tandem (p = 1) model."""
-    if params.p != 1.0:
+    if params.model is not Model.MODEL2 or params.p != 1.0:
         raise InvalidParameters("twisted rates are defined for the tandem (p = 1) only")
-    sol = _require_stable(params, Model.MODEL2)
+    sol = _require_stable(params)
     lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
     sqrt_s = math.sqrt(sol.s_p)
     den = lam + beta - mu - alpha + sqrt_s
@@ -148,7 +148,7 @@ def model2_twist_rates(params: ModelParams) -> TwistRates:
                       B=1.0 - lam_t / mu_t)
 
 
-def horizontal_drift(params: ModelParams, model: Model) -> Drift:
+def horizontal_drift(params: ModelParams) -> Drift:
     """Mean x-increment per step of the twisted chain under its phase law.
 
     Returns the closed form together with an independently aggregated
@@ -156,31 +156,31 @@ def horizontal_drift(params: ModelParams, model: Model) -> Drift:
     agree to 1e-10, and the drift must be positive for the tail method to
     apply.
     """
-    sol = _require_stable(params, model)
+    sol = _require_stable(params)
     lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
     sqrt_s = math.sqrt(sol.s_p)
     den_minus = lam + beta + mu + alpha - sqrt_s
     den_plus = lam + beta - mu - alpha + sqrt_s
-    if model is Model.MODEL1:
+    if params.model is Model.MODEL1:
         value = (den_minus / 2.0 - lam * mu * den_plus / (sol.g_constant * den_minus)) / C
-        phi = markov_part_stationary(params, Model.MODEL1)
+        phi = markov_part_stationary(params)
         weights = {(UP,): phi[UP], (DOWN,): phi[DOWN]}
     else:
-        if model is not Model.MODEL2 or params.p != 1.0:
+        if params.model is not Model.MODEL2 or params.p != 1.0:
             raise InvalidParameters("drift is defined for the tandem (p = 1) only")
         value = (den_minus / 2.0
                  - 2.0 * lam * mu * den_plus ** 2
                  / (den_minus * (4.0 * alpha * beta + den_plus ** 2))) / C
-        phi = markov_part_stationary(params, Model.MODEL2)
+        phi = markov_part_stationary(params)
         # rows are identical for all y >= 1, so the geometric tail of phi is
         # aggregated exactly instead of being truncated
         weights = {(0, UP): phi(0, UP), (0, DOWN): phi(0, DOWN),
                    (1, UP): phi.up_share * phi.ratio * phi.B / (1.0 - phi.ratio),
                    (1, DOWN): (1.0 - phi.up_share) * phi.ratio * phi.B / (1.0 - phi.ratio)}
     # weighted mean x-increments of the twisted x0 = 1 class rows
-    h = harmonic(params, model)
+    h = harmonic(params)
     estimate = sum(weights[origin[1:]] * twist_row(row, h).mean_x_increment()
-                   for origin, row in row_classes(params, model).items() if origin[0] == 1)
+                   for origin, row in row_classes(params).items() if origin[0] == 1)
     if abs(value - estimate) > _DRIFT_AGREEMENT * max(1.0, abs(value)):
         raise ArithmeticError(
             f"drift closed form {value!r} and aggregate {estimate!r} disagree")
@@ -190,10 +190,10 @@ def horizontal_drift(params: ModelParams, model: Model) -> Drift:
     return Drift(value=value, estimate=estimate, per_time=value * C)
 
 
-def twist_summary(params: ModelParams, model: Model) -> TwistSummary:
-    rates = model2_twist_rates(params) if (model is Model.MODEL2 and params.p == 1.0) else None
-    return TwistSummary(model=model,
-                        harmonic=harmonic(params, model),
-                        rates=rates,
-                        phi=markov_part_stationary(params, model),
-                        drift=horizontal_drift(params, model))
+def twist_summary(params: ModelParams) -> TwistSummary:
+    tandem = params.model is Model.MODEL2 and params.p == 1.0
+    return TwistSummary(model=params.model,
+                        harmonic=harmonic(params),
+                        rates=model2_twist_rates(params) if tandem else None,
+                        phi=markov_part_stationary(params),
+                        drift=horizontal_drift(params))

@@ -58,7 +58,7 @@ def check_rows_stochastic(grid: int, seed: int) -> CheckResult:
         params = random_params(rng, p=p, stable=bool(rng.random() < 0.8), model=model)
         for state in _states(model):
             for kernel in (free_kernel, full_kernel):
-                worst = max(worst, abs(kernel(params, model, state).total() - 1.0))
+                worst = max(worst, abs(kernel(params, state).total() - 1.0))
     return CheckResult("kernel-rows-stochastic", worst <= 1e-12,
                        f"max |row sum - 1| = {worst:.3g}")
 
@@ -70,10 +70,10 @@ def check_harmonicity(grid: int, seed: int) -> CheckResult:
         model = Model.MODEL1 if rng.random() < 0.5 else Model.MODEL2
         p = 1.0 if model is Model.MODEL1 else rng.choice([0.5, 1.0])
         params = random_params(rng, p=p, model=model)
-        h = harmonic(params, model)
+        h = harmonic(params)
         for state in _states(model):
             lhs = sum(prob * h.value(t)
-                      for t, prob in free_kernel(params, model, state).targets)
+                      for t, prob in free_kernel(params, state).targets)
             worst = max(worst, abs(lhs / h.value(state) - 1.0))
     return CheckResult("free-kernel-harmonicity", worst <= 1e-10,
                        f"max relative residual = {worst:.3g}")
@@ -87,7 +87,7 @@ def check_twisted_rows(grid: int, seed: int) -> CheckResult:
         p = 1.0 if model is Model.MODEL1 else rng.choice([0.5, 1.0])
         params = random_params(rng, p=p, model=model)
         for state in _states(model):
-            worst = max(worst, abs(twisted_kernel(params, model, state).total() - 1.0))
+            worst = max(worst, abs(twisted_kernel(params, state).total() - 1.0))
     return CheckResult("twisted-rows-stochastic", worst <= 1e-10,
                        f"max |row sum - 1| = {worst:.3g}")
 
@@ -142,7 +142,7 @@ def check_stability_equivalence(grid: int, seed: int) -> CheckResult:
     bad = 0
     for _ in range(grid):
         params = random_params(rng, stable=bool(rng.random() < 0.5))
-        closed = stability(params, Model.MODEL1).stable
+        closed = stability(params).stable
         neuts = neuts_stability(qbd_blocks(params))
         spectral_test = characteristic_roots(params).gamma_p < 1.0
         if not (closed == neuts == spectral_test):
@@ -158,7 +158,7 @@ def check_drift(grid: int, seed: int) -> CheckResult:
         model = Model.MODEL1 if rng.random() < 0.5 else Model.MODEL2
         params = random_params(rng, model=model)
         try:
-            drift = horizontal_drift(params, model)
+            drift = horizontal_drift(params)
             if drift.value <= 0.0:
                 failures += 1
         except ArithmeticError:
@@ -170,7 +170,7 @@ def check_drift(grid: int, seed: int) -> CheckResult:
 def check_tail_reproduction() -> CheckResult:
     worst = 0.0
     for params in (PARAMS_A, PARAMS_B):
-        asym = prefactors(params, Model.MODEL1)
+        asym = prefactors(params)
         table = exact_stationary_model1(params, k_max=200)
         for sigma, c in ((UP, asym.prefactor_up), (DOWN, asym.prefactor_down)):
             worst = max(worst, abs(table.prob((200, sigma))
@@ -183,9 +183,9 @@ def check_eta_bounds() -> CheckResult:
     ok = True
     details = []
     for params in (PARAMS_A, PARAMS_B):
-        est = eta(params, Model.MODEL1)
+        est = eta(params)
         esc = escape_probabilities(params)
-        h = harmonic(params, Model.MODEL1)
+        h = harmonic(params)
         pi0 = boundary_vector(params)
         upper = pi0[UP] + pi0[DOWN] * h.value((0, DOWN))
         ok = ok and 0.0 < est.value <= upper and 0.0 < esc.up < 1.0 and 0.0 < esc.down < 1.0

@@ -47,20 +47,20 @@ def test_criterion_01_rate_matrix_equivalence():
                   f"max eigen gap {worst_eig:.2e} (<=1e-10), {elapsed:.2f}s (<1s)")
 
 
-def band_residual(params, model):
+def band_residual(params):
     """Max relative harmonicity residual of the free kernel.
 
     The free kernel is shift invariant in x and, above y = 0, in y, so the
     residual at every lattice point |x| <= 20 (y <= 20) equals the residual
     of its band row; all bands are covered.
     """
-    h = harmonic(params, model)
-    states = [(0, UP), (0, DOWN)] if model is Model.MODEL1 else \
+    h = harmonic(params)
+    states = [(0, UP), (0, DOWN)] if params.model is Model.MODEL1 else \
         [(0, y, s) for y in (0, 1) for s in (UP, DOWN)]
     worst = 0.0
     for state in states:
         lhs = sum(prob * h.value(t)
-                  for t, prob in free_kernel(params, model, state).targets)
+                  for t, prob in free_kernel(params, state).targets)
         worst = max(worst, abs(lhs / h.value(state) - 1.0))
     return worst
 
@@ -72,11 +72,11 @@ def test_criterion_02_harmonicity():
     for i in range(200):
         if i % 2 == 0:
             params = random_params(rng)
-            worst = max(worst, band_residual(params, Model.MODEL1))
+            worst = max(worst, band_residual(params))
         else:
             p = 1.0 if i % 4 == 1 else 0.5
             params = random_params(rng, p=p, model=Model.MODEL2)
-            worst = max(worst, band_residual(params, Model.MODEL2))
+            worst = max(worst, band_residual(params))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and elapsed < 10.0
     report(2, ok, f"max relative residual {worst:.2e} (<=1e-10) over 200 "
@@ -87,7 +87,7 @@ def test_criterion_03_exact_tail_reproduction():
     start = time.monotonic()
     worst = 0.0
     for params in (A, B):
-        asym = prefactors(params, Model.MODEL1)
+        asym = prefactors(params)
         table = exact_stationary_model1(params, k_max=200)
         for sigma, c in ((UP, asym.prefactor_up), (DOWN, asym.prefactor_down)):
             gap = abs(table.prob((200, sigma)) / (c * asym.gamma ** 200) - 1.0)
@@ -128,7 +128,7 @@ def test_criterion_05_two_regime_alpha_limit():
     p_lo = make_params(10, 11, 1e-6, 10)
     sol_lo = characteristic_roots(p_lo)
     gamma_gap = abs(sol_lo.gamma_p - 10 / 11)
-    asym = prefactors(p_lo, Model.MODEL1)
+    asym = prefactors(p_lo)
     table_lo = exact_stationary_model1(p_lo, k_max=200)
     fit_lo = tail_fit(table_lo, UP, 100, 200)
     single_term = abs(table_lo.prob((200, UP))
@@ -152,7 +152,7 @@ def test_criterion_05_two_regime_alpha_limit():
 
 def test_criterion_06_model2_shape():
     start = time.monotonic()
-    table = truncated_stationary(T2, Model.MODEL2, x_max=60, y_max=60)
+    table = truncated_stationary(T2, x_max=60, y_max=60)
     worst_ratio = 0.0
     for k in range(15, 40, 5):
         for y in range(0, 6):
@@ -196,7 +196,7 @@ def test_criterion_08_rerouting_reference():
     # the x=0 slice of the reference dominates the tandem's at every tail index
     rs_one = make_params(10, 30, 0.1, 10, model=Model.RSRD)
     ref = rs_rd_stationary(rs_one, x_max=60, y_max=60)
-    oracle = truncated_stationary(T2, Model.MODEL2, x_max=60, y_max=60)
+    oracle = truncated_stationary(T2, x_max=60, y_max=60)
     min_gap = np.inf
     for sigma in (UP, DOWN):
         ref_m = np.array([ref.prob((0, y, sigma)) for y in range(61)])
@@ -219,22 +219,22 @@ def test_criterion_08_rerouting_reference():
 
 def test_criterion_09_figure_phenomenology():
     start = time.monotonic()
-    traj_a = simulate(A, Model.MODEL1, steps=70000, seed=11)
+    traj_a = simulate(A, steps=70000, seed=11)
     exc_a = ld_excursions(traj_a, level_k=30)
     verdict_a = excursion_verdict(exc_a)
-    traj_b = simulate(B, Model.MODEL1, steps=70000, seed=11)
+    traj_b = simulate(B, steps=70000, seed=11)
     exc_b = ld_excursions(traj_b, level_k=30)
     verdict_b = excursion_verdict(exc_b)
     verdicts_ok = (verdict_a == regime_prediction(A) == "UpDominated"
                    and verdict_b == regime_prediction(B) == "DownDominated")
-    exact = [conditioned_excursion_slope(A, Model.MODEL1, level_k=k, base_level=2)
+    exact = [conditioned_excursion_slope(A, level_k=k, base_level=2)
              for k in (30, 60, 100, 200)]
     # the simulated mean of (K - base)/T against its exact expectation at K = 30
     mean_slope = float(np.mean([e.slope_estimate for e in exc_a]))
     oracle = exact[0]
     slope_gap = abs(mean_slope - oracle.mean_slope) / oracle.mean_slope
     # the exact slope falls towards the twisted drift, a K -> infinity limit
-    drift = horizontal_drift(A, Model.MODEL1)
+    drift = horizontal_drift(A)
     falling = all(a.mean_slope > b.mean_slope and a.ratio_slope > b.ratio_slope
                   for a, b in zip(exact, exact[1:]))
     limit_gap = max(abs(exact[-1].mean_slope - drift.value),
@@ -257,7 +257,7 @@ def test_criterion_09_figure_phenomenology():
 
 def test_criterion_10_simulation_consistency():
     start = time.monotonic()
-    traj = simulate(A, Model.MODEL1, steps=10_000_000, seed=42)
+    traj = simulate(A, steps=10_000_000, seed=42)
     emp = empirical_distribution(traj, burn_in=100_000)
     exact = exact_stationary_model1(A, k_max=int(traj.x.max()) + 50)
     tv = emp.total_variation(exact)

@@ -69,15 +69,15 @@ def test_near_critical_analyze(tmp_path):
 
 
 def test_eta_exact_model1():
-    est = eta(A, Model.MODEL1)
+    est = eta(A)
     assert est.method == "exact" and est.std_error == 0.0
     pi0 = boundary_vector(A)
-    h = harmonic(A, Model.MODEL1)
+    h = harmonic(A)
     assert 0 < est.value <= pi0[UP] + pi0[DOWN] * h.value((0, DOWN))
 
 
 def test_prefactor_ratio_identity():
-    asym = prefactors(A, Model.MODEL1)
+    asym = prefactors(A)
     assert asym.prefactor_up / asym.prefactor_down == pytest.approx(91.1932, abs=1e-3)
     # eta-free: the exact stationary ratio converges to the same number
     r = rate_matrix_closed_form(A)
@@ -91,7 +91,7 @@ def test_prefactor_ratio_identity():
 
 def test_prefactors_reproduce_exact_tail():
     for params in (A, B):
-        asym = prefactors(params, Model.MODEL1)
+        asym = prefactors(params)
         table = exact_stationary_model1(params, k_max=200)
         for sigma, c in ((UP, asym.prefactor_up), (DOWN, asym.prefactor_down)):
             assert table.prob((200, sigma)) / (c * asym.gamma ** 200) == \
@@ -203,12 +203,12 @@ def test_tail_fit_short_window_rejected():
 
 @pytest.fixture(scope="module")
 def t2_table():
-    return truncated_stationary(T2, Model.MODEL2, x_max=40, y_max=40)
+    return truncated_stationary(T2, x_max=40, y_max=40)
 
 
 def test_eta_model2_exact(t2_table):
     # tandem blocks: logarithmic reduction against the plain iteration from 0
-    a0, a1, a2 = _twisted_blocks(T2, Model.MODEL2, 8)
+    a0, a1, a2 = _twisted_blocks(T2, 8)
     g = np.zeros_like(a1)
     for _ in range(10 ** 5):
         g_next = a2 + a1 @ g + a0 @ g @ g
@@ -220,15 +220,15 @@ def test_eta_model2_exact(t2_table):
         first_passage(a0, a1, 1.5 * a2)  # rows of A0 + A1 + A2 sum above 1
     # Model 1 blocks: the closed-form twisted G
     for params in (A, B):
-        h = harmonic(params, Model.MODEL1)
+        h = harmonic(params)
         closed = np.array([[1.0 / h.base, 0.0], [1.0 / (h.base * h.down_weight), 0.0]])
-        g = first_passage(*_twisted_blocks(params, Model.MODEL1))
+        g = first_passage(*_twisted_blocks(params))
         assert np.max(np.abs(g - closed)) <= 1e-14
-    est = eta(T2, Model.MODEL2, table=t2_table)
+    est = eta(T2, table=t2_table)
     assert est.method == "qbd"
     assert est.value > 0 and 0 < est.std_error <= 1e-6
     # the boundary sum is bounded by sum pi*h (escape probabilities < 1)
-    h = harmonic(T2, Model.MODEL2)
+    h = harmonic(T2)
     bound = sum(t2_table.prob((0, y, s)) * h.value((0, y, s))
                 for y in range(41) for s in (UP, DOWN))
     assert est.value < bound
@@ -237,42 +237,64 @@ def test_eta_model2_exact(t2_table):
 def test_eta_model2_tail_gate(t2_table):
     # the gate reads the last min(10, y_max + 1) levels, so a short table
     # passes and brackets the 40x40 value
-    short = eta(T2, Model.MODEL2, table=truncated_stationary(T2, Model.MODEL2,
-                                                              x_max=40, y_max=8))
-    full = eta(T2, Model.MODEL2, table=t2_table)
+    short = eta(T2, table=truncated_stationary(T2, x_max=40, y_max=8))
+    full = eta(T2, table=t2_table)
     assert abs(short.value - full.value) <= short.std_error
     # a weighted boundary that stops decreasing is refused, naming the ratios
     # and the first level where one reached 1
-    h = harmonic(T2, Model.MODEL2)
+    h = harmonic(T2)
     levels = [1.0, 0.5, 0.25, 0.25, 0.3]
     entries = {(0, y, s): w / h.value((0, y, s)) / 2
                for y, w in enumerate(levels) for s in (UP, DOWN)}
     rising = StationaryTable(model=Model.MODEL2, entries=entries, x_max=0,
                              y_max=len(levels) - 1, residual=0.0, tail_mass_bound=0.0)
     with pytest.raises(ArithmeticError, match=r"\[0\.5, 0\.5, 1\.0, 1\.2\].*y = 3"):
-        eta(T2, Model.MODEL2, table=rising)
+        eta(T2, table=rising)
 
 
 def test_model2_prefactor_structure(t2_table):
-    asym = prefactors(T2, Model.MODEL2, table=t2_table)
+    asym = prefactors(T2, table=t2_table)
     assert asym.y_ratio == pytest.approx(10 / 30)
     assert asym.provenance == "closed-form+qbd"
     # same Up/Down split as the single-queue model
-    single = prefactors(make_params(10, 30, 0.1, 10), Model.MODEL1)
+    single = prefactors(make_params(10, 30, 0.1, 10))
     assert asym.prefactor_up / asym.prefactor_down == pytest.approx(
         single.prefactor_up / single.prefactor_down, rel=1e-10)
 
 
 def test_model2_prefactor_matches_table(t2_table):
-    asym = prefactors(T2, Model.MODEL2, table=t2_table)
+    asym = prefactors(T2, table=t2_table)
     for sigma, c in ((UP, asym.prefactor_up), (DOWN, asym.prefactor_down)):
         assert c * asym.gamma ** 30 == pytest.approx(t2_table.prob((30, 0, sigma)),
                                                      rel=1e-3)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_prefactors_ignore_the_uniformization_constant(seed):
+    """C(sigma) belongs to the continuous-time chain: doubling C halves eta
+    and the drift per step alike."""
+    params = random_params(np.random.default_rng(seed))
+    doubled = make_params(params.lam, params.mu, params.alpha, params.beta, C=2 * params.C)
+    base, other = prefactors(params), prefactors(doubled)
+    for key in ("prefactor_up", "prefactor_down"):
+        assert getattr(other, key) == pytest.approx(getattr(base, key), rel=1e-10, abs=0)
+
+
+def test_tandem_prefactors_ignore_the_uniformization_constant(t2_table):
+    doubled = make_params(10, 30, 0.1, 10, model=Model.MODEL2, C=2 * T2.C)
+    table = truncated_stationary(doubled, x_max=40, y_max=40)
+    base, other = prefactors(T2, table=t2_table), prefactors(doubled, table=table)
+    # C(sigma) is proportional to eta, so their relative errors add up
+    bound = sum(est.std_error / est.value
+                for est in (eta(T2, table=t2_table), eta(doubled, table=table)))
+    for key in ("prefactor_up", "prefactor_down"):
+        assert abs(getattr(other, key) / getattr(base, key) - 1.0) <= bound
+
+
 def test_model2_feedback_is_shape_only():
     params = make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2)
-    asym = prefactors(params, Model.MODEL2)
+    asym = prefactors(params)
     assert asym.provenance == "shape-only"
     assert asym.prefactor_up is None and asym.eta is None
     assert asym.gamma == pytest.approx(0.679296, abs=1e-6)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from uqtail import Model, __version__, make_params, params_from_dict
 from uqtail.cli import main
 
 A_FLAGS = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
@@ -106,6 +107,8 @@ SHORT_WINDOW = "needs kmin >= 0 and at least 5 levels"
                      ["--kmin", "-1", "--kmax", "10"])],
     *[(model, ["--kmin", "20", "--kmax", "30", "--y", y], f"--y {y} lies outside")
       for model in ("model2", "rsrd") for y in ("50", "41", "-1")],
+    *[("model1", ["--kmin", "20", "--kmax", "30", "--y", y],
+       f"--y {y} given, but Model 1 states have no y") for y in ("50", "0")],
 ])
 def test_tailfit_rejects_bad_window(tmp_path, capsys, model, flags, message):
     code = main(["tailfit", *T2_FLAGS, "--model", model, *flags, "--xmax", "40",
@@ -156,3 +159,47 @@ def test_verify_small_grid(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("PASS") >= 10 and "FAIL" not in out
+
+
+PARAM_KEYS = ["mu", "alpha", "beta", "p", "C", "lambda", "model"]
+
+
+def test_analyze_meta_params_key_order(tmp_path):
+    assert main(["analyze", *A_FLAGS, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "analyze.json").read_text())["meta"]
+    assert list(meta) == ["version", "rng", "params", "model"]
+    assert list(meta["params"]) == PARAM_KEYS
+    assert meta["params"]["model"] == meta["model"] == "model1"
+
+
+def _header(path):
+    return [line for line in path.read_text().splitlines() if line.startswith("# ")]
+
+
+def test_csv_header_lines(tmp_path):
+    tandem = [*T2_FLAGS, "--model", "model2", "--out", str(tmp_path)]
+    assert main(["simulate", *tandem, "--steps", "100", "--seed", "4"]) == 0
+    assert main(["tailfit", *tandem, "--kmin", "20", "--kmax", "30", "--xmax", "40"]) == 0
+    start = [f"# version={__version__}", "# rng=numpy.random.Generator(PCG64)"]
+    # the trajectory prints the parameters with str(), the other files with 17 digits
+    assert _header(tmp_path / "trajectory.csv") == start + [
+        "# mu=30.0", "# alpha=0.1", "# beta=10.0", "# p=1.0", "# C=80.1", "# lambda=10.0",
+        "# model=model2", "# seed=4"]
+    params = ["# mu=30", "# alpha=0.10000000000000001", "# beta=10", "# p=1",
+              "# C=80.099999999999994", "# lambda=10", "# model=model2"]
+    assert _header(tmp_path / "empirical.csv") == start + params + [
+        "# seed=4", "# burn_in=10", "# steps=100"]
+    tailfit = _header(tmp_path / "tailfit.csv")
+    assert tailfit[:9] == start + params
+    assert [line.split("=")[0] for line in tailfit[9:]] == [
+        "# gamma_est", "# log_prefactor_est", "# k_min", "# k_max"]
+
+
+def test_params_file_round_trip_keeps_the_model(tmp_path):
+    params = make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2, C=90.0)
+    cfg = tmp_path / "params.json"
+    cfg.write_text(params.to_json())
+    assert main(["analyze", "--params", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "analyze.json").read_text())["meta"]
+    assert meta["model"] == "model2"
+    assert params_from_dict(meta["params"]) == params

@@ -14,7 +14,7 @@ RS = make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD)
 
 
 def test_model1_interior_row():
-    row = full_kernel(A, Model.MODEL1, (3, UP))
+    row = full_kernel(A, (3, UP))
     d = row.as_dict()
     assert d[(4, UP)] == pytest.approx(10 / 31.1)
     assert d[(2, UP)] == pytest.approx(11 / 31.1)
@@ -24,25 +24,25 @@ def test_model1_interior_row():
 
 
 def test_model1_boundary_suppresses_service():
-    row = full_kernel(A, Model.MODEL1, (0, UP))
+    row = full_kernel(A, (0, UP))
     assert (-1, UP) not in row.as_dict()
     assert row.prob((0, UP)) == pytest.approx((11 + 10) / 31.1)
 
 
 def test_free_kernel_shift_invariant():
-    r0 = free_kernel(A, Model.MODEL1, (0, DOWN))
-    r7 = free_kernel(A, Model.MODEL1, (7, DOWN))
+    r0 = free_kernel(A, (0, DOWN))
+    r7 = free_kernel(A, (7, DOWN))
     shifted = {(s[0] - 7, s[1]): p for s, p in r7.targets}
     assert shifted == pytest.approx(r0.as_dict())
 
 
 def test_free_kernel_allows_negative_levels():
-    row = free_kernel(A, Model.MODEL1, (-2, UP))
+    row = free_kernel(A, (-2, UP))
     assert row.prob((-3, UP)) == pytest.approx(11 / 31.1)
 
 
 def test_model2_row_moves():
-    row = full_kernel(M2, Model.MODEL2, (2, 3, UP))
+    row = full_kernel(M2, (2, 3, UP))
     d = row.as_dict()
     assert d[(2, 4, UP)] == pytest.approx(10 / 80.1)       # arrival joins queue 2
     assert d[(3, 2, UP)] == pytest.approx(30 / 80.1)       # queue 2 feeds queue 1
@@ -52,7 +52,7 @@ def test_model2_row_moves():
 
 
 def test_model2_down_row_keeps_queueing():
-    row = full_kernel(M2, Model.MODEL2, (2, 3, DOWN))
+    row = full_kernel(M2, (2, 3, DOWN))
     d = row.as_dict()
     assert d[(3, 2, DOWN)] == pytest.approx(30 / 80.1)  # waiting room still fills
     assert d[(2, 3, UP)] == pytest.approx(10 / 80.1)
@@ -69,7 +69,7 @@ def test_rs_rd_down_reroutes_through_routing_row():
 
 def test_rs_rd_up_matches_model2():
     assert rs_rd_kernel(RS, (2, 3, UP)).as_dict() == \
-        pytest.approx(full_kernel(M2, Model.MODEL2, (2, 3, UP)).as_dict())
+        pytest.approx(full_kernel(M2, (2, 3, UP)).as_dict())
 
 
 def test_rs_rd_boundary_example():
@@ -88,18 +88,18 @@ def test_rows_stochastic_random():
         states = [(0, UP), (5, DOWN)] if model is Model.MODEL1 \
             else [(0, 0, UP), (5, 2, DOWN)]
         for state in states:
-            assert full_kernel(params, model, state).total() == pytest.approx(1.0, abs=1e-12)
-            assert free_kernel(params, model, state).total() == pytest.approx(1.0, abs=1e-12)
+            assert full_kernel(params, state).total() == pytest.approx(1.0, abs=1e-12)
+            assert free_kernel(params, state).total() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mean_x_increment():
-    row = free_kernel(A, Model.MODEL1, (0, UP))
+    row = free_kernel(A, (0, UP))
     assert row.mean_x_increment() == pytest.approx((10 - 11) / 31.1)
 
 
 def test_free_kernel_rejects_rsrd():
     with pytest.raises(InvalidParameters):
-        free_kernel(RS, Model.RSRD, (0, 0, UP))
+        free_kernel(RS, (0, 0, UP))
 
 
 def _shifted(row, origin):
@@ -121,11 +121,11 @@ def test_rows_are_shifted_class_rows(seed, model, p, stable, x, y, sigma):
     the free row at any x is the x0 = 1 class row moved the same way."""
     params = random_params(np.random.default_rng(seed), p=1.0 if model is Model.MODEL1 else p,
                            stable=stable, model=model)
-    classes = row_classes(params, model)
+    classes = row_classes(params)
     assert len(classes) == (4 if model is Model.MODEL1 else 8)
     state = (x, sigma) if model is Model.MODEL1 else (x, y, sigma)
     corner = tuple(min(v, 1) for v in state[:-1]) + (sigma,)
-    assert full_kernel(params, model, state).targets == _shifted(classes[corner], state)
+    assert full_kernel(params, state).targets == _shifted(classes[corner], state)
     if model is not Model.RSRD:
-        assert free_kernel(params, model, state).targets == \
+        assert free_kernel(params, state).targets == \
             _shifted(classes[(1, *corner[1:])], state)

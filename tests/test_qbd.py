@@ -22,12 +22,12 @@ T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
 def test_blocks_partition_the_kernel():
     blocks = qbd_blocks(A)
     for sigma in (UP, DOWN):
-        row = full_kernel(A, Model.MODEL1, (3, sigma)).as_dict()
+        row = full_kernel(A, (3, sigma)).as_dict()
         for sigma2 in (UP, DOWN):
             assert blocks.p0[sigma, sigma2] == pytest.approx(row.get((4, sigma2), 0.0))
             assert blocks.p1[sigma, sigma2] == pytest.approx(row.get((3, sigma2), 0.0))
             assert blocks.p2[sigma, sigma2] == pytest.approx(row.get((2, sigma2), 0.0))
-        row0 = full_kernel(A, Model.MODEL1, (0, sigma)).as_dict()
+        row0 = full_kernel(A, (0, sigma)).as_dict()
         for sigma2 in (UP, DOWN):
             assert blocks.p1_boundary[sigma, sigma2] == pytest.approx(
                 row0.get((0, sigma2), 0.0))
@@ -63,7 +63,7 @@ def test_neuts_matches_closed_form_stability():
     for _ in range(40):
         params = random_params(rng, stable=bool(rng.random() < 0.5))
         assert neuts_stability(qbd_blocks(params)) == \
-            stability(params, Model.MODEL1).stable
+            stability(params).stable
 
 
 def test_boundary_vector_normalized():
@@ -95,7 +95,7 @@ def test_up_marginal_is_repair_share():
 
 def test_truncated_agrees_with_exact_model1():
     exact = exact_stationary_model1(A, k_max=300)
-    trunc = truncated_stationary(A, Model.MODEL1, x_max=300)
+    trunc = truncated_stationary(A, x_max=300)
     for k in (0, 1, 10, 50):
         for sigma in (UP, DOWN):
             assert trunc.prob((k, sigma)) == pytest.approx(
@@ -104,7 +104,7 @@ def test_truncated_agrees_with_exact_model1():
 
 def test_truncated_model2_residual_and_tail():
     params = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
-    table = truncated_stationary(params, Model.MODEL2, x_max=40, y_max=40)
+    table = truncated_stationary(params, x_max=40, y_max=40)
     assert table.residual < 1e-12
     assert table.total() == pytest.approx(1.0, abs=1e-12)
     assert table.tail_mass_bound < 1e-8
@@ -114,8 +114,8 @@ def test_truncated_model2_residual_and_tail():
 def test_tight_cut_raises_or_warns():
     from uqtail import TruncationError
     with pytest.raises(TruncationError):
-        truncated_stationary(A, Model.MODEL1, x_max=25)
-    table = truncated_stationary(A, Model.MODEL1, x_max=25, tail_error=0.5)
+        truncated_stationary(A, x_max=25)
+    table = truncated_stationary(A, x_max=25, tail_error=0.5)
     assert table.truncation_warning
     assert table.tail_mass_bound > 1e-8
 
@@ -145,7 +145,7 @@ def _reference_lattice(params, model, x_max, y_max=None, tail_error=0.01):
     for s in states:
         i = index[s]
         diag_extra = 0.0
-        for target, prob in full_kernel(params, model, s).targets:
+        for target, prob in full_kernel(params, s).targets:
             j = index.get(target)
             if j is None or target == s:
                 diag_extra += prob
@@ -193,12 +193,12 @@ def test_lattice_matches_per_state_assembly(monkeypatch, params, model, x_max, y
                                             tail_error):
     (entries, residual, tail, warning), p_ref, a_ref = _reference_lattice(
         params, model, x_max, y_max, tail_error)
-    p = _lattice_matrix(params, model, _lattice_shape(model, x_max, y_max))
+    p = _lattice_matrix(params, _lattice_shape(model, x_max, y_max))
     _assert_same_sparse(p, p_ref)
     solved = []
     spsolve = spla.spsolve
     monkeypatch.setattr(spla, "spsolve", lambda a, b: solved.append(a) or spsolve(a, b))
-    table = truncated_stationary(params, model, x_max=x_max, y_max=y_max,
+    table = truncated_stationary(params, x_max=x_max, y_max=y_max,
                                  tail_error=tail_error)
     _assert_same_sparse(solved[0], a_ref)
     assert list(table.entries.items()) == list(entries.items())
@@ -212,10 +212,10 @@ def test_lattice_matches_per_state_assembly(monkeypatch, params, model, x_max, y
 def test_lattice_rows_are_folded_kernel_rows(seed, p):
     params = random_params(np.random.default_rng(seed), p=p, model=Model.MODEL2)
     shape = _lattice_shape(Model.MODEL2, 6, 6)
-    matrix = _lattice_matrix(params, Model.MODEL2, shape)
+    matrix = _lattice_matrix(params, shape)
     for i, state in enumerate(np.ndindex(*shape)):
         folded = {i: 0.0}
-        for target, prob in full_kernel(params, Model.MODEL2, state).targets:
+        for target, prob in full_kernel(params, state).targets:
             if target == state or max(target[:2]) > 6:
                 folded[i] += prob
             else:
@@ -230,4 +230,4 @@ def test_lattice_rows_are_folded_kernel_rows(seed, p):
 def test_lattice_needs_both_sides(model, x_max, y_max):
     params = A if model is Model.MODEL1 else make_params(10, 30, 0.1, 10, model=model)
     with pytest.raises(InvalidParameters, match="x_max >= 1 and y_max >= 1"):
-        truncated_stationary(params, model, x_max=x_max, y_max=y_max)
+        truncated_stationary(params, x_max=x_max, y_max=y_max)

@@ -19,40 +19,40 @@ T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
 
 
 def test_determinism():
-    t1 = simulate(A, Model.MODEL1, steps=500, seed=12)
-    t2 = simulate(A, Model.MODEL1, steps=500, seed=12)
+    t1 = simulate(A, steps=500, seed=12)
+    t2 = simulate(A, steps=500, seed=12)
     assert np.array_equal(t1.x, t2.x) and np.array_equal(t1.status, t2.status)
-    t3 = simulate(A, Model.MODEL1, steps=500, seed=13)
+    t3 = simulate(A, steps=500, seed=13)
     assert not np.array_equal(t1.x, t3.x)
 
 
 def test_moves_are_legal():
-    traj = simulate(A, Model.MODEL1, steps=2000, seed=0)
+    traj = simulate(A, steps=2000, seed=0)
     for i in range(2000):
-        row = full_kernel(A, Model.MODEL1, traj.state(i))
+        row = full_kernel(A, traj.state(i))
         assert row.prob(traj.state(i + 1)) > 0
 
 
 def test_moves_are_legal_model2():
-    traj = simulate(T2, Model.MODEL2, steps=1000, seed=0)
+    traj = simulate(T2, steps=1000, seed=0)
     for i in range(1000):
-        row = full_kernel(T2, Model.MODEL2, traj.state(i))
+        row = full_kernel(T2, traj.state(i))
         assert row.prob(traj.state(i + 1)) > 0
 
 
 def test_near_empty_system_hugs_zero():
     params = make_params(0.0011, 11, 0.1, 10)
-    traj = simulate(params, Model.MODEL1, steps=5000, seed=1)
+    traj = simulate(params, steps=5000, seed=1)
     assert np.mean(traj.x == 0) > 0.99
 
 
 def test_start_state_respected():
-    traj = simulate(A, Model.MODEL1, steps=10, seed=0, start=(5, DOWN))
+    traj = simulate(A, steps=10, seed=0, start=(5, DOWN))
     assert traj.state(0) == (5, DOWN)
 
 
 def test_empirical_distribution_normalized():
-    traj = simulate(A, Model.MODEL1, steps=200000, seed=2)
+    traj = simulate(A, steps=200000, seed=2)
     emp = empirical_distribution(traj, burn_in=10000)
     assert sum(emp.entries.values()) == pytest.approx(1.0, abs=1e-12)
     up = sum(v for k, v in emp.entries.items() if k[1] == UP)
@@ -62,19 +62,19 @@ def test_empirical_distribution_normalized():
 
 def test_transience_diagnostic():
     unstable = make_params(14, 11, 0.1, 10)
-    traj = simulate(unstable, Model.MODEL1, steps=100000, seed=3)
+    traj = simulate(unstable, steps=100000, seed=3)
     emp = empirical_distribution(traj, burn_in=0)
     assert any("transient" in note for note in emp.notes)
 
 
 def test_empirical_rejects_bad_burn_in():
-    traj = simulate(A, Model.MODEL1, steps=100, seed=0)
+    traj = simulate(A, steps=100, seed=0)
     with pytest.raises(InvalidParameters):
         empirical_distribution(traj, burn_in=100)
 
 
 def test_excursion_invariants():
-    traj = simulate(A, Model.MODEL1, steps=200000, seed=4)
+    traj = simulate(A, steps=200000, seed=4)
     excursions = ld_excursions(traj, level_k=30)
     assert excursions
     for e in excursions:
@@ -88,7 +88,7 @@ def test_excursion_invariants():
 def test_excursion_after_return_starts_at_low_visit():
     # the second climb leaves x = 2 at step 8 and never revisits it
     x = np.array([0, 1, 2, 3, 4, 5, 4, 3, 2, 3, 4, 5], dtype=np.int32)
-    traj = Trajectory(params=A, model=Model.MODEL1, seed=0, x=x,
+    traj = Trajectory(params=A, seed=0, x=x,
                       status=np.zeros(len(x), dtype=np.int8))
     excursions = ld_excursions(traj, level_k=5, base_level=2)
     assert [(e.start_step, e.end_step) for e in excursions] == [(2, 5), (8, 11)]
@@ -98,13 +98,13 @@ def test_excursion_after_return_starts_at_low_visit():
 
 
 def test_excursion_requires_level_above_base():
-    traj = simulate(A, Model.MODEL1, steps=100, seed=0)
+    traj = simulate(A, steps=100, seed=0)
     with pytest.raises(InvalidParameters):
         ld_excursions(traj, level_k=2, base_level=2)
 
 
 def test_no_excursions_is_empty_list():
-    traj = simulate(A, Model.MODEL1, steps=200, seed=0)
+    traj = simulate(A, steps=200, seed=0)
     assert ld_excursions(traj, level_k=150) == []
 
 
@@ -118,7 +118,7 @@ def test_regime_prediction():
 
 
 def test_excursion_verdict_majority():
-    traj = simulate(B, Model.MODEL1, steps=70000, seed=11)
+    traj = simulate(B, steps=70000, seed=11)
     excursions = ld_excursions(traj, level_k=30)
     assert excursion_verdict(excursions) == "DownDominated"
     with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ def test_excursion_verdict_majority():
 
 
 def test_trajectory_csv():
-    traj = simulate(A, Model.MODEL1, steps=5, seed=9)
+    traj = simulate(A, steps=5, seed=9)
     text = traj.to_csv()
     lines = text.splitlines()
     assert any(line.startswith("# lambda=") for line in lines)
@@ -135,7 +135,7 @@ def test_trajectory_csv():
 
 
 def test_conditioned_slope_doob_rows_are_stochastic():
-    exact = conditioned_excursion_slope(A, Model.MODEL1, level_k=30)
+    exact = conditioned_excursion_slope(A, level_k=30)
     assert exact.h_residual <= 1e-12
     h = {(x, s): exact.h[x - 3, s] for x in range(3, 30) for s in (UP, DOWN)}
     h.update({(30, s): 1.0 for s in (UP, DOWN)})
@@ -143,27 +143,27 @@ def test_conditioned_slope_doob_rows_are_stochastic():
     worst = 0.0
     for x in range(3, 30):
         for s in (UP, DOWN):
-            row = full_kernel(A, Model.MODEL1, (x, s))
+            row = full_kernel(A, (x, s))
             total = sum(p * h[t] / h[(x, s)] for t, p in row.targets)
             worst = max(worst, abs(total - 1.0))
     assert worst <= 1e-12
 
 
 def test_conditioned_slope_reference_values():
-    exact = conditioned_excursion_slope(A, Model.MODEL1, level_k=30)
+    exact = conditioned_excursion_slope(A, level_k=30)
     assert exact.ratio_slope == pytest.approx(0.07903, abs=1e-4)
     assert exact.mean_slope == pytest.approx(0.10781, abs=1e-4)
     assert exact.remaining_mass < 1e-13
     assert 0.0 < exact.success_probability < 1.0
     # one level above the base is reached in one step
-    assert conditioned_excursion_slope(A, Model.MODEL1, level_k=3).mean_slope == 1.0
+    assert conditioned_excursion_slope(A, level_k=3).mean_slope == 1.0
 
 
 def test_conditioned_slope_rejects_bad_input():
     with pytest.raises(InvalidParameters):
-        conditioned_excursion_slope(A, Model.MODEL1, level_k=2, base_level=2)
+        conditioned_excursion_slope(A, level_k=2, base_level=2)
     with pytest.raises(InvalidParameters):
-        conditioned_excursion_slope(T2, Model.MODEL2, level_k=30)
+        conditioned_excursion_slope(T2, level_k=30)
 
 
 def _reference_path(table, uniforms, start):
@@ -191,11 +191,11 @@ def _reference_simulate(params, steps, seed, start=(0, UP)):
     while i <= steps:
         uniforms.append(rng.random(min(_BLOCK, steps + 1 - i)))
         i += len(uniforms[-1])
-    return _reference_path(_move_table(params, Model.MODEL1), np.concatenate(uniforms), start)
+    return _reference_path(_move_table(params), np.concatenate(uniforms), start)
 
 
 def _assert_same_path(params, steps, seed, start):
-    traj = simulate(params, Model.MODEL1, steps=steps, seed=seed, start=start)
+    traj = simulate(params, steps=steps, seed=seed, start=start)
     xs, ss = _reference_simulate(params, steps, seed, start)
     assert traj.x.dtype == np.int32 and traj.status.dtype == np.int8
     assert np.array_equal(traj.x, xs) and np.array_equal(traj.status, ss)
@@ -222,7 +222,7 @@ def test_sampler_takes_the_boundary_row_at_an_ulp_gap():
     # on A, rows (0, Up) and (1, Up) put the Up -> Down threshold at
     # 0.67524115755627 and 0.6752411575562702; a uniform between them keeps
     # (1, Up)'s phase but sends (0, Up) Down
-    table = _move_table(A, Model.MODEL1)
+    table = _move_table(A)
     gap = table[(0, UP)][0][0]
     assert gap == 0.67524115755627 and table[(1, UP)][0][1] > gap
     thresholds = [c for cum, _ in table.values() for c in cum[:-1]]
@@ -260,15 +260,15 @@ def test_trajectory_csv_matches_fstrings(rows):
     x = np.resize(widths, rows)
     y = np.resize(widths[::-1], rows)
     status = np.resize(np.array([UP, DOWN], dtype=np.int8), rows)
-    for traj in (Trajectory(params=A, model=Model.MODEL1, seed=3, x=x, status=status),
-                 Trajectory(params=T2, model=Model.MODEL2, seed=3, x=x, status=status, y=y)):
+    for traj in (Trajectory(params=A, seed=3, x=x, status=status),
+                 Trajectory(params=T2, seed=3, x=x, status=status, y=y)):
         head, _, body = traj.to_csv().partition("step,")
         assert head.endswith("# seed=3\n")
         _assert_same_lines(body.partition("\n")[2], _reference_csv_rows(traj))
-    one = simulate(A, Model.MODEL1, steps=1, seed=9)
+    one = simulate(A, steps=1, seed=9)
     assert one.to_csv().endswith("status\n" + _reference_csv_rows(one))
     with pytest.raises(ValueError):
-        Trajectory(params=A, model=Model.MODEL1, seed=0, x=-x, status=status).to_csv()
+        Trajectory(params=A, seed=0, x=-x, status=status).to_csv()
 
 
 def _reference_excursions(trajectory, level_k, base_level=2):
@@ -297,7 +297,7 @@ def _reference_excursions(trajectory, level_k, base_level=2):
 
 @pytest.mark.parametrize("params", [A, B])
 def test_excursions_match_rescan(params):
-    traj = simulate(params, Model.MODEL1, steps=200_000, seed=4)
+    traj = simulate(params, steps=200_000, seed=4)
     for level_k, base_level in ((30, 2), (8, 0), (12, 5)):
         found = ld_excursions(traj, level_k=level_k, base_level=base_level)
         assert found == _reference_excursions(traj, level_k, base_level)
@@ -308,12 +308,12 @@ def test_excursions_match_rescan(params):
 def test_excursions_skip_a_start_above_base(level_k):
     # the path starts at level_k (5), or above base_level and reaches
     # level_k (8) before base_level: that first passage is no excursion
-    traj = simulate(A, Model.MODEL1, steps=70_000, seed=13, start=(5, DOWN))
+    traj = simulate(A, steps=70_000, seed=13, start=(5, DOWN))
     first_low = int(np.flatnonzero(traj.x <= 2)[0])
     assert np.flatnonzero(traj.x >= level_k)[0] < first_low
     found = ld_excursions(traj, level_k=level_k)
     assert found == _reference_excursions(traj, level_k)
-    tail = Trajectory(A, Model.MODEL1, 13, traj.x[first_low:], traj.status[first_low:])
+    tail = Trajectory(A, 13, traj.x[first_low:], traj.status[first_low:])
     shifted = [dataclasses.replace(e, start_step=e.start_step + first_low,
                                    end_step=e.end_step + first_low)
                for e in ld_excursions(tail, level_k=level_k)]

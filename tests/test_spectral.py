@@ -69,7 +69,7 @@ def test_t2_precision_at_tiny_alpha():
 
 def test_unstable_set_has_gamma_above_one():
     params = make_params(12, 11, 0.1, 10)
-    assert not stability(params, Model.MODEL1).stable
+    assert not stability(params).stable
     assert characteristic_roots(params).gamma_p >= 1.0
 
 
@@ -105,9 +105,8 @@ def test_feynman_kac_requires_p_one():
 
 
 def test_stability_report():
-    rep = stability(A, Model.MODEL1)
+    rep = stability(A)
     assert rep.stable and rep.if_and_only_if
     assert rep.effective_rate == pytest.approx(10 / 10.1 * 11)
-    rep2 = stability(make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2),
-                     Model.MODEL2)
+    rep2 = stability(make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2))
     assert rep2.stable and rep2.if_and_only_if is False
