@@ -202,7 +202,9 @@ def _eta_model2(params: ModelParams, table: StationaryTable | None) -> EtaEstima
             f"{next((y for y, r in zip(ys, ratios) if r >= 1.0), None)}; "
             "enlarge the truncated table")
     rho = max(ratios)
-    remainder = levels[-1] * rho / (1.0 - rho)  # escape probability bounded by 1
+    # escape = A0 (1 - G 1) is at most A0's largest row sum, the same at every y cut >= 1
+    up_mass = float(_twisted_blocks(params, 1)[0].sum(axis=1).max())
+    remainder = levels[-1] * rho / (1.0 - rho) * up_mass
     value, coarse = (
         float(weights @ _escape_first_passage(params, cut)[:weights.size])
         for cut in (2 * y_max, y_max))

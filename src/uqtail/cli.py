@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import json
 import sys
 from pathlib import Path
@@ -135,9 +136,9 @@ def _cmd_analyze(args) -> int:
     if args.limits:
         report["alpha_limits"] = _jsonable(
             alpha_limits(params.lam, params.mu, params.beta, p=params.p, model=params.model))
-    out = _out_dir(args) / "analyze.json"
-    out.write_text(_dump(report) + "\n")
-    print(_dump(report))
+    text = _dump(report)
+    (_out_dir(args) / "analyze.json").write_text(text + "\n")
+    print(text)
     return 0
 
 
@@ -223,9 +224,9 @@ def _cmd_compare_mm1(args) -> int:
     params = _resolve_params(args)
     report = {"meta": _meta(params),
               "comparison": _jsonable(mm1_comparison(params))}
-    out = _out_dir(args) / "compare_mm1.json"
-    out.write_text(_dump(report) + "\n")
-    print(_dump(report))
+    text = _dump(report)
+    (_out_dir(args) / "compare_mm1.json").write_text(text + "\n")
+    print(text)
     return 0
 
 
@@ -239,7 +240,13 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and shared after it.
+
+    `parse_args` returns a fresh namespace on every call, so calls do not
+    leak into each other; callers must not add arguments to it.
+    """
     parser = argparse.ArgumentParser(
         prog="uqtail",
         description="Tail asymptotics of queues with an unreliable server")

@@ -53,13 +53,23 @@ def default_uniformization(lam: float, mu: float, alpha: float, beta: float,
 
 @dataclass(frozen=True)
 class ModelParams:
+    """A validated parameter set; an omitted C becomes the model's default.
+
+    Construction raises InvalidParameters where `validate` would.
+    """
     lam: float
     mu: float
     alpha: float
     beta: float
     p: float = 1.0
-    C: float = 0.0
+    C: float | None = None
     model: Model = Model.MODEL1
+
+    def __post_init__(self):
+        if self.C is None:
+            object.__setattr__(self, "C", default_uniformization(
+                self.lam, self.mu, self.alpha, self.beta, self.model))
+        validate(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -74,9 +84,7 @@ class ModelParams:
 def make_params(lam: float, mu: float, alpha: float, beta: float, p: float = 1.0,
                 model: Model = Model.MODEL1, C: float | None = None) -> ModelParams:
     """Build and validate a parameter set, filling in the default C."""
-    if C is None:
-        C = default_uniformization(lam, mu, alpha, beta, model)
-    return validate(ModelParams(lam, mu, alpha, beta, p, C, model))
+    return ModelParams(lam, mu, alpha, beta, p, C, model)
 
 
 def params_from_dict(d: dict) -> ModelParams:

@@ -9,15 +9,17 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .kernels import row_classes
 from .params import (DOWN, UP, STATUS_NAMES, InvalidParameters, Model,
                      ModelParams, UnstableParameters)
 from .spectral import stability
+
+if TYPE_CHECKING:   # scipy loads in the sparse solves only; most verbs never run one
+    import scipy.sparse as sp
 
 _BLOCK_TOL = 1e-12
 _FIRST_PASSAGE_TOL = 1e-16  # largest entry of the last doubling's increment
@@ -199,6 +201,11 @@ def neuts_stability(blocks: QbdBlocks) -> bool:
 
 def boundary_vector(params: ModelParams) -> np.ndarray:
     """Stationary probabilities of level 0, (pi(0,U), pi(0,D))."""
+    return _boundary(params)[0]
+
+
+def _boundary(params: ModelParams) -> tuple[np.ndarray, QbdBlocks, np.ndarray]:
+    """`boundary_vector` with the blocks and closed-form R it was solved from."""
     blocks = qbd_blocks(params)
     if not stability(params).stable:
         raise UnstableParameters("stationary distribution requires stability")
@@ -212,13 +219,12 @@ def boundary_vector(params: ModelParams) -> np.ndarray:
     norm = float(pi0 @ np.linalg.solve(np.eye(2) - r, np.ones(2)))
     if not norm > 0:
         raise ArithmeticError("singular boundary system")
-    return pi0 / norm
+    return pi0 / norm, blocks, r
 
 
 def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
     """Matrix-geometric stationary table pi(k, sigma) = pi0 R^k for k <= k_max."""
-    pi0 = boundary_vector(params)
-    r = rate_matrix_closed_form(params)
+    pi0, blocks, r = _boundary(params)
     entries = {}
     level = pi0.copy()
     levels = np.empty((k_max + 1, 2))
@@ -229,7 +235,6 @@ def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
         level = level @ r
     tail = float(level @ np.linalg.solve(np.eye(2) - r, np.ones(2)))
     # max |pi P - pi| over levels 0..k_max-1 of the full chain
-    blocks = qbd_blocks(params)
     inflow = levels[:-1] @ blocks.p1 + levels[1:] @ blocks.p2
     inflow[1:] += levels[:-2] @ blocks.p0
     inflow[:1] = levels[:1] @ blocks.p1_boundary + levels[1:2] @ blocks.p2
@@ -254,6 +259,8 @@ def _lattice_matrix(params: ModelParams, shape: tuple) -> sp.csr_matrix:
     the lattice and the self-move fold into the diagonal, added in the row's
     sorted target order.
     """
+    import scipy.sparse as sp
+
     coords = np.indices(shape).reshape(len(shape), -1)
     n = coords.shape[1]
     corner = np.minimum(coords, 1)   # the row class; sigma is 0 or 1 already
@@ -292,6 +299,9 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
     """
     if model not in (None, params.model):
         raise InvalidParameters(f"model {model} does not match the parameters' {params.model}")
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if params.model is Model.MODEL1:
         y_max = None
     elif y_max is None:

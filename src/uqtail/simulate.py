@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      check_state)
@@ -41,7 +39,8 @@ class Trajectory:
     def to_csv(self) -> str:
         from . import __version__
         out = [f"# version={__version__}\n", "# rng=numpy.random.Generator(PCG64)\n"]
-        out += [f"# {key}={value}\n" for key, value in self.params.to_dict().items()]
+        out += [f"# {key}={value:.17g}\n" if isinstance(value, float) else f"# {key}={value}\n"
+                for key, value in self.params.to_dict().items()]
         out.append(f"# seed={self.seed}\n")
         if self.y is None:
             out.append("step,x,status\n")
@@ -353,6 +352,9 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
                                 mean_slope=1.0, ratio_slope=1.0,
                                 success_probability=1.0, h_residual=0.0, steps=1,
                                 remaining_mass=0.0, h=np.ones((0, 2)))
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     # unknowns (x, sigma) -> 2 (x - base - 1) + sigma on the interior levels,
     # block-tridiagonal; moves to K feed `hit`, moves to base are killed
     q = (sp.kron(sp.eye(rise - 1, k=1), blocks.p0) + sp.kron(sp.eye(rise - 1), blocks.p1)

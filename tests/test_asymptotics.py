@@ -252,6 +252,20 @@ def test_eta_model2_tail_gate(t2_table):
         eta(T2, table=rising)
 
 
+def test_eta_model2_bound_scales_with_c(t2_table):
+    """Doubling C halves eta, and its remainder bound with it: the escape
+    probabilities in the remainder are bounded by the twisted up block's
+    largest row sum, which also halves."""
+    doubled = make_params(10, 30, 0.1, 10, model=Model.MODEL2, C=2 * T2.C)
+    base = eta(T2, table=t2_table)
+    other = eta(doubled, table=truncated_stationary(doubled, x_max=40, y_max=40))
+    assert other.std_error / other.value == pytest.approx(base.std_error / base.value,
+                                                          rel=0.05)
+    # the tighter bound still covers the move to a larger table
+    finer = eta(T2, table=truncated_stationary(T2, x_max=48, y_max=48))
+    assert abs(finer.value - base.value) <= base.std_error
+
+
 def test_model2_prefactor_structure(t2_table):
     asym = prefactors(T2, table=t2_table)
     assert asym.y_ratio == pytest.approx(10 / 30)

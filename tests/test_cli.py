@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uqtail
 from uqtail import Model, __version__, make_params, params_from_dict
-from uqtail.cli import main
+from uqtail.cli import build_parser, main
 
 A_FLAGS = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
 
@@ -181,12 +185,10 @@ def test_csv_header_lines(tmp_path):
     assert main(["simulate", *tandem, "--steps", "100", "--seed", "4"]) == 0
     assert main(["tailfit", *tandem, "--kmin", "20", "--kmax", "30", "--xmax", "40"]) == 0
     start = [f"# version={__version__}", "# rng=numpy.random.Generator(PCG64)"]
-    # the trajectory prints the parameters with str(), the other files with 17 digits
-    assert _header(tmp_path / "trajectory.csv") == start + [
-        "# mu=30.0", "# alpha=0.1", "# beta=10.0", "# p=1.0", "# C=80.1", "# lambda=10.0",
-        "# model=model2", "# seed=4"]
+    # every file prints the parameters with 17 significant digits
     params = ["# mu=30", "# alpha=0.10000000000000001", "# beta=10", "# p=1",
               "# C=80.099999999999994", "# lambda=10", "# model=model2"]
+    assert _header(tmp_path / "trajectory.csv") == start + params + ["# seed=4"]
     assert _header(tmp_path / "empirical.csv") == start + params + [
         "# seed=4", "# burn_in=10", "# steps=100"]
     tailfit = _header(tmp_path / "tailfit.csv")
@@ -203,3 +205,42 @@ def test_params_file_round_trip_keeps_the_model(tmp_path):
     meta = json.loads((tmp_path / "analyze.json").read_text())["meta"]
     assert meta["model"] == "model2"
     assert params_from_dict(meta["params"]) == params
+
+
+# Runs in a fresh interpreter: argv is the source root, then the output directory.
+SCIPY_FREE_VERBS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from uqtail.cli import main
+A = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10", "--out", sys.argv[2]]
+T2 = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10", "--out", sys.argv[2]]
+for argv in (["analyze", *A], ["analyze", *T2, "--model", "model2", "--p", "0.5"],
+             ["simulate", *A, "--steps", "2000"],
+             ["ldpath", *A, "--steps", "2000", "--level", "5"],
+             ["tailfit", *A, "--kmin", "20", "--kmax", "30"], ["compare-mm1", *A]):
+    assert main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+assert main(["tailfit", *T2, "--model", "model2", "--kmin", "20", "--kmax", "35",
+             "--xmax", "40"]) == 0
+assert "scipy.sparse.linalg" in sys.modules
+"""
+
+
+def test_verbs_without_a_sparse_solve_never_load_scipy(tmp_path):
+    src = str(Path(uqtail.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_VERBS, src, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_one_parser_per_process(tmp_path):
+    assert build_parser() is build_parser()
+    # a flag given in one call does not leak into the next
+    assert main(["analyze", *A_FLAGS, "--limits", "--out", str(tmp_path)]) == 0
+    assert main(["analyze", *A_FLAGS, "--out", str(tmp_path)]) == 0
+    assert "alpha_limits" not in json.loads((tmp_path / "analyze.json").read_text())
+    # neither does an argparse error
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", *A_FLAGS, "--steps", "5"])
+    assert exc.value.code == 2
+    assert main(["compare-mm1", *A_FLAGS, "--out", str(tmp_path)]) == 0

@@ -4,10 +4,10 @@ import json
 import pytest
 
 import uqtail
-from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model,
+from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
                     boundary_vector, conditioned_excursion_slope,
                     default_uniformization, escape_probabilities, eta,
-                    exact_stationary_model1, feynman_kac, make_params,
+                    exact_stationary_model1, feynman_kac, full_kernel, make_params,
                     model2_twist_rates, params_from_json, prefactors,
                     qbd_blocks, rs_rd_kernel, rs_rd_stationary,
                     truncated_stationary)
@@ -36,6 +36,19 @@ def test_explicit_c_validated():
         make_params(10, 11, 0.1, 10, C=5.0)
     p = make_params(10, 11, 0.1, 10, C=40.0)
     assert p.C == 40.0
+
+
+def test_direct_construction_validates_and_fills_c(monkeypatch):
+    assert ModelParams(10, 11, 0.1, 10) == make_params(10, 11, 0.1, 10)
+    assert sum(p for _, p in full_kernel(ModelParams(10, 11, 0.1, 10), (3, UP)).targets) \
+        == pytest.approx(1.0)
+    with pytest.raises(InvalidParameters):
+        ModelParams(10, 11, 0.1, 10, C=1.0)
+    # make_params validates once: verify --grid builds about 1000 sets per run
+    calls = []
+    monkeypatch.setattr(uqtail.params, "validate", lambda params: calls.append(params))
+    make_params(10, 11, 0.1, 10)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kwargs", [
