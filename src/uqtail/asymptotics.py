@@ -14,11 +14,10 @@ import numpy as np
 
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      make_params)
-from .kernels import row_classes
 from .qbd import (StationaryTable, _lattice_matrix, _lattice_shape, boundary_vector,
                   first_passage, level_blocks, truncated_stationary)
 from .spectral import characteristic_roots
-from .twist import harmonic, horizontal_drift, markov_part_stationary, twist_row
+from .twist import TwistSummary, twist_summary
 
 _ESCAPE_RESIDUAL = 1e-12
 
@@ -111,25 +110,15 @@ class AlphaLimits:
     prefactor_up_limit_gap: float | None
 
 
-def _twisted_blocks(params: ModelParams,
-                    y_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(up, local, down) blocks of the twisted free chain with x as the level,
-    from the twisted x0 = 1 class rows; phases and the y cut as in
-    `qbd.level_blocks`.
-    """
-    h = harmonic(params)
-    rows = row_classes(params).items()
-    return level_blocks([twist_row(row, h) for origin, row in rows if origin[0] == 1], y_cut)
-
-
-def _escape_first_passage(params: ModelParams, y_cut: int = 0) -> np.ndarray:
-    """Escape probabilities from level 0 for every phase of `_twisted_blocks`.
+def _escape_first_passage(rows, y_cut: int = 0) -> np.ndarray:
+    """Escape probabilities from level 0 for every phase of the twisted
+    class rows `rows`, with phases and the y cut as in `qbd.level_blocks`.
 
     The free chain leaves level 0 upwards by the same up block A0 as any
     level, so escape = A0 (1 - G 1) with G from `qbd.first_passage`.  For
     Model 1 this is the numeric reference for `escape_probabilities`.
     """
-    a0, a1, a2 = _twisted_blocks(params, y_cut)
+    a0, a1, a2 = level_blocks(rows, y_cut)
     return a0 @ (1.0 - first_passage(a0, a1, a2).sum(axis=1))
 
 
@@ -144,16 +133,19 @@ def escape_probabilities(params: ModelParams) -> EscapeProbs:
     """
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the closed-form escape needs a Model 1 parameter set")
-    h = harmonic(params)
-    t2, w = h.base, h.down_weight
+    return _escape(twist_summary(params))
+
+
+def _escape(twist: TwistSummary) -> EscapeProbs:
+    t2, w = twist.harmonic.base, twist.harmonic.down_weight
     g = np.array([[1.0 / t2, 0.0], [1.0 / (t2 * w), 0.0]])
-    a0, a1, a2 = _twisted_blocks(params)
+    a0, a1, a2 = level_blocks(twist.rows)
     residual = float(np.max(np.abs(a2 + a1 @ g + a0 @ g @ g - g)))
     if not (residual <= _ESCAPE_RESIDUAL and np.all(g.sum(axis=1) < 1.0)):
         raise ArithmeticError(
             f"closed-form first-passage matrix fails: residual {residual:.3g} "
             f"(bound {_ESCAPE_RESIDUAL:g}), row sums {g.sum(axis=1)} (must be < 1)")
-    scale = params.lam / params.C
+    scale = twist.params.lam / twist.params.C
     return EscapeProbs(up=scale * (t2 - 1.0), down=scale * (t2 - 1.0 / w),
                        x_max_used=0, residual=residual)
 
@@ -162,38 +154,43 @@ def eta(params: ModelParams, *, table: StationaryTable | None = None) -> EtaEsti
     """Boundary constant: sum over the boundary of pi * h * escape probability.
 
     Model 1 has a two-state boundary, so the value is exact.  The tandem
-    boundary is infinite: pi comes from the truncated oracle, and the escape
-    probabilities from the first-passage matrix of the twisted free chain
-    with y cut at twice the table's y_max.
+    (p = 1 only) boundary is infinite: pi comes from the truncated oracle,
+    and the escape probabilities from the first-passage matrix of the
+    twisted free chain with y cut at twice the table's y_max.
     """
+    twist = twist_summary(params)
     if params.model is Model.MODEL1:
-        return _eta_model1(params, escape_probabilities(params))
-    return _eta_model2(params, table)
+        return _eta_model1(twist, _escape(twist))
+    return _eta_model2(twist, table)
 
 
-def _eta_model1(params: ModelParams, esc: EscapeProbs) -> EtaEstimate:
-    pi0 = boundary_vector(params)
-    h = harmonic(params)
-    value = pi0[UP] * esc.up + pi0[DOWN] * h.value((0, DOWN)) * esc.down
+def _eta_model1(twist: TwistSummary, esc: EscapeProbs) -> EtaEstimate:
+    pi0 = boundary_vector(twist.params)
+    value = pi0[UP] * esc.up + pi0[DOWN] * twist.harmonic.value((0, DOWN)) * esc.down
     return EtaEstimate(value=float(value), std_error=0.0, method="exact")
 
 
-def _eta_model2(params: ModelParams, table: StationaryTable | None) -> EtaEstimate:
-    if params.model is not Model.MODEL2 or params.p != 1.0:
-        raise InvalidParameters("the boundary constant is computed for the tandem (p = 1) only")
-    sol = characteristic_roots(params)
-    if not params.lam / (params.mu * params.p) < sol.gamma_p:
+def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> EtaEstimate:
+    params = twist.params
+    if not params.lam / (params.mu * params.p) < twist.roots.gamma_p:
         raise ArithmeticError("boundary sum not summable: lambda/(mu p) >= gamma_p")
     if table is None:
         table = truncated_stationary(params, x_max=60, y_max=60)
-    h = harmonic(params)
+    h = twist.harmonic
     y_max = table.y_max
-    # weights[2y + sigma] = pi(0, y, sigma) h(0, y, sigma), in `_twisted_blocks` order
+    # weights[2y + sigma] = pi(0, y, sigma) h(0, y, sigma), in `level_blocks` order
     weights = np.array([table.prob((0, y, sigma)) * h.value((0, y, sigma))
                         for y in range(y_max + 1) for sigma in (UP, DOWN)])
     # geometric-tail gate on the last min(10, y_max + 1) levels of the weights
     levels = weights.reshape(-1, 2).sum(axis=1)
-    ys = [y for y in range(max(1, y_max - 8), y_max + 1) if levels[y - 1] > 0]
+    low = max(1, y_max - 8)
+    ys = [y for y in range(low, y_max + 1) if levels[y - 1] > 0]
+    if not ys:
+        raise ArithmeticError(
+            f"boundary sum tail has no positive weight at y = {low - 1}..{y_max - 1}, "
+            "where the tail gate takes its ratios: the truncated table holds only "
+            "zeros there (values below its solve's accuracy, clipped), so a larger "
+            "table cannot help")
     ratios = [float(levels[y] / levels[y - 1]) for y in ys]
     if not ratios or max(ratios) >= 1.0:
         raise ArithmeticError(
@@ -203,10 +200,10 @@ def _eta_model2(params: ModelParams, table: StationaryTable | None) -> EtaEstima
             "enlarge the truncated table")
     rho = max(ratios)
     # escape = A0 (1 - G 1) is at most A0's largest row sum, the same at every y cut >= 1
-    up_mass = float(_twisted_blocks(params, 1)[0].sum(axis=1).max())
+    up_mass = float(level_blocks(twist.rows, 1)[0].sum(axis=1).max())
     remainder = levels[-1] * rho / (1.0 - rho) * up_mass
     value, coarse = (
-        float(weights @ _escape_first_passage(params, cut)[:weights.size])
+        float(weights @ _escape_first_passage(twist.rows, cut)[:weights.size])
         for cut in (2 * y_max, y_max))
     return EtaEstimate(value=value, std_error=abs(value - coarse) + float(remainder),
                        method="qbd")
@@ -215,46 +212,51 @@ def _eta_model2(params: ModelParams, table: StationaryTable | None) -> EtaEstima
 def prefactors(params: ModelParams, model: Model | None = None, *,
                table: StationaryTable | None = None,
                seed: int = 0) -> TailAsymptotic:
-    """Closed-form tail constants of the dominant geometric term.
+    """Tail constants of the dominant geometric term (`tail_constants` of the
+    set's `twist_summary`); shape-only for the feedback tandem (p < 1).
 
     `model` and `seed` may be omitted; perfbench/run.py passes both.  A given
     `model` must be params.model; `seed` is unused, as nothing here is random.
     """
     if model not in (None, params.model):
         raise InvalidParameters(f"model {model} does not match the parameters' {params.model}")
-    sol = characteristic_roots(params)
-    lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
     if params.model is Model.MODEL2 and params.p != 1.0:
+        sol = characteristic_roots(params)
         return TailAsymptotic(model=params.model, gamma=sol.gamma_p, prefactor_up=None,
                               prefactor_down=None, eta=None, escape_up=None,
                               escape_down=None, secondary_gamma=sol.gamma_secondary,
                               secondary_weight=None, y_ratio=None,
                               provenance="shape-only")
-    drift = horizontal_drift(params)
-    sqrt_s = math.sqrt(sol.s_p)
-    den = lam + beta - mu - alpha + sqrt_s
-    g = sol.g_constant
+    return tail_constants(twist_summary(params), table=table)
+
+
+def tail_constants(twist: TwistSummary, *,
+                   table: StationaryTable | None = None) -> TailAsymptotic:
+    """C(sigma) = eta phi(0, sigma) / (d h(0, sigma)) from one twist pass.
+
+    phi is the twisted phase law, d the drift and eta the boundary constant,
+    for Model 1 and the tandem (p = 1) alike (Adan, Foley & McDonald).  The
+    tandem's eta reads `table` (default: a 60 x 60 truncated solve).
+    """
+    params, h = twist.params, twist.harmonic
     if params.model is Model.MODEL1:
-        esc = escape_probabilities(params)
-        est = _eta_model1(params, esc)
-        scale = est.value / drift.value
-        return TailAsymptotic(model=params.model, gamma=sol.gamma_p,
-                              prefactor_up=scale * den / 2.0 / g,
-                              prefactor_down=scale * alpha / g,
-                              eta=est.value, escape_up=esc.up, escape_down=esc.down,
-                              secondary_gamma=sol.gamma_secondary,
-                              secondary_weight=None, y_ratio=None,
-                              provenance="closed-form")
-    est = eta(params, table=table)
-    b = 1.0 - (lam + beta + mu + alpha - sqrt_s) / (2.0 * mu)
-    scale = est.value / drift.value * b
-    return TailAsymptotic(model=params.model, gamma=sol.gamma_p,
-                          prefactor_up=scale * den / 2.0 / g,
-                          prefactor_down=scale * alpha / g,
-                          eta=est.value, escape_up=None, escape_down=None,
-                          secondary_gamma=sol.gamma_secondary,
-                          secondary_weight=None, y_ratio=lam / mu,
-                          provenance="closed-form+qbd")
+        esc = _escape(twist)
+        est = _eta_model1(twist, esc)
+        phi0, origins = twist.phi, ((0, UP), (0, DOWN))
+        extra = dict(escape_up=esc.up, escape_down=esc.down, y_ratio=None,
+                     provenance="closed-form")
+    else:
+        est = _eta_model2(twist, table)
+        phi0 = [twist.phi(0, sigma) for sigma in (UP, DOWN)]
+        origins = ((0, 0, UP), (0, 0, DOWN))
+        extra = dict(escape_up=None, escape_down=None, y_ratio=params.lam / params.mu,
+                     provenance="closed-form+qbd")
+    c_up, c_down = (est.value * phi0[origin[-1]] / (twist.drift.value * h.value(origin))
+                    for origin in origins)
+    return TailAsymptotic(model=params.model, gamma=twist.roots.gamma_p,
+                          prefactor_up=c_up, prefactor_down=c_down, eta=est.value,
+                          secondary_gamma=twist.roots.gamma_secondary,
+                          secondary_weight=None, **extra)
 
 
 def two_term_tail(params: ModelParams, table: StationaryTable,
@@ -312,16 +314,14 @@ def alpha_limits(lam: float, mu: float, beta: float, p: float = 1.0,
         if model is Model.MODEL2:
             limit_b = 0.0 if below else (mu - lam - beta) / mu
     pe = make_params(lam, mu, alpha_eval, beta, p=p, model=model)
-    sol = characteristic_roots(pe)
+    twist = twist_summary(pe) if p == 1.0 else None
+    sol = twist.roots if twist else characteristic_roots(pe)
     g_at = sol.g_constant
-    drift_at = b_at = None
-    if p == 1.0:
-        drift_at = horizontal_drift(pe).per_time
-        if model is Model.MODEL2:
-            b_at = 1.0 - (lam + beta + mu + alpha_eval - math.sqrt(sol.s_p)) / (2.0 * mu)
+    drift_at = twist.drift.per_time if twist else None
+    b_at = twist.phi.B if twist and model is Model.MODEL2 else None
     c_up_at = c_up_gap = None
     if evaluate_prefactor and model is Model.MODEL1:
-        asym = prefactors(pe)
+        asym = tail_constants(twist)
         c_up_at = asym.prefactor_up
         if below:
             target = asym.eta * pe.C / (mu - lam)

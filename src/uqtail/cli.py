@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (alpha_limits, mm1_comparison, prefactors,
-                          rs_rd_stationary, tail_fit)
+                          rs_rd_stationary, tail_constants, tail_fit)
 from .params import (DOWN, UP, InvalidParameters, Model, make_params,
                      params_from_json)
 from .qbd import (ConvergenceError, _lattice_shape, exact_stationary_model1,
@@ -49,7 +49,9 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        # a field declared repr=False is a value carried for later stages, not a result
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj) if f.repr}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -129,10 +131,12 @@ def _cmd_analyze(args) -> int:
     report = {"meta": _meta(params),
               "spectral": _jsonable(characteristic_roots(params)),
               "stability": _jsonable(stability(params))}
-    if params.model is not Model.RSRD:
-        if not (params.model is Model.MODEL2 and params.p < 1.0):
-            report["twist"] = _jsonable(twist_summary(params))
-        report["tail"] = _jsonable(prefactors(params, seed=args.seed))
+    if params.model is Model.MODEL2 and params.p < 1.0:
+        report["tail"] = _jsonable(prefactors(params))
+    elif params.model is not Model.RSRD:
+        twist = twist_summary(params)
+        report["twist"] = _jsonable(twist)
+        report["tail"] = _jsonable(tail_constants(twist))
     if args.limits:
         report["alpha_limits"] = _jsonable(
             alpha_limits(params.lam, params.mu, params.beta, p=params.p, model=params.model))

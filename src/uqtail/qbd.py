@@ -4,9 +4,7 @@ linear-solve oracle shared by every model.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -14,8 +12,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .kernels import row_classes
-from .params import (DOWN, UP, STATUS_NAMES, InvalidParameters, Model,
-                     ModelParams, UnstableParameters)
+from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
+                     UnstableParameters)
 from .spectral import stability
 
 if TYPE_CHECKING:   # scipy loads in the sparse solves only; most verbs never run one
@@ -68,28 +66,6 @@ class StationaryTable:
 
     def total(self) -> float:
         return sum(self.entries.values())
-
-    def to_csv(self, path, header_lines: list[str] | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            for line in header_lines or []:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            if self.y_max is None:
-                writer.writerow(["x", "sigma", "prob"])
-                for (x, sigma), prob in sorted(self.entries.items()):
-                    writer.writerow([x, STATUS_NAMES[sigma], f"{prob:.17g}"])
-            else:
-                writer.writerow(["x", "y", "sigma", "prob"])
-                for (x, y, sigma), prob in sorted(self.entries.items()):
-                    writer.writerow([x, y, STATUS_NAMES[sigma], f"{prob:.17g}"])
-
-    def to_json_dict(self) -> dict:
-        key = (lambda s: [s[0], STATUS_NAMES[s[1]]]) if self.y_max is None else \
-              (lambda s: [s[0], s[1], STATUS_NAMES[s[2]]])
-        return {"model": self.model.value, "x_max": self.x_max, "y_max": self.y_max,
-                "residual": self.residual, "tail_mass_bound": self.tail_mass_bound,
-                "truncation_warning": self.truncation_warning,
-                "entries": [[key(s), p] for s, p in sorted(self.entries.items())]}
 
 
 def level_blocks(rows, y_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,9 @@ class SpectralSolution:
     gamma_secondary: float  # 1 / t1, the subdominant rate
     g_constant: float | None  # defined for p = 1 only
     t2_valid: bool
+    # shared by every later stage, which never recomputes them; not reported
+    sqrt_s: float = field(repr=False)
+    den: float = field(repr=False)  # lam + beta - mu*p - alpha + sqrt(s_p)
 
 
 @dataclass(frozen=True)
@@ -47,15 +50,17 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     b = lam + beta + mup + alpha
     t1 = (b + sqrt_s) / (2.0 * lam)
     t2 = mup * (lam + beta) / (lam * lam * t1)
-    g_constant = None
-    if p == 1.0:
-        den = lam + beta - mu - alpha + sqrt_s
-        g_constant = den / 2.0 + 2.0 * alpha * beta / den
+    # den = sqrt(s) - c = (s - c^2) / (sqrt(s) + c) = 4 alpha (lam + beta) / (sqrt(s) + c);
+    # the difference cancels catastrophically when c > 0 and alpha is small
+    c = mup - lam - beta + alpha
+    den = 4.0 * alpha * (lam + beta) / (sqrt_s + c) if c > 0.0 \
+        else lam + beta - mup - alpha + sqrt_s
+    g_constant = den / 2.0 + 2.0 * alpha * beta / den if p == 1.0 else None
     # the tilt equation requires its right-hand side positive at the root
     q = 2.0 * lam * t2 * t2 - (alpha + beta + mup + 2.0 * lam) * t2 + mup
     return SpectralSolution(s_p=s_p, t1=t1, t2=t2, gamma_p=1.0 / t2,
                             gamma_secondary=1.0 / t1, g_constant=g_constant,
-                            t2_valid=q < 0.0)
+                            t2_valid=q < 0.0, sqrt_s=sqrt_s, den=den)
 
 
 def feynman_kac(params: ModelParams, theta: float) -> tuple[np.ndarray, float]:

@@ -4,8 +4,7 @@ of the twisted chain's phase, and the horizontal drift of the twisted chain.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,18 +58,11 @@ class ProductFormPhi:
     ratio: float      # lam_t / mu_t
     B: float          # 1 - ratio
     up_share: float   # beta_t / (alpha_t + beta_t)
+    down_share: float = field(repr=False)  # alpha_t / (alpha_t + beta_t)
 
     def __call__(self, y: int, sigma: int) -> float:
-        share = self.up_share if sigma == UP else 1.0 - self.up_share
+        share = self.up_share if sigma == UP else self.down_share
         return self.B * self.ratio ** y * share
-
-    def table(self, y_max: int = 200) -> np.ndarray:
-        """Array of shape (y_max + 1, 2); tail mass above y_max is ratio^(y_max+1)."""
-        ys = self.B * self.ratio ** np.arange(y_max + 1)
-        return np.column_stack([ys * self.up_share, ys * (1.0 - self.up_share)])
-
-    def tail_mass(self, y_max: int = 200) -> float:
-        return self.ratio ** (y_max + 1)
 
 
 @dataclass(frozen=True)
@@ -82,11 +74,20 @@ class Drift:
 
 @dataclass(frozen=True)
 class TwistSummary:
+    """One pass through the h-transform of a parameter set.
+
+    The unreported fields carry what later stages (escape, eta, prefactors)
+    read instead of deriving it again: the set, its roots, and the twisted
+    x0 = 1 class rows, in `kernels.row_classes` order.
+    """
     model: Model
     harmonic: HarmonicFunction
     rates: TwistRates | None
     phi: object
     drift: Drift
+    params: ModelParams = field(repr=False)
+    roots: SpectralSolution = field(repr=False)
+    rows: tuple[TransitionRow, ...] = field(repr=False)
 
 
 def _require_stable(params: ModelParams) -> SpectralSolution:
@@ -95,13 +96,14 @@ def _require_stable(params: ModelParams) -> SpectralSolution:
     return characteristic_roots(params)
 
 
+def _harmonic(params: ModelParams, sol: SpectralSolution) -> HarmonicFunction:
+    return HarmonicFunction(model=params.model, base=sol.t2,
+                            down_weight=2.0 * params.beta / sol.den)
+
+
 def harmonic(params: ModelParams) -> HarmonicFunction:
     """Closed-form harmonic function of the free process (needs stability)."""
-    sol = _require_stable(params)
-    lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
-    sqrt_s = math.sqrt(sol.s_p)
-    down_weight = 2.0 * beta / (lam + beta - mu * p - alpha + sqrt_s)
-    return HarmonicFunction(model=params.model, base=sol.t2, down_weight=down_weight)
+    return _harmonic(params, _require_stable(params))
 
 
 def twist_row(row: TransitionRow, h: HarmonicFunction) -> TransitionRow:
@@ -115,85 +117,70 @@ def twisted_kernel(params: ModelParams, state: tuple) -> TransitionRow:
     return twist_row(free_kernel(params, state), harmonic(params))
 
 
-def markov_part_stationary(params: ModelParams):
-    """Stationary law of the twisted chain's phase.
+def twist_summary(params: ModelParams) -> TwistSummary:
+    """The h-transform of Model 1 or the tandem (p = 1), derived once.
 
-    Model 1: length-2 array over (Up, Down).  Model 2 (tandem only): the
-    product-form law over (y, status).
+    From one stability check and one `characteristic_roots`: h, the twisted
+    x0 = 1 class rows, the phase law phi (with the tandem's twisted rates),
+    and the drift.  The drift's closed form must agree to 1e-10 with the
+    phi-weighted mean x-increment of the twisted rows, and be positive for
+    the tail method to apply.
     """
+    tandem = params.model is Model.MODEL2 and params.p == 1.0
+    if not (params.model is Model.MODEL1 or tandem):
+        raise InvalidParameters("the twist is derived for Model 1 and the tandem (p = 1) only")
     sol = _require_stable(params)
-    if params.model is Model.MODEL1:
-        lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
-        den = lam + beta - mu - alpha + math.sqrt(sol.s_p)
-        g = sol.g_constant
-        return np.array([den / 2.0 / g, 2.0 * alpha * beta / den / g])
-    rates = model2_twist_rates(params)
-    return ProductFormPhi(ratio=rates.lam_t / rates.mu_t, B=rates.B,
-                          up_share=rates.beta_t / (rates.alpha_t + rates.beta_t))
-
-
-def model2_twist_rates(params: ModelParams) -> TwistRates:
-    """Twisted phase-chain probabilities for the tandem (p = 1) model."""
-    if params.model is not Model.MODEL2 or params.p != 1.0:
-        raise InvalidParameters("twisted rates are defined for the tandem (p = 1) only")
-    sol = _require_stable(params)
+    h = _harmonic(params, sol)
+    rows = tuple(twist_row(row, h) for origin, row in row_classes(params).items()
+                 if origin[0] == 1)
     lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
-    sqrt_s = math.sqrt(sol.s_p)
-    den = lam + beta - mu - alpha + sqrt_s
-    lam_t = (lam + beta + mu + alpha - sqrt_s) / (2.0 * C)
-    mu_t = mu / C
-    alpha_t = 2.0 * alpha * beta / (C * den)
-    beta_t = den / (2.0 * C)
-    return TwistRates(lam_t=lam_t, mu_t=mu_t, alpha_t=alpha_t, beta_t=beta_t,
-                      B=1.0 - lam_t / mu_t)
-
-
-def horizontal_drift(params: ModelParams) -> Drift:
-    """Mean x-increment per step of the twisted chain under its phase law.
-
-    Returns the closed form together with an independently aggregated
-    estimate (phi-weighted mean increment of twisted rows); the two must
-    agree to 1e-10, and the drift must be positive for the tail method to
-    apply.
-    """
-    sol = _require_stable(params)
-    lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
-    sqrt_s = math.sqrt(sol.s_p)
-    den_minus = lam + beta + mu + alpha - sqrt_s
-    den_plus = lam + beta - mu - alpha + sqrt_s
-    if params.model is Model.MODEL1:
-        value = (den_minus / 2.0 - lam * mu * den_plus / (sol.g_constant * den_minus)) / C
-        phi = markov_part_stationary(params)
-        weights = {(UP,): phi[UP], (DOWN,): phi[DOWN]}
-    else:
-        if params.model is not Model.MODEL2 or params.p != 1.0:
-            raise InvalidParameters("drift is defined for the tandem (p = 1) only")
-        value = (den_minus / 2.0
-                 - 2.0 * lam * mu * den_plus ** 2
-                 / (den_minus * (4.0 * alpha * beta + den_plus ** 2))) / C
-        phi = markov_part_stationary(params)
-        # rows are identical for all y >= 1, so the geometric tail of phi is
-        # aggregated exactly instead of being truncated
-        weights = {(0, UP): phi(0, UP), (0, DOWN): phi(0, DOWN),
-                   (1, UP): phi.up_share * phi.ratio * phi.B / (1.0 - phi.ratio),
-                   (1, DOWN): (1.0 - phi.up_share) * phi.ratio * phi.B / (1.0 - phi.ratio)}
-    # weighted mean x-increments of the twisted x0 = 1 class rows
-    h = harmonic(params)
-    estimate = sum(weights[origin[1:]] * twist_row(row, h).mean_x_increment()
-                   for origin, row in row_classes(params).items() if origin[0] == 1)
+    den, g = sol.den, sol.g_constant
+    # the phase chain's Up/Down shares, beta_t and alpha_t over their sum
+    shares = np.array([den / 2.0 / g, 2.0 * alpha * beta / den / g])
+    den_minus = lam + beta + mu + alpha - sol.sqrt_s
+    rates = None
+    phi = shares
+    if tandem:
+        # B = 1 - lam_t/mu_t, in a form free of cancellation as alpha -> 0
+        rates = TwistRates(lam_t=den_minus / (2.0 * C), mu_t=mu / C,
+                           alpha_t=2.0 * alpha * beta / (C * den), beta_t=den / (2.0 * C),
+                           B=2.0 * alpha / (den + 2.0 * alpha))
+        phi = ProductFormPhi(ratio=rates.lam_t / rates.mu_t, B=rates.B,
+                             up_share=shares[UP], down_share=shares[DOWN])
+    value = (den_minus / 2.0 - lam * mu * den / (g * den_minus)) / C
+    # rows are identical for all y >= 1, so the tandem's geometric tail of phi,
+    # of total mass ratio, is aggregated exactly instead of being truncated
+    estimate = sum(shares[row.origin[-1]] * row.mean_x_increment()
+                   * ((phi.B, phi.ratio)[row.origin[1]] if tandem else 1.0)
+                   for row in rows)
     if abs(value - estimate) > _DRIFT_AGREEMENT * max(1.0, abs(value)):
         raise ArithmeticError(
             f"drift closed form {value!r} and aggregate {estimate!r} disagree")
     if value <= 0.0:
         raise ArithmeticError(f"twisted chain drift is not positive ({value!r}); "
                               "tail method inapplicable for these parameters")
-    return Drift(value=value, estimate=estimate, per_time=value * C)
+    return TwistSummary(model=params.model, harmonic=h, rates=rates, phi=phi,
+                        drift=Drift(value=value, estimate=estimate, per_time=value * C),
+                        params=params, roots=sol, rows=rows)
 
 
-def twist_summary(params: ModelParams) -> TwistSummary:
-    tandem = params.model is Model.MODEL2 and params.p == 1.0
-    return TwistSummary(model=params.model,
-                        harmonic=harmonic(params),
-                        rates=model2_twist_rates(params) if tandem else None,
-                        phi=markov_part_stationary(params),
-                        drift=horizontal_drift(params))
+def markov_part_stationary(params: ModelParams):
+    """Stationary law of the twisted chain's phase.
+
+    Model 1: length-2 array over (Up, Down).  Model 2 (tandem only): the
+    product-form law over (y, status).
+    """
+    return twist_summary(params).phi
+
+
+def model2_twist_rates(params: ModelParams) -> TwistRates:
+    """Twisted phase-chain probabilities for the tandem (p = 1) model."""
+    if params.model is not Model.MODEL2 or params.p != 1.0:
+        raise InvalidParameters("twisted rates are defined for the tandem (p = 1) only")
+    return twist_summary(params).rates
+
+
+def horizontal_drift(params: ModelParams) -> Drift:
+    """Mean x-increment per step of the twisted chain under its phase law
+    (`twist_summary`'s drift)."""
+    return twist_summary(params).drift

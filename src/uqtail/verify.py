@@ -11,15 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (_escape_first_passage, escape_probabilities, eta,
-                          prefactors, rs_rd_stationary)
+from .asymptotics import (_escape, _escape_first_passage, escape_probabilities,
+                          eta, prefactors, rs_rd_stationary)
 from .kernels import free_kernel, full_kernel
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, make_params
 from .qbd import (boundary_vector, exact_stationary_model1, neuts_stability,
                   qbd_blocks, rate_matrix_closed_form, rate_matrix_iterate,
                   rate_matrix_spectrum)
 from .spectral import characteristic_roots, feynman_kac, stability
-from .twist import harmonic, horizontal_drift, twisted_kernel
+from .twist import harmonic, horizontal_drift, twist_summary, twisted_kernel
 
 PARAMS_A = make_params(10.0, 11.0, 0.1, 10.0)
 PARAMS_B = make_params(20.0, 60.0, 0.01, 1.0)
@@ -197,8 +197,9 @@ def check_escape_closed_form(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for params in [PARAMS_A, PARAMS_B] + [random_params(rng) for _ in range(grid)]:
-        esc = escape_probabilities(params)
-        gap = np.abs(_escape_first_passage(params) - (esc.up, esc.down))
+        twist = twist_summary(params)
+        esc = _escape(twist)
+        gap = np.abs(_escape_first_passage(twist.rows) - (esc.up, esc.down))
         worst = max(worst, float(np.max(gap)))
     return CheckResult("escape-closed-form", worst <= 1e-10,
                        f"max |closed form - logarithmic reduction| = {worst:.3g}")

@@ -11,11 +11,12 @@ from uqtail import (DOWN, UP, InvalidParameters, Model, alpha_limits,
                     escape_probabilities, eta, exact_stationary_model1,
                     harmonic, make_params, mm1_comparison, prefactors,
                     rate_matrix_closed_form, rs_rd_stationary, tail_fit,
-                    truncated_stationary, two_geometric_fit, two_term_tail)
-from uqtail.asymptotics import _escape_first_passage, _twisted_blocks
+                    truncated_stationary, twist_summary, two_geometric_fit,
+                    two_term_tail)
+from uqtail.asymptotics import _escape_first_passage
 from uqtail.cli import main
 from uqtail.kernels import rs_rd_kernel
-from uqtail.qbd import StationaryTable, first_passage
+from uqtail.qbd import StationaryTable, first_passage, level_blocks
 from uqtail.verify import random_params
 
 A = make_params(10, 11, 0.1, 10)
@@ -27,8 +28,8 @@ def assert_escape_matches_iteration(params):
     esc = escape_probabilities(params)
     assert esc.residual <= 1e-12
     assert 0 < esc.up < 1 and 0 < esc.down < 1
-    assert [esc.up, esc.down] == pytest.approx(_escape_first_passage(params),
-                                               rel=0, abs=1e-10)
+    reference = _escape_first_passage(twist_summary(params).rows)
+    assert [esc.up, esc.down] == pytest.approx(reference, rel=0, abs=1e-10)
 
 
 def test_escape_methods_agree():
@@ -208,7 +209,7 @@ def t2_table():
 
 def test_eta_model2_exact(t2_table):
     # tandem blocks: logarithmic reduction against the plain iteration from 0
-    a0, a1, a2 = _twisted_blocks(T2, 8)
+    a0, a1, a2 = level_blocks(twist_summary(T2).rows, 8)
     g = np.zeros_like(a1)
     for _ in range(10 ** 5):
         g_next = a2 + a1 @ g + a0 @ g @ g
@@ -222,7 +223,7 @@ def test_eta_model2_exact(t2_table):
     for params in (A, B):
         h = harmonic(params)
         closed = np.array([[1.0 / h.base, 0.0], [1.0 / (h.base * h.down_weight), 0.0]])
-        g = first_passage(*_twisted_blocks(params))
+        g = first_passage(*level_blocks(twist_summary(params).rows))
         assert np.max(np.abs(g - closed)) <= 1e-14
     est = eta(T2, table=t2_table)
     assert est.method == "qbd"

@@ -34,6 +34,19 @@ def test_analyze_model2_exact_eta(tmp_path):
     assert abs(tail["eta"] / 0.0376655319 - 1) <= 1e-6
 
 
+@pytest.mark.parametrize("rates,message", [
+    # every weight in the gate's window is clipped to 0: say so, not "ratios []"
+    (("1", "50", "1e-6", "0.6"), "no positive weight at y = 51..59"),
+    # weights at the solve's noise floor rise again (T2)
+    (("10", "30", "0.1", "10"), "not decreasing geometrically: ratios [1.0068"),
+], ids=["all-zero-window", "rising-window"])
+def test_analyze_model2_eta_gate_message(tmp_path, capsys, rates, message):
+    flags = [v for pair in zip(["--lambda", "--mu", "--alpha", "--beta"], rates) for v in pair]
+    assert main(["analyze", *flags, "--model", "model2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "ratios []" not in err
+
+
 def test_analyze_with_limits(tmp_path):
     code = main(["analyze", *A_FLAGS, "--limits", "--out", str(tmp_path)])
     assert code == 0

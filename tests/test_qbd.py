@@ -120,17 +120,6 @@ def test_tight_cut_raises_or_warns():
     assert table.tail_mass_bound > 1e-8
 
 
-def test_csv_export_round_trip(tmp_path):
-    table = exact_stationary_model1(A, k_max=10)
-    out = tmp_path / "table.csv"
-    table.to_csv(out, header_lines=["lambda=10"])
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# lambda=10"
-    assert lines[1] == "x,sigma,prob"
-    data = table.to_json_dict()
-    assert "entries" in data and "residual" in data
-
-
 def _reference_lattice(params, model, x_max, y_max=None, tail_error=0.01):
     """truncated_stationary as one full_kernel row per lattice state:
     (entries, residual, tail_mass_bound, truncation_warning), P and A."""

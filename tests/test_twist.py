@@ -1,10 +1,15 @@
+import sys
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
-from uqtail import (DOWN, UP, InvalidParameters, Model, UnstableParameters,
-                    characteristic_roots, free_kernel, harmonic,
-                    horizontal_drift, make_params, markov_part_stationary,
-                    model2_twist_rates, twisted_kernel, twist_summary)
+from uqtail import (DOWN, UP, InvalidParameters, Model, StationaryTable,
+                    UnstableParameters, characteristic_roots, free_kernel,
+                    harmonic, horizontal_drift, make_params,
+                    markov_part_stationary, model2_twist_rates, prefactors,
+                    truncated_stationary, twisted_kernel, twist_summary)
+from uqtail.cli import main
 from uqtail.verify import random_params
 
 A = make_params(10, 11, 0.1, 10)
@@ -153,3 +158,103 @@ def test_twist_summary_shapes():
     s2 = twist_summary(T2)
     assert s2.rates is not None
     assert s2.phi.B == pytest.approx(s2.rates.B)
+
+
+def reference(lam, mu, alpha, beta, C):
+    """50-digit values for p = 1: g by its definition; h(0, D), the phase
+    shares and the drift from the twisted rows, not from the closed forms
+    under test."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam, mu, alpha, beta, C = (Decimal(v) for v in (lam, mu, alpha, beta, C))
+        sqrt_s = ((mu - lam - beta - alpha) ** 2 + 4 * alpha * mu).sqrt()
+        den = lam + beta - mu - alpha + sqrt_s
+        t2 = (lam + beta + mu + alpha - sqrt_s) / (2 * lam)
+        w = beta / (lam + beta - lam * t2)   # h(0, D), from the Down row
+        # the twisted phase chain moves U -> D w.p. alpha w / C, D -> U w.p. beta / (w C)
+        shares = [beta / (beta + alpha * w * w), alpha * w * w / (beta + alpha * w * w)]
+        # mean x-increments of the twisted rows: +lam t2 / C in both phases (for the
+        # tandem, mu / C from y >= 1, whose phi mass is lam t2 / mu), -mu / (t2 C) in Up
+        drift = (lam * t2 - mu * shares[UP] / t2) / C
+        return {"g": den / 2 + 2 * alpha * beta / den, "w": w, "t2": t2,
+                "shares": shares, "drift": drift}
+
+
+def synthetic_boundary(twist):
+    """Tandem table whose boundary weights pi h halve with each y, so that
+    eta, and C(sigma) with it, are defined at any alpha."""
+    entries = {(0, y, s): 0.5 ** y / twist.harmonic.value((0, y, s)) / 2
+               for y in range(5) for s in (UP, DOWN)}
+    return StationaryTable(model=Model.MODEL2, entries=entries, x_max=0, y_max=4,
+                           residual=0.0, tail_mass_bound=0.0)
+
+
+@pytest.mark.parametrize("alpha", [1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("rates,model", [
+    ((10, 11, 10), Model.MODEL1),   # mu < lambda + beta
+    ((20, 60, 1), Model.MODEL1),    # mu > lambda + beta
+    ((10, 15, 10), Model.MODEL2),   # mu < lambda + beta
+    ((10, 30, 10), Model.MODEL2),   # T2's rates
+    ((1, 50, 0.6), Model.MODEL2),   # mu > lambda + beta
+], ids=["m1-below", "m1-above", "tandem-below", "tandem-T2", "tandem-above"])
+def test_small_alpha_matches_a_50_digit_reference(rates, model, alpha):
+    lam, mu, beta = rates
+    params = make_params(lam, mu, alpha, beta, model=model)
+    twist = twist_summary(params)
+    ref = reference(lam, mu, alpha, beta, params.C)
+    tandem = model is Model.MODEL2
+    table = synthetic_boundary(twist) if tandem else None
+    asym = prefactors(params, table=table)
+    # phi(0, sigma) is the phase share times B = 1 - lam t2 / mu for the tandem
+    mass = 1 - lam * ref["t2"] / mu if tandem else 1
+    phi0 = [twist.phi(0, s) for s in (UP, DOWN)] if tandem else list(twist.phi)
+    h0 = (1, ref["w"])
+    values = {"g": (twist.roots.g_constant, ref["g"]),
+              "h(0, D)": (twist.harmonic.down_weight, ref["w"]),
+              "drift": (twist.drift.value, ref["drift"])}
+    for sigma, key in ((UP, "up"), (DOWN, "down")):
+        phi = mass * ref["shares"][sigma]
+        values[f"phi(0, {key})"] = (phi0[sigma], phi)
+        values[f"C({key})/eta"] = (getattr(asym, f"prefactor_{key}") / asym.eta,
+                                   phi / (ref["drift"] * h0[sigma]))
+    for name, (value, exact) in values.items():
+        assert abs(Decimal(value) / exact - 1) <= Decimal("1e-13"), name
+
+
+NAMES = ("characteristic_roots", "stability", "row_classes", "twist_row")
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Counts calls of NAMES through every uqtail namespace that binds them."""
+    counts = dict.fromkeys(NAMES, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {name: getattr(sys.modules[module], name) for name, module in (
+        ("characteristic_roots", "uqtail.spectral"), ("stability", "uqtail.spectral"),
+        ("row_classes", "uqtail.kernels"), ("twist_row", "uqtail.twist"))}
+    for module in [m for name, m in sys.modules.items() if name.startswith("uqtail")]:
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    return counts
+
+
+def test_one_twist_pass_per_call(call_counts, tmp_path):
+    table = truncated_stationary(T2, x_max=40, y_max=40)
+    call_counts.update(dict.fromkeys(NAMES, 0))
+    # analyze: the report's spectral and stability, one pass, and the boundary solve
+    flags = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
+    assert main(["analyze", *flags, "--out", str(tmp_path)]) == 0
+    assert call_counts == {"characteristic_roots": 2, "stability": 3,
+                           "row_classes": 2, "twist_row": 2}
+    call_counts.update(dict.fromkeys(NAMES, 0))
+    # one pass: four twisted x0 = 1 class rows of the tandem
+    prefactors(T2, table=table)
+    assert call_counts == {"characteristic_roots": 1, "stability": 1,
+                           "row_classes": 1, "twist_row": 4}
