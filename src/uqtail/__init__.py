@@ -14,14 +14,11 @@ from .kernels import TransitionRow, free_kernel, full_kernel, rs_rd_kernel
 from .spectral import (SpectralSolution, StabilityReport, characteristic_roots,
                        feynman_kac, stability)
 from .twist import (Drift, HarmonicFunction, ProductFormPhi, TwistRates,
-                    TwistSummary, harmonic, horizontal_drift,
-                    markov_part_stationary, model2_twist_rates, twisted_kernel,
-                    twist_summary)
-from .qbd import (ConvergenceError, QbdBlocks, RateMatrixSolution,
-                  StationaryTable, TruncationError, boundary_vector,
-                  exact_stationary_model1, neuts_stability, qbd_blocks,
-                  rate_matrix_closed_form, rate_matrix_iterate,
-                  rate_matrix_spectrum, truncated_stationary)
+                    TwistSummary, harmonic, twist_row, twist_summary)
+from .qbd import (ConvergenceError, QbdBlocks, StationaryTable,
+                  TruncationError, boundary_vector, exact_stationary_model1,
+                  neuts_stability, qbd_blocks, rate_matrix,
+                  rate_matrix_closed_form, truncated_stationary)
 from .asymptotics import (AlphaLimits, EscapeProbs, EtaEstimate, Mm1Comparison,
                           TailAsymptotic, TailFit, TwoGeometricFit, TwoTermFit,
                           alpha_limits, escape_probabilities, eta,
@@ -44,12 +41,11 @@ __all__ = [
     "SpectralSolution", "StabilityReport", "characteristic_roots",
     "feynman_kac", "stability",
     "Drift", "HarmonicFunction", "ProductFormPhi", "TwistRates", "TwistSummary",
-    "harmonic", "horizontal_drift", "markov_part_stationary",
-    "model2_twist_rates", "twisted_kernel", "twist_summary",
-    "ConvergenceError", "QbdBlocks", "RateMatrixSolution", "StationaryTable",
-    "TruncationError", "boundary_vector", "exact_stationary_model1",
-    "neuts_stability", "qbd_blocks", "rate_matrix_closed_form",
-    "rate_matrix_iterate", "rate_matrix_spectrum", "truncated_stationary",
+    "harmonic", "twist_row", "twist_summary",
+    "ConvergenceError", "QbdBlocks", "StationaryTable", "TruncationError",
+    "boundary_vector", "exact_stationary_model1", "neuts_stability",
+    "qbd_blocks", "rate_matrix", "rate_matrix_closed_form",
+    "truncated_stationary",
     "AlphaLimits", "EscapeProbs", "EtaEstimate", "Mm1Comparison",
     "TailAsymptotic", "TailFit", "TwoGeometricFit", "TwoTermFit",
     "alpha_limits", "escape_probabilities", "eta", "mm1_comparison",

@@ -10,9 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
-                     check_state)
+                     UnstableParameters, check_state)
 from .kernels import row_classes
 from .qbd import ConvergenceError, exact_stationary_model1, qbd_blocks
+from .spectral import stability
 
 _BLOCK = 1 << 16
 _SLOPE_TOL = 1e-13          # excursion-length mass left unsummed
@@ -335,23 +336,27 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
 
     The mean of ratios E[(K - base)/T] exceeds the ratio of means
     (K - base)/E[T] by Jensen's inequality; both fall towards the twisted
-    drift horizontal_drift(params).value as K grows.  Raises
-    InvalidParameters off Model 1, from `qbd_blocks`.
+    drift twist_summary(params).drift.value as K grows.  Raises
+    InvalidParameters off Model 1 and UnstableParameters off stability.
     """
     if base_level < 0:
         raise InvalidParameters("base_level must be >= 0")
     if level_k <= base_level:
         raise InvalidParameters("level_k must exceed base_level")
+    if params.model is not Model.MODEL1:
+        raise InvalidParameters("the excursion slope needs a Model 1 parameter set")
+    if not stability(params).stable:
+        raise UnstableParameters("stationary distribution requires stability")
     rise = level_k - base_level
-    n = 2 * (rise - 1)
-    blocks = qbd_blocks(params)
-    pi_base = exact_stationary_model1(params, k_max=base_level)
-    lift = np.array([pi_base.prob((base_level, s)) for s in (UP, DOWN)]) * np.diag(blocks.p0)
-    if n == 0:
+    if rise == 1:   # the step up from base is the whole excursion
         return ConditionedSlope(level_k=level_k, base_level=base_level,
                                 mean_slope=1.0, ratio_slope=1.0,
                                 success_probability=1.0, h_residual=0.0, steps=1,
                                 remaining_mass=0.0, h=np.ones((0, 2)))
+    n = 2 * (rise - 1)
+    blocks = qbd_blocks(params)
+    pi_base = exact_stationary_model1(params, k_max=base_level)
+    lift = np.array([pi_base.prob((base_level, s)) for s in (UP, DOWN)]) * np.diag(blocks.p0)
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 

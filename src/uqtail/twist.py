@@ -1,4 +1,4 @@
-"""Harmonic functions, twisted (h-transformed) kernels, the stationary law
+"""Harmonic functions, twisted (h-transformed) rows, the stationary law
 of the twisted chain's phase, and the horizontal drift of the twisted chain.
 """
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import TransitionRow, free_kernel, row_classes
+from .kernels import TransitionRow, row_classes
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, UnstableParameters
 from .spectral import SpectralSolution, characteristic_roots, stability
 
@@ -112,11 +112,6 @@ def twist_row(row: TransitionRow, h: HarmonicFunction) -> TransitionRow:
                                            for target, prob in row.targets))
 
 
-def twisted_kernel(params: ModelParams, state: tuple) -> TransitionRow:
-    """Twisted row of the free chain at `state` (`twist_row` of its free row)."""
-    return twist_row(free_kernel(params, state), harmonic(params))
-
-
 def twist_summary(params: ModelParams) -> TwistSummary:
     """The h-transform of Model 1 or the tandem (p = 1), derived once.
 
@@ -162,25 +157,3 @@ def twist_summary(params: ModelParams) -> TwistSummary:
     return TwistSummary(model=params.model, harmonic=h, rates=rates, phi=phi,
                         drift=Drift(value=value, estimate=estimate, per_time=value * C),
                         params=params, roots=sol, rows=rows)
-
-
-def markov_part_stationary(params: ModelParams):
-    """Stationary law of the twisted chain's phase.
-
-    Model 1: length-2 array over (Up, Down).  Model 2 (tandem only): the
-    product-form law over (y, status).
-    """
-    return twist_summary(params).phi
-
-
-def model2_twist_rates(params: ModelParams) -> TwistRates:
-    """Twisted phase-chain probabilities for the tandem (p = 1) model."""
-    if params.model is not Model.MODEL2 or params.p != 1.0:
-        raise InvalidParameters("twisted rates are defined for the tandem (p = 1) only")
-    return twist_summary(params).rates
-
-
-def horizontal_drift(params: ModelParams) -> Drift:
-    """Mean x-increment per step of the twisted chain under its phase law
-    (`twist_summary`'s drift)."""
-    return twist_summary(params).drift

@@ -12,12 +12,12 @@ import numpy as np
 from uqtail import (DOWN, UP, Model, boundary_vector, characteristic_roots,
                     conditioned_excursion_slope, empirical_distribution,
                     exact_stationary_model1, excursion_verdict, free_kernel,
-                    harmonic, horizontal_drift, ld_excursions, make_params,
-                    neuts_stability, prefactors, qbd_blocks,
-                    rate_matrix_closed_form, rate_matrix_iterate,
-                    rate_matrix_spectrum, regime_prediction, rs_rd_stationary,
-                    simulate, stability, tail_fit, truncated_stationary,
-                    two_geometric_fit, two_term_tail)
+                    harmonic, ld_excursions, make_params, neuts_stability,
+                    prefactors, qbd_blocks, rate_matrix,
+                    rate_matrix_closed_form, regime_prediction,
+                    rs_rd_stationary, simulate, tail_fit,
+                    truncated_stationary, twist_summary, two_geometric_fit,
+                    two_term_tail)
 from uqtail.verify import random_params
 
 A = make_params(10, 11, 0.1, 10)
@@ -35,10 +35,11 @@ def test_criterion_01_rate_matrix_equivalence():
     worst_entry = worst_eig = 0.0
     for params in (A, B):
         closed = rate_matrix_closed_form(params)
-        iterated = rate_matrix_iterate(qbd_blocks(params)).R
-        worst_entry = max(worst_entry, float(np.max(np.abs(closed - iterated))))
+        blocks = qbd_blocks(params)
+        solved = rate_matrix(blocks.p0, blocks.p1, blocks.p2)
+        worst_entry = max(worst_entry, float(np.max(np.abs(closed - solved))))
         sol = characteristic_roots(params)
-        large, small = rate_matrix_spectrum(closed)
+        small, large = np.sort(np.linalg.eigvals(closed))
         worst_eig = max(worst_eig, abs(large - sol.gamma_p),
                         abs(small - sol.gamma_secondary))
     elapsed = time.monotonic() - start
@@ -234,7 +235,7 @@ def test_criterion_09_figure_phenomenology():
     oracle = exact[0]
     slope_gap = abs(mean_slope - oracle.mean_slope) / oracle.mean_slope
     # the exact slope falls towards the twisted drift, a K -> infinity limit
-    drift = horizontal_drift(A)
+    drift = twist_summary(A).drift
     falling = all(a.mean_slope > b.mean_slope and a.ratio_slope > b.ratio_slope
                   for a, b in zip(exact, exact[1:]))
     limit_gap = max(abs(exact[-1].mean_slope - drift.value),

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from uqtail import (DOWN, UP, InvalidParameters, Model, TruncationError,
                     boundary_vector, characteristic_roots,
                     exact_stationary_model1, full_kernel, make_params,
-                    neuts_stability, qbd_blocks, rate_matrix_closed_form,
-                    rate_matrix_iterate, rate_matrix_spectrum, stability,
-                    truncated_stationary)
-from uqtail.qbd import _lattice_matrix, _lattice_shape, _tail_mass_estimate
+                    neuts_stability, qbd_blocks, rate_matrix,
+                    rate_matrix_closed_form, stability, truncated_stationary)
+from uqtail.qbd import (_lattice_matrix, _lattice_shape, _tail_mass_estimate,
+                        first_passage)
 from uqtail.verify import random_params
 
 A = make_params(10, 11, 0.1, 10)
@@ -41,18 +41,52 @@ def test_closed_form_solves_fixed_point():
         assert np.max(np.abs(r - rhs)) < 1e-14
 
 
+def rate_matrix_iterate(blocks, tol=1e-15, max_iter=10 ** 6):
+    """Reference R by successive substitution R <- R^2 P2 + R P1 + P0 from
+    R = 0 (Neuts, 1981): (R, residual)."""
+    r = np.zeros((2, 2))
+    for _ in range(max_iter):
+        r_next = r @ r @ blocks.p2 + r @ blocks.p1 + blocks.p0
+        delta = np.max(np.abs(r_next - r))
+        r = r_next
+        if delta <= tol:
+            return r, np.max(np.abs(r - (r @ r @ blocks.p2 + r @ blocks.p1 + blocks.p0)))
+    raise AssertionError("successive substitution did not converge")
+
+
 def test_iterate_agrees_with_closed_form():
     rng = np.random.default_rng(8)
-    for _ in range(10):
-        params = random_params(rng)
-        sol = rate_matrix_iterate(qbd_blocks(params))
-        assert np.max(np.abs(sol.R - rate_matrix_closed_form(params))) < 1e-12
-        assert sol.residual < 1e-13
+    for params in [A, B] + [random_params(rng) for _ in range(10)]:
+        blocks = qbd_blocks(params)
+        r, residual = rate_matrix_iterate(blocks)
+        assert np.max(np.abs(r - rate_matrix_closed_form(params))) < 1e-12
+        assert np.max(np.abs(r - rate_matrix(blocks.p0, blocks.p1, blocks.p2))) < 1e-12
+        assert residual < 1e-13
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_rate_matrix_matches_closed_form(seed):
+    params = random_params(np.random.default_rng(seed))
+    blocks = qbd_blocks(params)
+    gap = rate_matrix(blocks.p0, blocks.p1, blocks.p2) - rate_matrix_closed_form(params)
+    assert np.max(np.abs(gap)) <= 1e-12
+
+
+def test_first_passage_takes_the_stochastic_g():
+    # the plain blocks' G is stochastic: rounding may leave row sums just above 1
+    rng = np.random.default_rng(10)
+    near_critical = make_params(0.9999 * 10 / 10.1 * 11, 11, 0.1, 10)
+    for params in [near_critical] + [random_params(rng) for _ in range(500)]:
+        blocks = qbd_blocks(params)
+        g = first_passage(blocks.p0, blocks.p1, blocks.p2)
+        residual = blocks.p2 + blocks.p1 @ g + blocks.p0 @ g @ g - g
+        assert np.max(np.abs(residual)) <= 1e-12
 
 
 def test_spectrum_matches_characteristic_roots():
     for params in (A, B):
-        large, small = rate_matrix_spectrum(rate_matrix_closed_form(params))
+        small, large = np.sort(np.linalg.eigvals(rate_matrix_closed_form(params)))
         sol = characteristic_roots(params)
         assert large == pytest.approx(sol.gamma_p, abs=1e-12)
         assert small == pytest.approx(sol.gamma_secondary, abs=1e-12)

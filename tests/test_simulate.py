@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqtail import (DOWN, UP, Excursion, InvalidParameters, Model, Trajectory,
-                    conditioned_excursion_slope, empirical_distribution,
-                    excursion_verdict, full_kernel, ld_excursions, make_params,
-                    regime_prediction, simulate)
+                    UnstableParameters, conditioned_excursion_slope,
+                    empirical_distribution, excursion_verdict, full_kernel,
+                    ld_excursions, make_params, regime_prediction, simulate)
 from uqtail.simulate import (_BLOCK, _model1_path, _model1_rows, _move_table,
                              _phase_path)
 from uqtail.verify import random_params
@@ -164,6 +164,9 @@ def test_conditioned_slope_rejects_bad_input():
         conditioned_excursion_slope(A, level_k=2, base_level=2)
     with pytest.raises(InvalidParameters):
         conditioned_excursion_slope(T2, level_k=30)
+    # the one-step excursion returns before any solve, but not before the checks
+    with pytest.raises(UnstableParameters):
+        conditioned_excursion_slope(make_params(12, 11, 0.1, 10), level_k=3)
 
 
 def _reference_path(table, uniforms, start):

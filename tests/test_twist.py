@@ -6,9 +6,8 @@ import pytest
 
 from uqtail import (DOWN, UP, InvalidParameters, Model, StationaryTable,
                     UnstableParameters, characteristic_roots, free_kernel,
-                    harmonic, horizontal_drift, make_params,
-                    markov_part_stationary, model2_twist_rates, prefactors,
-                    truncated_stationary, twisted_kernel, twist_summary)
+                    harmonic, make_params, prefactors, truncated_stationary,
+                    twist_row, twist_summary)
 from uqtail.cli import main
 from uqtail.verify import random_params
 
@@ -56,34 +55,37 @@ def test_harmonic_requires_stability():
 
 
 def test_twisted_rows_are_stochastic():
+    h = harmonic(A)
     for state in [(0, UP), (3, DOWN)]:
-        assert twisted_kernel(A, state).total() == pytest.approx(1.0)
+        assert twist_row(free_kernel(A, state), h).total() == pytest.approx(1.0)
     # far from the origin h itself would overflow; the row must not
-    row = twisted_kernel(A, (500, UP))
+    row = twist_row(free_kernel(A, (500, UP)), h)
     assert row.total() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_twisted_row_far_in_y_does_not_overflow():
     # base^(x+y) overflows at y = 3000 on T2, though x = 0
-    row = twisted_kernel(T2, (0, 3000, UP))
+    row = twist_row(free_kernel(T2, (0, 3000, UP)), harmonic(T2))
     assert row.total() == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 def test_reference_twisted_probabilities():
-    row = twisted_kernel(A, (5, UP)).as_dict()
+    h = harmonic(A)
+    row = twist_row(free_kernel(A, (5, UP)), h).as_dict()
     assert row[(6, UP)] == pytest.approx(0.349861, abs=1e-6)
     # 2*lam*mu / (C*(lam+beta+mu+alpha-sqrt(s))) = 220/676.78 = 0.325069
     assert row[(4, UP)] == pytest.approx(0.325069, abs=1e-6)
     assert row[(5, DOWN)] == pytest.approx(0.003526, abs=1e-6)
-    row_d = twisted_kernel(A, (5, DOWN)).as_dict()
+    row_d = twist_row(free_kernel(A, (5, DOWN)), h).as_dict()
     assert row_d[(5, UP)] == pytest.approx(0.293226, abs=1e-6)
 
 
 def phase_kernel(params):
     """2x2 phase transition matrix of the twisted chain (x marginalized)."""
     k = np.zeros((2, 2))
+    h = harmonic(params)
     for sigma in (UP, DOWN):
-        for t, prob in twisted_kernel(params, (0, sigma)).targets:
+        for t, prob in twist_row(free_kernel(params, (0, sigma)), h).targets:
             k[sigma, t[1]] += prob
     return k
 
@@ -92,7 +94,7 @@ def test_phi_matches_power_iteration():
     rng = np.random.default_rng(5)
     for _ in range(20):
         params = random_params(rng)
-        phi = markov_part_stationary(params)
+        phi = twist_summary(params).phi
         k = phase_kernel(params)
         v = np.array([0.5, 0.5])
         for _ in range(20000):
@@ -103,7 +105,7 @@ def test_phi_matches_power_iteration():
 
 
 def test_reference_phi():
-    phi = markov_part_stationary(A)
+    phi = twist_summary(A).phi
     assert phi[UP] == pytest.approx(0.988118, abs=1e-6)
 
 
@@ -111,7 +113,7 @@ def test_model2_twist_rates_identities():
     rng = np.random.default_rng(6)
     for _ in range(20):
         params = random_params(rng, model=Model.MODEL2)
-        rates = model2_twist_rates(params)
+        rates = twist_summary(params).rates
         sol = characteristic_roots(params)
         # the twist preserves the phase chain's own decay structure:
         assert params.C * (rates.alpha_t + rates.beta_t) == pytest.approx(
@@ -124,22 +126,22 @@ def test_model2_twist_rates_identities():
 def test_model2_twist_rates_reject_feedback():
     params = make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2)
     with pytest.raises(InvalidParameters):
-        model2_twist_rates(params)
+        twist_summary(params)
 
 
 def test_model2_phi_product_form():
-    phi = markov_part_stationary(T2)
+    phi = twist_summary(T2).phi
     total = sum(phi(y, s) for y in range(400) for s in (UP, DOWN))
     assert total == pytest.approx(1.0, rel=1e-10)
     assert phi(3, UP) / phi(2, UP) == pytest.approx(phi.ratio)
 
 
 def test_drift_reference_and_agreement():
-    d = horizontal_drift(A)
+    d = twist_summary(A).drift
     assert d.value == pytest.approx(0.028654, abs=1e-6)
     assert d.estimate == pytest.approx(d.value, rel=1e-10)
     assert d.per_time == pytest.approx(d.value * 31.1)
-    d2 = horizontal_drift(T2)
+    d2 = twist_summary(T2).drift
     assert d2.value > 0
     assert d2.estimate == pytest.approx(d2.value, rel=1e-10)
 
@@ -149,7 +151,7 @@ def test_drift_positive_on_random_sets():
     for _ in range(25):
         model = Model.MODEL1 if rng.random() < 0.5 else Model.MODEL2
         params = random_params(rng, model=model)
-        assert horizontal_drift(params).value > 0
+        assert twist_summary(params).drift.value > 0
 
 
 def test_twist_summary_shapes():
@@ -162,8 +164,8 @@ def test_twist_summary_shapes():
 
 def reference(lam, mu, alpha, beta, C):
     """50-digit values for p = 1: g by its definition; h(0, D), the phase
-    shares and the drift from the twisted rows, not from the closed forms
-    under test."""
+    shares and the drift from the twisted rows, and Model 1's eta from the
+    level-0 null vector, not from the closed forms under test."""
     with localcontext() as ctx:
         ctx.prec = 50
         lam, mu, alpha, beta, C = (Decimal(v) for v in (lam, mu, alpha, beta, C))
@@ -176,8 +178,18 @@ def reference(lam, mu, alpha, beta, C):
         # mean x-increments of the twisted rows: +lam t2 / C in both phases (for the
         # tandem, mu / C from y >= 1, whose phi mass is lam t2 / mu), -mu / (t2 C) in Up
         drift = (lam * t2 - mu * shares[UP] / t2) / C
+        # Model 1: pi0 solves pi0 (P1_boundary + R P2 - I) = 0 and pi0 (I - R)^-1 1 = 1
+        r = [[lam / mu, lam * alpha / (mu * (lam + beta))],
+             [lam / mu, lam * (alpha + mu) / (mu * (lam + beta))]]
+        null = [beta / C + r[1][0] * mu / C, -(1 - (lam + alpha) / C + r[0][0] * mu / C - 1)]
+        (a, b), (c, d) = ([1 - r[0][0], -r[0][1]], [-r[1][0], 1 - r[1][1]])
+        norm = (null[0] * (d - b) + null[1] * (a - c)) / (a * d - b * c)
+        # eta = sum pi0 h(0, .) escape, escape = (lam t2 / C)(1 - G~1) for the
+        # twisted first passage G~(sigma, U) = 1 / (t2 h(0, sigma)), G~(sigma, D) = 0
+        eta = sum(pi * (lam * t2 * h0 - lam) / C
+                  for pi, h0 in zip(null, (1, w))) / norm
         return {"g": den / 2 + 2 * alpha * beta / den, "w": w, "t2": t2,
-                "shares": shares, "drift": drift}
+                "shares": shares, "drift": drift, "eta": eta}
 
 
 def synthetic_boundary(twist):
@@ -212,6 +224,8 @@ def test_small_alpha_matches_a_50_digit_reference(rates, model, alpha):
     values = {"g": (twist.roots.g_constant, ref["g"]),
               "h(0, D)": (twist.harmonic.down_weight, ref["w"]),
               "drift": (twist.drift.value, ref["drift"])}
+    if not tandem:
+        values["eta"] = (asym.eta, ref["eta"])
     for sigma, key in ((UP, "up"), (DOWN, "down")):
         phi = mass * ref["shares"][sigma]
         values[f"phi(0, {key})"] = (phi0[sigma], phi)
