@@ -113,7 +113,11 @@ def _add_param_flags(sub):
 
 def _resolve_params(args):
     if args.params_file:
-        return params_from_json(Path(args.params_file).read_text())
+        try:
+            text = Path(args.params_file).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidParameters(f"cannot read --params file: {exc}") from None
+        return params_from_json(text)
     if None in (args.lam, args.mu, args.alpha, args.beta):
         raise InvalidParameters("provide --lambda --mu --alpha --beta or --params FILE")
     return make_params(args.lam, args.mu, args.alpha, args.beta,

@@ -8,6 +8,7 @@ integers ``UP`` / ``DOWN``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -88,13 +89,35 @@ def make_params(lam: float, mu: float, alpha: float, beta: float, p: float = 1.0
 
 
 def params_from_dict(d: dict) -> ModelParams:
-    lam = d["lambda"] if "lambda" in d else d["lam"]
-    return make_params(lam, d["mu"], d["alpha"], d["beta"], p=d.get("p", 1.0),
-                       model=Model(d.get("model", "model1")), C=d.get("C"))
+    """Parameter set from the keys lambda (or lam), mu, alpha, beta and the
+    optional p, C (null for the default) and model.
+
+    A value of the wrong type or a missing key raises InvalidParameters.
+    """
+    if not isinstance(d, dict):
+        raise InvalidParameters(f"parameters must be a JSON object, got {type(d).__name__}")
+    lam_key = "lam" if "lam" in d and "lambda" not in d else "lambda"
+    missing = [key for key in (lam_key, "mu", "alpha", "beta") if key not in d]
+    if missing:
+        raise InvalidParameters(f"missing parameter(s): {', '.join(missing)}")
+    for key in (lam_key, "mu", "alpha", "beta", "p", "C"):
+        value = d.get(key, 1.0)  # only the optional p and C can be absent here
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number or (key == "C" and value is None)):
+            raise InvalidParameters(f"{key} must be a number, got {value!r}")
+    model, names = d.get("model", Model.MODEL1.value), [m.value for m in Model]
+    if model not in names:
+        raise InvalidParameters(f"model must be one of {names}, got {model!r}")
+    return make_params(d[lam_key], d["mu"], d["alpha"], d["beta"], p=d.get("p", 1.0),
+                       model=Model(model), C=d.get("C"))
 
 
 def params_from_json(text: str) -> ModelParams:
-    return params_from_dict(json.loads(text))
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameters(f"malformed parameter JSON: {exc}") from None
+    return params_from_dict(d)
 
 
 def validate(params: ModelParams) -> ModelParams:
@@ -105,10 +128,14 @@ def validate(params: ModelParams) -> ModelParams:
         label = "lambda" if name == "lam" else name
         if not value > 0:
             raise InvalidParameters(f"{label} must be > 0, got {value}")
+        if not math.isfinite(value):
+            raise InvalidParameters(f"{label} must be finite, got {value}")
     if not 0.0 < params.p <= 1.0:
         raise InvalidParameters(f"p must be in (0, 1], got {params.p}")
     if model is Model.MODEL1 and params.p != 1.0:
         raise InvalidParameters("Model 1 requires p = 1")
+    if not math.isfinite(params.C):
+        raise InvalidParameters(f"C must be finite, got {params.C}")
     c_min = default_uniformization(params.lam, params.mu, params.alpha,
                                    params.beta, model)
     if params.C < c_min - 1e-12:

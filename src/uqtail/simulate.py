@@ -139,6 +139,8 @@ def simulate(params: ModelParams, steps: int, seed: int = 0,
     """Sample a path of the embedded chain, recording every state."""
     if steps < 1:
         raise InvalidParameters("steps must be positive")
+    if seed < 0:
+        raise InvalidParameters(f"seed must be >= 0, got {seed}")
     if start is None:
         start = (0, UP) if params.model is Model.MODEL1 else (0, 0, UP)
     check_state(start, params.model)
@@ -290,6 +292,8 @@ def ld_excursions(trajectory: Trajectory, level_k: int,
     no earlier visit at or below base_level (the path starts above it) is
     skipped.
     """
+    if base_level < 0:
+        raise InvalidParameters("base_level must be >= 0")
     if level_k <= base_level:
         raise InvalidParameters("level_k must exceed base_level")
     x = trajectory.x

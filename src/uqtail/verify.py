@@ -1,7 +1,7 @@
 """Named invariant checks tying the analytic layers together.
 
-Each check returns a CheckResult; run_checks executes the full suite over
-randomized stable parameter grids plus the two reference parameter sets.
+Each check returns a CheckResult.  run_checks and the tests call the same
+checks over randomized parameter grids and the two reference parameter sets.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .asymptotics import (_escape, _escape_first_passage, escape_probabilities,
                           eta, prefactors, rs_rd_stationary)
-from .kernels import free_kernel, full_kernel
+from .kernels import free_kernel, row_classes
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, make_params
 from .qbd import (boundary_vector, exact_stationary_model1, neuts_stability,
                   qbd_blocks, rate_matrix, rate_matrix_closed_form)
@@ -42,52 +42,51 @@ def random_params(rng: np.random.Generator, p: float = 1.0,
     return make_params(lam, mu, alpha, beta, p=p, model=model)
 
 
-def _states(model: Model):
-    if model is Model.MODEL1:
-        return [(0, UP), (0, DOWN), (3, UP), (3, DOWN)]
-    return [(0, 0, UP), (0, 2, DOWN), (3, 0, UP), (3, 2, DOWN)]
+# free-chain class origins: free rows are shift invariant in x and, above y = 0, in y
+_FREE_ORIGINS = {Model.MODEL1: [(0, UP), (0, DOWN)],
+                 Model.MODEL2: [(0, y, sigma) for y in (0, 1) for sigma in (UP, DOWN)]}
+
+
+def _free_rows(grid: int, seed: int):
+    """(h, free row) at every class origin of `grid` stable sets, which cycle
+    Model 1, tandem p = 1, Model 1, tandem p = 0.5."""
+    rng = np.random.default_rng(seed)
+    for i in range(grid):
+        params = random_params(rng, p=0.5 if i % 4 == 3 else 1.0,
+                               model=Model.MODEL1 if i % 2 == 0 else Model.MODEL2)
+        h = harmonic(params)
+        for state in _FREE_ORIGINS[params.model]:
+            yield h, free_kernel(params, state)
 
 
 def check_rows_stochastic(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(grid):
-        model = Model.MODEL1 if rng.random() < 0.5 else Model.MODEL2
+    for i in range(grid):
+        # Model 1 and the tandem alternate, and one draw in five is unstable
+        model = Model.MODEL1 if i % 2 == 0 else Model.MODEL2
         p = 1.0 if model is Model.MODEL1 else rng.uniform(0.3, 1.0)
-        params = random_params(rng, p=p, stable=bool(rng.random() < 0.8), model=model)
-        for state in _states(model):
-            for kernel in (free_kernel, full_kernel):
-                worst = max(worst, abs(kernel(params, state).total() - 1.0))
+        params = random_params(rng, p=p, stable=i % 5 != 4, model=model)
+        rows = [*row_classes(params).values(),
+                *(free_kernel(params, state) for state in _FREE_ORIGINS[model])]
+        worst = max(worst, *(abs(row.total() - 1.0) for row in rows))
     return CheckResult("kernel-rows-stochastic", worst <= 1e-12,
                        f"max |row sum - 1| = {worst:.3g}")
 
 
 def check_harmonicity(grid: int, seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(grid):
-        model = Model.MODEL1 if rng.random() < 0.5 else Model.MODEL2
-        p = 1.0 if model is Model.MODEL1 else rng.choice([0.5, 1.0])
-        params = random_params(rng, p=p, model=model)
-        h = harmonic(params)
-        for state in _states(model):
-            lhs = sum(prob * h.value(t)
-                      for t, prob in free_kernel(params, state).targets)
-            worst = max(worst, abs(lhs / h.value(state) - 1.0))
-    return CheckResult("free-kernel-harmonicity", worst <= 1e-10,
+    for h, row in _free_rows(grid, seed):
+        lhs = sum(prob * h.value(t) for t, prob in row.targets)
+        worst = max(worst, abs(lhs / h.value(row.origin) - 1.0))
+    return CheckResult("free-kernel-harmonicity", worst <= 1e-11,
                        f"max relative residual = {worst:.3g}")
 
 
 def check_twisted_rows(grid: int, seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(grid):
-        model = Model.MODEL1 if rng.random() < 0.5 else Model.MODEL2
-        p = 1.0 if model is Model.MODEL1 else rng.choice([0.5, 1.0])
-        params = random_params(rng, p=p, model=model)
-        h = harmonic(params)
-        for state in _states(model):
-            worst = max(worst, abs(twist_row(free_kernel(params, state), h).total() - 1.0))
+    for h, row in _free_rows(grid, seed):
+        worst = max(worst, abs(twist_row(row, h).total() - 1.0))
     return CheckResult("twisted-rows-stochastic", worst <= 1e-10,
                        f"max |row sum - 1| = {worst:.3g}")
 
@@ -121,34 +120,33 @@ def check_perron_root(grid: int, seed: int) -> CheckResult:
                        f"max |perron(log t2) - 1| = {worst:.3g}")
 
 
-def check_rate_matrix(params_list=None) -> CheckResult:
+def check_rate_matrix() -> CheckResult:
     worst_r = worst_eig = 0.0
-    for params in params_list or (PARAMS_A, PARAMS_B):
+    for params in (PARAMS_A, PARAMS_B):
         blocks = qbd_blocks(params)
         r_closed = rate_matrix_closed_form(params)
         r_solved = rate_matrix(blocks.p0, blocks.p1, blocks.p2)
         worst_r = max(worst_r, float(np.max(np.abs(r_closed - r_solved))))
         sol = characteristic_roots(params)
-        eigs = np.sort(np.linalg.eigvals(r_closed))
-        worst_eig = max(worst_eig,
-                        abs(eigs[1] - sol.gamma_p), abs(eigs[0] - sol.gamma_secondary))
-    return CheckResult("rate-matrix-consistency",
-                       worst_r <= 1e-12 and worst_eig <= 1e-10,
+        eig_gap = np.sort(np.linalg.eigvals(r_closed)) - (sol.gamma_secondary, sol.gamma_p)
+        worst_eig = max(worst_eig, float(np.max(np.abs(eig_gap))))
+    return CheckResult("rate-matrix-consistency", max(worst_r, worst_eig) <= 1e-12,
                        f"max entry gap = {worst_r:.3g}, max eigen gap = {worst_eig:.3g}")
 
 
 def check_stability_equivalence(grid: int, seed: int) -> CheckResult:
+    # grid Model 1 sets, then grid tandem sets with p = 0.5, where Neuts' test is not run
     rng = np.random.default_rng(seed)
     bad = 0
-    for _ in range(grid):
-        params = random_params(rng, stable=bool(rng.random() < 0.5))
-        closed = stability(params).stable
-        neuts = neuts_stability(qbd_blocks(params))
-        spectral_test = characteristic_roots(params).gamma_p < 1.0
-        if not (closed == neuts == spectral_test):
-            bad += 1
+    for model, p in ((Model.MODEL1, 1.0), (Model.MODEL2, 0.5)):
+        for _ in range(grid):
+            params = random_params(rng, p=p, stable=bool(rng.random() < 0.5), model=model)
+            closed = stability(params).stable
+            neuts = neuts_stability(qbd_blocks(params)) if model is Model.MODEL1 else closed
+            if not (closed == neuts == (characteristic_roots(params).gamma_p < 1.0)):
+                bad += 1
     return CheckResult("stability-equivalences", bad == 0,
-                       f"{bad} of {grid} grid points disagree")
+                       f"{bad} of {2 * grid} grid points disagree")
 
 
 def check_drift(grid: int, seed: int) -> CheckResult:
@@ -226,9 +224,11 @@ def check_rs_rd_balance() -> CheckResult:
 
 
 def run_checks(grid: int = 200, seed: int = 7) -> list[CheckResult]:
-    """Run the suite over `grid` random draws per grid check (grid >= 1)."""
+    """Run the suite over `grid` random draws per grid check (grid >= 1, seed >= 0)."""
     if grid < 1:
         raise InvalidParameters(f"grid must be >= 1, got {grid}")
+    if seed < 0:
+        raise InvalidParameters(f"seed must be >= 0, got {seed}")
     small = max(20, grid // 4)
     return [
         check_rows_stochastic(small, seed),

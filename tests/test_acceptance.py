@@ -11,14 +11,14 @@ import numpy as np
 
 from uqtail import (DOWN, UP, Model, boundary_vector, characteristic_roots,
                     conditioned_excursion_slope, empirical_distribution,
-                    exact_stationary_model1, excursion_verdict, free_kernel,
-                    harmonic, ld_excursions, make_params, neuts_stability,
-                    prefactors, qbd_blocks, rate_matrix,
-                    rate_matrix_closed_form, regime_prediction,
-                    rs_rd_stationary, simulate, tail_fit,
+                    exact_stationary_model1, excursion_verdict, ld_excursions,
+                    make_params, prefactors, rate_matrix_closed_form,
+                    regime_prediction, rs_rd_stationary, simulate, tail_fit,
                     truncated_stationary, twist_summary, two_geometric_fit,
                     two_term_tail)
-from uqtail.verify import random_params
+from uqtail.verify import (check_harmonicity, check_rate_matrix,
+                           check_stability_equivalence, check_summability_gate,
+                           check_tail_reproduction, random_params)
 
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
@@ -32,71 +32,27 @@ def report(num, ok, detail):
 
 def test_criterion_01_rate_matrix_equivalence():
     start = time.monotonic()
-    worst_entry = worst_eig = 0.0
-    for params in (A, B):
-        closed = rate_matrix_closed_form(params)
-        blocks = qbd_blocks(params)
-        solved = rate_matrix(blocks.p0, blocks.p1, blocks.p2)
-        worst_entry = max(worst_entry, float(np.max(np.abs(closed - solved))))
-        sol = characteristic_roots(params)
-        small, large = np.sort(np.linalg.eigvals(closed))
-        worst_eig = max(worst_eig, abs(large - sol.gamma_p),
-                        abs(small - sol.gamma_secondary))
+    result = check_rate_matrix()
     elapsed = time.monotonic() - start
-    ok = worst_entry <= 1e-12 and worst_eig <= 1e-10 and elapsed < 1.0
-    report(1, ok, f"max entry gap {worst_entry:.2e} (<=1e-12), "
-                  f"max eigen gap {worst_eig:.2e} (<=1e-10), {elapsed:.2f}s (<1s)")
-
-
-def band_residual(params):
-    """Max relative harmonicity residual of the free kernel.
-
-    The free kernel is shift invariant in x and, above y = 0, in y, so the
-    residual at every lattice point |x| <= 20 (y <= 20) equals the residual
-    of its band row; all bands are covered.
-    """
-    h = harmonic(params)
-    states = [(0, UP), (0, DOWN)] if params.model is Model.MODEL1 else \
-        [(0, y, s) for y in (0, 1) for s in (UP, DOWN)]
-    worst = 0.0
-    for state in states:
-        lhs = sum(prob * h.value(t)
-                  for t, prob in free_kernel(params, state).targets)
-        worst = max(worst, abs(lhs / h.value(state) - 1.0))
-    return worst
+    report(1, result.passed and elapsed < 1.0,
+           f"{result.detail} (each <=1e-12) on A and B, {elapsed:.2f}s (<1s)")
 
 
 def test_criterion_02_harmonicity():
     start = time.monotonic()
-    rng = np.random.default_rng(1002)
-    worst = 0.0
-    for i in range(200):
-        if i % 2 == 0:
-            params = random_params(rng)
-            worst = max(worst, band_residual(params))
-        else:
-            p = 1.0 if i % 4 == 1 else 0.5
-            params = random_params(rng, p=p, model=Model.MODEL2)
-            worst = max(worst, band_residual(params))
+    # 100 Model 1, 50 tandem p = 1 and 50 tandem p = 0.5 sets, at every free-chain row class
+    result = check_harmonicity(200, 1002)
     elapsed = time.monotonic() - start
-    ok = worst <= 1e-10 and elapsed < 10.0
-    report(2, ok, f"max relative residual {worst:.2e} (<=1e-10) over 200 "
-                  f"stable sets, {elapsed:.2f}s (<10s)")
+    report(2, result.passed and elapsed < 10.0,
+           f"{result.detail} (<=1e-11) over 200 stable sets, {elapsed:.2f}s (<10s)")
 
 
 def test_criterion_03_exact_tail_reproduction():
     start = time.monotonic()
-    worst = 0.0
-    for params in (A, B):
-        asym = prefactors(params)
-        table = exact_stationary_model1(params, k_max=200)
-        for sigma, c in ((UP, asym.prefactor_up), (DOWN, asym.prefactor_down)):
-            gap = abs(table.prob((200, sigma)) / (c * asym.gamma ** 200) - 1.0)
-            worst = max(worst, gap)
+    result = check_tail_reproduction()
     elapsed = time.monotonic() - start
-    ok = worst <= 1e-3 and elapsed < 5.0
-    report(3, ok, f"max |pi/(C gamma^k) - 1| at k=200: {worst:.2e} (<=1e-3), "
-                  f"{elapsed:.2f}s (<5s)")
+    report(3, result.passed and elapsed < 5.0,
+           f"{result.detail} (<=1e-3) on A and B, {elapsed:.2f}s (<5s)")
 
 
 def test_criterion_04_eta_free_ratio():
@@ -170,24 +126,10 @@ def test_criterion_06_model2_shape():
 
 
 def test_criterion_07_stability_equivalences():
-    rng = np.random.default_rng(1007)
-    neuts_bad = spectral_bad = 0
-    for _ in range(200):
-        params = random_params(rng, stable=bool(rng.random() < 0.5))
-        closed = params.lam < params.beta * params.mu / (params.alpha + params.beta)
-        if neuts_stability(qbd_blocks(params)) != closed:
-            neuts_bad += 1
-    for _ in range(200):
-        p = float(rng.choice([0.5, 1.0]))
-        params = random_params(rng, p=p, stable=bool(rng.random() < 0.5),
-                               model=Model.MODEL1 if p == 1.0 else Model.MODEL2)
-        closed = params.lam < (params.beta * params.mu * params.p
-                               / (params.alpha + params.beta))
-        if (characteristic_roots(params).gamma_p < 1.0) != closed:
-            spectral_bad += 1
-    ok = neuts_bad == 0 and spectral_bad == 0
-    report(7, ok, f"Neuts mismatches {neuts_bad}/200, spectral mismatches "
-                  f"{spectral_bad}/200 (both must be 0)")
+    # Neuts' test and the spectral test on 200 Model 1 sets, the spectral
+    # test on 200 tandem sets with p = 0.5; about half of each are unstable
+    result = check_stability_equivalence(200, 1007)
+    report(7, result.passed, f"{result.detail} (must be 0)")
 
 
 def test_criterion_08_rerouting_reference():
@@ -204,18 +146,11 @@ def test_criterion_08_rerouting_reference():
         tan_m = np.array([oracle.prob((0, y, sigma)) for y in range(61)])
         gaps = ref_m[::-1].cumsum()[::-1] - tan_m[::-1].cumsum()[::-1]
         min_gap = min(min_gap, float(gaps.min()))
-    # summability gate on stable grid points
-    rng = np.random.default_rng(1008)
-    gate_bad = 0
-    for _ in range(200):
-        p = float(rng.choice([0.5, 1.0]))
-        params = random_params(rng, p=p,
-                               model=Model.MODEL1 if p == 1.0 else Model.MODEL2)
-        if not params.lam / (params.mu * params.p) < characteristic_roots(params).gamma_p:
-            gate_bad += 1
-    ok = residual <= 1e-9 and min_gap >= -1e-12 and gate_bad == 0
+    # summability gate on 200 stable tandem sets, p = 0.5 or 1
+    gate = check_summability_gate(200, 1008)
+    ok = residual <= 1e-9 and min_gap >= -1e-12 and gate.passed
     report(8, ok, f"balance residual {residual:.2e} (<=1e-9), dominance min "
-                  f"gap {min_gap:.2e} (>=0), gate violations {gate_bad}/200")
+                  f"gap {min_gap:.2e} (>=0), gate: {gate.detail}")
 
 
 def test_criterion_09_figure_phenomenology():

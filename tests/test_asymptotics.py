@@ -17,7 +17,7 @@ from uqtail.asymptotics import _escape_first_passage
 from uqtail.cli import main
 from uqtail.kernels import rs_rd_kernel
 from uqtail.qbd import StationaryTable, first_passage, level_blocks
-from uqtail.verify import random_params
+from uqtail.verify import check_tail_reproduction, random_params
 
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
@@ -91,12 +91,8 @@ def test_prefactor_ratio_identity():
 
 
 def test_prefactors_reproduce_exact_tail():
-    for params in (A, B):
-        asym = prefactors(params)
-        table = exact_stationary_model1(params, k_max=200)
-        for sigma, c in ((UP, asym.prefactor_up), (DOWN, asym.prefactor_down)):
-            assert table.prob((200, sigma)) / (c * asym.gamma ** 200) == \
-                pytest.approx(1.0, abs=1e-3)
+    result = check_tail_reproduction()
+    assert result.passed, result.detail
 
 
 def eigen_weights(params):

@@ -69,6 +69,53 @@ def test_validation_error_exit_code(capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read --params file"),
+    ('{"lambda": 10 "mu": 11}', "malformed parameter JSON: Expecting ',' delimiter"),
+    ('{"lambda": 10, "mu": 11, "alpha": 0.1}', "missing parameter(s): beta"),
+    ('{"mu": 11, "alpha": 0.1, "beta": 10}', "missing parameter(s): lambda"),
+    ("[10, 11, 0.1, 10]", "parameters must be a JSON object, got list"),
+    ('{"lambda": 10, "mu": "11", "alpha": 0.1, "beta": 10}', "mu must be a number"),
+    ('{"lambda": 10, "mu": 11, "alpha": 0.1, "beta": 10, "model": "m3"}', "model must be one of"),
+], ids=["missing-file", "malformed-json", "missing-key", "missing-lambda", "json-list",
+        "string-rate", "unknown-model"])
+def test_params_file_errors_are_validation_errors(tmp_path, capsys, content, message):
+    cfg = tmp_path / "params.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert main(["analyze", "--params", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and message in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lambda", "inf"), ("--mu", "inf"), ("--alpha", "inf"), ("--beta", "inf"),
+    ("--C", "inf"), ("--C", "nan")])
+def test_non_finite_inputs_are_validation_errors(tmp_path, capsys, flag, value):
+    flags = dict(zip(A_FLAGS[::2], A_FLAGS[1::2])) | {flag: value}
+    argv = [v for pair in flags.items() for v in pair]
+    for verb in ("analyze", "compare-mm1"):
+        assert main([verb, *argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "must be finite" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", *A_FLAGS, "--steps", "100", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["ldpath", *A_FLAGS, "--steps", "100", "--level", "5", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
+    (["ldpath", *A_FLAGS, "--steps", "100", "--level", "5", "--base-level", "-1"],
+     "base_level must be >= 0"),
+    (["verify", "--grid", "20", "--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["simulate-seed", "ldpath-seed", "ldpath-base-level", "verify-seed"])
+def test_negative_seed_and_base_level_are_validation_errors(tmp_path, capsys, argv, message):
+    out = [] if argv[0] == "verify" else ["--out", str(tmp_path)]
+    assert main([*argv, *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error: ") and message in captured.err
+    assert "PASS" not in captured.out and not list(tmp_path.iterdir())
+
+
 def test_simulate_outputs(tmp_path, capsys):
     code = main(["simulate", *A_FLAGS, "--steps", "2000", "--seed", "5",
                  "--out", str(tmp_path)])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from uqtail import (DOWN, UP, InvalidParameters, Model, free_kernel,
                     full_kernel, make_params, rs_rd_kernel)
 from uqtail.kernels import row_classes
-from uqtail.verify import random_params
+from uqtail.verify import check_rows_stochastic, random_params
 
 A = make_params(10, 11, 0.1, 10)
 M2 = make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2)
@@ -80,16 +80,9 @@ def test_rs_rd_boundary_example():
 
 
 def test_rows_stochastic_random():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        model = Model.MODEL2 if rng.random() < 0.5 else Model.MODEL1
-        p = 1.0 if model is Model.MODEL1 else rng.uniform(0.3, 1.0)
-        params = random_params(rng, p=p, stable=bool(rng.random() < 0.7), model=model)
-        states = [(0, UP), (5, DOWN)] if model is Model.MODEL1 \
-            else [(0, 0, UP), (5, 2, DOWN)]
-        for state in states:
-            assert full_kernel(params, state).total() == pytest.approx(1.0, abs=1e-12)
-            assert free_kernel(params, state).total() == pytest.approx(1.0, abs=1e-12)
+    # 32 stable and 8 unstable sets each of Model 1 and the tandem, p in [0.3, 1]
+    result = check_rows_stochastic(80, 0)
+    assert result.passed, result.detail
 
 
 def test_mean_x_increment():

@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from uqtail import (InvalidParameters, Model, characteristic_roots,
                     feynman_kac, make_params, stability)
-from uqtail.verify import random_params
+from uqtail.verify import check_perron_root, random_params
 
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
@@ -90,12 +88,8 @@ def test_feynman_kac_perron_matches_power_iteration():
 
 
 def test_feynman_kac_root_one_at_log_t2():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        params = random_params(rng)
-        sol = characteristic_roots(params)
-        _, root = feynman_kac(params, math.log(sol.t2))
-        assert root == pytest.approx(1.0, abs=1e-11)
+    result = check_perron_root(20, 2)
+    assert result.passed, result.detail
 
 
 def test_feynman_kac_requires_p_one():
