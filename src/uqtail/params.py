@@ -88,14 +88,22 @@ def make_params(lam: float, mu: float, alpha: float, beta: float, p: float = 1.0
     return ModelParams(lam, mu, alpha, beta, p, C, model)
 
 
+_PARAM_KEYS = ("lambda", "lam", "mu", "alpha", "beta", "p", "C", "model")
+
+
 def params_from_dict(d: dict) -> ModelParams:
     """Parameter set from the keys lambda (or lam), mu, alpha, beta and the
     optional p, C (null for the default) and model.
 
-    A value of the wrong type or a missing key raises InvalidParameters.
+    A value of the wrong type, a missing key or an unknown key raises
+    InvalidParameters.
     """
     if not isinstance(d, dict):
         raise InvalidParameters(f"parameters must be a JSON object, got {type(d).__name__}")
+    unknown = [str(key) for key in d if key not in _PARAM_KEYS]
+    if unknown:
+        raise InvalidParameters(f"unknown parameter(s): {', '.join(unknown)}; "
+                                f"accepted: {', '.join(_PARAM_KEYS)}")
     lam_key = "lam" if "lam" in d and "lambda" not in d else "lambda"
     missing = [key for key in (lam_key, "mu", "alpha", "beta") if key not in d]
     if missing:

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      UnstableParameters, check_state)
@@ -122,21 +123,42 @@ class EmpiricalDistribution:
         return 0.5 * sum(abs(self.prob(k) - other.prob(k)) for k in keys)
 
 
-def _move_table(params: ModelParams):
-    """Rows keyed by (min(x,1), [min(y,1),] sigma); moves as state deltas."""
-    table = {}
-    for origin, row in row_classes(params).items():
-        moves = tuple((*(t - o for t, o in zip(target[:-1], origin)), target[-1])
-                      for target, _ in row.targets)
+def _phase_rows(params: ModelParams):
+    """Per phase, the interior class row (origin (1, [1,] sigma)) as thresholds
+    cum and moves with columns dx, [dy,] target phase.
+
+    cum is made non-decreasing by a running maximum, which leaves the first
+    j with u < cum[j] unchanged, so np.searchsorted finds it.  A blocked move
+    keeps the phase, so a row with a move that changes a coordinate and the
+    phase, or a coordinate by more than one, raises.
+    """
+    classes = row_classes(params)
+    interior = (1,) if params.model is Model.MODEL1 else (1, 1)
+    rows = []
+    for sigma in (UP, DOWN):
+        origin = (*interior, sigma)
+        row = classes[origin]
+        moves = np.array([(*(t - o for t, o in zip(target[:-1], origin)), target[-1])
+                          for target, _ in row.targets])
         cum = np.cumsum([prob for _, prob in row.targets])
         cum[-1] = 1.0
-        table[origin] = (tuple(cum), moves)
-    return table
+        delta = moves[:, :-1]
+        if np.any(np.abs(delta) > 1) or np.any(delta.any(axis=1) & (moves[:, -1] != sigma)):
+            raise ValueError(f"row at {origin} has a move that blocking would distort")
+        rows.append((np.maximum.accumulate(cum), moves))
+    return rows
 
 
 def simulate(params: ModelParams, steps: int, seed: int = 0,
              start: tuple | None = None) -> Trajectory:
-    """Sample a path of the embedded chain, recording every state."""
+    """Sample a path of the embedded chain, recording every state.
+
+    Each step draws u and takes the first move j with u < cum[j] in the
+    interior class row of the current phase (`_phase_rows`).  A move that
+    would take a coordinate below 0 is blocked and the chain stays: each
+    boundary row is the interior row with those moves folded into its
+    self-loop.
+    """
     if steps < 1:
         raise InvalidParameters("steps must be positive")
     if seed < 0:
@@ -144,103 +166,69 @@ def simulate(params: ModelParams, steps: int, seed: int = 0,
     if start is None:
         start = (0, UP) if params.model is Model.MODEL1 else (0, 0, UP)
     check_state(start, params.model)
-    table = _move_table(params)
+    rows = _phase_rows(params)
     rng = np.random.default_rng(seed)
-    xs = np.empty(steps + 1, dtype=np.int32)
-    ss = np.empty(steps + 1, dtype=np.int8)
-    if params.model is Model.MODEL1:
-        rows = _model1_rows(table)
-        xs[0], ss[0] = start
-        i = 1
-        while i <= steps:
-            block = rng.random(min(_BLOCK, steps + 1 - i))
-            xs[i:i + len(block)], ss[i:i + len(block)] = _model1_path(
-                rows, block, int(xs[i - 1]), int(ss[i - 1]))
-            i += len(block)
-        return Trajectory(params=params, seed=seed, x=xs, status=ss)
-    ys = np.empty(steps + 1, dtype=np.int32)
-    x, y, s = start
-    xs[0], ys[0], ss[0] = x, y, s
-    i = 1
-    while i <= steps:
-        block = rng.random(min(_BLOCK, steps + 1 - i))
-        for u in block:
-            cum, moves = table[(1 if x else 0, 1 if y else 0, s)]
-            j = 0
-            while u >= cum[j]:
-                j += 1
-            dx, dy, s = moves[j]
-            x += dx
-            y += dy
-            xs[i], ys[i], ss[i] = x, y, s
-            i += 1
-    return Trajectory(params=params, seed=seed, x=xs, status=ss, y=ys)
+    # x[, y] as int32, then the phase as int8
+    columns = [np.empty(steps + 1, dtype=np.int32) for _ in start[:-1]]
+    columns.append(np.empty(steps + 1, dtype=np.int8))
+    for column, value in zip(columns, start):
+        column[0] = value
+    state, i = start, 0
+    while i < steps:
+        block = rng.random(min(_BLOCK, steps - i))
+        for column, path in zip(columns, _block_path(rows, block, state)):
+            column[i + 1:i + 1 + len(block)] = path
+        i += len(block)
+        state = tuple(int(column[i]) for column in columns)
+    y = columns[1] if len(columns) == 3 else None
+    return Trajectory(params=params, seed=seed, x=columns[0], status=columns[-1], y=y)
 
 
-def _model1_rows(table):
-    """Model 1 rows of _move_table as arrays: thresholds, x deltas, phases."""
-    return {key: (np.maximum.accumulate(cum), np.array([m[0] for m in moves]),
-                  np.array([m[1] for m in moves], dtype=np.int8))
-            for key, (cum, moves) in table.items()}
+def _block_path(rows, u, start):
+    """Coordinates and phase after each uniform of u, from state start.
 
-
-def _model1_move(row, u):
-    """x deltas and phases that the row's per-step rule gives the uniforms u.
-
-    The rule takes the first move j with u < cum[j]; cum was made
-    non-decreasing by a running maximum, which leaves that j unchanged, so
-    np.searchsorted finds it.
+    The phases come first (`_phase_path`): blocked moves keep the phase, so
+    the phase chain sees no coordinate.  When every move that lowers x
+    leaves y unchanged, x never blocks y.  y then follows the Lindley
+    recursion y_k = max(y_{k-1} + dy_k, 0), which is the blocking rule for
+    unit steps, and x follows it too once the moves that y blocked are
+    removed.  Otherwise (the feedback move (x - 1, y + 1)) a per-step loop
+    applies the rule.
     """
-    cum, dx, phase = row
-    j = np.searchsorted(cum, u, side="right")
-    return dx[j], phase[j]
+    up, down = (moves[np.searchsorted(cum, u, side="right")] for cum, moves in rows)
+    phase = _phase_path(start[-1], up[:, -1], down[:, -1])
+    delta = np.where((phase[:-1] == UP)[:, None], up[:, :-1], down[:, :-1])
+    if delta.shape[1] == 1:
+        return _lindley(start[0], delta[:, 0]), phase[1:]
+    if any(np.any((moves[:, 0] < 0) & (moves[:, 1] != 0)) for _, moves in rows):
+        return (*_blocked_walk(start[0], start[1], delta[:, 0].tolist(),
+                               delta[:, 1].tolist()), phase[1:])
+    y = _lindley(start[1], delta[:, 1])
+    dx = np.where(np.concatenate(([start[1]], y[:-1])) + delta[:, 1] < 0, 0, delta[:, 0])
+    return _lindley(start[0], dx), y, phase[1:]
 
 
-def _model1_path(rows, u, x, s):
-    """Model 1 states after each uniform of u, from (x, s), as the per-step
-    rule of the (min(x, 1), sigma) rows of _move_table gives them.
+def _lindley(x, dx):
+    """x_k = max(x_{k-1} + dx_k, 0) from x_0 = x >= 0, for every k >= 1."""
+    level = x + np.cumsum(dx)
+    return level - np.minimum(np.minimum.accumulate(level), 0)
 
-    Every uniform is classified under the (1, sigma) rows.  The phase chain
-    does not see x there, so the phases come first; x then follows the
-    Lindley recursion x_k = max(x_{k-1} + dx_k, 0).  At x = 0 that turns an
-    Up service into row (0, Up)'s self-loop, whose interval is the union of
-    row (1, Up)'s service and self-loop intervals.  The sums behind a
-    threshold differ between the two rows, so the same threshold can sit an
-    ulp apart (0.67524115755627 vs 0.6752411575562702 on A).  Each step
-    taken from x = 0 is therefore checked against the (0, sigma) row; at the
-    first that disagrees the path takes that row's move and is recomputed
-    from there.
-    """
-    xs = np.empty(len(u), dtype=np.int32)
-    ss = np.empty(len(u), dtype=np.int8)
-    done = 0
-    while done < len(u):
-        v = u[done:]
-        dx_up, to_up = _model1_move(rows[1, UP], v)
-        dx_down, to_down = _model1_move(rows[1, DOWN], v)
-        phase = _phase_path(s, to_up, to_down)
-        before = phase[:-1]
-        level = x + np.cumsum(np.where(before == UP, dx_up, dx_down))
-        level -= np.minimum(np.minimum.accumulate(level), 0)
-        zero = np.flatnonzero(np.concatenate(([x], level[:-1])) == 0)
-        up = before[zero] == UP
-        dx0_up, to0_up = _model1_move(rows[0, UP], v[zero])
-        dx0_down, to0_down = _model1_move(rows[0, DOWN], v[zero])
-        differ = ((np.where(up, dx0_up, dx0_down) != level[zero])
-                  | (np.where(up, to0_up, to0_down) != phase[1:][zero]))
-        k = int(zero[differ][0]) if differ.any() else len(v)
-        xs[done:done + k], ss[done:done + k] = level[:k], phase[1:k + 1]
-        if k == len(v):
-            break
-        dx, to = _model1_move(rows[0, int(before[k])], v[k])
-        x, s = int(dx), int(to)
-        xs[done + k], ss[done + k] = x, s
-        done += k + 1
-    return xs, ss
+
+def _blocked_walk(x, y, dx, dy):
+    """x and y after each step (dx_k, dy_k), skipping a step that would take
+    either below 0."""
+    xs, ys = [], []
+    for a, b in zip(dx, dy):
+        if x + a >= 0 and y + b >= 0:
+            x += a
+            y += b
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
 
 
 def _phase_path(s, to_up, to_down):
-    """Model 1 phases before the first step and after each step, from phase s.
+    """Phases before the first step and after each step, from phase s.
 
     Step k leads to to_up[k] from Up and to to_down[k] from Down.  A step
     whose two targets agree sets the phase; one that keeps Up and Down keeps
@@ -357,50 +345,49 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
                                 mean_slope=1.0, ratio_slope=1.0,
                                 success_probability=1.0, h_residual=0.0, steps=1,
                                 remaining_mass=0.0, h=np.ones((0, 2)))
-    n = 2 * (rise - 1)
+    levels = rise - 1
     blocks = qbd_blocks(params)
     pi_base = exact_stationary_model1(params, k_max=base_level)
     lift = np.array([pi_base.prob((base_level, s)) for s in (UP, DOWN)]) * np.diag(blocks.p0)
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     # unknowns (x, sigma) -> 2 (x - base - 1) + sigma on the interior levels,
     # block-tridiagonal; moves to K feed `hit`, moves to base are killed
-    q = (sp.kron(sp.eye(rise - 1, k=1), blocks.p0) + sp.kron(sp.eye(rise - 1), blocks.p1)
-         + sp.kron(sp.eye(rise - 1, k=-1), blocks.p2)).tocsr()
-    hit = np.zeros(n)
-    hit[-2:] = blocks.p0.sum(axis=1)
-    eye = sp.identity(n, format="csc")
-    h = spla.spsolve((eye - q).tocsc(), hit)
+    q = (np.kron(np.eye(levels, k=1), blocks.p0) + np.kron(np.eye(levels), blocks.p1)
+         + np.kron(np.eye(levels, k=-1), blocks.p2))
+    exit_up = blocks.p0.sum(axis=1)
+    hit = np.zeros(2 * levels)
+    hit[-2:] = exit_up
+    free = np.eye(2 * levels) - q
+    h = np.linalg.solve(free, hit)
     if not np.all(np.isfinite(h) & (h > 0.0)):
         raise ArithmeticError(f"reach probabilities underflow below level {level_k}")
     h_residual = float(np.max(np.abs(q @ h + hit - h) / h))
-    q_hat = (sp.diags(1.0 / h) @ q @ sp.diags(h)).tocsr()
-    hit_hat = hit / h
-    start = np.zeros(n)
-    start[:2] = lift * h[:2]
-    success = float(start.sum() / lift.sum())
-    start /= start.sum()
-    # T = 1 + the steps from base+1 to K; `mass` is the law at time t - 1
-    step_t = q_hat.T.tocsr()
-    mass = start
-    mean_inv = 0.0
-    t = 1
-    remaining = 1.0
+    reach = float(lift @ h[:2])
+    success = reach / float(lift.sum())
+    # T = 1 + the steps from base+1 to K.  Under Q^ the law at time t - 1 is
+    # h * w, where the row vector w starts at lift / reach on level base+1
+    # and moves by Q itself: level l of w Q is w[l-1] P0 + w[l] P1 + w[l+1] P2,
+    # a window of the zero-padded w times the stacked blocks.  E[T] follows
+    # from (I - Q^)^-1 1 = (I - Q)^-1 h / h.
+    mean_t = 1.0 + float(lift @ np.linalg.solve(free, h)[:2]) / reach
+    padded = np.zeros(2 * levels + 4)
+    w = padded[2:-2]
+    w[:2] = lift / reach
+    windows = sliding_window_view(padded, 6)[::2]
+    stacked = np.vstack([blocks.p0, blocks.p1, blocks.p2])
+    mean_inv, t, remaining = 0.0, 1, 1.0
     while remaining >= _SLOPE_TOL:
         if t >= _SLOPE_MAX_STEPS:
             raise ConvergenceError(f"conditioned excursion law keeps mass "
                                    f"{remaining:.3g} beyond {t} steps")
         t += 1
-        mean_inv += float(mass @ hit_hat) / t
-        mass = step_t @ mass
-        remaining = float(mass.sum())
-    mean_t = 1.0 + float(start @ spla.spsolve((eye - q_hat).tocsc(), np.ones(n)))
+        mean_inv += float(w[-2:] @ exit_up) / t
+        w[:] = (windows @ stacked).ravel()
+        remaining = float(h @ w)
     return ConditionedSlope(level_k=level_k, base_level=base_level,
                             mean_slope=rise * mean_inv, ratio_slope=rise / mean_t,
                             success_probability=success, h_residual=h_residual,
                             steps=t, remaining_mass=remaining,
-                            h=h.reshape(rise - 1, 2))
+                            h=h.reshape(levels, 2))
 
 
 def regime_prediction(params: ModelParams) -> str:

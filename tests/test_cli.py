@@ -267,19 +267,40 @@ def test_params_file_round_trip_keeps_the_model(tmp_path):
     assert params_from_dict(meta["params"]) == params
 
 
+def test_params_file_rejects_unknown_keys(tmp_path, capsys):
+    # "P" for p would otherwise run the tandem at the default p = 1
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"lambda": 10, "mu": 30, "alpha": 0.1, "beta": 10,
+                               "model": "model2", "P": 0.5}))
+    assert main(["compare-mm1", "--params", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: unknown parameter(s): P; accepted: lambda, lam,")
+    assert [path.name for path in tmp_path.iterdir()] == ["params.json"]
+    # the lam alias and every key to_json writes are accepted
+    cfg.write_text(json.dumps({"lam": 10, "mu": 11, "alpha": 0.1, "beta": 10}))
+    assert main(["compare-mm1", "--params", str(cfg), "--out", str(tmp_path)]) == 0
+    params = make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2)
+    assert params_from_dict(json.loads(params.to_json())) == params
+
+
 # Runs in a fresh interpreter: argv is the source root, then the output directory.
 SCIPY_FREE_VERBS = """
 import sys
 sys.path.insert(0, sys.argv[1])
+from uqtail import conditioned_excursion_slope, make_params
 from uqtail.cli import main
 A = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10", "--out", sys.argv[2]]
 T2 = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10", "--out", sys.argv[2]]
 for argv in (["analyze", *A], ["analyze", *T2, "--model", "model2", "--p", "0.5"],
              ["simulate", *A, "--steps", "2000"],
+             ["simulate", *T2, "--model", "model2", "--steps", "20000"],
+             ["simulate", *T2, "--model", "model2", "--p", "0.5", "--steps", "20000"],
              ["ldpath", *A, "--steps", "2000", "--level", "5"],
              ["tailfit", *A, "--kmin", "20", "--kmax", "30"], ["compare-mm1", *A]):
     assert main(argv) == 0, argv
     assert "scipy" not in sys.modules, argv
+conditioned_excursion_slope(make_params(10, 11, 0.1, 10), level_k=30)
+assert "scipy" not in sys.modules
 assert main(["tailfit", *T2, "--model", "model2", "--kmin", "20", "--kmax", "35",
              "--xmax", "40"]) == 0
 assert "scipy.sparse.linalg" in sys.modules

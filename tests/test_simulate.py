@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 from uqtail import (DOWN, UP, Excursion, InvalidParameters, Model, Trajectory,
                     UnstableParameters, conditioned_excursion_slope,
                     empirical_distribution, excursion_verdict, full_kernel,
-                    ld_excursions, make_params, regime_prediction, simulate)
-from uqtail.simulate import (_BLOCK, _model1_path, _model1_rows, _move_table,
-                             _phase_path)
+                    ld_excursions, make_params, regime_prediction, simulate,
+                    truncated_stationary)
+from uqtail.kernels import TransitionRow, row_classes
+from uqtail.simulate import _BLOCK, _block_path, _phase_path, _phase_rows
 from uqtail.verify import random_params
 
 A = make_params(10, 11, 0.1, 10)
@@ -159,6 +162,24 @@ def test_conditioned_slope_reference_values():
     assert conditioned_excursion_slope(A, level_k=3).mean_slope == 1.0
 
 
+# mean_slope, ratio_slope and success_probability as the sparse (scipy) solve
+# and step loop gave them before the dense per-level rewrite
+SLOPE_REFERENCE = {
+    (A, 30): (0.10780613856730627, 0.0790258787298421, 0.009227546152559085),
+    (A, 200): (0.036320789405870885, 0.032542467718539164, 4.905619869191373e-09),
+    (B, 30): (0.2731521190345832, 0.2657501093014838, 0.0016354091848558466),
+    (B, 200): (0.2598064548229406, 0.25850222915876886, 4.263390893796141e-07),
+}
+
+
+@pytest.mark.parametrize("params,level_k", list(SLOPE_REFERENCE))
+def test_conditioned_slope_matches_the_sparse_solve(params, level_k):
+    exact = conditioned_excursion_slope(params, level_k=level_k)
+    assert exact.h_residual <= 1e-12
+    got = (exact.mean_slope, exact.ratio_slope, exact.success_probability)
+    assert got == pytest.approx(SLOPE_REFERENCE[params, level_k], rel=1e-12, abs=0)
+
+
 def test_conditioned_slope_rejects_bad_input():
     with pytest.raises(InvalidParameters):
         conditioned_excursion_slope(A, level_k=2, base_level=2)
@@ -169,39 +190,59 @@ def test_conditioned_slope_rejects_bad_input():
         conditioned_excursion_slope(make_params(12, 11, 0.1, 10), level_k=3)
 
 
-def _reference_path(table, uniforms, start):
-    """The per-step Model 1 sampler: the first move j with u < cum[j] of row
-    (min(x, 1), sigma)."""
-    xs = np.empty(len(uniforms) + 1, dtype=np.int32)
-    ss = np.empty(len(uniforms) + 1, dtype=np.int8)
-    x, s = start
-    xs[0], ss[0] = x, s
+def _interior(state):
+    return (*(1 for _ in state[:-1]), state[-1])
+
+
+def _reference_rows(params):
+    """Per phase, the interior class row as thresholds and (deltas, phase) moves."""
+    rows = {}
+    for origin, row in row_classes(params).items():
+        if origin == _interior(origin):
+            cum = np.cumsum([prob for _, prob in row.targets])
+            cum[-1] = 1.0
+            moves = [(tuple(t - o for t, o in zip(target[:-1], origin)), target[-1])
+                     for target, _ in row.targets]
+            rows[origin[-1]] = (cum, moves)
+    return rows
+
+
+def _reference_path(params, uniforms, start):
+    """The per-step rule: the first move j with u < cum[j] in the interior row
+    of the current phase, unless it takes a coordinate below 0; states as rows."""
+    rows = _reference_rows(params)
+    path = np.empty((len(uniforms) + 1, len(start)), dtype=np.int64)
+    path[0] = start
+    *coords, s = start
     for i, u in enumerate(uniforms, start=1):
-        cum, moves = table[(1 if x else 0, s)]
+        cum, moves = rows[s]
         j = 0
         while u >= cum[j]:
             j += 1
-        dx, s = moves[j]
-        x += dx
-        xs[i], ss[i] = x, s
-    return xs, ss
+        delta, to = moves[j]
+        moved = [c + d for c, d in zip(coords, delta)]
+        if min(moved) >= 0:
+            coords, s = moved, to
+        path[i] = (*coords, s)
+    return path
 
 
-def _reference_simulate(params, steps, seed, start=(0, UP)):
+def _reference_simulate(params, steps, seed, start):
     rng = np.random.default_rng(seed)
     uniforms = []
     i = 1
     while i <= steps:
         uniforms.append(rng.random(min(_BLOCK, steps + 1 - i)))
         i += len(uniforms[-1])
-    return _reference_path(_move_table(params), np.concatenate(uniforms), start)
+    return _reference_path(params, np.concatenate(uniforms), start)
 
 
 def _assert_same_path(params, steps, seed, start):
     traj = simulate(params, steps=steps, seed=seed, start=start)
-    xs, ss = _reference_simulate(params, steps, seed, start)
-    assert traj.x.dtype == np.int32 and traj.status.dtype == np.int8
-    assert np.array_equal(traj.x, xs) and np.array_equal(traj.status, ss)
+    columns = [traj.x] + ([] if traj.y is None else [traj.y]) + [traj.status]
+    assert [c.dtype for c in columns] == [np.int32] * (len(columns) - 1) + [np.int8]
+    assert np.array_equal(np.stack(columns, axis=1),
+                          _reference_simulate(params, steps, seed, start))
 
 
 @pytest.mark.parametrize("rates", [(10, 11, 0.1, 10), (20, 60, 0.01, 1),
@@ -221,25 +262,122 @@ def test_sampler_matches_per_step_rule_on_random_sets(seed, stable, start, steps
     _assert_same_path(params, steps, seed=seed, start=start)
 
 
-def test_sampler_takes_the_boundary_row_at_an_ulp_gap():
-    # on A, rows (0, Up) and (1, Up) put the Up -> Down threshold at
-    # 0.67524115755627 and 0.6752411575562702; a uniform between them keeps
-    # (1, Up)'s phase but sends (0, Up) Down
-    table = _move_table(A)
-    gap = table[(0, UP)][0][0]
-    assert gap == 0.67524115755627 and table[(1, UP)][0][1] > gap
-    thresholds = [c for cum, _ in table.values() for c in cum[:-1]]
+# the first three are decoupled (vectorized), the last two coupled (per-step)
+TWO_SERVER = [T2, make_params(5, 30, 0.5, 3, model=Model.MODEL2),
+              make_params(10, 30, 0.1, 10, model=Model.RSRD),
+              make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2),
+              make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD)]
+
+
+@pytest.mark.parametrize("params", TWO_SERVER)
+def test_two_server_sampler_matches_per_step_rule(params):
+    for start in ((0, 0, UP), (3, 0, DOWN), (0, 4, UP)):
+        for steps in (1, 3000):
+            _assert_same_path(params, steps, seed=7, start=start)
+    # a second block of one step
+    _assert_same_path(params, _BLOCK + 1, seed=8, start=(0, 0, UP))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), stable=st.booleans(),
+       model=st.sampled_from([Model.MODEL2, Model.RSRD]), p=st.sampled_from([1.0, 0.5]),
+       wide_c=st.booleans(), start=st.sampled_from([(0, 0, UP), (0, 3, DOWN), (2, 0, UP)]),
+       steps=st.integers(1, 3000))
+def test_two_server_sampler_matches_per_step_rule_on_random_sets(
+        seed, stable, model, p, wide_c, start, steps):
+    params = random_params(np.random.default_rng(seed), p=p, stable=stable, model=model)
+    if wide_c:
+        params = make_params(params.lam, params.mu, params.alpha, params.beta, p=p,
+                             model=model, C=2 * params.C)
+    _assert_same_path(params, steps, seed=seed, start=start)
+
+
+@pytest.mark.parametrize("params", [A, B, *TWO_SERVER])
+def test_sampler_at_thresholds_and_one_ulp_beside_them(params):
+    # uniforms on every threshold and one ulp either side, between runs of
+    # first and last moves that drive the chain onto its boundaries
+    thresholds = [c for cum, _ in _reference_rows(params).values() for c in cum[:-1]]
     edges = np.array(thresholds + [np.nextafter(c, d) for c in thresholds for d in (0.0, 1.0)])
     rng = np.random.default_rng(5)
-    uniforms = np.where(rng.random(20_000) < 0.5, 0.1, rng.random(20_000))
-    uniforms[::7] = rng.choice(edges, size=len(uniforms[::7]))
-    rows = _model1_rows(table)
+    uniforms = np.where(rng.random(6000) < 0.5, rng.random(6000),
+                        rng.choice([0.0, 0.0, 0.0, 0.999999], size=6000))
+    uniforms[::3] = rng.choice(edges, size=2000)
+    rows = _phase_rows(params)
     for start in ((0, UP), (0, DOWN), (4, UP)):
-        xs, ss = _reference_path(table, uniforms, start)
-        at_gap = (xs[:-1] == 0) & (ss[:-1] == UP) & (uniforms == gap)
-        assert at_gap.sum() > 10
-        x, s = _model1_path(rows, uniforms, *start)
-        assert np.array_equal(x, xs[1:]) and np.array_equal(s, ss[1:])
+        start = start if params.model is Model.MODEL1 else (start[0], 0, start[1])
+        expected = _reference_path(params, uniforms, start)
+        at_zero = (expected[:-1, :-1] == 0) & np.isin(uniforms, edges)[:, None]
+        assert np.all(at_zero.sum(axis=0) > 100)   # each coordinate, at an edge
+        got = np.stack([np.asarray(c) for c in _block_path(rows, uniforms, start)], axis=1)
+        assert np.array_equal(got, expected[1:])
+
+
+def _fold_sets():
+    rng = np.random.default_rng(31)
+    for i in range(24):
+        model = (Model.MODEL1, Model.MODEL2, Model.RSRD)[i % 3]
+        p = 0.5 if model is not Model.MODEL1 and i % 2 else 1.0
+        params = random_params(rng, p=p, stable=i % 4 != 3, model=model)
+        yield params
+        yield make_params(params.lam, params.mu, params.alpha, params.beta, p=p,
+                          model=model, C=2 * params.C)
+
+
+@pytest.mark.parametrize("params", [A, B, *TWO_SERVER, *_fold_sets()])
+def test_boundary_rows_are_interior_rows_with_blocked_moves_folded(params):
+    classes = row_classes(params)
+    for origin, row in classes.items():
+        interior = classes[_interior(origin)]
+        folded = {}
+        for target, prob in interior.targets:
+            moved = tuple(t - i + o for t, i, o in
+                          zip(target[:-1], interior.origin[:-1], origin[:-1]))
+            key = (*moved, target[-1]) if min(moved) >= 0 else origin
+            folded[key] = folded.get(key, 0.0) + prob
+        expected = row.as_dict()
+        assert set(folded) <= set(expected) | {origin}
+        assert max(abs(folded.get(k, 0.0) - expected.get(k, 0.0))
+                   for k in set(folded) | set(expected)) <= 1e-15, origin
+
+
+def test_phase_rows_reject_a_coordinate_move_that_changes_phase(monkeypatch):
+    classes = dict(row_classes(A))
+    classes[(1, UP)] = TransitionRow((1, UP), (((0, DOWN), 0.5), ((2, UP), 0.5)))
+    monkeypatch.setattr(importlib.import_module("uqtail.simulate"), "row_classes",
+                        lambda params: classes)
+    with pytest.raises(ValueError, match="blocking"):
+        _phase_rows(A)
+
+
+# SHA-256 of x (int32) and status (int8) for seed 2024 and 2 * _BLOCK + 1
+# steps, as the earlier sampler, which read the boundary class rows, wrote them
+MODEL1_PATHS = {
+    ("A", (0, UP)): ("e83d4715e8a7274c8caf1ca0b6f18604c94d192333f50cc5a3bceb89708a794b",
+                     "52b6480fca8e569d5c74272cd742ada4a8d7ba52ac9f7f999a1ba8e11dfd0b4c"),
+    ("A", (5, DOWN)): ("5752919797d8d3bd3a636a4ec0b1fcca2d4777e5f12a3da739a8f0cb25bf42f6",
+                       "fb4796db2c527eea675726e0afe6e627b87b8dfaa3e355e158379d480e096095"),
+    ("B", (0, UP)): ("1a94a8016ae54b7ad753ab0dc296a5e78da415bf040ac3f8c018bfefd1ca0427",
+                     "a3bfd55ef8501aeb88d7f3c82fea773167ce4614e66f7c619c38fd43d789685a"),
+    ("B", (5, DOWN)): ("45dcf138baef24d70208cc8b89ae4254e5b4a0b061d7a2f77a6257c89e69f12c",
+                       "1ab0d3cce15118de96997f2c43fc2d7f9586b7982e0b65ea3f2fc080326bfb35"),
+}
+
+
+@pytest.mark.parametrize("name,start", list(MODEL1_PATHS))
+def test_model1_paths_are_pinned(name, start):
+    traj = simulate({"A": A, "B": B}[name], steps=2 * _BLOCK + 1, seed=2024, start=start)
+    digests = tuple(hashlib.sha256(np.ascontiguousarray(column, dtype=dtype).tobytes()).hexdigest()
+                    for column, dtype in ((traj.x, "<i4"), (traj.status, "i1")))
+    assert digests == MODEL1_PATHS[name, start]
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_tandem_law_matches_the_truncated_lattice(p):
+    # 1e6 steps from seed 0 read 0.0033 (p = 1) and 0.012 (p = 0.5)
+    params = make_params(10, 30, 0.1, 10, p=p, model=Model.MODEL2)
+    table = truncated_stationary(params, x_max=60, y_max=60)
+    traj = simulate(params, steps=1_000_000, seed=0)
+    assert empirical_distribution(traj, burn_in=1000).total_variation(table) <= 0.02
 
 
 def _reference_csv_rows(traj):
