@@ -95,8 +95,8 @@ def params_from_dict(d: dict) -> ModelParams:
     """Parameter set from the keys lambda (or lam), mu, alpha, beta and the
     optional p, C (null for the default) and model.
 
-    A value of the wrong type, a missing key or an unknown key raises
-    InvalidParameters.
+    A value of the wrong type, a missing key, an unknown key or both lambda
+    and lam raise InvalidParameters.
     """
     if not isinstance(d, dict):
         raise InvalidParameters(f"parameters must be a JSON object, got {type(d).__name__}")
@@ -104,7 +104,9 @@ def params_from_dict(d: dict) -> ModelParams:
     if unknown:
         raise InvalidParameters(f"unknown parameter(s): {', '.join(unknown)}; "
                                 f"accepted: {', '.join(_PARAM_KEYS)}")
-    lam_key = "lam" if "lam" in d and "lambda" not in d else "lambda"
+    if "lambda" in d and "lam" in d:
+        raise InvalidParameters("both lambda and lam given; name the arrival rate once")
+    lam_key = "lam" if "lam" in d else "lambda"
     missing = [key for key in (lam_key, "mu", "alpha", "beta") if key not in d]
     if missing:
         raise InvalidParameters(f"missing parameter(s): {', '.join(missing)}")

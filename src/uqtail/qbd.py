@@ -108,10 +108,12 @@ def first_passage(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
 
     A0, A1, A2 are the up, local and down blocks of a level-homogeneous QBD;
     G[i, j] is the probability of first entering the level below in phase j
-    from phase i.  Raises ArithmeticError unless the residual is at most
-    1e-12 and every row sum is at most 1 + 1e-8.
+    from phase i.  Blocks of shape (..., n, n) are a stack of QBDs, solved by
+    the same doublings until the last step is small for all of them.  Raises
+    ArithmeticError, naming the first failing stack index, unless every
+    residual is at most 1e-12 and every row sum at most 1 + 1e-8.
     """
-    eye = np.eye(a1.shape[0])
+    eye = np.eye(a1.shape[-1])
     up = np.linalg.solve(eye - a1, a0)
     down = np.linalg.solve(eye - a1, a2)
     g, reach = down.copy(), up.copy()
@@ -123,14 +125,17 @@ def first_passage(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
         reach = reach @ up
         if np.max(step) <= _FIRST_PASSAGE_TOL:
             break
-    residual = float(np.max(np.abs(a2 + a1 @ g + a0 @ g @ g - g)))
-    rows = g.sum(axis=1)
-    if not (residual <= _FIRST_PASSAGE_RESIDUAL
-            and np.all(rows <= 1.0 + _FIRST_PASSAGE_ROW_EXCESS)):
+    residual = np.max(np.abs(a2 + a1 @ g + a0 @ g @ g - g), axis=(-2, -1))
+    rows = g.sum(axis=-1)
+    failed = ~((residual <= _FIRST_PASSAGE_RESIDUAL)
+               & np.all(rows <= 1.0 + _FIRST_PASSAGE_ROW_EXCESS, axis=-1))
+    if np.any(failed):
+        index = tuple(np.argwhere(failed)[0].tolist())
+        where = f" at stack index {', '.join(map(str, index))}" if index else ""
         raise ArithmeticError(
-            f"first-passage matrix fails: residual {residual:.3g} "
-            f"(bound {_FIRST_PASSAGE_RESIDUAL:g}), "
-            f"max row sum {float(rows.max())!r} (must be <= 1 + {_FIRST_PASSAGE_ROW_EXCESS:g})")
+            f"first-passage matrix{where} fails: residual {float(residual[index]):.3g} "
+            f"(bound {_FIRST_PASSAGE_RESIDUAL:g}), max row sum "
+            f"{float(rows[index].max())!r} (must be <= 1 + {_FIRST_PASSAGE_ROW_EXCESS:g})")
     return g
 
 

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (_escape, _escape_first_passage, escape_probabilities,
-                          eta, prefactors, rs_rd_stationary)
+from .asymptotics import _escape, escape_probabilities, eta, prefactors, rs_rd_stationary
 from .kernels import free_kernel, row_classes
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, make_params
-from .qbd import (boundary_vector, exact_stationary_model1, neuts_stability,
-                  qbd_blocks, rate_matrix, rate_matrix_closed_form)
+from .qbd import (boundary_vector, exact_stationary_model1, first_passage, level_blocks,
+                  neuts_stability, qbd_blocks, rate_matrix, rate_matrix_closed_form)
 from .spectral import characteristic_roots, feynman_kac, stability
 from .twist import harmonic, twist_row, twist_summary
 
@@ -31,15 +30,23 @@ class CheckResult:
     detail: str
 
 
+# random_params' uniforms as (low, high): mu, log alpha, beta and lambda over the
+# stability bound, under it for a stable set and over it otherwise
+_UNIFORMS = {stable: np.array([(1.0, 50.0), (math.log(1e-3), math.log(2.0)), (0.5, 30.0),
+                               load]).T
+             for stable, load in ((True, (0.1, 0.9)), (False, (1.05, 3.0)))}
+
+
 def random_params(rng: np.random.Generator, p: float = 1.0,
                   stable: bool = True, model: Model = Model.MODEL1) -> ModelParams:
     """Random parameter set; when stable, lambda is drawn under the threshold."""
-    mu = rng.uniform(1.0, 50.0)
-    alpha = math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
-    beta = rng.uniform(0.5, 30.0)
+    # Generator.uniform(low, high) is low + (high - low) * random(), so one
+    # random(4) draws the same four numbers as four uniform calls
+    low, high = _UNIFORMS[stable]
+    mu, log_alpha, beta, load = (low + (high - low) * rng.random(4)).tolist()
+    alpha = math.exp(log_alpha)
     bound = beta / (alpha + beta) * mu * p
-    lam = bound * rng.uniform(0.1, 0.9) if stable else bound * rng.uniform(1.05, 3.0)
-    return make_params(lam, mu, alpha, beta, p=p, model=model)
+    return make_params(bound * load, mu, alpha, beta, p=p, model=model)
 
 
 # free-chain class origins: free rows are shift invariant in x and, above y = 0, in y
@@ -91,11 +98,15 @@ def check_twisted_rows(grid: int, seed: int) -> CheckResult:
                        f"max |row sum - 1| = {worst:.3g}")
 
 
+# rng.integers(2) takes the same bits as rng.choice(_P_CHOICES), and is cheaper
+_P_CHOICES = (0.5, 1.0)
+
+
 def check_spectral_roots(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(grid):
-        p = rng.choice([0.5, 1.0])
+        p = _P_CHOICES[rng.integers(2)]
         params = random_params(rng, p=p,
                                model=Model.MODEL1 if p == 1.0 else Model.MODEL2)
         sol = characteristic_roots(params)
@@ -192,13 +203,14 @@ def check_eta_bounds() -> CheckResult:
 
 
 def check_escape_closed_form(grid: int, seed: int) -> CheckResult:
+    # every set's twisted blocks in one stack, solved by one logarithmic reduction
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for params in [PARAMS_A, PARAMS_B] + [random_params(rng) for _ in range(grid)]:
-        twist = twist_summary(params)
-        esc = _escape(twist)
-        gap = np.abs(_escape_first_passage(twist.rows) - (esc.up, esc.down))
-        worst = max(worst, float(np.max(gap)))
+    twists = [twist_summary(params)
+              for params in [PARAMS_A, PARAMS_B] + [random_params(rng) for _ in range(grid)]]
+    closed = np.array([(esc.up, esc.down) for esc in map(_escape, twists)])
+    a0, a1, a2 = map(np.stack, zip(*(level_blocks(twist.rows) for twist in twists)))
+    solved = (a0 @ (1.0 - first_passage(a0, a1, a2).sum(axis=-1))[..., None])[..., 0]
+    worst = float(np.max(np.abs(solved - closed)))
     return CheckResult("escape-closed-form", worst <= 1e-10,
                        f"max |closed form - logarithmic reduction| = {worst:.3g}")
 
@@ -207,7 +219,7 @@ def check_summability_gate(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(grid):
-        p = rng.choice([0.5, 1.0])
+        p = _P_CHOICES[rng.integers(2)]
         params = random_params(rng, p=p, model=Model.MODEL2)
         sol = characteristic_roots(params)
         if not params.lam / (params.mu * params.p) < sol.gamma_p:

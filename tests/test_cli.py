@@ -283,6 +283,16 @@ def test_params_file_rejects_unknown_keys(tmp_path, capsys):
     assert params_from_dict(json.loads(params.to_json())) == params
 
 
+def test_params_file_rejects_lambda_and_lam(tmp_path, capsys):
+    # with both, the file used to run at lambda = 10 and ignore lam
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"lambda": 10, "lam": 12, "mu": 11, "alpha": 0.1, "beta": 10}))
+    assert main(["analyze", "--params", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "validation error: both lambda and lam given")
+    assert [path.name for path in tmp_path.iterdir()] == ["params.json"]
+
+
 # Runs in a fresh interpreter: argv is the source root, then the output directory.
 SCIPY_FREE_VERBS = """
 import sys

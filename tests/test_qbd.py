@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from uqtail import (DOWN, UP, InvalidParameters, Model, TruncationError,
                     boundary_vector, exact_stationary_model1, full_kernel,
                     make_params, qbd_blocks, rate_matrix,
-                    rate_matrix_closed_form, truncated_stationary)
+                    rate_matrix_closed_form, truncated_stationary, twist_summary)
 from uqtail.qbd import (_lattice_matrix, _lattice_shape, _tail_mass_estimate,
-                        first_passage)
+                        first_passage, level_blocks)
 from uqtail.verify import (check_rate_matrix, check_stability_equivalence,
                            random_params)
 
@@ -82,6 +82,42 @@ def test_first_passage_takes_the_stochastic_g():
         g = first_passage(blocks.p0, blocks.p1, blocks.p2)
         residual = blocks.p2 + blocks.p1 @ g + blocks.p0 @ g @ g - g
         assert np.max(np.abs(residual)) <= 1e-12
+
+
+def _stack(blocks):
+    """(A0, A1, A2) stacks from a list of (A0, A1, A2) triples."""
+    return tuple(np.stack(block) for block in zip(*blocks))
+
+
+def _tandem_blocks():
+    # twisted tandem blocks with y cut at 8: T2 and five grid sets
+    rng = np.random.default_rng(12)
+    sets = [T2] + [random_params(rng, model=Model.MODEL2) for _ in range(5)]
+    return [level_blocks(twist_summary(params).rows, 8) for params in sets]
+
+
+def test_first_passage_solves_a_stack_slice_by_slice():
+    # plain and twisted Model 1 blocks of A, B and 50 grid sets, then tandem blocks
+    rng = np.random.default_rng(11)
+    model1 = [A, B] + [random_params(rng) for _ in range(50)]
+    plain = [(b.p0, b.p1, b.p2) for b in map(qbd_blocks, model1)]
+    twisted = [level_blocks(twist_summary(params).rows) for params in model1]
+    for blocks in (plain + twisted, _tandem_blocks()):
+        g = first_passage(*_stack(blocks))
+        assert g.shape == (len(blocks),) + blocks[0][0].shape
+        for k, (a0, a1, a2) in enumerate(blocks):
+            assert np.max(np.abs(g[k] - first_passage(a0, a1, a2))) <= 1e-15, k
+
+
+def test_first_passage_names_the_failing_stack_index():
+    blocks = _tandem_blocks()
+    a0, a1, a2 = blocks[3]
+    blocks[3] = (a0, a1, 1.5 * a2)  # rows of A0 + A1 + A2 sum above 1
+    with pytest.raises(ArithmeticError, match="at stack index 3 fails: .* max row sum"):
+        first_passage(*_stack(blocks))
+    # a stack with two leading axes names the set by both indices
+    with pytest.raises(ArithmeticError, match="at stack index 1, 0 fails"):
+        first_passage(*(block.reshape(2, 3, *block.shape[1:]) for block in _stack(blocks)))
 
 
 def test_spectrum_matches_characteristic_roots():
