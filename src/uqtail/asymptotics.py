@@ -14,7 +14,7 @@ import numpy as np
 
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      make_params)
-from .qbd import (StationaryTable, _lattice_matrix, _lattice_shape, boundary_vector,
+from .qbd import (StationaryTable, _lattice_inflow, _lattice_shape, boundary_vector,
                   first_passage, level_blocks, truncated_stationary)
 from .spectral import characteristic_roots
 from .twist import TwistSummary, twist_summary
@@ -133,10 +133,12 @@ def escape_probabilities(params: ModelParams) -> EscapeProbs:
     """
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the closed-form escape needs a Model 1 parameter set")
-    return _escape(twist_summary(params))
+    return _escape(twist_summary(params))[0]
 
 
-def _escape(twist: TwistSummary) -> EscapeProbs:
+def _escape(twist: TwistSummary) -> tuple[EscapeProbs, tuple[np.ndarray, ...]]:
+    """`escape_probabilities` of a twist, with the twisted (up, local, down)
+    blocks its first-passage matrix was checked against."""
     t2, w = twist.harmonic.base, twist.harmonic.down_weight
     g = np.array([[1.0 / t2, 0.0], [1.0 / (t2 * w), 0.0]])
     a0, a1, a2 = level_blocks(twist.rows)
@@ -147,7 +149,7 @@ def _escape(twist: TwistSummary) -> EscapeProbs:
             f"(bound {_ESCAPE_RESIDUAL:g}), row sums {g.sum(axis=1)} (must be < 1)")
     scale = twist.params.lam / twist.params.C
     return EscapeProbs(up=scale * (t2 - 1.0), down=scale * (t2 - 1.0 / w),
-                       x_max_used=0, residual=residual)
+                       x_max_used=0, residual=residual), (a0, a1, a2)
 
 
 def eta(params: ModelParams, *, table: StationaryTable | None = None) -> EtaEstimate:
@@ -160,7 +162,7 @@ def eta(params: ModelParams, *, table: StationaryTable | None = None) -> EtaEsti
     """
     twist = twist_summary(params)
     if params.model is Model.MODEL1:
-        return _eta_model1(twist, _escape(twist))
+        return _eta_model1(twist, _escape(twist)[0])
     return _eta_model2(twist, table)
 
 
@@ -240,7 +242,7 @@ def tail_constants(twist: TwistSummary, *,
     """
     params, h = twist.params, twist.harmonic
     if params.model is Model.MODEL1:
-        esc = _escape(twist)
+        esc = _escape(twist)[0]
         est = _eta_model1(twist, esc)
         phi0, origins = twist.phi, ((0, UP), (0, DOWN))
         extra = dict(escape_up=esc.up, escape_down=esc.down, y_ratio=None,
@@ -399,10 +401,12 @@ def rs_rd_stationary(params: ModelParams, x_max: int, y_max: int) -> StationaryT
     """Closed-form product stationary law of the rerouting comparison network.
 
     The residual is the global balance of the closed form against the
-    actual kernel, pi P - pi on the window, with P the (x_max + 2) x
-    (y_max + 2) lattice of `_lattice_matrix` so that inflow sources one step
-    outside the window are evaluated in closed form too.  Raises
-    InvalidParameters unless x_max >= 1 and y_max >= 1.
+    actual kernel, pi P - pi on the window, with P the kernel on the
+    (x_max + 2) x (y_max + 2) lattice so that inflow sources one step outside
+    the window are evaluated in closed form too.  The inflow pi P is summed
+    from shifted slices of pi by `qbd._lattice_inflow`; no matrix is built
+    and scipy is not loaded.  Raises InvalidParameters unless x_max >= 1 and
+    y_max >= 1.
     """
     if params.model is not Model.RSRD:
         raise InvalidParameters("the product form needs an RS-RD parameter set")
@@ -416,10 +420,9 @@ def rs_rd_stationary(params: ModelParams, x_max: int, y_max: int) -> StationaryT
     powers = np.array([r ** k for k in range(x_max + y_max + 3)])
     x, y = np.ogrid[:x_max + 2, :y_max + 2]
     pi = norm * powers[x + y][..., None] * share
-    inflow = pi.ravel() @ _lattice_matrix(params, pi.shape)
+    inflow = _lattice_inflow(params, pi)
     window = pi[:x_max + 1, :y_max + 1]
-    residual = float(np.max(np.abs(
-        inflow.reshape(pi.shape)[:x_max + 1, :y_max + 1] - window)))
+    residual = float(np.max(np.abs(inflow[:x_max + 1, :y_max + 1] - window)))
     states = itertools.product(range(x_max + 1), range(y_max + 1), (UP, DOWN))
     entries = dict(zip(states, window.ravel().tolist()))
     tail = 1.0 - (1.0 - r ** (x_max + 1)) * (1.0 - r ** (y_max + 1))

@@ -5,6 +5,7 @@ linear-solve oracle shared by every model.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -146,13 +147,14 @@ def rate_matrix(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     return a0 @ np.linalg.inv(np.eye(a1.shape[0]) - a1 - a0 @ g)
 
 
-def neuts_stability(blocks: QbdBlocks) -> bool:
-    """Positive recurrence by the mean-drift test on the level generator."""
-    gen = blocks.p0 + blocks.p1 + blocks.p2
+def neuts_stability(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> bool:
+    """Positive recurrence by the mean-drift test on the level generator
+    A0 + A1 + A2 of the 2x2 interior (up, local, down) blocks."""
+    gen = a0 + a1 + a2
     up_rate, down_rate = gen[0, 1], gen[1, 0]
     rho = np.array([down_rate, up_rate]) / (up_rate + down_rate)
     ones = np.ones(2)
-    return float(rho @ blocks.p0 @ ones) < float(rho @ blocks.p2 @ ones)
+    return float(rho @ a0 @ ones) < float(rho @ a2 @ ones)
 
 
 def boundary_vector(params: ModelParams) -> np.ndarray:
@@ -160,8 +162,8 @@ def boundary_vector(params: ModelParams) -> np.ndarray:
     return _boundary(params)[0]
 
 
-def _boundary(params: ModelParams) -> tuple[np.ndarray, QbdBlocks, np.ndarray]:
-    """`boundary_vector` with the blocks and closed-form R it was solved from.
+def _boundary(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """`boundary_vector` with the closed-form R it was solved from.
 
     Level 1 is left downwards only from Up, so level 0's Down balance reads
     pi(0, D)(lambda + beta) = alpha pi(0, U): pi0 is proportional to
@@ -169,17 +171,19 @@ def _boundary(params: ModelParams) -> tuple[np.ndarray, QbdBlocks, np.ndarray]:
     P1_boundary + R P2 - I suffers as alpha -> 0, and sums to 1 with its
     levels above, pi0 (I - R)^-1 1.
     """
-    blocks = qbd_blocks(params)
+    if params.model is not Model.MODEL1:
+        raise InvalidParameters("the boundary vector needs a Model 1 parameter set")
     if not stability(params).stable:
         raise UnstableParameters("stationary distribution requires stability")
     r = rate_matrix_closed_form(params)
     pi0 = np.array([params.lam + params.beta, params.alpha])
-    return pi0 / float(pi0 @ np.linalg.solve(np.eye(2) - r, np.ones(2))), blocks, r
+    return pi0 / float(pi0 @ np.linalg.solve(np.eye(2) - r, np.ones(2))), r
 
 
 def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
     """Matrix-geometric stationary table pi(k, sigma) = pi0 R^k for k <= k_max."""
-    pi0, blocks, r = _boundary(params)
+    pi0, r = _boundary(params)
+    blocks = qbd_blocks(params)   # for the balance residual only
     entries = {}
     level = pi0.copy()
     levels = np.empty((k_max + 1, 2))
@@ -236,6 +240,51 @@ def _lattice_matrix(params: ModelParams, shape: tuple) -> sp.csr_matrix:
     return sp.csr_matrix((np.concatenate(vals + [diag]),
                           (np.concatenate(rows + [every]), np.concatenate(cols + [every]))),
                          shape=(n, n))
+
+
+def _lattice_inflow(params: ModelParams, pi: np.ndarray) -> np.ndarray:
+    """pi P for P = `_lattice_matrix(params, pi.shape)`, without building P.
+
+    Each distinct move (dx, [dy,] sigma -> sigma') of the `row_classes` rows
+    carries its probability q over the states of every class that has it, and
+    the shifted slice pi q adds into the inflow of its targets.  The diagonal
+    move holds the self-move and the moves folded at the far edge.  Moves are
+    summed by decreasing offset (target index minus source index), so each
+    target adds its sources in increasing index, as P's sparse mat-vec does:
+    the sums are bit-identical.
+    """
+    space = pi.shape[:-1]
+    strides = [2 * math.prod(space[k + 1:]) for k in range(len(space))]   # C order
+    diag = np.zeros(pi.shape)
+    moves = {}   # (d, sigma, to) -> q over the source states
+    for origin, row in row_classes(params).items():
+        sigma = origin[-1]
+        members = tuple(slice(c, None if c else 1) for c in origin[:-1])
+        for target, prob in row.targets:
+            if target == origin:
+                diag[members + (sigma,)] += prob
+                continue
+            d = tuple(t - o for t, o in zip(target[:-1], origin[:-1]))
+            if (d, sigma, target[-1]) not in moves:
+                moves[d, sigma, target[-1]] = np.zeros(space)
+            moves[d, sigma, target[-1]][members] = prob
+            # a move steps up in at most one of x and y; from that coordinate's
+            # far edge, which only the class at 1 holds, it folds into the diagonal
+            for k in (k for k, step in enumerate(d) if step > 0 and origin[k]):
+                diag[members[:k] + (-1,) + members[k + 1:] + (sigma,)] += prob
+    for sigma in (UP, DOWN):
+        moves[(0,) * len(space), sigma, sigma] = diag[..., sigma]
+
+    def offset(move):   # index of the target minus index of the source
+        d, sigma, to = move
+        return sum(s * k for s, k in zip(strides, d)) + to - sigma
+
+    inflow = np.zeros(pi.shape)
+    for d, sigma, to in sorted(moves, key=offset, reverse=True):
+        src = tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(d, space))
+        dst = tuple(slice(max(0, k), n - max(0, -k)) for k, n in zip(d, space))
+        inflow[dst + (to,)] += pi[src + (sigma,)] * moves[d, sigma, to][src]
+    return inflow
 
 
 def truncated_stationary(params: ModelParams, model: Model | None = None, *,

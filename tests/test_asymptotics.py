@@ -354,7 +354,7 @@ def _reference_rs_rd(params, x_max, y_max):
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0])
-@pytest.mark.parametrize("x_max,y_max", [(1, 1), (20, 20), (30, 45)])
+@pytest.mark.parametrize("x_max,y_max", [(1, 1), (20, 20), (30, 45), (45, 30)])
 def test_rs_rd_matches_per_state_product_form(p, x_max, y_max):
     params = make_params(10, 30, 0.1, 10, p=p, model=Model.RSRD)
     entries, residual, tail, warning = _reference_rs_rd(params, x_max, y_max)

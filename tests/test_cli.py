@@ -306,7 +306,10 @@ for argv in (["analyze", *A], ["analyze", *T2, "--model", "model2", "--p", "0.5"
              ["simulate", *T2, "--model", "model2", "--steps", "20000"],
              ["simulate", *T2, "--model", "model2", "--p", "0.5", "--steps", "20000"],
              ["ldpath", *A, "--steps", "2000", "--level", "5"],
-             ["tailfit", *A, "--kmin", "20", "--kmax", "30"], ["compare-mm1", *A]):
+             ["tailfit", *A, "--kmin", "20", "--kmax", "30"], ["compare-mm1", *A],
+             ["tailfit", *T2, "--model", "rsrd", "--p", "0.5", "--kmin", "20", "--kmax", "35",
+              "--xmax", "40"],
+             ["verify", "--grid", "20"]):
     assert main(argv) == 0, argv
     assert "scipy" not in sys.modules, argv
 conditioned_excursion_slope(make_params(10, 11, 0.1, 10), level_k=30)

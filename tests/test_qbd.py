@@ -9,8 +9,8 @@ from uqtail import (DOWN, UP, InvalidParameters, Model, TruncationError,
                     boundary_vector, exact_stationary_model1, full_kernel,
                     make_params, qbd_blocks, rate_matrix,
                     rate_matrix_closed_form, truncated_stationary, twist_summary)
-from uqtail.qbd import (_lattice_matrix, _lattice_shape, _tail_mass_estimate,
-                        first_passage, level_blocks)
+from uqtail.qbd import (_lattice_inflow, _lattice_matrix, _lattice_shape,
+                        _tail_mass_estimate, first_passage, level_blocks)
 from uqtail.verify import (check_rate_matrix, check_stability_equivalence,
                            random_params)
 
@@ -277,6 +277,21 @@ def test_lattice_rows_are_folded_kernel_rows(seed, p):
                 folded[int(np.ravel_multi_index(target, shape))] = prob
         row = matrix.getrow(i)
         assert dict(zip(row.indices.tolist(), row.data.tolist())) == folded
+
+
+@pytest.mark.parametrize("params", [
+    A, B, T2, make_params(10, 30, 0.1, 10, p=0.6, model=Model.MODEL2),
+    make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD),
+    make_params(10, 30, 0.1, 10, model=Model.RSRD)],
+    ids=["A", "B", "T2", "tandem-p0.6", "rsrd-p0.5", "rsrd-p1"])
+@pytest.mark.parametrize("x_max,y_max", [(1, 1), (6, 11), (23, 9)])
+def test_lattice_inflow_is_the_sparse_mat_vec(params, x_max, y_max):
+    # every entry, the folded far edge included, equals the CSC mat-vec bit for bit;
+    # entries spread over decades, so a changed summation order shows
+    shape = _lattice_shape(params.model, x_max, y_max)
+    pi = np.random.default_rng(x_max).random(shape) ** 8
+    assert np.array_equal(_lattice_inflow(params, pi),
+                          (pi.ravel() @ _lattice_matrix(params, shape)).reshape(shape))
 
 
 @pytest.mark.parametrize("model,x_max,y_max", [

@@ -253,11 +253,12 @@ def call_counts(monkeypatch):
 def test_one_twist_pass_per_call(call_counts, tmp_path):
     table = truncated_stationary(T2, x_max=40, y_max=40)
     call_counts.update(dict.fromkeys(NAMES, 0))
-    # analyze: the report's spectral and stability, one pass, and the boundary solve
+    # analyze: the report's spectral and stability, one pass, and the boundary solve,
+    # which builds no blocks
     flags = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
     assert main(["analyze", *flags, "--out", str(tmp_path)]) == 0
     assert call_counts == {"characteristic_roots": 2, "stability": 3,
-                           "row_classes": 2, "twist_row": 2}
+                           "row_classes": 1, "twist_row": 2}
     call_counts.update(dict.fromkeys(NAMES, 0))
     # one pass: four twisted x0 = 1 class rows of the tandem
     prefactors(T2, table=table)
