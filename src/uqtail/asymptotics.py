@@ -6,7 +6,6 @@ and the product-form reference distribution.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -179,10 +178,10 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> EtaEstima
     if table is None:
         table = truncated_stationary(params, x_max=60, y_max=60)
     h = twist.harmonic
-    y_max = table.y_max
+    y_max = table.pi.shape[1] - 1
     # weights[2y + sigma] = pi(0, y, sigma) h(0, y, sigma), in `level_blocks` order
-    weights = np.array([table.prob((0, y, sigma)) * h.value((0, y, sigma))
-                        for y in range(y_max + 1) for sigma in (UP, DOWN)])
+    weights = table.pi[0].ravel() * np.array(
+        [h.value((0, y, sigma)) for y in range(y_max + 1) for sigma in (UP, DOWN)])
     # geometric-tail gate on the last min(10, y_max + 1) levels of the weights
     levels = weights.reshape(-1, 2).sum(axis=1)
     low = max(1, y_max - 8)
@@ -272,9 +271,9 @@ def two_term_tail(params: ModelParams, table: StationaryTable,
     gamma1, gamma = asym.gamma, asym.secondary_gamma
     w2 = asym.prefactor_up
     if k_hi is None:
-        k_hi = min(40, table.x_max)
+        k_hi = min(40, len(table.pi) - 1)
     ks = np.arange(k_lo, k_hi + 1)
-    pi_up = np.array([table.prob((int(k), UP)) for k in ks])
+    pi_up = table.levels(UP, k_lo, k_hi)
     resid = pi_up - w2 * gamma1 ** ks
     weights = gamma ** ks
     w3 = float(np.dot(resid, weights) / np.dot(weights, weights))
@@ -354,13 +353,9 @@ def mm1_comparison(params: ModelParams) -> Mm1Comparison:
 def tail_fit(table: StationaryTable, sigma: int, k_min: int, k_max: int,
              y: int | None = None) -> TailFit:
     """Log-linear least squares of pi over a window of levels."""
-    ks, logs = [], []
-    for k in range(k_min, k_max + 1):
-        state = (k, sigma) if table.y_max is None else (k, y if y is not None else 0, sigma)
-        value = table.prob(state)
-        if value > 1e-300:
-            ks.append(k)
-            logs.append(math.log(value))
+    values = table.levels(sigma, k_min, k_max, y or 0).tolist()
+    ks = [k for k, value in zip(range(k_min, k_max + 1), values) if value > 1e-300]
+    logs = [math.log(value) for value in values if value > 1e-300]
     if len(ks) < 5:
         raise ValueError(f"fit window holds {len(ks)} usable points; need at least 5")
     slope, intercept = np.polyfit(ks, logs, 1)
@@ -378,7 +373,7 @@ def two_geometric_fit(table: StationaryTable, sigma: int, k_min: int,
     widely varying magnitudes) and the rates recovered as the roots.
     """
     ks = np.arange(k_min, k_max + 1)
-    pi = np.array([table.prob((int(k), sigma)) for k in ks])
+    pi = table.levels(sigma, k_min, k_max)
     if np.any(pi <= 0.0) or len(ks) < 6:
         raise ValueError("fit window needs at least 6 strictly positive entries")
     rows = np.column_stack([pi[1:-1], pi[:-2]])
@@ -423,9 +418,6 @@ def rs_rd_stationary(params: ModelParams, x_max: int, y_max: int) -> StationaryT
     inflow = _lattice_inflow(params, pi)
     window = pi[:x_max + 1, :y_max + 1]
     residual = float(np.max(np.abs(inflow[:x_max + 1, :y_max + 1] - window)))
-    states = itertools.product(range(x_max + 1), range(y_max + 1), (UP, DOWN))
-    entries = dict(zip(states, window.ravel().tolist()))
     tail = 1.0 - (1.0 - r ** (x_max + 1)) * (1.0 - r ** (y_max + 1))
-    return StationaryTable(model=Model.RSRD, entries=entries, x_max=x_max,
-                           y_max=y_max, residual=residual, tail_mass_bound=tail,
-                           truncation_warning=tail > 1e-8)
+    return StationaryTable(pi=window, model=Model.RSRD, residual=residual,
+                           tail_mass_bound=tail, truncation_warning=tail > 1e-8)

@@ -160,9 +160,8 @@ def _cmd_simulate(args) -> int:
     lines = [_csv_header(params, seed=args.seed, burn_in=burn, steps=args.steps)]
     lines.append("x,y,status,frequency\n" if traj.y is not None
                  else "x,status,frequency\n")
-    for state in sorted(emp.entries):
-        fields = ",".join(str(v) for v in state)
-        lines.append(f"{fields},{_fmt(emp.entries[state])}\n")
+    for state in np.argwhere(emp.pi).tolist():
+        lines.append(f"{','.join(map(str, state))},{_fmt(float(emp.pi[tuple(state)]))}\n")
     (out / "empirical.csv").write_text("".join(lines))
     for note in emp.notes:
         print(f"note: {note}", file=sys.stderr)
@@ -216,9 +215,8 @@ def _cmd_tailfit(args) -> int:
                          log_prefactor_est=fit.log_prefactor_est,
                          k_min=args.kmin, k_max=args.kmax),
              "k,pi,model_prediction,relative_error\n"]
-    for k in range(args.kmin, args.kmax + 1):
-        state = (k, sigma) if model is Model.MODEL1 else (k, args.y or 0, sigma)
-        pi = table.prob(state)
+    for k, pi in zip(range(args.kmin, args.kmax + 1),
+                     table.levels(sigma, args.kmin, args.kmax, args.y or 0).tolist()):
         pred = np.exp(fit.log_prefactor_est) * fit.gamma_est ** k
         rel = (pi - pred) / pi if pi > 0 else float("nan")
         lines.append(f"{k},{_fmt(pi)},{_fmt(pred)},{_fmt(rel)}\n")

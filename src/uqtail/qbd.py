@@ -4,15 +4,14 @@ linear-solve oracle shared by every model.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .kernels import row_classes
-from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
+from .params import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
                      UnstableParameters)
 from .spectral import stability
 
@@ -47,21 +46,59 @@ class QbdBlocks:
     p2: np.ndarray
 
 
-@dataclass
-class StationaryTable:
+@dataclass(frozen=True, eq=False)
+class LatticeLaw:
+    """A law held as one read-only array in `_lattice_shape` layout, pi[x, [y,] sigma]."""
+    pi: np.ndarray
+
+    def __post_init__(self):
+        self.pi.setflags(write=False)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    def prob(self, state: tuple) -> float:
+        """pi(state), 0.0 off the box; InvalidState for a wrong number of coordinates."""
+        if len(state) != self.pi.ndim:
+            raise InvalidState(f"state {state} needs {self.pi.ndim} coordinates")
+        inside = all(0 <= c < n for c, n in zip(state, self.pi.shape))
+        return float(self.pi[tuple(state)]) if inside else 0.0
+
+    def levels(self, sigma: int, k_min: int, k_max: int, y: int = 0) -> np.ndarray:
+        """pi(k, [y,] sigma) for k = k_min..k_max, 0.0 outside the box; y is
+        ignored on an (x, sigma) box."""
+        out = np.zeros(max(k_max - k_min + 1, 0))
+        rest = (y, sigma) if self.pi.ndim == 3 else (sigma,)
+        lo, hi = max(k_min, 0), min(k_max, len(self.pi) - 1)
+        if lo <= hi and all(0 <= c < n for c, n in zip(rest, self.pi.shape[1:])):
+            out[lo - k_min:hi - k_min + 1] = self.pi[(slice(lo, hi + 1),) + rest]
+        return out
+
+    def total(self) -> float:
+        return float(self.pi.sum())
+
+    def total_variation(self, other: LatticeLaw) -> float:
+        """Half the l1 distance; mass one box holds and the other lacks counts in full."""
+        diff = np.zeros(np.maximum(self.pi.shape, other.pi.shape))
+        diff[tuple(map(slice, self.pi.shape))] += self.pi
+        diff[tuple(map(slice, other.pi.shape))] -= other.pi
+        return 0.5 * float(np.abs(diff).sum())
+
+    @property
+    def entries(self) -> dict:
+        """{state: pi(state)} over the box, built on each read.  It exists only
+        because perfbench/ reads it: `len(res.entries)` in spans.py and
+        `set(table.entries)` in workloads._total_variation."""
+        return dict(zip(np.ndindex(*self.pi.shape), self.pi.ravel().tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class StationaryTable(LatticeLaw):
     model: Model
-    entries: dict
-    x_max: int
-    y_max: int | None
     residual: float
     tail_mass_bound: float
     truncation_warning: bool = False
-
-    def prob(self, state: tuple) -> float:
-        return self.entries.get(state, 0.0)
-
-    def total(self) -> float:
-        return sum(self.entries.values())
 
 
 def level_blocks(rows, y_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,13 +221,10 @@ def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
     """Matrix-geometric stationary table pi(k, sigma) = pi0 R^k for k <= k_max."""
     pi0, r = _boundary(params)
     blocks = qbd_blocks(params)   # for the balance residual only
-    entries = {}
     level = pi0.copy()
     levels = np.empty((k_max + 1, 2))
     for k in range(k_max + 1):
         levels[k] = level
-        entries[(k, UP)] = float(level[UP])
-        entries[(k, DOWN)] = float(level[DOWN])
         level = level @ r
     tail = float(level @ np.linalg.solve(np.eye(2) - r, np.ones(2)))
     # max |pi P - pi| over levels 0..k_max-1 of the full chain
@@ -198,8 +232,8 @@ def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
     inflow[1:] += levels[:-2] @ blocks.p0
     inflow[:1] = levels[:1] @ blocks.p1_boundary + levels[1:2] @ blocks.p2
     residual = float(np.max(np.abs(inflow - levels[:-1]), initial=0.0))
-    return StationaryTable(model=Model.MODEL1, entries=entries, x_max=k_max,
-                           y_max=None, residual=residual, tail_mass_bound=tail)
+    return StationaryTable(pi=levels, model=Model.MODEL1, residual=residual,
+                           tail_mass_bound=tail)
 
 
 def _lattice_shape(model: Model, x_max: int, y_max: int | None) -> tuple:
@@ -323,33 +357,21 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     residual = float(np.max(np.abs(pi @ p - pi)))
-
-    states = itertools.product(*(range(k) for k in shape[:-1]), (UP, DOWN))
-    entries = dict(zip(states, pi.tolist()))
-    tail = _tail_mass_estimate(params.model, entries, x_max, y_max)
+    pi = pi.reshape(shape)
+    tail = _tail_mass_estimate(pi)
     if tail > tail_error:
         raise TruncationError(
             f"estimated tail mass {tail:.3g} exceeds {tail_error}; enlarge the lattice")
-    return StationaryTable(model=params.model, entries=entries, x_max=x_max, y_max=y_max,
-                           residual=residual, tail_mass_bound=tail,
-                           truncation_warning=tail > 1e-8)
+    return StationaryTable(pi=pi, model=params.model, residual=residual,
+                           tail_mass_bound=tail, truncation_warning=tail > 1e-8)
 
 
-def _tail_mass_estimate(model: Model, entries: dict, x_max: int,
-                        y_max: int | None) -> float:
-    """Geometric extrapolation of the mass beyond the cut from the last shells."""
-    def extrapolate(last, prev):
-        if last <= 0.0:
-            return 0.0
-        ratio = min(last / prev, 0.99) if prev > 0 else 0.5
-        return last * ratio / (1.0 - ratio)
-
-    if model is Model.MODEL1:
-        shell = lambda k: entries.get((k, UP), 0.0) + entries.get((k, DOWN), 0.0)
-        return extrapolate(shell(x_max), shell(x_max - 1))
-    x_shell = lambda k: sum(entries.get((k, y, sigma), 0.0)
-                            for y in range(y_max + 1) for sigma in (UP, DOWN))
-    y_shell = lambda k: sum(entries.get((x, k, sigma), 0.0)
-                            for x in range(x_max + 1) for sigma in (UP, DOWN))
-    return extrapolate(x_shell(x_max), x_shell(x_max - 1)) \
-        + extrapolate(y_shell(y_max), y_shell(y_max - 1))
+def _tail_mass_estimate(pi: np.ndarray) -> float:
+    """Geometric extrapolation of the mass beyond the cut from pi's last x and y shells."""
+    tail = 0.0
+    for axis in range(pi.ndim - 1):
+        last, prev = (float(np.take(pi, k, axis=axis).sum()) for k in (-1, -2))
+        if last > 0.0:
+            ratio = min(last / prev, 0.99) if prev > 0 else 0.5
+            tail += last * ratio / (1.0 - ratio)
+    return tail

@@ -5,6 +5,7 @@ excursions' slopes at a finite target level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,10 +14,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      UnstableParameters, check_state)
 from .kernels import row_classes
-from .qbd import ConvergenceError, exact_stationary_model1, qbd_blocks
+from .qbd import ConvergenceError, LatticeLaw, exact_stationary_model1, qbd_blocks
 from .spectral import stability
 
 _BLOCK = 1 << 16
+_MAX_LAW_CELLS = 1 << 24    # largest box an empirical law holds densely: 128 MiB of float64
 _SLOPE_TOL = 1e-13          # excursion-length mass left unsummed
 _SLOPE_MAX_STEPS = 10 ** 6
 
@@ -109,18 +111,10 @@ class ConditionedSlope:
     h: np.ndarray = field(repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    entries: dict
+@dataclass(frozen=True, eq=False)
+class EmpiricalDistribution(LatticeLaw):
     steps_used: int
     notes: tuple[str, ...] = field(default_factory=tuple)
-
-    def prob(self, state: tuple) -> float:
-        return self.entries.get(state, 0.0)
-
-    def total_variation(self, other) -> float:
-        keys = set(self.entries) | set(getattr(other, "entries", {}))
-        return 0.5 * sum(abs(self.prob(k) - other.prob(k)) for k in keys)
 
 
 def _phase_rows(params: ModelParams):
@@ -253,20 +247,13 @@ def empirical_distribution(trajectory: Trajectory, burn_in: int = 0) -> Empirica
     m1, m2 = float(np.mean(x[:half])), float(np.mean(x[half:]))
     if m2 > 2.0 * m1 + 5.0:
         notes.append("first-queue mean keeps growing; the path looks transient")
-    if trajectory.y is None:
-        code = x.astype(np.int64) * 2 + s
-        values, counts = np.unique(code, return_counts=True)
-        entries = {(int(v // 2), int(v % 2)): c / len(x)
-                   for v, c in zip(values, counts)}
-    else:
-        y = trajectory.y[burn_in:]
-        span = int(y.max()) + 1
-        code = (x.astype(np.int64) * span + y) * 2 + s
-        entries = {}
-        values, counts = np.unique(code, return_counts=True)
-        for v, c in zip(values, counts):
-            entries[(int(v // (2 * span)), int((v // 2) % span), int(v % 2))] = c / len(x)
-    return EmpiricalDistribution(entries=entries, steps_used=len(x), notes=tuple(notes))
+    coords = (x, s) if trajectory.y is None else (x, trajectory.y[burn_in:], s)
+    shape = tuple(int(c.max()) + 1 for c in coords[:-1]) + (2,)   # the visited box
+    if math.prod(shape) > _MAX_LAW_CELLS:   # a path on which x and y both grow
+        raise ValueError(f"the visited box {shape} has more than {_MAX_LAW_CELLS} cells")
+    counts = np.bincount(np.ravel_multi_index(coords, shape), minlength=math.prod(shape))
+    return EmpiricalDistribution(pi=(counts / len(x)).reshape(shape), steps_used=len(x),
+                                 notes=tuple(notes))
 
 
 def ld_excursions(trajectory: Trajectory, level_k: int,
@@ -347,8 +334,7 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
                                 remaining_mass=0.0, h=np.ones((0, 2)))
     levels = rise - 1
     blocks = qbd_blocks(params)
-    pi_base = exact_stationary_model1(params, k_max=base_level)
-    lift = np.array([pi_base.prob((base_level, s)) for s in (UP, DOWN)]) * np.diag(blocks.p0)
+    lift = exact_stationary_model1(params, k_max=base_level).pi[base_level] * np.diag(blocks.p0)
     # unknowns (x, sigma) -> 2 (x - base - 1) + sigma on the interior levels,
     # block-tridiagonal; moves to K feed `hit`, moves to base are killed
     q = (np.kron(np.eye(levels, k=1), blocks.p0) + np.kron(np.eye(levels), blocks.p1)

@@ -197,7 +197,7 @@ def test_criterion_10_simulation_consistency():
     emp = empirical_distribution(traj, burn_in=100_000)
     exact = exact_stationary_model1(A, k_max=int(traj.x.max()) + 50)
     tv = emp.total_variation(exact)
-    up = sum(v for k, v in emp.entries.items() if k[1] == UP)
+    up = float(emp.pi[:, UP].sum())
     up_gap = abs(up - 10 / 10.1)
     elapsed = time.monotonic() - start
     ok = tv <= 0.02 and up_gap <= 0.005 and elapsed < 120.0

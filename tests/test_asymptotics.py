@@ -126,9 +126,8 @@ def test_two_term_tail_matches_eigen_oracle():
 
 
 def test_two_geometric_fit_recovers_synthetic_rates():
-    entries = {(k, UP): 0.3 * 0.8 ** k + 0.05 * 0.4 ** k for k in range(60)}
-    table = StationaryTable(model=Model.MODEL1, entries=entries, x_max=59,
-                            y_max=None, residual=0.0, tail_mass_bound=0.0,
+    pi = np.array([(0.3 * 0.8 ** k + 0.05 * 0.4 ** k, 0.0) for k in range(60)])
+    table = StationaryTable(pi=pi, model=Model.MODEL1, residual=0.0, tail_mass_bound=0.0,
                             truncation_warning=False)
     fit = two_geometric_fit(table, UP, 2, 40)
     assert sorted(fit.rates) == pytest.approx([0.4, 0.8], rel=1e-9)
@@ -185,9 +184,8 @@ def test_tail_fit_exact_table():
 
 
 def test_tail_fit_synthetic_geometric():
-    entries = {(k, UP): 0.5 ** k for k in range(40)}
-    table = StationaryTable(model=Model.MODEL1, entries=entries, x_max=39,
-                            y_max=None, residual=0.0, tail_mass_bound=0.0,
+    pi = np.array([(0.5 ** k, 0.0) for k in range(40)])
+    table = StationaryTable(pi=pi, model=Model.MODEL1, residual=0.0, tail_mass_bound=0.0,
                             truncation_warning=False)
     assert tail_fit(table, UP, 5, 30).gamma_est == pytest.approx(0.5, rel=1e-12)
 
@@ -241,10 +239,9 @@ def test_eta_model2_tail_gate(t2_table):
     # and the first level where one reached 1
     h = harmonic(T2)
     levels = [1.0, 0.5, 0.25, 0.25, 0.3]
-    entries = {(0, y, s): w / h.value((0, y, s)) / 2
-               for y, w in enumerate(levels) for s in (UP, DOWN)}
-    rising = StationaryTable(model=Model.MODEL2, entries=entries, x_max=0,
-                             y_max=len(levels) - 1, residual=0.0, tail_mass_bound=0.0)
+    pi = np.array([[[w / h.value((0, y, s)) / 2 for s in (UP, DOWN)]
+                    for y, w in enumerate(levels)]])
+    rising = StationaryTable(pi=pi, model=Model.MODEL2, residual=0.0, tail_mass_bound=0.0)
     with pytest.raises(ArithmeticError, match=r"\[0\.5, 0\.5, 1\.0, 1\.2\].*y = 3"):
         eta(T2, table=rising)
 
@@ -359,7 +356,8 @@ def test_rs_rd_matches_per_state_product_form(p, x_max, y_max):
     params = make_params(10, 30, 0.1, 10, p=p, model=Model.RSRD)
     entries, residual, tail, warning = _reference_rs_rd(params, x_max, y_max)
     table = rs_rd_stationary(params, x_max=x_max, y_max=y_max)
-    assert list(table.entries.items()) == list(entries.items())
+    assert table.pi.shape == (x_max + 1, y_max + 1, 2)
+    assert table.pi.ravel().tolist() == list(entries.values())   # C order, as built
     assert (table.residual, table.tail_mass_bound, table.truncation_warning) == \
         (residual, tail, warning)
 

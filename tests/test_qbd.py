@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,11 +8,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtail import (DOWN, UP, InvalidParameters, Model, TruncationError,
-                    boundary_vector, exact_stationary_model1, full_kernel,
-                    make_params, qbd_blocks, rate_matrix,
-                    rate_matrix_closed_form, truncated_stationary, twist_summary)
-from uqtail.qbd import (_lattice_inflow, _lattice_matrix, _lattice_shape,
+from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, TruncationError,
+                    boundary_vector, empirical_distribution, exact_stationary_model1,
+                    full_kernel, make_params, qbd_blocks, rate_matrix,
+                    rate_matrix_closed_form, rs_rd_stationary, simulate,
+                    truncated_stationary, twist_summary)
+from uqtail.qbd import (LatticeLaw, _lattice_inflow, _lattice_matrix, _lattice_shape,
                         _tail_mass_estimate, first_passage, level_blocks)
 from uqtail.verify import (check_rate_matrix, check_stability_equivalence,
                            random_params)
@@ -17,6 +21,7 @@ from uqtail.verify import (check_rate_matrix, check_stability_equivalence,
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
 T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
+RS = make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD)
 
 
 def test_blocks_partition_the_kernel():
@@ -155,7 +160,7 @@ def test_exact_stationary_is_stationary():
 
 def test_up_marginal_is_repair_share():
     table = exact_stationary_model1(A, k_max=600)
-    up = sum(v for k, v in table.entries.items() if k[1] == UP)
+    up = table.pi[:, UP].sum()
     assert up == pytest.approx(10 / 10.1, abs=1e-10)
 
 
@@ -221,7 +226,7 @@ def _reference_lattice(params, model, x_max, y_max=None, tail_error=0.01):
     pi /= pi.sum()
     residual = float(np.max(np.abs(pi @ p - pi)))
     entries = {s: float(pi[index[s]]) for s in states}
-    tail = _tail_mass_estimate(model, entries, x_max, y_max)
+    tail = _tail_mass_estimate(pi.reshape(_lattice_shape(model, x_max, y_max)))
     if tail > tail_error:
         raise TruncationError("tail")
     return (entries, residual, tail, tail > 1e-8), p, a
@@ -256,7 +261,8 @@ def test_lattice_matches_per_state_assembly(monkeypatch, params, model, x_max, y
     table = truncated_stationary(params, x_max=x_max, y_max=y_max,
                                  tail_error=tail_error)
     _assert_same_sparse(solved[0], a_ref)
-    assert list(table.entries.items()) == list(entries.items())
+    assert table.pi.shape == _lattice_shape(model, x_max, y_max)
+    assert table.pi.ravel().tolist() == list(entries.values())   # C order, as built
     assert (table.residual, table.tail_mass_bound, table.truncation_warning) == \
         (residual, tail, warning)
 
@@ -301,3 +307,65 @@ def test_lattice_needs_both_sides(model, x_max, y_max):
     params = A if model is Model.MODEL1 else make_params(10, 30, 0.1, 10, model=model)
     with pytest.raises(InvalidParameters, match="x_max >= 1 and y_max >= 1"):
         truncated_stationary(params, x_max=x_max, y_max=y_max)
+
+
+def _reference_prob(pi, state):
+    """pi(state) as a dict of the box's states reads it: 0.0 off the box."""
+    return float(pi[state]) if all(0 <= c < n for c, n in zip(state, pi.shape)) else 0.0
+
+
+LAWS = {
+    "model1": lambda: exact_stationary_model1(A, k_max=5),
+    "tandem": lambda: truncated_stationary(T2, x_max=4, y_max=3, tail_error=1.0),
+    "empirical": lambda: empirical_distribution(simulate(T2, steps=3000, seed=1)),
+}
+
+
+@pytest.mark.parametrize("name", list(LAWS))
+def test_prob_reads_zero_off_the_box_and_refuses_a_wrong_state(name):
+    law = LAWS[name]()
+    shape = law.pi.shape
+    for axis, n in enumerate(shape):
+        # a wrapped index would read the far edge, which holds mass on every axis
+        assert np.take(law.pi, -1, axis=axis).any()
+        for state in np.ndindex(*shape):
+            assert law.prob(state) == law.pi[state]
+            for bad in (-1, -n, n):
+                assert law.prob(state[:axis] + (bad,) + state[axis + 1:]) == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        law.pi[(0,) * len(shape)] = 1.0
+    for wrong in ((0,) * (len(shape) - 1), (0,) * (len(shape) + 1)):
+        with pytest.raises(InvalidState, match="coordinates"):
+            law.prob(wrong)
+    # windows of levels that overlap, miss or reverse the box read as prob does
+    x_max, inner = shape[0] - 1, shape[1:]
+    for (k_min, k_max), rest in itertools.product(
+            [(-3, 2), (x_max - 1, x_max + 3), (x_max + 2, x_max + 4), (3, 1), (0, x_max)],
+            itertools.product(*(range(-1, n + 1) for n in inner))):
+        y = rest[0] if len(rest) == 2 else 0
+        got = law.levels(rest[-1], k_min, k_max, y)
+        assert got.tolist() == [_reference_prob(law.pi, (k,) + rest)
+                                for k in range(k_min, k_max + 1)]
+
+
+def _reference_total_variation(a, b):
+    """Half the l1 distance over the union of both boxes' states, summed exactly."""
+    states = set(np.ndindex(*a.pi.shape)) | set(np.ndindex(*b.pi.shape))
+    return 0.5 * math.fsum(abs(_reference_prob(a.pi, s) - _reference_prob(b.pi, s))
+                           for s in states)
+
+
+def test_total_variation_counts_mass_one_side_lacks():
+    # point masses in boxes that miss each other's state: all mass counts, both ways
+    far = np.zeros((1, 3, 2))
+    far[0, 2, DOWN] = 1.0
+    here, there = LatticeLaw(pi=np.array([[[1.0, 0.0]]])), LatticeLaw(pi=far)
+    assert here.total_variation(there) == there.total_variation(here) == 1.0
+    # two empirical laws and a table, each box wider than another on some axis
+    laws = [empirical_distribution(simulate(T2, steps=20_000, seed=seed)) for seed in (1, 2)]
+    laws.append(rs_rd_stationary(RS, x_max=6, y_max=30))
+    for a, b in itertools.permutations(laws, 2):
+        assert a.total_variation(b) == b.total_variation(a)
+        assert abs(a.total_variation(b) - _reference_total_variation(a, b)) <= 1e-15
+    assert any(np.any(np.less(a.pi.shape, b.pi.shape)) and np.any(np.less(b.pi.shape, a.pi.shape))
+               for a, b in itertools.combinations(laws, 2))

@@ -12,6 +12,7 @@ from uqtail import (DOWN, UP, Excursion, InvalidParameters, Model, Trajectory,
                     empirical_distribution, excursion_verdict, full_kernel,
                     ld_excursions, make_params, regime_prediction, simulate,
                     truncated_stationary)
+from uqtail.cli import _csv_header, _fmt, main
 from uqtail.kernels import TransitionRow, row_classes
 from uqtail.simulate import _BLOCK, _block_path, _phase_path, _phase_rows
 from uqtail.verify import random_params
@@ -57,10 +58,60 @@ def test_start_state_respected():
 def test_empirical_distribution_normalized():
     traj = simulate(A, steps=200000, seed=2)
     emp = empirical_distribution(traj, burn_in=10000)
-    assert sum(emp.entries.values()) == pytest.approx(1.0, abs=1e-12)
-    up = sum(v for k, v in emp.entries.items() if k[1] == UP)
+    assert emp.total() == pytest.approx(1.0, abs=1e-12)
+    up = emp.pi[:, UP].sum()
     assert up == pytest.approx(10 / 10.1, abs=0.01)
     assert emp.notes == ()
+
+
+def _reference_empirical(traj, burn_in):
+    """empirical_distribution as np.unique counts of each state's code, in a
+    dict keyed by state tuple."""
+    x = traj.x[burn_in:]
+    s = traj.status[burn_in:]
+    if traj.y is None:
+        code = x.astype(np.int64) * 2 + s
+        values, counts = np.unique(code, return_counts=True)
+        return {(int(v // 2), int(v % 2)): c / len(x) for v, c in zip(values, counts)}
+    y = traj.y[burn_in:]
+    span = int(y.max()) + 1
+    code = (x.astype(np.int64) * span + y) * 2 + s
+    entries = {}
+    values, counts = np.unique(code, return_counts=True)
+    for v, c in zip(values, counts):
+        entries[(int(v // (2 * span)), int((v // 2) % span), int(v % 2))] = c / len(x)
+    return entries
+
+
+@pytest.mark.parametrize("params", [
+    B, T2, make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2),
+    make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD)],
+    ids=["B", "T2", "tandem-p0.5", "rsrd-p0.5"])
+def test_empirical_law_matches_the_unique_count_reference(params, tmp_path):
+    steps = 200_000
+    burn = steps // 10   # the simulate verb's default burn-in
+    entries = _reference_empirical(simulate(params, steps=steps, seed=0), burn)
+    emp = empirical_distribution(simulate(params, steps=steps, seed=0), burn_in=burn)
+    box = tuple(max(state[i] for state in entries) + 1 for i in range(emp.pi.ndim - 1))
+    assert emp.pi.shape == box + (2,)
+    assert {tuple(map(int, state)): emp.pi[state]
+            for state in zip(*np.nonzero(emp.pi))} == entries
+    # the simulate verb's CSV, against one written from the reference's sorted states
+    (tmp_path / "params.json").write_text(params.to_json())
+    assert main(["simulate", "--params", str(tmp_path / "params.json"),
+                 "--steps", str(steps), "--out", str(tmp_path)]) == 0
+    expected = [_csv_header(params, seed=0, burn_in=burn, steps=steps),
+                "x,status,frequency\n" if emp.pi.ndim == 2 else "x,y,status,frequency\n"]
+    expected += [f"{','.join(map(str, state))},{_fmt(entries[state])}\n"
+                 for state in sorted(entries)]
+    assert (tmp_path / "empirical.csv").read_bytes() == "".join(expected).encode()
+
+
+def test_empirical_law_refuses_a_box_too_large_to_hold():
+    # the box runs from 0 to the largest x and y visited: over 3001 x 3001 x 2 cells here
+    traj = simulate(T2, steps=10, seed=0, start=(3000, 3000, UP))
+    with pytest.raises(ValueError, match=r"visited box \(30\d\d, 30\d\d, 2\) has more than"):
+        empirical_distribution(traj)
 
 
 def test_transience_diagnostic():

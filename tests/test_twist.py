@@ -186,10 +186,9 @@ def reference(lam, mu, alpha, beta, C):
 def synthetic_boundary(twist):
     """Tandem table whose boundary weights pi h halve with each y, so that
     eta, and C(sigma) with it, are defined at any alpha."""
-    entries = {(0, y, s): 0.5 ** y / twist.harmonic.value((0, y, s)) / 2
-               for y in range(5) for s in (UP, DOWN)}
-    return StationaryTable(model=Model.MODEL2, entries=entries, x_max=0, y_max=4,
-                           residual=0.0, tail_mass_bound=0.0)
+    pi = np.array([[[0.5 ** y / twist.harmonic.value((0, y, s)) / 2 for s in (UP, DOWN)]
+                    for y in range(5)]])
+    return StationaryTable(pi=pi, model=Model.MODEL2, residual=0.0, tail_mass_bound=0.0)
 
 
 @pytest.mark.parametrize("alpha", [1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
