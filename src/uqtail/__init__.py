@@ -23,8 +23,8 @@ from .asymptotics import (AlphaLimits, EscapeProbs, EtaEstimate, Mm1Comparison,
                           TailAsymptotic, TailFit, TwoGeometricFit, TwoTermFit,
                           alpha_limits, escape_probabilities, eta,
                           mm1_comparison, prefactors, rs_rd_stationary,
-                          tail_constants, tail_fit, two_geometric_fit,
-                          two_term_tail)
+                          tail_constants, tail_fit, tandem_product_form,
+                          two_geometric_fit, two_term_tail)
 from .simulate import (ConditionedSlope, EmpiricalDistribution, Excursion,
                        Trajectory, conditioned_excursion_slope,
                        empirical_distribution, excursion_verdict, ld_excursions,
@@ -50,7 +50,7 @@ __all__ = [
     "TailAsymptotic", "TailFit", "TwoGeometricFit", "TwoTermFit",
     "alpha_limits", "escape_probabilities", "eta", "mm1_comparison",
     "prefactors", "rs_rd_stationary", "tail_constants", "tail_fit",
-    "two_geometric_fit", "two_term_tail",
+    "tandem_product_form", "two_geometric_fit", "two_term_tail",
     "ConditionedSlope", "EmpiricalDistribution", "Excursion", "Trajectory",
     "conditioned_excursion_slope", "empirical_distribution",
     "excursion_verdict", "ld_excursions",

@@ -1,7 +1,7 @@
 """Tail asymptotics assembly: escape probabilities of the twisted chain, the
 boundary constant eta, the closed-form prefactors, the two-term expansion,
 small-breakdown limits, the matched-M/M/1 comparison, empirical tail fits,
-and the product-form reference distribution.
+and the product-form laws of the rerouting network and the p = 1 tandem.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import numpy as np
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      make_params)
 from .qbd import (StationaryTable, _lattice_inflow, _lattice_shape, boundary_vector,
-                  first_passage, level_blocks, truncated_stationary)
+                  exact_stationary_model1, first_passage, level_blocks,
+                  truncated_stationary)
 from .spectral import characteristic_roots
 from .twist import TwistSummary, twist_summary
 
@@ -272,6 +273,9 @@ def two_term_tail(params: ModelParams, table: StationaryTable,
     w2 = asym.prefactor_up
     if k_hi is None:
         k_hi = min(40, len(table.pi) - 1)
+    if k_hi > len(table.pi) - 1:
+        raise InvalidParameters(f"window k = {k_lo}..{k_hi} runs past the table's last "
+                                f"level {len(table.pi) - 1} (it has {len(table.pi)} levels)")
     ks = np.arange(k_lo, k_hi + 1)
     pi_up = table.levels(UP, k_lo, k_hi)
     resid = pi_up - w2 * gamma1 ** ks
@@ -352,7 +356,10 @@ def mm1_comparison(params: ModelParams) -> Mm1Comparison:
 
 def tail_fit(table: StationaryTable, sigma: int, k_min: int, k_max: int,
              y: int | None = None) -> TailFit:
-    """Log-linear least squares of pi over a window of levels."""
+    """Log-linear least squares of pi over a window of levels, at `y` on an
+    (x, y, sigma) table; InvalidParameters for a `y` on an (x, sigma) table."""
+    if y is not None and table.pi.ndim == 2:
+        raise InvalidParameters(f"y = {y} given, but the table's states (x, sigma) have no y")
     values = table.levels(sigma, k_min, k_max, y or 0).tolist()
     ks = [k for k, value in zip(range(k_min, k_max + 1), values) if value > 1e-300]
     logs = [math.log(value) for value in values if value > 1e-300]
@@ -393,15 +400,9 @@ def two_geometric_fit(table: StationaryTable, sigma: int, k_min: int,
 
 
 def rs_rd_stationary(params: ModelParams, x_max: int, y_max: int) -> StationaryTable:
-    """Closed-form product stationary law of the rerouting comparison network.
-
-    The residual is the global balance of the closed form against the
-    actual kernel, pi P - pi on the window, with P the kernel on the
-    (x_max + 2) x (y_max + 2) lattice so that inflow sources one step outside
-    the window are evaluated in closed form too.  The inflow pi P is summed
-    from shifted slices of pi by `qbd._lattice_inflow`; no matrix is built
-    and scipy is not loaded.  Raises InvalidParameters unless x_max >= 1 and
-    y_max >= 1.
+    """Closed-form product stationary law of the rerouting comparison network,
+    with its global-balance residual from `_product_form_table`.  Raises
+    InvalidParameters unless x_max >= 1 and y_max >= 1.
     """
     if params.model is not Model.RSRD:
         raise InvalidParameters("the product form needs an RS-RD parameter set")
@@ -415,9 +416,51 @@ def rs_rd_stationary(params: ModelParams, x_max: int, y_max: int) -> StationaryT
     powers = np.array([r ** k for k in range(x_max + y_max + 3)])
     x, y = np.ogrid[:x_max + 2, :y_max + 2]
     pi = norm * powers[x + y][..., None] * share
+    return _product_form_table(params, pi, r ** (x_max + 1), r ** (y_max + 1))
+
+
+def tandem_product_form(params: ModelParams, x_max: int, y_max: int) -> StationaryTable:
+    """Stationary law of the tandem with p = 1, (1 - r) r^y pi_1(x, sigma) with
+    r = lambda/mu and pi_1 = pi_0 R^x, Model 1's law at the same rates.
+
+    Station 2 (y) is an M/M/1 queue that nothing downstream touches, and by
+    Burke's theorem its past departures, station 1's arrivals, are independent
+    of its present length; this is not a claim of the paper.  The product is
+    checked by its global-balance residual against the tandem's own kernel
+    (`_product_form_table`); the tail bound takes Model 1's mass beyond x_max
+    and r^(y_max + 1) as the marginal masses beyond the window.  Raises
+    InvalidParameters unless p = 1, x_max >= 1 and y_max >= 1.
+    """
+    if params.model is not Model.MODEL2 or params.p != 1.0:
+        raise InvalidParameters("the product form needs a tandem parameter set with p = 1")
+    _lattice_shape(Model.MODEL2, x_max, y_max)   # raises on an empty side
+    station1 = exact_stationary_model1(
+        make_params(params.lam, params.mu, params.alpha, params.beta), k_max=x_max + 1)
+    r = params.lam / params.mu
+    powers = np.array([r ** k for k in range(y_max + 2)])
+    pi = (1.0 - r) * powers[None, :, None] * station1.pi[:, None, :]
+    beyond_x = station1.tail_mass_bound + float(station1.pi[-1].sum())
+    return _product_form_table(params, pi, beyond_x, r ** (y_max + 1))
+
+
+def _product_form_table(params: ModelParams, pi: np.ndarray, x_tail: float,
+                        y_tail: float) -> StationaryTable:
+    """The table of a closed-form law `pi` given on a box one shell wider than
+    its window, in x and y, cut to the window.  x and y are independent, so
+    the mass outside the window is 1 - (1 - x_tail)(1 - y_tail), from the
+    marginal masses beyond x_max and y_max; it is summed as
+    x_tail + y_tail - x_tail y_tail, so that a mass below 1e-16 does not round
+    to 0.
+
+    The residual is the global balance of the closed form against the actual
+    kernel, max |pi P - pi| on the window, with P the kernel on the wider box,
+    so that inflow sources one step outside the window are evaluated in closed
+    form too.  The inflow pi P is summed from shifted slices of pi by
+    `qbd._lattice_inflow`; no matrix is built and scipy is not loaded.
+    """
     inflow = _lattice_inflow(params, pi)
-    window = pi[:x_max + 1, :y_max + 1]
-    residual = float(np.max(np.abs(inflow[:x_max + 1, :y_max + 1] - window)))
-    tail = 1.0 - (1.0 - r ** (x_max + 1)) * (1.0 - r ** (y_max + 1))
-    return StationaryTable(pi=window, model=Model.RSRD, residual=residual,
+    window = (slice(-1), slice(-1))
+    residual = float(np.max(np.abs(inflow[window] - pi[window])))
+    tail = x_tail + y_tail - x_tail * y_tail
+    return StationaryTable(pi=pi[window], model=params.model, residual=residual,
                            tail_mass_bound=tail, truncation_warning=tail > 1e-8)

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (alpha_limits, mm1_comparison, prefactors,
-                          rs_rd_stationary, tail_constants, tail_fit)
+                          rs_rd_stationary, tail_constants, tail_fit,
+                          tandem_product_form)
 from .params import (DOWN, UP, InvalidParameters, Model, make_params,
                      params_from_json)
 from .qbd import (ConvergenceError, _lattice_shape, exact_stationary_model1,
@@ -205,6 +206,8 @@ def _cmd_tailfit(args) -> int:
                                 "needs kmin >= 0 and at least 5 levels")
     if model is Model.MODEL1:
         table = exact_stationary_model1(params, k_max=max(args.kmax + 5, 50))
+    elif model is Model.MODEL2 and params.p == 1.0:
+        table = tandem_product_form(params, x_max=args.xmax, y_max=args.xmax)
     elif model is Model.MODEL2:
         table = truncated_stationary(params, x_max=args.xmax, y_max=args.xmax)
     else:
@@ -213,7 +216,8 @@ def _cmd_tailfit(args) -> int:
     out = _out_dir(args)
     lines = [_csv_header(params, gamma_est=fit.gamma_est,
                          log_prefactor_est=fit.log_prefactor_est,
-                         k_min=args.kmin, k_max=args.kmax),
+                         k_min=args.kmin, k_max=args.kmax, residual=table.residual,
+                         tail_mass_bound=table.tail_mass_bound),
              "k,pi,model_prediction,relative_error\n"]
     for k, pi in zip(range(args.kmin, args.kmax + 1),
                      table.levels(sigma, args.kmin, args.kmax, args.y or 0).tolist()):

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtail import (DOWN, UP, InvalidParameters, Model, alpha_limits,
-                    boundary_vector, characteristic_roots,
+from uqtail import (DOWN, UP, InvalidParameters, Model, UnstableParameters,
+                    alpha_limits, boundary_vector, characteristic_roots,
                     escape_probabilities, eta, exact_stationary_model1,
                     harmonic, make_params, mm1_comparison, prefactors,
                     rate_matrix_closed_form, rs_rd_stationary, tail_fit,
-                    truncated_stationary, twist_summary, two_geometric_fit,
-                    two_term_tail)
+                    tandem_product_form, truncated_stationary, twist_summary,
+                    two_geometric_fit, two_term_tail)
 from uqtail.asymptotics import _escape_first_passage
 from uqtail.cli import main
 from uqtail.kernels import rs_rd_kernel
@@ -174,6 +174,23 @@ def test_mm1_dominance_random():
     rng = np.random.default_rng(10)
     for _ in range(30):
         assert mm1_comparison(random_params(rng)).dominance
+
+
+def test_two_term_tail_refuses_a_window_past_the_table():
+    # the missing levels used to read 0 and divide by zero in the residuals
+    table = exact_stationary_model1(A, k_max=20)
+    with pytest.raises(InvalidParameters,
+                       match=r"window k = 1\.\.30 runs past the table's last level 20 "
+                             r"\(it has 21 levels\)"):
+        two_term_tail(A, table, k_hi=30)
+    assert two_term_tail(A, table, k_hi=20).k_window == (1, 20)
+
+
+def test_tail_fit_refuses_a_y_on_a_model1_table():
+    table = exact_stationary_model1(A, k_max=20)
+    with pytest.raises(InvalidParameters, match="y = 7 given, but the table's states"):
+        tail_fit(table, UP, 5, 15, y=7)
+    assert tail_fit(table, UP, 5, 15).k_window == (5, 15)
 
 
 def test_tail_fit_exact_table():
@@ -346,7 +363,7 @@ def _reference_rs_rd(params, x_max, y_max):
                     if target in inflow:
                         inflow[target] += pi(x, y, sigma) * prob
     residual = max(abs(inflow[s] - entries[s]) for s in entries)
-    tail = 1.0 - (1.0 - r ** (x_max + 1)) * (1.0 - r ** (y_max + 1))
+    tail = r ** (x_max + 1) + r ** (y_max + 1) - r ** (x_max + 1) * r ** (y_max + 1)
     return entries, residual, tail, tail > 1e-8
 
 
@@ -367,3 +384,45 @@ def test_rs_rd_needs_both_sides(x_max, y_max):
     params = make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD)
     with pytest.raises(InvalidParameters, match="x_max >= 1 and y_max >= 1"):
         rs_rd_stationary(params, x_max=x_max, y_max=y_max)
+
+
+TANDEM_SETS = [(10, 30, 0.1, 10), (1, 50, 1.9, 0.6), (5, 8, 0.3, 4)]
+
+
+@pytest.mark.parametrize("rates", TANDEM_SETS)
+def test_tandem_product_form_matches_the_truncated_lattice(rates):
+    # the lattice's reflecting cut bends pi near x, y = 60; below 30 the gap
+    # is the sparse solve's noise (8.4e-15, 1.2e-15 and 5.4e-14)
+    params = make_params(*rates, model=Model.MODEL2)
+    table = tandem_product_form(params, x_max=60, y_max=60)
+    lattice = truncated_stationary(params, x_max=60, y_max=60)
+    assert table.pi.shape == lattice.pi.shape == (61, 61, 2)
+    assert np.max(np.abs(table.pi[:30, :30] - lattice.pi[:30, :30])) <= 1e-13
+    assert table.residual <= 1e-14
+
+
+@pytest.mark.parametrize("rates", TANDEM_SETS)
+@pytest.mark.parametrize("x_max,y_max", [(1, 1), (5, 9), (12, 3)])
+def test_tandem_product_form_states_the_mass_outside_its_window(rates, x_max, y_max):
+    params = make_params(*rates, model=Model.MODEL2)
+    table = tandem_product_form(params, x_max=x_max, y_max=y_max)
+    assert table.pi.shape == (x_max + 1, y_max + 1, 2)
+    assert table.total() == pytest.approx(1.0 - table.tail_mass_bound, abs=1e-14)
+    assert table.truncation_warning == (table.tail_mass_bound > 1e-8)
+    assert table.residual <= 1e-14
+    # the y-free marginal is Model 1's law at the same rates
+    station1 = exact_stationary_model1(make_params(*rates), k_max=x_max)
+    r = rates[0] / rates[1]
+    assert np.allclose(table.pi[:, 0], (1 - r) * station1.pi, rtol=1e-15, atol=0)
+
+
+def test_tandem_product_form_needs_p_one_both_sides_and_stability():
+    with pytest.raises(UnstableParameters, match="requires stability"):
+        tandem_product_form(make_params(10, 11, 0.5, 1, model=Model.MODEL2),
+                            x_max=5, y_max=5)
+    with pytest.raises(InvalidParameters, match="tandem parameter set with p = 1"):
+        tandem_product_form(make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2),
+                            x_max=5, y_max=5)
+    for x_max, y_max in [(0, 5), (5, 0)]:
+        with pytest.raises(InvalidParameters, match="x_max >= 1 and y_max >= 1"):
+            tandem_product_form(T2, x_max=x_max, y_max=y_max)

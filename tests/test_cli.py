@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import uqtail
-from uqtail import Model, __version__, make_params, params_from_dict
+from uqtail import (Model, __version__, characteristic_roots, make_params,
+                    params_from_dict)
 from uqtail.cli import build_parser, main
 
 A_FLAGS = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
@@ -254,7 +255,26 @@ def test_csv_header_lines(tmp_path):
     tailfit = _header(tmp_path / "tailfit.csv")
     assert tailfit[:9] == start + params
     assert [line.split("=")[0] for line in tailfit[9:]] == [
-        "# gamma_est", "# log_prefactor_est", "# k_min", "# k_max"]
+        "# gamma_est", "# log_prefactor_est", "# k_min", "# k_max", "# residual",
+        "# tail_mass_bound"]
+    # every chain's table states its balance residual and the mass outside it
+    for flags in (T2_FLAGS, [*T2_FLAGS, "--model", "model2", "--p", "0.5"],
+                  [*T2_FLAGS, "--model", "rsrd", "--p", "0.5"]):
+        assert main(["tailfit", *flags, "--kmin", "20", "--kmax", "30", "--xmax", "40",
+                     "--out", str(tmp_path)]) == 0
+        values = dict(line[2:].split("=") for line in _header(tmp_path / "tailfit.csv"))
+        assert 0.0 <= float(values["residual"]) <= 1e-14, flags
+        assert 0.0 <= float(values["tail_mass_bound"]) <= 1e-6, flags
+
+
+def test_tandem_tailfit_reads_the_product_form(tmp_path, capsys):
+    # the 120 x 120 lattice read 0.53656 here; the product form has no cut
+    code = main(["tailfit", *T2_FLAGS, "--model", "model2", "--kmin", "20", "--kmax", "60",
+                 "--xmax", "120", "--out", str(tmp_path)])
+    assert code == 0
+    fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+    gamma_1 = characteristic_roots(make_params(10, 30, 0.1, 10, model=Model.MODEL2)).gamma_p
+    assert abs(float(fields["gamma_est"]) - gamma_1) <= 1e-4
 
 
 def test_params_file_round_trip_keeps_the_model(tmp_path):
@@ -309,13 +329,15 @@ for argv in (["analyze", *A], ["analyze", *T2, "--model", "model2", "--p", "0.5"
              ["tailfit", *A, "--kmin", "20", "--kmax", "30"], ["compare-mm1", *A],
              ["tailfit", *T2, "--model", "rsrd", "--p", "0.5", "--kmin", "20", "--kmax", "35",
               "--xmax", "40"],
+             ["tailfit", *T2, "--model", "model2", "--kmin", "20", "--kmax", "35",
+              "--xmax", "40"],
              ["verify", "--grid", "20"]):
     assert main(argv) == 0, argv
     assert "scipy" not in sys.modules, argv
 conditioned_excursion_slope(make_params(10, 11, 0.1, 10), level_k=30)
 assert "scipy" not in sys.modules
-assert main(["tailfit", *T2, "--model", "model2", "--kmin", "20", "--kmax", "35",
-             "--xmax", "40"]) == 0
+assert main(["tailfit", *T2, "--model", "model2", "--p", "0.5", "--kmin", "20",
+             "--kmax", "35", "--xmax", "40"]) == 0
 assert "scipy.sparse.linalg" in sys.modules
 """
 

@@ -9,7 +9,8 @@ from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParam
                     default_uniformization, escape_probabilities, eta,
                     exact_stationary_model1, feynman_kac, full_kernel, make_params,
                     params_from_json, prefactors, qbd_blocks, rs_rd_kernel,
-                    rs_rd_stationary, truncated_stationary, twist_summary)
+                    rs_rd_stationary, tandem_product_form, truncated_stationary,
+                    twist_summary)
 from uqtail.params import check_state
 
 A = make_params(10, 11, 0.1, 10)
@@ -130,12 +131,13 @@ M1, M2, RS = {Model.MODEL1}, {Model.MODEL2}, {Model.RSRD}
     (lambda p: feynman_kac(p, 0.1), M1, "Model 1"),
     (lambda p: conditioned_excursion_slope(p, level_k=30), M1, "Model 1"),
     (lambda p: rs_rd_stationary(p, x_max=5, y_max=5), RS, "RS-RD"),
+    (lambda p: tandem_product_form(p, x_max=5, y_max=5), M2, "tandem"),
     (lambda p: rs_rd_kernel(p, (0, 0, UP)), RS, "RS-RD"),
     (twist_summary, M1 | M2, "tandem"),
     (eta, M1 | M2, "tandem"),
 ], ids=["qbd_blocks", "boundary_vector", "exact_stationary_model1",
         "escape_probabilities", "feynman_kac", "conditioned_excursion_slope",
-        "rs_rd_stationary", "rs_rd_kernel", "twist_summary", "eta"])
+        "rs_rd_stationary", "tandem_product_form", "rs_rd_kernel", "twist_summary", "eta"])
 def test_single_chain_functions_refuse_other_chains(call, serves, needs):
     for params in (A, T2, T2_HALF, RS_ONE):
         if params.model not in serves:
