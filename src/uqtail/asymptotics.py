@@ -13,9 +13,8 @@ import numpy as np
 
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      make_params)
-from .qbd import (StationaryTable, _lattice_inflow, _lattice_shape, boundary_vector,
-                  exact_stationary_model1, first_passage, level_blocks,
-                  truncated_stationary)
+from .qbd import (StationaryTable, _lattice_inflow, _lattice_shape, _model1_levels,
+                  boundary_vector, first_passage, level_blocks, truncated_stationary)
 from .spectral import characteristic_roots
 from .twist import TwistSummary, twist_summary
 
@@ -434,12 +433,12 @@ def tandem_product_form(params: ModelParams, x_max: int, y_max: int) -> Stationa
     if params.model is not Model.MODEL2 or params.p != 1.0:
         raise InvalidParameters("the product form needs a tandem parameter set with p = 1")
     _lattice_shape(Model.MODEL2, x_max, y_max)   # raises on an empty side
-    station1 = exact_stationary_model1(
+    station1, beyond = _model1_levels(
         make_params(params.lam, params.mu, params.alpha, params.beta), k_max=x_max + 1)
     r = params.lam / params.mu
     powers = np.array([r ** k for k in range(y_max + 2)])
-    pi = (1.0 - r) * powers[None, :, None] * station1.pi[:, None, :]
-    beyond_x = station1.tail_mass_bound + float(station1.pi[-1].sum())
+    pi = (1.0 - r) * powers[None, :, None] * station1[:, None, :]
+    beyond_x = beyond + float(station1[-1].sum())
     return _product_form_table(params, pi, beyond_x, r ** (y_max + 1))
 
 

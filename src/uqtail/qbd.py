@@ -217,16 +217,21 @@ def _boundary(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return pi0 / float(pi0 @ np.linalg.solve(np.eye(2) - r, np.ones(2))), r
 
 
-def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
-    """Matrix-geometric stationary table pi(k, sigma) = pi0 R^k for k <= k_max."""
+def _model1_levels(params: ModelParams, k_max: int) -> tuple[np.ndarray, float]:
+    """Levels pi0 R^k for k <= k_max, and the mass beyond them."""
     pi0, r = _boundary(params)
-    blocks = qbd_blocks(params)   # for the balance residual only
     level = pi0.copy()
     levels = np.empty((k_max + 1, 2))
     for k in range(k_max + 1):
         levels[k] = level
         level = level @ r
-    tail = float(level @ np.linalg.solve(np.eye(2) - r, np.ones(2)))
+    return levels, float(level @ np.linalg.solve(np.eye(2) - r, np.ones(2)))
+
+
+def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
+    """Matrix-geometric stationary table pi(k, sigma) = pi0 R^k for k <= k_max."""
+    levels, tail = _model1_levels(params, k_max)
+    blocks = qbd_blocks(params)   # for the balance residual only
     # max |pi P - pi| over levels 0..k_max-1 of the full chain
     inflow = levels[:-1] @ blocks.p1 + levels[1:] @ blocks.p2
     inflow[1:] += levels[:-2] @ blocks.p0

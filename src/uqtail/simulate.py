@@ -118,13 +118,15 @@ class EmpiricalDistribution(LatticeLaw):
 
 
 def _phase_rows(params: ModelParams):
-    """Per phase, the interior class row (origin (1, [1,] sigma)) as thresholds
-    cum and moves with columns dx, [dy,] target phase.
+    """Both phases' interior class rows (origin (1, [1,] sigma)) merged into
+    one interval table (cuts, to_up, to_down, moves).
 
-    cum is made non-decreasing by a running maximum, which leaves the first
-    j with u < cum[j] unchanged, so np.searchsorted finds it.  A blocked move
-    keeps the phase, so a row with a move that changes a coordinate and the
-    phase, or a coordinate by more than one, raises.
+    u falls in interval k, the number of cuts (both rows' thresholds cum[j]
+    but the last, sorted) at or below it, where each row's first j with
+    u < cum[j] is constant: from phase sigma it leads to to_up[k] (Up) or
+    to_down[k] (Down) and moves the coordinates by moves[:, 2k + sigma].  A
+    blocked move keeps the phase, so a row with a move that changes a
+    coordinate and the phase, or a coordinate by more than one, raises.
     """
     classes = row_classes(params)
     interior = (1,) if params.model is Model.MODEL1 else (1, 1)
@@ -133,14 +135,16 @@ def _phase_rows(params: ModelParams):
         origin = (*interior, sigma)
         row = classes[origin]
         moves = np.array([(*(t - o for t, o in zip(target[:-1], origin)), target[-1])
-                          for target, _ in row.targets])
-        cum = np.cumsum([prob for _, prob in row.targets])
-        cum[-1] = 1.0
+                          for target, _ in row.targets], dtype=np.int8)
         delta = moves[:, :-1]
         if np.any(np.abs(delta) > 1) or np.any(delta.any(axis=1) & (moves[:, -1] != sigma)):
             raise ValueError(f"row at {origin} has a move that blocking would distort")
-        rows.append((np.maximum.accumulate(cum), moves))
-    return rows
+        rows.append((np.cumsum([prob for _, prob in row.targets])[:-1], moves))
+    cuts = np.array(sorted({c for cum, _ in rows for c in cum}))   # np.unique loads numpy.ma
+    left = np.concatenate(([0.0], cuts))   # each interval's left end
+    up, down = (moves[np.searchsorted(cum, left, side="right")] for cum, moves in rows)
+    moves = np.stack([up[:, :-1], down[:, :-1]], axis=1).reshape(2 * len(left), -1)
+    return cuts, up[:, -1], down[:, -1], np.ascontiguousarray(moves.T)
 
 
 def simulate(params: ModelParams, steps: int, seed: int = 0,
@@ -160,7 +164,7 @@ def simulate(params: ModelParams, steps: int, seed: int = 0,
     if start is None:
         start = (0, UP) if params.model is Model.MODEL1 else (0, 0, UP)
     check_state(start, params.model)
-    rows = _phase_rows(params)
+    table = _phase_rows(params)
     rng = np.random.default_rng(seed)
     # x[, y] as int32, then the phase as int8
     columns = [np.empty(steps + 1, dtype=np.int32) for _ in start[:-1]]
@@ -170,7 +174,7 @@ def simulate(params: ModelParams, steps: int, seed: int = 0,
     state, i = start, 0
     while i < steps:
         block = rng.random(min(_BLOCK, steps - i))
-        for column, path in zip(columns, _block_path(rows, block, state)):
+        for column, path in zip(columns, _block_path(table, block, state)):
             column[i + 1:i + 1 + len(block)] = path
         i += len(block)
         state = tuple(int(column[i]) for column in columns)
@@ -178,27 +182,31 @@ def simulate(params: ModelParams, steps: int, seed: int = 0,
     return Trajectory(params=params, seed=seed, x=columns[0], status=columns[-1], y=y)
 
 
-def _block_path(rows, u, start):
+def _block_path(table, u, start):
     """Coordinates and phase after each uniform of u, from state start.
 
-    The phases come first (`_phase_path`): blocked moves keep the phase, so
-    the phase chain sees no coordinate.  When every move that lowers x
-    leaves y unchanged, x never blocks y.  y then follows the Lindley
-    recursion y_k = max(y_{k-1} + dy_k, 0), which is the blocking rule for
-    unit steps, and x follows it too once the moves that y blocked are
-    removed.  Otherwise (the feedback move (x - 1, y + 1)) a per-step loop
-    applies the rule.
+    One pass per cut of the `_phase_rows` table gives each uniform's
+    interval, then the phases (`_phase_path`): blocked moves keep the phase,
+    so the phase chain sees no coordinate.  Each step reads the move of its
+    current phase alone.  When every move that lowers x leaves y unchanged,
+    x never blocks y.  y then follows the Lindley recursion
+    y_k = max(y_{k-1} + dy_k, 0), which is the blocking rule for unit steps,
+    and x follows it too once the moves that y blocked are removed.
+    Otherwise (the feedback move (x - 1, y + 1)) a per-step loop applies the
+    rule.
     """
-    up, down = (moves[np.searchsorted(cum, u, side="right")] for cum, moves in rows)
-    phase = _phase_path(start[-1], up[:, -1], down[:, -1])
-    delta = np.where((phase[:-1] == UP)[:, None], up[:, :-1], down[:, :-1])
-    if delta.shape[1] == 1:
-        return _lindley(start[0], delta[:, 0]), phase[1:]
-    if any(np.any((moves[:, 0] < 0) & (moves[:, 1] != 0)) for _, moves in rows):
-        return (*_blocked_walk(start[0], start[1], delta[:, 0].tolist(),
-                               delta[:, 1].tolist()), phase[1:])
-    y = _lindley(start[1], delta[:, 1])
-    dx = np.where(np.concatenate(([start[1]], y[:-1])) + delta[:, 1] < 0, 0, delta[:, 0])
+    cuts, to_up, to_down, moves = table
+    k = np.zeros(len(u), dtype=np.uint8)
+    for cut in cuts:
+        k += u >= cut
+    phase = _phase_path(start[-1], to_up.take(k), to_down.take(k))
+    delta = moves.take(2 * k + phase[:-1].view(np.uint8), axis=1)
+    if len(delta) == 1:
+        return _lindley(start[0], delta[0]), phase[1:]
+    if np.any((moves[0] < 0) & (moves[1] != 0)):
+        return (*_blocked_walk(*start[:2], delta[0].tolist(), delta[1].tolist()), phase[1:])
+    y = _lindley(start[1], delta[1])
+    dx = np.where(np.concatenate(([start[1]], y[:-1])) + delta[1] < 0, 0, delta[0])
     return _lindley(start[0], dx), y, phase[1:]
 
 
@@ -226,14 +234,16 @@ def _phase_path(s, to_up, to_down):
 
     Step k leads to to_up[k] from Up and to to_down[k] from Down.  A step
     whose two targets agree sets the phase; one that keeps Up and Down keeps
-    it, and one that swaps them flips it.  So the phase is the one set last,
-    flipped once per swap since (UP = 0, DOWN = 1).
+    it, and one that swaps them (to_up > to_down) flips it.  So the phase is
+    the one set last, xor the parity of the swaps since (UP = 0, DOWN = 1).
     """
     sets = np.concatenate(([True], to_up == to_down))
-    last = np.maximum.accumulate(np.where(sets, np.arange(len(sets)), 0))
-    swaps = np.concatenate(([0], np.cumsum((to_up == DOWN) & (to_down == UP))))
-    phase = np.concatenate(([s], to_up))[last]
-    return (phase ^ ((swaps - swaps[last]) & 1)).astype(np.int8)
+    last = np.arange(len(sets), dtype=np.int32) * sets
+    np.maximum.accumulate(last, out=last)   # in place: a new array costs page faults
+    parity = np.concatenate(([False], to_up > to_down)).view(np.uint8)
+    np.bitwise_xor.accumulate(parity, out=parity)
+    phase = np.concatenate(([s], to_up)).astype(np.uint8) ^ parity   # as set, unflipped
+    return (phase.take(last) ^ parity).view(np.int8)
 
 
 def empirical_distribution(trajectory: Trajectory, burn_in: int = 0) -> EmpiricalDistribution:

@@ -391,6 +391,29 @@ def test_boundary_rows_are_interior_rows_with_blocked_moves_folded(params):
                    for k in set(folded) | set(expected)) <= 1e-15, origin
 
 
+@pytest.mark.parametrize("params", [A, B, *TWO_SERVER, *_fold_sets()])
+def test_interval_table_reads_each_phase_row(params):
+    # at each merged interval's left end and one ulp below its right end,
+    # both phases' rows searched on their own give the table's moves
+    cuts, to_up, to_down, moves = _phase_rows(params)
+    assert np.all(np.diff(cuts) > 0) and len(to_up) == len(to_down) == len(cuts) + 1
+    assert moves.shape == (1 if params.model is Model.MODEL1 else 2, 2 * len(to_up))
+    ends = np.concatenate(([0.0], cuts, [1.0]))
+    rows = _reference_rows(params)
+    checked = 0
+    for k, (left, right) in enumerate(zip(ends[:-1], ends[1:])):
+        if left >= right:   # a first cut at 0, or a cut at 1: no uniform lands here
+            continue
+        for u in (left, np.nextafter(right, 0.0)):
+            assert np.searchsorted(cuts, u, side="right") == k
+            for sigma, targets in ((UP, to_up), (DOWN, to_down)):
+                cum, row_moves = rows[sigma]
+                delta, to = row_moves[np.searchsorted(cum, u, side="right")]
+                assert (tuple(moves[:, 2 * k + sigma].tolist()), int(targets[k])) == (delta, to)
+                checked += 1
+    assert checked >= 4 * len(cuts)
+
+
 def test_phase_rows_reject_a_coordinate_move_that_changes_phase(monkeypatch):
     classes = dict(row_classes(A))
     classes[(1, UP)] = TransitionRow((1, UP), (((0, DOWN), 0.5), ((2, UP), 0.5)))
@@ -417,9 +440,41 @@ MODEL1_PATHS = {
 @pytest.mark.parametrize("name,start", list(MODEL1_PATHS))
 def test_model1_paths_are_pinned(name, start):
     traj = simulate({"A": A, "B": B}[name], steps=2 * _BLOCK + 1, seed=2024, start=start)
-    digests = tuple(hashlib.sha256(np.ascontiguousarray(column, dtype=dtype).tobytes()).hexdigest()
-                    for column, dtype in ((traj.x, "<i4"), (traj.status, "i1")))
-    assert digests == MODEL1_PATHS[name, start]
+    assert _path_digests(traj) == MODEL1_PATHS[name, start]
+
+
+def _path_digests(traj):
+    """SHA-256 of x[, y] as little-endian int32 and of status as int8."""
+    columns = [(traj.x, "<i4")] + ([] if traj.y is None else [(traj.y, "<i4")])
+    return tuple(hashlib.sha256(np.ascontiguousarray(column, dtype=dtype).tobytes()).hexdigest()
+                 for column, dtype in columns + [(traj.status, "i1")])
+
+
+# SHA-256 of x, y (int32) and status (int8) for seed 2024 and 2 * _BLOCK + 1
+# steps from (0, 0, UP), as the sampler that searched each phase's row for
+# every uniform wrote them
+TWO_SERVER_PATHS = {
+    "T2": ("1a073a99ac850a4c8ed7f62ebdee60851153243cb0a9e395b4baf6a4c27a967f",
+           "112e92d145f08e2a50f07f01fe3da88e0cb91c69fde27e815d6e822175fcba91",
+           "2b765787f5b4aa983aed2e13ff876202c6cc9667ff2d11fdc94a9f892ba2f38f"),
+    "tandem-p0.5": ("1fce03964d9cd7d3de0056d73867781831573514c2708eddd77c051d1cc699dc",
+                    "c01a3fa335058ff57110d4f1822a3bd43ca79364c4fb09baa621495a4a4d5acf",
+                    "2b765787f5b4aa983aed2e13ff876202c6cc9667ff2d11fdc94a9f892ba2f38f"),
+    "rsrd-p0.5": ("70b5c8bf196bb11cfd3a18b9310944db9279aa168968fc145a52158d4f7a186b",
+                  "dfbda04edb7d1480a33d15abb506fa734e056108b2f799ddc48c3c600f6f87f3",
+                  "558979f2a2e3369cf6afeb2f99e6cdd1bb3153f896dbb97e963bd38ef89ca707"),
+    "rsrd": ("a0c8c85142774d9a21548c6ee8571097a464bec084c6c634f6240b3dea51317b",
+             "830ea8fa867b52a7ec0c4e21cfac52e5c253bbdd0321645ad4e02e1a84cc8891",
+             "e6b02e8ac8e50ddfcd7859061aa0bb3c1f26b807143bbc6f692ec0beabcb5b63"),
+}
+
+
+@pytest.mark.parametrize("name", list(TWO_SERVER_PATHS))
+def test_two_server_paths_are_pinned(name):
+    model = Model.RSRD if name.startswith("rsrd") else Model.MODEL2
+    params = make_params(10, 30, 0.1, 10, p=0.5 if name.endswith("p0.5") else 1.0, model=model)
+    traj = simulate(params, steps=2 * _BLOCK + 1, seed=2024, start=(0, 0, UP))
+    assert _path_digests(traj) == TWO_SERVER_PATHS[name]
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5])
