@@ -25,8 +25,9 @@ from .params import (DOWN, UP, InvalidParameters, Model, make_params,
                      params_from_json)
 from .qbd import (ConvergenceError, _lattice_shape, exact_stationary_model1,
                   truncated_stationary)
-from .simulate import (empirical_distribution, excursion_verdict, ld_excursions,
-                       regime_prediction, simulate)
+from .simulate import (_check_burn_in, _check_levels, empirical_distribution,
+                       excursion_verdict, ld_excursions, regime_prediction,
+                       simulate)
 from .spectral import characteristic_roots, stability
 from .twist import twist_summary
 from .verify import run_checks
@@ -153,10 +154,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = _resolve_params(args)
+    burn = args.burn_in if args.burn_in is not None else args.steps // 10
+    if args.steps >= 1:   # else simulate() names the step count
+        _check_burn_in(burn, args.steps)   # before sampling: a bad value writes no file
     traj = simulate(params, steps=args.steps, seed=args.seed)
     out = _out_dir(args)
     (out / "trajectory.csv").write_text(traj.to_csv())
-    burn = args.burn_in if args.burn_in is not None else args.steps // 10
     emp = empirical_distribution(traj, burn_in=burn)
     lines = [_csv_header(params, seed=args.seed, burn_in=burn, steps=args.steps)]
     lines.append("x,y,status,frequency\n" if traj.y is not None
@@ -172,6 +175,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_ldpath(args) -> int:
     params = _resolve_params(args)
+    _check_levels(args.level, args.base_level)   # before sampling
     traj = simulate(params, steps=args.steps, seed=args.seed)
     excursions = ld_excursions(traj, level_k=args.level, base_level=args.base_level)
     predicted = regime_prediction(params)

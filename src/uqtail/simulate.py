@@ -52,36 +52,49 @@ class Trajectory:
         else:
             out.append("step,x,y,status\n")
             columns = (self.x, self.y, self.status)
-        for first in range(0, len(self.x), _BLOCK):
-            last = min(first + _BLOCK, len(self.x))
-            out.append(_csv_lines([np.arange(first, last)]
-                                  + [column[first:last] for column in columns]))
-        return "".join(out)
+        head = np.frombuffer("".join(out).encode(), dtype=np.uint8)
+        blocks = (_csv_lines([np.arange(first, min(first + _BLOCK, len(self.x)))]
+                             + [column[first:first + _BLOCK] for column in columns])
+                  for first in range(0, len(self.x), _BLOCK))
+        # the list of blocks is freed before the decode: two copies of the text at most
+        return str(np.concatenate([head, *blocks]), "utf-8")
 
 
-def _csv_lines(columns: list[np.ndarray]) -> str:
-    """Lines "a,b,...\\n" of non-negative integer columns, as f-strings print them.
+def _csv_lines(columns: list[np.ndarray]) -> np.ndarray:
+    """Lines "a,b,...\\n" of non-negative integer columns, as f-strings print
+    them: the uint8 array of their ASCII bytes.
 
-    Each field's decimal digits go right-aligned into a uint8 matrix, with
-    byte 0 as padding, followed by its "," or "\\n"; dropping the padding
-    leaves the text.
+    The text is laid out byte position by line, one uint8 row per position
+    of the fixed-width line: each field's decimal digits right-aligned, with
+    byte 0 as padding, then its "," or "\\n".  Each digit is rest - 10 *
+    (rest // 10), one `//` and one subtraction in the narrowest unsigned
+    dtype that holds the column: numpy divides by a scalar on a fast path,
+    but has none for the remainder.  One transpose puts the lines in order,
+    and dropping the padding leaves the text.
     """
-    if any(column.min() < 0 for column in columns):
+    lows = [int(column.min()) for column in columns]
+    if min(lows) < 0:
         raise ValueError("trajectory columns must be non-negative")
-    widths = [len(str(int(column.max()))) for column in columns]
-    text = np.zeros((len(columns[0]), sum(widths) + len(columns)), dtype=np.uint8)
+    tops = [int(column.max()) for column in columns]
+    widths = [len(str(top)) for top in tops]
+    text = np.empty((sum(widths) + len(columns), len(columns[0])), dtype=np.uint8)
     end = 0
-    for column, width in zip(columns, widths):
-        rest, digit = np.divmod(column.astype(np.int64), 10)
-        text[:, end + width - 1] = 48 + digit
-        for pos in range(end + width - 2, end - 1, -1):
-            text[:, pos] = (48 + rest % 10) * (rest > 0)
-            rest //= 10
+    for column, low, top, width in zip(columns, lows, tops, widths):
+        rest = column.astype(np.min_scalar_type(top))
+        quot = np.empty_like(rest)   # two buffers in turn: a new array costs page faults
+        for k in range(width):   # rest = column // 10**k
+            row = text[end + width - 1 - k]
+            np.floor_divide(rest, 10, out=quot)
+            np.subtract(rest, quot * 10, out=row, casting="unsafe")
+            row += 48
+            if k and low < 10 ** k:   # some values have at most k digits
+                row *= rest > 0
+            rest, quot = quot, rest
         end += width + 1
-        text[:, end - 1] = ord(",")
-    text[:, -1] = ord("\n")
-    flat = text.ravel()
-    return flat[flat != 0].tobytes().decode("ascii")
+        text[end - 1] = ord(",")
+    text[-1] = ord("\n")
+    flat = text.T.ravel()
+    return flat[flat != 0]
 
 
 @dataclass(frozen=True)
@@ -212,8 +225,12 @@ def _block_path(table, u, start):
 
 def _lindley(x, dx):
     """x_k = max(x_{k-1} + dx_k, 0) from x_0 = x >= 0, for every k >= 1."""
-    level = x + np.cumsum(dx)
-    return level - np.minimum(np.minimum.accumulate(level), 0)
+    level = np.cumsum(dx, dtype=np.int32)   # int32 like the x and y columns
+    level += x
+    low = np.minimum.accumulate(level)
+    np.minimum(low, 0, out=low)
+    level -= low
+    return level
 
 
 def _blocked_walk(x, y, dx, dy):
@@ -246,10 +263,21 @@ def _phase_path(s, to_up, to_down):
     return (phase.take(last) ^ parity).view(np.int8)
 
 
+def _check_burn_in(burn_in: int, steps: int) -> None:
+    if not 0 <= burn_in < steps:
+        raise InvalidParameters("burn_in must fall inside the trajectory")
+
+
+def _check_levels(level_k: int, base_level: int) -> None:
+    if base_level < 0:
+        raise InvalidParameters("base_level must be >= 0")
+    if level_k <= base_level:
+        raise InvalidParameters("level_k must exceed base_level")
+
+
 def empirical_distribution(trajectory: Trajectory, burn_in: int = 0) -> EmpiricalDistribution:
     """State-occupation frequencies after a burn-in, with a drift diagnostic."""
-    if not 0 <= burn_in < trajectory.steps:
-        raise InvalidParameters("burn_in must fall inside the trajectory")
+    _check_burn_in(burn_in, trajectory.steps)
     x = trajectory.x[burn_in:]
     s = trajectory.status[burn_in:]
     notes = []
@@ -277,10 +305,7 @@ def ld_excursions(trajectory: Trajectory, level_k: int,
     no earlier visit at or below base_level (the path starts above it) is
     skipped.
     """
-    if base_level < 0:
-        raise InvalidParameters("base_level must be >= 0")
-    if level_k <= base_level:
-        raise InvalidParameters("level_k must exceed base_level")
+    _check_levels(level_k, base_level)
     x = trajectory.x
     status = trajectory.status
     hits = np.flatnonzero(x >= level_k)
@@ -328,10 +353,7 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
     drift twist_summary(params).drift.value as K grows.  Raises
     InvalidParameters off Model 1 and UnstableParameters off stability.
     """
-    if base_level < 0:
-        raise InvalidParameters("base_level must be >= 0")
-    if level_k <= base_level:
-        raise InvalidParameters("level_k must exceed base_level")
+    _check_levels(level_k, base_level)
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the excursion slope needs a Model 1 parameter set")
     if not stability(params).stable:

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import uqtail
-from uqtail import (Model, __version__, characteristic_roots, make_params,
-                    params_from_dict)
+from uqtail import (Model, __version__, characteristic_roots, cli, make_params,
+                    params_from_dict, simulate)
 from uqtail.cli import build_parser, main
 
 A_FLAGS = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
@@ -115,6 +115,20 @@ def test_negative_seed_and_base_level_are_validation_errors(tmp_path, capsys, ar
     captured = capsys.readouterr()
     assert captured.err.startswith("validation error: ") and message in captured.err
     assert "PASS" not in captured.out and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", *A_FLAGS, "--steps", "1000", "--burn-in", "1000"],
+     "burn_in must fall inside the trajectory"),
+    (["ldpath", *A_FLAGS, "--steps", "1000", "--level", "2"], "level_k must exceed base_level"),
+], ids=["simulate-burn-in", "ldpath-level"])
+def test_bad_values_are_rejected_before_sampling(tmp_path, capsys, monkeypatch, argv, message):
+    sampled = []
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: sampled.append(a) or simulate(*a, **k))
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("validation error: ") and message in captured.err
+    assert not sampled and not list(tmp_path.iterdir())
 
 
 def test_simulate_outputs(tmp_path, capsys):

@@ -14,7 +14,7 @@ from uqtail import (DOWN, UP, Excursion, InvalidParameters, Model, Trajectory,
                     tandem_product_form, truncated_stationary)
 from uqtail.cli import _csv_header, _fmt, main
 from uqtail.kernels import TransitionRow, row_classes
-from uqtail.simulate import _BLOCK, _block_path, _phase_path, _phase_rows
+from uqtail.simulate import _BLOCK, _block_path, _csv_lines, _phase_path, _phase_rows
 from uqtail.verify import random_params
 
 A = make_params(10, 11, 0.1, 10)
@@ -505,7 +505,8 @@ def _assert_same_lines(text, expected):
 
 @pytest.mark.parametrize("rows", [2, 20, _BLOCK + 3])
 def test_trajectory_csv_matches_fstrings(rows):
-    widths = np.array([0, 9, 10, 99, 100, 99_999, 100_000], dtype=np.int32)
+    widths = np.array([0, 9, 10, 99, 100, 99_999, 100_000, 10 ** 9, 2 ** 31 - 1],
+                      dtype=np.int32)
     x = np.resize(widths, rows)
     y = np.resize(widths[::-1], rows)
     status = np.resize(np.array([UP, DOWN], dtype=np.int8), rows)
@@ -518,6 +519,37 @@ def test_trajectory_csv_matches_fstrings(rows):
     assert one.to_csv().endswith("status\n" + _reference_csv_rows(one))
     with pytest.raises(ValueError):
         Trajectory(params=A, seed=0, x=-x, status=status).to_csv()
+
+
+@pytest.mark.parametrize("columns", [
+    [np.arange(9_999_990, 10_000_010), np.arange(20, dtype=np.int32) % 3],
+    [np.arange(20), np.zeros(20, dtype=np.int32), np.ones(20, dtype=np.int8)],
+    [np.array([7]), np.array([123], dtype=np.int32), np.array([DOWN], dtype=np.int8)],
+], ids=["power-of-ten-inside", "all-zero-column", "one-row"])
+def test_csv_lines_match_fstrings(columns):
+    rows = zip(*(column.tolist() for column in columns))
+    expected = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    assert _csv_lines(columns).tobytes().decode() == expected
+
+
+# SHA-256 of trajectory.csv and empirical.csv from the simulate verb, seed 21
+# and 2 * _BLOCK + 1 steps, as the formatter that divided in int64 wrote them
+SIMULATE_VERB_FILES = {
+    ("--lambda", "20", "--mu", "60", "--alpha", "0.01", "--beta", "1"):
+        ("f177d3412a7d333aaddc56dd69c151c0f7dd203c7a40ad304bb9d649bb806469",
+         "3f9e891d8ad7929dcff504c8b686e07aea4681ab2cb80d30263bc4035aafb626"),
+    ("--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10", "--model", "model2"):
+        ("eb24917d16d5d07fb95650f25193b3156be0db1825dd37de063ec505e38f2ebb",
+         "22c57560728b60fa3a752e0054850c21fef75fbf32d0b41c642e162467f0a55e"),
+}
+
+
+@pytest.mark.parametrize("flags", list(SIMULATE_VERB_FILES), ids=["B", "T2"])
+def test_simulate_verb_files_are_pinned(flags, tmp_path, capsys):
+    assert main(["simulate", *flags, "--steps", str(2 * _BLOCK + 1), "--seed", "21",
+                 "--out", str(tmp_path)]) == 0
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("trajectory.csv", "empirical.csv")) == SIMULATE_VERB_FILES[flags]
 
 
 def _reference_excursions(trajectory, level_k, base_level=2):
