@@ -15,10 +15,9 @@ from .spectral import (SpectralSolution, StabilityReport, characteristic_roots,
                        feynman_kac, stability)
 from .twist import (Drift, HarmonicFunction, ProductFormPhi, TwistRates,
                     TwistSummary, harmonic, twist_row, twist_summary)
-from .qbd import (ConvergenceError, QbdBlocks, StationaryTable,
-                  TruncationError, boundary_vector, exact_stationary_model1,
-                  neuts_stability, qbd_blocks, rate_matrix,
-                  rate_matrix_closed_form, truncated_stationary)
+from .qbd import (ConvergenceError, StationaryTable, TruncationError,
+                  boundary_vector, exact_stationary_model1, neuts_stability,
+                  rate_matrix, rate_matrix_closed_form, truncated_stationary)
 from .asymptotics import (AlphaLimits, EscapeProbs, EtaEstimate, Mm1Comparison,
                           TailAsymptotic, TailFit, TwoGeometricFit, TwoTermFit,
                           alpha_limits, escape_probabilities, eta,
@@ -42,10 +41,9 @@ __all__ = [
     "feynman_kac", "stability",
     "Drift", "HarmonicFunction", "ProductFormPhi", "TwistRates", "TwistSummary",
     "harmonic", "twist_row", "twist_summary",
-    "ConvergenceError", "QbdBlocks", "StationaryTable", "TruncationError",
+    "ConvergenceError", "StationaryTable", "TruncationError",
     "boundary_vector", "exact_stationary_model1", "neuts_stability",
-    "qbd_blocks", "rate_matrix", "rate_matrix_closed_form",
-    "truncated_stationary",
+    "rate_matrix", "rate_matrix_closed_form", "truncated_stationary",
     "AlphaLimits", "EscapeProbs", "EtaEstimate", "Mm1Comparison",
     "TailAsymptotic", "TailFit", "TwoGeometricFit", "TwoTermFit",
     "alpha_limits", "escape_probabilities", "eta", "mm1_comparison",

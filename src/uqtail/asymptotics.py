@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import level_blocks
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
-                     make_params)
+                     UnstableParameters, make_params)
 from .qbd import (StationaryTable, _lattice_inflow, _lattice_shape, _model1_levels,
-                  boundary_vector, first_passage, level_blocks, truncated_stationary)
-from .spectral import characteristic_roots
+                  boundary_vector, first_passage, truncated_stationary)
+from .spectral import characteristic_roots, stability
 from .twist import TwistSummary, twist_summary
 
 _ESCAPE_RESIDUAL = 1e-12
@@ -54,11 +55,8 @@ class TailAsymptotic:
 
 @dataclass(frozen=True)
 class TwoTermFit:
-    w2: float
-    w3: float
-    k_window: tuple[int, int]
-    max_relative_residual: float
-    geometric_ok: bool
+    w2: float   # weight of gamma_1^k, the dominant term
+    w3: float   # weight of gamma^k, the secondary term
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ class AlphaLimits:
 
 def _escape_first_passage(rows, y_cut: int = 0) -> np.ndarray:
     """Escape probabilities from level 0 for every phase of the twisted
-    class rows `rows`, with phases and the y cut as in `qbd.level_blocks`.
+    class rows `rows`, with phases and the y cut as in `kernels.level_blocks`.
 
     The free chain leaves level 0 upwards by the same up block A0 as any
     level, so escape = A0 (1 - G 1) with G from `qbd.first_passage`.  For
@@ -215,6 +213,7 @@ def prefactors(params: ModelParams, model: Model | None = None, *,
                seed: int = 0) -> TailAsymptotic:
     """Tail constants of the dominant geometric term (`tail_constants` of the
     set's `twist_summary`); shape-only for the feedback tandem (p < 1).
+    Raises UnstableParameters off stability.
 
     `model` and `seed` may be omitted; perfbench/run.py passes both.  A given
     `model` must be params.model; `seed` is unused, as nothing here is random.
@@ -222,6 +221,8 @@ def prefactors(params: ModelParams, model: Model | None = None, *,
     if model not in (None, params.model):
         raise InvalidParameters(f"model {model} does not match the parameters' {params.model}")
     if params.model is Model.MODEL2 and params.p != 1.0:
+        if not stability(params).stable:
+            raise UnstableParameters("the shape-only tail requires a stable parameter set")
         sol = characteristic_roots(params)
         return TailAsymptotic(model=params.model, gamma=sol.gamma_p, prefactor_up=None,
                               prefactor_down=None, eta=None, escape_up=None,
@@ -260,40 +261,30 @@ def tail_constants(twist: TwistSummary, *,
                           secondary_weight=None, **extra)
 
 
-def two_term_tail(params: ModelParams, table: StationaryTable,
-                  k_lo: int = 1, k_hi: int | None = None) -> TwoTermFit:
-    """Two-term geometric expansion pi(k, Up) ~ w2 gamma_1^k + w3 gamma^k.
+def two_term_tail(params: ModelParams) -> TwoTermFit:
+    """Model 1's pi(k, Up) = w2 gamma_1^k + w3 gamma^k, both weights in closed form.
 
-    w2 is the closed-form dominant prefactor; w3 has no closed form and is
-    fitted by least squares on the residuals at small k.
+    w2 is the dominant prefactor C(Up).  pi(k) = pi0 R^k, and R's eigenvalues
+    are gamma_1 > gamma, so w3 is the Up entry of pi0 P with P = (R - gamma_1 I)
+    / (gamma - gamma_1), R's second spectral projector.  Its Up column is
+    (R_UU - gamma_1, R_DU) / (gamma - gamma_1), where det(R - gamma_1 I) = 0
+    gives R_UU - gamma_1 = R_UD R_DU / (R_DD - gamma_1) = -2 lambda alpha / (mu den),
+    R_DU = lambda / mu and gamma - gamma_1 = -lambda sqrt(s) / (mu (lambda + beta)),
+    with den and sqrt(s) from `characteristic_roots`.  pi0 is proportional to
+    (lambda + beta, alpha), and the two terms of pi0 P's Up entry, which have
+    opposite signs, sum to -4 lambda alpha pi0(U) / ((sqrt(s) + b) den), b =
+    lambda + mu + alpha + beta; so no step subtracts nearly equal numbers on
+    either side of mu = lambda + beta.
     """
-    asym = prefactors(params)
-    gamma1, gamma = asym.gamma, asym.secondary_gamma
-    w2 = asym.prefactor_up
-    if k_hi is None:
-        k_hi = min(40, len(table.pi) - 1)
-    if k_hi > len(table.pi) - 1:
-        raise InvalidParameters(f"window k = {k_lo}..{k_hi} runs past the table's last "
-                                f"level {len(table.pi) - 1} (it has {len(table.pi)} levels)")
-    ks = np.arange(k_lo, k_hi + 1)
-    pi_up = table.levels(UP, k_lo, k_hi)
-    resid = pi_up - w2 * gamma1 ** ks
-    weights = gamma ** ks
-    w3 = float(np.dot(resid, weights) / np.dot(weights, weights))
-    # diagnostics restricted to k where the second term is resolvable
-    resolvable = np.abs(w3) * weights > 1e-10 * w2 * gamma1 ** ks
-    if resolvable.any():
-        pred = w2 * gamma1 ** ks + w3 * weights
-        max_rel = float(np.max(np.abs((pi_up - pred) / pi_up)[resolvable]))
-        r = resid[resolvable]
-        ratios = r[1:] / r[:-1] if len(r) > 2 and np.all(r != 0) else np.array([])
-        geometric_ok = bool(len(ratios) == 0
-                            or abs(np.median(ratios) - gamma) <= 0.2 * gamma)
-    else:
-        max_rel = float("nan")
-        geometric_ok = False
-    return TwoTermFit(w2=w2, w3=w3, k_window=(k_lo, k_hi),
-                      max_relative_residual=max_rel, geometric_ok=geometric_ok)
+    if params.model is not Model.MODEL1:
+        raise InvalidParameters("the two-term expansion needs a Model 1 parameter set")
+    twist = twist_summary(params)
+    sol = twist.roots
+    lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
+    b = lam + mu + alpha + beta
+    w3 = (4.0 * alpha * mu * (lam + beta) * float(boundary_vector(params)[UP])
+          / (sol.sqrt_s * (sol.sqrt_s + b) * sol.den))
+    return TwoTermFit(w2=tail_constants(twist).prefactor_up, w3=w3)
 
 
 def alpha_limits(lam: float, mu: float, beta: float, p: float = 1.0,
@@ -344,7 +335,10 @@ def alpha_limits(lam: float, mu: float, beta: float, p: float = 1.0,
 
 def mm1_comparison(params: ModelParams) -> Mm1Comparison:
     """Match a plain M/M/1 queue with the same effective rates, service
-    beta/(alpha+beta) mu p, and compare tails."""
+    beta/(alpha+beta) mu p, and compare tails.  Raises UnstableParameters off
+    stability, where the matched queue has load above 1 and no stationary law."""
+    if not stability(params).stable:
+        raise UnstableParameters("the M/M/1 comparison requires a stable parameter set")
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
     sol = characteristic_roots(params)
     mm1_ratio = (alpha + beta) / beta * lam / (mu * p)

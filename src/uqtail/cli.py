@@ -21,18 +21,16 @@ from . import __version__
 from .asymptotics import (alpha_limits, mm1_comparison, prefactors,
                           rs_rd_stationary, tail_constants, tail_fit,
                           tandem_product_form)
-from .params import (DOWN, UP, InvalidParameters, Model, make_params,
-                     params_from_json)
+from .params import (DOWN, UP, InvalidParameters, Model, UnstableParameters,
+                     make_params, params_from_json)
 from .qbd import (ConvergenceError, _lattice_shape, exact_stationary_model1,
                   truncated_stationary)
-from .simulate import (_check_burn_in, _check_levels, empirical_distribution,
-                       excursion_verdict, ld_excursions, regime_prediction,
-                       simulate)
+from .simulate import (_RNG_IDENTITY, _check_burn_in, _check_levels, _csv_header,
+                       empirical_distribution, excursion_verdict, ld_excursions,
+                       regime_prediction, simulate)
 from .spectral import characteristic_roots, stability
 from .twist import twist_summary
 from .verify import run_checks
-
-_RNG_IDENTITY = "numpy.random.Generator(PCG64)"
 
 
 def _fmt(value: float) -> str:
@@ -88,17 +86,6 @@ def _meta(params, seed: int | None = None) -> dict:
     if seed is not None:
         meta["seed"] = seed
     return meta
-
-
-def _csv_header(params, seed: int | None = None, **extra) -> str:
-    lines = [f"# version={__version__}", f"# rng={_RNG_IDENTITY}"]
-    for key, value in params.to_dict().items():
-        lines.append(f"# {key}={_fmt(value) if isinstance(value, float) else value}")
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    for key, value in extra.items():
-        lines.append(f"# {key}={_fmt(value) if isinstance(value, float) else value}")
-    return "\n".join(lines) + "\n"
 
 
 def _add_param_flags(sub):
@@ -213,6 +200,8 @@ def _cmd_tailfit(args) -> int:
     elif model is Model.MODEL2 and params.p == 1.0:
         table = tandem_product_form(params, x_max=args.xmax, y_max=args.xmax)
     elif model is Model.MODEL2:
+        if not stability(params).stable:   # the cut lattice has a law; the chain has none
+            raise UnstableParameters("the tail fit requires a stable parameter set")
         table = truncated_stationary(params, x_max=args.xmax, y_max=args.xmax)
     else:
         table = rs_rd_stationary(params, x_max=args.xmax, y_max=args.xmax)

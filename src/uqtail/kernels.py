@@ -4,13 +4,16 @@ Three chains are covered: the full chains (with their boundary at x = 0),
 the free processes (boundary removed, shift invariant in x), and the
 rerouting comparison network used as a product-form reference.  Rows are
 sparse per-state distributions, so the infinite state space never needs
-truncation here.
+truncation here.  `level_blocks` lays class rows out in level form, the
+(up, local, down) blocks that the QBD solvers and the tilted kernel read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      check_state, state_to_json)
@@ -119,6 +122,29 @@ def row_classes(params: ModelParams) -> dict[tuple, TransitionRow]:
     corners = [(0, 1)] * (1 if params.model is Model.MODEL1 else 2)
     return {origin: full_kernel(params, origin)
             for origin in itertools.product(*corners, (UP, DOWN))}
+
+
+def level_blocks(rows, y_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(up, local, down) blocks, with x as the level, of class rows at one x0.
+
+    Phases are sigma, or (y, sigma) -> 2y + sigma for y <= y_cut: a row at
+    y0 = 1 stands for every y in 1..y_cut, and a move past y_cut stays at
+    y_cut.  At x0 = 0 the local block is that of level 0.
+    """
+    n = 2 * (y_cut + 1)
+    blocks = np.zeros((3, n, n))
+    ys = np.arange(1, y_cut + 1)
+    for row in rows:
+        x0, sigma = row.origin[0], row.origin[-1]
+        y0 = row.origin[1] if len(row.origin) == 3 else 0
+        for target, prob in row.targets:
+            k, to = x0 + 1 - target[0], target[-1]
+            dy = target[1] - y0 if len(target) == 3 else 0
+            if y0:   # one numpy update for all y; a Python loop over y is slower
+                blocks[k, 2 * ys + sigma, 2 * np.minimum(ys + dy, y_cut) + to] += prob
+            else:    # scalar indexing; numpy's per-call cost would dominate 2x2 blocks
+                blocks[k, sigma, 2 * min(dy, y_cut) + to] += prob
+    return blocks[0], blocks[1], blocks[2]
 
 
 def rs_rd_kernel(params: ModelParams, state: tuple) -> TransitionRow:

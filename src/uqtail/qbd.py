@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import row_classes
+from .kernels import level_blocks, row_classes
 from .params import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
                      UnstableParameters)
 from .spectral import stability
@@ -36,14 +36,6 @@ class ConvergenceError(RuntimeError):
 
 class TruncationError(ValueError):
     """Truncated lattice too small for the requested accuracy."""
-
-
-@dataclass(frozen=True)
-class QbdBlocks:
-    p1_boundary: np.ndarray
-    p0: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,40 +93,8 @@ class StationaryTable(LatticeLaw):
     truncation_warning: bool = False
 
 
-def level_blocks(rows, y_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(up, local, down) blocks, with x as the level, of class rows at one x0.
-
-    Phases are sigma, or (y, sigma) -> 2y + sigma for y <= y_cut: a row at
-    y0 = 1 stands for every y in 1..y_cut, and a move past y_cut stays at
-    y_cut.  At x0 = 0 the local block is that of level 0.
-    """
-    n = 2 * (y_cut + 1)
-    blocks = np.zeros((3, n, n))
-    ys = np.arange(1, y_cut + 1)
-    for row in rows:
-        x0, sigma = row.origin[0], row.origin[-1]
-        y0 = row.origin[1] if len(row.origin) == 3 else 0
-        for target, prob in row.targets:
-            k, to = x0 + 1 - target[0], target[-1]
-            dy = target[1] - y0 if len(target) == 3 else 0
-            if y0:   # one numpy update for all y; a Python loop over y is slower
-                blocks[k, 2 * ys + sigma, 2 * np.minimum(ys + dy, y_cut) + to] += prob
-            else:    # scalar indexing; numpy's per-call cost would dominate 2x2 blocks
-                blocks[k, sigma, 2 * min(dy, y_cut) + to] += prob
-    return blocks[0], blocks[1], blocks[2]
-
-
-def qbd_blocks(params: ModelParams) -> QbdBlocks:
-    """Level-structured 2x2 blocks of the single-server embedded chain."""
-    if params.model is not Model.MODEL1:
-        raise InvalidParameters("the QBD blocks need a Model 1 parameter set")
-    rows = list(row_classes(params).values())   # x0 = 0, then x0 = 1
-    p0, p1, p2 = level_blocks(rows[2:])
-    return QbdBlocks(p1_boundary=level_blocks(rows[:2])[1], p0=p0, p1=p1, p2=p2)
-
-
 def rate_matrix_closed_form(params: ModelParams) -> np.ndarray:
-    """Minimal solution of R = R^2 P2 + R P1 + P0 in closed form."""
+    """Minimal solution of R = R^2 A2 + R A1 + A0 in closed form."""
     lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
     return lam / mu * np.array([[1.0, alpha / (lam + beta)],
                                 [1.0, (alpha + mu) / (lam + beta)]])
@@ -205,8 +165,8 @@ def _boundary(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     Level 1 is left downwards only from Up, so level 0's Down balance reads
     pi(0, D)(lambda + beta) = alpha pi(0, U): pi0 is proportional to
     (lambda + beta, alpha), free of the cancellation a null vector of
-    P1_boundary + R P2 - I suffers as alpha -> 0, and sums to 1 with its
-    levels above, pi0 (I - R)^-1 1.
+    B1 + R A2 - I (B1 the level-0 local block) suffers as alpha -> 0, and
+    sums to 1 with its levels above, pi0 (I - R)^-1 1.
     """
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the boundary vector needs a Model 1 parameter set")
@@ -229,13 +189,18 @@ def _model1_levels(params: ModelParams, k_max: int) -> tuple[np.ndarray, float]:
 
 
 def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
-    """Matrix-geometric stationary table pi(k, sigma) = pi0 R^k for k <= k_max."""
+    """Matrix-geometric stationary table pi(k, sigma) = pi0 R^k for k <= k_max
+    (k_max >= 0)."""
+    if k_max < 0:
+        raise InvalidParameters(f"k_max must be >= 0, got {k_max}")
     levels, tail = _model1_levels(params, k_max)
-    blocks = qbd_blocks(params)   # for the balance residual only
-    # max |pi P - pi| over levels 0..k_max-1 of the full chain
-    inflow = levels[:-1] @ blocks.p1 + levels[1:] @ blocks.p2
-    inflow[1:] += levels[:-2] @ blocks.p0
-    inflow[:1] = levels[:1] @ blocks.p1_boundary + levels[1:2] @ blocks.p2
+    # max |pi P - pi| over levels 0..k_max-1 of the full chain, from the level form
+    # of the x0 = 1 class rows and the local block of the x0 = 0 rows
+    rows = list(row_classes(params).values())
+    up, local, down = level_blocks(rows[2:])
+    inflow = levels[:-1] @ local + levels[1:] @ down
+    inflow[1:] += levels[:-2] @ up
+    inflow[:1] = levels[:1] @ level_blocks(rows[:2])[1] + levels[1:2] @ down
     residual = float(np.max(np.abs(inflow - levels[:-1]), initial=0.0))
     return StationaryTable(pi=levels, model=Model.MODEL1, residual=residual,
                            tail_mass_bound=tail)
@@ -250,52 +215,19 @@ def _lattice_shape(model: Model, x_max: int, y_max: int | None) -> tuple:
     return (x_max + 1, 2) if model is Model.MODEL1 else (x_max + 1, y_max + 1, 2)
 
 
-def _lattice_matrix(params: ModelParams, shape: tuple) -> sp.csr_matrix:
-    """Transition matrix of the chain cut to the lattice `shape` (reflecting cut).
+def _lattice_moves(params: ModelParams, space: tuple) -> dict:
+    """The chain on the lattice x <= x_max (y <= y_max) of shape `space`, as
+    {(d, sigma, to): q}: the move by d in (x, [y]) from phase sigma to phase
+    `to` has probability q[state] from each state of `space`, 0 where the
+    state's `row_classes` row lacks it.
 
-    Each `row_classes` row is broadcast over its class's states.  Moves leaving
-    the lattice and the self-move fold into the diagonal, added in the row's
-    sorted target order.
+    The diagonal move (0, [0,] sigma, sigma) holds the self-move and the moves
+    that leave the lattice (reflecting cut), added in the row's sorted target
+    order.  A move past the far edge is kept in q there, and `_shifted` drops
+    those sources, since the target lies outside.
     """
-    import scipy.sparse as sp
-
-    coords = np.indices(shape).reshape(len(shape), -1)
-    n = coords.shape[1]
-    corner = np.minimum(coords, 1)   # the row class; sigma is 0 or 1 already
-    edge = np.array(shape)[:, None] - 1
-    diag = np.zeros(n)
-    rows, cols, vals = [], [], []
-    for origin, row in row_classes(params).items():
-        members = np.flatnonzero((corner == np.array(origin)[:, None]).all(axis=0))
-        at = coords[:, members]
-        for target, prob in row.targets:
-            to = at + (np.array(target) - np.array(origin))[:, None]
-            fold = (to > edge).any(axis=0) | (target == origin)
-            diag[members] += np.where(fold, prob, 0.0)
-            rows.append(members[~fold])
-            cols.append(np.ravel_multi_index(to[:, ~fold], shape))
-            vals.append(np.full(rows[-1].size, prob))
-    every = np.arange(n)
-    return sp.csr_matrix((np.concatenate(vals + [diag]),
-                          (np.concatenate(rows + [every]), np.concatenate(cols + [every]))),
-                         shape=(n, n))
-
-
-def _lattice_inflow(params: ModelParams, pi: np.ndarray) -> np.ndarray:
-    """pi P for P = `_lattice_matrix(params, pi.shape)`, without building P.
-
-    Each distinct move (dx, [dy,] sigma -> sigma') of the `row_classes` rows
-    carries its probability q over the states of every class that has it, and
-    the shifted slice pi q adds into the inflow of its targets.  The diagonal
-    move holds the self-move and the moves folded at the far edge.  Moves are
-    summed by decreasing offset (target index minus source index), so each
-    target adds its sources in increasing index, as P's sparse mat-vec does:
-    the sums are bit-identical.
-    """
-    space = pi.shape[:-1]
-    strides = [2 * math.prod(space[k + 1:]) for k in range(len(space))]   # C order
-    diag = np.zeros(pi.shape)
-    moves = {}   # (d, sigma, to) -> q over the source states
+    diag = np.zeros(space + (2,))
+    moves = {}
     for origin, row in row_classes(params).items():
         sigma = origin[-1]
         members = tuple(slice(c, None if c else 1) for c in origin[:-1])
@@ -313,6 +245,46 @@ def _lattice_inflow(params: ModelParams, pi: np.ndarray) -> np.ndarray:
                 diag[members[:k] + (-1,) + members[k + 1:] + (sigma,)] += prob
     for sigma in (UP, DOWN):
         moves[(0,) * len(space), sigma, sigma] = diag[..., sigma]
+    return moves
+
+
+def _shifted(d: tuple, space: tuple) -> tuple[tuple, tuple]:
+    """(sources, targets): the slices of `space` whose states a move by d
+    takes into `space`, and the states it takes them to, in the same order."""
+    src = tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(d, space))
+    dst = tuple(slice(max(0, k), n - max(0, -k)) for k, n in zip(d, space))
+    return src, dst
+
+
+def _lattice_matrix(params: ModelParams, shape: tuple) -> sp.csr_matrix:
+    """Transition matrix of the chain cut to the lattice `shape` (reflecting
+    cut), one entry per state and move of `_lattice_moves`; the diagonal is
+    stored at every state, the other moves where they are possible."""
+    import scipy.sparse as sp
+
+    index = np.arange(math.prod(shape)).reshape(shape)
+    rows, cols, vals = [], [], []
+    for (d, sigma, to), q in _lattice_moves(params, shape[:-1]).items():
+        src, dst = _shifted(d, shape[:-1])
+        keep = (q[src] != 0.0) | (sigma == to and not any(d))
+        rows.append(index[src + (sigma,)][keep])
+        cols.append(index[dst + (to,)][keep])
+        vals.append(q[src][keep])
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(index.size, index.size))
+
+
+def _lattice_inflow(params: ModelParams, pi: np.ndarray) -> np.ndarray:
+    """pi P for P = `_lattice_matrix(params, pi.shape)`, without building P.
+
+    Each move of `_lattice_moves` adds the shifted slice pi q into the inflow
+    of its targets.  Moves are summed by decreasing offset (target index minus
+    source index), so each target adds its sources in increasing index, as
+    P's sparse mat-vec does: the sums are bit-identical.
+    """
+    space = pi.shape[:-1]
+    strides = [2 * math.prod(space[k + 1:]) for k in range(len(space))]   # C order
+    moves = _lattice_moves(params, space)
 
     def offset(move):   # index of the target minus index of the source
         d, sigma, to = move
@@ -320,8 +292,7 @@ def _lattice_inflow(params: ModelParams, pi: np.ndarray) -> np.ndarray:
 
     inflow = np.zeros(pi.shape)
     for d, sigma, to in sorted(moves, key=offset, reverse=True):
-        src = tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(d, space))
-        dst = tuple(slice(max(0, k), n - max(0, -k)) for k, n in zip(d, space))
+        src, dst = _shifted(d, space)
         inflow[dst + (to,)] += pi[src + (sigma,)] * moves[d, sigma, to][src]
     return inflow
 
@@ -334,8 +305,8 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
     Probability leaving the lattice is folded back into the diagonal
     (reflecting cut), which keeps rows stochastic and converges to the true
     law as the cut grows.  The universal oracle for the two-server models.
-    P is built from the eight (four for Model 1) row classes of
-    `_lattice_matrix`; the solve is SuperLU on P^T - I with row 0 set to ones.
+    P is `_lattice_matrix`, from the moves of the eight (four for Model 1)
+    row classes; the solve is SuperLU on P^T - I with row 0 set to ones.
     Raises InvalidParameters unless x_max >= 1 and, off Model 1, y_max >= 1.
     `model` may be omitted; when given (perfbench/run.py passes it), it must
     be params.model.

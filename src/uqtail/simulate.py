@@ -13,10 +13,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      UnstableParameters, check_state)
-from .kernels import row_classes
-from .qbd import ConvergenceError, LatticeLaw, exact_stationary_model1, qbd_blocks
+from .kernels import level_blocks, row_classes
+from .qbd import ConvergenceError, LatticeLaw, exact_stationary_model1
 from .spectral import stability
 
+_RNG_IDENTITY = "numpy.random.Generator(PCG64)"
 _BLOCK = 1 << 16
 _MAX_LAW_CELLS = 1 << 24    # largest box an empirical law holds densely: 128 MiB of float64
 _SLOPE_TOL = 1e-13          # excursion-length mass left unsummed
@@ -41,23 +42,29 @@ class Trajectory:
         return (int(self.x[i]), int(self.y[i]), int(self.status[i]))
 
     def to_csv(self) -> str:
-        from . import __version__
-        out = [f"# version={__version__}\n", "# rng=numpy.random.Generator(PCG64)\n"]
-        out += [f"# {key}={value:.17g}\n" if isinstance(value, float) else f"# {key}={value}\n"
-                for key, value in self.params.to_dict().items()]
-        out.append(f"# seed={self.seed}\n")
         if self.y is None:
-            out.append("step,x,status\n")
-            columns = (self.x, self.status)
+            head, columns = "step,x,status\n", (self.x, self.status)
         else:
-            out.append("step,x,y,status\n")
-            columns = (self.x, self.y, self.status)
-        head = np.frombuffer("".join(out).encode(), dtype=np.uint8)
+            head, columns = "step,x,y,status\n", (self.x, self.y, self.status)
+        head = np.frombuffer((_csv_header(self.params, seed=self.seed) + head).encode(),
+                             dtype=np.uint8)
         blocks = (_csv_lines([np.arange(first, min(first + _BLOCK, len(self.x)))]
                              + [column[first:first + _BLOCK] for column in columns])
                   for first in range(0, len(self.x), _BLOCK))
         # the list of blocks is freed before the decode: two copies of the text at most
         return str(np.concatenate([head, *blocks]), "utf-8")
+
+
+def _csv_header(params: ModelParams, seed: int | None = None, **extra) -> str:
+    """The "# key=value" lines that open every CSV output: version, RNG,
+    parameters, then the seed and `extra`, floats with 17 significant digits."""
+    from . import __version__   # the package sets it after importing this module
+    items = [("version", __version__), ("rng", _RNG_IDENTITY), *params.to_dict().items()]
+    if seed is not None:
+        items.append(("seed", seed))
+    items += extra.items()
+    return "".join(f"# {key}={value:.17g}\n" if isinstance(value, float) else f"# {key}={value}\n"
+                   for key, value in items)
 
 
 def _csv_lines(columns: list[np.ndarray]) -> np.ndarray:
@@ -341,7 +348,8 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
     An excursion leaves (base, sigma) by a step up and reaches level_k = K
     before returning to base, which it does in T steps.  h, the probability
     of reaching K before base, solves the harmonic equations of the
-    `qbd_blocks` on levels base+1..K-1.  The excursion starts in phase sigma
+    interior blocks (`level_blocks` of the x0 = 1 class rows) on levels
+    base+1..K-1.  The excursion starts in phase sigma
     with weight pi(base, sigma) P((base, sigma) -> (base+1, sigma)) h(base+1, sigma)
     (pi stationary), and then moves by the Doob transform
     Q^_ij = Q_ij h_j / h_i, the chain conditioned on reaching K first.  The
@@ -365,13 +373,13 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
                                 success_probability=1.0, h_residual=0.0, steps=1,
                                 remaining_mass=0.0, h=np.ones((0, 2)))
     levels = rise - 1
-    blocks = qbd_blocks(params)
-    lift = exact_stationary_model1(params, k_max=base_level).pi[base_level] * np.diag(blocks.p0)
+    a0, a1, a2 = level_blocks(list(row_classes(params).values())[2:])   # x0 = 1
+    lift = exact_stationary_model1(params, k_max=base_level).pi[base_level] * np.diag(a0)
     # unknowns (x, sigma) -> 2 (x - base - 1) + sigma on the interior levels,
     # block-tridiagonal; moves to K feed `hit`, moves to base are killed
-    q = (np.kron(np.eye(levels, k=1), blocks.p0) + np.kron(np.eye(levels), blocks.p1)
-         + np.kron(np.eye(levels, k=-1), blocks.p2))
-    exit_up = blocks.p0.sum(axis=1)
+    q = (np.kron(np.eye(levels, k=1), a0) + np.kron(np.eye(levels), a1)
+         + np.kron(np.eye(levels, k=-1), a2))
+    exit_up = a0.sum(axis=1)
     hit = np.zeros(2 * levels)
     hit[-2:] = exit_up
     free = np.eye(2 * levels) - q
@@ -383,7 +391,7 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
     success = reach / float(lift.sum())
     # T = 1 + the steps from base+1 to K.  Under Q^ the law at time t - 1 is
     # h * w, where the row vector w starts at lift / reach on level base+1
-    # and moves by Q itself: level l of w Q is w[l-1] P0 + w[l] P1 + w[l+1] P2,
+    # and moves by Q itself: level l of w Q is w[l-1] A0 + w[l] A1 + w[l+1] A2,
     # a window of the zero-padded w times the stacked blocks.  E[T] follows
     # from (I - Q^)^-1 1 = (I - Q)^-1 h / h.
     mean_t = 1.0 + float(lift @ np.linalg.solve(free, h)[:2]) / reach
@@ -391,7 +399,7 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
     w = padded[2:-2]
     w[:2] = lift / reach
     windows = sliding_window_view(padded, 6)[::2]
-    stacked = np.vstack([blocks.p0, blocks.p1, blocks.p2])
+    stacked = np.vstack([a0, a1, a2])
     mean_inv, t, remaining = 0.0, 1, 1.0
     while remaining >= _SLOPE_TOL:
         if t >= _SLOPE_MAX_STEPS:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import row_classes
+from .kernels import level_blocks, row_classes
 from .params import InvalidParameters, Model, ModelParams
 
 
@@ -64,14 +64,13 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
 
 
 def feynman_kac(params: ModelParams, theta: float) -> tuple[np.ndarray, float]:
-    """Tilted 2x2 phase kernel of the Model 1 free process and its Perron root."""
+    """Tilted 2x2 phase kernel A2 e^-theta + A1 + A0 e^theta of the Model 1
+    free process, from the level form of its x0 = 1 class rows, and its
+    Perron root."""
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the tilted phase kernel needs a Model 1 parameter set")
-    matrix = np.zeros((2, 2))
-    for (x0, sigma), row in row_classes(params).items():
-        if x0 == 1:
-            for (x, to), prob in row.targets:
-                matrix[sigma, to] += prob * math.exp(theta * (x - x0))
+    up, local, down = level_blocks(list(row_classes(params).values())[2:])
+    matrix = down * math.exp(-theta) + local + up * math.exp(theta)
     (a, b), (c, d) = matrix
     half_gap = math.sqrt(((a - d) / 2.0) ** 2 + b * c)
     return matrix, (a + d) / 2.0 + half_gap

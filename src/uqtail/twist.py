@@ -102,7 +102,10 @@ def _harmonic(params: ModelParams, sol: SpectralSolution) -> HarmonicFunction:
 
 
 def harmonic(params: ModelParams) -> HarmonicFunction:
-    """Closed-form harmonic function of the free process (needs stability)."""
+    """Closed-form harmonic function of the free process (needs stability);
+    RS-RD has no free process and raises InvalidParameters."""
+    if params.model is Model.RSRD:
+        raise InvalidParameters("the harmonic function is defined for Model 1 and the tandem only")
     return _harmonic(params, _require_stable(params))
 
 

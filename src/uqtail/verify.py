@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import _escape, escape_probabilities, eta, prefactors, rs_rd_stationary
-from .kernels import free_kernel, row_classes
+from .kernels import free_kernel, level_blocks, row_classes
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, make_params
-from .qbd import (boundary_vector, exact_stationary_model1, first_passage, level_blocks,
-                  neuts_stability, qbd_blocks, rate_matrix, rate_matrix_closed_form)
+from .qbd import (boundary_vector, exact_stationary_model1, first_passage, neuts_stability,
+                  rate_matrix, rate_matrix_closed_form)
 from .spectral import characteristic_roots, feynman_kac, stability
 from .twist import harmonic, twist_row, twist_summary
 
@@ -134,9 +134,8 @@ def check_perron_root(grid: int, seed: int) -> CheckResult:
 def check_rate_matrix() -> CheckResult:
     worst_r = worst_eig = 0.0
     for params in (PARAMS_A, PARAMS_B):
-        blocks = qbd_blocks(params)
         r_closed = rate_matrix_closed_form(params)
-        r_solved = rate_matrix(blocks.p0, blocks.p1, blocks.p2)
+        r_solved = rate_matrix(*level_blocks(list(row_classes(params).values())[2:]))  # x0 = 1
         worst_r = max(worst_r, float(np.max(np.abs(r_closed - r_solved))))
         sol = characteristic_roots(params)
         eig_gap = np.sort(np.linalg.eigvals(r_closed)) - (sol.gamma_secondary, sol.gamma_p)

@@ -98,7 +98,7 @@ def test_criterion_05_two_regime_alpha_limit():
     table_hi = exact_stationary_model1(p_hi, k_max=80)
     fit_hi = two_geometric_fit(table_hi, UP, 10, 60)
     rate_gap = abs(fit_hi.dominant_rate - sol_hi.gamma_secondary)
-    tt = two_term_tail(p_hi, table_hi)
+    tt = two_term_tail(p_hi)
     ok_hi = rate_gap <= 1e-3 and tt.w2 < 1e-4 * tt.w3
     report(5, ok_lo and ok_hi,
            f"low regime: |gamma_1 - lam/mu| {gamma_gap:.2e} (<=1e-6), "

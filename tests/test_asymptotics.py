@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from uqtail import (DOWN, UP, InvalidParameters, Model, UnstableParameters,
 from uqtail.asymptotics import _escape_first_passage
 from uqtail.cli import main
 from uqtail.kernels import rs_rd_kernel
-from uqtail.qbd import StationaryTable, first_passage, level_blocks
+from uqtail.kernels import level_blocks
+from uqtail.qbd import StationaryTable, first_passage
 from uqtail.verify import check_tail_reproduction, random_params
 
 A = make_params(10, 11, 0.1, 10)
@@ -113,16 +115,47 @@ def eigen_weights(params):
 
 def test_two_term_tail_matches_eigen_oracle():
     for params in (A, B):
-        table = exact_stationary_model1(params, k_max=80)
-        fit = two_term_tail(params, table)
+        fit = two_term_tail(params)
         sol = characteristic_roots(params)
         oracle = eigen_weights(params)
         w2_exact = oracle[min(oracle, key=lambda g: abs(g - sol.gamma_p))]
         w3_exact = oracle[min(oracle, key=lambda g: abs(g - sol.gamma_secondary))]
         assert fit.w2 == pytest.approx(w2_exact, rel=1e-6)
         assert fit.w3 == pytest.approx(w3_exact, rel=1e-6)
-        assert fit.geometric_ok
-        assert fit.max_relative_residual < 1e-6
+        # the two terms are the whole of pi(k, Up), level 0 included
+        ks = np.arange(81)
+        terms = fit.w2 * sol.gamma_p ** ks + fit.w3 * sol.gamma_secondary ** ks
+        assert terms == pytest.approx(exact_stationary_model1(params, k_max=80).pi[:, UP],
+                                      rel=1e-12)
+
+
+def two_term_reference(lam, mu, alpha, beta):
+    """50-digit w3: pi0 (R - gamma_1 I) / (gamma - gamma_1) at Up, from R's
+    entries and its eigenvalues by the quadratic formula, with pi0 normalized
+    by (I - R)^-1 1; the subtractions lose at most about 12 of the 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam, mu, alpha, beta = (Decimal(v) for v in (lam, mu, alpha, beta))
+        (ruu, rud), (rdu, rdd) = ((lam / mu, lam * alpha / (mu * (lam + beta))),
+                                  (lam / mu, lam * (alpha + mu) / (mu * (lam + beta))))
+        trace, det = ruu + rdd, ruu * rdd - rud * rdu
+        root = (trace * trace - 4 * det).sqrt()
+        gamma1, gamma = (trace + root) / 2, (trace - root) / 2
+        # (I - R)^-1 1 by Cramer's rule
+        inv_det = (1 - ruu) * (1 - rdd) - rud * rdu
+        mass = ((lam + beta) * (1 - rdd + rud) + alpha * (1 - ruu + rdu)) / inv_det
+        pi_up, pi_down = (lam + beta) / mass, alpha / mass
+        return (pi_up * (ruu - gamma1) + pi_down * rdu) / (gamma - gamma1)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e-12])
+@pytest.mark.parametrize("rates", [(10, 11, 10), (20, 60, 1)], ids=["below", "above"])
+def test_two_term_tail_matches_a_50_digit_reference(rates, alpha):
+    # the split mu = lambda + beta: below it w3 vanishes with alpha, above it w2 does
+    lam, mu, beta = rates
+    fit = two_term_tail(make_params(lam, mu, alpha, beta))
+    assert abs(Decimal(fit.w3) / two_term_reference(lam, mu, alpha, beta) - 1) \
+        <= Decimal("1e-14")
 
 
 def test_two_geometric_fit_recovers_synthetic_rates():
@@ -170,20 +203,19 @@ def test_mm1_comparison_examples():
     assert cmp_b.dominance
 
 
+@pytest.mark.parametrize("call", [mm1_comparison, prefactors], ids=["mm1", "prefactors"])
+def test_unstable_sets_are_refused(call):
+    # load above 1: the matched M/M/1 law and the shape-only tail do not exist
+    for params in (make_params(20, 11, 0.1, 10),
+                   make_params(20, 30, 0.1, 10, p=0.5, model=Model.MODEL2)):
+        with pytest.raises(UnstableParameters, match="requires a stable parameter set"):
+            call(params)
+
+
 def test_mm1_dominance_random():
     rng = np.random.default_rng(10)
     for _ in range(30):
         assert mm1_comparison(random_params(rng)).dominance
-
-
-def test_two_term_tail_refuses_a_window_past_the_table():
-    # the missing levels used to read 0 and divide by zero in the residuals
-    table = exact_stationary_model1(A, k_max=20)
-    with pytest.raises(InvalidParameters,
-                       match=r"window k = 1\.\.30 runs past the table's last level 20 "
-                             r"\(it has 21 levels\)"):
-        two_term_tail(A, table, k_hi=30)
-    assert two_term_tail(A, table, k_hi=20).k_window == (1, 20)
 
 
 def test_tail_fit_refuses_a_y_on_a_model1_table():

@@ -117,6 +117,27 @@ def test_negative_seed_and_base_level_are_validation_errors(tmp_path, capsys, ar
     assert "PASS" not in captured.out and not list(tmp_path.iterdir())
 
 
+UNSTABLE_HALF = ["--lambda", "20", "--mu", "30", "--alpha", "0.1", "--beta", "10",
+                 "--model", "model2", "--p", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", *UNSTABLE_HALF],
+    ["compare-mm1", *UNSTABLE_HALF],
+    ["compare-mm1", "--lambda", "20", *A_FLAGS[2:]],
+    ["tailfit", *UNSTABLE_HALF, "--kmin", "20", "--kmax", "35", "--xmax", "40"],
+], ids=["analyze-p0.5", "compare-mm1-p0.5", "compare-mm1-model1", "tailfit-p0.5"])
+def test_unstable_sets_are_validation_errors(tmp_path, capsys, monkeypatch, argv):
+    # (20, 30, 0.1, 10) with p = 0.5 and (20, 11, 0.1, 10) have load above 1: no
+    # shape-only tail, no matched M/M/1 law (its pi0 would be negative), no lattice solve
+    solved = []
+    monkeypatch.setattr(cli, "truncated_stationary", lambda *a, **k: solved.append(a))
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "requires a stable parameter set" in err
+    assert not solved and not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv,message", [
     (["simulate", *A_FLAGS, "--steps", "1000", "--burn-in", "1000"],
      "burn_in must fall inside the trajectory"),

@@ -7,10 +7,10 @@ import uqtail
 from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
                     boundary_vector, conditioned_excursion_slope,
                     default_uniformization, escape_probabilities, eta,
-                    exact_stationary_model1, feynman_kac, full_kernel, make_params,
-                    params_from_json, prefactors, qbd_blocks, rs_rd_kernel,
+                    exact_stationary_model1, feynman_kac, full_kernel, harmonic,
+                    make_params, params_from_json, prefactors, rs_rd_kernel,
                     rs_rd_stationary, tandem_product_form, truncated_stationary,
-                    twist_summary)
+                    twist_summary, two_term_tail)
 from uqtail.params import check_state
 
 A = make_params(10, 11, 0.1, 10)
@@ -124,7 +124,6 @@ M1, M2, RS = {Model.MODEL1}, {Model.MODEL2}, {Model.RSRD}
 
 
 @pytest.mark.parametrize("call,serves,needs", [
-    (qbd_blocks, M1, "Model 1"),
     (boundary_vector, M1, "Model 1"),
     (lambda p: exact_stationary_model1(p, k_max=5), M1, "Model 1"),
     (escape_probabilities, M1, "Model 1"),
@@ -135,9 +134,12 @@ M1, M2, RS = {Model.MODEL1}, {Model.MODEL2}, {Model.RSRD}
     (lambda p: rs_rd_kernel(p, (0, 0, UP)), RS, "RS-RD"),
     (twist_summary, M1 | M2, "tandem"),
     (eta, M1 | M2, "tandem"),
-], ids=["qbd_blocks", "boundary_vector", "exact_stationary_model1",
+    (harmonic, M1 | M2, "tandem"),
+    (two_term_tail, M1, "Model 1"),
+], ids=["boundary_vector", "exact_stationary_model1",
         "escape_probabilities", "feynman_kac", "conditioned_excursion_slope",
-        "rs_rd_stationary", "tandem_product_form", "rs_rd_kernel", "twist_summary", "eta"])
+        "rs_rd_stationary", "tandem_product_form", "rs_rd_kernel", "twist_summary", "eta",
+        "harmonic", "two_term_tail"])
 def test_single_chain_functions_refuse_other_chains(call, serves, needs):
     for params in (A, T2, T2_HALF, RS_ONE):
         if params.model not in serves:

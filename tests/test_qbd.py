@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, TruncationError,
                     boundary_vector, empirical_distribution, exact_stationary_model1,
-                    full_kernel, make_params, qbd_blocks, rate_matrix,
+                    free_kernel, full_kernel, make_params, rate_matrix,
                     rate_matrix_closed_form, rs_rd_stationary, simulate,
                     truncated_stationary, twist_summary)
+from uqtail.kernels import level_blocks, row_classes
 from uqtail.qbd import (LatticeLaw, _lattice_inflow, _lattice_matrix, _lattice_shape,
-                        _tail_mass_estimate, first_passage, level_blocks)
+                        _tail_mass_estimate, first_passage)
 from uqtail.verify import (check_rate_matrix, check_stability_equivalence,
                            random_params)
 
@@ -24,48 +25,92 @@ T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
 RS = make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD)
 
 
+def interior(params):
+    """Model 1's (up, local, down) blocks, from its x0 = 1 class rows."""
+    return level_blocks(list(row_classes(params).values())[2:])
+
+
+def boundary(params):
+    """Model 1's level-0 local block, from its x0 = 0 class rows."""
+    return level_blocks(list(row_classes(params).values())[:2])[1]
+
+
 def test_blocks_partition_the_kernel():
-    blocks = qbd_blocks(A)
+    up, local, down = interior(A)
     for sigma in (UP, DOWN):
         row = full_kernel(A, (3, sigma)).as_dict()
         for sigma2 in (UP, DOWN):
-            assert blocks.p0[sigma, sigma2] == pytest.approx(row.get((4, sigma2), 0.0))
-            assert blocks.p1[sigma, sigma2] == pytest.approx(row.get((3, sigma2), 0.0))
-            assert blocks.p2[sigma, sigma2] == pytest.approx(row.get((2, sigma2), 0.0))
+            assert up[sigma, sigma2] == pytest.approx(row.get((4, sigma2), 0.0))
+            assert local[sigma, sigma2] == pytest.approx(row.get((3, sigma2), 0.0))
+            assert down[sigma, sigma2] == pytest.approx(row.get((2, sigma2), 0.0))
         row0 = full_kernel(A, (0, sigma)).as_dict()
         for sigma2 in (UP, DOWN):
-            assert blocks.p1_boundary[sigma, sigma2] == pytest.approx(
-                row0.get((0, sigma2), 0.0))
+            assert boundary(A)[sigma, sigma2] == pytest.approx(row0.get((0, sigma2), 0.0))
+
+
+LEVEL_SETS = {"model1": A, "tandem-p1": T2,
+              "tandem-p0.6": make_params(10, 30, 0.1, 10, p=0.6, model=Model.MODEL2)}
+
+
+@pytest.mark.parametrize("y_cut", [0, 5])
+@pytest.mark.parametrize("name", list(LEVEL_SETS))
+def test_level_blocks_hold_the_free_kernel(name, y_cut):
+    # each entry, state by state, is the free-kernel probability of its move;
+    # a move past y_cut is held at y_cut
+    params = LEVEL_SETS[name]
+    blocks = level_blocks([row for origin, row in row_classes(params).items()
+                           if origin[0] == 1], y_cut)
+    n = 2 * (y_cut + 1)
+    assert all(block.shape == (n, n) for block in blocks)
+    x = 7
+    expected = np.zeros((3, n, n))
+    ys = range(y_cut + 1) if params.model is Model.MODEL2 else [0]
+    for y in ys:
+        for sigma in (UP, DOWN):
+            state = (x, y, sigma) if params.model is Model.MODEL2 else (x, sigma)
+            for target, prob in free_kernel(params, state).targets:
+                to_y = min(target[1], y_cut) if len(target) == 3 else 0
+                expected[x + 1 - target[0], 2 * y + sigma, 2 * to_y + target[-1]] += prob
+    for k in range(3):
+        assert np.array_equal(blocks[k], expected[k]), k
+    if params.model is Model.MODEL2:
+        # the arrival at y_cut stays at y_cut, on the local block's diagonal
+        top = 2 * y_cut + UP
+        arrival = free_kernel(params, (x, y_cut, UP)).prob((x, y_cut + 1, UP))
+        stay = free_kernel(params, (x, y_cut, UP)).prob((x, y_cut, UP))
+        assert arrival > 0.0
+        assert blocks[1][top, top] == stay + arrival
 
 
 def test_closed_form_solves_fixed_point():
     for params in (A, B):
-        blocks = qbd_blocks(params)
+        up, local, down = interior(params)
         r = rate_matrix_closed_form(params)
-        rhs = r @ r @ blocks.p2 + r @ blocks.p1 + blocks.p0
+        rhs = r @ r @ down + r @ local + up
         assert np.max(np.abs(r - rhs)) < 1e-14
 
 
 def rate_matrix_iterate(blocks, tol=1e-15, max_iter=10 ** 6):
-    """Reference R by successive substitution R <- R^2 P2 + R P1 + P0 from
+    """Reference R by successive substitution R <- R^2 A2 + R A1 + A0 from
     R = 0 (Neuts, 1981): (R, residual)."""
+    up, local, down = blocks
     r = np.zeros((2, 2))
     for _ in range(max_iter):
-        r_next = r @ r @ blocks.p2 + r @ blocks.p1 + blocks.p0
+        r_next = r @ r @ down + r @ local + up
         delta = np.max(np.abs(r_next - r))
         r = r_next
         if delta <= tol:
-            return r, np.max(np.abs(r - (r @ r @ blocks.p2 + r @ blocks.p1 + blocks.p0)))
+            return r, np.max(np.abs(r - (r @ r @ down + r @ local + up)))
     raise AssertionError("successive substitution did not converge")
 
 
 def test_iterate_agrees_with_closed_form():
     rng = np.random.default_rng(8)
     for params in [A, B] + [random_params(rng) for _ in range(10)]:
-        blocks = qbd_blocks(params)
+        blocks = interior(params)
         r, residual = rate_matrix_iterate(blocks)
         assert np.max(np.abs(r - rate_matrix_closed_form(params))) < 1e-12
-        assert np.max(np.abs(r - rate_matrix(blocks.p0, blocks.p1, blocks.p2))) < 1e-12
+        assert np.max(np.abs(r - rate_matrix(*blocks))) < 1e-12
         assert residual < 1e-13
 
 
@@ -73,8 +118,7 @@ def test_iterate_agrees_with_closed_form():
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_rate_matrix_matches_closed_form(seed):
     params = random_params(np.random.default_rng(seed))
-    blocks = qbd_blocks(params)
-    gap = rate_matrix(blocks.p0, blocks.p1, blocks.p2) - rate_matrix_closed_form(params)
+    gap = rate_matrix(*interior(params)) - rate_matrix_closed_form(params)
     assert np.max(np.abs(gap)) <= 1e-12
 
 
@@ -83,9 +127,9 @@ def test_first_passage_takes_the_stochastic_g():
     rng = np.random.default_rng(10)
     near_critical = make_params(0.9999 * 10 / 10.1 * 11, 11, 0.1, 10)
     for params in [near_critical] + [random_params(rng) for _ in range(500)]:
-        blocks = qbd_blocks(params)
-        g = first_passage(blocks.p0, blocks.p1, blocks.p2)
-        residual = blocks.p2 + blocks.p1 @ g + blocks.p0 @ g @ g - g
+        up, local, down = interior(params)
+        g = first_passage(up, local, down)
+        residual = down + local @ g + up @ g @ g - g
         assert np.max(np.abs(residual)) <= 1e-12
 
 
@@ -105,7 +149,7 @@ def test_first_passage_solves_a_stack_slice_by_slice():
     # plain and twisted Model 1 blocks of A, B and 50 grid sets, then tandem blocks
     rng = np.random.default_rng(11)
     model1 = [A, B] + [random_params(rng) for _ in range(50)]
-    plain = [(b.p0, b.p1, b.p2) for b in map(qbd_blocks, model1)]
+    plain = list(map(interior, model1))
     twisted = [level_blocks(twist_summary(params).rows) for params in model1]
     for blocks in (plain + twisted, _tandem_blocks()):
         g = first_passage(*_stack(blocks))
@@ -143,8 +187,14 @@ def test_boundary_vector_normalized():
     total = pi0 @ np.linalg.inv(np.eye(2) - r) @ np.ones(2)
     assert total == pytest.approx(1.0, rel=1e-12)
     # stationarity at the boundary block
-    blocks = qbd_blocks(A)
-    assert pi0 @ (blocks.p1_boundary + r @ blocks.p2) == pytest.approx(pi0, rel=1e-12)
+    assert pi0 @ (boundary(A) + r @ interior(A)[2]) == pytest.approx(pi0, rel=1e-12)
+
+
+def test_exact_stationary_needs_a_level():
+    with pytest.raises(InvalidParameters, match="k_max must be >= 0, got -1"):
+        exact_stationary_model1(A, k_max=-1)
+    table = exact_stationary_model1(A, k_max=0)
+    assert table.pi.tolist() == [boundary_vector(A).tolist()] and table.residual == 0.0
 
 
 def test_exact_stationary_is_stationary():
