@@ -335,16 +335,18 @@ def alpha_limits(lam: float, mu: float, beta: float, p: float = 1.0,
 
 def mm1_comparison(params: ModelParams) -> Mm1Comparison:
     """Match a plain M/M/1 queue with the same effective rates, service
-    beta/(alpha+beta) mu p, and compare tails.  Raises UnstableParameters off
-    stability, where the matched queue has load above 1 and no stationary law."""
-    if not stability(params).stable:
-        raise UnstableParameters("the M/M/1 comparison requires a stable parameter set")
+    beta/(alpha+beta) mu p, and compare tails.  Raises UnstableParameters
+    unless that queue's load is below 1: the stability condition of Model 1
+    and the tandem, and a stricter one than RS-RD's lambda < mu p."""
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
+    mu0 = beta / (alpha + beta) * mu * p
+    if not lam < mu0:
+        raise UnstableParameters("the M/M/1 comparison requires a stable parameter set "
+                                 f"whose matched queue has load below 1, got {lam / mu0}")
     sol = characteristic_roots(params)
     mm1_ratio = (alpha + beta) / beta * lam / (mu * p)
     return Mm1Comparison(gamma_1=sol.gamma_p, mm1_ratio=mm1_ratio,
-                         dominance=sol.gamma_p >= mm1_ratio,
-                         lambda0=lam, mu0=beta / (alpha + beta) * mu * p)
+                         dominance=sol.gamma_p >= mm1_ratio, lambda0=lam, mu0=mu0)
 
 
 def tail_fit(table: StationaryTable, sigma: int, k_min: int, k_max: int,

@@ -2,21 +2,23 @@
 
 Three chains are covered: the full chains (with their boundary at x = 0),
 the free processes (boundary removed, shift invariant in x), and the
-rerouting comparison network used as a product-form reference.  Rows are
-sparse per-state distributions, so the infinite state space never needs
-truncation here.  `level_blocks` lays class rows out in level form, the
-(up, local, down) blocks that the QBD solvers and the tilted kernel read.
+rerouting comparison network used as a product-form reference.  Each
+chain's dynamics are one table of interior moves (`_moves`), and every row
+is folded from it by one rule (`_row`).  Rows are sparse per-state
+distributions, so the infinite state space never needs truncation here.
+`level_blocks` lays class rows out in level form, the (up, local, down)
+blocks that the QBD solvers and the tilted kernel read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
-from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
-                     check_state, state_to_json)
+from .params import DOWN, UP, InvalidParameters, Model, ModelParams, check_state
 
 _ROW_TOL = 1e-12
 
@@ -39,76 +41,72 @@ class TransitionRow:
         x0 = self.origin[0]
         return sum(p * (s[0] - x0) for s, p in self.targets)
 
-    def to_json(self) -> dict:
-        return {"from": state_to_json(self.origin),
-                "to": [[state_to_json(s), p] for s, p in self.targets]}
+
+def _moves(params: ModelParams) -> tuple:
+    """Interior moves of each phase, indexed by sigma: (step over (x, [y,]
+    sigma), probability, the coordinate the move lowers or None), in the order
+    the self-loop sums them.
+
+    RS-RD's Up row is the tandem's.  While Down, a server-2 completion cannot
+    enter server 1: the customer is rerouted by server 1's routing row, so it
+    leaves the network with probability p (the y-1 move keeps x fixed) and
+    rejoins server 2 otherwise (a self-loop).  This is the unique reading
+    under which the product-form stationary law of the reference network
+    satisfies global balance.
+    """
+    lam, mu, alpha, beta, p, C = (params.lam, params.mu, params.alpha,
+                                  params.beta, params.p, params.C)
+    if params.model is Model.MODEL1:
+        return ((((1, 0), lam / C, None), ((-1, 0), mu / C, 0), ((0, 1), alpha / C, None)),
+                (((1, 0), lam / C, None), ((0, -1), beta / C, None)))
+    up = (((0, 1, 0), lam / C, None), ((1, -1, 0), mu / C, 1), ((-1, 0, 0), mu * p / C, 0),
+          ((-1, 1, 0), mu * (1.0 - p) / C, 0), ((0, 0, 1), alpha / C, None))
+    if params.model is Model.RSRD:
+        return up, (((0, 1, 0), lam / C, None), ((0, 0, -1), beta / C, None),
+                    ((0, -1, 0), mu * p / C, 1))
+    return up, (((0, 1, 0), lam / C, None), ((1, -1, 0), mu / C, 1),
+                ((0, 0, -1), beta / C, None))
 
 
-def _build_row(origin: tuple, moves: list[tuple[tuple, float]]) -> TransitionRow:
-    acc: dict[tuple, float] = {}
+def _row(moves: tuple, state: tuple, free: bool = False) -> TransitionRow:
+    """Row at `state` folded from the interior moves: a move of probability 0
+    (p = 1) or one that lowers a coordinate already at 0 (only y when `free`)
+    is dropped, and the self-loop is 1 minus the kept moves summed in table
+    order."""
+    acc = {}
     used = 0.0
-    for target, prob in moves:
-        if prob == 0.0:
+    for step, prob, low in moves[state[-1]]:
+        if prob == 0.0 or (low is not None and state[low] == 0 and (low or not free)):
             continue
-        acc[target] = acc.get(target, 0.0) + prob
+        acc[tuple(map(add, state, step))] = prob
         used += prob
     diag = 1.0 - used
     if diag < -_ROW_TOL:
-        raise InvalidParameters(f"row at {origin} has negative diagonal {diag}; C too small")
-    acc[origin] = acc.get(origin, 0.0) + max(diag, 0.0)
-    return TransitionRow(origin, tuple(sorted(acc.items())))
-
-
-def _model1_moves(params: ModelParams, x: int, sigma: int, bounded: bool):
-    lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
-    moves = [((x + 1, sigma), lam / C)]
-    if sigma == UP:
-        if not (bounded and x == 0):
-            moves.append(((x - 1, UP), mu / C))
-        moves.append(((x, DOWN), alpha / C))
-    else:
-        moves.append(((x, UP), beta / C))
-    return moves
-
-
-def _model2_moves(params: ModelParams, x: int, y: int, sigma: int, bounded: bool):
-    lam, mu, alpha, beta, p, C = (params.lam, params.mu, params.alpha,
-                                  params.beta, params.p, params.C)
-    moves = [((x, y + 1, sigma), lam / C)]
-    if y >= 1:
-        moves.append(((x + 1, y - 1, sigma), mu / C))
-    if sigma == UP:
-        if not (bounded and x == 0):
-            moves.append(((x - 1, y, UP), mu * p / C))
-            moves.append(((x - 1, y + 1, UP), mu * (1.0 - p) / C))
-        moves.append(((x, y, DOWN), alpha / C))
-    else:
-        moves.append(((x, y, UP), beta / C))
-    return moves
+        raise InvalidParameters(f"row at {state} has negative diagonal {diag}; C too small")
+    acc[state] = max(diag, 0.0)
+    return TransitionRow(state, tuple(sorted(acc.items())))
 
 
 def free_kernel(params: ModelParams, state: tuple) -> TransitionRow:
     """Row of the boundary-free, x-shift-invariant chain."""
     check_state(state, params.model, free=True)
-    if params.model is Model.MODEL1:
-        x, sigma = state
-        return _build_row(state, _model1_moves(params, x, sigma, bounded=False))
-    if params.model is Model.MODEL2:
-        x, y, sigma = state
-        return _build_row(state, _model2_moves(params, x, y, sigma, bounded=False))
-    raise InvalidParameters("free process is defined for Model 1 and Model 2 only")
+    if params.model is Model.RSRD:
+        raise InvalidParameters("free process is defined for Model 1 and Model 2 only")
+    return _row(_moves(params), state, free=True)
 
 
 def full_kernel(params: ModelParams, state: tuple) -> TransitionRow:
     """Row of the full chain; moves leaving the state space fold into the diagonal."""
     check_state(state, params.model)
-    if params.model is Model.MODEL1:
-        x, sigma = state
-        return _build_row(state, _model1_moves(params, x, sigma, bounded=True))
-    if params.model is Model.MODEL2:
-        x, y, sigma = state
-        return _build_row(state, _model2_moves(params, x, y, sigma, bounded=True))
-    return rs_rd_kernel(params, state)
+    return _row(_moves(params), state)
+
+
+def rs_rd_kernel(params: ModelParams, state: tuple) -> TransitionRow:
+    """Row of the rerouting comparison network (random-selection /
+    random-destination); its moves are listed in `_moves`."""
+    if params.model is not Model.RSRD:
+        raise InvalidParameters("the rerouting kernel needs an RS-RD parameter set")
+    return full_kernel(params, state)
 
 
 def row_classes(params: ModelParams) -> dict[tuple, TransitionRow]:
@@ -119,8 +117,9 @@ def row_classes(params: ModelParams) -> dict[tuple, TransitionRow]:
     the same probabilities; the free row at any x is the x0 = 1 class row
     shifted the same way.
     """
+    moves = _moves(params)
     corners = [(0, 1)] * (1 if params.model is Model.MODEL1 else 2)
-    return {origin: full_kernel(params, origin)
+    return {origin: _row(moves, origin)
             for origin in itertools.product(*corners, (UP, DOWN))}
 
 
@@ -145,26 +144,3 @@ def level_blocks(rows, y_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarr
             else:    # scalar indexing; numpy's per-call cost would dominate 2x2 blocks
                 blocks[k, sigma, 2 * min(dy, y_cut) + to] += prob
     return blocks[0], blocks[1], blocks[2]
-
-
-def rs_rd_kernel(params: ModelParams, state: tuple) -> TransitionRow:
-    """Rerouting comparison network (random-selection / random-destination).
-
-    Identical to the two-server full chain while Up.  While Down, a server-2
-    completion cannot enter server 1: the customer is rerouted by server 1's
-    routing row, so it leaves the network with probability p (the y-1 move
-    keeps x fixed) and rejoins server 2 otherwise (a self-loop).  This is the
-    unique reading under which the product-form stationary law of the
-    reference network satisfies global balance.
-    """
-    if params.model is not Model.RSRD:
-        raise InvalidParameters("the rerouting kernel needs an RS-RD parameter set")
-    check_state(state, Model.RSRD)
-    x, y, sigma = state
-    lam, mu, beta, p, C = params.lam, params.mu, params.beta, params.p, params.C
-    if sigma == UP:
-        return _build_row(state, _model2_moves(params, x, y, UP, bounded=True))
-    moves = [((x, y + 1, DOWN), lam / C), ((x, y, UP), beta / C)]
-    if y >= 1:
-        moves.append(((x, y - 1, DOWN), mu * p / C))
-    return _build_row(state, moves)

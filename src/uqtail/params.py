@@ -14,8 +14,6 @@ from enum import Enum
 
 UP = 0
 DOWN = 1
-STATUS_NAMES = ("U", "D")
-STATUS_FROM_NAME = {"U": UP, "D": DOWN, "Up": UP, "Down": DOWN}
 
 
 class Model(Enum):
@@ -38,11 +36,12 @@ class InvalidState(ValueError):
 
 def default_uniformization(lam: float, mu: float, alpha: float, beta: float,
                            model: Model) -> float:
-    """Smallest uniformization constant keeping every diagonal entry nonnegative.
+    """The sum of the rates, lam+mu+alpha+beta for Model 1 and
+    lam+2*mu+alpha+beta (mu counted once per server) for the two-server
+    models; `validate` requires C to be at least this.
 
-    Model 1 needs lam+mu+alpha+beta.  The two-server models have rows with
-    total exit rate lam+2*mu+alpha (both servers busy, Up status), so they
-    need lam+2*mu+alpha+beta.
+    It is not the smallest C keeping the rows stochastic: that is the largest
+    exit rate of one phase, max(lam+mu+alpha, lam+beta) for Model 1.
     """
     for name, value in (("lambda", lam), ("mu", mu), ("alpha", alpha), ("beta", beta)):
         if not value > 0:
@@ -175,8 +174,3 @@ def check_state(state: tuple, model: Model, free: bool = False) -> tuple:
     if not free and x < 0:
         raise InvalidState(f"x must be >= 0 on the full chain, got {state}")
     return state
-
-
-def state_to_json(state: tuple) -> list:
-    """JSON form: [x, "U"] or [x, y, "U"]."""
-    return list(state[:-1]) + [STATUS_NAMES[state[-1]]]

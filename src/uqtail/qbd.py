@@ -18,7 +18,6 @@ from .spectral import stability
 if TYPE_CHECKING:   # scipy loads in the sparse solves only; most verbs never run one
     import scipy.sparse as sp
 
-_BLOCK_TOL = 1e-12
 _FIRST_PASSAGE_TOL = 1e-16  # largest entry of the last doubling's increment
 _FIRST_PASSAGE_DOUBLINGS = 64
 _FIRST_PASSAGE_RESIDUAL = 1e-12

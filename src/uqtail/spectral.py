@@ -33,8 +33,8 @@ class SpectralSolution:
 @dataclass(frozen=True)
 class StabilityReport:
     stable: bool
-    effective_rate: float     # beta/(alpha+beta) * mu
-    if_and_only_if: bool      # True for Model 1 and Model 2 with p = 1
+    effective_rate: float     # beta/(alpha+beta) * mu; mu for RS-RD
+    if_and_only_if: bool      # False only for the tandem with p < 1
 
 
 def characteristic_roots(params: ModelParams) -> SpectralSolution:
@@ -77,9 +77,14 @@ def feynman_kac(params: ModelParams, theta: float) -> tuple[np.ndarray, float]:
 
 
 def stability(params: ModelParams) -> StabilityReport:
-    """Closed-form stability test lam < beta/(alpha+beta) * mu * p."""
+    """Closed-form stability test lam < effective_rate * p.
+
+    The effective rate is beta/(alpha+beta) * mu for Model 1 and the tandem.
+    For RS-RD it is mu: the network's product form is invariant, and it is
+    summable exactly when lam < mu * p.
+    """
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
-    effective = beta / (alpha + beta) * mu
-    stable = lam < effective * p
-    iff = params.model is Model.MODEL1 or p == 1.0
-    return StabilityReport(stable=stable, effective_rate=effective, if_and_only_if=iff)
+    effective = mu if params.model is Model.RSRD else beta / (alpha + beta) * mu
+    iff = params.model is not Model.MODEL2 or p == 1.0
+    return StabilityReport(stable=lam < effective * p, effective_rate=effective,
+                           if_and_only_if=iff)

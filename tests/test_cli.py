@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import uqtail
-from uqtail import (Model, __version__, characteristic_roots, cli, make_params,
-                    params_from_dict, simulate)
+from uqtail import (InvalidParameters, Model, __version__, characteristic_roots, cli,
+                    make_params, params_from_dict, rs_rd_stationary, simulate)
 from uqtail.cli import build_parser, main
 
 A_FLAGS = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
@@ -244,6 +244,32 @@ def test_compare_mm1_tandem_with_feedback(tmp_path):
     assert comparison["mu0"] == pytest.approx(10 / 10.1 * 30 * 0.5, rel=1e-15)
     assert comparison["mm1_ratio"] == pytest.approx(10.1 / 10 * 10 / 15, rel=1e-15)
     assert comparison["dominance"] is True
+
+
+@pytest.mark.parametrize("lam", ["14.9", "15.1"])
+def test_rsrd_verdict_is_whether_its_product_form_exists(tmp_path, lam):
+    # RS-RD's product form needs lambda < mu p = 15; 14.9 is above the tandem's
+    # bound beta/(alpha+beta) mu p = 14.85
+    flags = ["--lambda", lam, "--mu", "30", "--alpha", "0.1", "--beta", "10",
+             "--model", "rsrd", "--p", "0.5"]
+    assert main(["analyze", *flags, "--out", str(tmp_path)]) == 0
+    stability = json.loads((tmp_path / "analyze.json").read_text())["stability"]
+    assert stability == {"stable": lam == "14.9", "effective_rate": 30, "if_and_only_if": True}
+    params = make_params(float(lam), 30, 0.1, 10, p=0.5, model=Model.RSRD)
+    if stability["stable"]:
+        assert rs_rd_stationary(params, x_max=40, y_max=40).residual < 1e-15
+    else:
+        with pytest.raises(InvalidParameters, match="lambda < mu"):
+            rs_rd_stationary(params, x_max=40, y_max=40)
+
+
+def test_compare_mm1_refuses_rsrd_above_the_matched_load(tmp_path, capsys):
+    # stable RS-RD set whose matched queue (service 14.85) has load above 1
+    flags = ["--lambda", "14.9", "--mu", "30", "--alpha", "0.1", "--beta", "10",
+             "--model", "rsrd", "--p", "0.5"]
+    assert main(["compare-mm1", *flags, "--out", str(tmp_path)]) == 1
+    assert "matched queue has load below 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])
