@@ -11,24 +11,18 @@ from .params import (DOWN, UP, InvalidParameters, InvalidState, Model,
                      ModelParams, UnstableParameters, default_uniformization,
                      make_params, params_from_dict, params_from_json)
 from .kernels import TransitionRow, free_kernel, full_kernel, rs_rd_kernel
-from .spectral import (SpectralSolution, StabilityReport, characteristic_roots,
-                       feynman_kac, stability)
-from .twist import (Drift, HarmonicFunction, ProductFormPhi, TwistRates,
-                    TwistSummary, harmonic, twist_row, twist_summary)
+from .spectral import characteristic_roots, feynman_kac, stability
+from .twist import harmonic, twist_row, twist_summary
 from .qbd import (ConvergenceError, StationaryTable, TruncationError,
                   boundary_vector, exact_stationary_model1, neuts_stability,
                   rate_matrix, rate_matrix_closed_form, truncated_stationary)
-from .asymptotics import (AlphaLimits, EscapeProbs, EtaEstimate, Mm1Comparison,
-                          TailAsymptotic, TailFit, TwoGeometricFit, TwoTermFit,
-                          alpha_limits, escape_probabilities, eta,
-                          mm1_comparison, prefactors, rs_rd_stationary,
-                          tail_constants, tail_fit, tandem_product_form,
-                          two_geometric_fit, two_term_tail)
-from .simulate import (ConditionedSlope, EmpiricalDistribution, Excursion,
-                       Trajectory, conditioned_excursion_slope,
-                       empirical_distribution, excursion_verdict, ld_excursions,
-                       regime_prediction, simulate)
-from .verify import CheckResult, run_checks
+from .asymptotics import (alpha_limits, escape_probabilities, eta, mm1_comparison,
+                          prefactors, rs_rd_stationary, tail_constants, tail_fit,
+                          tandem_product_form, two_geometric_fit, two_term_tail)
+from .simulate import (EmpiricalDistribution, Excursion, Trajectory,
+                       conditioned_excursion_slope, empirical_distribution,
+                       excursion_verdict, ld_excursions, regime_prediction, simulate)
+from .verify import run_checks
 
 __version__ = "0.1.0"
 
@@ -37,21 +31,17 @@ __all__ = [
     "UnstableParameters", "default_uniformization", "make_params",
     "params_from_dict", "params_from_json",
     "TransitionRow", "free_kernel", "full_kernel", "rs_rd_kernel",
-    "SpectralSolution", "StabilityReport", "characteristic_roots",
-    "feynman_kac", "stability",
-    "Drift", "HarmonicFunction", "ProductFormPhi", "TwistRates", "TwistSummary",
+    "characteristic_roots", "feynman_kac", "stability",
     "harmonic", "twist_row", "twist_summary",
     "ConvergenceError", "StationaryTable", "TruncationError",
     "boundary_vector", "exact_stationary_model1", "neuts_stability",
     "rate_matrix", "rate_matrix_closed_form", "truncated_stationary",
-    "AlphaLimits", "EscapeProbs", "EtaEstimate", "Mm1Comparison",
-    "TailAsymptotic", "TailFit", "TwoGeometricFit", "TwoTermFit",
     "alpha_limits", "escape_probabilities", "eta", "mm1_comparison",
     "prefactors", "rs_rd_stationary", "tail_constants", "tail_fit",
     "tandem_product_form", "two_geometric_fit", "two_term_tail",
-    "ConditionedSlope", "EmpiricalDistribution", "Excursion", "Trajectory",
+    "EmpiricalDistribution", "Excursion", "Trajectory",
     "conditioned_excursion_slope", "empirical_distribution",
     "excursion_verdict", "ld_excursions",
     "regime_prediction", "simulate",
-    "CheckResult", "run_checks",
+    "run_checks",
 ]

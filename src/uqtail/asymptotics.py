@@ -20,6 +20,7 @@ from .spectral import characteristic_roots, stability
 from .twist import TwistSummary, twist_summary
 
 _ESCAPE_RESIDUAL = 1e-12
+_ALPHA_EVAL = 1e-6   # the breakdown rate at which alpha_limits evaluates the limits
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,9 @@ class TwoGeometricFit:
 class Mm1Comparison:
     gamma_1: float
     mm1_ratio: float
-    dominance: bool  # gamma_1 >= mm1_ratio, always true under stability
+    # gamma_1 >= mm1_ratio: true for Model 1 and the tandem whenever the matched
+    # queue is stable, false for RS-RD, whose lambda/(mu p) lies below mm1_ratio
+    dominance: bool
     lambda0: float
     mu0: float
 
@@ -107,15 +110,15 @@ class AlphaLimits:
     prefactor_up_limit_gap: float | None
 
 
-def _escape_first_passage(rows, y_cut: int = 0) -> np.ndarray:
+def _escape_first_passage(twist: TwistSummary, y_cut: int = 0) -> np.ndarray:
     """Escape probabilities from level 0 for every phase of the twisted
-    class rows `rows`, with phases and the y cut as in `kernels.level_blocks`.
+    chain, with phases and the y cut as in `kernels.level_blocks`.
 
     The free chain leaves level 0 upwards by the same up block A0 as any
     level, so escape = A0 (1 - G 1) with G from `qbd.first_passage`.  For
     Model 1 this is the numeric reference for `escape_probabilities`.
     """
-    a0, a1, a2 = level_blocks(rows, y_cut)
+    a0, a1, a2 = level_blocks(twist.params, y_cut, h=twist.harmonic)
     return a0 @ (1.0 - first_passage(a0, a1, a2).sum(axis=1))
 
 
@@ -138,7 +141,7 @@ def _escape(twist: TwistSummary) -> tuple[EscapeProbs, tuple[np.ndarray, ...]]:
     blocks its first-passage matrix was checked against."""
     t2, w = twist.harmonic.base, twist.harmonic.down_weight
     g = np.array([[1.0 / t2, 0.0], [1.0 / (t2 * w), 0.0]])
-    a0, a1, a2 = level_blocks(twist.rows)
+    a0, a1, a2 = level_blocks(twist.params, h=twist.harmonic)
     residual = float(np.max(np.abs(a2 + a1 @ g + a0 @ g @ g - g)))
     if not (residual <= _ESCAPE_RESIDUAL and np.all(g.sum(axis=1) < 1.0)):
         raise ArithmeticError(
@@ -199,10 +202,10 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> EtaEstima
             "enlarge the truncated table")
     rho = max(ratios)
     # escape = A0 (1 - G 1) is at most A0's largest row sum, the same at every y cut >= 1
-    up_mass = float(level_blocks(twist.rows, 1)[0].sum(axis=1).max())
+    up_mass = float(level_blocks(params, 1, h=h)[0].sum(axis=1).max())
     remainder = levels[-1] * rho / (1.0 - rho) * up_mass
     value, coarse = (
-        float(weights @ _escape_first_passage(twist.rows, cut)[:weights.size])
+        float(weights @ _escape_first_passage(twist, cut)[:weights.size])
         for cut in (2 * y_max, y_max))
     return EtaEstimate(value=value, std_error=abs(value - coarse) + float(remainder),
                        method="qbd")
@@ -288,9 +291,10 @@ def two_term_tail(params: ModelParams) -> TwoTermFit:
 
 
 def alpha_limits(lam: float, mu: float, beta: float, p: float = 1.0,
-                 model: Model = Model.MODEL1, alpha_eval: float = 1e-6,
-                 evaluate_prefactor: bool = False) -> AlphaLimits:
-    """Vanishing-breakdown-rate limits, with numeric evaluation at alpha_eval."""
+                 model: Model = Model.MODEL1) -> AlphaLimits:
+    """Vanishing-breakdown-rate limits of Model 1 and the tandem, with numeric
+    evaluation at alpha = 1e-6 (for Model 1, of the prefactor C(Up) too).
+    RS-RD, which has neither roots nor twist, raises InvalidParameters."""
     split = mu * p - (lam + beta)
     if split == 0.0:
         raise InvalidParameters("degenerate case mu*p = lambda+beta; limit split undefined")
@@ -308,14 +312,14 @@ def alpha_limits(lam: float, mu: float, beta: float, p: float = 1.0,
         limit_c_up = None if below else 0.0  # below: eta-dependent, checked numerically
         if model is Model.MODEL2:
             limit_b = 0.0 if below else (mu - lam - beta) / mu
-    pe = make_params(lam, mu, alpha_eval, beta, p=p, model=model)
+    pe = make_params(lam, mu, _ALPHA_EVAL, beta, p=p, model=model)
     twist = twist_summary(pe) if p == 1.0 else None
     sol = twist.roots if twist else characteristic_roots(pe)
     g_at = sol.g_constant
     drift_at = twist.drift.per_time if twist else None
     b_at = twist.phi.B if twist and model is Model.MODEL2 else None
     c_up_at = c_up_gap = None
-    if evaluate_prefactor and model is Model.MODEL1:
+    if model is Model.MODEL1:
         asym = tail_constants(twist)
         c_up_at = asym.prefactor_up
         if below:
@@ -327,7 +331,7 @@ def alpha_limits(lam: float, mu: float, beta: float, p: float = 1.0,
         case="service_below_lam_beta" if below else "service_above_lam_beta",
         limit_gamma=limit_gamma, limit_g=limit_g, limit_drift_per_time=limit_drift,
         limit_prefactor_up=limit_c_up, limit_prefactor_down=0.0, limit_b=limit_b,
-        alpha_eval=alpha_eval, gamma_at_eval=sol.gamma_p, g_at_eval=g_at,
+        alpha_eval=_ALPHA_EVAL, gamma_at_eval=sol.gamma_p, g_at_eval=g_at,
         drift_per_time_at_eval=drift_at, b_at_eval=b_at,
         gamma_gap=abs(sol.gamma_p - limit_gamma) / limit_gamma,
         prefactor_up_at_eval=c_up_at, prefactor_up_limit_gap=c_up_gap)
@@ -335,18 +339,20 @@ def alpha_limits(lam: float, mu: float, beta: float, p: float = 1.0,
 
 def mm1_comparison(params: ModelParams) -> Mm1Comparison:
     """Match a plain M/M/1 queue with the same effective rates, service
-    beta/(alpha+beta) mu p, and compare tails.  Raises UnstableParameters
-    unless that queue's load is below 1: the stability condition of Model 1
-    and the tandem, and a stricter one than RS-RD's lambda < mu p."""
+    beta/(alpha+beta) mu p, and compare tails.  gamma_1 is gamma_p, or RS-RD's
+    product-form rate lambda/(mu p).  Raises UnstableParameters unless that
+    queue's load is below 1: the stability condition of Model 1 and the
+    tandem, and a stricter one than RS-RD's lambda < mu p."""
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
     mu0 = beta / (alpha + beta) * mu * p
     if not lam < mu0:
         raise UnstableParameters("the M/M/1 comparison requires a stable parameter set "
                                  f"whose matched queue has load below 1, got {lam / mu0}")
-    sol = characteristic_roots(params)
+    gamma_1 = lam / (mu * p) if params.model is Model.RSRD \
+        else characteristic_roots(params).gamma_p
     mm1_ratio = (alpha + beta) / beta * lam / (mu * p)
-    return Mm1Comparison(gamma_1=sol.gamma_p, mm1_ratio=mm1_ratio,
-                         dominance=sol.gamma_p >= mm1_ratio, lambda0=lam, mu0=mu0)
+    return Mm1Comparison(gamma_1=gamma_1, mm1_ratio=mm1_ratio,
+                         dominance=gamma_1 >= mm1_ratio, lambda0=lam, mu0=mu0)
 
 
 def tail_fit(table: StationaryTable, sigma: int, k_min: int, k_max: int,

@@ -121,9 +121,12 @@ def _out_dir(args) -> Path:
 
 def _cmd_analyze(args) -> int:
     params = _resolve_params(args)
-    report = {"meta": _meta(params),
-              "spectral": _jsonable(characteristic_roots(params)),
-              "stability": _jsonable(stability(params))}
+    report = {"meta": _meta(params)}
+    if params.model is Model.RSRD:   # its product form decays as r^(x+y), r = lambda/(mu p)
+        report["product_form_rate"] = _jsonable(params.lam / (params.mu * params.p))
+    else:
+        report["spectral"] = _jsonable(characteristic_roots(params))
+    report["stability"] = _jsonable(stability(params))
     if params.model is Model.MODEL2 and params.p < 1.0:
         report["tail"] = _jsonable(prefactors(params))
     elif params.model is not Model.RSRD:

@@ -4,15 +4,15 @@ Three chains are covered: the full chains (with their boundary at x = 0),
 the free processes (boundary removed, shift invariant in x), and the
 rerouting comparison network used as a product-form reference.  Each
 chain's dynamics are one table of interior moves (`_moves`), and every row
-is folded from it by one rule (`_row`).  Rows are sparse per-state
-distributions, so the infinite state space never needs truncation here.
-`level_blocks` lays class rows out in level form, the (up, local, down)
-blocks that the QBD solvers and the tilted kernel read.
+is folded from it by one rule (`_fold`) into steps sorted by step, which
+`_row` turns into targets and the layouts read as they are.  Rows are
+sparse per-state distributions, so the infinite state space never needs
+truncation here.  `level_blocks` lays class rows out in level form, the
+(up, local, down) blocks that the QBD solvers and the tilted kernel read.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import add
 
@@ -36,10 +36,6 @@ class TransitionRow:
 
     def total(self) -> float:
         return sum(p for _, p in self.targets)
-
-    def mean_x_increment(self) -> float:
-        x0 = self.origin[0]
-        return sum(p * (s[0] - x0) for s, p in self.targets)
 
 
 def _moves(params: ModelParams) -> tuple:
@@ -68,23 +64,43 @@ def _moves(params: ModelParams) -> tuple:
                 ((0, 0, -1), beta / C, None))
 
 
-def _row(moves: tuple, state: tuple, free: bool = False) -> TransitionRow:
-    """Row at `state` folded from the interior moves: a move of probability 0
-    (p = 1) or one that lowers a coordinate already at 0 (only y when `free`)
-    is dropped, and the self-loop is 1 minus the kept moves summed in table
-    order."""
-    acc = {}
+def _origins(model: Model, x0: int) -> tuple:
+    """Class origins (x0, [y0,] sigma) at one x0, y0 and sigma in 0..1, in
+    lexicographic order."""
+    if model is Model.MODEL1:
+        return (x0, UP), (x0, DOWN)
+    return tuple((x0, y0, sigma) for y0 in (0, 1) for sigma in (UP, DOWN))
+
+
+def _fold(moves: tuple, origin: tuple, free: bool = False, h=None) -> list:
+    """Row at `origin` as (step, probability) pairs sorted by step, folded
+    from the interior moves: a move of probability 0 (p = 1) or one that
+    lowers a coordinate already at 0 (only y when `free`) is dropped, and the
+    self-loop, at the zero step, is 1 minus the kept moves summed in table
+    order.  Sorting the steps sorts the targets origin + step.  With a
+    harmonic function h, each probability is multiplied by
+    h(origin + step) / h(origin)."""
+    kept = []
     used = 0.0
-    for step, prob, low in moves[state[-1]]:
-        if prob == 0.0 or (low is not None and state[low] == 0 and (low or not free)):
+    for step, prob, low in moves[origin[-1]]:
+        if prob == 0.0 or (low is not None and origin[low] == 0 and (low or not free)):
             continue
-        acc[tuple(map(add, state, step))] = prob
+        kept.append((step, prob))
         used += prob
     diag = 1.0 - used
     if diag < -_ROW_TOL:
-        raise InvalidParameters(f"row at {state} has negative diagonal {diag}; C too small")
-    acc[state] = max(diag, 0.0)
-    return TransitionRow(state, tuple(sorted(acc.items())))
+        raise InvalidParameters(f"row at {origin} has negative diagonal {diag}; C too small")
+    kept.append(((0,) * len(origin), max(diag, 0.0)))
+    kept.sort()
+    if h is None:
+        return kept
+    return [(step, prob * h.ratio(origin, tuple(map(add, origin, step)))) for step, prob in kept]
+
+
+def _row(moves: tuple, state: tuple, free: bool = False) -> TransitionRow:
+    """Row at `state` with the `_fold` steps turned into targets."""
+    return TransitionRow(state, tuple([(tuple(map(add, state, step)), prob)
+                                       for step, prob in _fold(moves, state, free)]))
 
 
 def free_kernel(params: ModelParams, state: tuple) -> TransitionRow:
@@ -109,22 +125,10 @@ def rs_rd_kernel(params: ModelParams, state: tuple) -> TransitionRow:
     return full_kernel(params, state)
 
 
-def row_classes(params: ModelParams) -> dict[tuple, TransitionRow]:
-    """Full-chain rows at the class origins (min(x, 1), [min(y, 1),] sigma),
-    keyed by origin in lexicographic order.
-
-    The row at any state is its class row shifted by (state - origin), with
-    the same probabilities; the free row at any x is the x0 = 1 class row
-    shifted the same way.
-    """
-    moves = _moves(params)
-    corners = [(0, 1)] * (1 if params.model is Model.MODEL1 else 2)
-    return {origin: _row(moves, origin)
-            for origin in itertools.product(*corners, (UP, DOWN))}
-
-
-def level_blocks(rows, y_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(up, local, down) blocks, with x as the level, of class rows at one x0.
+def level_blocks(params: ModelParams, y_cut: int = 0, x0: int = 1,
+                 h=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(up, local, down) blocks, with x as the level, of the class rows at x0
+    (0 or 1), reweighted by h when given (the twisted rows).
 
     Phases are sigma, or (y, sigma) -> 2y + sigma for y <= y_cut: a row at
     y0 = 1 stands for every y in 1..y_cut, and a move past y_cut stays at
@@ -133,12 +137,13 @@ def level_blocks(rows, y_cut: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarr
     n = 2 * (y_cut + 1)
     blocks = np.zeros((3, n, n))
     ys = np.arange(1, y_cut + 1)
-    for row in rows:
-        x0, sigma = row.origin[0], row.origin[-1]
-        y0 = row.origin[1] if len(row.origin) == 3 else 0
-        for target, prob in row.targets:
-            k, to = x0 + 1 - target[0], target[-1]
-            dy = target[1] - y0 if len(target) == 3 else 0
+    moves = _moves(params)
+    for origin in _origins(params.model, x0):
+        sigma = origin[-1]
+        y0 = origin[1] if len(origin) == 3 else 0
+        for step, prob in _fold(moves, origin, h=h):
+            k, to = 1 - step[0], sigma + step[-1]
+            dy = step[1] if len(step) == 3 else 0
             if y0:   # one numpy update for all y; a Python loop over y is slower
                 blocks[k, 2 * ys + sigma, 2 * np.minimum(ys + dy, y_cut) + to] += prob
             else:    # scalar indexing; numpy's per-call cost would dominate 2x2 blocks

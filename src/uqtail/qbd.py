@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import level_blocks, row_classes
+from .kernels import _fold, _moves, _origins, level_blocks
 from .params import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
                      UnstableParameters)
 from .spectral import stability
@@ -195,11 +195,10 @@ def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
     levels, tail = _model1_levels(params, k_max)
     # max |pi P - pi| over levels 0..k_max-1 of the full chain, from the level form
     # of the x0 = 1 class rows and the local block of the x0 = 0 rows
-    rows = list(row_classes(params).values())
-    up, local, down = level_blocks(rows[2:])
+    up, local, down = level_blocks(params)
     inflow = levels[:-1] @ local + levels[1:] @ down
     inflow[1:] += levels[:-2] @ up
-    inflow[:1] = levels[:1] @ level_blocks(rows[:2])[1] + levels[1:2] @ down
+    inflow[:1] = levels[:1] @ level_blocks(params, x0=0)[1] + levels[1:2] @ down
     residual = float(np.max(np.abs(inflow - levels[:-1]), initial=0.0))
     return StationaryTable(pi=levels, model=Model.MODEL1, residual=residual,
                            tail_mass_bound=tail)
@@ -218,26 +217,27 @@ def _lattice_moves(params: ModelParams, space: tuple) -> dict:
     """The chain on the lattice x <= x_max (y <= y_max) of shape `space`, as
     {(d, sigma, to): q}: the move by d in (x, [y]) from phase sigma to phase
     `to` has probability q[state] from each state of `space`, 0 where the
-    state's `row_classes` row lacks it.
+    state's class row (`kernels._fold`) lacks it.
 
     The diagonal move (0, [0,] sigma, sigma) holds the self-move and the moves
-    that leave the lattice (reflecting cut), added in the row's sorted target
+    that leave the lattice (reflecting cut), added in the row's sorted step
     order.  A move past the far edge is kept in q there, and `_shifted` drops
     those sources, since the target lies outside.
     """
     diag = np.zeros(space + (2,))
     moves = {}
-    for origin, row in row_classes(params).items():
+    table = _moves(params)
+    for origin in (*_origins(params.model, 0), *_origins(params.model, 1)):
         sigma = origin[-1]
         members = tuple(slice(c, None if c else 1) for c in origin[:-1])
-        for target, prob in row.targets:
-            if target == origin:
+        for step, prob in _fold(table, origin):
+            if not any(step):
                 diag[members + (sigma,)] += prob
                 continue
-            d = tuple(t - o for t, o in zip(target[:-1], origin[:-1]))
-            if (d, sigma, target[-1]) not in moves:
-                moves[d, sigma, target[-1]] = np.zeros(space)
-            moves[d, sigma, target[-1]][members] = prob
+            d, to = step[:-1], sigma + step[-1]
+            if (d, sigma, to) not in moves:
+                moves[d, sigma, to] = np.zeros(space)
+            moves[d, sigma, to][members] = prob
             # a move steps up in at most one of x and y; from that coordinate's
             # far edge, which only the class at 1 holds, it folds into the diagonal
             for k in (k for k, step in enumerate(d) if step > 0 and origin[k]):

@@ -13,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      UnstableParameters, check_state)
-from .kernels import level_blocks, row_classes
+from .kernels import _fold, _moves, level_blocks
 from .qbd import ConvergenceError, LatticeLaw, exact_stationary_model1
 from .spectral import stability
 
@@ -148,18 +148,17 @@ def _phase_rows(params: ModelParams):
     blocked move keeps the phase, so a row with a move that changes a
     coordinate and the phase, or a coordinate by more than one, raises.
     """
-    classes = row_classes(params)
+    table = _moves(params)
     interior = (1,) if params.model is Model.MODEL1 else (1, 1)
     rows = []
     for sigma in (UP, DOWN):
         origin = (*interior, sigma)
-        row = classes[origin]
-        moves = np.array([(*(t - o for t, o in zip(target[:-1], origin)), target[-1])
-                          for target, _ in row.targets], dtype=np.int8)
+        steps = _fold(table, origin)
+        moves = np.array([(*step[:-1], sigma + step[-1]) for step, _ in steps], dtype=np.int8)
         delta = moves[:, :-1]
         if np.any(np.abs(delta) > 1) or np.any(delta.any(axis=1) & (moves[:, -1] != sigma)):
             raise ValueError(f"row at {origin} has a move that blocking would distort")
-        rows.append((np.cumsum([prob for _, prob in row.targets])[:-1], moves))
+        rows.append((np.cumsum([prob for _, prob in steps])[:-1], moves))
     cuts = np.array(sorted({c for cum, _ in rows for c in cum}))   # np.unique loads numpy.ma
     left = np.concatenate(([0.0], cuts))   # each interval's left end
     up, down = (moves[np.searchsorted(cum, left, side="right")] for cum, moves in rows)
@@ -348,7 +347,7 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
     An excursion leaves (base, sigma) by a step up and reaches level_k = K
     before returning to base, which it does in T steps.  h, the probability
     of reaching K before base, solves the harmonic equations of the
-    interior blocks (`level_blocks` of the x0 = 1 class rows) on levels
+    interior blocks (`level_blocks` at x0 = 1) on levels
     base+1..K-1.  The excursion starts in phase sigma
     with weight pi(base, sigma) P((base, sigma) -> (base+1, sigma)) h(base+1, sigma)
     (pi stationary), and then moves by the Doob transform
@@ -373,7 +372,7 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
                                 success_probability=1.0, h_residual=0.0, steps=1,
                                 remaining_mass=0.0, h=np.ones((0, 2)))
     levels = rise - 1
-    a0, a1, a2 = level_blocks(list(row_classes(params).values())[2:])   # x0 = 1
+    a0, a1, a2 = level_blocks(params)
     lift = exact_stationary_model1(params, k_max=base_level).pi[base_level] * np.diag(a0)
     # unknowns (x, sigma) -> 2 (x - base - 1) + sigma on the interior levels,
     # block-tridiagonal; moves to K feed `hit`, moves to base are killed

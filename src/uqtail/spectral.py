@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import level_blocks, row_classes
+from .kernels import level_blocks
 from .params import InvalidParameters, Model, ModelParams
 
 
@@ -42,7 +42,12 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
 
     The larger root is computed by the quadratic formula and the smaller one
     from the product of roots, which keeps full precision when alpha is tiny.
+    RS-RD's product form decays at lambda/(mu p) instead, and raises
+    InvalidParameters.
     """
+    if params.model is Model.RSRD:
+        raise InvalidParameters("the characteristic roots are defined for Model 1 "
+                                "and the tandem only")
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
     mup = mu * p
     s_p = (mup - lam - beta - alpha) ** 2 + 4.0 * alpha * mup
@@ -65,11 +70,10 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
 
 def feynman_kac(params: ModelParams, theta: float) -> tuple[np.ndarray, float]:
     """Tilted 2x2 phase kernel A2 e^-theta + A1 + A0 e^theta of the Model 1
-    free process, from the level form of its x0 = 1 class rows, and its
-    Perron root."""
+    free process, from its level blocks at x0 = 1, and its Perron root."""
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the tilted phase kernel needs a Model 1 parameter set")
-    up, local, down = level_blocks(list(row_classes(params).values())[2:])
+    up, local, down = level_blocks(params)
     matrix = down * math.exp(-theta) + local + up * math.exp(theta)
     (a, b), (c, d) = matrix
     half_gap = math.sqrt(((a - d) / 2.0) ** 2 + b * c)

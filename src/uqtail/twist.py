@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import TransitionRow, row_classes
+from .kernels import TransitionRow, _fold, _moves, _origins
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, UnstableParameters
 from .spectral import SpectralSolution, characteristic_roots, stability
 
@@ -77,8 +77,7 @@ class TwistSummary:
     """One pass through the h-transform of a parameter set.
 
     The unreported fields carry what later stages (escape, eta, prefactors)
-    read instead of deriving it again: the set, its roots, and the twisted
-    x0 = 1 class rows, in `kernels.row_classes` order.
+    read instead of deriving it again: the set and its roots.
     """
     model: Model
     harmonic: HarmonicFunction
@@ -87,7 +86,6 @@ class TwistSummary:
     drift: Drift
     params: ModelParams = field(repr=False)
     roots: SpectralSolution = field(repr=False)
-    rows: tuple[TransitionRow, ...] = field(repr=False)
 
 
 def _require_stable(params: ModelParams) -> SpectralSolution:
@@ -118,19 +116,16 @@ def twist_row(row: TransitionRow, h: HarmonicFunction) -> TransitionRow:
 def twist_summary(params: ModelParams) -> TwistSummary:
     """The h-transform of Model 1 or the tandem (p = 1), derived once.
 
-    From one stability check and one `characteristic_roots`: h, the twisted
-    x0 = 1 class rows, the phase law phi (with the tandem's twisted rates),
-    and the drift.  The drift's closed form must agree to 1e-10 with the
-    phi-weighted mean x-increment of the twisted rows, and be positive for
-    the tail method to apply.
+    From one stability check and one `characteristic_roots`: h, the phase
+    law phi (with the tandem's twisted rates), and the drift.  The drift's
+    closed form must agree to 1e-10 with the phi-weighted mean x step of the
+    twisted x0 = 1 class rows, and be positive for the tail method to apply.
     """
     tandem = params.model is Model.MODEL2 and params.p == 1.0
     if not (params.model is Model.MODEL1 or tandem):
         raise InvalidParameters("the twist is derived for Model 1 and the tandem (p = 1) only")
     sol = _require_stable(params)
     h = _harmonic(params, sol)
-    rows = tuple(twist_row(row, h) for origin, row in row_classes(params).items()
-                 if origin[0] == 1)
     lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
     den, g = sol.den, sol.g_constant
     # the phase chain's Up/Down shares, beta_t and alpha_t over their sum
@@ -148,9 +143,10 @@ def twist_summary(params: ModelParams) -> TwistSummary:
     value = (den_minus / 2.0 - lam * mu * den / (g * den_minus)) / C
     # rows are identical for all y >= 1, so the tandem's geometric tail of phi,
     # of total mass ratio, is aggregated exactly instead of being truncated
-    estimate = sum(shares[row.origin[-1]] * row.mean_x_increment()
-                   * ((phi.B, phi.ratio)[row.origin[1]] if tandem else 1.0)
-                   for row in rows)
+    moves = _moves(params)
+    estimate = sum(shares[o[-1]] * sum(prob * step[0] for step, prob in _fold(moves, o, h=h))
+                   * ((phi.B, phi.ratio)[o[1]] if tandem else 1.0)
+                   for o in _origins(params.model, 1))
     if abs(value - estimate) > _DRIFT_AGREEMENT * max(1.0, abs(value)):
         raise ArithmeticError(
             f"drift closed form {value!r} and aggregate {estimate!r} disagree")
@@ -159,4 +155,4 @@ def twist_summary(params: ModelParams) -> TwistSummary:
                               "tail method inapplicable for these parameters")
     return TwistSummary(model=params.model, harmonic=h, rates=rates, phi=phi,
                         drift=Drift(value=value, estimate=estimate, per_time=value * C),
-                        params=params, roots=sol, rows=rows)
+                        params=params, roots=sol)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import _escape, escape_probabilities, eta, prefactors, rs_rd_stationary
-from .kernels import free_kernel, level_blocks, row_classes
+from .kernels import _moves, _origins, _row, level_blocks
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, make_params
 from .qbd import (boundary_vector, exact_stationary_model1, first_passage, neuts_stability,
                   rate_matrix, rate_matrix_closed_form)
@@ -49,11 +49,6 @@ def random_params(rng: np.random.Generator, p: float = 1.0,
     return make_params(bound * load, mu, alpha, beta, p=p, model=model)
 
 
-# free-chain class origins: free rows are shift invariant in x and, above y = 0, in y
-_FREE_ORIGINS = {Model.MODEL1: [(0, UP), (0, DOWN)],
-                 Model.MODEL2: [(0, y, sigma) for y in (0, 1) for sigma in (UP, DOWN)]}
-
-
 def _free_rows(grid: int, seed: int):
     """(h, free row) at every class origin of `grid` stable sets, which cycle
     Model 1, tandem p = 1, Model 1, tandem p = 0.5."""
@@ -61,9 +56,9 @@ def _free_rows(grid: int, seed: int):
     for i in range(grid):
         params = random_params(rng, p=0.5 if i % 4 == 3 else 1.0,
                                model=Model.MODEL1 if i % 2 == 0 else Model.MODEL2)
-        h = harmonic(params)
-        for state in _FREE_ORIGINS[params.model]:
-            yield h, free_kernel(params, state)
+        h, moves = harmonic(params), _moves(params)
+        for origin in _origins(params.model, 0):   # free rows are shift invariant
+            yield h, _row(moves, origin, free=True)
 
 
 def check_rows_stochastic(grid: int, seed: int) -> CheckResult:
@@ -74,8 +69,9 @@ def check_rows_stochastic(grid: int, seed: int) -> CheckResult:
         model = Model.MODEL1 if i % 2 == 0 else Model.MODEL2
         p = 1.0 if model is Model.MODEL1 else rng.uniform(0.3, 1.0)
         params = random_params(rng, p=p, stable=i % 5 != 4, model=model)
-        rows = [*row_classes(params).values(),
-                *(free_kernel(params, state) for state in _FREE_ORIGINS[model])]
+        moves = _moves(params)   # one table per set, every row folded from it
+        rows = [*(_row(moves, origin) for x0 in (0, 1) for origin in _origins(model, x0)),
+                *(_row(moves, origin, free=True) for origin in _origins(model, 0))]
         worst = max(worst, *(abs(row.total() - 1.0) for row in rows))
     return CheckResult("kernel-rows-stochastic", worst <= 1e-12,
                        f"max |row sum - 1| = {worst:.3g}")
@@ -135,7 +131,7 @@ def check_rate_matrix() -> CheckResult:
     worst_r = worst_eig = 0.0
     for params in (PARAMS_A, PARAMS_B):
         r_closed = rate_matrix_closed_form(params)
-        r_solved = rate_matrix(*level_blocks(list(row_classes(params).values())[2:]))  # x0 = 1
+        r_solved = rate_matrix(*level_blocks(params))
         worst_r = max(worst_r, float(np.max(np.abs(r_closed - r_solved))))
         sol = characteristic_roots(params)
         eig_gap = np.sort(np.linalg.eigvals(r_closed)) - (sol.gamma_secondary, sol.gamma_p)
@@ -146,15 +142,14 @@ def check_rate_matrix() -> CheckResult:
 
 def check_stability_equivalence(grid: int, seed: int) -> CheckResult:
     # grid Model 1 sets, then grid tandem sets with p = 0.5, where Neuts' test is not
-    # run; it reads only the interior blocks, which the free rows lay out
+    # run; it reads only the interior blocks
     rng = np.random.default_rng(seed)
     bad = 0
     for model, p in ((Model.MODEL1, 1.0), (Model.MODEL2, 0.5)):
         for _ in range(grid):
             params = random_params(rng, p=p, stable=bool(rng.random() < 0.5), model=model)
             closed = stability(params).stable
-            neuts = closed if model is not Model.MODEL1 else neuts_stability(
-                *level_blocks([free_kernel(params, state) for state in _FREE_ORIGINS[model]]))
+            neuts = closed if model is not Model.MODEL1 else neuts_stability(*level_blocks(params))
             if not (closed == neuts == (characteristic_roots(params).gamma_p < 1.0)):
                 bad += 1
     return CheckResult("stability-equivalences", bad == 0,

@@ -30,7 +30,7 @@ def assert_escape_matches_iteration(params):
     esc = escape_probabilities(params)
     assert esc.residual <= 1e-12
     assert 0 < esc.up < 1 and 0 < esc.down < 1
-    reference = _escape_first_passage(twist_summary(params).rows)
+    reference = _escape_first_passage(twist_summary(params))
     assert [esc.up, esc.down] == pytest.approx(reference, rel=0, abs=1e-10)
 
 
@@ -187,6 +187,17 @@ def test_alpha_limits_above():
     assert lim.b_at_eval == pytest.approx(0.65, abs=1e-4)
 
 
+def test_alpha_limits_evaluate_the_prefactor():
+    # C(Up) at alpha = 1e-6 against its limit: eta C / (mu - lambda) below the
+    # split (A), 0 above it
+    below, above = alpha_limits(10, 11, 10), alpha_limits(20, 60, 1)
+    assert below.alpha_eval == above.alpha_eval == 1e-6
+    assert below.case == "service_below_lam_beta" and above.case == "service_above_lam_beta"
+    assert 0.0 <= below.prefactor_up_limit_gap <= 1e-5
+    assert 0.0 <= above.prefactor_up_limit_gap <= 1e-6
+    assert above.prefactor_up_limit_gap == abs(above.prefactor_up_at_eval)
+
+
 def test_alpha_limits_rejects_split_point():
     with pytest.raises(InvalidParameters):
         alpha_limits(10, 20, 10)
@@ -252,7 +263,7 @@ def t2_table():
 
 def test_eta_model2_exact(t2_table):
     # tandem blocks: logarithmic reduction against the plain iteration from 0
-    a0, a1, a2 = level_blocks(twist_summary(T2).rows, 8)
+    a0, a1, a2 = level_blocks(T2, 8, h=twist_summary(T2).harmonic)
     g = np.zeros_like(a1)
     for _ in range(10 ** 5):
         g_next = a2 + a1 @ g + a0 @ g @ g
@@ -266,7 +277,7 @@ def test_eta_model2_exact(t2_table):
     for params in (A, B):
         h = harmonic(params)
         closed = np.array([[1.0 / h.base, 0.0], [1.0 / (h.base * h.down_weight), 0.0]])
-        g = first_passage(*level_blocks(twist_summary(params).rows))
+        g = first_passage(*level_blocks(params, h=twist_summary(params).harmonic))
         assert np.max(np.abs(g - closed)) <= 1e-14
     est = eta(T2, table=t2_table)
     assert est.method == "qbd"

@@ -53,6 +53,10 @@ def test_analyze_with_limits(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "analyze.json").read_text())
     assert report["alpha_limits"]["case"] == "service_below_lam_beta"
+    limits = report["alpha_limits"]
+    assert limits["alpha_eval"] == 1e-6
+    assert limits["prefactor_up_at_eval"] > 0.0
+    assert 0.0 <= limits["prefactor_up_limit_gap"] <= 1e-5
 
 
 def test_params_file_input(tmp_path):
@@ -261,6 +265,38 @@ def test_rsrd_verdict_is_whether_its_product_form_exists(tmp_path, lam):
     else:
         with pytest.raises(InvalidParameters, match="lambda < mu"):
             rs_rd_stationary(params, x_max=40, y_max=40)
+
+
+@pytest.mark.parametrize("lam", ["10", "14.9"])
+def test_rsrd_analyze_reports_the_product_form_rate(tmp_path, lam):
+    # RS-RD decays at lambda/(mu p) in x and y; the tandem's roots are not its own
+    flags = ["--lambda", lam, "--mu", "30", "--alpha", "0.1", "--beta", "10",
+             "--model", "rsrd", "--p", "0.5"]
+    assert main(["analyze", *flags, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "analyze.json").read_text()
+    report = json.loads(text)
+    assert list(report) == ["meta", "product_form_rate", "stability"]
+    assert report["product_form_rate"] == float(lam) / 15
+    assert "gamma_p" not in text and report["stability"]["stable"]
+
+
+def test_compare_mm1_gives_rsrd_its_product_form_rate(tmp_path):
+    # the matched queue decays at 0.6733, more slowly than RS-RD's 2/3
+    flags = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10",
+             "--model", "rsrd", "--p", "0.5"]
+    assert main(["compare-mm1", *flags, "--out", str(tmp_path)]) == 0
+    comparison = json.loads((tmp_path / "compare_mm1.json").read_text())["comparison"]
+    assert comparison["gamma_1"] == 10 / 15
+    assert comparison["mm1_ratio"] == pytest.approx(10.1 / 10 * 10 / 15, rel=1e-15)
+    assert comparison["dominance"] is False
+
+
+def test_rsrd_has_no_vanishing_breakdown_limits(tmp_path, capsys):
+    flags = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10",
+             "--model", "rsrd", "--p", "0.5"]
+    assert main(["analyze", *flags, "--limits", "--out", str(tmp_path)]) == 1
+    assert "defined for Model 1 and the tandem only" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_compare_mm1_refuses_rsrd_above_the_matched_load(tmp_path, capsys):

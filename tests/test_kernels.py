@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtail import (DOWN, UP, InvalidParameters, Model, free_kernel,
-                    full_kernel, make_params, rs_rd_kernel)
-from uqtail.kernels import row_classes
+from uqtail import (DOWN, UP, InvalidParameters, Model, UnstableParameters, free_kernel,
+                    full_kernel, make_params, rs_rd_kernel, twist_summary)
+from uqtail.kernels import _origins, level_blocks
+from uqtail.simulate import _phase_rows
 from uqtail.verify import check_rows_stochastic, random_params
 
 A = make_params(10, 11, 0.1, 10)
@@ -90,7 +91,7 @@ def test_rows_stochastic_random():
 
 def test_mean_x_increment():
     row = free_kernel(A, (0, UP))
-    assert row.mean_x_increment() == pytest.approx((10 - 11) / 31.1)
+    assert sum(p * t[0] for t, p in row.targets) == pytest.approx((10 - 11) / 31.1)
 
 
 def test_free_kernel_rejects_rsrd():
@@ -117,7 +118,7 @@ def test_rows_are_shifted_class_rows(seed, model, p, stable, x, y, sigma):
     the free row at any x is the x0 = 1 class row moved the same way."""
     params = random_params(np.random.default_rng(seed), p=1.0 if model is Model.MODEL1 else p,
                            stable=stable, model=model)
-    classes = row_classes(params)
+    classes = {o: full_kernel(params, o) for x0 in (0, 1) for o in _origins(model, x0)}
     assert len(classes) == (4 if model is Model.MODEL1 else 8)
     state = (x, sigma) if model is Model.MODEL1 else (x, y, sigma)
     corner = tuple(min(v, 1) for v in state[:-1]) + (sigma,)
@@ -151,7 +152,7 @@ def _pinned_sets():
 def _row_bits(params):
     """Every class row and, off RS-RD, every free row at the class origins,
     with each probability as float.hex."""
-    classes = row_classes(params)
+    classes = {o: full_kernel(params, o) for x0 in (0, 1) for o in _origins(params.model, x0)}
     rows = [*classes.values(),
             *(free_kernel(params, o) for o in classes if params.model is not Model.RSRD)]
     return "".join(f"{row.origin}:{[(t, p.hex()) for t, p in row.targets]}\n" for row in rows)
@@ -162,3 +163,34 @@ def test_rows_are_pinned_bit_for_bit():
     another order moves the last bit of some diagonals, which approx misses."""
     text = "".join(_row_bits(params) for params in _pinned_sets())
     assert hashlib.sha256(text.encode()).hexdigest() == ROWS_DIGEST
+
+
+# SHA-256 of `_layout_bits` over `_pinned_sets`
+LAYOUTS_DIGEST = "6662b94d404973bde67db2646e9607dba6bf05418b1854298e32a5b56116d657"
+
+
+def _layout_bits(params):
+    """The plain level blocks at x0 = 0 and 1 (y cut 0, and 5 on the two-server
+    chains), the twisted blocks wherever the twist exists (y cuts 0, 1 and 8
+    on the tandem), and the sampler's interval table, with each probability
+    as float.hex."""
+    cuts = (0,) if params.model is Model.MODEL1 else (0, 5)
+    blocks = [level_blocks(params, y_cut, x0) for x0 in (0, 1) for y_cut in cuts]
+    try:
+        twist = twist_summary(params)
+    except (InvalidParameters, UnstableParameters, ArithmeticError):
+        twist = None
+    if twist is not None:
+        blocks += [level_blocks(params, y_cut, h=twist.harmonic)
+                   for y_cut in ((0,) if params.model is Model.MODEL1 else (0, 1, 8))]
+    cut, to_up, to_down, moves = _phase_rows(params)
+    arrays = [a for triple in blocks for a in triple] + [cut]
+    return "".join(f"{[v.hex() for v in a.ravel().tolist()]}\n" for a in arrays) + \
+        f"{to_up.tolist()}{to_down.tolist()}{moves.tolist()}\n"
+
+
+def test_layouts_are_pinned_bit_for_bit():
+    """Every layout's floats to the last bit: the level blocks, plain and
+    twisted, and the sampler's thresholds."""
+    text = "".join(_layout_bits(params) for params in _pinned_sets())
+    assert hashlib.sha256(text.encode()).hexdigest() == LAYOUTS_DIGEST

@@ -5,7 +5,7 @@ import pytest
 
 import uqtail
 from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
-                    boundary_vector, conditioned_excursion_slope,
+                    boundary_vector, characteristic_roots, conditioned_excursion_slope,
                     default_uniformization, escape_probabilities, eta,
                     exact_stationary_model1, feynman_kac, full_kernel, harmonic,
                     make_params, params_from_json, prefactors, rs_rd_kernel,
@@ -136,10 +136,11 @@ M1, M2, RS = {Model.MODEL1}, {Model.MODEL2}, {Model.RSRD}
     (eta, M1 | M2, "tandem"),
     (harmonic, M1 | M2, "tandem"),
     (two_term_tail, M1, "Model 1"),
+    (characteristic_roots, M1 | M2, "tandem"),
 ], ids=["boundary_vector", "exact_stationary_model1",
         "escape_probabilities", "feynman_kac", "conditioned_excursion_slope",
         "rs_rd_stationary", "tandem_product_form", "rs_rd_kernel", "twist_summary", "eta",
-        "harmonic", "two_term_tail"])
+        "harmonic", "two_term_tail", "characteristic_roots"])
 def test_single_chain_functions_refuse_other_chains(call, serves, needs):
     for params in (A, T2, T2_HALF, RS_ONE):
         if params.model not in serves:

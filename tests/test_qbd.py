@@ -13,7 +13,7 @@ from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, Truncation
                     free_kernel, full_kernel, make_params, rate_matrix,
                     rate_matrix_closed_form, rs_rd_stationary, simulate,
                     truncated_stationary, twist_summary)
-from uqtail.kernels import level_blocks, row_classes
+from uqtail.kernels import level_blocks
 from uqtail.qbd import (LatticeLaw, _lattice_inflow, _lattice_matrix, _lattice_shape,
                         _tail_mass_estimate, first_passage)
 from uqtail.verify import (check_rate_matrix, check_stability_equivalence,
@@ -27,12 +27,12 @@ RS = make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD)
 
 def interior(params):
     """Model 1's (up, local, down) blocks, from its x0 = 1 class rows."""
-    return level_blocks(list(row_classes(params).values())[2:])
+    return level_blocks(params)
 
 
 def boundary(params):
     """Model 1's level-0 local block, from its x0 = 0 class rows."""
-    return level_blocks(list(row_classes(params).values())[:2])[1]
+    return level_blocks(params, x0=0)[1]
 
 
 def test_blocks_partition_the_kernel():
@@ -58,8 +58,7 @@ def test_level_blocks_hold_the_free_kernel(name, y_cut):
     # each entry, state by state, is the free-kernel probability of its move;
     # a move past y_cut is held at y_cut
     params = LEVEL_SETS[name]
-    blocks = level_blocks([row for origin, row in row_classes(params).items()
-                           if origin[0] == 1], y_cut)
+    blocks = level_blocks(params, y_cut)
     n = 2 * (y_cut + 1)
     assert all(block.shape == (n, n) for block in blocks)
     x = 7
@@ -142,7 +141,7 @@ def _tandem_blocks():
     # twisted tandem blocks with y cut at 8: T2 and five grid sets
     rng = np.random.default_rng(12)
     sets = [T2] + [random_params(rng, model=Model.MODEL2) for _ in range(5)]
-    return [level_blocks(twist_summary(params).rows, 8) for params in sets]
+    return [level_blocks(params, 8, h=twist_summary(params).harmonic) for params in sets]
 
 
 def test_first_passage_solves_a_stack_slice_by_slice():
@@ -150,7 +149,7 @@ def test_first_passage_solves_a_stack_slice_by_slice():
     rng = np.random.default_rng(11)
     model1 = [A, B] + [random_params(rng) for _ in range(50)]
     plain = list(map(interior, model1))
-    twisted = [level_blocks(twist_summary(params).rows) for params in model1]
+    twisted = [level_blocks(params, h=twist_summary(params).harmonic) for params in model1]
     for blocks in (plain + twisted, _tandem_blocks()):
         g = first_passage(*_stack(blocks))
         assert g.shape == (len(blocks),) + blocks[0][0].shape

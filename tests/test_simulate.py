@@ -13,7 +13,7 @@ from uqtail import (DOWN, UP, Excursion, InvalidParameters, Model, Trajectory,
                     ld_excursions, make_params, regime_prediction, simulate,
                     tandem_product_form, truncated_stationary)
 from uqtail.cli import _csv_header, _fmt, main
-from uqtail.kernels import TransitionRow, row_classes
+from uqtail.kernels import _moves, _origins
 from uqtail.simulate import _BLOCK, _block_path, _csv_lines, _phase_path, _phase_rows
 from uqtail.verify import random_params
 
@@ -248,7 +248,8 @@ def _interior(state):
 def _reference_rows(params):
     """Per phase, the interior class row as thresholds and (deltas, phase) moves."""
     rows = {}
-    for origin, row in row_classes(params).items():
+    for origin in _origins(params.model, 1):
+        row = full_kernel(params, origin)
         if origin == _interior(origin):
             cum = np.cumsum([prob for _, prob in row.targets])
             cum[-1] = 1.0
@@ -376,7 +377,7 @@ def _fold_sets():
 
 @pytest.mark.parametrize("params", [A, B, *TWO_SERVER, *_fold_sets()])
 def test_boundary_rows_are_interior_rows_with_blocked_moves_folded(params):
-    classes = row_classes(params)
+    classes = {o: full_kernel(params, o) for x0 in (0, 1) for o in _origins(params.model, x0)}
     for origin, row in classes.items():
         interior = classes[_interior(origin)]
         folded = {}
@@ -415,10 +416,10 @@ def test_interval_table_reads_each_phase_row(params):
 
 
 def test_phase_rows_reject_a_coordinate_move_that_changes_phase(monkeypatch):
-    classes = dict(row_classes(A))
-    classes[(1, UP)] = TransitionRow((1, UP), (((0, DOWN), 0.5), ((2, UP), 0.5)))
-    monkeypatch.setattr(importlib.import_module("uqtail.simulate"), "row_classes",
-                        lambda params: classes)
+    # from (1, UP), Up moves to (0, DOWN) or (2, UP): the first changes x and the phase
+    table = ((((-1, 1), 0.5, 0), ((1, 0), 0.5, None)), _moves(A)[DOWN])
+    monkeypatch.setattr(importlib.import_module("uqtail.simulate"), "_moves",
+                        lambda params: table)
     with pytest.raises(ValueError, match="blocking"):
         _phase_rows(A)
 

@@ -225,7 +225,7 @@ def test_small_alpha_matches_a_50_digit_reference(rates, model, alpha):
         assert abs(Decimal(value) / exact - 1) <= Decimal("1e-13"), name
 
 
-NAMES = ("characteristic_roots", "stability", "row_classes", "twist_row")
+NAMES = ("characteristic_roots", "stability", "_moves")
 
 
 @pytest.fixture
@@ -241,7 +241,7 @@ def call_counts(monkeypatch):
 
     originals = {name: getattr(sys.modules[module], name) for name, module in (
         ("characteristic_roots", "uqtail.spectral"), ("stability", "uqtail.spectral"),
-        ("row_classes", "uqtail.kernels"), ("twist_row", "uqtail.twist"))}
+        ("_moves", "uqtail.kernels"))}
     for module in [m for name, m in sys.modules.items() if name.startswith("uqtail")]:
         for name, fn in originals.items():
             if getattr(module, name, None) is fn:
@@ -252,14 +252,15 @@ def call_counts(monkeypatch):
 def test_one_twist_pass_per_call(call_counts, tmp_path):
     table = truncated_stationary(T2, x_max=40, y_max=40)
     call_counts.update(dict.fromkeys(NAMES, 0))
-    # analyze: the report's spectral and stability, one pass, and the boundary solve,
+    # analyze: the report's spectral and stability, one pass (a move table for the
+    # drift), the escape check's twisted blocks (one more) and the boundary solve,
     # which builds no blocks
     flags = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
     assert main(["analyze", *flags, "--out", str(tmp_path)]) == 0
-    assert call_counts == {"characteristic_roots": 2, "stability": 3,
-                           "row_classes": 1, "twist_row": 2}
+    assert call_counts == {"characteristic_roots": 2, "stability": 3, "_moves": 2}
     call_counts.update(dict.fromkeys(NAMES, 0))
-    # one pass: four twisted x0 = 1 class rows of the tandem
+    # one pass (the drift's table), then eta's three twisted layouts: the up block's
+    # mass at y cut 1 and the escape blocks at the two y cuts
     prefactors(T2, table=table)
     assert call_counts == {"characteristic_roots": 1, "stability": 1,
-                           "row_classes": 1, "twist_row": 4}
+                           "_moves": 4}
