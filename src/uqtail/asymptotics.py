@@ -14,7 +14,7 @@ import numpy as np
 from .kernels import level_blocks
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      UnstableParameters, make_params)
-from .qbd import (StationaryTable, _lattice_inflow, _lattice_shape, _model1_levels,
+from .qbd import (StationaryTable, _closed_form_table, _lattice_shape, _model1_levels,
                   boundary_vector, first_passage, truncated_stationary)
 from .spectral import characteristic_roots, stability
 from .twist import TwistSummary, twist_summary
@@ -64,7 +64,6 @@ class TwoTermFit:
 class TailFit:
     gamma_est: float
     log_prefactor_est: float
-    k_window: tuple[int, int]
     max_relative_deviation: float
 
 
@@ -73,7 +72,6 @@ class TwoGeometricFit:
     rates: tuple[float, float]
     weights: tuple[float, float]
     dominant_rate: float  # rate of the larger-weight term
-    k_window: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -290,11 +288,13 @@ def two_term_tail(params: ModelParams) -> TwoTermFit:
     return TwoTermFit(w2=tail_constants(twist).prefactor_up, w3=w3)
 
 
-def alpha_limits(lam: float, mu: float, beta: float, p: float = 1.0,
-                 model: Model = Model.MODEL1) -> AlphaLimits:
-    """Vanishing-breakdown-rate limits of Model 1 and the tandem, with numeric
-    evaluation at alpha = 1e-6 (for Model 1, of the prefactor C(Up) too).
-    RS-RD, which has neither roots nor twist, raises InvalidParameters."""
+def alpha_limits(params: ModelParams) -> AlphaLimits:
+    """Vanishing-breakdown-rate limits of Model 1 and the tandem at the set's
+    other rates, with numeric evaluation at alpha = 1e-6 and the default C
+    (for Model 1, of the prefactor C(Up) too); the set's own alpha and C are
+    not read.  RS-RD, which has neither roots nor twist, raises
+    InvalidParameters."""
+    lam, mu, beta, p, model = params.lam, params.mu, params.beta, params.p, params.model
     split = mu * p - (lam + beta)
     if split == 0.0:
         raise InvalidParameters("degenerate case mu*p = lambda+beta; limit split undefined")
@@ -369,7 +369,7 @@ def tail_fit(table: StationaryTable, sigma: int, k_min: int, k_max: int,
     slope, intercept = np.polyfit(ks, logs, 1)
     deviation = float(np.max(np.abs(1.0 - np.exp(slope * np.array(ks) + intercept - np.array(logs)))))
     return TailFit(gamma_est=float(math.exp(slope)), log_prefactor_est=float(intercept),
-                   k_window=(k_min, k_max), max_relative_deviation=deviation)
+                   max_relative_deviation=deviation)
 
 
 def two_geometric_fit(table: StationaryTable, sigma: int, k_min: int,
@@ -397,12 +397,12 @@ def two_geometric_fit(table: StationaryTable, sigma: int, k_min: int,
     dominant = float(roots[int(np.argmax(np.abs(weights)))])
     return TwoGeometricFit(rates=(float(roots[0]), float(roots[1])),
                            weights=(float(weights[0]), float(weights[1])),
-                           dominant_rate=dominant, k_window=(k_min, k_max))
+                           dominant_rate=dominant)
 
 
 def rs_rd_stationary(params: ModelParams, x_max: int, y_max: int) -> StationaryTable:
     """Closed-form product stationary law of the rerouting comparison network,
-    with its global-balance residual from `_product_form_table`.  Raises
+    with its global-balance residual from `_closed_form_table`.  Raises
     InvalidParameters unless x_max >= 1 and y_max >= 1.
     """
     if params.model is not Model.RSRD:
@@ -417,7 +417,7 @@ def rs_rd_stationary(params: ModelParams, x_max: int, y_max: int) -> StationaryT
     powers = np.array([r ** k for k in range(x_max + y_max + 3)])
     x, y = np.ogrid[:x_max + 2, :y_max + 2]
     pi = norm * powers[x + y][..., None] * share
-    return _product_form_table(params, pi, r ** (x_max + 1), r ** (y_max + 1))
+    return _closed_form_table(params, pi, r ** (x_max + 1), r ** (y_max + 1))
 
 
 def tandem_product_form(params: ModelParams, x_max: int, y_max: int) -> StationaryTable:
@@ -428,40 +428,16 @@ def tandem_product_form(params: ModelParams, x_max: int, y_max: int) -> Stationa
     Burke's theorem its past departures, station 1's arrivals, are independent
     of its present length; this is not a claim of the paper.  The product is
     checked by its global-balance residual against the tandem's own kernel
-    (`_product_form_table`); the tail bound takes Model 1's mass beyond x_max
+    (`_closed_form_table`); the tail bound takes Model 1's mass beyond x_max
     and r^(y_max + 1) as the marginal masses beyond the window.  Raises
     InvalidParameters unless p = 1, x_max >= 1 and y_max >= 1.
     """
     if params.model is not Model.MODEL2 or params.p != 1.0:
         raise InvalidParameters("the product form needs a tandem parameter set with p = 1")
     _lattice_shape(Model.MODEL2, x_max, y_max)   # raises on an empty side
-    station1, beyond = _model1_levels(
-        make_params(params.lam, params.mu, params.alpha, params.beta), k_max=x_max + 1)
+    station1, beyond_x = _model1_levels(
+        make_params(params.lam, params.mu, params.alpha, params.beta), k_max=x_max)
     r = params.lam / params.mu
     powers = np.array([r ** k for k in range(y_max + 2)])
     pi = (1.0 - r) * powers[None, :, None] * station1[:, None, :]
-    beyond_x = beyond + float(station1[-1].sum())
-    return _product_form_table(params, pi, beyond_x, r ** (y_max + 1))
-
-
-def _product_form_table(params: ModelParams, pi: np.ndarray, x_tail: float,
-                        y_tail: float) -> StationaryTable:
-    """The table of a closed-form law `pi` given on a box one shell wider than
-    its window, in x and y, cut to the window.  x and y are independent, so
-    the mass outside the window is 1 - (1 - x_tail)(1 - y_tail), from the
-    marginal masses beyond x_max and y_max; it is summed as
-    x_tail + y_tail - x_tail y_tail, so that a mass below 1e-16 does not round
-    to 0.
-
-    The residual is the global balance of the closed form against the actual
-    kernel, max |pi P - pi| on the window, with P the kernel on the wider box,
-    so that inflow sources one step outside the window are evaluated in closed
-    form too.  The inflow pi P is summed from shifted slices of pi by
-    `qbd._lattice_inflow`; no matrix is built and scipy is not loaded.
-    """
-    inflow = _lattice_inflow(params, pi)
-    window = (slice(-1), slice(-1))
-    residual = float(np.max(np.abs(inflow[window] - pi[window])))
-    tail = x_tail + y_tail - x_tail * y_tail
-    return StationaryTable(pi=pi[window], model=params.model, residual=residual,
-                           tail_mass_bound=tail, truncation_warning=tail > 1e-8)
+    return _closed_form_table(params, pi, beyond_x, r ** (y_max + 1))

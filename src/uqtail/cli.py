@@ -134,8 +134,7 @@ def _cmd_analyze(args) -> int:
         report["twist"] = _jsonable(twist)
         report["tail"] = _jsonable(tail_constants(twist))
     if args.limits:
-        report["alpha_limits"] = _jsonable(
-            alpha_limits(params.lam, params.mu, params.beta, p=params.p, model=params.model))
+        report["alpha_limits"] = _jsonable(alpha_limits(params))
     text = _dump(report)
     (_out_dir(args) / "analyze.json").write_text(text + "\n")
     print(text)

@@ -72,10 +72,10 @@ def _origins(model: Model, x0: int) -> tuple:
     return tuple((x0, y0, sigma) for y0 in (0, 1) for sigma in (UP, DOWN))
 
 
-def _fold(moves: tuple, origin: tuple, free: bool = False, h=None) -> list:
-    """Row at `origin` as (step, probability) pairs sorted by step, folded
-    from the interior moves: a move of probability 0 (p = 1) or one that
-    lowers a coordinate already at 0 (only y when `free`) is dropped, and the
+def _fold(moves: tuple, origin: tuple, h=None) -> list:
+    """Row at the class origin `origin` as (step, probability) pairs sorted
+    by step, folded from the interior moves: a move of probability 0 (p = 1)
+    or one that lowers a coordinate already at 0 is dropped, and the
     self-loop, at the zero step, is 1 minus the kept moves summed in table
     order.  Sorting the steps sorts the targets origin + step.  With a
     harmonic function h, each probability is multiplied by
@@ -83,7 +83,7 @@ def _fold(moves: tuple, origin: tuple, free: bool = False, h=None) -> list:
     kept = []
     used = 0.0
     for step, prob, low in moves[origin[-1]]:
-        if prob == 0.0 or (low is not None and origin[low] == 0 and (low or not free)):
+        if prob == 0.0 or (low is not None and origin[low] == 0):
             continue
         kept.append((step, prob))
         used += prob
@@ -98,9 +98,12 @@ def _fold(moves: tuple, origin: tuple, free: bool = False, h=None) -> list:
 
 
 def _row(moves: tuple, state: tuple, free: bool = False) -> TransitionRow:
-    """Row at `state` with the `_fold` steps turned into targets."""
+    """Row at `state`: the `_fold` steps of its class row, at (min(x, 1),
+    [min(y, 1),] sigma) and at x0 = 1 on the free chain, added to `state`."""
+    x0 = 1 if free else min(state[0], 1)
+    origin = (x0, state[1]) if len(state) == 2 else (x0, min(state[1], 1), state[2])
     return TransitionRow(state, tuple([(tuple(map(add, state, step)), prob)
-                                       for step, prob in _fold(moves, state, free)]))
+                                       for step, prob in _fold(moves, origin)]))
 
 
 def free_kernel(params: ModelParams, state: tuple) -> TransitionRow:

@@ -1,5 +1,6 @@
-"""Matrix-geometric machinery for the single-server model and the truncated
-linear-solve oracle shared by every model.
+"""Matrix-geometric machinery for the single-server model, the one builder
+of closed-form stationary tables, and the truncated linear-solve oracle
+shared by every model.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import _fold, _moves, _origins, level_blocks
+from .kernels import _fold, _moves, _origins
 from .params import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
                      UnstableParameters)
 from .spectral import stability
@@ -86,10 +87,8 @@ class LatticeLaw:
 
 @dataclass(frozen=True, eq=False)
 class StationaryTable(LatticeLaw):
-    model: Model
     residual: float
     tail_mass_bound: float
-    truncation_warning: bool = False
 
 
 def rate_matrix_closed_form(params: ModelParams) -> np.ndarray:
@@ -177,31 +176,24 @@ def _boundary(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _model1_levels(params: ModelParams, k_max: int) -> tuple[np.ndarray, float]:
-    """Levels pi0 R^k for k <= k_max, and the mass beyond them."""
+    """Levels pi0 R^k for k <= k_max + 1, one shell past k_max, and the mass
+    beyond level k_max: level k_max + 1's sum plus the mass beyond it."""
     pi0, r = _boundary(params)
     level = pi0.copy()
-    levels = np.empty((k_max + 1, 2))
-    for k in range(k_max + 1):
+    levels = np.empty((k_max + 2, 2))
+    for k in range(k_max + 2):
         levels[k] = level
         level = level @ r
-    return levels, float(level @ np.linalg.solve(np.eye(2) - r, np.ones(2)))
+    beyond = float(level @ np.linalg.solve(np.eye(2) - r, np.ones(2)))
+    return levels, beyond + float(levels[-1].sum())
 
 
 def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
     """Matrix-geometric stationary table pi(k, sigma) = pi0 R^k for k <= k_max
-    (k_max >= 0)."""
+    (k_max >= 0), cut by `_closed_form_table` from levels 0..k_max + 1."""
     if k_max < 0:
         raise InvalidParameters(f"k_max must be >= 0, got {k_max}")
-    levels, tail = _model1_levels(params, k_max)
-    # max |pi P - pi| over levels 0..k_max-1 of the full chain, from the level form
-    # of the x0 = 1 class rows and the local block of the x0 = 0 rows
-    up, local, down = level_blocks(params)
-    inflow = levels[:-1] @ local + levels[1:] @ down
-    inflow[1:] += levels[:-2] @ up
-    inflow[:1] = levels[:1] @ level_blocks(params, x0=0)[1] + levels[1:2] @ down
-    residual = float(np.max(np.abs(inflow - levels[:-1]), initial=0.0))
-    return StationaryTable(pi=levels, model=Model.MODEL1, residual=residual,
-                           tail_mass_bound=tail)
+    return _closed_form_table(params, *_model1_levels(params, k_max), 0.0)
 
 
 def _lattice_shape(model: Model, x_max: int, y_max: int | None) -> tuple:
@@ -296,6 +288,28 @@ def _lattice_inflow(params: ModelParams, pi: np.ndarray) -> np.ndarray:
     return inflow
 
 
+def _closed_form_table(params: ModelParams, pi: np.ndarray, x_tail: float,
+                       y_tail: float) -> StationaryTable:
+    """The table of a closed-form law `pi` given on a box one shell wider than
+    its window in x (and y), cut to the window.  x and y are independent, so
+    the mass outside the window is 1 - (1 - x_tail)(1 - y_tail), from the
+    marginal masses beyond x_max and y_max (y_tail = 0 on an (x, sigma) box);
+    it is summed as x_tail + y_tail - x_tail y_tail, so that a mass below
+    1e-16 does not round to 0.
+
+    The residual is the global balance of the closed form against the actual
+    kernel, max |pi P - pi| on the window, with P the kernel on the wider box,
+    so that inflow sources one step outside the window are evaluated in closed
+    form too.  The inflow pi P is summed from shifted slices of pi by
+    `_lattice_inflow`; no matrix is built and scipy is not loaded.
+    """
+    inflow = _lattice_inflow(params, pi)
+    window = (slice(-1),) * (pi.ndim - 1)
+    residual = float(np.max(np.abs(inflow[window] - pi[window])))
+    return StationaryTable(pi=pi[window], residual=residual,
+                           tail_mass_bound=x_tail + y_tail - x_tail * y_tail)
+
+
 def truncated_stationary(params: ModelParams, model: Model | None = None, *,
                          x_max: int, y_max: int | None = None,
                          tail_error: float = 0.01) -> StationaryTable:
@@ -337,8 +351,7 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
     if tail > tail_error:
         raise TruncationError(
             f"estimated tail mass {tail:.3g} exceeds {tail_error}; enlarge the lattice")
-    return StationaryTable(pi=pi, model=params.model, residual=residual,
-                           tail_mass_bound=tail, truncation_warning=tail > 1e-8)
+    return StationaryTable(pi=pi, residual=residual, tail_mass_bound=tail)
 
 
 def _tail_mass_estimate(pi: np.ndarray) -> float:

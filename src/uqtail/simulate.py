@@ -133,7 +133,6 @@ class ConditionedSlope:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution(LatticeLaw):
-    steps_used: int
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -296,8 +295,7 @@ def empirical_distribution(trajectory: Trajectory, burn_in: int = 0) -> Empirica
     if math.prod(shape) > _MAX_LAW_CELLS:   # a path on which x and y both grow
         raise ValueError(f"the visited box {shape} has more than {_MAX_LAW_CELLS} cells")
     counts = np.bincount(np.ravel_multi_index(coords, shape), minlength=math.prod(shape))
-    return EmpiricalDistribution(pi=(counts / len(x)).reshape(shape), steps_used=len(x),
-                                 notes=tuple(notes))
+    return EmpiricalDistribution(pi=(counts / len(x)).reshape(shape), notes=tuple(notes))
 
 
 def ld_excursions(trajectory: Trajectory, level_k: int,

@@ -160,15 +160,16 @@ def test_two_term_tail_matches_a_50_digit_reference(rates, alpha):
 
 def test_two_geometric_fit_recovers_synthetic_rates():
     pi = np.array([(0.3 * 0.8 ** k + 0.05 * 0.4 ** k, 0.0) for k in range(60)])
-    table = StationaryTable(pi=pi, model=Model.MODEL1, residual=0.0, tail_mass_bound=0.0,
-                            truncation_warning=False)
+    table = StationaryTable(pi=pi, residual=0.0, tail_mass_bound=0.0)
     fit = two_geometric_fit(table, UP, 2, 40)
     assert sorted(fit.rates) == pytest.approx([0.4, 0.8], rel=1e-9)
     assert fit.dominant_rate == pytest.approx(0.8, rel=1e-9)
 
 
 def test_alpha_limits_below():
-    lim = alpha_limits(10, 11, 10)
+    lim = alpha_limits(make_params(10, 11, 0.1, 10))
+    # the limits are over alpha, evaluated at the default C: the set's own are not read
+    assert alpha_limits(make_params(10, 11, 0.5, 10, C=62)) == lim
     assert lim.case == "service_below_lam_beta"
     assert lim.limit_gamma == pytest.approx(10 / 11)
     assert lim.limit_g == pytest.approx(9.0)
@@ -178,7 +179,7 @@ def test_alpha_limits_below():
 
 
 def test_alpha_limits_above():
-    lim = alpha_limits(20, 60, 1, model=Model.MODEL2)
+    lim = alpha_limits(make_params(20, 60, 0.01, 1, model=Model.MODEL2))
     assert lim.case == "service_above_lam_beta"
     assert lim.limit_gamma == pytest.approx(20 / 21)
     assert lim.limit_g == pytest.approx(1 * (60 - 21) / 21)
@@ -190,7 +191,8 @@ def test_alpha_limits_above():
 def test_alpha_limits_evaluate_the_prefactor():
     # C(Up) at alpha = 1e-6 against its limit: eta C / (mu - lambda) below the
     # split (A), 0 above it
-    below, above = alpha_limits(10, 11, 10), alpha_limits(20, 60, 1)
+    below = alpha_limits(make_params(10, 11, 0.1, 10))
+    above = alpha_limits(make_params(20, 60, 0.01, 1))
     assert below.alpha_eval == above.alpha_eval == 1e-6
     assert below.case == "service_below_lam_beta" and above.case == "service_above_lam_beta"
     assert 0.0 <= below.prefactor_up_limit_gap <= 1e-5
@@ -200,7 +202,7 @@ def test_alpha_limits_evaluate_the_prefactor():
 
 def test_alpha_limits_rejects_split_point():
     with pytest.raises(InvalidParameters):
-        alpha_limits(10, 20, 10)
+        alpha_limits(make_params(10, 20, 0.1, 10))
 
 
 def test_mm1_comparison_examples():
@@ -233,7 +235,7 @@ def test_tail_fit_refuses_a_y_on_a_model1_table():
     table = exact_stationary_model1(A, k_max=20)
     with pytest.raises(InvalidParameters, match="y = 7 given, but the table's states"):
         tail_fit(table, UP, 5, 15, y=7)
-    assert tail_fit(table, UP, 5, 15).k_window == (5, 15)
+    assert tail_fit(table, UP, 5, 15).gamma_est == pytest.approx(0.919060, abs=1e-4)
 
 
 def test_tail_fit_exact_table():
@@ -245,8 +247,7 @@ def test_tail_fit_exact_table():
 
 def test_tail_fit_synthetic_geometric():
     pi = np.array([(0.5 ** k, 0.0) for k in range(40)])
-    table = StationaryTable(pi=pi, model=Model.MODEL1, residual=0.0, tail_mass_bound=0.0,
-                            truncation_warning=False)
+    table = StationaryTable(pi=pi, residual=0.0, tail_mass_bound=0.0)
     assert tail_fit(table, UP, 5, 30).gamma_est == pytest.approx(0.5, rel=1e-12)
 
 
@@ -301,7 +302,7 @@ def test_eta_model2_tail_gate(t2_table):
     levels = [1.0, 0.5, 0.25, 0.25, 0.3]
     pi = np.array([[[w / h.value((0, y, s)) / 2 for s in (UP, DOWN)]
                     for y, w in enumerate(levels)]])
-    rising = StationaryTable(pi=pi, model=Model.MODEL2, residual=0.0, tail_mass_bound=0.0)
+    rising = StationaryTable(pi=pi, residual=0.0, tail_mass_bound=0.0)
     with pytest.raises(ArithmeticError, match=r"\[0\.5, 0\.5, 1\.0, 1\.2\].*y = 3"):
         eta(T2, table=rising)
 
@@ -386,7 +387,7 @@ def test_rs_rd_rejects_overload():
 
 def _reference_rs_rd(params, x_max, y_max):
     """rs_rd_stationary as a per-state product form and a per-source balance
-    loop: (entries, residual, tail_mass_bound, truncation_warning)."""
+    loop: (entries, residual, tail_mass_bound)."""
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
     r = lam / (mu * p)
     norm = (1.0 - r) ** 2
@@ -407,19 +408,18 @@ def _reference_rs_rd(params, x_max, y_max):
                         inflow[target] += pi(x, y, sigma) * prob
     residual = max(abs(inflow[s] - entries[s]) for s in entries)
     tail = r ** (x_max + 1) + r ** (y_max + 1) - r ** (x_max + 1) * r ** (y_max + 1)
-    return entries, residual, tail, tail > 1e-8
+    return entries, residual, tail
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0])
 @pytest.mark.parametrize("x_max,y_max", [(1, 1), (20, 20), (30, 45), (45, 30)])
 def test_rs_rd_matches_per_state_product_form(p, x_max, y_max):
     params = make_params(10, 30, 0.1, 10, p=p, model=Model.RSRD)
-    entries, residual, tail, warning = _reference_rs_rd(params, x_max, y_max)
+    entries, residual, tail = _reference_rs_rd(params, x_max, y_max)
     table = rs_rd_stationary(params, x_max=x_max, y_max=y_max)
     assert table.pi.shape == (x_max + 1, y_max + 1, 2)
     assert table.pi.ravel().tolist() == list(entries.values())   # C order, as built
-    assert (table.residual, table.tail_mass_bound, table.truncation_warning) == \
-        (residual, tail, warning)
+    assert (table.residual, table.tail_mass_bound) == (residual, tail)
 
 
 @pytest.mark.parametrize("x_max,y_max", [(-1, -1), (0, 5), (5, 0)])
@@ -451,7 +451,6 @@ def test_tandem_product_form_states_the_mass_outside_its_window(rates, x_max, y_
     table = tandem_product_form(params, x_max=x_max, y_max=y_max)
     assert table.pi.shape == (x_max + 1, y_max + 1, 2)
     assert table.total() == pytest.approx(1.0 - table.tail_mass_bound, abs=1e-14)
-    assert table.truncation_warning == (table.tail_mass_bound > 1e-8)
     assert table.residual <= 1e-14
     # the y-free marginal is Model 1's law at the same rates
     station1 = exact_stationary_model1(make_params(*rates), k_max=x_max)

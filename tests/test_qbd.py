@@ -189,11 +189,37 @@ def test_boundary_vector_normalized():
     assert pi0 @ (boundary(A) + r @ interior(A)[2]) == pytest.approx(pi0, rel=1e-12)
 
 
+def _reference_model1_residual(params, k_max):
+    """Levels pi0 R^k for k <= k_max + 1, and max |pi P - pi| over levels
+    0..k_max from one `full_kernel` row per source, levels 0..k_max + 1."""
+    r = rate_matrix_closed_form(params)
+    levels = [boundary_vector(params)]
+    for _ in range(k_max + 1):
+        levels.append(levels[-1] @ r)
+    inflow = np.zeros((k_max + 1, 2))
+    for x, sigma in itertools.product(range(k_max + 2), (UP, DOWN)):
+        for (tx, ts), prob in full_kernel(params, (x, sigma)).targets:
+            if tx <= k_max:
+                inflow[tx, ts] += levels[x][sigma] * prob
+    return np.array(levels), float(np.max(np.abs(inflow - levels[:-1])))
+
+
 def test_exact_stationary_needs_a_level():
     with pytest.raises(InvalidParameters, match="k_max must be >= 0, got -1"):
         exact_stationary_model1(A, k_max=-1)
     table = exact_stationary_model1(A, k_max=0)
-    assert table.pi.tolist() == [boundary_vector(A).tolist()] and table.residual == 0.0
+    assert table.pi.tolist() == [boundary_vector(A).tolist()]
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 50])
+@pytest.mark.parametrize("params", [A, B, make_params(10, 11, 1e-12, 10)],
+                         ids=["A", "B", "tiny-alpha"])
+def test_exact_stationary_residual_covers_every_level(params, k_max):
+    # level k_max is checked too, with level k_max + 1 as a source of its inflow
+    levels, residual = _reference_model1_residual(params, k_max)
+    table = exact_stationary_model1(params, k_max=k_max)
+    assert table.pi.tolist() == levels[:-1].tolist()
+    assert table.residual == residual <= 1e-16
 
 
 def test_exact_stationary_is_stationary():
@@ -228,7 +254,6 @@ def test_truncated_model2_residual_and_tail():
     assert table.residual < 1e-12
     assert table.total() == pytest.approx(1.0, abs=1e-12)
     assert table.tail_mass_bound < 1e-8
-    assert not table.truncation_warning
 
 
 def test_tight_cut_raises_or_warns():
@@ -236,13 +261,12 @@ def test_tight_cut_raises_or_warns():
     with pytest.raises(TruncationError):
         truncated_stationary(A, x_max=25)
     table = truncated_stationary(A, x_max=25, tail_error=0.5)
-    assert table.truncation_warning
     assert table.tail_mass_bound > 1e-8
 
 
 def _reference_lattice(params, model, x_max, y_max=None, tail_error=0.01):
     """truncated_stationary as one full_kernel row per lattice state:
-    (entries, residual, tail_mass_bound, truncation_warning), P and A."""
+    (entries, residual, tail_mass_bound), P and A."""
     if model is Model.MODEL1:
         states = [(x, sigma) for x in range(x_max + 1) for sigma in (UP, DOWN)]
     else:
@@ -278,7 +302,7 @@ def _reference_lattice(params, model, x_max, y_max=None, tail_error=0.01):
     tail = _tail_mass_estimate(pi.reshape(_lattice_shape(model, x_max, y_max)))
     if tail > tail_error:
         raise TruncationError("tail")
-    return (entries, residual, tail, tail > 1e-8), p, a
+    return (entries, residual, tail), p, a
 
 
 def _assert_same_sparse(new, ref):
@@ -300,7 +324,7 @@ def _assert_same_sparse(new, ref):
 ])
 def test_lattice_matches_per_state_assembly(monkeypatch, params, model, x_max, y_max,
                                             tail_error):
-    (entries, residual, tail, warning), p_ref, a_ref = _reference_lattice(
+    (entries, residual, tail), p_ref, a_ref = _reference_lattice(
         params, model, x_max, y_max, tail_error)
     p = _lattice_matrix(params, _lattice_shape(model, x_max, y_max))
     _assert_same_sparse(p, p_ref)
@@ -312,8 +336,7 @@ def test_lattice_matches_per_state_assembly(monkeypatch, params, model, x_max, y
     _assert_same_sparse(solved[0], a_ref)
     assert table.pi.shape == _lattice_shape(model, x_max, y_max)
     assert table.pi.ravel().tolist() == list(entries.values())   # C order, as built
-    assert (table.residual, table.tail_mass_bound, table.truncation_warning) == \
-        (residual, tail, warning)
+    assert (table.residual, table.tail_mass_bound) == (residual, tail)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -188,7 +188,7 @@ def synthetic_boundary(twist):
     eta, and C(sigma) with it, are defined at any alpha."""
     pi = np.array([[[0.5 ** y / twist.harmonic.value((0, y, s)) / 2 for s in (UP, DOWN)]
                     for y in range(5)]])
-    return StationaryTable(pi=pi, model=Model.MODEL2, residual=0.0, tail_mass_bound=0.0)
+    return StationaryTable(pi=pi, residual=0.0, tail_mass_bound=0.0)
 
 
 @pytest.mark.parametrize("alpha", [1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
