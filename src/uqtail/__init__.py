@@ -10,15 +10,16 @@ solves, truncated sparse solves, and simulation.
 from .params import (DOWN, UP, InvalidParameters, InvalidState, Model,
                      ModelParams, UnstableParameters, default_uniformization,
                      make_params, params_from_dict, params_from_json)
-from .kernels import TransitionRow, free_kernel, full_kernel, rs_rd_kernel
+from .kernels import TransitionRow, free_kernel, full_kernel
 from .spectral import characteristic_roots, feynman_kac, stability
-from .twist import harmonic, twist_row, twist_summary
+from .twist import harmonic, twist_summary
 from .qbd import (ConvergenceError, StationaryTable, TruncationError,
                   boundary_vector, exact_stationary_model1, neuts_stability,
-                  rate_matrix, rate_matrix_closed_form, truncated_stationary)
+                  rate_matrix, rate_matrix_closed_form, stationary_table,
+                  truncated_stationary)
 from .asymptotics import (alpha_limits, escape_probabilities, eta, mm1_comparison,
-                          prefactors, rs_rd_stationary, tail_constants, tail_fit,
-                          tandem_product_form, two_geometric_fit, two_term_tail)
+                          prefactors, tail_constants, tail_fit, two_geometric_fit,
+                          two_term_tail)
 from .simulate import (EmpiricalDistribution, Excursion, Trajectory,
                        conditioned_excursion_slope, empirical_distribution,
                        excursion_verdict, ld_excursions, regime_prediction, simulate)
@@ -30,15 +31,15 @@ __all__ = [
     "DOWN", "UP", "Model", "ModelParams", "InvalidParameters", "InvalidState",
     "UnstableParameters", "default_uniformization", "make_params",
     "params_from_dict", "params_from_json",
-    "TransitionRow", "free_kernel", "full_kernel", "rs_rd_kernel",
+    "TransitionRow", "free_kernel", "full_kernel",
     "characteristic_roots", "feynman_kac", "stability",
-    "harmonic", "twist_row", "twist_summary",
+    "harmonic", "twist_summary",
     "ConvergenceError", "StationaryTable", "TruncationError",
     "boundary_vector", "exact_stationary_model1", "neuts_stability",
-    "rate_matrix", "rate_matrix_closed_form", "truncated_stationary",
+    "rate_matrix", "rate_matrix_closed_form", "stationary_table",
+    "truncated_stationary",
     "alpha_limits", "escape_probabilities", "eta", "mm1_comparison",
-    "prefactors", "rs_rd_stationary", "tail_constants", "tail_fit",
-    "tandem_product_form", "two_geometric_fit", "two_term_tail",
+    "prefactors", "tail_constants", "tail_fit", "two_geometric_fit", "two_term_tail",
     "EmpiricalDistribution", "Excursion", "Trajectory",
     "conditioned_excursion_slope", "empirical_distribution",
     "excursion_verdict", "ld_excursions",

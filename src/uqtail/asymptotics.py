@@ -1,7 +1,7 @@
 """Tail asymptotics assembly: escape probabilities of the twisted chain, the
 boundary constant eta, the closed-form prefactors, the two-term expansion,
-small-breakdown limits, the matched-M/M/1 comparison, empirical tail fits,
-and the product-form laws of the rerouting network and the p = 1 tandem.
+small-breakdown limits, the matched-M/M/1 comparison and empirical tail
+fits.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import numpy as np
 from .kernels import level_blocks
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      UnstableParameters, make_params)
-from .qbd import (StationaryTable, _closed_form_table, _lattice_shape, _model1_levels,
-                  boundary_vector, first_passage, truncated_stationary)
+from .qbd import StationaryTable, boundary_vector, first_passage, truncated_stationary
 from .spectral import characteristic_roots, stability
 from .twist import TwistSummary, twist_summary
 
@@ -399,45 +398,3 @@ def two_geometric_fit(table: StationaryTable, sigma: int, k_min: int,
                            weights=(float(weights[0]), float(weights[1])),
                            dominant_rate=dominant)
 
-
-def rs_rd_stationary(params: ModelParams, x_max: int, y_max: int) -> StationaryTable:
-    """Closed-form product stationary law of the rerouting comparison network,
-    with its global-balance residual from `_closed_form_table`.  Raises
-    InvalidParameters unless x_max >= 1 and y_max >= 1.
-    """
-    if params.model is not Model.RSRD:
-        raise InvalidParameters("the product form needs an RS-RD parameter set")
-    lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
-    _lattice_shape(Model.RSRD, x_max, y_max)   # raises on an empty side
-    r = lam / (mu * p)
-    if r >= 1.0:
-        raise InvalidParameters("product form requires lambda < mu * p")
-    norm = (1.0 - r) ** 2
-    share = np.array([beta / (alpha + beta), alpha / (alpha + beta)])  # by sigma
-    powers = np.array([r ** k for k in range(x_max + y_max + 3)])
-    x, y = np.ogrid[:x_max + 2, :y_max + 2]
-    pi = norm * powers[x + y][..., None] * share
-    return _closed_form_table(params, pi, r ** (x_max + 1), r ** (y_max + 1))
-
-
-def tandem_product_form(params: ModelParams, x_max: int, y_max: int) -> StationaryTable:
-    """Stationary law of the tandem with p = 1, (1 - r) r^y pi_1(x, sigma) with
-    r = lambda/mu and pi_1 = pi_0 R^x, Model 1's law at the same rates.
-
-    Station 2 (y) is an M/M/1 queue that nothing downstream touches, and by
-    Burke's theorem its past departures, station 1's arrivals, are independent
-    of its present length; this is not a claim of the paper.  The product is
-    checked by its global-balance residual against the tandem's own kernel
-    (`_closed_form_table`); the tail bound takes Model 1's mass beyond x_max
-    and r^(y_max + 1) as the marginal masses beyond the window.  Raises
-    InvalidParameters unless p = 1, x_max >= 1 and y_max >= 1.
-    """
-    if params.model is not Model.MODEL2 or params.p != 1.0:
-        raise InvalidParameters("the product form needs a tandem parameter set with p = 1")
-    _lattice_shape(Model.MODEL2, x_max, y_max)   # raises on an empty side
-    station1, beyond_x = _model1_levels(
-        make_params(params.lam, params.mu, params.alpha, params.beta), k_max=x_max)
-    r = params.lam / params.mu
-    powers = np.array([r ** k for k in range(y_max + 2)])
-    pi = (1.0 - r) * powers[None, :, None] * station1[:, None, :]
-    return _closed_form_table(params, pi, beyond_x, r ** (y_max + 1))

@@ -18,13 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotics import (alpha_limits, mm1_comparison, prefactors,
-                          rs_rd_stationary, tail_constants, tail_fit,
-                          tandem_product_form)
-from .params import (DOWN, UP, InvalidParameters, Model, UnstableParameters,
-                     make_params, params_from_json)
-from .qbd import (ConvergenceError, _lattice_shape, exact_stationary_model1,
-                  truncated_stationary)
+from .asymptotics import alpha_limits, mm1_comparison, prefactors, tail_constants, tail_fit
+from .params import DOWN, UP, InvalidParameters, Model, make_params, params_from_json
+from .qbd import ConvergenceError, _lattice_shape, stationary_table
 from .simulate import (_RNG_IDENTITY, _check_burn_in, _check_levels, _csv_header,
                        empirical_distribution, excursion_verdict, ld_excursions,
                        regime_prediction, simulate)
@@ -197,16 +193,9 @@ def _cmd_tailfit(args) -> int:
     if args.kmin < 0 or args.kmax - args.kmin < 4:
         raise InvalidParameters(f"the fit window --kmin {args.kmin} --kmax {args.kmax} "
                                 "needs kmin >= 0 and at least 5 levels")
-    if model is Model.MODEL1:
-        table = exact_stationary_model1(params, k_max=max(args.kmax + 5, 50))
-    elif model is Model.MODEL2 and params.p == 1.0:
-        table = tandem_product_form(params, x_max=args.xmax, y_max=args.xmax)
-    elif model is Model.MODEL2:
-        if not stability(params).stable:   # the cut lattice has a law; the chain has none
-            raise UnstableParameters("the tail fit requires a stable parameter set")
-        table = truncated_stationary(params, x_max=args.xmax, y_max=args.xmax)
-    else:
-        table = rs_rd_stationary(params, x_max=args.xmax, y_max=args.xmax)
+    # Model 1's exact table is cut past the window; it does not read --xmax
+    x_max = max(args.kmax + 5, 50) if model is Model.MODEL1 else args.xmax
+    table = stationary_table(params, x_max, args.xmax)
     fit = tail_fit(table, sigma, args.kmin, args.kmax, y=args.y)
     out = _out_dir(args)
     lines = [_csv_header(params, gamma_est=fit.gamma_est,

@@ -120,14 +120,6 @@ def full_kernel(params: ModelParams, state: tuple) -> TransitionRow:
     return _row(_moves(params), state)
 
 
-def rs_rd_kernel(params: ModelParams, state: tuple) -> TransitionRow:
-    """Row of the rerouting comparison network (random-selection /
-    random-destination); its moves are listed in `_moves`."""
-    if params.model is not Model.RSRD:
-        raise InvalidParameters("the rerouting kernel needs an RS-RD parameter set")
-    return full_kernel(params, state)
-
-
 def level_blocks(params: ModelParams, y_cut: int = 0, x0: int = 1,
                  h=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(up, local, down) blocks, with x as the level, of the class rows at x0

@@ -1,6 +1,7 @@
 """Matrix-geometric machinery for the single-server model, the one builder
-of closed-form stationary tables, and the truncated linear-solve oracle
-shared by every model.
+of closed-form stationary tables, the truncated linear-solve oracle shared
+by every model, and `stationary_table`, the one entry point to every
+chain's stationary law.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .kernels import _fold, _moves, _origins
 from .params import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
-                     UnstableParameters)
+                     UnstableParameters, make_params)
 from .spectral import stability
 
 if TYPE_CHECKING:   # scipy loads in the sparse solves only; most verbs never run one
@@ -363,3 +364,45 @@ def _tail_mass_estimate(pi: np.ndarray) -> float:
             ratio = min(last / prev, 0.99) if prev > 0 else 0.5
             tail += last * ratio / (1.0 - ratio)
     return tail
+
+
+def stationary_table(params: ModelParams, x_max: int, y_max: int | None = None) -> StationaryTable:
+    """Stationary law of the set's chain on x <= x_max (y <= y_max; Model 1
+    does not read y_max), by the chain's own method:
+
+    - Model 1: the matrix-geometric table pi0 R^x (`exact_stationary_model1`);
+    - RS-RD: the product form (1 - r)^2 r^(x+y) share(sigma), r = lambda/(mu p);
+    - the tandem with p = 1: (1 - r) r^y pi_1(x, sigma), r = lambda/mu and
+      pi_1 Model 1's law at the same rates.  Station 2 (y) is an M/M/1 queue
+      that nothing downstream touches, and by Burke's theorem (Oper. Res. 4,
+      1956) its past departures, station 1's arrivals, are independent of its
+      present length; this is not a claim of the paper;
+    - the feedback tandem (p < 1): the truncated lattice (`truncated_stationary`).
+
+    `_closed_form_table` cuts the product forms and checks their global
+    balance against the chain's own kernel.  Raises InvalidParameters on an
+    empty side (`_lattice_shape`), then UnstableParameters off the chain's
+    stability condition, before any solve.
+    """
+    _lattice_shape(params.model, x_max, y_max)
+    lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
+    if not stability(params).stable:
+        bound = "mu p" if params.model is Model.RSRD else "beta/(alpha+beta) mu p"
+        raise UnstableParameters(f"the stationary table requires a stable parameter set, "
+                                 f"lambda < {bound}; got lambda = {lam!r}")
+    if params.model is Model.MODEL1:
+        return exact_stationary_model1(params, x_max)
+    if params.model is Model.MODEL2 and p != 1.0:
+        return truncated_stationary(params, x_max=x_max, y_max=y_max)
+    if params.model is Model.RSRD:
+        r = lam / (mu * p)
+        share = np.array([beta / (alpha + beta), alpha / (alpha + beta)])  # by sigma
+        powers = np.array([r ** k for k in range(x_max + y_max + 3)])
+        x, y = np.ogrid[:x_max + 2, :y_max + 2]
+        pi = (1.0 - r) ** 2 * powers[x + y][..., None] * share
+        return _closed_form_table(params, pi, r ** (x_max + 1), r ** (y_max + 1))
+    station1, beyond_x = _model1_levels(make_params(lam, mu, alpha, beta), x_max)
+    r = lam / mu
+    powers = np.array([r ** k for k in range(y_max + 2)])
+    pi = (1.0 - r) * powers[None, :, None] * station1[:, None, :]
+    return _closed_form_table(params, pi, beyond_x, r ** (y_max + 1))

@@ -1,5 +1,6 @@
-"""Harmonic functions, twisted (h-transformed) rows, the stationary law
-of the twisted chain's phase, and the horizontal drift of the twisted chain.
+"""Harmonic functions, by which `kernels._fold` twists (h-transforms) the
+class rows, the stationary law of the twisted chain's phase, and the
+horizontal drift of the twisted chain.
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import TransitionRow, _fold, _moves, _origins
+from .kernels import _fold, _moves, _origins
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, UnstableParameters
 from .spectral import SpectralSolution, characteristic_roots, stability
 
@@ -105,12 +106,6 @@ def harmonic(params: ModelParams) -> HarmonicFunction:
     if params.model is Model.RSRD:
         raise InvalidParameters("the harmonic function is defined for Model 1 and the tandem only")
     return _harmonic(params, _require_stable(params))
-
-
-def twist_row(row: TransitionRow, h: HarmonicFunction) -> TransitionRow:
-    """Free-kernel row reweighted by h(target)/h(origin)."""
-    return TransitionRow(row.origin, tuple((target, prob * h.ratio(row.origin, target))
-                                           for target, prob in row.targets))
 
 
 def twist_summary(params: ModelParams) -> TwistSummary:

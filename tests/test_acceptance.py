@@ -13,7 +13,7 @@ from uqtail import (DOWN, UP, Model, boundary_vector, characteristic_roots,
                     conditioned_excursion_slope, empirical_distribution,
                     exact_stationary_model1, excursion_verdict, ld_excursions,
                     make_params, prefactors, rate_matrix_closed_form,
-                    regime_prediction, rs_rd_stationary, simulate, tail_fit,
+                    regime_prediction, simulate, stationary_table, tail_fit,
                     truncated_stationary, twist_summary, two_geometric_fit,
                     two_term_tail)
 from uqtail.verify import (check_harmonicity, check_rate_matrix,
@@ -135,10 +135,10 @@ def test_criterion_07_stability_equivalences():
 def test_criterion_08_rerouting_reference():
     # closed product form satisfies global balance on the rerouting kernel
     rs_half = make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD)
-    residual = rs_rd_stationary(rs_half, x_max=30, y_max=30).residual
+    residual = stationary_table(rs_half, x_max=30, y_max=30).residual
     # the x=0 slice of the reference dominates the tandem's at every tail index
     rs_one = make_params(10, 30, 0.1, 10, model=Model.RSRD)
-    ref = rs_rd_stationary(rs_one, x_max=60, y_max=60)
+    ref = stationary_table(rs_one, x_max=60, y_max=60)
     oracle = truncated_stationary(T2, x_max=60, y_max=60)
     min_gap = np.inf
     for sigma in (UP, DOWN):

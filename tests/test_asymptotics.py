@@ -11,13 +11,12 @@ from uqtail import (DOWN, UP, InvalidParameters, Model, UnstableParameters,
                     alpha_limits, boundary_vector, characteristic_roots,
                     escape_probabilities, eta, exact_stationary_model1,
                     harmonic, make_params, mm1_comparison, prefactors,
-                    rate_matrix_closed_form, rs_rd_stationary, tail_fit,
-                    tandem_product_form, truncated_stationary, twist_summary,
-                    two_geometric_fit, two_term_tail)
+                    rate_matrix_closed_form, stationary_table, tail_fit,
+                    truncated_stationary, twist_summary, two_geometric_fit,
+                    two_term_tail)
 from uqtail.asymptotics import _escape_first_passage
 from uqtail.cli import main
-from uqtail.kernels import rs_rd_kernel
-from uqtail.kernels import level_blocks
+from uqtail.kernels import full_kernel, level_blocks
 from uqtail.qbd import StationaryTable, first_passage
 from uqtail.verify import check_tail_reproduction, random_params
 
@@ -371,7 +370,7 @@ def test_model2_feedback_is_shape_only():
 
 def test_rs_rd_closed_form():
     params = make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD)
-    table = rs_rd_stationary(params, x_max=20, y_max=20)
+    table = stationary_table(params, x_max=20, y_max=20)
     assert table.prob((0, 0, UP)) == pytest.approx(0.110011, abs=1e-6)
     assert table.prob((3, 5, UP)) / table.prob((2, 5, UP)) == pytest.approx(2 / 3)
     assert table.residual < 1e-9
@@ -382,11 +381,11 @@ def test_rs_rd_rejects_overload():
     over = make_params(16, 30, 0.1, 10, p=0.5, model=Model.RSRD)
     assert params.lam < params.mu * params.p
     with pytest.raises(InvalidParameters):
-        rs_rd_stationary(over, x_max=5, y_max=5)
+        stationary_table(over, x_max=5, y_max=5)
 
 
 def _reference_rs_rd(params, x_max, y_max):
-    """rs_rd_stationary as a per-state product form and a per-source balance
+    """RS-RD's stationary_table as a per-state product form and a per-source balance
     loop: (entries, residual, tail_mass_bound)."""
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
     r = lam / (mu * p)
@@ -403,7 +402,7 @@ def _reference_rs_rd(params, x_max, y_max):
     for x in range(x_max + 2):
         for y in range(y_max + 2):
             for sigma in (UP, DOWN):
-                for target, prob in rs_rd_kernel(params, (x, y, sigma)).targets:
+                for target, prob in full_kernel(params, (x, y, sigma)).targets:
                     if target in inflow:
                         inflow[target] += pi(x, y, sigma) * prob
     residual = max(abs(inflow[s] - entries[s]) for s in entries)
@@ -416,7 +415,7 @@ def _reference_rs_rd(params, x_max, y_max):
 def test_rs_rd_matches_per_state_product_form(p, x_max, y_max):
     params = make_params(10, 30, 0.1, 10, p=p, model=Model.RSRD)
     entries, residual, tail = _reference_rs_rd(params, x_max, y_max)
-    table = rs_rd_stationary(params, x_max=x_max, y_max=y_max)
+    table = stationary_table(params, x_max=x_max, y_max=y_max)
     assert table.pi.shape == (x_max + 1, y_max + 1, 2)
     assert table.pi.ravel().tolist() == list(entries.values())   # C order, as built
     assert (table.residual, table.tail_mass_bound) == (residual, tail)
@@ -426,7 +425,7 @@ def test_rs_rd_matches_per_state_product_form(p, x_max, y_max):
 def test_rs_rd_needs_both_sides(x_max, y_max):
     params = make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD)
     with pytest.raises(InvalidParameters, match="x_max >= 1 and y_max >= 1"):
-        rs_rd_stationary(params, x_max=x_max, y_max=y_max)
+        stationary_table(params, x_max=x_max, y_max=y_max)
 
 
 TANDEM_SETS = [(10, 30, 0.1, 10), (1, 50, 1.9, 0.6), (5, 8, 0.3, 4)]
@@ -437,7 +436,7 @@ def test_tandem_product_form_matches_the_truncated_lattice(rates):
     # the lattice's reflecting cut bends pi near x, y = 60; below 30 the gap
     # is the sparse solve's noise (8.4e-15, 1.2e-15 and 5.4e-14)
     params = make_params(*rates, model=Model.MODEL2)
-    table = tandem_product_form(params, x_max=60, y_max=60)
+    table = stationary_table(params, x_max=60, y_max=60)
     lattice = truncated_stationary(params, x_max=60, y_max=60)
     assert table.pi.shape == lattice.pi.shape == (61, 61, 2)
     assert np.max(np.abs(table.pi[:30, :30] - lattice.pi[:30, :30])) <= 1e-13
@@ -448,7 +447,7 @@ def test_tandem_product_form_matches_the_truncated_lattice(rates):
 @pytest.mark.parametrize("x_max,y_max", [(1, 1), (5, 9), (12, 3)])
 def test_tandem_product_form_states_the_mass_outside_its_window(rates, x_max, y_max):
     params = make_params(*rates, model=Model.MODEL2)
-    table = tandem_product_form(params, x_max=x_max, y_max=y_max)
+    table = stationary_table(params, x_max=x_max, y_max=y_max)
     assert table.pi.shape == (x_max + 1, y_max + 1, 2)
     assert table.total() == pytest.approx(1.0 - table.tail_mass_bound, abs=1e-14)
     assert table.residual <= 1e-14
@@ -458,13 +457,17 @@ def test_tandem_product_form_states_the_mass_outside_its_window(rates, x_max, y_
     assert np.allclose(table.pi[:, 0], (1 - r) * station1.pi, rtol=1e-15, atol=0)
 
 
-def test_tandem_product_form_needs_p_one_both_sides_and_stability():
-    with pytest.raises(UnstableParameters, match="requires stability"):
-        tandem_product_form(make_params(10, 11, 0.5, 1, model=Model.MODEL2),
-                            x_max=5, y_max=5)
-    with pytest.raises(InvalidParameters, match="tandem parameter set with p = 1"):
-        tandem_product_form(make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2),
-                            x_max=5, y_max=5)
-    for x_max, y_max in [(0, 5), (5, 0)]:
-        with pytest.raises(InvalidParameters, match="x_max >= 1 and y_max >= 1"):
-            tandem_product_form(T2, x_max=x_max, y_max=y_max)
+def test_stationary_table_needs_both_sides_and_stability():
+    for model, p in [(Model.MODEL1, 1.0), (Model.MODEL2, 1.0), (Model.MODEL2, 0.5),
+                     (Model.RSRD, 0.5)]:
+        # lambda = 31 is above every chain's bound, 29.7 at p = 1 and 15 at p = 0.5
+        with pytest.raises(UnstableParameters, match="requires a stable parameter set"):
+            stationary_table(make_params(31, 30, 0.1, 10, p=p, model=model), x_max=5, y_max=5)
+        stable = make_params(10, 30, 0.1, 10, p=p, model=model)
+        for x_max, y_max in [(0, 5)] if model is Model.MODEL1 else [(0, 5), (5, 0)]:
+            with pytest.raises(InvalidParameters, match="x_max >= 1 and y_max >= 1"):
+                stationary_table(stable, x_max=x_max, y_max=y_max)
+    # the feedback tandem has no product form: its table is the truncated lattice's
+    half = make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2)
+    assert np.array_equal(stationary_table(half, x_max=20, y_max=20).pi,
+                          truncated_stationary(half, x_max=20, y_max=20).pi)

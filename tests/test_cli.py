@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import uqtail
-from uqtail import (InvalidParameters, Model, __version__, characteristic_roots, cli,
-                    make_params, params_from_dict, rs_rd_stationary, simulate)
+from uqtail import (Model, UnstableParameters, __version__, characteristic_roots, cli,
+                    make_params, params_from_dict, qbd, simulate, stationary_table)
 from uqtail.cli import build_parser, main
 
 A_FLAGS = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
@@ -123,19 +123,28 @@ def test_negative_seed_and_base_level_are_validation_errors(tmp_path, capsys, ar
 
 UNSTABLE_HALF = ["--lambda", "20", "--mu", "30", "--alpha", "0.1", "--beta", "10",
                  "--model", "model2", "--p", "0.5"]
+UNSTABLE_ONE = ["--lambda", "12", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
+UNSTABLE_RSRD = ["--lambda", "16", "--mu", "30", "--alpha", "0.1", "--beta", "10",
+                 "--model", "rsrd", "--p", "0.5"]
+FIT = ["--kmin", "20", "--kmax", "35", "--xmax", "40"]
 
 
 @pytest.mark.parametrize("argv", [
     ["analyze", *UNSTABLE_HALF],
     ["compare-mm1", *UNSTABLE_HALF],
     ["compare-mm1", "--lambda", "20", *A_FLAGS[2:]],
-    ["tailfit", *UNSTABLE_HALF, "--kmin", "20", "--kmax", "35", "--xmax", "40"],
-], ids=["analyze-p0.5", "compare-mm1-p0.5", "compare-mm1-model1", "tailfit-p0.5"])
+    ["tailfit", *UNSTABLE_HALF, *FIT],
+    ["tailfit", *UNSTABLE_ONE, *FIT],
+    ["tailfit", *UNSTABLE_ONE, "--model", "model2", *FIT],
+    ["tailfit", *UNSTABLE_RSRD, *FIT],
+], ids=["analyze-p0.5", "compare-mm1-p0.5", "compare-mm1-model1", "tailfit-p0.5",
+        "tailfit-model1", "tailfit-p1", "tailfit-rsrd"])
 def test_unstable_sets_are_validation_errors(tmp_path, capsys, monkeypatch, argv):
-    # (20, 30, 0.1, 10) with p = 0.5 and (20, 11, 0.1, 10) have load above 1: no
-    # shape-only tail, no matched M/M/1 law (its pi0 would be negative), no lattice solve
+    # (20, 30, 0.1, 10) with p = 0.5, (20, 11, 0.1, 10) and (12, 11, 0.1, 10) have
+    # load above 1, and RS-RD's (16, 30, 0.1, 10) has lambda > mu p: no shape-only
+    # tail, no matched M/M/1 law (its pi0 would be negative), no stationary table
     solved = []
-    monkeypatch.setattr(cli, "truncated_stationary", lambda *a, **k: solved.append(a))
+    monkeypatch.setattr(qbd, "truncated_stationary", lambda *a, **k: solved.append(a))
     assert main([*argv, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and "requires a stable parameter set" in err
@@ -261,10 +270,10 @@ def test_rsrd_verdict_is_whether_its_product_form_exists(tmp_path, lam):
     assert stability == {"stable": lam == "14.9", "effective_rate": 30, "if_and_only_if": True}
     params = make_params(float(lam), 30, 0.1, 10, p=0.5, model=Model.RSRD)
     if stability["stable"]:
-        assert rs_rd_stationary(params, x_max=40, y_max=40).residual < 1e-15
+        assert stationary_table(params, x_max=40, y_max=40).residual < 1e-15
     else:
-        with pytest.raises(InvalidParameters, match="lambda < mu"):
-            rs_rd_stationary(params, x_max=40, y_max=40)
+        with pytest.raises(UnstableParameters, match="lambda < mu p"):
+            stationary_table(params, x_max=40, y_max=40)
 
 
 @pytest.mark.parametrize("lam", ["10", "14.9"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqtail import (DOWN, UP, InvalidParameters, Model, UnstableParameters, free_kernel,
-                    full_kernel, make_params, rs_rd_kernel, twist_summary)
+                    full_kernel, make_params, twist_summary)
 from uqtail.kernels import _origins, level_blocks
 from uqtail.simulate import _phase_rows
 from uqtail.verify import check_rows_stochastic, random_params
@@ -63,7 +63,7 @@ def test_model2_down_row_keeps_queueing():
 
 
 def test_rs_rd_down_reroutes_through_routing_row():
-    row = rs_rd_kernel(RS, (2, 3, DOWN))
+    row = full_kernel(RS, (2, 3, DOWN))
     d = row.as_dict()
     assert (3, 2, DOWN) not in d                       # server 1 closed while Down
     assert d[(2, 2, DOWN)] == pytest.approx(15 / 80.1)  # rerouted exit, rate mu*p
@@ -72,12 +72,12 @@ def test_rs_rd_down_reroutes_through_routing_row():
 
 
 def test_rs_rd_up_matches_model2():
-    assert rs_rd_kernel(RS, (2, 3, UP)).as_dict() == \
+    assert full_kernel(RS, (2, 3, UP)).as_dict() == \
         pytest.approx(full_kernel(M2, (2, 3, UP)).as_dict())
 
 
 def test_rs_rd_boundary_example():
-    row = rs_rd_kernel(RS, (0, 0, DOWN))
+    row = full_kernel(RS, (0, 0, DOWN))
     assert row.prob((0, 1, DOWN)) == pytest.approx(10 / 80.1)
     assert row.prob((0, 0, UP)) == pytest.approx(10 / 80.1)
     assert row.prob((0, 0, DOWN)) == pytest.approx(60.1 / 80.1)

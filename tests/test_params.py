@@ -8,8 +8,7 @@ from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParam
                     boundary_vector, characteristic_roots, conditioned_excursion_slope,
                     default_uniformization, escape_probabilities, eta,
                     exact_stationary_model1, feynman_kac, full_kernel, harmonic,
-                    make_params, params_from_json, prefactors, rs_rd_kernel,
-                    rs_rd_stationary, tandem_product_form, truncated_stationary,
+                    make_params, params_from_json, prefactors, truncated_stationary,
                     twist_summary, two_term_tail)
 from uqtail.params import check_state
 
@@ -120,7 +119,7 @@ def test_shims_refuse_another_model(shim):
     assert shim(A, Model.MODEL1) == shim(A, None)
 
 
-M1, M2, RS = {Model.MODEL1}, {Model.MODEL2}, {Model.RSRD}
+M1, M2 = {Model.MODEL1}, {Model.MODEL2}
 
 
 @pytest.mark.parametrize("call,serves,needs", [
@@ -129,9 +128,6 @@ M1, M2, RS = {Model.MODEL1}, {Model.MODEL2}, {Model.RSRD}
     (escape_probabilities, M1, "Model 1"),
     (lambda p: feynman_kac(p, 0.1), M1, "Model 1"),
     (lambda p: conditioned_excursion_slope(p, level_k=30), M1, "Model 1"),
-    (lambda p: rs_rd_stationary(p, x_max=5, y_max=5), RS, "RS-RD"),
-    (lambda p: tandem_product_form(p, x_max=5, y_max=5), M2, "tandem"),
-    (lambda p: rs_rd_kernel(p, (0, 0, UP)), RS, "RS-RD"),
     (twist_summary, M1 | M2, "tandem"),
     (eta, M1 | M2, "tandem"),
     (harmonic, M1 | M2, "tandem"),
@@ -139,7 +135,7 @@ M1, M2, RS = {Model.MODEL1}, {Model.MODEL2}, {Model.RSRD}
     (characteristic_roots, M1 | M2, "tandem"),
 ], ids=["boundary_vector", "exact_stationary_model1",
         "escape_probabilities", "feynman_kac", "conditioned_excursion_slope",
-        "rs_rd_stationary", "tandem_product_form", "rs_rd_kernel", "twist_summary", "eta",
+        "twist_summary", "eta",
         "harmonic", "two_term_tail", "characteristic_roots"])
 def test_single_chain_functions_refuse_other_chains(call, serves, needs):
     for params in (A, T2, T2_HALF, RS_ONE):

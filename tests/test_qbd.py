@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, TruncationError,
                     boundary_vector, empirical_distribution, exact_stationary_model1,
                     free_kernel, full_kernel, make_params, rate_matrix,
-                    rate_matrix_closed_form, rs_rd_stationary, simulate,
+                    rate_matrix_closed_form, simulate, stationary_table,
                     truncated_stationary, twist_summary)
 from uqtail.kernels import level_blocks
 from uqtail.qbd import (LatticeLaw, _lattice_inflow, _lattice_matrix, _lattice_shape,
@@ -435,7 +435,7 @@ def test_total_variation_counts_mass_one_side_lacks():
     assert here.total_variation(there) == there.total_variation(here) == 1.0
     # two empirical laws and a table, each box wider than another on some axis
     laws = [empirical_distribution(simulate(T2, steps=20_000, seed=seed)) for seed in (1, 2)]
-    laws.append(rs_rd_stationary(RS, x_max=6, y_max=30))
+    laws.append(stationary_table(RS, x_max=6, y_max=30))
     for a, b in itertools.permutations(laws, 2):
         assert a.total_variation(b) == b.total_variation(a)
         assert abs(a.total_variation(b) - _reference_total_variation(a, b)) <= 1e-15

@@ -11,7 +11,7 @@ from uqtail import (DOWN, UP, Excursion, InvalidParameters, Model, Trajectory,
                     UnstableParameters, conditioned_excursion_slope,
                     empirical_distribution, excursion_verdict, full_kernel,
                     ld_excursions, make_params, regime_prediction, simulate,
-                    tandem_product_form, truncated_stationary)
+                    stationary_table)
 from uqtail.cli import _csv_header, _fmt, main
 from uqtail.kernels import _moves, _origins
 from uqtail.simulate import _BLOCK, _block_path, _csv_lines, _phase_path, _phase_rows
@@ -483,8 +483,7 @@ def test_tandem_law_matches_the_truncated_lattice(p):
     # 1e6 steps from seed 0 read 0.0033 (p = 1) and 0.012 (p = 0.5); at p = 1
     # the law is the product form, at p = 0.5 the 60 x 60 lattice
     params = make_params(10, 30, 0.1, 10, p=p, model=Model.MODEL2)
-    table = (tandem_product_form(params, x_max=60, y_max=60) if p == 1.0
-             else truncated_stationary(params, x_max=60, y_max=60))
+    table = stationary_table(params, x_max=60, y_max=60)
     traj = simulate(params, steps=1_000_000, seed=0)
     assert empirical_distribution(traj, burn_in=1000).total_variation(table) <= 0.02
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from uqtail import (DOWN, UP, InvalidParameters, Model, StationaryTable,
-                    UnstableParameters, characteristic_roots, free_kernel,
-                    harmonic, make_params, prefactors, truncated_stationary,
-                    twist_row, twist_summary)
+                    UnstableParameters, characteristic_roots, harmonic,
+                    make_params, prefactors, truncated_stationary, twist_summary)
 from uqtail.cli import main
+from uqtail.kernels import _fold, _moves, level_blocks
 from uqtail.verify import check_harmonicity, random_params
 
 A = make_params(10, 11, 0.1, 10)
@@ -47,38 +47,35 @@ def test_harmonic_requires_stability():
 
 def test_twisted_rows_are_stochastic():
     h = harmonic(A)
-    for state in [(0, UP), (3, DOWN)]:
-        assert twist_row(free_kernel(A, state), h).total() == pytest.approx(1.0)
-    # far from the origin h itself would overflow; the row must not
-    row = twist_row(free_kernel(A, (500, UP)), h)
-    assert row.total() == pytest.approx(1.0, rel=1e-12)
+    for origin in [(1, UP), (1, DOWN)]:   # the free rows' classes
+        assert sum(prob for _, prob in _fold(_moves(A), origin, h=h)) == pytest.approx(1.0)
 
 
 def test_twisted_row_far_in_y_does_not_overflow():
-    # base^(x+y) overflows at y = 3000 on T2, though x = 0
-    row = twist_row(free_kernel(T2, (0, 3000, UP)), harmonic(T2))
-    assert row.total() == pytest.approx(1.0, rel=0, abs=1e-12)
+    # base^(x+y) overflows at y = 3000 on T2, though x = 0; h.ratio reads only
+    # the change in exponent, so the twisted row there stays finite and stochastic
+    h, state = harmonic(T2), (0, 3000, UP)
+    with pytest.raises(OverflowError):
+        h.value(state)
+    probs = [prob * h.ratio(state, (state[0] + step[0], state[1] + step[1], UP + step[2]))
+             for step, prob in _fold(_moves(T2), (1, 1, UP))]
+    assert np.all(np.isfinite(probs))
+    assert sum(probs) == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 def test_reference_twisted_probabilities():
-    h = harmonic(A)
-    row = twist_row(free_kernel(A, (5, UP)), h).as_dict()
-    assert row[(6, UP)] == pytest.approx(0.349861, abs=1e-6)
+    # the twisted (up, local, down) blocks at x0 = 1: the rows from (5, sigma)
+    up, local, down = level_blocks(A, h=harmonic(A))
+    assert up[UP, UP] == pytest.approx(0.349861, abs=1e-6)
     # 2*lam*mu / (C*(lam+beta+mu+alpha-sqrt(s))) = 220/676.78 = 0.325069
-    assert row[(4, UP)] == pytest.approx(0.325069, abs=1e-6)
-    assert row[(5, DOWN)] == pytest.approx(0.003526, abs=1e-6)
-    row_d = twist_row(free_kernel(A, (5, DOWN)), h).as_dict()
-    assert row_d[(5, UP)] == pytest.approx(0.293226, abs=1e-6)
+    assert down[UP, UP] == pytest.approx(0.325069, abs=1e-6)
+    assert local[UP, DOWN] == pytest.approx(0.003526, abs=1e-6)
+    assert local[DOWN, UP] == pytest.approx(0.293226, abs=1e-6)
 
 
 def phase_kernel(params):
     """2x2 phase transition matrix of the twisted chain (x marginalized)."""
-    k = np.zeros((2, 2))
-    h = harmonic(params)
-    for sigma in (UP, DOWN):
-        for t, prob in twist_row(free_kernel(params, (0, sigma)), h).targets:
-            k[sigma, t[1]] += prob
-    return k
+    return sum(level_blocks(params, h=harmonic(params)))
 
 
 def test_phi_matches_power_iteration():
