@@ -18,7 +18,7 @@ from operator import add
 
 import numpy as np
 
-from .params import DOWN, UP, InvalidParameters, Model, ModelParams, check_state
+from .params import DOWN, UP, InvalidParameters, Model, ModelParams, check_state, holds, select
 
 _ROW_TOL = 1e-12
 
@@ -83,14 +83,14 @@ def _fold(moves: tuple, origin: tuple, h=None) -> list:
     kept = []
     used = 0.0
     for step, prob, low in moves[origin[-1]]:
-        if prob == 0.0 or (low is not None and origin[low] == 0):
+        if (low is not None and origin[low] == 0) or holds(prob == 0.0):
             continue
         kept.append((step, prob))
         used += prob
     diag = 1.0 - used
-    if diag < -_ROW_TOL:
+    if not holds(diag >= -_ROW_TOL):
         raise InvalidParameters(f"row at {origin} has negative diagonal {diag}; C too small")
-    kept.append(((0,) * len(origin), max(diag, 0.0)))
+    kept.append(((0,) * len(origin), select(diag > 0.0, diag, 0.0)))
     kept.sort()
     if h is None:
         return kept
@@ -123,14 +123,15 @@ def full_kernel(params: ModelParams, state: tuple) -> TransitionRow:
 def level_blocks(params: ModelParams, y_cut: int = 0, x0: int = 1,
                  h=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(up, local, down) blocks, with x as the level, of the class rows at x0
-    (0 or 1), reweighted by h when given (the twisted rows).
+    (0 or 1), reweighted by h when given (the twisted rows); a stack's
+    blocks carry the stack on a last axis.
 
     Phases are sigma, or (y, sigma) -> 2y + sigma for y <= y_cut: a row at
     y0 = 1 stands for every y in 1..y_cut, and a move past y_cut stays at
     y_cut.  At x0 = 0 the local block is that of level 0.
     """
     n = 2 * (y_cut + 1)
-    blocks = np.zeros((3, n, n))
+    blocks = np.zeros((3, n, n, *np.shape(params.lam)))
     ys = np.arange(1, y_cut + 1)
     moves = _moves(params)
     for origin in _origins(params.model, x0):

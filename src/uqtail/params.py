@@ -12,6 +12,8 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
+import numpy as np
+
 UP = 0
 DOWN = 1
 
@@ -44,8 +46,7 @@ def default_uniformization(lam: float, mu: float, alpha: float, beta: float,
     exit rate of one phase, max(lam+mu+alpha, lam+beta) for Model 1.
     """
     for name, value in (("lambda", lam), ("mu", mu), ("alpha", alpha), ("beta", beta)):
-        if not value > 0:
-            raise InvalidParameters(f"{name} must be > 0, got {value}")
+        _require(value > 0, "{} must be > 0, got {}", name, value)
     if model is Model.MODEL1:
         return lam + mu + alpha + beta
     return lam + 2.0 * mu + alpha + beta
@@ -53,7 +54,9 @@ def default_uniformization(lam: float, mu: float, alpha: float, beta: float,
 
 @dataclass(frozen=True)
 class ModelParams:
-    """A validated parameter set; an omitted C becomes the model's default.
+    """A validated parameter set, or a stack of sets of one model: rates as
+    1-d arrays of one length, p one float or one per set, which the closed
+    forms take where they take a set.  An omitted C becomes the model's default.
 
     Construction raises InvalidParameters where `validate` would.
     """
@@ -130,27 +133,48 @@ def params_from_json(text: str) -> ModelParams:
 
 
 def validate(params: ModelParams) -> ModelParams:
-    """Return params unchanged if all invariants hold, else raise."""
+    """Return params unchanged if all invariants hold (in every set of a stack), else raise."""
     model = params.model
     for name in ("lam", "mu", "alpha", "beta"):
         value = getattr(params, name)
         label = "lambda" if name == "lam" else name
-        if not value > 0:
-            raise InvalidParameters(f"{label} must be > 0, got {value}")
-        if not math.isfinite(value):
-            raise InvalidParameters(f"{label} must be finite, got {value}")
-    if not 0.0 < params.p <= 1.0:
-        raise InvalidParameters(f"p must be in (0, 1], got {params.p}")
-    if model is Model.MODEL1 and params.p != 1.0:
-        raise InvalidParameters("Model 1 requires p = 1")
-    if not math.isfinite(params.C):
-        raise InvalidParameters(f"C must be finite, got {params.C}")
+        _require(value > 0, "{} must be > 0, got {}", label, value)
+        _require(value < math.inf, "{} must be finite, got {}", label, value)
+    p, C = params.p, params.C
+    _require((0.0 < p) & (p <= 1.0), "p must be in (0, 1], got {}", p)
+    _require(model is not Model.MODEL1 or p == 1.0, "Model 1 requires p = 1")
+    _require(abs(C) < math.inf, "C must be finite, got {}", C)
     c_min = default_uniformization(params.lam, params.mu, params.alpha,
                                    params.beta, model)
-    if params.C < c_min - 1e-12:
-        bound = "lambda+mu+alpha+beta" if model is Model.MODEL1 else "lambda+2*mu+alpha+beta"
-        raise InvalidParameters(f"C below {bound}: {params.C} < {c_min}")
+    bound = "lambda+mu+alpha+beta" if model is Model.MODEL1 else "lambda+2*mu+alpha+beta"
+    _require(C >= c_min - 1e-12, "C below {}: {} < {}", bound, C, c_min)
     return params
+
+
+def _require(ok, message: str, *values) -> None:
+    """Raise InvalidParameters(message.format(*values)) unless `holds(ok)`."""
+    if ok is not True and not holds(ok):
+        raise InvalidParameters(message.format(*values))
+
+
+def holds(ok) -> bool:
+    """Whether a condition (a bool, or on a stack a bool array) holds in every set."""
+    return ok if isinstance(ok, bool) else bool(np.all(ok))
+
+
+def select(ok, when_true, when_false):
+    """`when_true` where `ok` holds and `when_false` elsewhere, set by set."""
+    if isinstance(ok, bool):
+        return when_true if ok else when_false
+    return np.where(ok, when_true, when_false)
+
+
+def elementwise(f, x):
+    """f, a `math` function of one float, at x or at each entry of a stack x:
+    numpy's exp and log differ from math's in the last bit on some inputs."""
+    if not isinstance(x, np.ndarray):
+        return f(x)
+    return np.array([f(v) for v in x.tolist()], dtype=float)
 
 
 def check_state(state: tuple, model: Model, free: bool = False) -> tuple:

@@ -143,14 +143,14 @@ def rate_matrix(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     return a0 @ np.linalg.inv(np.eye(a1.shape[0]) - a1 - a0 @ g)
 
 
-def neuts_stability(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> bool:
+def neuts_stability(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> bool | np.ndarray:
     """Positive recurrence by the mean-drift test on the level generator
-    A0 + A1 + A2 of the 2x2 interior (up, local, down) blocks."""
+    A0 + A1 + A2 of the 2x2 interior (up, local, down) blocks, one verdict
+    per set on a stack's blocks (`level_blocks`)."""
     gen = a0 + a1 + a2
     up_rate, down_rate = gen[0, 1], gen[1, 0]
     rho = np.array([down_rate, up_rate]) / (up_rate + down_rate)
-    ones = np.ones(2)
-    return float(rho @ a0 @ ones) < float(rho @ a2 @ ones)
+    return (rho * a0.sum(axis=1)).sum(axis=0) < (rho * a2.sum(axis=1)).sum(axis=0)
 
 
 def boundary_vector(params: ModelParams) -> np.ndarray:
@@ -200,10 +200,11 @@ def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
 def _lattice_shape(model: Model, x_max: int, y_max: int | None) -> tuple:
     """Array shape of the lattice x <= x_max (y <= y_max) by sigma; a state's
     index is its C-order position.  Raises InvalidParameters on an empty side."""
-    if x_max < 1 or (model is not Model.MODEL1 and (y_max is None or y_max < 1)):
-        raise InvalidParameters(f"the lattice needs x_max >= 1 and y_max >= 1, "
-                                f"got x_max={x_max}, y_max={y_max}")
-    return (x_max + 1, 2) if model is Model.MODEL1 else (x_max + 1, y_max + 1, 2)
+    sides = {"x_max": x_max} if model is Model.MODEL1 else {"x_max": x_max, "y_max": y_max}
+    if any(n is None or n < 1 for n in sides.values()):
+        raise InvalidParameters(f"the lattice needs {' and '.join(f'{k} >= 1' for k in sides)}, "
+                                f"got {', '.join(f'{k}={n}' for k, n in sides.items())}")
+    return (*(n + 1 for n in sides.values()), 2)
 
 
 def _lattice_moves(params: ModelParams, space: tuple) -> dict:

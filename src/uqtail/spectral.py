@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import level_blocks
-from .params import InvalidParameters, Model, ModelParams
+from .params import InvalidParameters, Model, ModelParams, elementwise, holds, select
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
 
     The larger root is computed by the quadratic formula and the smaller one
     from the product of roots, which keeps full precision when alpha is tiny.
-    RS-RD's product form decays at lambda/(mu p) instead, and raises
-    InvalidParameters.
+    On a stack, g_constant needs p = 1 in every set.  RS-RD's product form
+    decays at lambda/(mu p) instead, and raises InvalidParameters.
     """
     if params.model is Model.RSRD:
         raise InvalidParameters("the characteristic roots are defined for Model 1 "
@@ -51,16 +51,17 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
     mup = mu * p
     s_p = (mup - lam - beta - alpha) ** 2 + 4.0 * alpha * mup
-    sqrt_s = math.sqrt(s_p)
+    sqrt_s = elementwise(math.sqrt, s_p)
     b = lam + beta + mup + alpha
     t1 = (b + sqrt_s) / (2.0 * lam)
     t2 = mup * (lam + beta) / (lam * lam * t1)
     # den = sqrt(s) - c = (s - c^2) / (sqrt(s) + c) = 4 alpha (lam + beta) / (sqrt(s) + c);
     # the difference cancels catastrophically when c > 0 and alpha is small
     c = mup - lam - beta + alpha
-    den = 4.0 * alpha * (lam + beta) / (sqrt_s + c) if c > 0.0 \
-        else lam + beta - mup - alpha + sqrt_s
-    g_constant = den / 2.0 + 2.0 * alpha * beta / den if p == 1.0 else None
+    # both branches are evaluated: |c| keeps the unused one's divisor from 0 at c < 0
+    den = select(c > 0.0, 4.0 * alpha * (lam + beta) / (sqrt_s + abs(c)),
+                 lam + beta - mup - alpha + sqrt_s)
+    g_constant = den / 2.0 + 2.0 * alpha * beta / den if holds(p == 1.0) else None
     # the tilt equation requires its right-hand side positive at the root
     q = 2.0 * lam * t2 * t2 - (alpha + beta + mup + 2.0 * lam) * t2 + mup
     return SpectralSolution(s_p=s_p, t1=t1, t2=t2, gamma_p=1.0 / t2,
@@ -70,13 +71,14 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
 
 def feynman_kac(params: ModelParams, theta: float) -> tuple[np.ndarray, float]:
     """Tilted 2x2 phase kernel A2 e^-theta + A1 + A0 e^theta of the Model 1
-    free process, from its level blocks at x0 = 1, and its Perron root."""
+    free process, from its level blocks at x0 = 1, and its Perron root; on a
+    stack, theta holds one value per set."""
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the tilted phase kernel needs a Model 1 parameter set")
     up, local, down = level_blocks(params)
-    matrix = down * math.exp(-theta) + local + up * math.exp(theta)
+    matrix = down * elementwise(math.exp, -theta) + local + up * elementwise(math.exp, theta)
     (a, b), (c, d) = matrix
-    half_gap = math.sqrt(((a - d) / 2.0) ** 2 + b * c)
+    half_gap = elementwise(math.sqrt, ((a - d) / 2.0) ** 2 + b * c)
     return matrix, (a + d) / 2.0 + half_gap
 
 

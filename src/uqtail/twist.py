@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import _fold, _moves, _origins
-from .params import DOWN, UP, InvalidParameters, Model, ModelParams, UnstableParameters
+from .params import DOWN, UP, InvalidParameters, Model, ModelParams, UnstableParameters, holds
 from .spectral import SpectralSolution, characteristic_roots, stability
 
 _DRIFT_AGREEMENT = 1e-10
@@ -90,7 +90,7 @@ class TwistSummary:
 
 
 def _require_stable(params: ModelParams) -> SpectralSolution:
-    if not stability(params).stable:
+    if not holds(stability(params).stable):
         raise UnstableParameters("operation requires a stable parameter set")
     return characteristic_roots(params)
 
@@ -101,8 +101,8 @@ def _harmonic(params: ModelParams, sol: SpectralSolution) -> HarmonicFunction:
 
 
 def harmonic(params: ModelParams) -> HarmonicFunction:
-    """Closed-form harmonic function of the free process (needs stability);
-    RS-RD has no free process and raises InvalidParameters."""
+    """Closed-form harmonic function of the free process (needs stability, in
+    every set of a stack); RS-RD has no free process and raises InvalidParameters."""
     if params.model is Model.RSRD:
         raise InvalidParameters("the harmonic function is defined for Model 1 and the tandem only")
     return _harmonic(params, _require_stable(params))

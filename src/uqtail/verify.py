@@ -13,7 +13,7 @@ import numpy as np
 
 from .asymptotics import _escape, escape_probabilities, eta, prefactors
 from .kernels import _fold, _moves, _origins, _row, level_blocks
-from .params import DOWN, UP, InvalidParameters, Model, ModelParams, make_params
+from .params import DOWN, UP, InvalidParameters, Model, ModelParams, elementwise, make_params
 from .qbd import (boundary_vector, exact_stationary_model1, first_passage, neuts_stability,
                   rate_matrix, rate_matrix_closed_form, stationary_table)
 from .spectral import characteristic_roots, feynman_kac, stability
@@ -30,11 +30,24 @@ class CheckResult:
     detail: str
 
 
-# random_params' uniforms as (low, high): mu, log alpha, beta and lambda over the
-# stability bound, under it for a stable set and over it otherwise
-_UNIFORMS = {stable: np.array([(1.0, 50.0), (math.log(1e-3), math.log(2.0)), (0.5, 30.0),
-                               load]).T
-             for stable, load in ((True, (0.1, 0.9)), (False, (1.05, 3.0)))}
+# random_params' uniforms as (low, high) rows, indexed by stable: mu, log alpha,
+# beta and lambda over the stability bound, over it if unstable and under it if stable
+_UNIFORMS = np.array([[(1.0, 50.0), (math.log(1e-3), math.log(2.0)), (0.5, 30.0), load]
+                      for load in ((1.05, 3.0), (0.1, 0.9))]).transpose(0, 2, 1)
+_CHUNK = 1024   # sets per stack, so a grid check's memory does not grow with the grid
+# rng.integers(2) takes the same bits as rng.choice(_P_CHOICES), and is cheaper
+_P_CHOICES = (0.5, 1.0)
+
+
+def _sets(u, p=1.0, stable=True, model: Model = Model.MODEL1) -> ModelParams:
+    """The set random_params draws from four uniforms u, or from an (n, 4)
+    array the stack of n sets, where p and stable may hold one value per set."""
+    low, high = _UNIFORMS[np.asarray(stable, np.intp)].swapaxes(0, -2)
+    rates = low + (high - low) * u
+    mu, log_alpha, beta, load = rates.tolist() if rates.ndim == 1 else rates.T
+    alpha = elementwise(math.exp, log_alpha)
+    bound = beta / (alpha + beta) * mu * p
+    return make_params(bound * load, mu, alpha, beta, p=p, model=model)
 
 
 def random_params(rng: np.random.Generator, p: float = 1.0,
@@ -42,20 +55,39 @@ def random_params(rng: np.random.Generator, p: float = 1.0,
     """Random parameter set; when stable, lambda is drawn under the threshold."""
     # Generator.uniform(low, high) is low + (high - low) * random(), so one
     # random(4) draws the same four numbers as four uniform calls
-    low, high = _UNIFORMS[stable]
-    mu, log_alpha, beta, load = (low + (high - low) * rng.random(4)).tolist()
-    alpha = math.exp(log_alpha)
-    bound = beta / (alpha + beta) * mu * p
-    return make_params(bound * load, mu, alpha, beta, p=p, model=model)
+    return _sets(rng.random(4), p, stable, model)
+
+
+def _grid(rng: np.random.Generator, grid: int, labels, first=None):
+    """Stacks of `grid` sets drawn as random_params draws them one by one,
+    _CHUNK sets at a time.  first(rng, k), if given, is what set k draws
+    before its four uniforms; labels(i, drawn) gives the tandem flags, p and
+    stable flags (arrays, or one value for all) of the sets of indices i that
+    drew `drawn`.  A chunk yields its Model 1 sets, then its tandem sets."""
+    for start in range(0, grid, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, grid))
+        if first is None:
+            drawn, u = None, rng.random((len(i), 4))
+        else:
+            drawn, u = map(np.array, zip(*[(first(rng, k), rng.random(4)) for k in i.tolist()]))
+        tandem, p, stable, _ = np.broadcast_arrays(*labels(i, drawn), i)
+        for model, rows in ((Model.MODEL1, ~tandem), (Model.MODEL2, tandem)):
+            if rows.any():
+                yield _sets(u[rows], p[rows], stable[rows], model)
+
+
+def _worst(worst: float, gaps) -> float:
+    """The largest of worst and the |gaps|; a NaN gap makes it NaN, which
+    fails every bound."""
+    return float(np.max(np.abs(gaps), initial=worst))
 
 
 def _free_rows(grid: int, seed: int):
     """(h, interior moves, state) at every free class state (x = 0) of `grid`
     stable sets, which cycle Model 1, tandem p = 1, Model 1, tandem p = 0.5."""
     rng = np.random.default_rng(seed)
-    for i in range(grid):
-        params = random_params(rng, p=0.5 if i % 4 == 3 else 1.0,
-                               model=Model.MODEL1 if i % 2 == 0 else Model.MODEL2)
+    for params in _grid(rng, grid,
+                        lambda i, _: (i % 2 == 1, np.where(i % 4 == 3, 0.5, 1.0), True)):
         h, moves = harmonic(params), _moves(params)
         for origin in _origins(params.model, 0):   # free rows are shift invariant
             yield h, moves, origin
@@ -64,15 +96,14 @@ def _free_rows(grid: int, seed: int):
 def check_rows_stochastic(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for i in range(grid):
-        # Model 1 and the tandem alternate, and one draw in five is unstable
-        model = Model.MODEL1 if i % 2 == 0 else Model.MODEL2
-        p = 1.0 if model is Model.MODEL1 else rng.uniform(0.3, 1.0)
-        params = random_params(rng, p=p, stable=i % 5 != 4, model=model)
-        moves = _moves(params)   # one table per set, every row folded from it
+    # Model 1 and the tandem alternate, a tandem set draws its p first, and one
+    # set in five is unstable
+    for params in _grid(rng, grid, lambda i, p: (i % 2 == 1, p, i % 5 != 4),
+                        lambda rng, k: rng.uniform(0.3, 1.0) if k % 2 else 1.0):
+        model, moves = params.model, _moves(params)   # one table per stack
         rows = [*(_row(moves, origin) for x0 in (0, 1) for origin in _origins(model, x0)),
                 *(_row(moves, origin, free=True) for origin in _origins(model, 0))]
-        worst = max(worst, *(abs(row.total() - 1.0) for row in rows))
+        worst = _worst(worst, [row.total() - 1.0 for row in rows])
     return CheckResult("kernel-rows-stochastic", worst <= 1e-12,
                        f"max |row sum - 1| = {worst:.3g}")
 
@@ -82,7 +113,7 @@ def check_harmonicity(grid: int, seed: int) -> CheckResult:
     for h, moves, state in _free_rows(grid, seed):
         row = _row(moves, state, free=True)
         lhs = sum(prob * h.value(t) for t, prob in row.targets)
-        worst = max(worst, abs(lhs / h.value(row.origin) - 1.0))
+        worst = _worst(worst, lhs / h.value(row.origin) - 1.0)
     return CheckResult("free-kernel-harmonicity", worst <= 1e-11,
                        f"max relative residual = {worst:.3g}")
 
@@ -91,40 +122,31 @@ def check_twisted_rows(grid: int, seed: int) -> CheckResult:
     worst = 0.0
     for h, moves, state in _free_rows(grid, seed):
         twisted = _fold(moves, (1, *state[1:]), h=h)   # the free row's class, as stages read it
-        worst = max(worst, abs(sum(prob for _, prob in twisted) - 1.0))
+        worst = _worst(worst, sum(prob for _, prob in twisted) - 1.0)
     return CheckResult("twisted-rows-stochastic", worst <= 1e-10,
                        f"max |row sum - 1| = {worst:.3g}")
-
-
-# rng.integers(2) takes the same bits as rng.choice(_P_CHOICES), and is cheaper
-_P_CHOICES = (0.5, 1.0)
 
 
 def check_spectral_roots(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(grid):
-        p = _P_CHOICES[rng.integers(2)]
-        params = random_params(rng, p=p,
-                               model=Model.MODEL1 if p == 1.0 else Model.MODEL2)
+    for params in _grid(rng, grid, lambda i, p: (p != 1.0, p, True),
+                        lambda rng, k: _P_CHOICES[rng.integers(2)]):
         sol = characteristic_roots(params)
         lam, mup = params.lam, params.mu * params.p
         for t in (sol.t1, sol.t2):
             q = lam * lam * t * t - lam * (mup + lam + params.alpha + params.beta) * t \
                 + mup * (lam + params.beta)
-            worst = max(worst, abs(q) / (mup * (lam + params.beta)))
+            worst = _worst(worst, q / (mup * (lam + params.beta)))
     return CheckResult("characteristic-roots", worst <= 1e-12,
                        f"max scaled polynomial residual = {worst:.3g}")
 
 
 def check_perron_root(grid: int, seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(grid):
-        params = random_params(rng)
-        sol = characteristic_roots(params)
-        _, perron = feynman_kac(params, math.log(sol.t2))
-        worst = max(worst, abs(perron - 1.0))
+    for params in _grid(np.random.default_rng(seed), grid, lambda i, _: (False, 1.0, True)):
+        theta = elementwise(math.log, characteristic_roots(params).t2)
+        worst = _worst(worst, feynman_kac(params, theta)[1] - 1.0)
     return CheckResult("tilted-perron-root-one", worst <= 1e-11,
                        f"max |perron(log t2) - 1| = {worst:.3g}")
 
@@ -147,13 +169,13 @@ def check_stability_equivalence(grid: int, seed: int) -> CheckResult:
     # run; it reads only the interior blocks
     rng = np.random.default_rng(seed)
     bad = 0
-    for model, p in ((Model.MODEL1, 1.0), (Model.MODEL2, 0.5)):
-        for _ in range(grid):
-            params = random_params(rng, p=p, stable=bool(rng.random() < 0.5), model=model)
+    for tandem, p in ((False, 1.0), (True, 0.5)):
+        for params in _grid(rng, grid, lambda i, coin: (tandem, p, coin < 0.5),
+                            lambda rng, k: rng.random()):
             closed = stability(params).stable
-            neuts = closed if model is not Model.MODEL1 else neuts_stability(*level_blocks(params))
-            if not (closed == neuts == (characteristic_roots(params).gamma_p < 1.0)):
-                bad += 1
+            neuts = closed if tandem else neuts_stability(*level_blocks(params))
+            roots = characteristic_roots(params).gamma_p < 1.0
+            bad += int(np.sum(~((closed == neuts) & (neuts == roots))))
     return CheckResult("stability-equivalences", bad == 0,
                        f"{bad} of {2 * grid} grid points disagree")
 
@@ -216,12 +238,10 @@ def check_escape_closed_form(grid: int, seed: int) -> CheckResult:
 def check_summability_gate(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     bad = 0
-    for _ in range(grid):
-        p = _P_CHOICES[rng.integers(2)]
-        params = random_params(rng, p=p, model=Model.MODEL2)
-        sol = characteristic_roots(params)
-        if not params.lam / (params.mu * params.p) < sol.gamma_p:
-            bad += 1
+    for params in _grid(rng, grid, lambda i, p: (True, p, True),
+                        lambda rng, k: _P_CHOICES[rng.integers(2)]):
+        gamma_p = characteristic_roots(params).gamma_p
+        bad += int(np.sum(~(params.lam / (params.mu * params.p) < gamma_p)))
     return CheckResult("product-form-summability", bad == 0,
                        f"{bad} of {grid} stable sets violate lambda/(mu p) < gamma_p")
 

@@ -464,7 +464,13 @@ def test_stationary_table_needs_both_sides_and_stability():
         with pytest.raises(UnstableParameters, match="requires a stable parameter set"):
             stationary_table(make_params(31, 30, 0.1, 10, p=p, model=model), x_max=5, y_max=5)
         stable = make_params(10, 30, 0.1, 10, p=p, model=model)
-        for x_max, y_max in [(0, 5)] if model is Model.MODEL1 else [(0, 5), (5, 0)]:
+        if model is Model.MODEL1:   # Model 1 has no y side, and its refusal names none
+            for y_max in (5, None):
+                with pytest.raises(InvalidParameters) as refusal:
+                    stationary_table(stable, 0, y_max)
+                assert str(refusal.value) == "the lattice needs x_max >= 1, got x_max=0"
+            continue
+        for x_max, y_max in [(0, 5), (5, 0), (5, None)]:
             with pytest.raises(InvalidParameters, match="x_max >= 1 and y_max >= 1"):
                 stationary_table(stable, x_max=x_max, y_max=y_max)
     # the feedback tandem has no product form: its table is the truncated lattice's

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 import uqtail
 from uqtail import (Model, UnstableParameters, __version__, characteristic_roots, cli,
-                    make_params, params_from_dict, qbd, simulate, stationary_table)
+                    make_params, params_from_dict, qbd, simulate, stationary_table, verify)
 from uqtail.cli import build_parser, main
 
 A_FLAGS = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
@@ -325,11 +326,33 @@ def test_verify_rejects_empty_grid(capsys, grid):
     assert "PASS" not in captured.out
 
 
+VERIFY_CHECKS = ["kernel-rows-stochastic", "free-kernel-harmonicity", "twisted-rows-stochastic",
+                 "characteristic-roots", "tilted-perron-root-one", "rate-matrix-consistency",
+                 "stability-equivalences", "twisted-drift-positive", "closed-prefactor-tail",
+                 "eta-in-range", "escape-closed-form", "product-form-summability",
+                 "rs-rd-global-balance"]
+
+
 def test_verify_small_grid(capsys):
     code = main(["verify", "--grid", "24", "--seed", "7"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("PASS") >= 10 and "FAIL" not in out
+    # the whole suite, in order: a dropped or renamed check fails here
+    assert [line.split(":")[0] for line in out.splitlines()] == \
+        [f"PASS {name}" for name in VERIFY_CHECKS]
+
+
+def test_verify_prints_fail_and_exits_2(monkeypatch, capsys):
+    # a root t2 off by one part in 1e9 fails the two checks that read it
+    roots = verify.characteristic_roots
+    monkeypatch.setattr(verify, "characteristic_roots", lambda params: dataclasses.replace(
+        roots(params), t2=roots(params).t2 * (1.0 + 1e-9)))
+    code = main(["verify", "--grid", "24", "--seed", "7"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    failing = ("characteristic-roots", "tilted-perron-root-one")
+    assert [line.split(":")[0] for line in lines] == \
+        [f"{'FAIL' if name in failing else 'PASS'} {name}" for name in VERIFY_CHECKS]
 
 
 PARAM_KEYS = ["mu", "alpha", "beta", "p", "C", "lambda", "model"]

@@ -65,6 +65,20 @@ def test_t2_precision_at_tiny_alpha():
     assert sol.gamma_p == pytest.approx(20 / 21, rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [1e-17, 1e-30, 5e-324])
+def test_vanishing_alpha_below_the_split(alpha):
+    # mu < lambda + beta, so den = lambda + beta - mu - alpha + sqrt(s) = 18 once alpha
+    # is lost in rounding, where the other branch's sqrt(s) + c would be 0; a stack
+    # with a set on either side of the split gives each set's values
+    sol = characteristic_roots(make_params(10.0, 11.0, alpha, 10.0))
+    assert (sol.den, sol.g_constant) == (18.0, 9.0)
+    stack = characteristic_roots(make_params(np.array([10.0, 10.0]), np.array([11.0, 60.0]),
+                                             np.array([alpha, 0.1]), np.array([10.0, 10.0])))
+    other = characteristic_roots(make_params(10.0, 60.0, 0.1, 10.0))
+    assert stack.den.tolist() == [18.0, other.den]
+    assert stack.t2.tolist() == [sol.t2, other.t2]
+
+
 def test_unstable_set_has_gamma_above_one():
     params = make_params(12, 11, 0.1, 10)
     assert not stability(params).stable

@@ -1,10 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from uqtail import Model, make_params
-from uqtail.verify import _P_CHOICES, random_params
+from uqtail import Model, kernels, make_params, stability, verify
+from uqtail.kernels import _fold
+from uqtail.verify import (_CHUNK, _P_CHOICES, _sets, check_harmonicity, check_perron_root,
+                           check_rows_stochastic, check_spectral_roots,
+                           check_stability_equivalence, check_summability_gate,
+                           check_twisted_rows, random_params)
 
 
 def _uniform_calls_params(rng, p=1.0, stable=True, model=Model.MODEL1):
@@ -24,12 +29,19 @@ def _uniform_calls_params(rng, p=1.0, stable=True, model=Model.MODEL1):
 ], ids=["model1-stable", "model1-unstable", "tandem-p1", "tandem-p05-stable",
         "tandem-p05-unstable"])
 def test_random_params_draws_the_uniform_calls_sets(p, stable, model):
-    # one random(4) per set must give the sets of four uniform calls, bit for bit
-    rng, reference = np.random.default_rng(20), np.random.default_rng(20)
-    for _ in range(1000):
-        assert (random_params(rng, p=p, stable=stable, model=model)
-                == _uniform_calls_params(reference, p=p, stable=stable, model=model))
-    assert rng.bit_generator.state == reference.bit_generator.state
+    # one random(4) per set, and one random((n, 4)) for a stack of n sets, must give
+    # the sets of four uniform calls, bit for bit: alpha is math.exp of each log draw,
+    # as np.exp differs in the last bit on some draws
+    rng, reference, stacked = (np.random.default_rng(20) for _ in range(3))
+    sets = [random_params(rng, p=p, stable=stable, model=model) for _ in range(1000)]
+    assert sets == [_uniform_calls_params(reference, p=p, stable=stable, model=model)
+                    for _ in range(1000)]
+    stack = _sets(stacked.random((1000, 4)), p, stable, model)
+    for name in ("lam", "mu", "alpha", "beta", "C"):
+        assert getattr(stack, name).tolist() == [getattr(s, name) for s in sets]
+    assert stack.model is model and stack.p == p
+    assert (rng.bit_generator.state == reference.bit_generator.state
+            == stacked.bit_generator.state)
 
 
 def test_p_draw_matches_choice():
@@ -38,3 +50,120 @@ def test_p_draw_matches_choice():
     drawn = [_P_CHOICES[rng.integers(2)] for _ in range(10_000)]
     assert drawn == [float(reference.choice([0.5, 1.0])) for _ in range(10_000)]
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_stacked_draw_takes_p_and_stable_per_set():
+    rng, reference = np.random.default_rng(23), np.random.default_rng(23)
+    p, stable = np.tile([0.5, 1.0, 0.7], 100), np.arange(300) % 7 != 3
+    stack = _sets(rng.random((300, 4)), p, stable, Model.MODEL2)
+    sets = [random_params(reference, p=float(q), stable=bool(s), model=Model.MODEL2)
+            for q, s in zip(p, stable)]
+    for name in ("lam", "mu", "alpha", "beta", "p", "C"):
+        assert getattr(stack, name).tolist() == [getattr(s, name) for s in sets]
+
+
+def _scalar_sets(check, grid, seed):
+    """The sets `check` drew one set at a time before it drew stacks, and the
+    generator's state after them."""
+    rng = np.random.default_rng(seed)
+    m1, m2 = Model.MODEL1, Model.MODEL2
+    if check in (check_harmonicity, check_twisted_rows):
+        sets = [random_params(rng, p=0.5 if i % 4 == 3 else 1.0, model=m2 if i % 2 else m1)
+                for i in range(grid)]
+    elif check is check_rows_stochastic:
+        sets = [random_params(rng, p=rng.uniform(0.3, 1.0) if i % 2 else 1.0,
+                              stable=i % 5 != 4, model=m2 if i % 2 else m1)
+                for i in range(grid)]
+    elif check in (check_spectral_roots, check_summability_gate):
+        sets = []
+        for _ in range(grid):
+            p = _P_CHOICES[rng.integers(2)]
+            tandem = p != 1.0 or check is check_summability_gate
+            sets.append(random_params(rng, p=p, model=m2 if tandem else m1))
+    elif check is check_perron_root:
+        sets = [random_params(rng) for _ in range(grid)]
+    else:
+        sets = [random_params(rng, p=p, stable=bool(rng.random() < 0.5), model=model)
+                for model, p in ((m1, 1.0), (m2, 0.5)) for _ in range(grid)]
+    return sets, rng.bit_generator.state
+
+
+def _key(params):
+    return (params.model.value, params.lam, params.mu, params.alpha, params.beta,
+            params.p, params.C)
+
+
+GRID_CHECKS = [check_rows_stochastic, check_harmonicity, check_twisted_rows,
+               check_spectral_roots, check_perron_root, check_stability_equivalence,
+               check_summability_gate]
+
+
+@pytest.mark.parametrize("check", GRID_CHECKS, ids=lambda check: check.__name__)
+def test_grid_checks_draw_the_scalar_sets_across_chunks(monkeypatch, check):
+    # a grid of two chunks, the second partial, draws the same sets bit for bit
+    # and leaves the generator where the loop of one set at a time did
+    grid, drawn, rngs = _CHUNK + 7, [], []
+    stacks = verify._grid
+
+    def recorded(rng, *args):
+        rngs.append(rng)
+        for stack in stacks(rng, *args):
+            assert len(stack.lam) <= _CHUNK
+            fields = np.broadcast_arrays(stack.lam, stack.mu, stack.alpha, stack.beta,
+                                         stack.p, stack.C)
+            drawn.extend((stack.model.value, *values)
+                         for values in zip(*(field.tolist() for field in fields)))
+            yield stack
+
+    monkeypatch.setattr(verify, "_grid", recorded)
+    assert check(grid, 11).passed
+    sets, state = _scalar_sets(check, grid, 11)
+    assert sorted(drawn) == sorted(map(_key, sets))
+    assert rngs[-1].bit_generator.state == state
+
+
+def _with_first_move_scaled(moves):
+    def scaled(params):
+        up, down = moves(params)
+        (step, prob, low), *rest = up
+        return ((step, prob * (1.0 + 1e-9), low), *rest), down
+    return scaled
+
+
+def _roots_with(field, value):
+    roots = verify.characteristic_roots
+    return lambda params: dataclasses.replace(roots(params), **{field: value(roots(params))})
+
+
+def _stability_bound_doubled(params):
+    report = stability(params)
+    return dataclasses.replace(report, stable=params.lam < 2.0 * report.effective_rate * params.p)
+
+
+def _fold_first_step_scaled(moves, origin, h=None):
+    (step, prob), *rest = _fold(moves, origin, h)
+    return [(step, prob * (1.0 + 1e-9)), *rest]
+
+
+PLANTED_DEFECTS = [
+    (check_rows_stochastic, kernels, "_fold", _fold_first_step_scaled),
+    (check_harmonicity, verify, "_moves", _with_first_move_scaled(verify._moves)),
+    (check_twisted_rows, verify, "_moves", _with_first_move_scaled(verify._moves)),
+    (check_spectral_roots, verify, "characteristic_roots",
+     _roots_with("t2", lambda sol: sol.t2 * (1.0 + 1e-9))),
+    (check_perron_root, verify, "characteristic_roots",
+     _roots_with("t2", lambda sol: sol.t2 * (1.0 + 1e-9))),
+    (check_stability_equivalence, verify, "stability", _stability_bound_doubled),
+    (check_summability_gate, verify, "characteristic_roots",
+     _roots_with("gamma_p", lambda sol: sol.gamma_secondary)),
+]
+
+
+@pytest.mark.parametrize("check,module,name,defect", PLANTED_DEFECTS,
+                         ids=[planted[0].__name__ for planted in PLANTED_DEFECTS])
+def test_grid_check_fails_on_its_planted_defect(monkeypatch, check, module, name, defect):
+    # each stacked check catches the defect it exists for, at the default grid
+    assert check(200, 7).passed
+    monkeypatch.setattr(module, name, defect)
+    result = check(200, 7)
+    assert result.passed is False, result.detail
