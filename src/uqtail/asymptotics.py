@@ -13,7 +13,7 @@ import numpy as np
 
 from .kernels import level_blocks
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
-                     UnstableParameters, make_params)
+                     UnstableParameters, first_failing, make_params)
 from .qbd import StationaryTable, boundary_vector, first_passage, truncated_stationary
 from .spectral import characteristic_roots, stability
 from .twist import TwistSummary, twist_summary
@@ -134,16 +134,22 @@ def escape_probabilities(params: ModelParams) -> EscapeProbs:
 
 
 def _escape(twist: TwistSummary) -> tuple[EscapeProbs, tuple[np.ndarray, ...]]:
-    """`escape_probabilities` of a twist, with the twisted (up, local, down)
-    blocks its first-passage matrix was checked against."""
+    """`escape_probabilities` of a twist, of a set or a stack (whose gates hold
+    per set), with the twisted (up, local, down) blocks its first-passage
+    matrix was checked against, a stack's on a leading axis."""
     t2, w = twist.harmonic.base, twist.harmonic.down_weight
-    g = np.array([[1.0 / t2, 0.0], [1.0 / (t2 * w), 0.0]])
-    a0, a1, a2 = level_blocks(twist.params, h=twist.harmonic)
-    residual = float(np.max(np.abs(a2 + a1 @ g + a0 @ g @ g - g)))
-    if not (residual <= _ESCAPE_RESIDUAL and np.all(g.sum(axis=1) < 1.0)):
+    g = np.zeros((*np.shape(t2), 2, 2))
+    g[..., 0] = np.transpose([1.0 / t2, 1.0 / (t2 * w)])   # the Down column is 0
+    a0, a1, a2 = (block.transpose(*range(2, block.ndim), 0, 1)
+                  for block in level_blocks(twist.params, h=twist.harmonic))
+    residual = np.abs(a2 + a1 @ g + a0 @ g @ g - g).max(axis=(-2, -1))
+    rows = g.sum(axis=-1)
+    ok = (residual <= _ESCAPE_RESIDUAL) & (rows < 1.0).all(axis=-1)
+    if not ok.all():
+        index, where = first_failing(~ok)
         raise ArithmeticError(
-            f"closed-form first-passage matrix fails: residual {residual:.3g} "
-            f"(bound {_ESCAPE_RESIDUAL:g}), row sums {g.sum(axis=1)} (must be < 1)")
+            f"closed-form first-passage matrix{where} fails: residual {residual[index]:.3g} "
+            f"(bound {_ESCAPE_RESIDUAL:g}), row sums {rows[index]} (must be < 1)")
     scale = twist.params.lam / twist.params.C
     return EscapeProbs(up=scale * (t2 - 1.0), down=scale * (t2 - 1.0 / w),
                        x_max_used=0, residual=residual), (a0, a1, a2)

@@ -47,9 +47,11 @@ def default_uniformization(lam: float, mu: float, alpha: float, beta: float,
     """
     for name, value in (("lambda", lam), ("mu", mu), ("alpha", alpha), ("beta", beta)):
         _require(value > 0, "{} must be > 0, got {}", name, value)
-    if model is Model.MODEL1:
-        return lam + mu + alpha + beta
-    return lam + 2.0 * mu + alpha + beta
+    return _rate_sum(lam, mu, alpha, beta, model)
+
+
+def _rate_sum(lam, mu, alpha, beta, model: Model):
+    return lam + mu + alpha + beta if model is Model.MODEL1 else lam + 2.0 * mu + alpha + beta
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,8 @@ def validate(params: ModelParams) -> ModelParams:
     _require((0.0 < p) & (p <= 1.0), "p must be in (0, 1], got {}", p)
     _require(model is not Model.MODEL1 or p == 1.0, "Model 1 requires p = 1")
     _require(abs(C) < math.inf, "C must be finite, got {}", C)
-    c_min = default_uniformization(params.lam, params.mu, params.alpha,
-                                   params.beta, model)
+    # the rates passed their checks above, so the sum needs none of its own
+    c_min = _rate_sum(params.lam, params.mu, params.alpha, params.beta, model)
     bound = "lambda+mu+alpha+beta" if model is Model.MODEL1 else "lambda+2*mu+alpha+beta"
     _require(C >= c_min - 1e-12, "C below {}: {} < {}", bound, C, c_min)
     return params
@@ -167,6 +169,12 @@ def select(ok, when_true, when_false):
     if isinstance(ok, bool):
         return when_true if ok else when_false
     return np.where(ok, when_true, when_false)
+
+
+def first_failing(failed) -> tuple[tuple, str]:
+    """The first index where `failed` holds (() for one set) and " at stack index i"."""
+    index = tuple(np.argwhere(failed)[0].tolist())
+    return index, f" at stack index {', '.join(map(str, index))}" if index else ""
 
 
 def elementwise(f, x):

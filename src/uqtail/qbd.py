@@ -14,7 +14,7 @@ import numpy as np
 
 from .kernels import _fold, _moves, _origins
 from .params import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
-                     UnstableParameters, make_params)
+                     UnstableParameters, first_failing, make_params)
 from .spectral import stability
 
 if TYPE_CHECKING:   # scipy loads in the sparse solves only; most verbs never run one
@@ -127,8 +127,7 @@ def first_passage(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     failed = ~((residual <= _FIRST_PASSAGE_RESIDUAL)
                & np.all(rows <= 1.0 + _FIRST_PASSAGE_ROW_EXCESS, axis=-1))
     if np.any(failed):
-        index = tuple(np.argwhere(failed)[0].tolist())
-        where = f" at stack index {', '.join(map(str, index))}" if index else ""
+        index, where = first_failing(failed)
         raise ArithmeticError(
             f"first-passage matrix{where} fails: residual {float(residual[index]):.3g} "
             f"(bound {_FIRST_PASSAGE_RESIDUAL:g}), max row sum "

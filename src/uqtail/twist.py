@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import _fold, _moves, _origins
-from .params import DOWN, UP, InvalidParameters, Model, ModelParams, UnstableParameters, holds
+from .params import (DOWN, UP, InvalidParameters, Model, ModelParams, UnstableParameters,
+                     first_failing, holds, select)
 from .spectral import SpectralSolution, characteristic_roots, stability
 
 _DRIFT_AGREEMENT = 1e-10
@@ -109,14 +110,32 @@ def harmonic(params: ModelParams) -> HarmonicFunction:
 
 
 def twist_summary(params: ModelParams) -> TwistSummary:
-    """The h-transform of Model 1 or the tandem (p = 1), derived once.
+    """The h-transform of Model 1 or the tandem (p = 1), of a set or a stack, derived once.
 
     From one stability check and one `characteristic_roots`: h, the phase
     law phi (with the tandem's twisted rates), and the drift.  The drift's
     closed form must agree to 1e-10 with the phi-weighted mean x step of the
-    twisted x0 = 1 class rows, and be positive for the tail method to apply.
+    twisted x0 = 1 class rows, and be positive for the tail method to apply;
+    else ArithmeticError names the first failing stack index.
     """
-    tandem = params.model is Model.MODEL2 and params.p == 1.0
+    twist, disagree, nonpositive = _twist(params)
+    failed = np.logical_or(disagree, nonpositive)
+    if failed.any():
+        index, where = first_failing(failed)
+        value, estimate = (x[index].item() if index else x
+                           for x in (twist.drift.value, twist.drift.estimate))
+        if np.asarray(disagree)[index]:
+            raise ArithmeticError(
+                f"drift closed form {value!r} and aggregate {estimate!r} disagree{where}")
+        raise ArithmeticError(f"twisted chain drift{where} is not positive ({value!r}); "
+                              "tail method inapplicable for these parameters")
+    return twist
+
+
+def _twist(params: ModelParams):
+    """`twist_summary` without its raise: the twist, and per set whether the
+    drift's closed form and aggregate disagree and whether it is not positive."""
+    tandem = params.model is Model.MODEL2 and holds(params.p == 1.0)
     if not (params.model is Model.MODEL1 or tandem):
         raise InvalidParameters("the twist is derived for Model 1 and the tandem (p = 1) only")
     sol = _require_stable(params)
@@ -126,8 +145,7 @@ def twist_summary(params: ModelParams) -> TwistSummary:
     # the phase chain's Up/Down shares, beta_t and alpha_t over their sum
     shares = np.array([den / 2.0 / g, 2.0 * alpha * beta / den / g])
     den_minus = lam + beta + mu + alpha - sol.sqrt_s
-    rates = None
-    phi = shares
+    rates, phi = None, shares
     if tandem:
         # B = 1 - lam_t/mu_t, in a form free of cancellation as alpha -> 0
         rates = TwistRates(lam_t=den_minus / (2.0 * C), mu_t=mu / C,
@@ -142,12 +160,7 @@ def twist_summary(params: ModelParams) -> TwistSummary:
     estimate = sum(shares[o[-1]] * sum(prob * step[0] for step, prob in _fold(moves, o, h=h))
                    * ((phi.B, phi.ratio)[o[1]] if tandem else 1.0)
                    for o in _origins(params.model, 1))
-    if abs(value - estimate) > _DRIFT_AGREEMENT * max(1.0, abs(value)):
-        raise ArithmeticError(
-            f"drift closed form {value!r} and aggregate {estimate!r} disagree")
-    if value <= 0.0:
-        raise ArithmeticError(f"twisted chain drift is not positive ({value!r}); "
-                              "tail method inapplicable for these parameters")
+    disagree = abs(value - estimate) > _DRIFT_AGREEMENT * select(abs(value) > 1.0, abs(value), 1.0)
     return TwistSummary(model=params.model, harmonic=h, rates=rates, phi=phi,
                         drift=Drift(value=value, estimate=estimate, per_time=value * C),
-                        params=params, roots=sol)
+                        params=params, roots=sol), disagree, value <= 0.0

@@ -17,7 +17,7 @@ from .params import DOWN, UP, InvalidParameters, Model, ModelParams, elementwise
 from .qbd import (boundary_vector, exact_stationary_model1, first_passage, neuts_stability,
                   rate_matrix, rate_matrix_closed_form, stationary_table)
 from .spectral import characteristic_roots, feynman_kac, stability
-from .twist import harmonic, twist_summary
+from .twist import _twist, harmonic, twist_summary
 
 PARAMS_A = make_params(10.0, 11.0, 0.1, 10.0)
 PARAMS_B = make_params(20.0, 60.0, 0.01, 1.0)
@@ -58,19 +58,20 @@ def random_params(rng: np.random.Generator, p: float = 1.0,
     return _sets(rng.random(4), p, stable, model)
 
 
-def _grid(rng: np.random.Generator, grid: int, labels, first=None):
+def _grid(rng: np.random.Generator, grid: int, labels, first=None, lead: int = 0):
     """Stacks of `grid` sets drawn as random_params draws them one by one,
-    _CHUNK sets at a time.  first(rng, k), if given, is what set k draws
-    before its four uniforms; labels(i, drawn) gives the tandem flags, p and
-    stable flags (arrays, or one value for all) of the sets of indices i that
-    drew `drawn`.  A chunk yields its Model 1 sets, then its tandem sets."""
+    _CHUNK sets at a time.  Set k draws `lead` doubles, or first(rng, k) if
+    given, before its four uniforms; labels(i, *drawn) gives the tandem flags,
+    p and stable flags (arrays, or one value for all) of the sets of indices i
+    that drew `drawn`.  A chunk yields its Model 1 sets, then its tandem sets."""
     for start in range(0, grid, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, grid))
-        if first is None:
-            drawn, u = None, rng.random((len(i), 4))
+        if first is None:   # each set's leading doubles and uniforms are one row
+            draws = rng.random((len(i), lead + 4))
+            drawn, u = draws[:, :lead].T, draws[:, lead:]
         else:
-            drawn, u = map(np.array, zip(*[(first(rng, k), rng.random(4)) for k in i.tolist()]))
-        tandem, p, stable, _ = np.broadcast_arrays(*labels(i, drawn), i)
+            *drawn, u = map(np.array, zip(*[(first(rng, k), rng.random(4)) for k in i.tolist()]))
+        tandem, p, stable, _ = np.broadcast_arrays(*labels(i, *drawn), i)
         for model, rows in ((Model.MODEL1, ~tandem), (Model.MODEL2, tandem)):
             if rows.any():
                 yield _sets(u[rows], p[rows], stable[rows], model)
@@ -86,8 +87,7 @@ def _free_rows(grid: int, seed: int):
     """(h, interior moves, state) at every free class state (x = 0) of `grid`
     stable sets, which cycle Model 1, tandem p = 1, Model 1, tandem p = 0.5."""
     rng = np.random.default_rng(seed)
-    for params in _grid(rng, grid,
-                        lambda i, _: (i % 2 == 1, np.where(i % 4 == 3, 0.5, 1.0), True)):
+    for params in _grid(rng, grid, lambda i: (i % 2 == 1, np.where(i % 4 == 3, 0.5, 1.0), True)):
         h, moves = harmonic(params), _moves(params)
         for origin in _origins(params.model, 0):   # free rows are shift invariant
             yield h, moves, origin
@@ -144,7 +144,7 @@ def check_spectral_roots(grid: int, seed: int) -> CheckResult:
 
 def check_perron_root(grid: int, seed: int) -> CheckResult:
     worst = 0.0
-    for params in _grid(np.random.default_rng(seed), grid, lambda i, _: (False, 1.0, True)):
+    for params in _grid(np.random.default_rng(seed), grid, lambda i: (False, 1.0, True)):
         theta = elementwise(math.log, characteristic_roots(params).t2)
         worst = _worst(worst, feynman_kac(params, theta)[1] - 1.0)
     return CheckResult("tilted-perron-root-one", worst <= 1e-11,
@@ -170,8 +170,7 @@ def check_stability_equivalence(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     bad = 0
     for tandem, p in ((False, 1.0), (True, 0.5)):
-        for params in _grid(rng, grid, lambda i, coin: (tandem, p, coin < 0.5),
-                            lambda rng, k: rng.random()):
+        for params in _grid(rng, grid, lambda i, coin: (tandem, p, coin < 0.5), lead=1):
             closed = stability(params).stable
             neuts = closed if tandem else neuts_stability(*level_blocks(params))
             roots = characteristic_roots(params).gamma_p < 1.0
@@ -181,17 +180,12 @@ def check_stability_equivalence(grid: int, seed: int) -> CheckResult:
 
 
 def check_drift(grid: int, seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
+    # Model 1 where a set's coin is below 0.5, else the tandem with p = 1
     failures = 0
-    for _ in range(grid):
-        model = Model.MODEL1 if rng.random() < 0.5 else Model.MODEL2
-        params = random_params(rng, model=model)
-        try:
-            drift = twist_summary(params).drift
-            if drift.value <= 0.0:
-                failures += 1
-        except ArithmeticError:
-            failures += 1
+    for params in _grid(np.random.default_rng(seed), grid,
+                        lambda i, coin: (coin >= 0.5, 1.0, True), lead=1):
+        _, disagree, nonpositive = _twist(params)
+        failures += int(np.sum(disagree | nonpositive))
     return CheckResult("twisted-drift-positive", failures == 0,
                        f"{failures} of {grid} stable sets failed the drift contract")
 
@@ -222,15 +216,18 @@ def check_eta_bounds() -> CheckResult:
 
 
 def check_escape_closed_form(grid: int, seed: int) -> CheckResult:
-    # every set's twisted blocks in one stack, solved by one logarithmic reduction
-    rng = np.random.default_rng(seed)
-    twists = [twist_summary(params)
-              for params in [PARAMS_A, PARAMS_B] + [random_params(rng) for _ in range(grid)]]
-    escapes, blocks = zip(*map(_escape, twists))
-    closed = np.array([(esc.up, esc.down) for esc in escapes])
-    a0, a1, a2 = map(np.stack, zip(*blocks))
-    solved = (a0 @ (1.0 - first_passage(a0, a1, a2).sum(axis=-1))[..., None])[..., 0]
-    worst = float(np.max(np.abs(solved - closed)))
+    # A and B lead the first stack; each stack's twisted blocks are solved by one
+    # logarithmic reduction
+    worst = 0.0
+    rates = ("lam", "mu", "alpha", "beta")
+    for k, params in enumerate(_grid(np.random.default_rng(seed), grid,
+                                     lambda i: (False, 1.0, True))):
+        if k == 0:
+            params = make_params(*(np.r_[getattr(PARAMS_A, r), getattr(PARAMS_B, r),
+                                         getattr(params, r)] for r in rates))
+        esc, (a0, a1, a2) = _escape(twist_summary(params))
+        solved = a0 @ (1.0 - first_passage(a0, a1, a2).sum(axis=-1))[..., None]
+        worst = _worst(worst, solved[..., 0] - np.stack([esc.up, esc.down], axis=-1))
     return CheckResult("escape-closed-form", worst <= 1e-10,
                        f"max |closed form - logarithmic reduction| = {worst:.3g}")
 

@@ -61,6 +61,30 @@ def test_positive_rates_required(kwargs):
         make_params(**kwargs)
 
 
+@pytest.mark.parametrize("rates,omitted,given", [
+    ((0, 11, 0.1, 10), "lambda must be > 0, got 0", "lambda must be > 0, got 0"),
+    ((10, float("nan"), 0.1, 10), "mu must be > 0, got nan", "mu must be > 0, got nan"),
+    ((10, 11, 0.1, float("inf")), "beta must be finite, got inf", "beta must be finite, got inf"),
+    # an omitted C checks every rate's sign before any rate's finiteness
+    ((float("inf"), 11, 0.0, 10), "alpha must be > 0, got 0.0", "lambda must be finite, got inf"),
+], ids=["zero", "nan", "inf", "inf-then-zero"])
+def test_bad_rates_raise_the_same_text_with_c_omitted_and_given(rates, omitted, given):
+    with pytest.raises(InvalidParameters) as error:
+        make_params(*rates)
+    assert str(error.value) == omitted
+    with pytest.raises(InvalidParameters) as error:
+        make_params(*rates, C=100.0)
+    assert str(error.value) == given
+
+
+def test_small_c_raises_its_bound():
+    for model, bound, c_min in ((Model.MODEL1, "lambda+mu+alpha+beta", 31.1),
+                                (Model.MODEL2, "lambda+2*mu+alpha+beta", 42.1)):
+        with pytest.raises(InvalidParameters) as error:
+            make_params(10, 11, 0.1, 10, model=model, C=5.0)
+        assert str(error.value) == f"C below {bound}: 5.0 < {c_min}"
+
+
 def test_p_range():
     with pytest.raises(InvalidParameters):
         make_params(10, 30, 0.1, 10, p=0.0, model=Model.MODEL2)

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from decimal import Decimal, localcontext
 
@@ -6,10 +7,12 @@ import pytest
 
 from uqtail import (DOWN, UP, InvalidParameters, Model, StationaryTable,
                     UnstableParameters, characteristic_roots, harmonic,
-                    make_params, prefactors, truncated_stationary, twist_summary)
+                    make_params, prefactors, stability, truncated_stationary, twist_summary)
+from uqtail import asymptotics, twist
+from uqtail.asymptotics import _escape
 from uqtail.cli import main
 from uqtail.kernels import _fold, _moves, level_blocks
-from uqtail.verify import check_harmonicity, random_params
+from uqtail.verify import check_drift, check_harmonicity, random_params
 
 A = make_params(10, 11, 0.1, 10)
 T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
@@ -261,3 +264,119 @@ def test_one_twist_pass_per_call(call_counts, tmp_path):
     prefactors(T2, table=table)
     assert call_counts == {"characteristic_roots": 1, "stability": 1,
                            "_moves": 4}
+
+
+def _stack(sets):
+    """One stack of sets of one model, each with its own p and C."""
+    return make_params(*(np.array([getattr(s, name) for s in sets])
+                         for name in ("lam", "mu", "alpha", "beta")),
+                       p=np.array([s.p for s in sets]), model=sets[0].model,
+                       C=np.array([s.C for s in sets]))
+
+
+def _leaves(obj, name):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _leaves(getattr(obj, f.name), f"{name}.{f.name}")
+    else:
+        yield name, obj
+
+
+def _assert_set_in_stack(stacked, one, k, name):
+    """Every leaf of `one` equals set k of the stacked leaf, bit for bit; a
+    stack carries its sets on the last axis."""
+    for (path, many), (_, single) in zip(_leaves(stacked, name), _leaves(one, name), strict=True):
+        if single is None or isinstance(single, Model):
+            assert many is single, path
+            continue
+        many = np.asarray(many)
+        at = many[..., k] if many.ndim else many
+        assert np.asarray(at, float).tobytes() == np.asarray(single, float).tobytes(), path
+
+
+B = make_params(20, 60, 0.01, 1)
+_rng = np.random.default_rng(31)
+STACK_SETS = {
+    Model.MODEL1: [A, B, *(random_params(_rng) for _ in range(40))],
+    Model.MODEL2: [T2, *(random_params(_rng, model=Model.MODEL2) for _ in range(40))],
+}
+
+
+@pytest.mark.parametrize("model", list(STACK_SETS), ids=["model1", "tandem"])
+def test_stacked_twist_equals_each_set_bit_for_bit(model):
+    sets = STACK_SETS[model]
+    stacked = twist_summary(_stack(sets))
+    for k, params in enumerate(sets):
+        _assert_set_in_stack(stacked, twist_summary(params), k, "twist")
+
+
+def test_stacked_escape_equals_each_set_bit_for_bit():
+    sets = STACK_SETS[Model.MODEL1]
+    esc, blocks = _escape(twist_summary(_stack(sets)))
+    for k, params in enumerate(sets):
+        one, one_blocks = _escape(twist_summary(params))
+        _assert_set_in_stack(esc, one, k, "escape")
+        for many, single in zip(blocks, one_blocks, strict=True):   # a leading stack axis
+            assert many[k].tobytes() == single.tobytes()
+
+
+def _first_up_move_scaled_at(k):
+    """The interior moves with the first Up move scaled by 1 + 1e-3, in set k
+    of a stack or in a single set."""
+    def moves(params):
+        (step, prob, low), *rest = _moves(params)[0]
+        bump = 1.0 + 1e-3 * (np.arange(np.size(prob)) == k) if np.ndim(prob) else 1.0 + 1e-3
+        return ((step, prob * bump, low), *rest), _moves(params)[1]
+    return moves
+
+
+def test_drift_disagreement_raises_naming_the_set(monkeypatch):
+    monkeypatch.setattr(twist, "_moves", _first_up_move_scaled_at(3))
+    drift = twist._twist(A)[0].drift
+    with pytest.raises(ArithmeticError) as error:
+        twist_summary(A)
+    assert str(error.value) == \
+        f"drift closed form {drift.value!r} and aggregate {drift.estimate!r} disagree"
+    sets = STACK_SETS[Model.MODEL1]
+    drift = twist._twist(_stack(sets))[0].drift
+    with pytest.raises(ArithmeticError) as error:
+        twist_summary(_stack(sets))
+    assert str(error.value) == (f"drift closed form {drift.value[3].item()!r} and aggregate "
+                                f"{drift.estimate[3].item()!r} disagree at stack index 3")
+    # check_drift counts the one set of its Model 1 stack made to fail
+    assert check_drift(50, 13).detail == "1 of 50 stable sets failed the drift contract"
+
+
+def test_nonpositive_drift_raises_naming_the_set(monkeypatch):
+    # an overloaded set passed off as stable has a negative twisted drift
+    over = make_params(12, 11, 0.1, 10)
+    monkeypatch.setattr(twist, "stability", lambda params: dataclasses.replace(
+        stability(params), stable=np.ones_like(params.lam, dtype=bool)))
+    with pytest.raises(ArithmeticError) as error:
+        twist_summary(over)
+    assert str(error.value) == ("twisted chain drift is not positive (-0.03349979548720102); "
+                                "tail method inapplicable for these parameters")
+    with pytest.raises(ArithmeticError) as error:
+        twist_summary(_stack([A, over, B]))
+    assert str(error.value) == ("twisted chain drift at stack index 1 is not positive "
+                                "(-0.03349979548720102); tail method inapplicable for these "
+                                "parameters")
+
+
+def _down_block_scaled_at(k):
+    def blocks(params, *args, **kwargs):
+        up, local, down = level_blocks(params, *args, **kwargs)
+        bump = 1.0 + 1e-9 * (np.arange(down.shape[-1]) == k) if down.ndim == 3 else 1.0 + 1e-9
+        return up, local, down * bump
+    return blocks
+
+
+def test_escape_gate_raises_naming_the_set(monkeypatch):
+    monkeypatch.setattr(asymptotics, "level_blocks", _down_block_scaled_at(5))
+    with pytest.raises(ArithmeticError) as error:
+        _escape(twist_summary(A))
+    assert str(error.value) == ("closed-form first-passage matrix fails: residual 3.25e-10 "
+                                "(bound 1e-12), row sums [0.91905976 0.83811952] (must be < 1)")
+    with pytest.raises(ArithmeticError,
+                       match=r"^closed-form first-passage matrix at stack index 5 fails: "):
+        _escape(twist_summary(_stack(STACK_SETS[Model.MODEL1])))

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from uqtail import Model, kernels, make_params, stability, verify
+from uqtail import Model, asymptotics, kernels, make_params, stability, twist, verify
 from uqtail.kernels import _fold
-from uqtail.verify import (_CHUNK, _P_CHOICES, _sets, check_harmonicity, check_perron_root,
+from uqtail.verify import (_CHUNK, _P_CHOICES, PARAMS_A, PARAMS_B, _sets, check_drift,
+                           check_escape_closed_form, check_harmonicity, check_perron_root,
                            check_rows_stochastic, check_spectral_roots,
                            check_stability_equivalence, check_summability_gate,
                            check_twisted_rows, random_params)
@@ -80,8 +81,11 @@ def _scalar_sets(check, grid, seed):
             p = _P_CHOICES[rng.integers(2)]
             tandem = p != 1.0 or check is check_summability_gate
             sets.append(random_params(rng, p=p, model=m2 if tandem else m1))
-    elif check is check_perron_root:
+    elif check in (check_perron_root, check_escape_closed_form):
+        # the escape check's A and B, which lead its stacks, draw nothing
         sets = [random_params(rng) for _ in range(grid)]
+    elif check is check_drift:
+        sets = [random_params(rng, model=m1 if rng.random() < 0.5 else m2) for _ in range(grid)]
     else:
         sets = [random_params(rng, p=p, stable=bool(rng.random() < 0.5), model=model)
                 for model, p in ((m1, 1.0), (m2, 0.5)) for _ in range(grid)]
@@ -95,7 +99,7 @@ def _key(params):
 
 GRID_CHECKS = [check_rows_stochastic, check_harmonicity, check_twisted_rows,
                check_spectral_roots, check_perron_root, check_stability_equivalence,
-               check_summability_gate]
+               check_drift, check_escape_closed_form, check_summability_gate]
 
 
 @pytest.mark.parametrize("check", GRID_CHECKS, ids=lambda check: check.__name__)
@@ -105,9 +109,9 @@ def test_grid_checks_draw_the_scalar_sets_across_chunks(monkeypatch, check):
     grid, drawn, rngs = _CHUNK + 7, [], []
     stacks = verify._grid
 
-    def recorded(rng, *args):
+    def recorded(rng, *args, **kwargs):
         rngs.append(rng)
-        for stack in stacks(rng, *args):
+        for stack in stacks(rng, *args, **kwargs):
             assert len(stack.lam) <= _CHUNK
             fields = np.broadcast_arrays(stack.lam, stack.mu, stack.alpha, stack.beta,
                                          stack.p, stack.C)
@@ -120,6 +124,19 @@ def test_grid_checks_draw_the_scalar_sets_across_chunks(monkeypatch, check):
     sets, state = _scalar_sets(check, grid, 11)
     assert sorted(drawn) == sorted(map(_key, sets))
     assert rngs[-1].bit_generator.state == state
+
+
+def test_escape_check_leads_with_the_reference_sets(monkeypatch):
+    evaluated = []
+    summary = verify.twist_summary
+    monkeypatch.setattr(verify, "twist_summary",
+                        lambda params: evaluated.append(params) or summary(params))
+    assert check_escape_closed_form(3, 0).passed
+    (stack,) = evaluated
+    assert len(stack.lam) == 5
+    for name in ("lam", "mu", "alpha", "beta", "p", "C"):
+        assert np.broadcast_to(getattr(stack, name), 5)[:2].tolist() == \
+            [getattr(PARAMS_A, name), getattr(PARAMS_B, name)]
 
 
 def _with_first_move_scaled(moves):
@@ -140,6 +157,11 @@ def _stability_bound_doubled(params):
     return dataclasses.replace(report, stable=params.lam < 2.0 * report.effective_rate * params.p)
 
 
+def _escape_up_scaled(twist_pass):
+    esc, blocks = asymptotics._escape(twist_pass)
+    return dataclasses.replace(esc, up=esc.up * (1.0 + 1e-8)), blocks
+
+
 def _fold_first_step_scaled(moves, origin, h=None):
     (step, prob), *rest = _fold(moves, origin, h)
     return [(step, prob * (1.0 + 1e-9)), *rest]
@@ -154,6 +176,8 @@ PLANTED_DEFECTS = [
     (check_perron_root, verify, "characteristic_roots",
      _roots_with("t2", lambda sol: sol.t2 * (1.0 + 1e-9))),
     (check_stability_equivalence, verify, "stability", _stability_bound_doubled),
+    (check_drift, twist, "_moves", _with_first_move_scaled(kernels._moves)),
+    (check_escape_closed_form, verify, "_escape", _escape_up_scaled),
     (check_summability_gate, verify, "characteristic_roots",
      _roots_with("gamma_p", lambda sol: sol.gamma_secondary)),
 ]
