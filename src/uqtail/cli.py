@@ -12,6 +12,7 @@ import dataclasses
 import enum
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,55 +34,41 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _jsonable(obj):
-    if isinstance(obj, float):
-        return _Raw(_fmt(obj))
+def _dump(obj, indent: int = 0, path: str = "") -> str:
+    """The one JSON writer of the reports: floats to 17 significant digits,
+    one entry per line.  A non-finite float raises ArithmeticError naming its
+    key path, before anything is printed or written."""
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ArithmeticError(f"{path} is {float(obj)}")
+        return _fmt(float(obj))
     if isinstance(obj, enum.Enum):
-        return obj.value
+        return _dump(obj.value, indent, path)
+    if isinstance(obj, np.integer):
+        return str(int(obj))
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return _Raw(_fmt(float(obj)))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = obj.tolist()
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # a field declared repr=False is a value carried for later stages, not a result
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj) if f.repr}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-class _Raw(str):
-    """Float already rendered with 17 significant digits."""
-
-
-def _dump(obj, indent: int = 0) -> str:
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.repr}
     pad = "  " * indent
-    if isinstance(obj, _Raw):
-        return str(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad}  "{k}": {_dump(v, indent + 1)}' for k, v in obj.items()]
+        items = [f'{pad}  "{k}": {_dump(v, indent + 1, f"{path}.{k}" if path else str(k))}'
+                 for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}  {_dump(v, indent + 1)}" for v in obj]
+        items = [f"{pad}  {_dump(v, indent + 1, f'{path}[{i}]')}" for i, v in enumerate(obj)]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     return json.dumps(obj)
 
 
-def _meta(params, seed: int | None = None) -> dict:
-    meta = {"version": __version__, "rng": _RNG_IDENTITY,
-            "params": _jsonable(params.to_dict()), "model": params.model.value}
-    if seed is not None:
-        meta["seed"] = seed
-    return meta
+def _meta(params) -> dict:
+    return {"version": __version__, "rng": _RNG_IDENTITY, "params": params.to_dict(),
+            "model": params.model.value}
 
 
 def _add_param_flags(sub):
@@ -119,18 +106,17 @@ def _cmd_analyze(args) -> int:
     params = _resolve_params(args)
     report = {"meta": _meta(params)}
     if params.model is Model.RSRD:   # its product form decays as r^(x+y), r = lambda/(mu p)
-        report["product_form_rate"] = _jsonable(params.lam / (params.mu * params.p))
+        report["product_form_rate"] = params.lam / (params.mu * params.p)
     else:
-        report["spectral"] = _jsonable(characteristic_roots(params))
-    report["stability"] = _jsonable(stability(params))
+        report["spectral"] = characteristic_roots(params)
+    report["stability"] = stability(params)
     if params.model is Model.MODEL2 and params.p < 1.0:
-        report["tail"] = _jsonable(prefactors(params))
+        report["tail"] = prefactors(params)
     elif params.model is not Model.RSRD:
-        twist = twist_summary(params)
-        report["twist"] = _jsonable(twist)
-        report["tail"] = _jsonable(tail_constants(twist))
+        report["twist"] = twist = twist_summary(params)
+        report["tail"] = tail_constants(twist)
     if args.limits:
-        report["alpha_limits"] = _jsonable(alpha_limits(params))
+        report["alpha_limits"] = alpha_limits(params)
     text = _dump(report)
     (_out_dir(args) / "analyze.json").write_text(text + "\n")
     print(text)
@@ -216,8 +202,7 @@ def _cmd_tailfit(args) -> int:
 
 def _cmd_compare_mm1(args) -> int:
     params = _resolve_params(args)
-    report = {"meta": _meta(params),
-              "comparison": _jsonable(mm1_comparison(params))}
+    report = {"meta": _meta(params), "comparison": mm1_comparison(params)}
     text = _dump(report)
     (_out_dir(args) / "compare_mm1.json").write_text(text + "\n")
     print(text)

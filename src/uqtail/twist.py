@@ -11,7 +11,7 @@ import numpy as np
 
 from .kernels import _fold, _moves, _origins
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams, UnstableParameters,
-                     first_failing, holds, select)
+                     first_failing, holds)
 from .spectral import SpectralSolution, characteristic_roots, stability
 
 _DRIFT_AGREEMENT = 1e-10
@@ -114,15 +114,16 @@ def twist_summary(params: ModelParams) -> TwistSummary:
 
     From one stability check and one `characteristic_roots`: h, the phase
     law phi (with the tandem's twisted rates), and the drift.  The drift's
-    closed form must agree to 1e-10 with the phi-weighted mean x step of the
-    twisted x0 = 1 class rows, and be positive for the tail method to apply;
+    closed form must agree with the phi-weighted mean x step of the twisted
+    x0 = 1 class rows to 1e-10 of the larger of its two terms, and be
+    positive for the tail method to apply;
     else ArithmeticError names the first failing stack index.
     """
     twist, disagree, nonpositive = _twist(params)
     failed = np.logical_or(disagree, nonpositive)
     if failed.any():
         index, where = first_failing(failed)
-        value, estimate = (x[index].item() if index else x
+        value, estimate = (np.asarray(x)[index].item()
                            for x in (twist.drift.value, twist.drift.estimate))
         if np.asarray(disagree)[index]:
             raise ArithmeticError(
@@ -144,7 +145,9 @@ def _twist(params: ModelParams):
     den, g = sol.den, sol.g_constant
     # the phase chain's Up/Down shares, beta_t and alpha_t over their sum
     shares = np.array([den / 2.0 / g, 2.0 * alpha * beta / den / g])
-    den_minus = lam + beta + mu + alpha - sol.sqrt_s
+    # den_minus = b - sqrt(s) = (b^2 - s) / (b + sqrt(s)), b = lam + beta + mu + alpha, with
+    # b^2 - s = 4 mu (lam + beta) at p = 1; the difference cancels at light load
+    den_minus = 4.0 * mu * (lam + beta) / (lam + beta + mu + alpha + sol.sqrt_s)
     rates, phi = None, shares
     if tandem:
         # B = 1 - lam_t/mu_t, in a form free of cancellation as alpha -> 0
@@ -153,14 +156,17 @@ def _twist(params: ModelParams):
                            B=2.0 * alpha / (den + 2.0 * alpha))
         phi = ProductFormPhi(ratio=rates.lam_t / rates.mu_t, B=rates.B,
                              up_share=shares[UP], down_share=shares[DOWN])
-    value = (den_minus / 2.0 - lam * mu * den / (g * den_minus)) / C
+    gain, loss = den_minus / 2.0, lam * mu * den / (g * den_minus)
+    value = (gain - loss) / C
     # rows are identical for all y >= 1, so the tandem's geometric tail of phi,
     # of total mass ratio, is aggregated exactly instead of being truncated
     moves = _moves(params)
     estimate = sum(shares[o[-1]] * sum(prob * step[0] for step, prob in _fold(moves, o, h=h))
                    * ((phi.B, phi.ratio)[o[1]] if tandem else 1.0)
                    for o in _origins(params.model, 1))
-    disagree = abs(value - estimate) > _DRIFT_AGREEMENT * select(abs(value) > 1.0, abs(value), 1.0)
+    # relative to the larger term the closed form subtracts; both are probabilities
+    # per step, so the gate is never looser than _DRIFT_AGREEMENT absolute
+    disagree = abs(value - estimate) > _DRIFT_AGREEMENT * np.maximum(gain, loss) / C
     return TwistSummary(model=params.model, harmonic=h, rates=rates, phi=phi,
                         drift=Drift(value=value, estimate=estimate, per_time=value * C),
                         params=params, roots=sol), disagree, value <= 0.0

@@ -156,11 +156,11 @@ def check_rate_matrix() -> CheckResult:
     for params in (PARAMS_A, PARAMS_B):
         r_closed = rate_matrix_closed_form(params)
         r_solved = rate_matrix(*level_blocks(params))
-        worst_r = max(worst_r, float(np.max(np.abs(r_closed - r_solved))))
+        worst_r = _worst(worst_r, r_closed - r_solved)
         sol = characteristic_roots(params)
         eig_gap = np.sort(np.linalg.eigvals(r_closed)) - (sol.gamma_secondary, sol.gamma_p)
-        worst_eig = max(worst_eig, float(np.max(np.abs(eig_gap))))
-    return CheckResult("rate-matrix-consistency", max(worst_r, worst_eig) <= 1e-12,
+        worst_eig = _worst(worst_eig, eig_gap)
+    return CheckResult("rate-matrix-consistency", _worst(worst_r, worst_eig) <= 1e-12,
                        f"max entry gap = {worst_r:.3g}, max eigen gap = {worst_eig:.3g}")
 
 
@@ -196,7 +196,7 @@ def check_tail_reproduction() -> CheckResult:
         asym = prefactors(params)
         table = exact_stationary_model1(params, k_max=200)
         tail = np.array([asym.prefactor_up, asym.prefactor_down]) * asym.gamma ** 200
-        worst = max(worst, float(np.max(np.abs(table.pi[200] / tail - 1.0))))
+        worst = _worst(worst, table.pi[200] / tail - 1.0)
     return CheckResult("closed-prefactor-tail", worst <= 1e-3,
                        f"max |pi/(C gamma^k) - 1| at k=200: {worst:.3g}")
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import uqtail
@@ -12,6 +13,7 @@ from uqtail import (Model, UnstableParameters, __version__, characteristic_roots
 from uqtail.cli import build_parser, main
 
 A_FLAGS = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
+T2_FLAGS = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10"]
 
 
 def test_analyze_report(tmp_path, capsys):
@@ -106,6 +108,60 @@ def test_non_finite_inputs_are_validation_errors(tmp_path, capsys, flag, value):
         assert err.startswith("validation error: ") and "must be finite" in err
 
 
+def _rate_flags(lam, mu, alpha, beta):
+    return ["--lambda", lam, "--mu", mu, "--alpha", alpha, "--beta", beta]
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-finite token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv,message", [
+    # RS-RD off stability: lambda/(mu p) overflows
+    (["analyze", *_rate_flags("1e150", "1e-300", "1", "1"), "--model", "rsrd"],
+     "product_form_rate is inf"),
+    # lambda = 5e-324 underflows the roots
+    (["compare-mm1", *_rate_flags("5e-324", "10", "3", "3")], "comparison.gamma_1 is nan"),
+    (["analyze", *_rate_flags("5e-324", "10", "3", "3"), "--model", "model2", "--p", "0.5"],
+     "spectral.t1 is inf"),
+], ids=["rsrd-rate", "compare-gamma", "tandem-root"])
+def test_non_finite_results_are_refused_by_name(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"verification failure: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", *A_FLAGS],
+    ["analyze", *A_FLAGS, "--limits"],
+    ["analyze", *_rate_flags("20", "60", "0.01", "1")],
+    ["analyze", *T2_FLAGS, "--model", "model2", "--p", "0.5"],
+    ["analyze", *T2_FLAGS, "--model", "rsrd", "--p", "0.5"],
+    # b - sqrt(s) is 0 in floats here: the twist's den_minus needs its identity
+    ["analyze", *_rate_flags("3", "1e150", "0.1", "10")],
+    ["compare-mm1", *A_FLAGS],
+    ["compare-mm1", *T2_FLAGS, "--model", "model2", "--p", "0.5"],
+], ids=["A", "A-limits", "B", "T2-p0.5", "rsrd", "mu-1e150", "compare-A", "compare-T2"])
+def test_reports_are_strict_json(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    written = next(tmp_path.glob("*.json")).read_text()
+    assert _strict_json(written) == _strict_json(capsys.readouterr().out)
+
+
+def test_dump_names_the_path_of_a_non_finite_float():
+    report = {"tail": {"ratios": (0.5, np.float64("-inf"))}}
+    with pytest.raises(ArithmeticError, match=r"^tail\.ratios\[1\] is -inf$"):
+        cli._dump(report)
+    text = cli._dump({"gamma": np.float32(0.5), "n": np.int64(3), "model": Model.RSRD,
+                      "empty": {}, "ks": np.arange(2)})
+    assert text.splitlines() == ['{', '  "gamma": 0.5,', '  "n": 3,', '  "model": "rsrd",',
+                                 '  "empty": {},', '  "ks": [', '    0,', '    1', '  ]', '}']
+
+
 @pytest.mark.parametrize("argv,message", [
     (["simulate", *A_FLAGS, "--steps", "100", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["ldpath", *A_FLAGS, "--steps", "100", "--level", "5", "--seed", "-1"],
@@ -196,9 +252,6 @@ def test_tailfit_csv(tmp_path, capsys):
     assert "gamma_est=0.919" in capsys.readouterr().out
     lines = (tmp_path / "tailfit.csv").read_text().splitlines()
     assert "k,pi,model_prediction,relative_error" in lines
-
-
-T2_FLAGS = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10"]
 
 
 @pytest.mark.parametrize("model,p", [("model2", "1"), ("rsrd", "0.5")])

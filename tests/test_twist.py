@@ -225,6 +225,43 @@ def test_small_alpha_matches_a_50_digit_reference(rates, model, alpha):
         assert abs(Decimal(value) / exact - 1) <= Decimal("1e-13"), name
 
 
+# lambda/mu from 1e-2 down to 1e-10 at two scales of mu, for Model 1 and the p = 1 tandem
+LIGHT_LOAD = [(ratio * mu, mu, alpha, beta)
+              for mu, alpha, beta in ((1.0, 0.1, 1.0), (1e6, 0.1, 1e-4))
+              for ratio in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10) if ratio < beta / (alpha + beta)]
+
+
+@pytest.mark.parametrize("model", [Model.MODEL1, Model.MODEL2], ids=["model1", "tandem"])
+@pytest.mark.parametrize("rates", LIGHT_LOAD, ids=[f"{r[0]:g}-{r[1]:g}" for r in LIGHT_LOAD])
+def test_light_load_drift_matches_a_50_digit_reference(rates, model):
+    # den_minus = b - sqrt(s) taken as a difference loses up to 4.3e-7 of the drift here
+    params = make_params(*rates, model=model)
+    twist = twist_summary(params)
+    ref = reference(*rates, params.C)
+    values = {"drift": (twist.drift.value, ref["drift"])}
+    if model is Model.MODEL2:   # lam_t = lam t2 / C, the twisted y-birth
+        values["lam_t"] = (twist.rates.lam_t, Decimal(rates[0]) * ref["t2"] / Decimal(params.C))
+    for name, (value, exact) in values.items():
+        assert abs(Decimal(value) / exact - 1) <= Decimal("1e-13"), name
+
+
+def test_drift_gate_is_relative_to_its_terms(monkeypatch):
+    # at load 1e-7 the drift is 2e-10 per step, so an absolute 1e-10 gate passes
+    # any den_minus; planted through sqrt(s), which only den_minus reads
+    params = make_params(1e-4, 1e6, 0.1, 1e-4)
+    b = params.lam + params.beta + params.mu + params.alpha
+
+    def roots(params):
+        sol = characteristic_roots(params)
+        return dataclasses.replace(sol, sqrt_s=(b + sol.sqrt_s) / (1.0 + 1e-9) - b)
+    assert not twist._twist(params)[1]
+    monkeypatch.setattr(twist, "characteristic_roots", roots)
+    scaled, disagree, _ = twist._twist(params)
+    monkeypatch.undo()
+    assert scaled.drift.value != twist_summary(params).drift.value
+    assert disagree
+
+
 NAMES = ("characteristic_roots", "stability", "_moves")
 
 
@@ -335,8 +372,10 @@ def test_drift_disagreement_raises_naming_the_set(monkeypatch):
     drift = twist._twist(A)[0].drift
     with pytest.raises(ArithmeticError) as error:
         twist_summary(A)
-    assert str(error.value) == \
-        f"drift closed form {drift.value!r} and aggregate {drift.estimate!r} disagree"
+    # plain floats, whatever the numpy version's scalar repr
+    assert str(error.value) == (f"drift closed form {float(drift.value)!r} and aggregate "
+                                f"{float(drift.estimate)!r} disagree")
+    assert "np." not in str(error.value)
     sets = STACK_SETS[Model.MODEL1]
     drift = twist._twist(_stack(sets))[0].drift
     with pytest.raises(ArithmeticError) as error:

@@ -191,3 +191,23 @@ def test_grid_check_fails_on_its_planted_defect(monkeypatch, check, module, name
     monkeypatch.setattr(module, name, defect)
     result = check(200, 7)
     assert result.passed is False, result.detail
+
+
+def test_rate_matrix_check_fails_on_a_nan(monkeypatch):
+    # Python's max(worst, nan) keeps worst: the check folds with _worst instead
+    monkeypatch.setattr(verify, "rate_matrix", lambda *blocks: np.full((2, 2), np.nan))
+    result = verify.check_rate_matrix()
+    assert result.passed is False, result.detail
+    assert "max entry gap = nan" in result.detail
+
+
+def test_tail_reproduction_check_fails_on_a_nan(monkeypatch):
+    exact = verify.exact_stationary_model1
+
+    def nan_table(params, k_max):
+        table = exact(params, k_max)
+        return dataclasses.replace(table, pi=np.full_like(table.pi, np.nan))
+    monkeypatch.setattr(verify, "exact_stationary_model1", nan_table)
+    result = verify.check_tail_reproduction()
+    assert result.passed is False, result.detail
+    assert result.detail.endswith(": nan")
