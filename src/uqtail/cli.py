@@ -104,17 +104,16 @@ def _out_dir(args) -> Path:
 
 def _cmd_analyze(args) -> int:
     params = _resolve_params(args)
-    report = {"meta": _meta(params)}
     if params.model is Model.RSRD:   # its product form decays as r^(x+y), r = lambda/(mu p)
-        report["product_form_rate"] = params.lam / (params.mu * params.p)
-    else:
-        report["spectral"] = characteristic_roots(params)
-    report["stability"] = stability(params)
-    if params.model is Model.MODEL2 and params.p < 1.0:
-        report["tail"] = prefactors(params)
-    elif params.model is not Model.RSRD:
-        report["twist"] = twist = twist_summary(params)
-        report["tail"] = tail_constants(twist)
+        head, tail = {"product_form_rate": params.lam / (params.mu * params.p)}, {}
+    elif params.model is Model.MODEL2 and params.p < 1.0:
+        # the tail refuses an unstable set before its roots, whose t2 can underflow there
+        tail = {"tail": prefactors(params)}
+        head = {"spectral": characteristic_roots(params)}
+    else:   # likewise
+        twist = twist_summary(params)
+        head, tail = {"spectral": twist.roots}, {"twist": twist, "tail": tail_constants(twist)}
+    report = {"meta": _meta(params), **head, "stability": stability(params), **tail}
     if args.limits:
         report["alpha_limits"] = alpha_limits(params)
     text = _dump(report)

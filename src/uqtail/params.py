@@ -7,8 +7,10 @@ integers ``UP`` / ``DOWN``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -45,8 +47,8 @@ def default_uniformization(lam: float, mu: float, alpha: float, beta: float,
     It is not the smallest C keeping the rows stochastic: that is the largest
     exit rate of one phase, max(lam+mu+alpha, lam+beta) for Model 1.
     """
-    for name, value in (("lambda", lam), ("mu", mu), ("alpha", alpha), ("beta", beta)):
-        _require(value > 0, "{} must be > 0, got {}", name, value)
+    _require([(value > 0, "{} must be > 0, got {}", name, value)
+              for name, value in (("lambda", lam), ("mu", mu), ("alpha", alpha), ("beta", beta))])
     return _rate_sum(lam, mu, alpha, beta, model)
 
 
@@ -136,32 +138,32 @@ def params_from_json(text: str) -> ModelParams:
 
 def validate(params: ModelParams) -> ModelParams:
     """Return params unchanged if all invariants hold (in every set of a stack), else raise."""
-    model = params.model
-    for name in ("lam", "mu", "alpha", "beta"):
-        value = getattr(params, name)
-        label = "lambda" if name == "lam" else name
-        _require(value > 0, "{} must be > 0, got {}", label, value)
-        _require(value < math.inf, "{} must be finite, got {}", label, value)
-    p, C = params.p, params.C
-    _require((0.0 < p) & (p <= 1.0), "p must be in (0, 1], got {}", p)
-    _require(model is not Model.MODEL1 or p == 1.0, "Model 1 requires p = 1")
-    _require(abs(C) < math.inf, "C must be finite, got {}", C)
-    # the rates passed their checks above, so the sum needs none of its own
-    c_min = _rate_sum(params.lam, params.mu, params.alpha, params.beta, model)
+    model, p, C = params.model, params.p, params.C
+    rates = {"lambda": params.lam, "mu": params.mu, "alpha": params.alpha, "beta": params.beta}
+    # the bound is read only where the rates pass; abs keeps numpy's inf - inf warning out
+    c_min = _rate_sum(*map(abs, rates.values()), model)
     bound = "lambda+mu+alpha+beta" if model is Model.MODEL1 else "lambda+2*mu+alpha+beta"
-    _require(C >= c_min - 1e-12, "C below {}: {} < {}", bound, C, c_min)
+    _require([*[row for label, value in rates.items()
+                for row in ((value > 0, "{} must be > 0, got {}", label, value),
+                            (value < math.inf, "{} must be finite, got {}", label, value))],
+              ((0.0 < p) & (p <= 1.0), "p must be in (0, 1], got {}", p),
+              (model is not Model.MODEL1 or p == 1.0, "Model 1 requires p = 1"),
+              (abs(C) < math.inf, "C must be finite, got {}", C),
+              (C >= c_min - 1e-12, "C below {}: {} < {}", bound, C, c_min)])
     return params
 
 
-def _require(ok, message: str, *values) -> None:
-    """Raise InvalidParameters(message.format(*values)) unless `holds(ok)`."""
-    if ok is not True and not holds(ok):
+def _require(conditions) -> None:
+    """Raise InvalidParameters(message.format(*values)) for the first row (ok, message,
+    *values) of `conditions` failing in some set, all tested first by one reduction."""
+    if not holds(functools.reduce(operator.and_, [row[0] for row in conditions])):
+        _, message, *values = next(row for row in conditions if not holds(row[0]))
         raise InvalidParameters(message.format(*values))
 
 
 def holds(ok) -> bool:
     """Whether a condition (a bool, or on a stack a bool array) holds in every set."""
-    return ok if isinstance(ok, bool) else bool(np.all(ok))
+    return ok if isinstance(ok, bool) else bool(ok.all())
 
 
 def select(ok, when_true, when_false):

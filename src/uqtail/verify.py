@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _escape, escape_probabilities, eta, prefactors
+from .asymptotics import _escape, _eta_model1, prefactors
 from .kernels import _fold, _moves, _origins, _row, level_blocks
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, elementwise, make_params
-from .qbd import (boundary_vector, exact_stationary_model1, first_passage, neuts_stability,
-                  rate_matrix, rate_matrix_closed_form, stationary_table)
+from .qbd import (_model1_levels, boundary_vector, first_passage, neuts_stability, rate_matrix,
+                  rate_matrix_closed_form, stationary_table)
 from .spectral import characteristic_roots, feynman_kac, stability
 from .twist import _twist, harmonic, twist_summary
 
@@ -58,23 +58,38 @@ def random_params(rng: np.random.Generator, p: float = 1.0,
     return _sets(rng.random(4), p, stable, model)
 
 
-def _grid(rng: np.random.Generator, grid: int, labels, first=None, lead: int = 0):
-    """Stacks of `grid` sets drawn as random_params draws them one by one,
-    _CHUNK sets at a time.  Set k draws `lead` doubles, or first(rng, k) if
-    given, before its four uniforms; labels(i, *drawn) gives the tandem flags,
-    p and stable flags (arrays, or one value for all) of the sets of indices i
-    that drew `drawn`.  A chunk yields its Model 1 sets, then its tandem sets."""
+def _grid(rng: np.random.Generator, grid: int, labels, draw=None):
+    """Stacks of `grid` sets drawn as random_params draws them one by one, _CHUNK at a
+    time.  draw(rng, n) gives n sets' rows of leading draws and uniforms (default: the
+    uniforms); labels(i, *leading) gives the tandem flags, p and stable flags (arrays,
+    or one value for all) of sets i.  A chunk yields its Model 1 sets, then its tandem sets."""
     for start in range(0, grid, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, grid))
-        if first is None:   # each set's leading doubles and uniforms are one row
-            draws = rng.random((len(i), lead + 4))
-            drawn, u = draws[:, :lead].T, draws[:, lead:]
-        else:
-            *drawn, u = map(np.array, zip(*[(first(rng, k), rng.random(4)) for k in i.tolist()]))
-        tandem, p, stable, _ = np.broadcast_arrays(*labels(i, *drawn), i)
+        draws = rng.random((len(i), 4)) if draw is None else draw(rng, len(i))
+        tandem, p, stable, _ = np.broadcast_arrays(*labels(i, *draws[:, :-4].T), i)
         for model, rows in ((Model.MODEL1, ~tandem), (Model.MODEL2, tandem)):
             if rows.any():
-                yield _sets(u[rows], p[rows], stable[rows], model)
+                yield _sets(draws[rows, -4:], p[rows], stable[rows], model)
+
+
+def _odd_p_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Rows (p, four uniforms) of n sets from an even index, p = 1 but for odd sets,
+    which draw p = rng.uniform(0.3, 1.0) first: a pair of sets is nine doubles."""
+    rows = np.insert(rng.random((n // 2, 9)), 0, 1.0, axis=1).reshape(-1, 5)
+    rows[1::2, 0] = 0.3 + 0.7 * rows[1::2, 0]   # Generator.uniform's low + (high - low) d
+    return np.vstack([rows, np.r_[1.0, rng.random(4)]]) if n % 2 else rows
+
+
+def _p_choice_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Rows (p, four uniforms) of n sets that each draw p = _P_CHOICES[rng.integers(2)]
+    first: PCG64 takes a pair's coins from one word's 32-bit halves (README).  The last
+    set or two draw as one set does, so the buffered half ends as they leave it."""
+    pairs = (n - 1) // 2
+    words = rng.bit_generator.random_raw((pairs, 9))
+    coins = (np.c_[words[:, 0] & 0xFFFFFFFF, words[:, 0] >> 32] >> 31).ravel()
+    rows = np.c_[np.take(_P_CHOICES, coins), (words[:, 1:] >> 11).reshape(-1, 4) * 2.0 ** -53]
+    return np.vstack([rows, *([_P_CHOICES[rng.integers(2)], *rng.random(4)]
+                              for _ in range(n - 2 * pairs))])
 
 
 def _worst(worst: float, gaps) -> float:
@@ -98,8 +113,7 @@ def check_rows_stochastic(grid: int, seed: int) -> CheckResult:
     worst = 0.0
     # Model 1 and the tandem alternate, a tandem set draws its p first, and one
     # set in five is unstable
-    for params in _grid(rng, grid, lambda i, p: (i % 2 == 1, p, i % 5 != 4),
-                        lambda rng, k: rng.uniform(0.3, 1.0) if k % 2 else 1.0):
+    for params in _grid(rng, grid, lambda i, p: (i % 2 == 1, p, i % 5 != 4), _odd_p_rows):
         model, moves = params.model, _moves(params)   # one table per stack
         rows = [*(_row(moves, origin) for x0 in (0, 1) for origin in _origins(model, x0)),
                 *(_row(moves, origin, free=True) for origin in _origins(model, 0))]
@@ -130,8 +144,7 @@ def check_twisted_rows(grid: int, seed: int) -> CheckResult:
 def check_spectral_roots(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for params in _grid(rng, grid, lambda i, p: (p != 1.0, p, True),
-                        lambda rng, k: _P_CHOICES[rng.integers(2)]):
+    for params in _grid(rng, grid, lambda i, p: (p != 1.0, p, True), _p_choice_rows):
         sol = characteristic_roots(params)
         lam, mup = params.lam, params.mu * params.p
         for t in (sol.t1, sol.t2):
@@ -170,7 +183,8 @@ def check_stability_equivalence(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     bad = 0
     for tandem, p in ((False, 1.0), (True, 0.5)):
-        for params in _grid(rng, grid, lambda i, coin: (tandem, p, coin < 0.5), lead=1):
+        for params in _grid(rng, grid, lambda i, coin: (tandem, p, coin < 0.5),
+                            lambda g, n: g.random((n, 5))):   # a coin, then the uniforms
             closed = stability(params).stable
             neuts = closed if tandem else neuts_stability(*level_blocks(params))
             roots = characteristic_roots(params).gamma_p < 1.0
@@ -183,7 +197,7 @@ def check_drift(grid: int, seed: int) -> CheckResult:
     # Model 1 where a set's coin is below 0.5, else the tandem with p = 1
     failures = 0
     for params in _grid(np.random.default_rng(seed), grid,
-                        lambda i, coin: (coin >= 0.5, 1.0, True), lead=1):
+                        lambda i, coin: (coin >= 0.5, 1.0, True), lambda g, n: g.random((n, 5))):
         _, disagree, nonpositive = _twist(params)
         failures += int(np.sum(disagree | nonpositive))
     return CheckResult("twisted-drift-positive", failures == 0,
@@ -194,9 +208,8 @@ def check_tail_reproduction() -> CheckResult:
     worst = 0.0
     for params in (PARAMS_A, PARAMS_B):
         asym = prefactors(params)
-        table = exact_stationary_model1(params, k_max=200)
         tail = np.array([asym.prefactor_up, asym.prefactor_down]) * asym.gamma ** 200
-        worst = _worst(worst, table.pi[200] / tail - 1.0)
+        worst = _worst(worst, _model1_levels(params, 200)[0][200] / tail - 1.0)
     return CheckResult("closed-prefactor-tail", worst <= 1e-3,
                        f"max |pi/(C gamma^k) - 1| at k=200: {worst:.3g}")
 
@@ -205,11 +218,11 @@ def check_eta_bounds() -> CheckResult:
     ok = True
     details = []
     for params in (PARAMS_A, PARAMS_B):
-        est = eta(params)
-        esc = escape_probabilities(params)
-        h = harmonic(params)
+        twist = twist_summary(params)
+        esc = _escape(twist)[0]
+        est = _eta_model1(twist, esc)
         pi0 = boundary_vector(params)
-        upper = pi0[UP] + pi0[DOWN] * h.value((0, DOWN))
+        upper = pi0[UP] + pi0[DOWN] * twist.harmonic.value((0, DOWN))
         ok = ok and 0.0 < est.value <= upper and 0.0 < esc.up < 1.0 and 0.0 < esc.down < 1.0
         details.append(f"eta={est.value:.6g} in (0,{upper:.6g}]")
     return CheckResult("eta-in-range", ok, "; ".join(details))
@@ -235,8 +248,7 @@ def check_escape_closed_form(grid: int, seed: int) -> CheckResult:
 def check_summability_gate(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     bad = 0
-    for params in _grid(rng, grid, lambda i, p: (True, p, True),
-                        lambda rng, k: _P_CHOICES[rng.integers(2)]):
+    for params in _grid(rng, grid, lambda i, p: (True, p, True), _p_choice_rows):
         gamma_p = characteristic_roots(params).gamma_p
         bad += int(np.sum(~(params.lam / (params.mu * params.p) < gamma_p)))
     return CheckResult("product-form-summability", bad == 0,

@@ -208,6 +208,22 @@ def test_unstable_sets_are_validation_errors(tmp_path, capsys, monkeypatch, argv
     assert not solved and not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("model,message", [
+    ("model1", "operation requires a stable parameter set"),
+    ("model2", "operation requires a stable parameter set"),
+    ("model2 --p 0.5", "the shape-only tail requires a stable parameter set"),
+], ids=["model1", "tandem-p1", "tandem-p0.5"])
+def test_underflowing_roots_of_an_unstable_set_are_a_validation_error(tmp_path, capsys,
+                                                                      model, message):
+    # load 2e450: t2 underflows to 0, so the tail refuses the set before its roots
+    out = tmp_path / "out"
+    argv = ["analyze", *_rate_flags("1e150", "1e-300", "1", "1"), "--model", *model.split()]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"validation error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["simulate", *A_FLAGS, "--steps", "1000", "--burn-in", "1000"],
      "burn_in must fall inside the trajectory"),

@@ -1,6 +1,7 @@
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 import uqtail
@@ -10,7 +11,7 @@ from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParam
                     exact_stationary_model1, feynman_kac, full_kernel, harmonic,
                     make_params, params_from_json, prefactors, truncated_stationary,
                     twist_summary, two_term_tail)
-from uqtail.params import check_state
+from uqtail.params import check_state, holds
 
 A = make_params(10, 11, 0.1, 10)
 T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
@@ -83,6 +84,30 @@ def test_small_c_raises_its_bound():
         with pytest.raises(InvalidParameters) as error:
             make_params(10, 11, 0.1, 10, model=model, C=5.0)
         assert str(error.value) == f"C below {bound}: 5.0 < {c_min}"
+
+
+@pytest.mark.parametrize("ok,expected", [
+    (True, True), (False, False), (np.True_, True), (np.False_, False),
+    (np.array(True), True), (np.array(False), False), (np.array([True, True]), True),
+    (np.array([True, False]), False), (np.array([], dtype=bool), True),
+], ids=["bool", "false", "np-bool", "np-false", "0d", "0d-false", "1d", "1d-false", "empty"])
+def test_holds(ok, expected):
+    assert holds(ok) is expected
+
+
+def test_a_stack_names_its_first_failing_condition():
+    def stack(alpha, C):
+        return make_params(np.full(4, 10.0), np.full(4, 11.0), np.array(alpha), np.full(4, 10.0),
+                           C=np.array(C))
+    # alpha = 0 in set 0 and too small a C in set 3: the rates are checked first
+    with pytest.raises(InvalidParameters) as error:
+        stack([0.0, 0.1, 0.1, 0.1], [40.0, 40.0, 40.0, 5.0])
+    assert str(error.value) == "alpha must be > 0, got [0.  0.1 0.1 0.1]"
+    with pytest.raises(InvalidParameters) as error:
+        stack([0.1] * 4, [40.0, 40.0, 40.0, 5.0])
+    assert str(error.value) == \
+        "C below lambda+mu+alpha+beta: [40. 40. 40.  5.] < [31.1 31.1 31.1 31.1]"
+    assert stack([0.1] * 4, [40.0] * 4).C.tolist() == [40.0] * 4
 
 
 def test_p_range():

@@ -289,12 +289,12 @@ def call_counts(monkeypatch):
 def test_one_twist_pass_per_call(call_counts, tmp_path):
     table = truncated_stationary(T2, x_max=40, y_max=40)
     call_counts.update(dict.fromkeys(NAMES, 0))
-    # analyze: the report's spectral and stability, one pass (a move table for the
-    # drift), the escape check's twisted blocks (one more) and the boundary solve,
-    # which builds no blocks
+    # analyze: one pass (a move table for the drift), whose roots the report's
+    # spectral reads, the report's stability, the escape check's twisted blocks
+    # (one more) and the boundary solve, which builds no blocks
     flags = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
     assert main(["analyze", *flags, "--out", str(tmp_path)]) == 0
-    assert call_counts == {"characteristic_roots": 2, "stability": 3, "_moves": 2}
+    assert call_counts == {"characteristic_roots": 1, "stability": 3, "_moves": 2}
     call_counts.update(dict.fromkeys(NAMES, 0))
     # one pass (the drift's table), then eta's three twisted layouts: the up block's
     # mass at y cut 1 and the escape blocks at the two y cuts
