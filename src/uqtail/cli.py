@@ -129,7 +129,8 @@ def _cmd_simulate(args) -> int:
         _check_burn_in(burn, args.steps)   # before sampling: a bad value writes no file
     traj = simulate(params, steps=args.steps, seed=args.seed)
     out = _out_dir(args)
-    (out / "trajectory.csv").write_text(traj.to_csv())
+    with open(out / "trajectory.csv", "wb") as file:
+        traj.to_csv(file)
     emp = empirical_distribution(traj, burn_in=burn)
     lines = [_csv_header(params, seed=args.seed, burn_in=burn, steps=args.steps)]
     lines.append("x,y,status,frequency\n" if traj.y is not None

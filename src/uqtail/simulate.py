@@ -41,18 +41,29 @@ class Trajectory:
             return (int(self.x[i]), int(self.status[i]))
         return (int(self.x[i]), int(self.y[i]), int(self.status[i]))
 
-    def to_csv(self) -> str:
+    def to_csv(self, file=None) -> str | None:
+        """The path as CSV: the header, then "step,x[,y],status" lines.
+
+        Given a binary file, writes the text to it one block of lines at a
+        time, so it is never held whole, and returns None; given none,
+        returns it as a str.
+        """
+        chunks = self._csv_chunks()
+        if file is None:
+            return b"".join(chunks).decode()
+        for chunk in chunks:
+            file.write(chunk)
+        return None
+
+    def _csv_chunks(self):
         if self.y is None:
             head, columns = "step,x,status\n", (self.x, self.status)
         else:
             head, columns = "step,x,y,status\n", (self.x, self.y, self.status)
-        head = np.frombuffer((_csv_header(self.params, seed=self.seed) + head).encode(),
-                             dtype=np.uint8)
-        blocks = (_csv_lines([np.arange(first, min(first + _BLOCK, len(self.x)))]
+        yield (_csv_header(self.params, seed=self.seed) + head).encode()
+        for first in range(0, len(self.x), _BLOCK):
+            yield _csv_lines([np.arange(first, min(first + _BLOCK, len(self.x)))]
                              + [column[first:first + _BLOCK] for column in columns])
-                  for first in range(0, len(self.x), _BLOCK))
-        # the list of blocks is freed before the decode: two copies of the text at most
-        return str(np.concatenate([head, *blocks]), "utf-8")
 
 
 def _csv_header(params: ModelParams, seed: int | None = None, **extra) -> str:
@@ -77,7 +88,7 @@ def _csv_lines(columns: list[np.ndarray]) -> np.ndarray:
     (rest // 10), one `//` and one subtraction in the narrowest unsigned
     dtype that holds the column: numpy divides by a scalar on a fast path,
     but has none for the remainder.  One transpose puts the lines in order,
-    and dropping the padding leaves the text.
+    and `bytes.translate` drops the padding, faster than a boolean mask.
     """
     lows = [int(column.min()) for column in columns]
     if min(lows) < 0:
@@ -100,8 +111,7 @@ def _csv_lines(columns: list[np.ndarray]) -> np.ndarray:
         end += width + 1
         text[end - 1] = ord(",")
     text[-1] = ord("\n")
-    flat = text.T.ravel()
-    return flat[flat != 0]
+    return np.frombuffer(text.T.tobytes().translate(None, b"\0"), dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -294,7 +304,14 @@ def empirical_distribution(trajectory: Trajectory, burn_in: int = 0) -> Empirica
     shape = tuple(int(c.max()) + 1 for c in coords[:-1]) + (2,)   # the visited box
     if math.prod(shape) > _MAX_LAW_CELLS:   # a path on which x and y both grow
         raise ValueError(f"the visited box {shape} has more than {_MAX_LAW_CELLS} cells")
-    counts = np.bincount(np.ravel_multi_index(coords, shape), minlength=math.prod(shape))
+    if min(int(c.min()) for c in coords) < 0 or int(s.max()) > DOWN:
+        raise ValueError("trajectory coordinates must be non-negative, with status UP or DOWN")
+    # the C-order cell index (x n_y + y) 2 + status; every coordinate lies in the box
+    index = x.astype(np.intp)
+    for c, n in zip(coords[1:], shape[1:]):
+        index *= n
+        index += c
+    counts = np.bincount(index, minlength=math.prod(shape))
     return EmpiricalDistribution(pi=(counts / len(x)).reshape(shape), notes=tuple(notes))
 
 
@@ -325,7 +342,7 @@ def ld_excursions(trajectory: Trajectory, level_k: int,
         if low >= 0:   # lows[low] >= i, as i is 0 or a low visit
             start = int(lows[low])
             seg = status[start:end + 1]
-            down_fraction = float(np.mean(seg == DOWN))
+            down_fraction = np.count_nonzero(seg) / len(seg)   # UP = 0, DOWN = 1
             slope = (int(x[end]) - int(x[start])) / (end - start)
             peak = int(x[end])
             excursions.append(Excursion(start_step=start, end_step=end, peak=peak,

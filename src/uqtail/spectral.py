@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import level_blocks
-from .params import InvalidParameters, Model, ModelParams, elementwise, holds, select
+from .params import (InvalidParameters, Model, ModelParams, elementwise, first_failing,
+                     holds, select)
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,8 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     The larger root is computed by the quadratic formula and the smaller one
     from the product of roots, which keeps full precision when alpha is tiny.
     On a stack, g_constant needs p = 1 in every set.  RS-RD's product form
-    decays at lambda/(mu p) instead, and raises InvalidParameters.
+    decays at lambda/(mu p) instead, and raises InvalidParameters.  A t2
+    that underflows to 0 raises ArithmeticError.
     """
     if params.model is Model.RSRD:
         raise InvalidParameters("the characteristic roots are defined for Model 1 "
@@ -55,6 +57,12 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     b = lam + beta + mup + alpha
     t1 = (b + sqrt_s) / (2.0 * lam)
     t2 = mup * (lam + beta) / (lam * lam * t1)
+    # an extreme load underflows t2 to 0, where 1 / t2 would divide by 0; a nan t2
+    # (lam = 5e-324 makes t1 inf) passes on, and the report refuses it by name
+    if not holds(t2 != 0.0):
+        index, where = first_failing(t2 == 0.0)
+        raise ArithmeticError(f"the smaller root t2{where} underflows to 0 at lambda = "
+                              f"{np.asarray(lam)[index].item()!r}")
     # den = sqrt(s) - c = (s - c^2) / (sqrt(s) + c) = 4 alpha (lam + beta) / (sqrt(s) + c);
     # the difference cancels catastrophically when c > 0 and alpha is small
     c = mup - lam - beta + alpha

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib
+import io
 
 import numpy as np
 import pytest
@@ -90,12 +91,17 @@ def _reference_empirical(traj, burn_in):
 def test_empirical_law_matches_the_unique_count_reference(params, tmp_path):
     steps = 200_000
     burn = steps // 10   # the simulate verb's default burn-in
-    entries = _reference_empirical(simulate(params, steps=steps, seed=0), burn)
-    emp = empirical_distribution(simulate(params, steps=steps, seed=0), burn_in=burn)
+    traj = simulate(params, steps=steps, seed=0)
+    entries = _reference_empirical(traj, burn)
+    emp = empirical_distribution(traj, burn_in=burn)
     box = tuple(max(state[i] for state in entries) + 1 for i in range(emp.pi.ndim - 1))
     assert emp.pi.shape == box + (2,)
     assert {tuple(map(int, state)): emp.pi[state]
             for state in zip(*np.nonzero(emp.pi))} == entries
+    # bit for bit the law that np.ravel_multi_index's cell numbers count
+    coords = [c[burn:] for c in (traj.x, traj.y, traj.status) if c is not None]
+    counts = np.bincount(np.ravel_multi_index(coords, emp.pi.shape), minlength=emp.pi.size)
+    assert emp.pi.tobytes() == (counts / (steps + 1 - burn)).tobytes()
     # the simulate verb's CSV, against one written from the reference's sorted states
     (tmp_path / "params.json").write_text(params.to_json())
     assert main(["simulate", "--params", str(tmp_path / "params.json"),
@@ -105,6 +111,17 @@ def test_empirical_law_matches_the_unique_count_reference(params, tmp_path):
     expected += [f"{','.join(map(str, state))},{_fmt(entries[state])}\n"
                  for state in sorted(entries)]
     assert (tmp_path / "empirical.csv").read_bytes() == "".join(expected).encode()
+
+
+def test_empirical_law_rejects_a_negative_coordinate():
+    x = np.array([0, 1, 2], dtype=np.int32)
+    status = np.array([UP, DOWN, UP], dtype=np.int8)
+    for traj in (Trajectory(params=A, seed=0, x=-x, status=status),
+                 Trajectory(params=T2, seed=0, x=x, status=status, y=-x),
+                 Trajectory(params=A, seed=0, x=x, status=-status),
+                 Trajectory(params=A, seed=0, x=x, status=status + 1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            empirical_distribution(traj)
 
 
 def test_empirical_law_refuses_a_box_too_large_to_hold():
@@ -503,7 +520,7 @@ def _assert_same_lines(text, expected):
     assert text == expected
 
 
-@pytest.mark.parametrize("rows", [2, 20, _BLOCK + 3])
+@pytest.mark.parametrize("rows", [1, 2, 20, _BLOCK + 3, 2 * _BLOCK + 1])
 def test_trajectory_csv_matches_fstrings(rows):
     widths = np.array([0, 9, 10, 99, 100, 99_999, 100_000, 10 ** 9, 2 ** 31 - 1],
                       dtype=np.int32)
@@ -512,13 +529,17 @@ def test_trajectory_csv_matches_fstrings(rows):
     status = np.resize(np.array([UP, DOWN], dtype=np.int8), rows)
     for traj in (Trajectory(params=A, seed=3, x=x, status=status),
                  Trajectory(params=T2, seed=3, x=x, status=status, y=y)):
-        head, _, body = traj.to_csv().partition("step,")
+        text = traj.to_csv()
+        head, _, body = text.partition("step,")
         assert head.endswith("# seed=3\n")
         _assert_same_lines(body.partition("\n")[2], _reference_csv_rows(traj))
+        file = io.BytesIO()   # the blocks streamed to a binary file
+        assert traj.to_csv(file) is None
+        assert file.getvalue() == text.encode()
     one = simulate(A, steps=1, seed=9)
     assert one.to_csv().endswith("status\n" + _reference_csv_rows(one))
     with pytest.raises(ValueError):
-        Trajectory(params=A, seed=0, x=-x, status=status).to_csv()
+        Trajectory(params=A, seed=0, x=-1 - x, status=status).to_csv()
 
 
 @pytest.mark.parametrize("columns", [

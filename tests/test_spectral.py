@@ -79,6 +79,19 @@ def test_vanishing_alpha_below_the_split(alpha):
     assert stack.t2.tolist() == [sol.t2, other.t2]
 
 
+@pytest.mark.parametrize("model", [Model.MODEL1, Model.MODEL2])
+def test_underflowing_t2_is_refused_by_name(model):
+    # t2 = mu p (lam + beta) / (lam^2 t1) is about 1e-450 and underflows to 0
+    with pytest.raises(ArithmeticError, match=r"t2 underflows to 0 at lambda = 1e\+150") as exc:
+        characteristic_roots(make_params(1e150, 1e-300, 1, 1, model=model))
+    assert not isinstance(exc.value, ZeroDivisionError)
+    stack = make_params(np.array([10.0, 1e150]), np.array([11.0, 1e-300]),
+                        np.array([0.1, 1.0]), np.array([10.0, 1.0]), model=model)
+    with pytest.raises(ArithmeticError, match=r"t2 at stack index 1 underflows") as exc:
+        characteristic_roots(stack)
+    assert not isinstance(exc.value, ZeroDivisionError)
+
+
 def test_unstable_set_has_gamma_above_one():
     params = make_params(12, 11, 0.1, 10)
     assert not stability(params).stable
