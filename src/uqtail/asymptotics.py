@@ -26,15 +26,13 @@ _ALPHA_EVAL = 1e-6   # the breakdown rate at which alpha_limits evaluates the li
 class EscapeProbs:
     up: float
     down: float
-    x_max_used: int  # always 0: no lattice is cut
     residual: float  # max |A2 + A1 G + A0 G^2 - G| of the closed-form G
 
 
 @dataclass(frozen=True)
 class EtaEstimate:
     value: float
-    # a truncation bound for Model 2; the name stays because perfbench/spans.py reads it
-    std_error: float
+    error_bound: float   # 0 for Model 1; a truncation bound for Model 2
     method: str  # "exact" (Model 1) or "qbd" (Model 2)
 
 
@@ -152,7 +150,7 @@ def _escape(twist: TwistSummary) -> tuple[EscapeProbs, tuple[np.ndarray, ...]]:
             f"(bound {_ESCAPE_RESIDUAL:g}), row sums {rows[index]} (must be < 1)")
     scale = twist.params.lam / twist.params.C
     return EscapeProbs(up=scale * (t2 - 1.0), down=scale * (t2 - 1.0 / w),
-                       x_max_used=0, residual=residual), (a0, a1, a2)
+                       residual=residual), (a0, a1, a2)
 
 
 def eta(params: ModelParams, *, table: StationaryTable | None = None) -> EtaEstimate:
@@ -172,7 +170,7 @@ def eta(params: ModelParams, *, table: StationaryTable | None = None) -> EtaEsti
 def _eta_model1(twist: TwistSummary, esc: EscapeProbs) -> EtaEstimate:
     pi0 = boundary_vector(twist.params)
     value = pi0[UP] * esc.up + pi0[DOWN] * twist.harmonic.value((0, DOWN)) * esc.down
-    return EtaEstimate(value=float(value), std_error=0.0, method="exact")
+    return EtaEstimate(value=float(value), error_bound=0.0, method="exact")
 
 
 def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> EtaEstimate:
@@ -210,7 +208,7 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> EtaEstima
     value, coarse = (
         float(weights @ _escape_first_passage(twist, cut)[:weights.size])
         for cut in (2 * y_max, y_max))
-    return EtaEstimate(value=value, std_error=abs(value - coarse) + float(remainder),
+    return EtaEstimate(value=value, error_bound=abs(value - coarse) + float(remainder),
                        method="qbd")
 
 

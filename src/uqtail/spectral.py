@@ -8,6 +8,7 @@ test.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,7 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     from the product of roots, which keeps full precision when alpha is tiny.
     On a stack, g_constant needs p = 1 in every set.  RS-RD's product form
     decays at lambda/(mu p) instead, and raises InvalidParameters.  A t2
-    that underflows to 0 raises ArithmeticError.
+    that underflows to 0 raises ArithmeticError, naming t1 where t1 overflowed.
     """
     if params.model is Model.RSRD:
         raise InvalidParameters("the characteristic roots are defined for Model 1 "
@@ -56,13 +57,19 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     sqrt_s = elementwise(math.sqrt, s_p)
     b = lam + beta + mup + alpha
     t1 = (b + sqrt_s) / (2.0 * lam)
-    t2 = mup * (lam + beta) / (lam * lam * t1)
-    # an extreme load underflows t2 to 0, where 1 / t2 would divide by 0; a nan t2
-    # (lam = 5e-324 makes t1 inf) passes on, and the report refuses it by name
+    # lam^2 loses bits below the smallest normal float (lam < 1.5e-154) and is 0
+    # below lam = 1.5e-162; there lam (lam t1), near lam (b + sqrt_s) / 2, keeps them
+    lam2 = lam * lam
+    t2 = mup * (lam + beta) / select(lam2 >= sys.float_info.min, lam2 * t1, lam * (lam * t1))
+    # an extreme load underflows t2 to 0, where 1 / t2 would divide by 0; so does
+    # lam = 5e-324, whose t1 overflows
     if not holds(t2 != 0.0):
         index, where = first_failing(t2 == 0.0)
-        raise ArithmeticError(f"the smaller root t2{where} underflows to 0 at lambda = "
-                              f"{np.asarray(lam)[index].item()!r}")
+        at = f"at lambda = {np.asarray(lam)[index].item()!r}"
+        if math.isinf(np.asarray(t1)[index]):
+            raise ArithmeticError(f"the larger root t1{where} overflows {at}, so the smaller "
+                                  "root t2 underflows to 0")
+        raise ArithmeticError(f"the smaller root t2{where} underflows to 0 {at}")
     # den = sqrt(s) - c = (s - c^2) / (sqrt(s) + c) = 4 alpha (lam + beta) / (sqrt(s) + c);
     # the difference cancels catastrophically when c > 0 and alpha is small
     c = mup - lam - beta + alpha

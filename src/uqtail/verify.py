@@ -14,7 +14,7 @@ import numpy as np
 from .asymptotics import _escape, _eta_model1, prefactors
 from .kernels import _fold, _moves, _origins, _row, level_blocks
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, elementwise, make_params
-from .qbd import (_model1_levels, boundary_vector, first_passage, neuts_stability, rate_matrix,
+from .qbd import (_boundary, boundary_vector, first_passage, neuts_stability, rate_matrix,
                   rate_matrix_closed_form, stationary_table)
 from .spectral import characteristic_roots, feynman_kac, stability
 from .twist import _twist, harmonic, twist_summary
@@ -35,8 +35,6 @@ class CheckResult:
 _UNIFORMS = np.array([[(1.0, 50.0), (math.log(1e-3), math.log(2.0)), (0.5, 30.0), load]
                       for load in ((1.05, 3.0), (0.1, 0.9))]).transpose(0, 2, 1)
 _CHUNK = 1024   # sets per stack, so a grid check's memory does not grow with the grid
-# rng.integers(2) takes the same bits as rng.choice(_P_CHOICES), and is cheaper
-_P_CHOICES = (0.5, 1.0)
 
 
 def _sets(u, p=1.0, stable=True, model: Model = Model.MODEL1) -> ModelParams:
@@ -58,38 +56,18 @@ def random_params(rng: np.random.Generator, p: float = 1.0,
     return _sets(rng.random(4), p, stable, model)
 
 
-def _grid(rng: np.random.Generator, grid: int, labels, draw=None):
-    """Stacks of `grid` sets drawn as random_params draws them one by one, _CHUNK at a
-    time.  draw(rng, n) gives n sets' rows of leading draws and uniforms (default: the
-    uniforms); labels(i, *leading) gives the tandem flags, p and stable flags (arrays,
-    or one value for all) of sets i.  A chunk yields its Model 1 sets, then its tandem sets."""
+def _grid(rng: np.random.Generator, grid: int, labels):
+    """Stacks of `grid` sets, _CHUNK at a time: set i is row i of rng.random((grid, 5)),
+    a lead uniform u, then the four uniforms `_sets` maps.  labels(i, u) gives the tandem
+    flags, p and stable flags (arrays, or one value for all) of sets i.  A chunk yields
+    its Model 1 sets, then its tandem sets."""
     for start in range(0, grid, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, grid))
-        draws = rng.random((len(i), 4)) if draw is None else draw(rng, len(i))
-        tandem, p, stable, _ = np.broadcast_arrays(*labels(i, *draws[:, :-4].T), i)
+        draws = rng.random((len(i), 5))
+        tandem, p, stable, _ = np.broadcast_arrays(*labels(i, draws[:, 0]), i)
         for model, rows in ((Model.MODEL1, ~tandem), (Model.MODEL2, tandem)):
             if rows.any():
-                yield _sets(draws[rows, -4:], p[rows], stable[rows], model)
-
-
-def _odd_p_rows(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Rows (p, four uniforms) of n sets from an even index, p = 1 but for odd sets,
-    which draw p = rng.uniform(0.3, 1.0) first: a pair of sets is nine doubles."""
-    rows = np.insert(rng.random((n // 2, 9)), 0, 1.0, axis=1).reshape(-1, 5)
-    rows[1::2, 0] = 0.3 + 0.7 * rows[1::2, 0]   # Generator.uniform's low + (high - low) d
-    return np.vstack([rows, np.r_[1.0, rng.random(4)]]) if n % 2 else rows
-
-
-def _p_choice_rows(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Rows (p, four uniforms) of n sets that each draw p = _P_CHOICES[rng.integers(2)]
-    first: PCG64 takes a pair's coins from one word's 32-bit halves (README).  The last
-    set or two draw as one set does, so the buffered half ends as they leave it."""
-    pairs = (n - 1) // 2
-    words = rng.bit_generator.random_raw((pairs, 9))
-    coins = (np.c_[words[:, 0] & 0xFFFFFFFF, words[:, 0] >> 32] >> 31).ravel()
-    rows = np.c_[np.take(_P_CHOICES, coins), (words[:, 1:] >> 11).reshape(-1, 4) * 2.0 ** -53]
-    return np.vstack([rows, *([_P_CHOICES[rng.integers(2)], *rng.random(4)]
-                              for _ in range(n - 2 * pairs))])
+                yield _sets(draws[rows, 1:], p[rows], stable[rows], model)
 
 
 def _worst(worst: float, gaps) -> float:
@@ -102,7 +80,8 @@ def _free_rows(grid: int, seed: int):
     """(h, interior moves, state) at every free class state (x = 0) of `grid`
     stable sets, which cycle Model 1, tandem p = 1, Model 1, tandem p = 0.5."""
     rng = np.random.default_rng(seed)
-    for params in _grid(rng, grid, lambda i: (i % 2 == 1, np.where(i % 4 == 3, 0.5, 1.0), True)):
+    for params in _grid(rng, grid,
+                        lambda i, u: (i % 2 == 1, np.where(i % 4 == 3, 0.5, 1.0), True)):
         h, moves = harmonic(params), _moves(params)
         for origin in _origins(params.model, 0):   # free rows are shift invariant
             yield h, moves, origin
@@ -111,9 +90,10 @@ def _free_rows(grid: int, seed: int):
 def check_rows_stochastic(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    # Model 1 and the tandem alternate, a tandem set draws its p first, and one
-    # set in five is unstable
-    for params in _grid(rng, grid, lambda i, p: (i % 2 == 1, p, i % 5 != 4), _odd_p_rows):
+    # Model 1 and the tandem alternate, a tandem set takes p = 0.3 + 0.7 u
+    # (Generator.uniform(0.3, 1.0)'s formula), and one set in five is unstable
+    for params in _grid(rng, grid, lambda i, u: (i % 2 == 1, np.where(i % 2, 0.3 + 0.7 * u, 1.0),
+                                                  i % 5 != 4)):
         model, moves = params.model, _moves(params)   # one table per stack
         rows = [*(_row(moves, origin) for x0 in (0, 1) for origin in _origins(model, x0)),
                 *(_row(moves, origin, free=True) for origin in _origins(model, 0))]
@@ -144,7 +124,8 @@ def check_twisted_rows(grid: int, seed: int) -> CheckResult:
 def check_spectral_roots(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for params in _grid(rng, grid, lambda i, p: (p != 1.0, p, True), _p_choice_rows):
+    # Model 1 where u >= 0.5, else the tandem with p = 0.5
+    for params in _grid(rng, grid, lambda i, u: (u < 0.5, np.where(u < 0.5, 0.5, 1.0), True)):
         sol = characteristic_roots(params)
         lam, mup = params.lam, params.mu * params.p
         for t in (sol.t1, sol.t2):
@@ -157,7 +138,7 @@ def check_spectral_roots(grid: int, seed: int) -> CheckResult:
 
 def check_perron_root(grid: int, seed: int) -> CheckResult:
     worst = 0.0
-    for params in _grid(np.random.default_rng(seed), grid, lambda i: (False, 1.0, True)):
+    for params in _grid(np.random.default_rng(seed), grid, lambda i, u: (False, 1.0, True)):
         theta = elementwise(math.log, characteristic_roots(params).t2)
         worst = _worst(worst, feynman_kac(params, theta)[1] - 1.0)
     return CheckResult("tilted-perron-root-one", worst <= 1e-11,
@@ -183,8 +164,7 @@ def check_stability_equivalence(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     bad = 0
     for tandem, p in ((False, 1.0), (True, 0.5)):
-        for params in _grid(rng, grid, lambda i, coin: (tandem, p, coin < 0.5),
-                            lambda g, n: g.random((n, 5))):   # a coin, then the uniforms
+        for params in _grid(rng, grid, lambda i, u: (tandem, p, u < 0.5)):
             closed = stability(params).stable
             neuts = closed if tandem else neuts_stability(*level_blocks(params))
             roots = characteristic_roots(params).gamma_p < 1.0
@@ -194,10 +174,9 @@ def check_stability_equivalence(grid: int, seed: int) -> CheckResult:
 
 
 def check_drift(grid: int, seed: int) -> CheckResult:
-    # Model 1 where a set's coin is below 0.5, else the tandem with p = 1
+    # Model 1 where u < 0.5, else the tandem with p = 1
     failures = 0
-    for params in _grid(np.random.default_rng(seed), grid,
-                        lambda i, coin: (coin >= 0.5, 1.0, True), lambda g, n: g.random((n, 5))):
+    for params in _grid(np.random.default_rng(seed), grid, lambda i, u: (u >= 0.5, 1.0, True)):
         _, disagree, nonpositive = _twist(params)
         failures += int(np.sum(disagree | nonpositive))
     return CheckResult("twisted-drift-positive", failures == 0,
@@ -209,7 +188,8 @@ def check_tail_reproduction() -> CheckResult:
     for params in (PARAMS_A, PARAMS_B):
         asym = prefactors(params)
         tail = np.array([asym.prefactor_up, asym.prefactor_down]) * asym.gamma ** 200
-        worst = _worst(worst, _model1_levels(params, 200)[0][200] / tail - 1.0)
+        pi0, r = _boundary(params)
+        worst = _worst(worst, pi0 @ np.linalg.matrix_power(r, 200) / tail - 1.0)
     return CheckResult("closed-prefactor-tail", worst <= 1e-3,
                        f"max |pi/(C gamma^k) - 1| at k=200: {worst:.3g}")
 
@@ -234,7 +214,7 @@ def check_escape_closed_form(grid: int, seed: int) -> CheckResult:
     worst = 0.0
     rates = ("lam", "mu", "alpha", "beta")
     for k, params in enumerate(_grid(np.random.default_rng(seed), grid,
-                                     lambda i: (False, 1.0, True))):
+                                     lambda i, u: (False, 1.0, True))):
         if k == 0:
             params = make_params(*(np.r_[getattr(PARAMS_A, r), getattr(PARAMS_B, r),
                                          getattr(params, r)] for r in rates))
@@ -248,7 +228,8 @@ def check_escape_closed_form(grid: int, seed: int) -> CheckResult:
 def check_summability_gate(grid: int, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     bad = 0
-    for params in _grid(rng, grid, lambda i, p: (True, p, True), _p_choice_rows):
+    # the tandem, with p = 0.5 where u < 0.5, else p = 1
+    for params in _grid(rng, grid, lambda i, u: (True, np.where(u < 0.5, 0.5, 1.0), True)):
         gamma_p = characteristic_roots(params).gamma_p
         bad += int(np.sum(~(params.lam / (params.mu * params.p) < gamma_p)))
     return CheckResult("product-form-summability", bad == 0,

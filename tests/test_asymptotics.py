@@ -72,7 +72,7 @@ def test_near_critical_analyze(tmp_path):
 
 def test_eta_exact_model1():
     est = eta(A)
-    assert est.method == "exact" and est.std_error == 0.0
+    assert est.method == "exact" and est.error_bound == 0.0
     pi0 = boundary_vector(A)
     h = harmonic(A)
     assert 0 < est.value <= pi0[UP] + pi0[DOWN] * h.value((0, DOWN))
@@ -281,7 +281,7 @@ def test_eta_model2_exact(t2_table):
         assert np.max(np.abs(g - closed)) <= 1e-14
     est = eta(T2, table=t2_table)
     assert est.method == "qbd"
-    assert est.value > 0 and 0 < est.std_error <= 1e-6
+    assert est.value > 0 and 0 < est.error_bound <= 1e-6
     # the boundary sum is bounded by sum pi*h (escape probabilities < 1)
     h = harmonic(T2)
     bound = sum(t2_table.prob((0, y, s)) * h.value((0, y, s))
@@ -294,7 +294,7 @@ def test_eta_model2_tail_gate(t2_table):
     # passes and brackets the 40x40 value
     short = eta(T2, table=truncated_stationary(T2, x_max=40, y_max=8))
     full = eta(T2, table=t2_table)
-    assert abs(short.value - full.value) <= short.std_error
+    assert abs(short.value - full.value) <= short.error_bound
     # a weighted boundary that stops decreasing is refused, naming the ratios
     # and the first level where one reached 1
     h = harmonic(T2)
@@ -313,11 +313,11 @@ def test_eta_model2_bound_scales_with_c(t2_table):
     doubled = make_params(10, 30, 0.1, 10, model=Model.MODEL2, C=2 * T2.C)
     base = eta(T2, table=t2_table)
     other = eta(doubled, table=truncated_stationary(doubled, x_max=40, y_max=40))
-    assert other.std_error / other.value == pytest.approx(base.std_error / base.value,
+    assert other.error_bound / other.value == pytest.approx(base.error_bound / base.value,
                                                           rel=0.05)
     # the tighter bound still covers the move to a larger table
     finer = eta(T2, table=truncated_stationary(T2, x_max=48, y_max=48))
-    assert abs(finer.value - base.value) <= base.std_error
+    assert abs(finer.value - base.value) <= base.error_bound
 
 
 def test_model2_prefactor_structure(t2_table):
@@ -354,7 +354,7 @@ def test_tandem_prefactors_ignore_the_uniformization_constant(t2_table):
     table = truncated_stationary(doubled, x_max=40, y_max=40)
     base, other = prefactors(T2, table=t2_table), prefactors(doubled, table=table)
     # C(sigma) is proportional to eta, so their relative errors add up
-    bound = sum(est.std_error / est.value
+    bound = sum(est.error_bound / est.value
                 for est in (eta(T2, table=t2_table), eta(doubled, table=table)))
     for key in ("prefactor_up", "prefactor_down"):
         assert abs(getattr(other, key) / getattr(base, key) - 1.0) <= bound

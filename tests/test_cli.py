@@ -118,14 +118,18 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+ROOTS_AT_5E_324 = ("the larger root t1 overflows at lambda = 5e-324, so the smaller root t2 "
+                   "underflows to 0")
+
+
 @pytest.mark.parametrize("argv,message", [
     # RS-RD off stability: lambda/(mu p) overflows
     (["analyze", *_rate_flags("1e150", "1e-300", "1", "1"), "--model", "rsrd"],
      "product_form_rate is inf"),
-    # lambda = 5e-324 underflows the roots
-    (["compare-mm1", *_rate_flags("5e-324", "10", "3", "3")], "comparison.gamma_1 is nan"),
+    # lambda = 5e-324 overflows t1, and t2 = mu p (lam + beta) / (lam (lam t1)) with it
+    (["compare-mm1", *_rate_flags("5e-324", "10", "3", "3")], ROOTS_AT_5E_324),
     (["analyze", *_rate_flags("5e-324", "10", "3", "3"), "--model", "model2", "--p", "0.5"],
-     "spectral.t1 is inf"),
+     ROOTS_AT_5E_324),
 ], ids=["rsrd-rate", "compare-gamma", "tandem-root"])
 def test_non_finite_results_are_refused_by_name(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -145,7 +149,10 @@ def test_non_finite_results_are_refused_by_name(tmp_path, capsys, argv, message)
     ["analyze", *_rate_flags("3", "1e150", "0.1", "10")],
     ["compare-mm1", *A_FLAGS],
     ["compare-mm1", *T2_FLAGS, "--model", "model2", "--p", "0.5"],
-], ids=["A", "A-limits", "B", "T2-p0.5", "rsrd", "mu-1e150", "compare-A", "compare-T2"])
+    # lam^2 is 0 in floats here: t2 reads lam (lam t1) instead
+    ["analyze", *_rate_flags("1e-300", "11", "0.1", "10")],
+], ids=["A", "A-limits", "B", "T2-p0.5", "rsrd", "mu-1e150", "compare-A", "compare-T2",
+        "lambda-1e-300"])
 def test_reports_are_strict_json(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     written = next(tmp_path.glob("*.json")).read_text()

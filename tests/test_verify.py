@@ -7,12 +7,11 @@ import pytest
 
 from uqtail import Model, asymptotics, kernels, make_params, stability, twist, verify
 from uqtail.kernels import _fold
-from uqtail.verify import (_CHUNK, _P_CHOICES, PARAMS_A, PARAMS_B, _odd_p_rows,
-                           _p_choice_rows, _sets, check_drift, check_escape_closed_form,
-                           check_harmonicity, check_perron_root, check_rows_stochastic,
-                           check_spectral_roots, check_stability_equivalence,
-                           check_summability_gate, check_twisted_rows, random_params,
-                           run_checks)
+from uqtail.verify import (_CHUNK, PARAMS_A, PARAMS_B, _sets, check_drift,
+                           check_escape_closed_form, check_harmonicity, check_perron_root,
+                           check_rows_stochastic, check_spectral_roots,
+                           check_stability_equivalence, check_summability_gate,
+                           check_twisted_rows, random_params, run_checks)
 
 
 def _uniform_calls_params(rng, p=1.0, stable=True, model=Model.MODEL1):
@@ -47,14 +46,6 @@ def test_random_params_draws_the_uniform_calls_sets(p, stable, model):
             == stacked.bit_generator.state)
 
 
-def test_p_draw_matches_choice():
-    # the grid checks pick p by integers(2), which must take choice's bits
-    rng, reference = np.random.default_rng(21), np.random.default_rng(21)
-    drawn = [_P_CHOICES[rng.integers(2)] for _ in range(10_000)]
-    assert drawn == [float(reference.choice([0.5, 1.0])) for _ in range(10_000)]
-    assert rng.bit_generator.state == reference.bit_generator.state
-
-
 def test_stacked_draw_takes_p_and_stable_per_set():
     rng, reference = np.random.default_rng(23), np.random.default_rng(23)
     p, stable = np.tile([0.5, 1.0, 0.7], 100), np.arange(300) % 7 != 3
@@ -65,101 +56,86 @@ def test_stacked_draw_takes_p_and_stable_per_set():
         assert getattr(stack, name).tolist() == [getattr(s, name) for s in sets]
 
 
-@pytest.mark.parametrize("grid", [1, 2, 201, 2 * _CHUNK + 1])
-@pytest.mark.parametrize("draw,one_set", [
-    (_p_choice_rows, lambda rng, k: [_P_CHOICES[rng.integers(2)], *rng.random(4)]),
-    (_odd_p_rows, lambda rng, k: [rng.uniform(0.3, 1.0) if k % 2 else 1.0, *rng.random(4)]),
-], ids=["p-choice", "odd-p"])
-def test_chunk_rows_are_the_one_set_draws(draw, one_set, grid):
-    # a chunk's rows, (p, four uniforms) per set, equal the sets' one-set draws, and
-    # the generator ends in the same state: p by integers(2) takes a pair of sets'
-    # coins from one word's halves, and the last set or two leave the high half of
-    # their word buffered as one-set draws do
-    rng, reference = np.random.default_rng(grid), np.random.default_rng(grid)
-    rows = np.vstack([draw(rng, min(_CHUNK, grid - start)) for start in range(0, grid, _CHUNK)])
-    assert rows.tolist() == [one_set(reference, k) for k in range(grid)]
-    assert rng.bit_generator.state == reference.bit_generator.state
-
-
 VERIFY_DIGESTS = {
-    (20, 0): "ab8c0c799a77740707cca7be4887e6ee92dd1f94ad3b26070a404d1b3d76416d",
-    (20, 1): "b745008d07e79b113d9c33abbdd65fd17d5b735aa86043a5c760f44e060ddf3f",
-    (20, 2): "ea5069626bb4c051a67d3625c89651f382a252e144266efa198866ab3d9a985a",
-    (20, 3): "3e9d8ca94f5e0e70ee33da7d8234b3e8cb25602d6cc02e6801455860ac75f8cd",
-    (20, 4): "436421479dd7a18fcbafeb93c899081ae3d0c0d3ec48c8864e8604ff8f9f13e2",
-    (20, 5): "ea4756540872ebb2679611501e8c893dffe487eaf90211ecc06f5e733bfb8da4",
-    (20, 6): "ce70dfa979c46242d57d03b60fefd263ad51c88a5eba66226435121ce978dc52",
-    (20, 7): "7f1f9e4d100bc71ab18d7a0a35d1946845dedc9735cbe8f5ba59687ef5d0cd14",
-    (20, 8): "721c1f9173bdc80da8b6d4e21432fec7ef3de3ab8bd8acb6d6d2a9776e52c7fa",
-    (20, 9): "7d38806d1ee1f8296f31f3072f2524f7ea5bb12a45fca638fe583761d3c3f379",
-    (20, 10): "a9bbfe743849aca209c5fb93f285fa273975ab9e23360f15ef9f9a40762014c0",
-    (20, 11): "e348c193f9e094b4ce65d1017c8d422261e3d2c83d18152cbc2acd1df74c6015",
-    (20, 12): "addb5a8efff440a2e09b7467b5204aada3c4baf87c1383b31711f5322f164c61",
-    (50, 0): "21b192f85e1d48bd004f1c1224bd03fd33acedf9542c7dc1d5050be661c2fed4",
-    (50, 1): "ade9b72be1f35224dda2506ae1f5e8c3ecadb4a5f6721c09600835814e5ac004",
-    (50, 2): "aa2c7dffa9fd446d63d0fafa10029376010b3c9c9b673584c7116cd20e6237d5",
-    (50, 3): "4a87129e8e1011860b7560deb1f67d3b1d1cf12ff0192d8d146637fe4c9af893",
-    (50, 4): "9234e629f633519675d7a4dd36a7ddd359ca2842b0aedf491636bf10a7a2cb61",
-    (50, 5): "5ea630d990f54f6c9473811d0f54d086fa5cf76b7817dbe5fee9d6a854f07caa",
-    (50, 6): "16068aaaaded392af4d4674e53180679e4ad8111b11727236cab869ff7330172",
-    (50, 7): "7b305bfd3ae3c0bcfbb9fe5e931fa38b494c6d0441fcae3cd4c74b2577d30fd5",
-    (50, 8): "025eb030ba9584c1f6b5ee13c24574e6d01a25cd1ec41efae23c7c9fd260a3aa",
-    (50, 9): "21eeb5548be30563425bf10e8b67f9cebd1e5611f1700e8ccf9b2fdd80075b92",
-    (50, 10): "9211368c99af0ed423dd6bca5a52dd3646b1e349628e7b2933dae506c0f99413",
-    (50, 11): "c2be76b913ea5421219ee3c88ad1fa5d0574da1e3c459fd8e80eee979df32bcf",
-    (50, 12): "a9d208337896a1f666d0ca15ccccd3d691235ffcc15c43e3cc6fe5897830c835",
-    (200, 0): "b3a809921b733d03e46df2a0f793d41a111a9da6ea3ab3e5adf08ec39bcdba87",
-    (200, 1): "72929150df626d79afc8224ed9373566670f516c8d5da21c5a9c3576ec52a4b3",
-    (200, 2): "180be83cb917f7c94d56b259a136e5c5165c22af4d58ba1aaa3ecee02f33c769",
-    (200, 3): "58496bf5cb5f8adb47b9d16f6848a0e3b6fe7e2518738ce2c35420ff9ef79720",
-    (200, 4): "3b2c68e7e95c1a9be382ee398c9fa48b5f8096a8a67ed7b5f632242f62fcabaa",
-    (200, 5): "8106defb3e6f87872a78b63a3b72bb8e7ce53673840ec21d2937667d6d3780f9",
-    (200, 6): "66b495c028001531aa0709d7f9d3fc0f2fd83397ce40ef60356f93dac4bba437",
-    (200, 7): "0d73904839350e84d9bc1e70009ebad4a21c5710c5a7cb0a9d677669d1ecb28a",
-    (200, 8): "c0f9c07155400e919ccdcf30a4f2ce0eebca38f67d9795d263d8e54e83306e44",
-    (200, 9): "a4e9154f73a08aa2001c34d2a412a31693e4006498697c5774b5d1fd6b2494f9",
-    (200, 10): "e1e18edafc6eafb3801fee8fcf543810001d37ede933cee915072a8711569650",
-    (200, 11): "510b6d48316ee1b2fbb2f2e2dc81b74019e3947dd8b567901d008347efb8ad6f",
-    (200, 12): "c671a01616c1f03b9f36e8d8fd821b8a6e8a3ef660d42cfb3417e572306eef46",
-    (1031, 11): "1a5d4f48825f916dc770ecc9f54295d43601a82cde333d3cf65e55e47f71b23d",
+    (20, 0): "e30d820df9b815a6b17972bbd68023792c41cc5948f86621595e9079b70d7302",
+    (20, 1): "a373ba9c1180fe515061fb3dd7ef5f1dba457d231d3999afa6cf48cecb19c886",
+    (20, 2): "ed1ff0ed9ea8a6324b31159ab0d1b834105f65f75b76ec440eeb88616d13efe4",
+    (20, 3): "6220e9603a6b1563c2531395d947dc8420c24ee700a1ebde14ae74ce901c06da",
+    (20, 4): "bc80f562a9d914c1a303d0f2bbfe6c083ae3a0627efa89d3a9c0ef4e78474dbf",
+    (20, 5): "ee6f56e6b25669a87c2e282832f12f078915b2cb194107a4b9bba8f73c324c77",
+    (20, 6): "99709ea32f7f6d0718fa0ee4c3f3c85eac425ba459217418bf1b7b780c2e759c",
+    (20, 7): "e50e40bc850c9b855f20ca79ae76bd63d6df9306bcfd3974da8e570a9badb869",
+    (20, 8): "205426dafb3f119f84c38b79f50954b362ce56cee358dc87bc5734670f193ef5",
+    (20, 9): "d7dbd569e44b00037749b43c53d3d67df24b49b2bcef0b7449c517aaf64c989a",
+    (20, 10): "2379e3267744b7620f4f65dfa6f0aebfa9d980ee28bb210f5835db0851f4d7af",
+    (20, 11): "4da27e8edb2299523a7b68de4e3f32f498d499b383d0e8688f484f2bc0f2f59c",
+    (20, 12): "b628322bd7dc2c2305fd10503234904c96ca1d796376fd91147a1e056dc297e4",
+    (50, 0): "7d3882bb73f3a16182bcd6aacb6658b71c75f5b88ab7eba07704825f4af82f34",
+    (50, 1): "ee0c35cc26ec3e9b385bea8c1fb0d737cde035ffcab6c6e5a0b106e9c37d8e81",
+    (50, 2): "0c1e579f484b8884e3efcf1929b0370230f18dde596cd0e1c35b70b12f198742",
+    (50, 3): "93069e18c440f34b9d08d25c49ef80db3870fda0243730c23d16e0c8e200d3b3",
+    (50, 4): "916db24b369154a698a0b8f526cf29acc14f73400743853333ed16e909daef29",
+    (50, 5): "1f46a85d2edb2788a7e17b76864296477a3426193654482b19dfb07d3128d90f",
+    (50, 6): "9624acdf69217b29b9ef2ef04d66934a85a34b36955ada28b0d4d6fdcbd7fdc2",
+    (50, 7): "04c097406ea9381f81ed1a5c16bdb35b0dd7ff2ce09ba2e6da3a35afe99d4951",
+    (50, 8): "c88338d85e587e8fff1811dad7dea91646daee87d08df00eaa47574b116faba5",
+    (50, 9): "05413d3060a81f97d8a080579d8a0be36007a14752e3977a01b3aefc3c30fca8",
+    (50, 10): "f5dc03d388d21bb29868451bb75a2c268f46023af1654dbdc1c611ea6feac09b",
+    (50, 11): "51905f9de1ce9fa667cd2ee9062116be9475b5d5a1de871cc51661e57139c1bd",
+    (50, 12): "03b440af4bad233da64fcd6656c811901690fe74c51069605ae9e30a3169ade9",
+    (200, 0): "729c10511693625c9858de4f9be52169026eb68ba43484b64086fb28c53665c7",
+    (200, 1): "bf6c3a701a174afc37e90e9cc636dc54ae69ef9426c22858492706115337f38b",
+    (200, 2): "f31a385808ea7f4f65b69687bcbc508b05148b38ae302572b2b4f40114824420",
+    (200, 3): "e8d975e9df206de14b446cec192e863c0f15f77e9f2d8ee47bcace284ec260ab",
+    (200, 4): "0619349b76d12be57fd09b9adbea7b3c6000e0fd96645b950a2e49af0ccfe39f",
+    (200, 5): "303901f533dc4121aea9735a8b7078d7bd381700ca5795f0a26cb2e28663f386",
+    (200, 6): "2aaf64b061ed113f6368743cf859f4bf3804dc8ac4c6864cb21940168018bce1",
+    (200, 7): "3b2a572a3e3c841f95850b7992bc09be120b5e4f45c194c9b9e6110611d77618",
+    (200, 8): "8d4ea033016cc92a87789e28980d774713cb515b39e6409dd5d50d6fdfb299ef",
+    (200, 9): "fdf0698672ae18c0521e2e42690f9fd9203666c39ce0cef6510f575d50cdec94",
+    (200, 10): "01d5ff37202e9a378bba863257a45638a4af7d53246199503f4ee1acc4103dab",
+    (200, 11): "b50f03ab897fc5c7d71ff6aa9c528d1ed6a85bd4ed3fa63df0e77678737a90c5",
+    (200, 12): "3e8e573265bdede1b25e9c0471e60e85cad14b624d3cf1f677f2ba2ab6d23998",
+    (1031, 11): "a8cb0cb20ec8913d1b2cc0a25ab39dae579b648ca57cdde2f01ca2b80d8b9b3d",
 }
 
 
 @pytest.mark.parametrize("grid,seed", list(VERIFY_DIGESTS))
 def test_run_checks_prints_the_pinned_lines(grid, seed):
-    # SHA-256 of the lines `uqtail verify` prints, as the suite printed them when
-    # it drew its grids one set at a time: no printed digit may move
+    # SHA-256 of the lines `uqtail verify` prints: a printed digit that moves
+    # must be re-pinned here, so that no change to them goes unnoticed
     lines = "\n".join(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}"
                       for res in run_checks(grid, seed))
     assert hashlib.sha256(lines.encode()).hexdigest() == VERIFY_DIGESTS[grid, seed]
 
 
 def _scalar_sets(check, grid, seed):
-    """The sets `check` drew one set at a time before it drew stacks, and the
-    generator's state after them."""
+    """The sets `check` draws, one at a time: each takes one rng.random(5), a
+    lead uniform u that sets its labels, then random_params' four uniforms; and
+    the generator's state after them.  The escape check's A and B, which lead its
+    stacks, draw nothing."""
     rng = np.random.default_rng(seed)
     m1, m2 = Model.MODEL1, Model.MODEL2
-    if check in (check_harmonicity, check_twisted_rows):
-        sets = [random_params(rng, p=0.5 if i % 4 == 3 else 1.0, model=m2 if i % 2 else m1)
-                for i in range(grid)]
-    elif check is check_rows_stochastic:
-        sets = [random_params(rng, p=rng.uniform(0.3, 1.0) if i % 2 else 1.0,
-                              stable=i % 5 != 4, model=m2 if i % 2 else m1)
-                for i in range(grid)]
-    elif check in (check_spectral_roots, check_summability_gate):
-        sets = []
-        for _ in range(grid):
-            p = _P_CHOICES[rng.integers(2)]
-            tandem = p != 1.0 or check is check_summability_gate
-            sets.append(random_params(rng, p=p, model=m2 if tandem else m1))
-    elif check in (check_perron_root, check_escape_closed_form):
-        # the escape check's A and B, which lead its stacks, draw nothing
-        sets = [random_params(rng) for _ in range(grid)]
-    elif check is check_drift:
-        sets = [random_params(rng, model=m1 if rng.random() < 0.5 else m2) for _ in range(grid)]
-    else:
-        sets = [random_params(rng, p=p, stable=bool(rng.random() < 0.5), model=model)
-                for model, p in ((m1, 1.0), (m2, 0.5)) for _ in range(grid)]
+    sets = []
+    # the stability check draws grid Model 1 sets, then grid tandem sets
+    for i in range(2 * grid if check is check_stability_equivalence else grid):
+        u, *uniforms = rng.random(5)
+        if check in (check_harmonicity, check_twisted_rows):
+            labels = dict(p=0.5 if i % 4 == 3 else 1.0, model=m2 if i % 2 else m1)
+        elif check is check_rows_stochastic:
+            labels = dict(p=0.3 + 0.7 * u if i % 2 else 1.0, stable=i % 5 != 4,
+                          model=m2 if i % 2 else m1)
+        elif check in (check_spectral_roots, check_summability_gate):
+            tandem = u < 0.5 or check is check_summability_gate
+            labels = dict(p=0.5 if u < 0.5 else 1.0, model=m2 if tandem else m1)
+        elif check is check_drift:
+            labels = dict(model=m1 if u < 0.5 else m2)
+        elif check is check_stability_equivalence:
+            labels = dict(p=0.5 if i >= grid else 1.0, stable=u < 0.5,
+                          model=m2 if i >= grid else m1)
+        else:
+            labels = {}
+        sets.append(_sets(np.array(uniforms), **labels))
     return sets, rng.bit_generator.state
 
 
@@ -176,7 +152,7 @@ GRID_CHECKS = [check_rows_stochastic, check_harmonicity, check_twisted_rows,
 @pytest.mark.parametrize("check", GRID_CHECKS, ids=lambda check: check.__name__)
 def test_grid_checks_draw_the_scalar_sets_across_chunks(monkeypatch, check):
     # a grid of two chunks, the second partial, draws the same sets bit for bit
-    # and leaves the generator where the loop of one set at a time did
+    # and leaves the generator where the loop of one set at a time does
     grid, drawn, rngs = _CHUNK + 7, [], []
     stacks = verify._grid
 
@@ -273,12 +249,12 @@ def test_rate_matrix_check_fails_on_a_nan(monkeypatch):
 
 
 def test_tail_reproduction_check_fails_on_a_nan(monkeypatch):
-    levels = verify._model1_levels
+    boundary = verify._boundary
 
-    def nan_levels(params, k_max):
-        pi, beyond = levels(params, k_max)
-        return np.full_like(pi, np.nan), beyond
-    monkeypatch.setattr(verify, "_model1_levels", nan_levels)
+    def nan_boundary(params):
+        pi0, r = boundary(params)
+        return np.full_like(pi0, np.nan), r
+    monkeypatch.setattr(verify, "_boundary", nan_boundary)
     result = verify.check_tail_reproduction()
     assert result.passed is False, result.detail
     assert result.detail.endswith(": nan")
