@@ -177,13 +177,17 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> EtaEstima
     params = twist.params
     if not params.lam / (params.mu * params.p) < twist.roots.gamma_p:
         raise ArithmeticError("boundary sum not summable: lambda/(mu p) >= gamma_p")
-    if table is None:
-        table = truncated_stationary(params, x_max=60, y_max=60)
     h = twist.harmonic
-    y_max = table.pi.shape[1] - 1
-    # weights[2y + sigma] = pi(0, y, sigma) h(0, y, sigma), in `level_blocks` order
-    weights = table.pi[0].ravel() * np.array(
-        [h.value((0, y, sigma)) for y in range(y_max + 1) for sigma in (UP, DOWN)])
+    y_max = 60 if table is None else table.pi.shape[1] - 1
+    column = []   # h(0, y, sigma) in `level_blocks` order, formed before the solve
+    try:
+        for y in range(y_max + 1):
+            column += (h.value((0, y, sigma)) for sigma in (UP, DOWN))
+    except OverflowError:
+        raise ArithmeticError(f"eta's boundary weights: h(0, y, sigma), a multiple of t2^y, "
+                              f"overflows from y = {y}, t2 = {h.base!r}") from None
+    table = table or truncated_stationary(params, x_max=60, y_max=60)
+    weights = table.pi[0].ravel() * np.array(column)   # pi(0, y, sigma) h(0, y, sigma)
     # geometric-tail gate on the last min(10, y_max + 1) levels of the weights
     levels = weights.reshape(-1, 2).sum(axis=1)
     low = max(1, y_max - 8)
@@ -369,10 +373,22 @@ def tail_fit(table: StationaryTable, sigma: int, k_min: int, k_max: int,
     logs = [math.log(value) for value in values if value > 1e-300]
     if len(ks) < 5:
         raise ValueError(f"fit window holds {len(ks)} usable points; need at least 5")
-    slope, intercept = np.polyfit(ks, logs, 1)
-    deviation = float(np.max(np.abs(1.0 - np.exp(slope * np.array(ks) + intercept - np.array(logs)))))
-    return TailFit(gamma_est=float(math.exp(slope)), log_prefactor_est=float(intercept),
+    slope, intercept = _line(ks, logs)
+    deviation = max(abs(1.0 - math.exp(slope * k + intercept - l)) for k, l in zip(ks, logs))
+    return TailFit(gamma_est=math.exp(slope), log_prefactor_est=intercept,
                    max_relative_deviation=deviation)
+
+
+def _line(ks: list[int], logs: list[float]) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line through the points (k, l): sum
+    (n k - sum k) l / D and sum (sum k^2 - k sum k) l / D, D = n sum k^2 - (sum k)^2,
+    each summed in integers and so the exact value, correctly rounded."""
+    n, k1, k2 = len(ks), sum(ks), sum(k * k for k in ks)
+    scale = max(value.as_integer_ratio()[1] for value in logs)   # a power of 2
+    scaled = [int(value * scale) for value in logs]   # exact
+    det = (n * k2 - k1 * k1) * scale
+    return (sum((n * k - k1) * v for k, v in zip(ks, scaled)) / det,
+            sum((k2 - k1 * k) * v for k, v in zip(ks, scaled)) / det)
 
 
 def two_geometric_fit(table: StationaryTable, sigma: int, k_min: int,

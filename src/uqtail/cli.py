@@ -29,6 +29,8 @@ from .spectral import characteristic_roots, stability
 from .twist import twist_summary
 from .verify import run_checks
 
+_reported = functools.cache(lambda cls: tuple(f.name for f in dataclasses.fields(cls) if f.repr))
+
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
@@ -50,7 +52,7 @@ def _dump(obj, indent: int = 0, path: str = "") -> str:
         obj = obj.tolist()
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # a field declared repr=False is a value carried for later stages, not a result
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.repr}
+        obj = {name: getattr(obj, name) for name in _reported(type(obj))}
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -189,9 +191,10 @@ def _cmd_tailfit(args) -> int:
                          k_min=args.kmin, k_max=args.kmax, residual=table.residual,
                          tail_mass_bound=table.tail_mass_bound),
              "k,pi,model_prediction,relative_error\n"]
+    prefactor = np.exp(fit.log_prefactor_est)
     for k, pi in zip(range(args.kmin, args.kmax + 1),
                      table.levels(sigma, args.kmin, args.kmax, args.y or 0).tolist()):
-        pred = np.exp(fit.log_prefactor_est) * fit.gamma_est ** k
+        pred = prefactor * fit.gamma_est ** k
         rel = (pi - pred) / pi if pi > 0 else float("nan")
         lines.append(f"{k},{_fmt(pi)},{_fmt(pred)},{_fmt(rel)}\n")
     (out / "tailfit.csv").write_text("".join(lines))
@@ -219,13 +222,15 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 2
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on the first call and shared after it.
-
+    """The process's one parser, built on the first call and shared after it:
     `parse_args` returns a fresh namespace on every call, so calls do not
-    leak into each other; callers must not add arguments to it.
-    """
+    leak into each other; callers must not add arguments to it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:   # the parser, its verbs' by name
     parser = argparse.ArgumentParser(
         prog="uqtail",
         description="Tail asymptotics of queues with an unreliable server")
@@ -272,12 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--grid", type=int, default=200)
     verify.add_argument("--seed", type=int, default=7)
     verify.set_defaults(func=_cmd_verify)
-    return parser
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, verbs = _parsers()
+    # a verb's parser alone reads its arguments; the top-level one names any left over
+    verb = verbs.get(argv[0]) if argv else None
+    args, rest = verb.parse_known_args(argv[1:]) if verb else (None, None)
+    args = args if rest == [] else parser.parse_args(argv)
     try:
         return args.func(args)
     except InvalidParameters as exc:

@@ -11,7 +11,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -82,10 +82,8 @@ class ModelParams:
         return json.dumps(self.to_dict())
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        d["model"] = d.pop("model").value
-        return d
+        return {"mu": self.mu, "alpha": self.alpha, "beta": self.beta, "p": self.p,
+                "C": self.C, "lambda": self.lam, "model": self.model.value}
 
 
 def make_params(lam: float, mu: float, alpha: float, beta: float, p: float = 1.0,

@@ -137,9 +137,9 @@ def first_passage(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
 
 def rate_matrix(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """Minimal solution R of R = A0 + R A1 + R^2 A2, as A0 (I - A1 - A0 G)^-1
-    with G from `first_passage` (Latouche & Ramaswami, 1999)."""
+    with G from `first_passage` (Latouche & Ramaswami, 1999), of a stack too."""
     g = first_passage(a0, a1, a2)
-    return a0 @ np.linalg.inv(np.eye(a1.shape[0]) - a1 - a0 @ g)
+    return a0 @ np.linalg.inv(np.eye(a1.shape[-1]) - a1 - a0 @ g)
 
 
 def neuts_stability(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> bool | np.ndarray:
@@ -179,12 +179,11 @@ def _model1_levels(params: ModelParams, k_max: int) -> tuple[np.ndarray, float]:
     """Levels pi0 R^k for k <= k_max + 1, one shell past k_max, and the mass
     beyond level k_max: level k_max + 1's sum plus the mass beyond it."""
     pi0, r = _boundary(params)
-    level = pi0.copy()
     levels = np.empty((k_max + 2, 2))
-    for k in range(k_max + 2):
-        levels[k] = level
-        level = level @ r
-    beyond = float(level @ np.linalg.solve(np.eye(2) - r, np.ones(2)))
+    levels[0] = pi0
+    for k in range(k_max + 1):
+        np.matmul(levels[k], r, out=levels[k + 1])
+    beyond = float(levels[-1] @ r @ np.linalg.solve(np.eye(2) - r, np.ones(2)))
     return levels, beyond + float(levels[-1].sum())
 
 

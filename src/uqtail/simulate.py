@@ -306,12 +306,13 @@ def empirical_distribution(trajectory: Trajectory, burn_in: int = 0) -> Empirica
         raise ValueError(f"the visited box {shape} has more than {_MAX_LAW_CELLS} cells")
     if min(int(c.min()) for c in coords) < 0 or int(s.max()) > DOWN:
         raise ValueError("trajectory coordinates must be non-negative, with status UP or DOWN")
-    # the C-order cell index (x n_y + y) 2 + status; every coordinate lies in the box
-    index = x.astype(np.intp)
-    for c, n in zip(coords[1:], shape[1:]):
-        index *= n
-        index += c
-    counts = np.bincount(index, minlength=math.prod(shape))
+    counts = np.zeros(math.prod(shape), np.intp)   # counted one _BLOCK of steps at a time
+    for first in range(0, len(x), _BLOCK):
+        index = x[first:first + _BLOCK].astype(np.intp)   # C order: (x n_y + y) 2 + status
+        for c, n in zip(coords[1:], shape[1:]):
+            index *= n
+            index += c[first:first + _BLOCK]
+        counts += np.bincount(index, minlength=counts.size)
     return EmpiricalDistribution(pi=(counts / len(x)).reshape(shape), notes=tuple(notes))
 
 

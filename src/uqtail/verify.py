@@ -147,9 +147,11 @@ def check_perron_root(grid: int, seed: int) -> CheckResult:
 
 def check_rate_matrix() -> CheckResult:
     worst_r = worst_eig = 0.0
-    for params in (PARAMS_A, PARAMS_B):
+    stack = make_params(*(np.r_[getattr(PARAMS_A, r), getattr(PARAMS_B, r)]   # one solve
+                          for r in ("lam", "mu", "alpha", "beta")))
+    solved = rate_matrix(*(block.transpose(2, 0, 1) for block in level_blocks(stack)))
+    for params, r_solved in zip((PARAMS_A, PARAMS_B), solved):
         r_closed = rate_matrix_closed_form(params)
-        r_solved = rate_matrix(*level_blocks(params))
         worst_r = _worst(worst_r, r_closed - r_solved)
         sol = characteristic_roots(params)
         eig_gap = np.sort(np.linalg.eigvals(r_closed)) - (sol.gamma_secondary, sol.gamma_p)

@@ -1,6 +1,7 @@
 import json
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from uqtail import (DOWN, UP, InvalidParameters, Model, UnstableParameters,
                     rate_matrix_closed_form, stationary_table, tail_fit,
                     truncated_stationary, twist_summary, two_geometric_fit,
                     two_term_tail)
-from uqtail.asymptotics import _escape_first_passage
+from uqtail.asymptotics import _escape_first_passage, _line
 from uqtail.cli import main
 from uqtail.kernels import full_kernel, level_blocks
 from uqtail.qbd import StationaryTable, first_passage
@@ -248,6 +249,55 @@ def test_tail_fit_synthetic_geometric():
     pi = np.array([(0.5 ** k, 0.0) for k in range(40)])
     table = StationaryTable(pi=pi, residual=0.0, tail_mass_bound=0.0)
     assert tail_fit(table, UP, 5, 30).gamma_est == pytest.approx(0.5, rel=1e-12)
+
+
+def _exact_line(ks, logs):
+    """The least-squares line through the points (k, log), in exact rationals."""
+    n = len(ks)
+    k_bar = Fraction(sum(ks), n)
+    l_bar = sum(map(Fraction, logs)) / n
+    slope = (sum((k - k_bar) * (Fraction(v) - l_bar) for k, v in zip(ks, logs))
+             / sum((k - k_bar) ** 2 for k in ks))
+    return slope, l_bar - slope * k_bar
+
+
+def _no_farther(value, reference, exact):
+    """value lies within 2 ulp of the exact rational, or no farther from it than reference."""
+    gap = abs(Fraction(value) - exact)
+    return gap <= 2 * Fraction(math.ulp(float(exact))) or gap <= abs(Fraction(reference) - exact)
+
+
+def _fit_windows():
+    """(table, k_min, k_max) windows: a geometric law, Model 1 on A, B and 20 random
+    sets, RS-RD at p = 0.5 and the p = 1 tandem."""
+    pi = np.array([(0.3 * 0.73 ** k, 0.7 * 0.73 ** k) for k in range(40)])
+    yield StationaryTable(pi=pi, residual=0.0, tail_mass_bound=0.0), 5, 30
+    for params in (A, B):
+        yield stationary_table(params, 310), 100, 300
+    rng = np.random.default_rng(31)
+    for params in (A, B, *(random_params(rng) for _ in range(20))):
+        yield stationary_table(params, 40), 20, 35
+    for model, p in ((Model.RSRD, 0.5), (Model.MODEL2, 1.0)):
+        yield stationary_table(make_params(10.0, 30.0, 0.1, 10.0, p=p, model=model), 40, 40), 20, 35
+
+
+def test_tail_fit_matches_the_exact_least_squares_line():
+    fits = 0
+    for table, k_min, k_max in _fit_windows():
+        for sigma in (UP, DOWN):
+            ks = list(range(k_min, k_max + 1))
+            logs = [math.log(v) for v in table.levels(sigma, k_min, k_max).tolist()]
+            exact_slope, exact_intercept = _exact_line(ks, logs)
+            slope, intercept = _line(ks, logs)
+            poly_slope, poly_intercept = np.polyfit(ks, logs, 1).tolist()
+            assert _no_farther(slope, poly_slope, exact_slope), (k_min, k_max, sigma)
+            assert _no_farther(intercept, poly_intercept, exact_intercept), (k_min, k_max, sigma)
+            # the check sees a slope off by 1e-12 of its value
+            assert not _no_farther(slope * (1.0 + 1e-12), poly_slope, exact_slope)
+            fit = tail_fit(table, sigma, k_min, k_max)
+            assert (fit.gamma_est, fit.log_prefactor_est) == (math.exp(slope), intercept)
+            fits += 1
+    assert fits == 2 * 27
 
 
 def test_tail_fit_short_window_rejected():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import uqtail
-from uqtail import (Model, UnstableParameters, __version__, characteristic_roots, cli,
-                    make_params, params_from_dict, qbd, simulate, stationary_table, verify)
+from uqtail import (Model, UnstableParameters, __version__, asymptotics, characteristic_roots,
+                    cli, make_params, params_from_dict, qbd, simulate, stationary_table, verify)
 from uqtail.cli import build_parser, main
 
 A_FLAGS = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
@@ -136,6 +137,24 @@ def test_non_finite_results_are_refused_by_name(tmp_path, capsys, argv, message)
     assert main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"verification failure: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_light_load_tandem_refuses_overflowing_eta_weights_before_the_solve(tmp_path, capsys,
+                                                                           monkeypatch):
+    # t2 = 9.4e300 here, so h(0, y, sigma) = t2^y (times a weight) overflows from y = 2
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the truncated solve ran")
+
+    monkeypatch.setattr(asymptotics, "truncated_stationary", no_solve)
+    out = tmp_path / "out"
+    argv = ["analyze", *_rate_flags("1e-300", "11", "0.1", "10"), "--model", "model2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "verification failure: eta's boundary weights: h(0, y, sigma), a multiple of t2^y, "
+        "overflows from y = 2, t2 = 9.408728778948666e+300\n")
+    assert "(34" not in captured.err
     assert captured.out == "" and not out.exists()
 
 
@@ -266,6 +285,25 @@ def test_ldpath_verdict(tmp_path, capsys):
     assert "observed=DownDominated" in out
     lines = (tmp_path / "excursions.csv").read_text().splitlines()
     assert "start,end,peak,down_fraction,slope" in lines
+
+
+# SHA-256 of tailfit.csv from A's Model 1 window 100..300 and the 40 x 40 windows 20..35
+# of the p = 1 tandem and of RS-RD at p = 0.5, as the closed-form fit writes them
+TAILFIT_DIGESTS = {
+    (*A_FLAGS, "--kmin", "100", "--kmax", "300"):
+        "3201c1821c0c6611e20f13614514d055b95f1fb6eea12ac339ee713ce5a8775c",
+    (*T2_FLAGS, "--model", "model2", "--kmin", "20", "--kmax", "35", "--xmax", "40"):
+        "fa126419c7e82dd4b97f156f6a2a7f1604c60099aa97a3e7d6cb1fd42cff87ea",
+    (*T2_FLAGS, "--model", "rsrd", "--p", "0.5", "--kmin", "20", "--kmax", "35", "--xmax", "40"):
+        "a9d45dcb92319737a433a235b539f09fb6d4a783fe011050797c8e21f99de691",
+}
+
+
+@pytest.mark.parametrize("flags", list(TAILFIT_DIGESTS), ids=["A", "T2", "rsrd"])
+def test_tailfit_csv_is_pinned(flags, tmp_path, capsys):
+    assert main(["tailfit", *flags, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "tailfit.csv").read_bytes()).hexdigest()
+    assert digest == TAILFIT_DIGESTS[flags]
 
 
 def test_tailfit_csv(tmp_path, capsys):
@@ -552,6 +590,35 @@ def test_verbs_without_a_sparse_solve_never_load_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", SCIPY_FREE_VERBS, src, str(tmp_path)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _exit(parse, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nope"], ["--version"], ["-h"], ["analyze", "-h"], ["analyze", "--bogus", "1"],
+    ["analyze", *A_FLAGS, "extra"], ["tailfit", *A_FLAGS],
+], ids=["empty", "unknown-verb", "version", "help", "verb-help", "unknown-flag", "extra",
+        "missing-window"])
+def test_verb_dispatch_exits_as_the_top_level_parser(capsys, argv):
+    # main parses a verb's arguments with the verb's parser alone
+    assert _exit(lambda: main(argv), capsys) == _exit(lambda: build_parser().parse_args(argv),
+                                                     capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tailfit", *A_FLAGS, "--kmin", "20", "--kmax", "30", "--y", "2", "--sigma", "down"],
+    ["analyze", *T2_FLAGS, "--model", "rsrd", "--p", "0.5", "--limits"],
+    ["verify", "--grid", "20"],
+], ids=["tailfit", "analyze", "verify"])
+def test_verb_parser_reads_the_top_level_namespace(argv):
+    args, rest = cli._parsers()[1][argv[0]].parse_known_args(argv[1:])
+    assert rest == []
+    assert {**vars(args), "verb": argv[0]} == vars(build_parser().parse_args(argv))
 
 
 def test_one_parser_per_process(tmp_path):

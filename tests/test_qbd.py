@@ -121,6 +121,15 @@ def test_rate_matrix_matches_closed_form(seed):
     assert np.max(np.abs(gap)) <= 1e-12
 
 
+def test_rate_matrix_of_a_stack_is_each_sets_bit_for_bit():
+    stack = make_params(*(np.r_[getattr(A, r), getattr(B, r)]
+                          for r in ("lam", "mu", "alpha", "beta")))
+    solved = rate_matrix(*(block.transpose(2, 0, 1) for block in level_blocks(stack)))
+    assert solved.shape == (2, 2, 2)
+    for params, r in zip((A, B), solved):
+        assert np.array_equal(r, rate_matrix(*interior(params)))
+
+
 def test_first_passage_takes_the_stochastic_g():
     # the plain blocks' G is stochastic: rounding may leave row sums just above 1
     rng = np.random.default_rng(10)
