@@ -105,16 +105,15 @@ class AlphaLimits:
     prefactor_up_limit_gap: float | None
 
 
-def _escape_first_passage(twist: TwistSummary, y_cut: int = 0) -> np.ndarray:
+def _escape_first_passage(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """Escape probabilities from level 0 for every phase of the twisted
-    chain, with phases and the y cut as in `kernels.level_blocks`.
+    chain with blocks A0, A1, A2 (a set's or a stack's) as `level_blocks` lays them.
 
     The free chain leaves level 0 upwards by the same up block A0 as any
     level, so escape = A0 (1 - G 1) with G from `qbd.first_passage`.  For
     Model 1 this is the numeric reference for `escape_probabilities`.
     """
-    a0, a1, a2 = level_blocks(twist.params, y_cut, h=twist.harmonic)
-    return a0 @ (1.0 - first_passage(a0, a1, a2).sum(axis=1))
+    return (a0 @ (1.0 - first_passage(a0, a1, a2).sum(axis=-1))[..., None])[..., 0]
 
 
 def escape_probabilities(params: ModelParams) -> EscapeProbs:
@@ -128,18 +127,15 @@ def escape_probabilities(params: ModelParams) -> EscapeProbs:
     """
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the closed-form escape needs a Model 1 parameter set")
-    return _escape(twist_summary(params))[0]
+    return _escape(twist_summary(params))
 
 
-def _escape(twist: TwistSummary) -> tuple[EscapeProbs, tuple[np.ndarray, ...]]:
+def _escape(twist: TwistSummary) -> EscapeProbs:
     """`escape_probabilities` of a twist, of a set or a stack (whose gates hold
-    per set), with the twisted (up, local, down) blocks its first-passage
-    matrix was checked against, a stack's on a leading axis."""
+    per set), its first-passage matrix checked against the twist's blocks."""
     t2, w = twist.harmonic.base, twist.harmonic.down_weight
-    g = np.zeros((*np.shape(t2), 2, 2))
-    g[..., 0] = np.transpose([1.0 / t2, 1.0 / (t2 * w)])   # the Down column is 0
-    a0, a1, a2 = (block.transpose(*range(2, block.ndim), 0, 1)
-                  for block in level_blocks(twist.params, h=twist.harmonic))
+    a0, a1, a2 = twist.blocks
+    g = np.stack([1.0 / t2, 1.0 / (t2 * w)], axis=-1)[..., None] * (1.0, 0.0)   # Down column 0
     residual = np.abs(a2 + a1 @ g + a0 @ g @ g - g).max(axis=(-2, -1))
     rows = g.sum(axis=-1)
     ok = (residual <= _ESCAPE_RESIDUAL) & (rows < 1.0).all(axis=-1)
@@ -149,8 +145,7 @@ def _escape(twist: TwistSummary) -> tuple[EscapeProbs, tuple[np.ndarray, ...]]:
             f"closed-form first-passage matrix{where} fails: residual {residual[index]:.3g} "
             f"(bound {_ESCAPE_RESIDUAL:g}), row sums {rows[index]} (must be < 1)")
     scale = twist.params.lam / twist.params.C
-    return EscapeProbs(up=scale * (t2 - 1.0), down=scale * (t2 - 1.0 / w),
-                       residual=residual), (a0, a1, a2)
+    return EscapeProbs(up=scale * (t2 - 1.0), down=scale * (t2 - 1.0 / w), residual=residual)
 
 
 def eta(params: ModelParams, *, table: StationaryTable | None = None) -> EtaEstimate:
@@ -163,7 +158,7 @@ def eta(params: ModelParams, *, table: StationaryTable | None = None) -> EtaEsti
     """
     twist = twist_summary(params)
     if params.model is Model.MODEL1:
-        return _eta_model1(twist, _escape(twist)[0])
+        return _eta_model1(twist, _escape(twist))
     return _eta_model2(twist, table)
 
 
@@ -207,10 +202,10 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> EtaEstima
             "enlarge the truncated table")
     rho = max(ratios)
     # escape = A0 (1 - G 1) is at most A0's largest row sum, the same at every y cut >= 1
-    up_mass = float(level_blocks(params, 1, h=h)[0].sum(axis=1).max())
+    up_mass = float(twist.blocks[0].sum(axis=-1).max())
     remainder = levels[-1] * rho / (1.0 - rho) * up_mass
     value, coarse = (
-        float(weights @ _escape_first_passage(twist, cut)[:weights.size])
+        float(weights @ _escape_first_passage(*level_blocks(params, cut, h=h))[:weights.size])
         for cut in (2 * y_max, y_max))
     return EtaEstimate(value=value, error_bound=abs(value - coarse) + float(remainder),
                        method="qbd")
@@ -250,7 +245,7 @@ def tail_constants(twist: TwistSummary, *,
     """
     params, h = twist.params, twist.harmonic
     if params.model is Model.MODEL1:
-        esc = _escape(twist)[0]
+        esc = _escape(twist)
         est = _eta_model1(twist, esc)
         phi0, origins = twist.phi, ((0, UP), (0, DOWN))
         extra = dict(escape_up=esc.up, escape_down=esc.down, y_ratio=None,

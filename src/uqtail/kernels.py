@@ -124,14 +124,15 @@ def level_blocks(params: ModelParams, y_cut: int = 0, x0: int = 1,
                  h=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(up, local, down) blocks, with x as the level, of the class rows at x0
     (0 or 1), reweighted by h when given (the twisted rows); a stack's
-    blocks carry the stack on a last axis.
+    blocks have shape (..., n, n), its sets leading.
 
     Phases are sigma, or (y, sigma) -> 2y + sigma for y <= y_cut: a row at
     y0 = 1 stands for every y in 1..y_cut, and a move past y_cut stays at
     y_cut.  At x0 = 0 the local block is that of level 0.
     """
     n = 2 * (y_cut + 1)
-    blocks = np.zeros((3, n, n, *np.shape(params.lam)))
+    sets = (slice(None),) * np.ndim(params.lam)   # a stack's axes; `...` would be slower
+    blocks = np.zeros((3, *np.shape(params.lam), n, n))
     ys = np.arange(1, y_cut + 1)
     moves = _moves(params)
     for origin in _origins(params.model, x0):
@@ -140,8 +141,8 @@ def level_blocks(params: ModelParams, y_cut: int = 0, x0: int = 1,
         for step, prob in _fold(moves, origin, h=h):
             k, to = 1 - step[0], sigma + step[-1]
             dy = step[1] if len(step) == 3 else 0
-            if y0:   # one numpy update for all y; a Python loop over y is slower
-                blocks[k, 2 * ys + sigma, 2 * np.minimum(ys + dy, y_cut) + to] += prob
+            if y0:   # one numpy update for all y, whose axis leads a stack's: prob broadcasts
+                blocks[(k, *sets, 2 * ys + sigma, 2 * np.minimum(ys + dy, y_cut) + to)] += prob
             else:    # scalar indexing; numpy's per-call cost would dominate 2x2 blocks
-                blocks[k, sigma, 2 * min(dy, y_cut) + to] += prob
+                blocks[(k, *sets, sigma, 2 * min(dy, y_cut) + to)] += prob
     return blocks[0], blocks[1], blocks[2]

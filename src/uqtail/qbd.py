@@ -145,11 +145,11 @@ def rate_matrix(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
 def neuts_stability(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> bool | np.ndarray:
     """Positive recurrence by the mean-drift test on the level generator
     A0 + A1 + A2 of the 2x2 interior (up, local, down) blocks, one verdict
-    per set on a stack's blocks (`level_blocks`)."""
+    per set on a stack's blocks of shape (..., 2, 2) (`level_blocks`)."""
     gen = a0 + a1 + a2
-    up_rate, down_rate = gen[0, 1], gen[1, 0]
-    rho = np.array([down_rate, up_rate]) / (up_rate + down_rate)
-    return (rho * a0.sum(axis=1)).sum(axis=0) < (rho * a2.sum(axis=1)).sum(axis=0)
+    up_rate, down_rate = gen[..., 0, 1], gen[..., 1, 0]
+    rho = np.stack([down_rate, up_rate], axis=-1) / (up_rate + down_rate)[..., None]
+    return (rho * a0.sum(axis=-1)).sum(axis=-1) < (rho * a2.sum(axis=-1)).sum(axis=-1)
 
 
 def boundary_vector(params: ModelParams) -> np.ndarray:
@@ -157,8 +157,8 @@ def boundary_vector(params: ModelParams) -> np.ndarray:
     return _boundary(params)[0]
 
 
-def _boundary(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """`boundary_vector` with the closed-form R it was solved from.
+def _boundary(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`boundary_vector` with the closed-form R it was solved from and (I - R)^-1 1.
 
     Level 1 is left downwards only from Up, so level 0's Down balance reads
     pi(0, D)(lambda + beta) = alpha pi(0, U): pi0 is proportional to
@@ -172,18 +172,19 @@ def _boundary(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
         raise UnstableParameters("stationary distribution requires stability")
     r = rate_matrix_closed_form(params)
     pi0 = np.array([params.lam + params.beta, params.alpha])
-    return pi0 / float(pi0 @ np.linalg.solve(np.eye(2) - r, np.ones(2))), r
+    mass = np.linalg.solve(np.eye(2) - r, np.ones(2))
+    return pi0 / float(pi0 @ mass), r, mass
 
 
 def _model1_levels(params: ModelParams, k_max: int) -> tuple[np.ndarray, float]:
     """Levels pi0 R^k for k <= k_max + 1, one shell past k_max, and the mass
     beyond level k_max: level k_max + 1's sum plus the mass beyond it."""
-    pi0, r = _boundary(params)
+    pi0, r, mass = _boundary(params)
     levels = np.empty((k_max + 2, 2))
     levels[0] = pi0
     for k in range(k_max + 1):
         np.matmul(levels[k], r, out=levels[k + 1])
-    beyond = float(levels[-1] @ r @ np.linalg.solve(np.eye(2) - r, np.ones(2)))
+    beyond = float(levels[-1] @ r @ mass)
     return levels, beyond + float(levels[-1].sum())
 
 
@@ -335,6 +336,14 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
         raise InvalidParameters("y_max required for the two-server lattice")
     shape = _lattice_shape(params.model, x_max, y_max)
     p = _lattice_matrix(params, shape)
+    stuck = np.flatnonzero(p.diagonal() == 1.0)
+    if stuck.size:   # 1 minus its exit mass rounds to 1, so P^T - I loses that outflow
+        i, state = stuck[0], tuple(map(int, np.unravel_index(stuck[0], shape)))
+        row = slice(*p.indptr[i:i + 2])
+        exit_mass = float(p.data[row][p.indices[row] != i].sum())
+        raise ArithmeticError(f"lattice state {state} keeps a self-loop of exactly 1: its exit "
+                              f"mass {exit_mass:.3g} (its other moves, summed) is lost against 1 "
+                              f"at C = {params.C!r}")
     n = p.shape[0]
     a = sp.vstack([np.ones((1, n)), (p.T - sp.identity(n, format="csr")).tocsr()[1:]],
                   format="csc")

@@ -87,12 +87,13 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
 def feynman_kac(params: ModelParams, theta: float) -> tuple[np.ndarray, float]:
     """Tilted 2x2 phase kernel A2 e^-theta + A1 + A0 e^theta of the Model 1
     free process, from its level blocks at x0 = 1, and its Perron root; on a
-    stack, theta holds one value per set."""
+    stack, theta holds one value per set, and the kernels have shape (..., 2, 2)."""
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the tilted phase kernel needs a Model 1 parameter set")
     up, local, down = level_blocks(params)
-    matrix = down * elementwise(math.exp, -theta) + local + up * elementwise(math.exp, theta)
-    (a, b), (c, d) = matrix
+    e_down, e_up = (np.asarray(elementwise(math.exp, t))[..., None, None] for t in (-theta, theta))
+    matrix = down * e_down + local + up * e_up
+    a, b, c, d = (matrix[..., i, j] for i in (0, 1) for j in (0, 1))
     half_gap = elementwise(math.sqrt, ((a - d) / 2.0) ** 2 + b * c)
     return matrix, (a + d) / 2.0 + half_gap
 

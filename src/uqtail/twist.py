@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _fold, _moves, _origins
+from .kernels import level_blocks
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams, UnstableParameters,
                      first_failing, holds)
 from .spectral import SpectralSolution, characteristic_roots, stability
@@ -35,7 +35,11 @@ class HarmonicFunction:
         return self.down_weight if state[-1] == DOWN else 1.0
 
     def value(self, state: tuple) -> float:
-        return self.base ** self._exponent(state) * self._weight(state)
+        try:
+            return self.base ** self._exponent(state) * self._weight(state)
+        except OverflowError:
+            raise OverflowError(f"h{state} overflows: t2 = {self.base!r} to the power "
+                                f"{self._exponent(state)}") from None
 
     def ratio(self, origin: tuple, target: tuple) -> float:
         """h(target) / h(origin) from the change in exponent, so it never
@@ -79,7 +83,7 @@ class TwistSummary:
     """One pass through the h-transform of a parameter set.
 
     The unreported fields carry what later stages (escape, eta, prefactors)
-    read instead of deriving it again: the set and its roots.
+    read instead of deriving it again: the set, its roots and its twisted blocks.
     """
     model: Model
     harmonic: HarmonicFunction
@@ -88,6 +92,7 @@ class TwistSummary:
     drift: Drift
     params: ModelParams = field(repr=False)
     roots: SpectralSolution = field(repr=False)
+    blocks: tuple = field(repr=False)   # `level_blocks` at y cut 0 (Model 1), 1 (tandem)
 
 
 def _require_stable(params: ModelParams) -> SpectralSolution:
@@ -113,10 +118,10 @@ def twist_summary(params: ModelParams) -> TwistSummary:
     """The h-transform of Model 1 or the tandem (p = 1), of a set or a stack, derived once.
 
     From one stability check and one `characteristic_roots`: h, the phase
-    law phi (with the tandem's twisted rates), and the drift.  The drift's
-    closed form must agree with the phi-weighted mean x step of the twisted
-    x0 = 1 class rows to 1e-10 of the larger of its two terms, and be
-    positive for the tail method to apply;
+    law phi (with the tandem's twisted rates), the twisted blocks and the
+    drift.  The drift's closed form must agree with the phi-weighted mean x
+    step A0 1 - A2 1 of the twisted blocks to 1e-10 of the larger of its two
+    terms, and be positive for the tail method to apply;
     else ArithmeticError names the first failing stack index.
     """
     twist, disagree, nonpositive = _twist(params)
@@ -144,11 +149,11 @@ def _twist(params: ModelParams):
     lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
     den, g = sol.den, sol.g_constant
     # the phase chain's Up/Down shares, beta_t and alpha_t over their sum
-    shares = np.array([den / 2.0 / g, 2.0 * alpha * beta / den / g])
+    shares = den / 2.0 / g, 2.0 * alpha * beta / den / g
     # den_minus = b - sqrt(s) = (b^2 - s) / (b + sqrt(s)), b = lam + beta + mu + alpha, with
     # b^2 - s = 4 mu (lam + beta) at p = 1; the difference cancels at light load
     den_minus = 4.0 * mu * (lam + beta) / (lam + beta + mu + alpha + sol.sqrt_s)
-    rates, phi = None, shares
+    rates, phi = None, np.stack(shares, axis=-1)
     if tandem:
         # B = 1 - lam_t/mu_t, in a form free of cancellation as alpha -> 0
         rates = TwistRates(lam_t=den_minus / (2.0 * C), mu_t=mu / C,
@@ -158,15 +163,16 @@ def _twist(params: ModelParams):
                              up_share=shares[UP], down_share=shares[DOWN])
     gain, loss = den_minus / 2.0, lam * mu * den / (g * den_minus)
     value = (gain - loss) / C
+    blocks = level_blocks(params, 1 if tandem else 0, h=h)
+    steps = blocks[0].sum(axis=-1) - blocks[2].sum(axis=-1)   # mean x step by phase
     # rows are identical for all y >= 1, so the tandem's geometric tail of phi,
     # of total mass ratio, is aggregated exactly instead of being truncated
-    moves = _moves(params)
-    estimate = sum(shares[o[-1]] * sum(prob * step[0] for step, prob in _fold(moves, o, h=h))
-                   * ((phi.B, phi.ratio)[o[1]] if tandem else 1.0)
-                   for o in _origins(params.model, 1))
+    estimate = sum(shares[sigma] * steps[..., 2 * y + sigma] * factor
+                   for y, factor in enumerate((phi.B, phi.ratio) if tandem else (1.0,))
+                   for sigma in (UP, DOWN))
     # relative to the larger term the closed form subtracts; both are probabilities
     # per step, so the gate is never looser than _DRIFT_AGREEMENT absolute
     disagree = abs(value - estimate) > _DRIFT_AGREEMENT * np.maximum(gain, loss) / C
     return TwistSummary(model=params.model, harmonic=h, rates=rates, phi=phi,
                         drift=Drift(value=value, estimate=estimate, per_time=value * C),
-                        params=params, roots=sol), disagree, value <= 0.0
+                        params=params, roots=sol, blocks=blocks), disagree, value <= 0.0

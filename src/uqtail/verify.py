@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _escape, _eta_model1, prefactors
+from .asymptotics import _escape, _escape_first_passage, prefactors, tail_constants
 from .kernels import _fold, _moves, _origins, _row, level_blocks
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, elementwise, make_params
-from .qbd import (_boundary, boundary_vector, first_passage, neuts_stability, rate_matrix,
+from .qbd import (_boundary, boundary_vector, neuts_stability, rate_matrix,
                   rate_matrix_closed_form, stationary_table)
 from .spectral import characteristic_roots, feynman_kac, stability
 from .twist import _twist, harmonic, twist_summary
@@ -149,7 +149,7 @@ def check_rate_matrix() -> CheckResult:
     worst_r = worst_eig = 0.0
     stack = make_params(*(np.r_[getattr(PARAMS_A, r), getattr(PARAMS_B, r)]   # one solve
                           for r in ("lam", "mu", "alpha", "beta")))
-    solved = rate_matrix(*(block.transpose(2, 0, 1) for block in level_blocks(stack)))
+    solved = rate_matrix(*level_blocks(stack))
     for params, r_solved in zip((PARAMS_A, PARAMS_B), solved):
         r_closed = rate_matrix_closed_form(params)
         worst_r = _worst(worst_r, r_closed - r_solved)
@@ -190,7 +190,7 @@ def check_tail_reproduction() -> CheckResult:
     for params in (PARAMS_A, PARAMS_B):
         asym = prefactors(params)
         tail = np.array([asym.prefactor_up, asym.prefactor_down]) * asym.gamma ** 200
-        pi0, r = _boundary(params)
+        pi0, r, _ = _boundary(params)
         worst = _worst(worst, pi0 @ np.linalg.matrix_power(r, 200) / tail - 1.0)
     return CheckResult("closed-prefactor-tail", worst <= 1e-3,
                        f"max |pi/(C gamma^k) - 1| at k=200: {worst:.3g}")
@@ -201,12 +201,12 @@ def check_eta_bounds() -> CheckResult:
     details = []
     for params in (PARAMS_A, PARAMS_B):
         twist = twist_summary(params)
-        esc = _escape(twist)[0]
-        est = _eta_model1(twist, esc)
+        asym = tail_constants(twist)
         pi0 = boundary_vector(params)
         upper = pi0[UP] + pi0[DOWN] * twist.harmonic.value((0, DOWN))
-        ok = ok and 0.0 < est.value <= upper and 0.0 < esc.up < 1.0 and 0.0 < esc.down < 1.0
-        details.append(f"eta={est.value:.6g} in (0,{upper:.6g}]")
+        ok = (ok and 0.0 < asym.eta <= upper and 0.0 < asym.escape_up < 1.0
+              and 0.0 < asym.escape_down < 1.0)
+        details.append(f"eta={asym.eta:.6g} in (0,{upper:.6g}]")
     return CheckResult("eta-in-range", ok, "; ".join(details))
 
 
@@ -220,9 +220,9 @@ def check_escape_closed_form(grid: int, seed: int) -> CheckResult:
         if k == 0:
             params = make_params(*(np.r_[getattr(PARAMS_A, r), getattr(PARAMS_B, r),
                                          getattr(params, r)] for r in rates))
-        esc, (a0, a1, a2) = _escape(twist_summary(params))
-        solved = a0 @ (1.0 - first_passage(a0, a1, a2).sum(axis=-1))[..., None]
-        worst = _worst(worst, solved[..., 0] - np.stack([esc.up, esc.down], axis=-1))
+        twist = twist_summary(params)
+        esc = _escape(twist)
+        worst = _worst(worst, _escape_first_passage(*twist.blocks) - np.c_[esc.up, esc.down])
     return CheckResult("escape-closed-form", worst <= 1e-10,
                        f"max |closed form - logarithmic reduction| = {worst:.3g}")
 

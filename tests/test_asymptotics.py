@@ -30,7 +30,7 @@ def assert_escape_matches_iteration(params):
     esc = escape_probabilities(params)
     assert esc.residual <= 1e-12
     assert 0 < esc.up < 1 and 0 < esc.down < 1
-    reference = _escape_first_passage(twist_summary(params))
+    reference = _escape_first_passage(*twist_summary(params).blocks)
     assert [esc.up, esc.down] == pytest.approx(reference, rel=0, abs=1e-10)
 
 

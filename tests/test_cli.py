@@ -159,6 +159,24 @@ def test_light_load_tandem_refuses_overflowing_eta_weights_before_the_solve(tmp_
 
 
 @pytest.mark.parametrize("argv", [
+    ["analyze", *_rate_flags("3", "1e150", "0.1", "10"), "--model", "model2"],
+    ["tailfit", *_rate_flags("3", "1e150", "0.1", "10"), "--model", "model2", "--p", "0.5",
+     "--kmin", "20", "--kmax", "35", "--xmax", "40"],
+], ids=["analyze", "tailfit"])
+def test_lattice_refuses_a_self_loop_that_rounds_to_one(tmp_path, capsys, argv):
+    # lambda/C and alpha/C are below 1's rounding at C = 2e150: 122 states of analyze's
+    # 60 x 60 lattice and 82 of tailfit's 40 x 40 keep a self-loop of exactly 1, whose
+    # outflow P^T - I cannot see
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "verification failure: lattice state (0, 0, 0) keeps a self-loop of exactly 1: its "
+        "exit mass 1.55e-150 (its other moves, summed) is lost against 1 at C = 2e+150\n")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["analyze", *A_FLAGS],
     ["analyze", *A_FLAGS, "--limits"],
     ["analyze", *_rate_flags("20", "60", "0.01", "1")],
@@ -304,6 +322,40 @@ def test_tailfit_csv_is_pinned(flags, tmp_path, capsys):
     assert main(["tailfit", *flags, "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "tailfit.csv").read_bytes()).hexdigest()
     assert digest == TAILFIT_DIGESTS[flags]
+
+
+# SHA-256 of analyze.json: A and B, plain and with --limits, A at alpha = 1e-12, the light
+# load (1e-300, 11, 0.1, 10) and mu = 1e150 for Model 1, the p = 1 tandem (1, 50, 1.9, 0.6),
+# T2's shape-only tail at p = 0.5 and RS-RD at p = 0.5
+ANALYZE_DIGESTS = {
+    tuple(A_FLAGS): "03ee6f9a97158e3ebf6c3ddea802ba8728f2dde2e2e7720e2c8f2036310a05a1",
+    (*A_FLAGS, "--limits"): "bc8cd93c10b1b66d7b926225f04c6462dcd0df741c43d37b21dcf6499f527dfd",
+    tuple(_rate_flags("20", "60", "0.01", "1")):
+        "9b084c5422f2adea6484df6c1d914f59b6c7a795489719cabce13e239b0fc894",
+    (*_rate_flags("20", "60", "0.01", "1"), "--limits"):
+        "dfcff4a31f395d10835ef0dd436aff81340adef466345e1d34301b92e0181151",
+    tuple(_rate_flags("10", "11", "1e-12", "10")):
+        "339b70bba0fb4b97fff2866946c09a527af8df2b7ddfe39e7c1fc3e995840846",
+    tuple(_rate_flags("1e-300", "11", "0.1", "10")):
+        "c3b4f550ef42d9b8614781bccbd2b07548b4398963e949abff77cc1824919bb8",
+    tuple(_rate_flags("3", "1e150", "0.1", "10")):
+        "e6fbfd9c6294c63182954adba1070a0d30a682c9f49eb01350e38f5316232fa5",
+    (*_rate_flags("1", "50", "1.9", "0.6"), "--model", "model2"):
+        "7b29e2a7a588391ae89c3a1d5586f13531cf7b15c60220396f957b48784b2ccf",
+    (*T2_FLAGS, "--model", "model2", "--p", "0.5"):
+        "31115e0f1a63b50c0c92374c3661221ed4a644b27ab66e876916862807f69d7d",
+    (*T2_FLAGS, "--model", "rsrd", "--p", "0.5"):
+        "fbe3d6ff443bd93b806d9aa931a2e4886bb1a68236d091ef710c9fa1c00f914e",
+}
+
+
+@pytest.mark.parametrize("flags", list(ANALYZE_DIGESTS), ids=[
+    "A", "A-limits", "B", "B-limits", "A-alpha-1e-12", "lambda-1e-300", "mu-1e150",
+    "tandem-1-50", "T2-p0.5", "rsrd"])
+def test_analyze_json_is_pinned(flags, tmp_path, capsys):
+    assert main(["analyze", *flags, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "analyze.json").read_bytes()).hexdigest()
+    assert digest == ANALYZE_DIGESTS[flags]
 
 
 def test_tailfit_csv(tmp_path, capsys):

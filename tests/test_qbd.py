@@ -124,7 +124,7 @@ def test_rate_matrix_matches_closed_form(seed):
 def test_rate_matrix_of_a_stack_is_each_sets_bit_for_bit():
     stack = make_params(*(np.r_[getattr(A, r), getattr(B, r)]
                           for r in ("lam", "mu", "alpha", "beta")))
-    solved = rate_matrix(*(block.transpose(2, 0, 1) for block in level_blocks(stack)))
+    solved = rate_matrix(*level_blocks(stack))
     assert solved.shape == (2, 2, 2)
     for params, r in zip((A, B), solved):
         assert np.array_equal(r, rate_matrix(*interior(params)))

@@ -8,7 +8,7 @@ import pytest
 from uqtail import (DOWN, UP, InvalidParameters, Model, StationaryTable,
                     UnstableParameters, characteristic_roots, harmonic,
                     make_params, prefactors, stability, truncated_stationary, twist_summary)
-from uqtail import asymptotics, twist
+from uqtail import kernels, twist
 from uqtail.asymptotics import _escape
 from uqtail.cli import main
 from uqtail.kernels import _fold, _moves, level_blocks
@@ -58,7 +58,8 @@ def test_twisted_row_far_in_y_does_not_overflow():
     # base^(x+y) overflows at y = 3000 on T2, though x = 0; h.ratio reads only
     # the change in exponent, so the twisted row there stays finite and stochastic
     h, state = harmonic(T2), (0, 3000, UP)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=r"^h\(0, 3000, 0\) overflows: "
+                                            r"t2 = 1\.9805717398919083 to the power 3000$"):
         h.value(state)
     probs = [prob * h.ratio(state, (state[0] + step[0], state[1] + step[1], UP + step[2]))
              for step, prob in _fold(_moves(T2), (1, 1, UP))]
@@ -289,18 +290,18 @@ def call_counts(monkeypatch):
 def test_one_twist_pass_per_call(call_counts, tmp_path):
     table = truncated_stationary(T2, x_max=40, y_max=40)
     call_counts.update(dict.fromkeys(NAMES, 0))
-    # analyze: one pass (a move table for the drift), whose roots the report's
-    # spectral reads, the report's stability, the escape check's twisted blocks
-    # (one more) and the boundary solve, which builds no blocks
+    # analyze: one pass (a move table for its twisted blocks, which the drift and
+    # the escape check read), whose roots the report's spectral reads, the
+    # report's stability and the boundary solve, which builds no blocks
     flags = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
     assert main(["analyze", *flags, "--out", str(tmp_path)]) == 0
-    assert call_counts == {"characteristic_roots": 1, "stability": 3, "_moves": 2}
+    assert call_counts == {"characteristic_roots": 1, "stability": 3, "_moves": 1}
     call_counts.update(dict.fromkeys(NAMES, 0))
-    # one pass (the drift's table), then eta's three twisted layouts: the up block's
-    # mass at y cut 1 and the escape blocks at the two y cuts
+    # one pass (its blocks at y cut 1 give the drift and eta's up-block mass), then
+    # eta's escape blocks at the two y cuts
     prefactors(T2, table=table)
     assert call_counts == {"characteristic_roots": 1, "stability": 1,
-                           "_moves": 4}
+                           "_moves": 3}
 
 
 def _stack(sets):
@@ -315,19 +316,22 @@ def _leaves(obj, name):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         for f in dataclasses.fields(obj):
             yield from _leaves(getattr(obj, f.name), f"{name}.{f.name}")
+    elif isinstance(obj, tuple):
+        for i, item in enumerate(obj):
+            yield from _leaves(item, f"{name}[{i}]")
     else:
         yield name, obj
 
 
 def _assert_set_in_stack(stacked, one, k, name):
     """Every leaf of `one` equals set k of the stacked leaf, bit for bit; a
-    stack carries its sets on the last axis."""
+    stack carries its sets on the leading axis."""
     for (path, many), (_, single) in zip(_leaves(stacked, name), _leaves(one, name), strict=True):
         if single is None or isinstance(single, Model):
             assert many is single, path
             continue
         many = np.asarray(many)
-        at = many[..., k] if many.ndim else many
+        at = many[k] if many.ndim else many
         assert np.asarray(at, float).tobytes() == np.asarray(single, float).tobytes(), path
 
 
@@ -349,12 +353,9 @@ def test_stacked_twist_equals_each_set_bit_for_bit(model):
 
 def test_stacked_escape_equals_each_set_bit_for_bit():
     sets = STACK_SETS[Model.MODEL1]
-    esc, blocks = _escape(twist_summary(_stack(sets)))
+    esc = _escape(twist_summary(_stack(sets)))
     for k, params in enumerate(sets):
-        one, one_blocks = _escape(twist_summary(params))
-        _assert_set_in_stack(esc, one, k, "escape")
-        for many, single in zip(blocks, one_blocks, strict=True):   # a leading stack axis
-            assert many[k].tobytes() == single.tobytes()
+        _assert_set_in_stack(esc, _escape(twist_summary(params)), k, "escape")
 
 
 def _first_up_move_scaled_at(k):
@@ -368,7 +369,7 @@ def _first_up_move_scaled_at(k):
 
 
 def test_drift_disagreement_raises_naming_the_set(monkeypatch):
-    monkeypatch.setattr(twist, "_moves", _first_up_move_scaled_at(3))
+    monkeypatch.setattr(kernels, "_moves", _first_up_move_scaled_at(3))
     drift = twist._twist(A)[0].drift
     with pytest.raises(ArithmeticError) as error:
         twist_summary(A)
@@ -402,20 +403,19 @@ def test_nonpositive_drift_raises_naming_the_set(monkeypatch):
                                 "parameters")
 
 
-def _down_block_scaled_at(k):
-    def blocks(params, *args, **kwargs):
-        up, local, down = level_blocks(params, *args, **kwargs)
-        bump = 1.0 + 1e-9 * (np.arange(down.shape[-1]) == k) if down.ndim == 3 else 1.0 + 1e-9
-        return up, local, down * bump
-    return blocks
+def _down_block_scaled_at(twist_pass, k):
+    """The twist with its down block scaled by 1 + 1e-9, in set k of a stack
+    or in a single set."""
+    up, local, down = twist_pass.blocks
+    bump = 1.0 + 1e-9 * (np.arange(len(down)) == k)[:, None, None] if down.ndim == 3 else 1.0 + 1e-9
+    return dataclasses.replace(twist_pass, blocks=(up, local, down * bump))
 
 
-def test_escape_gate_raises_naming_the_set(monkeypatch):
-    monkeypatch.setattr(asymptotics, "level_blocks", _down_block_scaled_at(5))
+def test_escape_gate_raises_naming_the_set():
     with pytest.raises(ArithmeticError) as error:
-        _escape(twist_summary(A))
+        _escape(_down_block_scaled_at(twist_summary(A), 5))
     assert str(error.value) == ("closed-form first-passage matrix fails: residual 3.25e-10 "
                                 "(bound 1e-12), row sums [0.91905976 0.83811952] (must be < 1)")
     with pytest.raises(ArithmeticError,
                        match=r"^closed-form first-passage matrix at stack index 5 fails: "):
-        _escape(twist_summary(_stack(STACK_SETS[Model.MODEL1])))
+        _escape(_down_block_scaled_at(twist_summary(_stack(STACK_SETS[Model.MODEL1])), 5))

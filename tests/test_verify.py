@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from uqtail import Model, asymptotics, kernels, make_params, stability, twist, verify
+from uqtail import Model, asymptotics, kernels, make_params, stability, verify
 from uqtail.kernels import _fold
 from uqtail.verify import (_CHUNK, PARAMS_A, PARAMS_B, _sets, check_drift,
                            check_escape_closed_form, check_harmonicity, check_perron_root,
@@ -205,8 +205,8 @@ def _stability_bound_doubled(params):
 
 
 def _escape_up_scaled(twist_pass):
-    esc, blocks = asymptotics._escape(twist_pass)
-    return dataclasses.replace(esc, up=esc.up * (1.0 + 1e-8)), blocks
+    esc = asymptotics._escape(twist_pass)
+    return dataclasses.replace(esc, up=esc.up * (1.0 + 1e-8))
 
 
 def _fold_first_step_scaled(moves, origin, h=None):
@@ -223,7 +223,7 @@ PLANTED_DEFECTS = [
     (check_perron_root, verify, "characteristic_roots",
      _roots_with("t2", lambda sol: sol.t2 * (1.0 + 1e-9))),
     (check_stability_equivalence, verify, "stability", _stability_bound_doubled),
-    (check_drift, twist, "_moves", _with_first_move_scaled(kernels._moves)),
+    (check_drift, kernels, "_moves", _with_first_move_scaled(kernels._moves)),
     (check_escape_closed_form, verify, "_escape", _escape_up_scaled),
     (check_summability_gate, verify, "characteristic_roots",
      _roots_with("gamma_p", lambda sol: sol.gamma_secondary)),
@@ -252,8 +252,8 @@ def test_tail_reproduction_check_fails_on_a_nan(monkeypatch):
     boundary = verify._boundary
 
     def nan_boundary(params):
-        pi0, r = boundary(params)
-        return np.full_like(pi0, np.nan), r
+        pi0, r, mass = boundary(params)
+        return np.full_like(pi0, np.nan), r, mass
     monkeypatch.setattr(verify, "_boundary", nan_boundary)
     result = verify.check_tail_reproduction()
     assert result.passed is False, result.detail
