@@ -14,12 +14,14 @@ import numpy as np
 from .kernels import level_blocks
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      UnstableParameters, first_failing, make_params)
-from .qbd import StationaryTable, boundary_vector, first_passage, truncated_stationary
-from .spectral import characteristic_roots, stability
+from .qbd import (_TAIL_ERROR, StationaryTable, TruncationError, boundary_vector,
+                  first_passage, truncated_stationary)
+from .spectral import _require_stable, characteristic_roots
 from .twist import TwistSummary, twist_summary
 
 _ESCAPE_RESIDUAL = 1e-12
 _ALPHA_EVAL = 1e-6   # the breakdown rate at which alpha_limits evaluates the limits
+_ETA_TABLE = 60      # x_max = y_max of the tandem eta's own truncated table
 
 
 @dataclass(frozen=True)
@@ -164,16 +166,18 @@ def eta(params: ModelParams, *, table: StationaryTable | None = None) -> EtaEsti
 
 def _eta_model1(twist: TwistSummary, esc: EscapeProbs) -> EtaEstimate:
     pi0 = boundary_vector(twist.params)
-    value = pi0[UP] * esc.up + pi0[DOWN] * twist.harmonic.value((0, DOWN)) * esc.down
-    return EtaEstimate(value=float(value), error_bound=0.0, method="exact")
+    value = pi0[..., UP] * esc.up + pi0[..., DOWN] * twist.harmonic.value((0, DOWN)) * esc.down
+    return EtaEstimate(value=value, error_bound=0.0, method="exact")
 
 
 def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> EtaEstimate:
     params = twist.params
+    if np.ndim(params.lam):
+        raise InvalidParameters("the tandem's eta reads one set's truncated table, not a stack")
     if not params.lam / (params.mu * params.p) < twist.roots.gamma_p:
         raise ArithmeticError("boundary sum not summable: lambda/(mu p) >= gamma_p")
     h = twist.harmonic
-    y_max = 60 if table is None else table.pi.shape[1] - 1
+    y_max = _ETA_TABLE if table is None else table.pi.shape[1] - 1
     column = []   # h(0, y, sigma) in `level_blocks` order, formed before the solve
     try:
         for y in range(y_max + 1):
@@ -181,7 +185,13 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> EtaEstima
     except OverflowError:
         raise ArithmeticError(f"eta's boundary weights: h(0, y, sigma), a multiple of t2^y, "
                               f"overflows from y = {y}, t2 = {h.base!r}") from None
-    table = table or truncated_stationary(params, x_max=60, y_max=60)
+    if table is None:   # a size the caller cannot change, so no advice to enlarge it
+        table = truncated_stationary(params, x_max=_ETA_TABLE, y_max=_ETA_TABLE,
+                                     tail_error=math.inf)
+        if table.tail_mass_bound > _TAIL_ERROR:
+            raise TruncationError(
+                f"eta's truncated table has the fixed size {_ETA_TABLE} x {_ETA_TABLE}, and "
+                f"its estimated tail mass {table.tail_mass_bound:.3g} exceeds {_TAIL_ERROR}")
     weights = table.pi[0].ravel() * np.array(column)   # pi(0, y, sigma) h(0, y, sigma)
     # geometric-tail gate on the last min(10, y_max + 1) levels of the weights
     levels = weights.reshape(-1, 2).sum(axis=1)
@@ -224,8 +234,7 @@ def prefactors(params: ModelParams, model: Model | None = None, *,
     if model not in (None, params.model):
         raise InvalidParameters(f"model {model} does not match the parameters' {params.model}")
     if params.model is Model.MODEL2 and params.p != 1.0:
-        if not stability(params).stable:
-            raise UnstableParameters("the shape-only tail requires a stable parameter set")
+        _require_stable(params, "the shape-only tail")
         sol = characteristic_roots(params)
         return TailAsymptotic(model=params.model, gamma=sol.gamma_p, prefactor_up=None,
                               prefactor_down=None, eta=None, escape_up=None,
@@ -240,8 +249,8 @@ def tail_constants(twist: TwistSummary, *,
     """C(sigma) = eta phi(0, sigma) / (d h(0, sigma)) from one twist pass.
 
     phi is the twisted phase law, d the drift and eta the boundary constant,
-    for Model 1 and the tandem (p = 1) alike (Adan, Foley & McDonald).  The
-    tandem's eta reads `table` (default: a 60 x 60 truncated solve).
+    for Model 1, of a set or a stack, and the tandem (p = 1) (Adan, Foley & McDonald).
+    The tandem's eta reads one set's `table` (default: a 60 x 60 truncated solve).
     """
     params, h = twist.params, twist.harmonic
     if params.model is Model.MODEL1:
@@ -252,11 +261,11 @@ def tail_constants(twist: TwistSummary, *,
                      provenance="closed-form")
     else:
         est = _eta_model2(twist, table)
-        phi0 = [twist.phi(0, sigma) for sigma in (UP, DOWN)]
+        phi0 = np.array([twist.phi(0, sigma) for sigma in (UP, DOWN)])
         origins = ((0, 0, UP), (0, 0, DOWN))
         extra = dict(escape_up=None, escape_down=None, y_ratio=params.lam / params.mu,
                      provenance="closed-form+qbd")
-    c_up, c_down = (est.value * phi0[origin[-1]] / (twist.drift.value * h.value(origin))
+    c_up, c_down = (est.value * phi0[..., origin[-1]] / (twist.drift.value * h.value(origin))
                     for origin in origins)
     return TailAsymptotic(model=params.model, gamma=twist.roots.gamma_p,
                           prefactor_up=c_up, prefactor_down=c_down, eta=est.value,

@@ -14,8 +14,8 @@ import numpy as np
 
 from .kernels import _fold, _moves, _origins
 from .params import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
-                     UnstableParameters, first_failing, make_params)
-from .spectral import stability
+                     first_failing, make_params)
+from .spectral import _require_stable
 
 if TYPE_CHECKING:   # scipy loads in the sparse solves only; most verbs never run one
     import scipy.sparse as sp
@@ -29,6 +29,7 @@ _FIRST_PASSAGE_RESIDUAL = 1e-12
 # 0.999999 load.  Row sums past this bound mean the blocks are not a QBD's (rows
 # of A0 + A1 + A2 summing above 1); transient chains keep theirs below 1.
 _FIRST_PASSAGE_ROW_EXCESS = 1e-8
+_TAIL_ERROR = 0.01   # default bound on a truncated table's estimated tail mass
 
 
 class ConvergenceError(RuntimeError):
@@ -93,10 +94,14 @@ class StationaryTable(LatticeLaw):
 
 
 def rate_matrix_closed_form(params: ModelParams) -> np.ndarray:
-    """Minimal solution of R = R^2 A2 + R A1 + A0 in closed form."""
+    """Minimal solution of R = R^2 A2 + R A1 + A0 in closed form, (..., 2, 2) on a stack."""
     lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
-    return lam / mu * np.array([[1.0, alpha / (lam + beta)],
-                                [1.0, (alpha + mu) / (lam + beta)]])
+    scale = lam / mu
+    r = np.empty(np.shape(lam) + (2, 2))   # filled: np.stack would take three times as long
+    r[..., 0, 0] = r[..., 1, 0] = scale
+    r[..., 0, 1] = scale * (alpha / (lam + beta))
+    r[..., 1, 1] = scale * ((alpha + mu) / (lam + beta))
+    return r
 
 
 def first_passage(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -153,7 +158,7 @@ def neuts_stability(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> bool | np
 
 
 def boundary_vector(params: ModelParams) -> np.ndarray:
-    """Stationary probabilities of level 0, (pi(0,U), pi(0,D))."""
+    """Stationary probabilities of level 0, (pi(0,U), pi(0,D)), of shape (..., 2) on a stack."""
     return _boundary(params)[0]
 
 
@@ -164,28 +169,28 @@ def _boundary(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pi(0, D)(lambda + beta) = alpha pi(0, U): pi0 is proportional to
     (lambda + beta, alpha), free of the cancellation a null vector of
     B1 + R A2 - I (B1 the level-0 local block) suffers as alpha -> 0, and
-    sums to 1 with its levels above, pi0 (I - R)^-1 1.
+    sums to 1 with its levels above, pi0 (I - R)^-1 1, a BLAS dot (`np.vecdot`).
     """
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the boundary vector needs a Model 1 parameter set")
-    if not stability(params).stable:
-        raise UnstableParameters("stationary distribution requires stability")
+    _require_stable(params, "the boundary vector")
     r = rate_matrix_closed_form(params)
-    pi0 = np.array([params.lam + params.beta, params.alpha])
+    pi0 = np.empty(r.shape[:-1])
+    pi0[..., UP], pi0[..., DOWN] = params.lam + params.beta, params.alpha
     mass = np.linalg.solve(np.eye(2) - r, np.ones(2))
-    return pi0 / float(pi0 @ mass), r, mass
+    return pi0 / np.vecdot(pi0, mass)[..., None], r, mass
 
 
-def _model1_levels(params: ModelParams, k_max: int) -> tuple[np.ndarray, float]:
-    """Levels pi0 R^k for k <= k_max + 1, one shell past k_max, and the mass
-    beyond level k_max: level k_max + 1's sum plus the mass beyond it."""
+def _model1_levels(params: ModelParams, k_max: int) -> tuple[np.ndarray, float | np.ndarray]:
+    """Levels pi0 R^k for k <= k_max + 1, one shell past k_max, (..., k_max + 2, 2) on a
+    stack, and the mass beyond level k_max: level k_max + 1's sum plus the mass beyond it."""
     pi0, r, mass = _boundary(params)
-    levels = np.empty((k_max + 2, 2))
-    levels[0] = pi0
+    levels = np.empty(pi0.shape[:-1] + (k_max + 2, 2))
+    levels[..., 0, :] = pi0
     for k in range(k_max + 1):
-        np.matmul(levels[k], r, out=levels[k + 1])
-    beyond = float(levels[-1] @ r @ mass)
-    return levels, beyond + float(levels[-1].sum())
+        np.matmul(levels[..., k, None, :], r, out=levels[..., k + 1, None, :])
+    beyond = np.vecdot(np.matmul(levels[..., -1, None, :], r)[..., 0, :], mass)
+    return levels, beyond + levels[..., -1, :].sum(axis=-1)
 
 
 def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
@@ -313,7 +318,7 @@ def _closed_form_table(params: ModelParams, pi: np.ndarray, x_tail: float,
 
 def truncated_stationary(params: ModelParams, model: Model | None = None, *,
                          x_max: int, y_max: int | None = None,
-                         tail_error: float = 0.01) -> StationaryTable:
+                         tail_error: float = _TAIL_ERROR) -> StationaryTable:
     """Stationary law of the chain truncated to the lattice, by sparse solve.
 
     Probability leaving the lattice is folded back into the diagonal
@@ -393,11 +398,8 @@ def stationary_table(params: ModelParams, x_max: int, y_max: int | None = None) 
     stability condition, before any solve.
     """
     _lattice_shape(params.model, x_max, y_max)
+    _require_stable(params, "the stationary table")
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
-    if not stability(params).stable:
-        bound = "mu p" if params.model is Model.RSRD else "beta/(alpha+beta) mu p"
-        raise UnstableParameters(f"the stationary table requires a stable parameter set, "
-                                 f"lambda < {bound}; got lambda = {lam!r}")
     if params.model is Model.MODEL1:
         return exact_stationary_model1(params, x_max)
     if params.model is Model.MODEL2 and p != 1.0:

@@ -11,11 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
-                     UnstableParameters, check_state)
+from .params import DOWN, UP, InvalidParameters, Model, ModelParams, check_state
 from .kernels import _fold, _moves, level_blocks
-from .qbd import ConvergenceError, LatticeLaw, exact_stationary_model1
-from .spectral import stability
+from .qbd import ConvergenceError, LatticeLaw, _model1_levels
+from .spectral import _require_stable
 
 _RNG_IDENTITY = "numpy.random.Generator(PCG64)"
 _BLOCK = 1 << 16
@@ -379,8 +378,7 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
     _check_levels(level_k, base_level)
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the excursion slope needs a Model 1 parameter set")
-    if not stability(params).stable:
-        raise UnstableParameters("stationary distribution requires stability")
+    _require_stable(params, "the excursion slope")
     rise = level_k - base_level
     if rise == 1:   # the step up from base is the whole excursion
         return ConditionedSlope(level_k=level_k, base_level=base_level,
@@ -389,7 +387,7 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
                                 remaining_mass=0.0, h=np.ones((0, 2)))
     levels = rise - 1
     a0, a1, a2 = level_blocks(params)
-    lift = exact_stationary_model1(params, k_max=base_level).pi[base_level] * np.diag(a0)
+    lift = _model1_levels(params, base_level)[0][base_level] * np.diag(a0)
     # unknowns (x, sigma) -> 2 (x - base - 1) + sigma on the interior levels,
     # block-tridiagonal; moves to K feed `hit`, moves to base are killed
     q = (np.kron(np.eye(levels, k=1), a0) + np.kron(np.eye(levels), a1)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import level_blocks
-from .params import (InvalidParameters, Model, ModelParams, elementwise, first_failing,
-                     holds, select)
+from .params import (InvalidParameters, Model, ModelParams, UnstableParameters, elementwise,
+                     first_failing, holds, select)
 
 
 @dataclass(frozen=True)
@@ -110,3 +110,13 @@ def stability(params: ModelParams) -> StabilityReport:
     iff = params.model is not Model.MODEL2 or p == 1.0
     return StabilityReport(stable=lam < effective * p, effective_rate=effective,
                            if_and_only_if=iff)
+
+
+def _require_stable(params: ModelParams, stage: str) -> None:
+    """UnstableParameters naming `stage` and the first unstable set, unless all are stable."""
+    stable = stability(params).stable
+    if not holds(stable):
+        index, where = first_failing(np.logical_not(stable))
+        bound = "mu p" if params.model is Model.RSRD else "beta/(alpha+beta) mu p"
+        raise UnstableParameters(f"{stage} requires a stable parameter set, lambda < {bound}; "
+                                 f"got lambda = {np.asarray(params.lam)[index].item()!r}{where}")

@@ -10,9 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import level_blocks
-from .params import (DOWN, UP, InvalidParameters, Model, ModelParams, UnstableParameters,
-                     first_failing, holds)
-from .spectral import SpectralSolution, characteristic_roots, stability
+from .params import DOWN, UP, InvalidParameters, Model, ModelParams, first_failing, holds
+from .spectral import SpectralSolution, _require_stable, characteristic_roots
 
 _DRIFT_AGREEMENT = 1e-10
 
@@ -95,12 +94,6 @@ class TwistSummary:
     blocks: tuple = field(repr=False)   # `level_blocks` at y cut 0 (Model 1), 1 (tandem)
 
 
-def _require_stable(params: ModelParams) -> SpectralSolution:
-    if not holds(stability(params).stable):
-        raise UnstableParameters("operation requires a stable parameter set")
-    return characteristic_roots(params)
-
-
 def _harmonic(params: ModelParams, sol: SpectralSolution) -> HarmonicFunction:
     return HarmonicFunction(model=params.model, base=sol.t2,
                             down_weight=2.0 * params.beta / sol.den)
@@ -111,7 +104,8 @@ def harmonic(params: ModelParams) -> HarmonicFunction:
     every set of a stack); RS-RD has no free process and raises InvalidParameters."""
     if params.model is Model.RSRD:
         raise InvalidParameters("the harmonic function is defined for Model 1 and the tandem only")
-    return _harmonic(params, _require_stable(params))
+    _require_stable(params, "the harmonic function")
+    return _harmonic(params, characteristic_roots(params))
 
 
 def twist_summary(params: ModelParams) -> TwistSummary:
@@ -144,7 +138,8 @@ def _twist(params: ModelParams):
     tandem = params.model is Model.MODEL2 and holds(params.p == 1.0)
     if not (params.model is Model.MODEL1 or tandem):
         raise InvalidParameters("the twist is derived for Model 1 and the tandem (p = 1) only")
-    sol = _require_stable(params)
+    _require_stable(params, "the twist")
+    sol = characteristic_roots(params)
     h = _harmonic(params, sol)
     lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
     den, g = sol.den, sol.g_constant

@@ -14,13 +14,15 @@ import numpy as np
 from .asymptotics import _escape, _escape_first_passage, prefactors, tail_constants
 from .kernels import _fold, _moves, _origins, _row, level_blocks
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, elementwise, make_params
-from .qbd import (_boundary, boundary_vector, neuts_stability, rate_matrix,
+from .qbd import (_boundary, _model1_levels, boundary_vector, neuts_stability, rate_matrix,
                   rate_matrix_closed_form, stationary_table)
 from .spectral import characteristic_roots, feynman_kac, stability
 from .twist import _twist, harmonic, twist_summary
 
 PARAMS_A = make_params(10.0, 11.0, 0.1, 10.0)
 PARAMS_B = make_params(20.0, 60.0, 0.01, 1.0)
+_RATES = ("lam", "mu", "alpha", "beta")
+_REFERENCE = make_params(*(np.r_[getattr(PARAMS_A, r), getattr(PARAMS_B, r)] for r in _RATES))
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,14 @@ def _grid(rng: np.random.Generator, grid: int, labels):
         for model, rows in ((Model.MODEL1, ~tandem), (Model.MODEL2, tandem)):
             if rows.any():
                 yield _sets(draws[rows, 1:], p[rows], stable[rows], model)
+
+
+def _reference_led(grid: int, seed: int):
+    """Stacks of `grid` stable Model 1 sets from `_grid`, with A and B leading the first."""
+    stacks = _grid(np.random.default_rng(seed), grid, lambda i, u: (False, 1.0, True))
+    for k, params in enumerate(stacks):
+        yield params if k else make_params(*(np.r_[getattr(_REFERENCE, r), getattr(params, r)]
+                                             for r in _RATES))
 
 
 def _worst(worst: float, gaps) -> float:
@@ -146,16 +156,11 @@ def check_perron_root(grid: int, seed: int) -> CheckResult:
 
 
 def check_rate_matrix() -> CheckResult:
-    worst_r = worst_eig = 0.0
-    stack = make_params(*(np.r_[getattr(PARAMS_A, r), getattr(PARAMS_B, r)]   # one solve
-                          for r in ("lam", "mu", "alpha", "beta")))
-    solved = rate_matrix(*level_blocks(stack))
-    for params, r_solved in zip((PARAMS_A, PARAMS_B), solved):
-        r_closed = rate_matrix_closed_form(params)
-        worst_r = _worst(worst_r, r_closed - r_solved)
-        sol = characteristic_roots(params)
-        eig_gap = np.sort(np.linalg.eigvals(r_closed)) - (sol.gamma_secondary, sol.gamma_p)
-        worst_eig = _worst(worst_eig, eig_gap)
+    r_closed = rate_matrix_closed_form(_REFERENCE)
+    sol = characteristic_roots(_REFERENCE)
+    worst_r = _worst(0.0, r_closed - rate_matrix(*level_blocks(_REFERENCE)))
+    worst_eig = _worst(0.0, np.sort(np.linalg.eigvals(r_closed))
+                       - np.c_[sol.gamma_secondary, sol.gamma_p])
     return CheckResult("rate-matrix-consistency", _worst(worst_r, worst_eig) <= 1e-12,
                        f"max entry gap = {worst_r:.3g}, max eigen gap = {worst_eig:.3g}")
 
@@ -186,40 +191,50 @@ def check_drift(grid: int, seed: int) -> CheckResult:
 
 
 def check_tail_reproduction() -> CheckResult:
-    worst = 0.0
-    for params in (PARAMS_A, PARAMS_B):
-        asym = prefactors(params)
-        tail = np.array([asym.prefactor_up, asym.prefactor_down]) * asym.gamma ** 200
-        pi0, r, _ = _boundary(params)
-        worst = _worst(worst, pi0 @ np.linalg.matrix_power(r, 200) / tail - 1.0)
+    asym = prefactors(_REFERENCE)
+    tail = np.c_[asym.prefactor_up, asym.prefactor_down] * asym.gamma[:, None] ** 200
+    pi0, r, _ = _boundary(_REFERENCE)
+    worst = _worst(0.0, (pi0[:, None] @ np.linalg.matrix_power(r, 200))[:, 0] / tail - 1.0)
     return CheckResult("closed-prefactor-tail", worst <= 1e-3,
                        f"max |pi/(C gamma^k) - 1| at k=200: {worst:.3g}")
 
 
+def check_exact_coefficient(grid: int, seed: int) -> CheckResult:
+    # pi(k) = pi0 R^k and R's eigenvalues are gamma_1 > gamma_2, so a_k = pi(k) / gamma_1^k
+    # = c + d rho^k, rho = gamma_2 / gamma_1: levels k and k + 1 give the exact gamma_1^k
+    # coefficient c, which the theorem says is C(sigma).  k = min(50, floor(600 / -ln
+    # gamma_1) - 1) keeps gamma_1^k from underflowing.  A and B lead the first stack.
+    worst = 0.0
+    for params in _reference_led(grid, seed):
+        asym = tail_constants(twist_summary(params))
+        gamma, rho = asym.gamma[:, None], (asym.secondary_gamma / asym.gamma)[:, None]
+        k = np.minimum(50, np.floor(600.0 / -np.log(asym.gamma)).astype(int) - 1)
+        levels, _ = _model1_levels(params, int(k.max()))
+        sets = np.arange(len(k))
+        a_k, a_next = (levels[sets, j] / gamma ** j[:, None] for j in (k, k + 1))
+        exact = (a_next - rho * a_k) / (1.0 - rho)
+        worst = _worst(worst, np.c_[asym.prefactor_up, asym.prefactor_down] / exact - 1.0)
+    return CheckResult("prefactor-exact-coefficient", worst <= 1e-12,
+                       f"max |C / c - 1| = {worst:.3g}, c the exact gamma_1^k coefficient "
+                       "of pi0 R^k")
+
+
 def check_eta_bounds() -> CheckResult:
-    ok = True
-    details = []
-    for params in (PARAMS_A, PARAMS_B):
-        twist = twist_summary(params)
-        asym = tail_constants(twist)
-        pi0 = boundary_vector(params)
-        upper = pi0[UP] + pi0[DOWN] * twist.harmonic.value((0, DOWN))
-        ok = (ok and 0.0 < asym.eta <= upper and 0.0 < asym.escape_up < 1.0
-              and 0.0 < asym.escape_down < 1.0)
-        details.append(f"eta={asym.eta:.6g} in (0,{upper:.6g}]")
-    return CheckResult("eta-in-range", ok, "; ".join(details))
+    twist = twist_summary(_REFERENCE)
+    asym = tail_constants(twist)
+    pi0 = boundary_vector(_REFERENCE)
+    upper = pi0[:, UP] + pi0[:, DOWN] * twist.harmonic.value((0, DOWN))
+    ok = ((0.0 < asym.eta) & (asym.eta <= upper) & (0.0 < asym.escape_up) & (asym.escape_up < 1.0)
+          & (0.0 < asym.escape_down) & (asym.escape_down < 1.0)).all()
+    return CheckResult("eta-in-range", bool(ok), "; ".join(
+        f"eta={eta:.6g} in (0,{bound:.6g}]" for eta, bound in zip(asym.eta, upper)))
 
 
 def check_escape_closed_form(grid: int, seed: int) -> CheckResult:
     # A and B lead the first stack; each stack's twisted blocks are solved by one
     # logarithmic reduction
     worst = 0.0
-    rates = ("lam", "mu", "alpha", "beta")
-    for k, params in enumerate(_grid(np.random.default_rng(seed), grid,
-                                     lambda i, u: (False, 1.0, True))):
-        if k == 0:
-            params = make_params(*(np.r_[getattr(PARAMS_A, r), getattr(PARAMS_B, r),
-                                         getattr(params, r)] for r in rates))
+    for params in _reference_led(grid, seed):
         twist = twist_summary(params)
         esc = _escape(twist)
         worst = _worst(worst, _escape_first_passage(*twist.blocks) - np.c_[esc.up, esc.down])
@@ -262,6 +277,7 @@ def run_checks(grid: int = 200, seed: int = 7) -> list[CheckResult]:
         check_stability_equivalence(grid, seed + 5),
         check_drift(small, seed + 6),
         check_tail_reproduction(),
+        check_exact_coefficient(small, seed + 9),
         check_eta_bounds(),
         check_escape_closed_form(small, seed + 8),
         check_summability_gate(grid, seed + 7),

@@ -15,11 +15,12 @@ from uqtail import (DOWN, UP, InvalidParameters, Model, UnstableParameters,
                     rate_matrix_closed_form, stationary_table, tail_fit,
                     truncated_stationary, twist_summary, two_geometric_fit,
                     two_term_tail)
-from uqtail.asymptotics import _escape_first_passage, _line
+from uqtail import asymptotics
+from uqtail.asymptotics import _escape_first_passage, _line, tail_constants
 from uqtail.cli import main
 from uqtail.kernels import full_kernel, level_blocks
-from uqtail.qbd import StationaryTable, first_passage
-from uqtail.verify import check_tail_reproduction, random_params
+from uqtail.qbd import StationaryTable, _boundary, _model1_levels, first_passage
+from uqtail.verify import _sets, check_tail_reproduction, random_params
 
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
@@ -527,3 +528,46 @@ def test_stationary_table_needs_both_sides_and_stability():
     half = make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2)
     assert np.array_equal(stationary_table(half, x_max=20, y_max=20).pi,
                           truncated_stationary(half, x_max=20, y_max=20).pi)
+
+
+def test_model1_tail_path_of_a_stack_equals_each_sets_bit_for_bit():
+    # A, B and 300 random stable sets as one stack: every stage from R to C(sigma)
+    # runs the body it runs for one set, so each set's slice matches bit for bit
+    sets = [A, B, *(_sets(u) for u in np.random.default_rng(5).random((300, 4)))]
+    stack = make_params(*(np.array([getattr(s, r) for s in sets], dtype=float)
+                          for r in ("lam", "mu", "alpha", "beta")))
+    fields = ("gamma", "secondary_gamma", "prefactor_up", "prefactor_down", "eta",
+              "escape_up", "escape_down")
+    stacked = tail_constants(twist_summary(stack))
+    via_prefactors, via_eta = prefactors(stack), eta(stack)
+    for name in fields:
+        assert np.array_equal(getattr(via_prefactors, name), getattr(stacked, name)), name
+    assert np.array_equal(via_eta.value, stacked.eta)
+    r, boundary, (levels, beyond) = (rate_matrix_closed_form(stack), _boundary(stack),
+                                     _model1_levels(stack, 60))
+    assert r.shape == (302, 2, 2) and levels.shape == (302, 62, 2) and beyond.shape == (302,)
+    for k, params in enumerate(sets):
+        one = tail_constants(twist_summary(params))
+        for name in fields:
+            assert np.float64(getattr(stacked, name)[k]).tobytes() == \
+                np.float64(getattr(one, name)).tobytes(), (k, name)
+        assert r[k].tobytes() == rate_matrix_closed_form(params).tobytes()
+        for many, single in zip(boundary, _boundary(params), strict=True):
+            assert many[k].tobytes() == single.tobytes()
+        one_levels, one_beyond = _model1_levels(params, 60)
+        assert levels[k].tobytes() == one_levels.tobytes() and beyond[k] == one_beyond
+
+
+def test_a_tandem_stack_is_refused_by_name_before_any_solve(monkeypatch):
+    # the tandem's eta reads one set's truncated table; a stack has none to read
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the truncated solve ran")
+
+    monkeypatch.setattr(asymptotics, "truncated_stationary", no_solve)
+    stack = make_params(np.array([10.0, 5.0]), np.array([30.0, 30.0]), np.array([0.1, 0.2]),
+                        np.array([10.0, 10.0]), model=Model.MODEL2)
+    for call in (prefactors, eta, lambda params: tail_constants(twist_summary(params))):
+        with pytest.raises(InvalidParameters) as refusal:
+            call(stack)
+        assert str(refusal.value) == ("the tandem's eta reads one set's truncated table, "
+                                      "not a stack")

@@ -252,10 +252,40 @@ def test_unstable_sets_are_validation_errors(tmp_path, capsys, monkeypatch, argv
     assert not solved and not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("rates,mass", [
+    (("10", "11", "0.1", "10"), "0.0842"),
+    (("20", "60", "0.01", "1"), "0.0632"),
+    (("10", "11", "1e-12", "10"), "0.0169"),
+], ids=["A", "B", "tiny-alpha"])
+def test_tandem_eta_names_its_fixed_table_instead_of_advising_a_larger_one(tmp_path, capsys,
+                                                                          rates, mass):
+    # analyze has no flag to enlarge the 60 x 60 table eta builds, so the error
+    # names the fixed size instead of advising a larger lattice
+    out = tmp_path / "out"
+    argv = ["analyze", *_rate_flags(*rates), "--model", "model2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("verification failure: eta's truncated table has the fixed size "
+                            f"60 x 60, and its estimated tail mass {mass} exceeds 0.01\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_tailfit_keeps_its_advice_to_enlarge_the_lattice(tmp_path, capsys):
+    # tailfit's --xmax sets its lattice, so there the advice can be followed
+    argv = ["tailfit", *_rate_flags("10", "30", "0.1", "10"), "--model", "model2", "--p", "0.5",
+            "--kmin", "1", "--kmax", "6", "--xmax", "8"]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("verification failure: estimated tail mass 0.0824 "
+                                       "exceeds 0.01; enlarge the lattice\n")
+
+
 @pytest.mark.parametrize("model,message", [
-    ("model1", "operation requires a stable parameter set"),
-    ("model2", "operation requires a stable parameter set"),
-    ("model2 --p 0.5", "the shape-only tail requires a stable parameter set"),
+    ("model1", "the twist requires a stable parameter set, "
+               "lambda < beta/(alpha+beta) mu p; got lambda = 1e+150"),
+    ("model2", "the twist requires a stable parameter set, "
+               "lambda < beta/(alpha+beta) mu p; got lambda = 1e+150"),
+    ("model2 --p 0.5", "the shape-only tail requires a stable parameter set, "
+                       "lambda < beta/(alpha+beta) mu p; got lambda = 1e+150"),
 ], ids=["model1", "tandem-p1", "tandem-p0.5"])
 def test_underflowing_roots_of_an_unstable_set_are_a_validation_error(tmp_path, capsys,
                                                                       model, message):
@@ -495,8 +525,8 @@ def test_verify_rejects_empty_grid(capsys, grid):
 VERIFY_CHECKS = ["kernel-rows-stochastic", "free-kernel-harmonicity", "twisted-rows-stochastic",
                  "characteristic-roots", "tilted-perron-root-one", "rate-matrix-consistency",
                  "stability-equivalences", "twisted-drift-positive", "closed-prefactor-tail",
-                 "eta-in-range", "escape-closed-form", "product-form-summability",
-                 "rs-rd-global-balance"]
+                 "prefactor-exact-coefficient", "eta-in-range", "escape-closed-form",
+                 "product-form-summability", "rs-rd-global-balance"]
 
 
 def test_verify_small_grid(capsys):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from uqtail import (InvalidParameters, Model, characteristic_roots,
-                    feynman_kac, make_params, stability)
+from uqtail import (InvalidParameters, Model, UnstableParameters, boundary_vector,
+                    characteristic_roots, conditioned_excursion_slope, exact_stationary_model1,
+                    feynman_kac, harmonic, make_params, prefactors, stability, stationary_table,
+                    twist_summary)
+from uqtail.spectral import _require_stable
 from uqtail.verify import check_perron_root, random_params
 
 A = make_params(10, 11, 0.1, 10)
@@ -152,3 +155,46 @@ def test_stability_report():
     assert rep.effective_rate == pytest.approx(10 / 10.1 * 11)
     rep2 = stability(make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2))
     assert rep2.stable and rep2.if_and_only_if is False
+
+
+UNSTABLE = make_params(12, 11, 0.1, 10)   # load 12 / 10.89: above the bound
+BOUND = "lambda < beta/(alpha+beta) mu p"
+
+
+@pytest.mark.parametrize("call,stage", [
+    (harmonic, "the harmonic function"),
+    (twist_summary, "the twist"),
+    (boundary_vector, "the boundary vector"),
+    (lambda params: exact_stationary_model1(params, 5), "the boundary vector"),
+    (lambda params: stationary_table(params, 5), "the stationary table"),
+    (lambda params: conditioned_excursion_slope(params, 5), "the excursion slope"),
+    (lambda params: prefactors(make_params(20, 30, 0.1, 10, p=0.5, model=Model.MODEL2)),
+     "the shape-only tail"),
+], ids=["harmonic", "twist", "boundary", "exact-table", "stationary-table", "slope",
+        "shape-only"])
+def test_the_stability_gate_names_its_stage(call, stage):
+    # every stage refuses an unstable set through one gate, with one text
+    with pytest.raises(UnstableParameters) as refusal:
+        call(UNSTABLE)
+    lam = 20 if stage == "the shape-only tail" else 12
+    assert str(refusal.value) == (f"{stage} requires a stable parameter set, {BOUND}; "
+                                  f"got lambda = {lam}")
+
+
+def test_the_stability_gate_names_the_first_unstable_set_of_a_stack():
+    stack = make_params(np.array([10.0, 12.0, 13.0]), np.full(3, 11.0), np.full(3, 0.1),
+                        np.full(3, 10.0))
+    for call, stage in ((harmonic, "the harmonic function"), (twist_summary, "the twist"),
+                        (boundary_vector, "the boundary vector"),
+                        (lambda params: _require_stable(params, "a stage"), "a stage")):
+        with pytest.raises(UnstableParameters) as refusal:
+            call(stack)
+        assert str(refusal.value) == (f"{stage} requires a stable parameter set, {BOUND}; "
+                                      "got lambda = 12.0 at stack index 1")
+    rsrd = make_params(16, 30, 0.1, 10, p=0.5, model=Model.RSRD)
+    with pytest.raises(UnstableParameters) as refusal:
+        _require_stable(rsrd, "the stationary table")
+    assert str(refusal.value) == ("the stationary table requires a stable parameter set, "
+                                  "lambda < mu p; got lambda = 16")
+    _require_stable(make_params(np.array([10.0, 5.0]), np.full(2, 11.0), np.full(2, 0.1),
+                                np.full(2, 10.0)), "a stage")   # stable: no refusal

@@ -8,7 +8,7 @@ import pytest
 from uqtail import (DOWN, UP, InvalidParameters, Model, StationaryTable,
                     UnstableParameters, characteristic_roots, harmonic,
                     make_params, prefactors, stability, truncated_stationary, twist_summary)
-from uqtail import kernels, twist
+from uqtail import kernels, spectral, twist
 from uqtail.asymptotics import _escape
 from uqtail.cli import main
 from uqtail.kernels import _fold, _moves, level_blocks
@@ -390,7 +390,7 @@ def test_drift_disagreement_raises_naming_the_set(monkeypatch):
 def test_nonpositive_drift_raises_naming_the_set(monkeypatch):
     # an overloaded set passed off as stable has a negative twisted drift
     over = make_params(12, 11, 0.1, 10)
-    monkeypatch.setattr(twist, "stability", lambda params: dataclasses.replace(
+    monkeypatch.setattr(spectral, "stability", lambda params: dataclasses.replace(
         stability(params), stable=np.ones_like(params.lam, dtype=bool)))
     with pytest.raises(ArithmeticError) as error:
         twist_summary(over)

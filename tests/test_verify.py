@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from uqtail import Model, asymptotics, kernels, make_params, stability, verify
+from uqtail.asymptotics import _eta_model1
 from uqtail.kernels import _fold
 from uqtail.verify import (_CHUNK, PARAMS_A, PARAMS_B, _sets, check_drift,
-                           check_escape_closed_form, check_harmonicity, check_perron_root,
+                           check_escape_closed_form, check_exact_coefficient,
+                           check_harmonicity, check_perron_root,
                            check_rows_stochastic, check_spectral_roots,
                            check_stability_equivalence, check_summability_gate,
                            check_twisted_rows, random_params, run_checks)
@@ -57,46 +59,46 @@ def test_stacked_draw_takes_p_and_stable_per_set():
 
 
 VERIFY_DIGESTS = {
-    (20, 0): "e30d820df9b815a6b17972bbd68023792c41cc5948f86621595e9079b70d7302",
-    (20, 1): "a373ba9c1180fe515061fb3dd7ef5f1dba457d231d3999afa6cf48cecb19c886",
-    (20, 2): "ed1ff0ed9ea8a6324b31159ab0d1b834105f65f75b76ec440eeb88616d13efe4",
-    (20, 3): "6220e9603a6b1563c2531395d947dc8420c24ee700a1ebde14ae74ce901c06da",
-    (20, 4): "bc80f562a9d914c1a303d0f2bbfe6c083ae3a0627efa89d3a9c0ef4e78474dbf",
-    (20, 5): "ee6f56e6b25669a87c2e282832f12f078915b2cb194107a4b9bba8f73c324c77",
-    (20, 6): "99709ea32f7f6d0718fa0ee4c3f3c85eac425ba459217418bf1b7b780c2e759c",
-    (20, 7): "e50e40bc850c9b855f20ca79ae76bd63d6df9306bcfd3974da8e570a9badb869",
-    (20, 8): "205426dafb3f119f84c38b79f50954b362ce56cee358dc87bc5734670f193ef5",
-    (20, 9): "d7dbd569e44b00037749b43c53d3d67df24b49b2bcef0b7449c517aaf64c989a",
-    (20, 10): "2379e3267744b7620f4f65dfa6f0aebfa9d980ee28bb210f5835db0851f4d7af",
-    (20, 11): "4da27e8edb2299523a7b68de4e3f32f498d499b383d0e8688f484f2bc0f2f59c",
-    (20, 12): "b628322bd7dc2c2305fd10503234904c96ca1d796376fd91147a1e056dc297e4",
-    (50, 0): "7d3882bb73f3a16182bcd6aacb6658b71c75f5b88ab7eba07704825f4af82f34",
-    (50, 1): "ee0c35cc26ec3e9b385bea8c1fb0d737cde035ffcab6c6e5a0b106e9c37d8e81",
-    (50, 2): "0c1e579f484b8884e3efcf1929b0370230f18dde596cd0e1c35b70b12f198742",
-    (50, 3): "93069e18c440f34b9d08d25c49ef80db3870fda0243730c23d16e0c8e200d3b3",
-    (50, 4): "916db24b369154a698a0b8f526cf29acc14f73400743853333ed16e909daef29",
-    (50, 5): "1f46a85d2edb2788a7e17b76864296477a3426193654482b19dfb07d3128d90f",
-    (50, 6): "9624acdf69217b29b9ef2ef04d66934a85a34b36955ada28b0d4d6fdcbd7fdc2",
-    (50, 7): "04c097406ea9381f81ed1a5c16bdb35b0dd7ff2ce09ba2e6da3a35afe99d4951",
-    (50, 8): "c88338d85e587e8fff1811dad7dea91646daee87d08df00eaa47574b116faba5",
-    (50, 9): "05413d3060a81f97d8a080579d8a0be36007a14752e3977a01b3aefc3c30fca8",
-    (50, 10): "f5dc03d388d21bb29868451bb75a2c268f46023af1654dbdc1c611ea6feac09b",
-    (50, 11): "51905f9de1ce9fa667cd2ee9062116be9475b5d5a1de871cc51661e57139c1bd",
-    (50, 12): "03b440af4bad233da64fcd6656c811901690fe74c51069605ae9e30a3169ade9",
-    (200, 0): "729c10511693625c9858de4f9be52169026eb68ba43484b64086fb28c53665c7",
-    (200, 1): "bf6c3a701a174afc37e90e9cc636dc54ae69ef9426c22858492706115337f38b",
-    (200, 2): "f31a385808ea7f4f65b69687bcbc508b05148b38ae302572b2b4f40114824420",
-    (200, 3): "e8d975e9df206de14b446cec192e863c0f15f77e9f2d8ee47bcace284ec260ab",
-    (200, 4): "0619349b76d12be57fd09b9adbea7b3c6000e0fd96645b950a2e49af0ccfe39f",
-    (200, 5): "303901f533dc4121aea9735a8b7078d7bd381700ca5795f0a26cb2e28663f386",
-    (200, 6): "2aaf64b061ed113f6368743cf859f4bf3804dc8ac4c6864cb21940168018bce1",
-    (200, 7): "3b2a572a3e3c841f95850b7992bc09be120b5e4f45c194c9b9e6110611d77618",
-    (200, 8): "8d4ea033016cc92a87789e28980d774713cb515b39e6409dd5d50d6fdfb299ef",
-    (200, 9): "fdf0698672ae18c0521e2e42690f9fd9203666c39ce0cef6510f575d50cdec94",
-    (200, 10): "01d5ff37202e9a378bba863257a45638a4af7d53246199503f4ee1acc4103dab",
-    (200, 11): "b50f03ab897fc5c7d71ff6aa9c528d1ed6a85bd4ed3fa63df0e77678737a90c5",
-    (200, 12): "3e8e573265bdede1b25e9c0471e60e85cad14b624d3cf1f677f2ba2ab6d23998",
-    (1031, 11): "a8cb0cb20ec8913d1b2cc0a25ab39dae579b648ca57cdde2f01ca2b80d8b9b3d",
+    (20, 0): "33139a4d95db0766ca68e11ec8fd0e9e06dcaf7b26c1af7e2e2b796d8f4b434e",
+    (20, 1): "170b702df3b2f45da4477f7cf2b3254ef2d01423c693b6003ecc2e448c91cfc0",
+    (20, 2): "fac727a9d686cdbecbb69adfc33c5ca372cf7684722009645669fb2c0d6b5f1f",
+    (20, 3): "b06c037e69158dd62d690a10d06414fc3210db079625ada71bfd20bf3e18321d",
+    (20, 4): "87be594808db882bd7d5e1c795e6d0f21d2d51d203ed21e8c56f35a988282aa4",
+    (20, 5): "2c085b0f242c3e3badbfbd3aca0270003f2701e064683b420d09639c00c46511",
+    (20, 6): "a2ad64c5c0c2461250d3351d82d982781c548ffafbf64cbf785f91634d3cd71e",
+    (20, 7): "932566ed37db61339ac361fe1ec3540ac7300ba2b83e065610bc0e70509f6f00",
+    (20, 8): "0974a641fd423008ce208b773ffbe3b8b8a2e2063d9bbe9a71600db1040c1cec",
+    (20, 9): "7df386cbd560c04b3811984bac749702691d84e5022a314b388ed008423209ef",
+    (20, 10): "6c391f219401a040a24b4e28de9454d8f2943c647e96b9517a4dc579def16a6f",
+    (20, 11): "a4087199a5aee6884da7cb120f9fa8184b9c3e8392c2c82e31cc26a73ae20112",
+    (20, 12): "998efc0ec29f60e878042675ec003b24ac4e70c0201cb288310ce4e334ab1bf8",
+    (50, 0): "12718575a8baf5d28d407c509409e14d6bb28580472adf89d12aa5b2b2307292",
+    (50, 1): "c0cc6a6b7ccac3a87b22eb776099f8de93af75541ef84f7ba58874ad99c225c4",
+    (50, 2): "07a41caaadcf32b84e607dff899d94d3f975f3f380b976f295b75f6b86833363",
+    (50, 3): "c23cd8b05e040d0e2337ab9a5d0fef0c7722373dee1092488ccc337cd214aad3",
+    (50, 4): "804fd091467c6b8f9899d9927dbbee9e12866194dc9112e539cbc1aac4e371f1",
+    (50, 5): "d87a57bdca8b85da3932fdc8fb561ecd50d3d9f415b6759582c098ffc52d77e5",
+    (50, 6): "5f076da989056340186d17533240a0c8b6e8330856ac929e6cffdda82644d0be",
+    (50, 7): "335a6bc88d52254a7e951a47f4986c7136fb9e290d52040643ee09ff12e359bd",
+    (50, 8): "26ad93b11cd48d72a2e91b76be76d803fe0f1f9be25a61a426cac39555ccbc6f",
+    (50, 9): "43cead7f96cc2639e273b212aa489a9812d9cd1383fca5d07194635c8131ec71",
+    (50, 10): "e68373cf5d7ea2b8916bddfd18d063f2cd28a3efcd4044f6d96acf3ec3056e74",
+    (50, 11): "0374b0578329415b3779134ebecea8b56d1960c5acdbaf77b8ab698494af2530",
+    (50, 12): "ae3bd755a167f39416a8de905939a23572ff493b25fa60151f9252a27f91ba57",
+    (200, 0): "d5a50507f937f20e6324d2d17ca78080f45622feb2280fb30e9bc01d7534c419",
+    (200, 1): "5e7fbed94e4e27d7d22b94a54bfcf1590c94569a762e28f584d114c4395a689e",
+    (200, 2): "468b0b5a41a46af6e82260870e32aff79ad8a4187f9a49acd189e2a3b5ec3655",
+    (200, 3): "2c86100252d7ad73d3c37a4ac2b1e92ea1d7821c4fc36de4fb63d67a5f8a0a8e",
+    (200, 4): "710f2acfb27b39f55870b5f86e3a0b9ccc5236d0db717627a70c32700e3e2b37",
+    (200, 5): "d4ab70f5c69df45349133f0966af8714800794d56cd1ea742817ebacf812a9fb",
+    (200, 6): "ab4a57af091def456a31b68f96b37ab6c514998cba818b58a9c6d96c97e7cfb6",
+    (200, 7): "bb2a4c2b278c22467407a7c02875047f5c72d8962713a9b82593aff8688f46d5",
+    (200, 8): "cf49faa2b7cafbe7a9a16137a4ffe42b118dad8c27ed91d1cc8fc50f8f8943eb",
+    (200, 9): "13b80b67fca15c1667221cb83ce509c358619b92178050e478157aa93a17806e",
+    (200, 10): "8ae9566a53f26a91e15a1de8daa9d437e94cf8046a640b266484451db3eb764b",
+    (200, 11): "336117fbe0043e9647e2035481214d67ea46a8eff7c6b74805c33e328a0e23a2",
+    (200, 12): "d71947d442f4ed2b9e93aa19548b7125859dc4202f0449abdb7befb2ac237254",
+    (1031, 11): "099b8cdf5037a309715917dcb5cb7175cea8056b35ad1199679167bb702b832f",
 }
 
 
@@ -112,8 +114,8 @@ def test_run_checks_prints_the_pinned_lines(grid, seed):
 def _scalar_sets(check, grid, seed):
     """The sets `check` draws, one at a time: each takes one rng.random(5), a
     lead uniform u that sets its labels, then random_params' four uniforms; and
-    the generator's state after them.  The escape check's A and B, which lead its
-    stacks, draw nothing."""
+    the generator's state after them.  The A and B that lead the escape and
+    exact-coefficient checks' stacks draw nothing."""
     rng = np.random.default_rng(seed)
     m1, m2 = Model.MODEL1, Model.MODEL2
     sets = []
@@ -146,7 +148,8 @@ def _key(params):
 
 GRID_CHECKS = [check_rows_stochastic, check_harmonicity, check_twisted_rows,
                check_spectral_roots, check_perron_root, check_stability_equivalence,
-               check_drift, check_escape_closed_form, check_summability_gate]
+               check_drift, check_escape_closed_form, check_exact_coefficient,
+               check_summability_gate]
 
 
 @pytest.mark.parametrize("check", GRID_CHECKS, ids=lambda check: check.__name__)
@@ -174,16 +177,17 @@ def test_grid_checks_draw_the_scalar_sets_across_chunks(monkeypatch, check):
 
 
 def test_escape_check_leads_with_the_reference_sets(monkeypatch):
-    evaluated = []
     summary = verify.twist_summary
-    monkeypatch.setattr(verify, "twist_summary",
-                        lambda params: evaluated.append(params) or summary(params))
-    assert check_escape_closed_form(3, 0).passed
-    (stack,) = evaluated
-    assert len(stack.lam) == 5
-    for name in ("lam", "mu", "alpha", "beta", "p", "C"):
-        assert np.broadcast_to(getattr(stack, name), 5)[:2].tolist() == \
-            [getattr(PARAMS_A, name), getattr(PARAMS_B, name)]
+    for check in (check_escape_closed_form, check_exact_coefficient):
+        evaluated = []
+        monkeypatch.setattr(verify, "twist_summary",
+                            lambda params: evaluated.append(params) or summary(params))
+        assert check(3, 0).passed
+        (stack,) = evaluated
+        assert len(stack.lam) == 5
+        for name in ("lam", "mu", "alpha", "beta", "p", "C"):
+            assert np.broadcast_to(getattr(stack, name), 5)[:2].tolist() == \
+                [getattr(PARAMS_A, name), getattr(PARAMS_B, name)]
 
 
 def _with_first_move_scaled(moves):
@@ -209,6 +213,17 @@ def _escape_up_scaled(twist_pass):
     return dataclasses.replace(esc, up=esc.up * (1.0 + 1e-8))
 
 
+def _eta_scaled(twist_pass, esc):
+    est = _eta_model1(twist_pass, esc)
+    return dataclasses.replace(est, value=est.value * (1.0 + 1e-10))
+
+
+def _rho_inverted(twist_pass):
+    # the check's rho = secondary_gamma / gamma becomes gamma_1 / gamma_2
+    asym = asymptotics.tail_constants(twist_pass)
+    return dataclasses.replace(asym, secondary_gamma=asym.gamma ** 2 / asym.secondary_gamma)
+
+
 def _fold_first_step_scaled(moves, origin, h=None):
     (step, prob), *rest = _fold(moves, origin, h)
     return [(step, prob * (1.0 + 1e-9)), *rest]
@@ -225,13 +240,16 @@ PLANTED_DEFECTS = [
     (check_stability_equivalence, verify, "stability", _stability_bound_doubled),
     (check_drift, kernels, "_moves", _with_first_move_scaled(kernels._moves)),
     (check_escape_closed_form, verify, "_escape", _escape_up_scaled),
+    (check_exact_coefficient, asymptotics, "_eta_model1", _eta_scaled),
+    (check_exact_coefficient, verify, "tail_constants", _rho_inverted),
     (check_summability_gate, verify, "characteristic_roots",
      _roots_with("gamma_p", lambda sol: sol.gamma_secondary)),
 ]
 
 
 @pytest.mark.parametrize("check,module,name,defect", PLANTED_DEFECTS,
-                         ids=[planted[0].__name__ for planted in PLANTED_DEFECTS])
+                         ids=[planted[0].__name__ + {_eta_scaled: "-eta", _rho_inverted: "-rho"}
+                              .get(planted[3], "") for planted in PLANTED_DEFECTS])
 def test_grid_check_fails_on_its_planted_defect(monkeypatch, check, module, name, defect):
     # each stacked check catches the defect it exists for, at the default grid
     assert check(200, 7).passed
