@@ -17,9 +17,8 @@ from .qbd import (ConvergenceError, StationaryTable, TruncationError,
                   boundary_vector, exact_stationary_model1, neuts_stability,
                   rate_matrix, rate_matrix_closed_form, stationary_table,
                   truncated_stationary)
-from .asymptotics import (alpha_limits, escape_probabilities, eta, mm1_comparison,
-                          prefactors, tail_constants, tail_fit, two_geometric_fit,
-                          two_term_tail)
+from .asymptotics import (alpha_limits, mm1_comparison, prefactors, tail_constants,
+                          tail_fit, two_geometric_fit, two_term_tail)
 from .simulate import (EmpiricalDistribution, Excursion, Trajectory,
                        conditioned_excursion_slope, empirical_distribution,
                        excursion_verdict, ld_excursions, regime_prediction, simulate)
@@ -38,8 +37,8 @@ __all__ = [
     "boundary_vector", "exact_stationary_model1", "neuts_stability",
     "rate_matrix", "rate_matrix_closed_form", "stationary_table",
     "truncated_stationary",
-    "alpha_limits", "escape_probabilities", "eta", "mm1_comparison",
-    "prefactors", "tail_constants", "tail_fit", "two_geometric_fit", "two_term_tail",
+    "alpha_limits", "mm1_comparison", "prefactors", "tail_constants", "tail_fit",
+    "two_geometric_fit", "two_term_tail",
     "EmpiricalDistribution", "Excursion", "Trajectory",
     "conditioned_excursion_slope", "empirical_distribution",
     "excursion_verdict", "ld_excursions",

@@ -7,16 +7,16 @@ fits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernels import level_blocks
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
-                     UnstableParameters, first_failing, make_params)
+                     UnstableParameters, first_failing, holds, make_params)
 from .qbd import (_TAIL_ERROR, StationaryTable, TruncationError, boundary_vector,
                   first_passage, truncated_stationary)
-from .spectral import _require_stable, characteristic_roots
+from .spectral import SpectralSolution, _require_stable, characteristic_roots
 from .twist import TwistSummary, twist_summary
 
 _ESCAPE_RESIDUAL = 1e-12
@@ -32,13 +32,6 @@ class EscapeProbs:
 
 
 @dataclass(frozen=True)
-class EtaEstimate:
-    value: float
-    error_bound: float   # 0 for Model 1; a truncation bound for Model 2
-    method: str  # "exact" (Model 1) or "qbd" (Model 2)
-
-
-@dataclass(frozen=True)
 class TailAsymptotic:
     model: Model
     gamma: float
@@ -51,6 +44,10 @@ class TailAsymptotic:
     secondary_weight: float | None
     y_ratio: float | None  # per-unit-of-y geometric factor (tandem model)
     provenance: str
+    # neither reported nor compared: the pass the tail came from, and eta's bound
+    roots: SpectralSolution = field(repr=False, compare=False)
+    twist: TwistSummary | None = field(repr=False, compare=False)   # None: shape-only
+    eta_error_bound: float | None = field(repr=False, compare=False)   # 0 for Model 1
 
 
 @dataclass(frozen=True)
@@ -113,28 +110,21 @@ def _escape_first_passage(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.
 
     The free chain leaves level 0 upwards by the same up block A0 as any
     level, so escape = A0 (1 - G 1) with G from `qbd.first_passage`.  For
-    Model 1 this is the numeric reference for `escape_probabilities`.
+    Model 1 this is the numeric reference for `_escape`.
     """
     return (a0 @ (1.0 - first_passage(a0, a1, a2).sum(axis=-1))[..., None])[..., 0]
 
 
-def escape_probabilities(params: ModelParams) -> EscapeProbs:
-    """P(twisted chain started at (0, sigma) never revisits level 0).
+def _escape(twist: TwistSummary) -> EscapeProbs:
+    """P(twisted chain started at (0, sigma) never revisits level 0), for a
+    Model 1 twist of a set or a stack (whose gates hold per set).
 
     The free chain moves down a level only by a service in Up, so under
     stability its first-passage matrix is G(sigma, U) = 1, G(sigma, D) = 0.
     The twist rescales it to G~(sigma, U) = h(0, U) / h(1, sigma), hence
     escape(sigma) = (lambda/C) (h(1, sigma) - 1) / h(0, sigma).  G~ is checked
-    against G = A2 + A1 G + A0 G^2 and must be strictly substochastic.
+    against the twist's G = A2 + A1 G + A0 G^2 and must be strictly substochastic.
     """
-    if params.model is not Model.MODEL1:
-        raise InvalidParameters("the closed-form escape needs a Model 1 parameter set")
-    return _escape(twist_summary(params))
-
-
-def _escape(twist: TwistSummary) -> EscapeProbs:
-    """`escape_probabilities` of a twist, of a set or a stack (whose gates hold
-    per set), its first-passage matrix checked against the twist's blocks."""
     t2, w = twist.harmonic.base, twist.harmonic.down_weight
     a0, a1, a2 = twist.blocks
     g = np.stack([1.0 / t2, 1.0 / (t2 * w)], axis=-1)[..., None] * (1.0, 0.0)   # Down column 0
@@ -150,27 +140,17 @@ def _escape(twist: TwistSummary) -> EscapeProbs:
     return EscapeProbs(up=scale * (t2 - 1.0), down=scale * (t2 - 1.0 / w), residual=residual)
 
 
-def eta(params: ModelParams, *, table: StationaryTable | None = None) -> EtaEstimate:
-    """Boundary constant: sum over the boundary of pi * h * escape probability.
-
-    Model 1 has a two-state boundary, so the value is exact.  The tandem
-    (p = 1 only) boundary is infinite: pi comes from the truncated oracle,
-    and the escape probabilities from the first-passage matrix of the
-    twisted free chain with y cut at twice the table's y_max.
-    """
-    twist = twist_summary(params)
-    if params.model is Model.MODEL1:
-        return _eta_model1(twist, _escape(twist))
-    return _eta_model2(twist, table)
-
-
-def _eta_model1(twist: TwistSummary, esc: EscapeProbs) -> EtaEstimate:
+def _eta_model1(twist: TwistSummary, esc: EscapeProbs) -> float:
+    """Boundary constant eta: the sum over the boundary of pi * h * escape
+    probability, exact on Model 1's two-state boundary."""
     pi0 = boundary_vector(twist.params)
-    value = pi0[..., UP] * esc.up + pi0[..., DOWN] * twist.harmonic.value((0, DOWN)) * esc.down
-    return EtaEstimate(value=value, error_bound=0.0, method="exact")
+    return pi0[..., UP] * esc.up + pi0[..., DOWN] * twist.harmonic.value((0, DOWN)) * esc.down
 
 
-def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> EtaEstimate:
+def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> tuple[float, float]:
+    """The tandem's (p = 1) eta and its truncation bound.  pi on its infinite
+    boundary comes from `table` (default: a fixed 60 x 60 truncated solve), the escape
+    probabilities from the twisted free chain's first passage with y cut at 2 y_max."""
     params = twist.params
     if np.ndim(params.lam):
         raise InvalidParameters("the tandem's eta reads one set's truncated table, not a stack")
@@ -185,13 +165,14 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> EtaEstima
     except OverflowError:
         raise ArithmeticError(f"eta's boundary weights: h(0, y, sigma), a multiple of t2^y, "
                               f"overflows from y = {y}, t2 = {h.base!r}") from None
-    if table is None:   # a size the caller cannot change, so no advice to enlarge it
+    fixed = f"eta's truncated table has the fixed size {_ETA_TABLE} x {_ETA_TABLE}"
+    advice = fixed if table is None else "enlarge the truncated table"   # the caller set the size
+    if table is None:
         table = truncated_stationary(params, x_max=_ETA_TABLE, y_max=_ETA_TABLE,
                                      tail_error=math.inf)
         if table.tail_mass_bound > _TAIL_ERROR:
-            raise TruncationError(
-                f"eta's truncated table has the fixed size {_ETA_TABLE} x {_ETA_TABLE}, and "
-                f"its estimated tail mass {table.tail_mass_bound:.3g} exceeds {_TAIL_ERROR}")
+            raise TruncationError(f"{fixed}, and its estimated tail mass "
+                                  f"{table.tail_mass_bound:.3g} exceeds {_TAIL_ERROR}")
     weights = table.pi[0].ravel() * np.array(column)   # pi(0, y, sigma) h(0, y, sigma)
     # geometric-tail gate on the last min(10, y_max + 1) levels of the weights
     levels = weights.reshape(-1, 2).sum(axis=1)
@@ -208,8 +189,7 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> EtaEstima
         raise ArithmeticError(
             f"boundary sum tail is not decreasing geometrically: ratios "
             f"{[round(r, 4) for r in ratios]} at y = {ys}, first >= 1 at y = "
-            f"{next((y for y, r in zip(ys, ratios) if r >= 1.0), None)}; "
-            "enlarge the truncated table")
+            f"{next((y for y, r in zip(ys, ratios) if r >= 1.0), None)}; {advice}")
     rho = max(ratios)
     # escape = A0 (1 - G 1) is at most A0's largest row sum, the same at every y cut >= 1
     up_mass = float(twist.blocks[0].sum(axis=-1).max())
@@ -217,30 +197,30 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> EtaEstima
     value, coarse = (
         float(weights @ _escape_first_passage(*level_blocks(params, cut, h=h))[:weights.size])
         for cut in (2 * y_max, y_max))
-    return EtaEstimate(value=value, error_bound=abs(value - coarse) + float(remainder),
-                       method="qbd")
+    return value, abs(value - coarse) + float(remainder)
 
 
 def prefactors(params: ModelParams, model: Model | None = None, *,
                table: StationaryTable | None = None,
                seed: int = 0) -> TailAsymptotic:
     """Tail constants of the dominant geometric term (`tail_constants` of the
-    set's `twist_summary`); shape-only for the feedback tandem (p < 1).
-    Raises UnstableParameters off stability.
+    set's `twist_summary`); shape-only for the feedback tandem (p < 1 in every set;
+    the twist refuses a stack that mixes p = 1 and p < 1).  Raises UnstableParameters
+    off stability.
 
     `model` and `seed` may be omitted; perfbench/run.py passes both.  A given
     `model` must be params.model; `seed` is unused, as nothing here is random.
     """
     if model not in (None, params.model):
         raise InvalidParameters(f"model {model} does not match the parameters' {params.model}")
-    if params.model is Model.MODEL2 and params.p != 1.0:
+    if params.model is Model.MODEL2 and holds(params.p != 1.0):
         _require_stable(params, "the shape-only tail")
         sol = characteristic_roots(params)
         return TailAsymptotic(model=params.model, gamma=sol.gamma_p, prefactor_up=None,
-                              prefactor_down=None, eta=None, escape_up=None,
-                              escape_down=None, secondary_gamma=sol.gamma_secondary,
-                              secondary_weight=None, y_ratio=None,
-                              provenance="shape-only")
+                              prefactor_down=None, eta=None, escape_up=None, escape_down=None,
+                              secondary_gamma=sol.gamma_secondary, secondary_weight=None,
+                              y_ratio=None, provenance="shape-only", roots=sol, twist=None,
+                              eta_error_bound=None)
     return tail_constants(twist_summary(params), table=table)
 
 
@@ -255,22 +235,23 @@ def tail_constants(twist: TwistSummary, *,
     params, h = twist.params, twist.harmonic
     if params.model is Model.MODEL1:
         esc = _escape(twist)
-        est = _eta_model1(twist, esc)
+        eta, bound = _eta_model1(twist, esc), 0.0
         phi0, origins = twist.phi, ((0, UP), (0, DOWN))
         extra = dict(escape_up=esc.up, escape_down=esc.down, y_ratio=None,
                      provenance="closed-form")
     else:
-        est = _eta_model2(twist, table)
+        eta, bound = _eta_model2(twist, table)
         phi0 = np.array([twist.phi(0, sigma) for sigma in (UP, DOWN)])
         origins = ((0, 0, UP), (0, 0, DOWN))
         extra = dict(escape_up=None, escape_down=None, y_ratio=params.lam / params.mu,
                      provenance="closed-form+qbd")
-    c_up, c_down = (est.value * phi0[..., origin[-1]] / (twist.drift.value * h.value(origin))
+    c_up, c_down = (eta * phi0[..., origin[-1]] / (twist.drift.value * h.value(origin))
                     for origin in origins)
     return TailAsymptotic(model=params.model, gamma=twist.roots.gamma_p,
-                          prefactor_up=c_up, prefactor_down=c_down, eta=est.value,
+                          prefactor_up=c_up, prefactor_down=c_down, eta=eta,
                           secondary_gamma=twist.roots.gamma_secondary,
-                          secondary_weight=None, **extra)
+                          secondary_weight=None, roots=twist.roots, twist=twist,
+                          eta_error_bound=bound, **extra)
 
 
 def two_term_tail(params: ModelParams) -> TwoTermFit:
@@ -290,13 +271,13 @@ def two_term_tail(params: ModelParams) -> TwoTermFit:
     """
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the two-term expansion needs a Model 1 parameter set")
-    twist = twist_summary(params)
-    sol = twist.roots
+    asym = prefactors(params)
+    sol = asym.roots
     lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
     b = lam + mu + alpha + beta
     w3 = (4.0 * alpha * mu * (lam + beta) * float(boundary_vector(params)[UP])
           / (sol.sqrt_s * (sol.sqrt_s + b) * sol.den))
-    return TwoTermFit(w2=tail_constants(twist).prefactor_up, w3=w3)
+    return TwoTermFit(w2=asym.prefactor_up, w3=w3)
 
 
 def alpha_limits(params: ModelParams) -> AlphaLimits:

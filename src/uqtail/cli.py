@@ -19,14 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotics import alpha_limits, mm1_comparison, prefactors, tail_constants, tail_fit
+from .asymptotics import alpha_limits, mm1_comparison, prefactors, tail_fit
 from .params import DOWN, UP, InvalidParameters, Model, make_params, params_from_json
 from .qbd import ConvergenceError, _lattice_shape, stationary_table
 from .simulate import (_RNG_IDENTITY, _check_burn_in, _check_levels, _csv_header,
                        empirical_distribution, excursion_verdict, ld_excursions,
                        regime_prediction, simulate)
-from .spectral import characteristic_roots, stability
-from .twist import twist_summary
+from .spectral import stability
 from .verify import run_checks
 
 _reported = functools.cache(lambda cls: tuple(f.name for f in dataclasses.fields(cls) if f.repr))
@@ -108,13 +107,10 @@ def _cmd_analyze(args) -> int:
     params = _resolve_params(args)
     if params.model is Model.RSRD:   # its product form decays as r^(x+y), r = lambda/(mu p)
         head, tail = {"product_form_rate": params.lam / (params.mu * params.p)}, {}
-    elif params.model is Model.MODEL2 and params.p < 1.0:
-        # the tail refuses an unstable set before its roots, whose t2 can underflow there
-        tail = {"tail": prefactors(params)}
-        head = {"spectral": characteristic_roots(params)}
-    else:   # likewise
-        twist = twist_summary(params)
-        head, tail = {"spectral": twist.roots}, {"twist": twist, "tail": tail_constants(twist)}
+    else:   # the tail refuses an unstable set before its roots, whose t2 can underflow there
+        asym = prefactors(params)
+        head = {"spectral": asym.roots}
+        tail = {"tail": asym} if asym.twist is None else {"twist": asym.twist, "tail": asym}
     report = {"meta": _meta(params), **head, "stability": stability(params), **tail}
     if args.limits:
         report["alpha_limits"] = alpha_limits(params)

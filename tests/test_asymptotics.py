@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from uqtail import (DOWN, UP, InvalidParameters, Model, UnstableParameters,
                     alpha_limits, boundary_vector, characteristic_roots,
-                    escape_probabilities, eta, exact_stationary_model1,
-                    harmonic, make_params, mm1_comparison, prefactors,
+                    exact_stationary_model1, harmonic, make_params, mm1_comparison, prefactors,
                     rate_matrix_closed_form, stationary_table, tail_fit,
                     truncated_stationary, twist_summary, two_geometric_fit,
                     two_term_tail)
 from uqtail import asymptotics
-from uqtail.asymptotics import _escape_first_passage, _line, tail_constants
+from uqtail.asymptotics import _escape, _escape_first_passage, _line, tail_constants
 from uqtail.cli import main
 from uqtail.kernels import full_kernel, level_blocks
 from uqtail.qbd import StationaryTable, _boundary, _model1_levels, first_passage
@@ -28,10 +27,11 @@ T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
 
 
 def assert_escape_matches_iteration(params):
-    esc = escape_probabilities(params)
+    twist = twist_summary(params)
+    esc = _escape(twist)
     assert esc.residual <= 1e-12
     assert 0 < esc.up < 1 and 0 < esc.down < 1
-    reference = _escape_first_passage(*twist_summary(params).blocks)
+    reference = _escape_first_passage(*twist.blocks)
     assert [esc.up, esc.down] == pytest.approx(reference, rel=0, abs=1e-10)
 
 
@@ -73,11 +73,11 @@ def test_near_critical_analyze(tmp_path):
 
 
 def test_eta_exact_model1():
-    est = eta(A)
-    assert est.method == "exact" and est.error_bound == 0.0
+    asym = prefactors(A)
+    assert asym.provenance == "closed-form" and asym.eta_error_bound == 0.0
     pi0 = boundary_vector(A)
     h = harmonic(A)
-    assert 0 < est.value <= pi0[UP] + pi0[DOWN] * h.value((0, DOWN))
+    assert 0 < asym.eta <= pi0[UP] + pi0[DOWN] * h.value((0, DOWN))
 
 
 def test_prefactor_ratio_identity():
@@ -330,31 +330,32 @@ def test_eta_model2_exact(t2_table):
         closed = np.array([[1.0 / h.base, 0.0], [1.0 / (h.base * h.down_weight), 0.0]])
         g = first_passage(*level_blocks(params, h=twist_summary(params).harmonic))
         assert np.max(np.abs(g - closed)) <= 1e-14
-    est = eta(T2, table=t2_table)
-    assert est.method == "qbd"
-    assert est.value > 0 and 0 < est.error_bound <= 1e-6
+    asym = prefactors(T2, table=t2_table)
+    assert asym.provenance == "closed-form+qbd"
+    assert asym.eta > 0 and 0 < asym.eta_error_bound <= 1e-6
     # the boundary sum is bounded by sum pi*h (escape probabilities < 1)
     h = harmonic(T2)
     bound = sum(t2_table.prob((0, y, s)) * h.value((0, y, s))
                 for y in range(41) for s in (UP, DOWN))
-    assert est.value < bound
+    assert asym.eta < bound
 
 
 def test_eta_model2_tail_gate(t2_table):
     # the gate reads the last min(10, y_max + 1) levels, so a short table
     # passes and brackets the 40x40 value
-    short = eta(T2, table=truncated_stationary(T2, x_max=40, y_max=8))
-    full = eta(T2, table=t2_table)
-    assert abs(short.value - full.value) <= short.error_bound
+    short = prefactors(T2, table=truncated_stationary(T2, x_max=40, y_max=8))
+    full = prefactors(T2, table=t2_table)
+    assert abs(short.eta - full.eta) <= short.eta_error_bound
     # a weighted boundary that stops decreasing is refused, naming the ratios
-    # and the first level where one reached 1
+    # and the first level where one reached 1; a caller's table may be enlarged
     h = harmonic(T2)
     levels = [1.0, 0.5, 0.25, 0.25, 0.3]
     pi = np.array([[[w / h.value((0, y, s)) / 2 for s in (UP, DOWN)]
                     for y, w in enumerate(levels)]])
     rising = StationaryTable(pi=pi, residual=0.0, tail_mass_bound=0.0)
-    with pytest.raises(ArithmeticError, match=r"\[0\.5, 0\.5, 1\.0, 1\.2\].*y = 3"):
-        eta(T2, table=rising)
+    with pytest.raises(ArithmeticError,
+                       match=r"\[0\.5, 0\.5, 1\.0, 1\.2\].*y = 3; enlarge the truncated table$"):
+        prefactors(T2, table=rising)
 
 
 def test_eta_model2_bound_scales_with_c(t2_table):
@@ -362,13 +363,13 @@ def test_eta_model2_bound_scales_with_c(t2_table):
     probabilities in the remainder are bounded by the twisted up block's
     largest row sum, which also halves."""
     doubled = make_params(10, 30, 0.1, 10, model=Model.MODEL2, C=2 * T2.C)
-    base = eta(T2, table=t2_table)
-    other = eta(doubled, table=truncated_stationary(doubled, x_max=40, y_max=40))
-    assert other.error_bound / other.value == pytest.approx(base.error_bound / base.value,
-                                                          rel=0.05)
+    base = prefactors(T2, table=t2_table)
+    other = prefactors(doubled, table=truncated_stationary(doubled, x_max=40, y_max=40))
+    assert other.eta_error_bound / other.eta == pytest.approx(base.eta_error_bound / base.eta,
+                                                              rel=0.05)
     # the tighter bound still covers the move to a larger table
-    finer = eta(T2, table=truncated_stationary(T2, x_max=48, y_max=48))
-    assert abs(finer.value - base.value) <= base.error_bound
+    finer = prefactors(T2, table=truncated_stationary(T2, x_max=48, y_max=48))
+    assert abs(finer.eta - base.eta) <= base.eta_error_bound
 
 
 def test_model2_prefactor_structure(t2_table):
@@ -405,8 +406,7 @@ def test_tandem_prefactors_ignore_the_uniformization_constant(t2_table):
     table = truncated_stationary(doubled, x_max=40, y_max=40)
     base, other = prefactors(T2, table=t2_table), prefactors(doubled, table=table)
     # C(sigma) is proportional to eta, so their relative errors add up
-    bound = sum(est.error_bound / est.value
-                for est in (eta(T2, table=t2_table), eta(doubled, table=table)))
+    bound = sum(asym.eta_error_bound / asym.eta for asym in (base, other))
     for key in ("prefactor_up", "prefactor_down"):
         assert abs(getattr(other, key) / getattr(base, key) - 1.0) <= bound
 
@@ -416,7 +416,36 @@ def test_model2_feedback_is_shape_only():
     asym = prefactors(params)
     assert asym.provenance == "shape-only"
     assert asym.prefactor_up is None and asym.eta is None
+    assert asym.twist is None and asym.eta_error_bound is None
     assert asym.gamma == pytest.approx(0.679296, abs=1e-6)
+
+
+def test_a_feedback_tandem_stack_is_shape_only_per_set():
+    # p an array below 1 in every set: each set's slice is its own shape-only
+    # tail, bit for bit; a stack that mixes p = 1 and p < 1 has no twist
+    sets = [make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2),
+            make_params(5, 30, 0.2, 10, p=0.7, model=Model.MODEL2)]
+
+    def stack(p):
+        return make_params(*(np.array([getattr(s, r) for s in sets])
+                             for r in ("lam", "mu", "alpha", "beta")),
+                           p=np.array(p), model=Model.MODEL2)
+
+    stacked = prefactors(stack([0.5, 0.7]))
+    for k, params in enumerate(sets):
+        one = prefactors(params)
+        for record, single in ((stacked, one), (stacked.roots, one.roots)):
+            for name, value in vars(single).items():
+                if name == "roots":
+                    continue
+                many = getattr(record, name)
+                if value is None or isinstance(value, (str, Model)):
+                    assert many == value, name
+                else:
+                    assert np.float64(many[k]).tobytes() == np.float64(value).tobytes(), (k, name)
+    with pytest.raises(InvalidParameters) as refusal:
+        prefactors(stack([1.0, 0.5]))
+    assert str(refusal.value) == "the twist is derived for Model 1 and the tandem (p = 1) only"
 
 
 def test_rs_rd_closed_form():
@@ -539,10 +568,9 @@ def test_model1_tail_path_of_a_stack_equals_each_sets_bit_for_bit():
     fields = ("gamma", "secondary_gamma", "prefactor_up", "prefactor_down", "eta",
               "escape_up", "escape_down")
     stacked = tail_constants(twist_summary(stack))
-    via_prefactors, via_eta = prefactors(stack), eta(stack)
+    via_prefactors = prefactors(stack)
     for name in fields:
         assert np.array_equal(getattr(via_prefactors, name), getattr(stacked, name)), name
-    assert np.array_equal(via_eta.value, stacked.eta)
     r, boundary, (levels, beyond) = (rate_matrix_closed_form(stack), _boundary(stack),
                                      _model1_levels(stack, 60))
     assert r.shape == (302, 2, 2) and levels.shape == (302, 62, 2) and beyond.shape == (302,)
@@ -566,7 +594,7 @@ def test_a_tandem_stack_is_refused_by_name_before_any_solve(monkeypatch):
     monkeypatch.setattr(asymptotics, "truncated_stationary", no_solve)
     stack = make_params(np.array([10.0, 5.0]), np.array([30.0, 30.0]), np.array([0.1, 0.2]),
                         np.array([10.0, 10.0]), model=Model.MODEL2)
-    for call in (prefactors, eta, lambda params: tail_constants(twist_summary(params))):
+    for call in (prefactors, lambda params: tail_constants(twist_summary(params))):
         with pytest.raises(InvalidParameters) as refusal:
             call(stack)
         assert str(refusal.value) == ("the tandem's eta reads one set's truncated table, "

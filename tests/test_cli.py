@@ -270,6 +270,21 @@ def test_tandem_eta_names_its_fixed_table_instead_of_advising_a_larger_one(tmp_p
     assert captured.out == "" and not out.exists()
 
 
+def test_tandem_eta_tail_gate_names_its_fixed_table(tmp_path, capsys):
+    # default T2: the boundary weights rise again at the solve's noise floor, and
+    # the table that would have to grow is eta's own 60 x 60 one
+    out = tmp_path / "out"
+    argv = ["analyze", *_rate_flags("10", "30", "0.1", "10"), "--model", "model2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "verification failure: boundary sum tail is not decreasing geometrically: ratios "
+        "[1.0068, 1.1334, 1.2217, 1.2633, 1.2688, 1.2512, 1.2194, 1.1846, 1.3128] at y = "
+        "[52, 53, 54, 55, 56, 57, 58, 59, 60], first >= 1 at y = 52; eta's truncated table "
+        "has the fixed size 60 x 60\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_tailfit_keeps_its_advice_to_enlarge_the_lattice(tmp_path, capsys):
     # tailfit's --xmax sets its lattice, so there the advice can be followed
     argv = ["tailfit", *_rate_flags("10", "30", "0.1", "10"), "--model", "model2", "--p", "0.5",

@@ -7,10 +7,9 @@ import pytest
 import uqtail
 from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
                     boundary_vector, characteristic_roots, conditioned_excursion_slope,
-                    default_uniformization, escape_probabilities, eta,
-                    exact_stationary_model1, feynman_kac, full_kernel, harmonic,
-                    make_params, params_from_json, prefactors, truncated_stationary,
-                    twist_summary, two_term_tail)
+                    default_uniformization, exact_stationary_model1, feynman_kac,
+                    full_kernel, harmonic, make_params, params_from_json, prefactors,
+                    truncated_stationary, twist_summary, two_term_tail)
 from uqtail.params import check_state, holds
 
 A = make_params(10, 11, 0.1, 10)
@@ -174,17 +173,15 @@ M1, M2 = {Model.MODEL1}, {Model.MODEL2}
 @pytest.mark.parametrize("call,serves,needs", [
     (boundary_vector, M1, "Model 1"),
     (lambda p: exact_stationary_model1(p, k_max=5), M1, "Model 1"),
-    (escape_probabilities, M1, "Model 1"),
     (lambda p: feynman_kac(p, 0.1), M1, "Model 1"),
     (lambda p: conditioned_excursion_slope(p, level_k=30), M1, "Model 1"),
     (twist_summary, M1 | M2, "tandem"),
-    (eta, M1 | M2, "tandem"),
+    (prefactors, M1 | M2, "tandem"),
     (harmonic, M1 | M2, "tandem"),
     (two_term_tail, M1, "Model 1"),
     (characteristic_roots, M1 | M2, "tandem"),
 ], ids=["boundary_vector", "exact_stationary_model1",
-        "escape_probabilities", "feynman_kac", "conditioned_excursion_slope",
-        "twist_summary", "eta",
+        "feynman_kac", "conditioned_excursion_slope", "twist_summary", "prefactors",
         "harmonic", "two_term_tail", "characteristic_roots"])
 def test_single_chain_functions_refuse_other_chains(call, serves, needs):
     for params in (A, T2, T2_HALF, RS_ONE):

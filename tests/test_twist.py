@@ -302,6 +302,22 @@ def test_one_twist_pass_per_call(call_counts, tmp_path):
     prefactors(T2, table=table)
     assert call_counts == {"characteristic_roots": 1, "stability": 1,
                            "_moves": 3}
+    call_counts.update(dict.fromkeys(NAMES, 0))
+    # the feedback tandem's analyze: the shape-only tail's gate and roots, which the
+    # report's spectral reads, and the report's stability
+    flags = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10", "--p", "0.5"]
+    assert main(["analyze", *flags, "--model", "model2", "--out", str(tmp_path)]) == 0
+    assert call_counts == {"characteristic_roots": 1, "stability": 2, "_moves": 0}
+    # the tail record carries its pass: the twist and roots of A's own pass, bit for bit
+    asym = prefactors(A)
+    for carried, own, name in ((asym.twist, twist_summary(A), "twist"),
+                               (asym.roots, twist_summary(A).roots, "roots")):
+        for (path, one), (_, other) in zip(_leaves(carried, name), _leaves(own, name),
+                                           strict=True):
+            if other is None or isinstance(other, Model):
+                assert one is other, path
+            else:
+                assert np.asarray(one, float).tobytes() == np.asarray(other, float).tobytes(), path
 
 
 def _stack(sets):

@@ -214,8 +214,7 @@ def _escape_up_scaled(twist_pass):
 
 
 def _eta_scaled(twist_pass, esc):
-    est = _eta_model1(twist_pass, esc)
-    return dataclasses.replace(est, value=est.value * (1.0 + 1e-10))
+    return _eta_model1(twist_pass, esc) * (1.0 + 1e-10)
 
 
 def _rho_inverted(twist_pass):
