@@ -7,6 +7,8 @@ chain's stationary law.
 from __future__ import annotations
 
 import math
+import warnings
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -211,87 +213,65 @@ def _lattice_shape(model: Model, x_max: int, y_max: int | None) -> tuple:
     return (*(n + 1 for n in sides.values()), 2)
 
 
-def _lattice_moves(params: ModelParams, space: tuple) -> dict:
-    """The chain on the lattice x <= x_max (y <= y_max) of shape `space`, as
-    {(d, sigma, to): q}: the move by d in (x, [y]) from phase sigma to phase
-    `to` has probability q[state] from each state of `space`, 0 where the
-    state's class row (`kernels._fold`) lacks it.
+def _lattice_moves(params: ModelParams, shape: tuple) -> dict:
+    """The chain cut to the lattice `shape` by its diagonals, {offset: q}: the
+    state of flat C-order index i moves to index i + offset with probability
+    q[i], 0 where its class row (`kernels._fold`) lacks the move.
 
-    The diagonal move (0, [0,] sigma, sigma) holds the self-move and the moves
-    that leave the lattice (reflecting cut), added in the row's sorted step
-    order.  A move past the far edge is kept in q there, and `_shifted` drops
-    those sources, since the target lies outside.
+    A move whose target leaves the lattice (reflecting cut) adds into the
+    stay, offset 0, in the row's sorted step order, and is left 0 at its
+    source under its own offset, so a shift by an offset never wraps.  Such
+    a move writes nothing there: at y_max = 1 a phase's (0, +1) and (+1, -1)
+    moves share an offset, and the first's wrapped target is where the
+    second lands from the same state.
     """
-    diag = np.zeros(space + (2,))
-    moves = {}
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]   # C order
+    moves = defaultdict(lambda: np.zeros(shape))
     table = _moves(params)
     for origin in (*_origins(params.model, 0), *_origins(params.model, 1)):
         sigma = origin[-1]
-        members = tuple(slice(c, None if c else 1) for c in origin[:-1])
+        members = [slice(c, None if c else 1) for c in origin[:-1]]
         for step, prob in _fold(table, origin):
-            if not any(step):
-                diag[members + (sigma,)] += prob
-                continue
-            d, to = step[:-1], sigma + step[-1]
-            if (d, sigma, to) not in moves:
-                moves[d, sigma, to] = np.zeros(space)
-            moves[d, sigma, to][members] = prob
+            inside = list(members)
+            offset = sum(s * d for s, d in zip(strides, step))
             # a move steps up in at most one of x and y; from that coordinate's
-            # far edge, which only the class at 1 holds, it folds into the diagonal
-            for k in (k for k, step in enumerate(d) if step > 0 and origin[k]):
-                diag[members[:k] + (-1,) + members[k + 1:] + (sigma,)] += prob
-    for sigma in (UP, DOWN):
-        moves[(0,) * len(space), sigma, sigma] = diag[..., sigma]
-    return moves
-
-
-def _shifted(d: tuple, space: tuple) -> tuple[tuple, tuple]:
-    """(sources, targets): the slices of `space` whose states a move by d
-    takes into `space`, and the states it takes them to, in the same order."""
-    src = tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(d, space))
-    dst = tuple(slice(max(0, k), n - max(0, -k)) for k, n in zip(d, space))
-    return src, dst
+            # far edge, which only the class at 1 holds, it folds into the stay
+            for k, d in enumerate(step[:-1]):
+                if d > 0 and origin[k]:
+                    inside[k] = slice(1, -1)
+                    moves[0][(*members[:k], -1, *members[k + 1:], sigma)] += prob
+            if offset:   # a state has one move per offset, so it is set, not added
+                moves[offset][(*inside, sigma)] = prob
+            else:   # the self-move adds to the folds of steps sorted before it
+                moves[0][(*inside, sigma)] += prob
+    return {offset: q.ravel() for offset, q in moves.items()}
 
 
 def _lattice_matrix(params: ModelParams, shape: tuple) -> sp.csr_matrix:
-    """Transition matrix of the chain cut to the lattice `shape` (reflecting
-    cut), one entry per state and move of `_lattice_moves`; the diagonal is
-    stored at every state, the other moves where they are possible."""
+    """Transition matrix of the chain cut to the lattice `shape`, one entry
+    per nonzero of `_lattice_moves`' diagonals, and the stay at every state."""
     import scipy.sparse as sp
 
-    index = np.arange(math.prod(shape)).reshape(shape)
-    rows, cols, vals = [], [], []
-    for (d, sigma, to), q in _lattice_moves(params, shape[:-1]).items():
-        src, dst = _shifted(d, shape[:-1])
-        keep = (q[src] != 0.0) | (sigma == to and not any(d))
-        rows.append(index[src + (sigma,)][keep])
-        cols.append(index[dst + (to,)][keep])
-        vals.append(q[src][keep])
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(index.size, index.size))
+    entries = [(src, src + offset, q[src]) for offset, q in _lattice_moves(params, shape).items()
+               for src in (np.flatnonzero(q) if offset else np.arange(q.size),)]
+    rows, cols, vals = map(np.concatenate, zip(*entries))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(math.prod(shape),) * 2)
 
 
 def _lattice_inflow(params: ModelParams, pi: np.ndarray) -> np.ndarray:
     """pi P for P = `_lattice_matrix(params, pi.shape)`, without building P.
 
-    Each move of `_lattice_moves` adds the shifted slice pi q into the inflow
-    of its targets.  Moves are summed by decreasing offset (target index minus
-    source index), so each target adds its sources in increasing index, as
-    P's sparse mat-vec does: the sums are bit-identical.
+    Each diagonal of `_lattice_moves` adds pi q, shifted by its offset, into
+    the flattened inflow.  Diagonals are added by decreasing offset, so each
+    target adds its sources in increasing index, as P's sparse mat-vec does:
+    the sums are bit-identical.
     """
-    space = pi.shape[:-1]
-    strides = [2 * math.prod(space[k + 1:]) for k in range(len(space))]   # C order
-    moves = _lattice_moves(params, space)
-
-    def offset(move):   # index of the target minus index of the source
-        d, sigma, to = move
-        return sum(s * k for s, k in zip(strides, d)) + to - sigma
-
-    inflow = np.zeros(pi.shape)
-    for d, sigma, to in sorted(moves, key=offset, reverse=True):
-        src, dst = _shifted(d, space)
-        inflow[dst + (to,)] += pi[src + (sigma,)] * moves[d, sigma, to][src]
-    return inflow
+    flat, n = pi.ravel(), pi.size
+    inflow = np.zeros(n)
+    for offset, q in sorted(_lattice_moves(params, pi.shape).items(), reverse=True):
+        src = slice(max(0, -offset), n - max(0, offset))
+        inflow[src.start + offset:src.stop + offset] += flat[src] * q[src]
+    return inflow.reshape(pi.shape)
 
 
 def _closed_form_table(params: ModelParams, pi: np.ndarray, x_tail: float,
@@ -323,9 +303,10 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
 
     Probability leaving the lattice is folded back into the diagonal
     (reflecting cut), which keeps rows stochastic and converges to the true
-    law as the cut grows.  The universal oracle for the two-server models.
-    P is `_lattice_matrix`, from the moves of the eight (four for Model 1)
-    row classes; the solve is SuperLU on P^T - I with row 0 set to ones.
+    law as the cut grows.  The solve is SuperLU on P^T - I with row 0 set to
+    ones, P = `_lattice_matrix`; stuck states and the balance residual are
+    read from the diagonals (`_lattice_moves`, `_lattice_inflow`), and a
+    solve that is not finite raises ArithmeticError by name.
     Raises InvalidParameters unless x_max >= 1 and, off Model 1, y_max >= 1.
     `model` may be omitted; when given (perfbench/run.py passes it), it must
     be params.model.
@@ -340,29 +321,33 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
     elif y_max is None:
         raise InvalidParameters("y_max required for the two-server lattice")
     shape = _lattice_shape(params.model, x_max, y_max)
-    p = _lattice_matrix(params, shape)
-    stuck = np.flatnonzero(p.diagonal() == 1.0)
+    moves = _lattice_moves(params, shape)
+    stuck = np.flatnonzero(moves[0] == 1.0)
     if stuck.size:   # 1 minus its exit mass rounds to 1, so P^T - I loses that outflow
         i, state = stuck[0], tuple(map(int, np.unravel_index(stuck[0], shape)))
-        row = slice(*p.indptr[i:i + 2])
-        exit_mass = float(p.data[row][p.indices[row] != i].sum())
+        exit_mass = sum(float(q[i]) for offset, q in sorted(moves.items()) if offset)
         raise ArithmeticError(f"lattice state {state} keeps a self-loop of exactly 1: its exit "
                               f"mass {exit_mass:.3g} (its other moves, summed) is lost against 1 "
                               f"at C = {params.C!r}")
+    p = _lattice_matrix(params, shape)
     n = p.shape[0]
     a = sp.vstack([np.ones((1, n)), (p.T - sp.identity(n, format="csr")).tocsr()[1:]],
                   format="csc")
     b = np.zeros(n)
     b[0] = 1.0
-    pi = spla.spsolve(a, b)
-    if np.min(pi) < -1e-10:
+    with warnings.catch_warnings():   # a singular system is refused below, by name
+        warnings.simplefilter("ignore", spla.MatrixRankWarning)
+        pi = spla.spsolve(a, b)
+    if not np.isfinite(pi).all():
+        raise ArithmeticError("truncated solve produced non-finite probabilities: the lattice's "
+                              f"linear system is singular in floats at C = {params.C!r}")
+    if not np.min(pi) >= -1e-10:   # fails on NaN, as the tail gate below does
         raise ArithmeticError("truncated solve produced negative probabilities")
-    pi = np.clip(pi, 0.0, None)
+    pi = np.clip(pi, 0.0, None).reshape(shape)
     pi /= pi.sum()
-    residual = float(np.max(np.abs(pi @ p - pi)))
-    pi = pi.reshape(shape)
+    residual = float(np.max(np.abs(_lattice_inflow(params, pi) - pi)))
     tail = _tail_mass_estimate(pi)
-    if tail > tail_error:
+    if not tail <= tail_error:
         raise TruncationError(
             f"estimated tail mass {tail:.3g} exceeds {tail_error}; enlarge the lattice")
     return StationaryTable(pi=pi, residual=residual, tail_mass_bound=tail)

@@ -45,8 +45,8 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     The larger root is computed by the quadratic formula and the smaller one
     from the product of roots, which keeps full precision when alpha is tiny.
     On a stack, g_constant needs p = 1 in every set.  RS-RD's product form
-    decays at lambda/(mu p) instead, and raises InvalidParameters.  A t2
-    that underflows to 0 raises ArithmeticError, naming t1 where t1 overflowed.
+    decays at lambda/(mu p) instead, and raises InvalidParameters.  A t2 that
+    is 0 or not finite raises ArithmeticError, naming t1 where t1 overflowed.
     """
     if params.model is Model.RSRD:
         raise InvalidParameters("the characteristic roots are defined for Model 1 "
@@ -62,10 +62,13 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     lam2 = lam * lam
     t2 = mup * (lam + beta) / select(lam2 >= sys.float_info.min, lam2 * t1, lam * (lam * t1))
     # an extreme load underflows t2 to 0, where 1 / t2 would divide by 0; so does
-    # lam = 5e-324, whose t1 overflows
-    if not holds(t2 != 0.0):
-        index, where = first_failing(t2 == 0.0)
+    # lam = 5e-324, whose t1 overflows.  mu p (lam + beta) can overflow instead
+    # (mu = beta = 1e300), where 1 / t2 would read gamma_1 = 0
+    if not holds((t2 != 0.0) & (t2 < math.inf)):   # NaN fails too
+        index, where = first_failing(np.logical_not((t2 != 0.0) & (t2 < math.inf)))
         at = f"at lambda = {np.asarray(lam)[index].item()!r}"
+        if np.asarray(t2)[index] != 0.0:
+            raise ArithmeticError(f"the smaller root t2{where} is not finite {at}")
         if math.isinf(np.asarray(t1)[index]):
             raise ArithmeticError(f"the larger root t1{where} overflows {at}, so the smaller "
                                   "root t2 underflows to 0")

@@ -5,6 +5,7 @@ horizontal drift of the twisted chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +35,15 @@ class HarmonicFunction:
         return self.down_weight if state[-1] == DOWN else 1.0
 
     def value(self, state: tuple) -> float:
+        """h(state); OverflowError where the power or its product with the Down weight is inf."""
         try:
-            return self.base ** self._exponent(state) * self._weight(state)
+            out = self.base ** self._exponent(state) * self._weight(state)
         except OverflowError:
+            out = math.inf
+        if not holds(out < math.inf):   # a float's own comparison: a bool, no numpy call
             raise OverflowError(f"h{state} overflows: t2 = {self.base!r} to the power "
-                                f"{self._exponent(state)}") from None
+                                f"{self._exponent(state)}")
+        return out
 
     def ratio(self, origin: tuple, target: tuple) -> float:
         """h(target) / h(origin) from the change in exponent, so it never
@@ -95,8 +100,14 @@ class TwistSummary:
 
 
 def _harmonic(params: ModelParams, sol: SpectralSolution) -> HarmonicFunction:
-    return HarmonicFunction(model=params.model, base=sol.t2,
-                            down_weight=2.0 * params.beta / sol.den)
+    """h from the roots; ArithmeticError names the first set whose Down weight
+    2 beta / den is not finite, where den underflows (alpha = 5e-324)."""
+    down_weight = 2.0 * params.beta / sol.den
+    if not holds(down_weight < math.inf):   # NaN fails too
+        index, where = first_failing(np.logical_not(down_weight < math.inf))
+        raise ArithmeticError(f"h's Down weight 2 beta / den{where} is not finite: den = "
+                              f"{np.asarray(sol.den)[index].item()!r}")
+    return HarmonicFunction(model=params.model, base=sol.t2, down_weight=down_weight)
 
 
 def harmonic(params: ModelParams) -> HarmonicFunction:

@@ -158,6 +158,34 @@ def test_light_load_tandem_refuses_overflowing_eta_weights_before_the_solve(tmp_
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # mu p (lambda + beta) overflows, so t2 is inf and 1 / t2 would read gamma_1 = 0
+    ["compare-mm1", *_rate_flags("0.5", "1e300", "0.5", "1e300")],
+    ["analyze", *_rate_flags("0.5", "1e300", "0.5", "1e300")],
+    # SuperLU finds the truncated lattice singular and returns NaN
+    ["tailfit", *_rate_flags("5e-324", "1e-300", "1e-160", "1e-160"), "--model", "model2",
+     "--p", "0.5", "--kmin", "20", "--kmax", "35", "--xmax", "40"],
+    ["analyze", *_rate_flags("0.1", "10", "1e150", "1e150"), "--model", "model2"],
+    # h(0, y, Down) = t2^y times the Down weight is inf from y = 12
+    ["analyze", *_rate_flags("1e-5", "1e5", "1e-300", "1e-5"), "--model", "model2"],
+    # den underflows to 3e-323, so the Down weight 2 beta / den is inf
+    ["analyze", *_rate_flags("1", "2", "5e-324", "0.5")],
+    ["analyze", *_rate_flags("1", "2", "5e-324", "0.5"), "--model", "model2"],
+], ids=["compare-t2-inf", "analyze-t2-inf", "tailfit-singular", "eta-singular",
+        "eta-h-inf", "model1-down-weight", "tandem-down-weight"])
+def test_extreme_rates_are_reported_or_refused_by_name(tmp_path, capsys, argv):
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    if code == 0:
+        assert _strict_json(captured.out).get("comparison", {}).get("gamma_1") != 0
+    else:
+        line, *rest = captured.err.splitlines()
+        assert not rest and "nan" not in line
+        assert line.startswith(("validation error: ", "verification failure: ",
+                                "non-convergence: "))
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", *_rate_flags("3", "1e150", "0.1", "10"), "--model", "model2"],
     ["tailfit", *_rate_flags("3", "1e150", "0.1", "10"), "--model", "model2", "--p", "0.5",

@@ -14,8 +14,8 @@ from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, Truncation
                     rate_matrix_closed_form, simulate, stationary_table,
                     truncated_stationary, twist_summary)
 from uqtail.kernels import level_blocks
-from uqtail.qbd import (LatticeLaw, _lattice_inflow, _lattice_matrix, _lattice_shape,
-                        _tail_mass_estimate, first_passage)
+from uqtail.qbd import (LatticeLaw, _lattice_inflow, _lattice_matrix, _lattice_moves,
+                        _lattice_shape, _tail_mass_estimate, first_passage)
 from uqtail.verify import (check_rate_matrix, check_stability_equivalence,
                            random_params)
 
@@ -379,6 +379,38 @@ def test_lattice_inflow_is_the_sparse_mat_vec(params, x_max, y_max):
     pi = np.random.default_rng(x_max).random(shape) ** 8
     assert np.array_equal(_lattice_inflow(params, pi),
                           (pi.ravel() @ _lattice_matrix(params, shape)).reshape(shape))
+
+
+@pytest.mark.parametrize("params", [
+    A, T2, make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2), RS],
+    ids=["model1", "tandem-p1", "tandem-p0.5", "rsrd-p0.5"])
+@pytest.mark.parametrize("x_max", [1, 2, 6])
+@pytest.mark.parametrize("y_max", [1, 2, 6])
+def test_lattice_diagonals_hold_each_lattice_move_once(params, x_max, y_max):
+    # at y_max = 1 a phase's (0, +1) and (+1, -1) moves share an offset; the first,
+    # folded at the y edge, must not add into the second's entry
+    shape = _lattice_shape(params.model, x_max, y_max)
+    moves = _lattice_moves(params, shape)
+    for i, state in enumerate(np.ndindex(*shape)):
+        row = dict(full_kernel(params, state).targets)
+        for offset, q in moves.items():
+            if offset and q[i] != 0.0:
+                assert 0 <= i + offset < q.size
+                target = tuple(map(int, np.unravel_index(i + offset, shape)))
+                assert max(abs(t - s) for t, s in zip(target[:-1], state[:-1])) <= 1
+                # one move of the state's own row per offset, its target on the lattice
+                assert target != state and row.pop(target) == q[i]
+        # what is left stays put or leaves the lattice: the stay, summed in target order
+        assert all(t == state or any(c >= n for c, n in zip(t, shape)) for t in row)
+        assert moves[0][i] == sum(row.values(), 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_truncated_refuses_a_singular_solve():
+    # SuperLU finds this system exactly singular and returns NaN; no gate may pass it
+    params = make_params(5e-324, 1e-300, 1e-160, 1e-160, p=0.5, model=Model.MODEL2)
+    with pytest.raises(ArithmeticError, match="^truncated solve produced non-finite"):
+        truncated_stationary(params, x_max=40, y_max=40)
 
 
 @pytest.mark.parametrize("model,x_max,y_max", [
