@@ -133,8 +133,9 @@ def _cmd_simulate(args) -> int:
     lines = [_csv_header(params, seed=args.seed, burn_in=burn, steps=args.steps)]
     lines.append("x,y,status,frequency\n" if traj.y is not None
                  else "x,status,frequency\n")
-    for state in np.argwhere(emp.pi).tolist():
-        lines.append(f"{','.join(map(str, state))},{_fmt(float(emp.pi[tuple(state)]))}\n")
+    states = np.argwhere(emp.pi)
+    for state, frequency in zip(states.tolist(), emp.pi[tuple(states.T)].tolist()):
+        lines.append(f"{','.join(map(str, state))},{_fmt(frequency)}\n")
     (out / "empirical.csv").write_text("".join(lines))
     for note in emp.notes:
         print(f"note: {note}", file=sys.stderr)

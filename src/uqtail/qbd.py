@@ -247,28 +247,30 @@ def _lattice_moves(params: ModelParams, shape: tuple) -> dict:
     return {offset: q.ravel() for offset, q in moves.items()}
 
 
-def _lattice_matrix(params: ModelParams, shape: tuple) -> sp.csr_matrix:
-    """Transition matrix of the chain cut to the lattice `shape`, one entry
-    per nonzero of `_lattice_moves`' diagonals, and the stay at every state."""
+def _lattice_matrix(moves: dict) -> sp.csr_matrix:
+    """Transition matrix of the chain cut to a lattice, from its diagonals
+    `moves` (`_lattice_moves`): one entry per nonzero off the main diagonal,
+    and the stay at every state."""
     import scipy.sparse as sp
 
-    entries = [(src, src + offset, q[src]) for offset, q in _lattice_moves(params, shape).items()
+    entries = [(src, src + offset, q[src]) for offset, q in moves.items()
                for src in (np.flatnonzero(q) if offset else np.arange(q.size),)]
     rows, cols, vals = map(np.concatenate, zip(*entries))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(math.prod(shape),) * 2)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(moves[0].size,) * 2)
 
 
-def _lattice_inflow(params: ModelParams, pi: np.ndarray) -> np.ndarray:
-    """pi P for P = `_lattice_matrix(params, pi.shape)`, without building P.
+def _lattice_inflow(moves: dict, pi: np.ndarray) -> np.ndarray:
+    """pi P for P = `_lattice_matrix(moves)`, without building P; `moves`
+    are the diagonals of the lattice pi.shape (`_lattice_moves`).
 
-    Each diagonal of `_lattice_moves` adds pi q, shifted by its offset, into
-    the flattened inflow.  Diagonals are added by decreasing offset, so each
-    target adds its sources in increasing index, as P's sparse mat-vec does:
-    the sums are bit-identical.
+    Each diagonal adds pi q, shifted by its offset, into the flattened
+    inflow.  Diagonals are added by decreasing offset, so each target adds
+    its sources in increasing index, as P's sparse mat-vec does: the sums
+    are bit-identical.
     """
     flat, n = pi.ravel(), pi.size
     inflow = np.zeros(n)
-    for offset, q in sorted(_lattice_moves(params, pi.shape).items(), reverse=True):
+    for offset, q in sorted(moves.items(), reverse=True):
         src = slice(max(0, -offset), n - max(0, offset))
         inflow[src.start + offset:src.stop + offset] += flat[src] * q[src]
     return inflow.reshape(pi.shape)
@@ -289,7 +291,7 @@ def _closed_form_table(params: ModelParams, pi: np.ndarray, x_tail: float,
     form too.  The inflow pi P is summed from shifted slices of pi by
     `_lattice_inflow`; no matrix is built and scipy is not loaded.
     """
-    inflow = _lattice_inflow(params, pi)
+    inflow = _lattice_inflow(_lattice_moves(params, pi.shape), pi)
     window = (slice(-1),) * (pi.ndim - 1)
     residual = float(np.max(np.abs(inflow[window] - pi[window])))
     return StationaryTable(pi=pi[window], residual=residual,
@@ -304,9 +306,14 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
     Probability leaving the lattice is folded back into the diagonal
     (reflecting cut), which keeps rows stochastic and converges to the true
     law as the cut grows.  The solve is SuperLU on P^T - I with row 0 set to
-    ones, P = `_lattice_matrix`; stuck states and the balance residual are
-    read from the diagonals (`_lattice_moves`, `_lattice_inflow`), and a
-    solve that is not finite raises ArithmeticError by name.
+    ones, P = `_lattice_matrix`.  The diagonals (`_lattice_moves`) are
+    built once; before the solve they refuse, with ArithmeticError by name,
+    a state whose self-loop is exactly 1 and then a state whose coordinate
+    moves (every offset but 0 and the phase moves +-1), summed, are lost
+    against its stay (stay + outflow == stay in floats), since P^T - I
+    cannot see them; after it, they give the balance residual
+    (`_lattice_inflow`).  A solve that is not finite raises ArithmeticError
+    by name.
     Raises InvalidParameters unless x_max >= 1 and, off Model 1, y_max >= 1.
     `model` may be omitted; when given (perfbench/run.py passes it), it must
     be params.model.
@@ -329,7 +336,15 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
         raise ArithmeticError(f"lattice state {state} keeps a self-loop of exactly 1: its exit "
                               f"mass {exit_mass:.3g} (its other moves, summed) is lost against 1 "
                               f"at C = {params.C!r}")
-    p = _lattice_matrix(params, shape)
+    stay = moves[0]
+    outflow = sum(q for offset, q in sorted(moves.items()) if abs(offset) > 1)
+    lost = np.flatnonzero((outflow > 0.0) & (stay + outflow == stay))
+    if lost.size:
+        i, state = lost[0], tuple(map(int, np.unravel_index(lost[0], shape)))
+        raise ArithmeticError(f"lattice state {state} loses its coordinate moves against its "
+                              f"stay: outflow {outflow[i]:.3g} + stay {float(stay[i])!r} rounds "
+                              f"to the stay at C = {params.C!r}")
+    p = _lattice_matrix(moves)
     n = p.shape[0]
     a = sp.vstack([np.ones((1, n)), (p.T - sp.identity(n, format="csr")).tocsr()[1:]],
                   format="csc")
@@ -345,7 +360,7 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
         raise ArithmeticError("truncated solve produced negative probabilities")
     pi = np.clip(pi, 0.0, None).reshape(shape)
     pi /= pi.sum()
-    residual = float(np.max(np.abs(_lattice_inflow(params, pi) - pi)))
+    residual = float(np.max(np.abs(_lattice_inflow(moves, pi) - pi)))
     tail = _tail_mass_estimate(pi)
     if not tail <= tail_error:
         raise TruncationError(

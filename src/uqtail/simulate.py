@@ -60,9 +60,13 @@ class Trajectory:
         else:
             head, columns = "step,x,y,status\n", (self.x, self.y, self.status)
         yield (_csv_header(self.params, seed=self.seed) + head).encode()
-        for first in range(0, len(self.x), _BLOCK):
-            yield _csv_lines([np.arange(first, min(first + _BLOCK, len(self.x)))]
-                             + [column[first:first + _BLOCK] for column in columns])
+        # a chunk ends at each _BLOCK and where the step gains a digit, so that its
+        # step column has one width and `_csv_lines` can skip compaction; below
+        # 10**4 the extra chunks would cost more than they save
+        n = len(self.x)
+        ends = sorted({*range(_BLOCK, n, _BLOCK), *(10 ** j for j in range(4, len(str(n - 1)))), n})
+        for first, end in zip([0, *ends], ends):
+            yield _csv_lines([np.arange(first, end)] + [column[first:end] for column in columns])
 
 
 def _csv_header(params: ModelParams, seed: int | None = None, **extra) -> str:
@@ -87,7 +91,8 @@ def _csv_lines(columns: list[np.ndarray]) -> np.ndarray:
     (rest // 10), one `//` and one subtraction in the narrowest unsigned
     dtype that holds the column: numpy divides by a scalar on a fast path,
     but has none for the remainder.  One transpose puts the lines in order,
-    and `bytes.translate` drops the padding, faster than a boolean mask.
+    and `bytes.translate` drops the padding, faster than a boolean mask;
+    lines without padding, where each column's values have one width, skip it.
     """
     lows = [int(column.min()) for column in columns]
     if min(lows) < 0:
@@ -110,7 +115,10 @@ def _csv_lines(columns: list[np.ndarray]) -> np.ndarray:
         end += width + 1
         text[end - 1] = ord(",")
     text[-1] = ord("\n")
-    return np.frombuffer(text.T.tobytes().translate(None, b"\0"), dtype=np.uint8)
+    lines = text.T.tobytes()
+    if any(len(str(low)) < width for low, width in zip(lows, widths)):
+        lines = lines.translate(None, b"\0")
+    return np.frombuffer(lines, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -212,29 +220,62 @@ def simulate(params: ModelParams, steps: int, seed: int = 0,
 def _block_path(table, u, start):
     """Coordinates and phase after each uniform of u, from state start.
 
+    Each step reads the move of its current phase alone (`_block_moves`).
+    When every move that lowers x leaves y unchanged, x never blocks y.  y
+    then follows the Lindley recursion y_k = max(y_{k-1} + dy_k, 0), which
+    is the blocking rule for unit steps, and x follows it too once the moves
+    that y blocked are removed.  Otherwise (the feedback move (x - 1, y + 1))
+    a per-step loop applies the rule.
+    """
+    moves = table[-1]
+    delta, phase = _block_moves(table, u, start[-1])
+    status = phase[1:].view(np.int8)
+    if len(delta) == 1:
+        return _lindley(start[0], delta[0]), status
+    if np.any((moves[0] < 0) & (moves[1] != 0)):
+        return (*_blocked_walk(*start[:2], delta[0].tolist(), delta[1].tolist()), status)
+    y = _lindley(start[1], delta[1])
+    dx = np.where(np.concatenate(([start[1]], y[:-1])) + delta[1] < 0, 0, delta[0])
+    return _lindley(start[0], dx), y, status
+
+
+def _block_moves(table, u, s):
+    """Each uniform's coordinate move, and the phases (bool, DOWN = True)
+    before the first step and after each step, from phase s.
+
     One pass per cut of the `_phase_rows` table gives each uniform's
-    interval, then the phases (`_phase_path`): blocked moves keep the phase,
-    so the phase chain sees no coordinate.  Each step reads the move of its
-    current phase alone.  When every move that lowers x leaves y unchanged,
-    x never blocks y.  y then follows the Lindley recursion
-    y_k = max(y_{k-1} + dy_k, 0), which is the blocking rule for unit steps,
-    and x follows it too once the moves that y blocked are removed.
-    Otherwise (the feedback move (x - 1, y + 1)) a per-step loop applies the
-    rule.
+    interval.  Blocked moves keep the phase, so the phase chain sees no
+    coordinate, and it changes only at an event: a step whose interval does
+    not lead Up to Up and Down to Down.  Whether an interval leads a phase
+    Down changes at a few cuts, so the xor of the comparisons at those cuts
+    gives it at each uniform, for less than reading it by interval (`take`
+    turns uint8 indices into intp first).  An event whose targets agree sets
+    the phase to them; `_phase_path` scans the events only when the table
+    has an interval that swaps Up and Down.  Where the phase after an event
+    differs from the one before it, a zeroed column gets a flip, and its
+    running xor is the path's phases.  The temporaries die on return, before
+    the coordinates are walked: a larger heap top costs page faults.
     """
     cuts, to_up, to_down, moves = table
     k = np.zeros(len(u), dtype=np.uint8)
-    for cut in cuts:
-        k += u >= cut
-    phase = _phase_path(start[-1], to_up.take(k), to_down.take(k))
-    delta = moves.take(2 * k + phase[:-1].view(np.uint8), axis=1)
-    if len(delta) == 1:
-        return _lindley(start[0], delta[0]), phase[1:]
-    if np.any((moves[0] < 0) & (moves[1] != 0)):
-        return (*_blocked_walk(*start[:2], delta[0].tolist(), delta[1].tolist()), phase[1:])
-    y = _lindley(start[1], delta[1])
-    dx = np.where(np.concatenate(([start[1]], y[:-1])) + delta[1] < 0, 0, delta[0])
-    return _lindley(start[0], dx), y, phase[1:]
+    leads = np.stack([to_up, to_down]) == DOWN   # by interval, from Up and from Down
+    targets = np.repeat(leads[:, :1], len(u), axis=1)
+    for cut, toggles in zip(cuts, (leads[:, 1:] != leads[:, :-1]).T):
+        above = u >= cut
+        k += above
+        for row in np.flatnonzero(toggles):
+            targets[row] ^= above
+    events = np.flatnonzero(targets[0] >= targets[1])   # not Up to Up and Down to Down
+    up = targets[0].take(events).view(np.int8)
+    if np.any(to_up > to_down):
+        after = _phase_path(s, up, targets[1].take(events).view(np.int8))
+    else:
+        after = np.concatenate(([s], up), dtype=np.int8)
+    phase = np.zeros(len(u) + 1, dtype=bool)
+    phase[0] = after[0]
+    phase[1:][events] = after[1:] != after[:-1]
+    np.logical_xor.accumulate(phase, out=phase)   # in place: a new array costs page faults
+    return moves.take(2 * k + phase[:-1], axis=1), phase
 
 
 def _lindley(x, dx):

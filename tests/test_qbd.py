@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -335,7 +336,7 @@ def test_lattice_matches_per_state_assembly(monkeypatch, params, model, x_max, y
                                             tail_error):
     (entries, residual, tail), p_ref, a_ref = _reference_lattice(
         params, model, x_max, y_max, tail_error)
-    p = _lattice_matrix(params, _lattice_shape(model, x_max, y_max))
+    p = _lattice_matrix(_lattice_moves(params, _lattice_shape(model, x_max, y_max)))
     _assert_same_sparse(p, p_ref)
     solved = []
     spsolve = spla.spsolve
@@ -354,7 +355,7 @@ def test_lattice_matches_per_state_assembly(monkeypatch, params, model, x_max, y
 def test_lattice_rows_are_folded_kernel_rows(seed, p):
     params = random_params(np.random.default_rng(seed), p=p, model=Model.MODEL2)
     shape = _lattice_shape(Model.MODEL2, 6, 6)
-    matrix = _lattice_matrix(params, shape)
+    matrix = _lattice_matrix(_lattice_moves(params, shape))
     for i, state in enumerate(np.ndindex(*shape)):
         folded = {i: 0.0}
         for target, prob in full_kernel(params, state).targets:
@@ -377,8 +378,9 @@ def test_lattice_inflow_is_the_sparse_mat_vec(params, x_max, y_max):
     # entries spread over decades, so a changed summation order shows
     shape = _lattice_shape(params.model, x_max, y_max)
     pi = np.random.default_rng(x_max).random(shape) ** 8
-    assert np.array_equal(_lattice_inflow(params, pi),
-                          (pi.ravel() @ _lattice_matrix(params, shape)).reshape(shape))
+    moves = _lattice_moves(params, shape)
+    assert np.array_equal(_lattice_inflow(moves, pi),
+                          (pi.ravel() @ _lattice_matrix(moves)).reshape(shape))
 
 
 @pytest.mark.parametrize("params", [
@@ -406,11 +408,53 @@ def test_lattice_diagonals_hold_each_lattice_move_once(params, x_max, y_max):
 
 
 @pytest.mark.filterwarnings("error")
-def test_truncated_refuses_a_singular_solve():
-    # SuperLU finds this system exactly singular and returns NaN; no gate may pass it
-    params = make_params(5e-324, 1e-300, 1e-160, 1e-160, p=0.5, model=Model.MODEL2)
+def test_truncated_refuses_a_singular_solve(monkeypatch):
+    # a solve that SuperLU finds singular warns and returns NaN; no gate may pass it.
+    # The lattices known to do so are refused before the solve (next test), so the
+    # solver's answer on them is stood in for here
+    def singular(a, b):
+        warnings.warn("Matrix is exactly singular", spla.MatrixRankWarning)
+        return np.full(b.shape, np.nan)
+
+    monkeypatch.setattr(spla, "spsolve", singular)
     with pytest.raises(ArithmeticError, match="^truncated solve produced non-finite"):
-        truncated_stationary(params, x_max=40, y_max=40)
+        truncated_stationary(T2, x_max=10, y_max=10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rates,p,side,lost", [
+    # SuperLU returned NaN on both, after 1.5 s on the first (eta's 60 x 60 table)
+    ((0.1, 10, 1e150, 1e150), 1.0, 60,
+     "outflow 5e-152 + stay 0.5 rounds to the stay at C = 2e+150"),
+    ((5e-324, 1e-300, 1e-160, 1e-160), 0.5, 40,
+     "outflow 2.47e-164 + stay 0.5 rounds to the stay at C = 2e-160"),
+], ids=["eta-singular", "tailfit-singular"])
+def test_truncated_refuses_coordinate_moves_lost_against_the_stay(monkeypatch, rates, p, side,
+                                                                   lost):
+    # every state but (side, side, Down), which has no coordinate move, loses them
+    params = make_params(*rates, p=p, model=Model.MODEL2)
+    shape = _lattice_shape(Model.MODEL2, side, side)
+    moves = _lattice_moves(params, shape)
+    outflow = sum(q for offset, q in moves.items() if abs(offset) > 1)
+    kept = (outflow == 0.0) | (moves[0] + outflow != moves[0])
+    assert np.flatnonzero(kept).tolist() == [int(np.ravel_multi_index((side, side, DOWN), shape))]
+    monkeypatch.setattr(spla, "spsolve", lambda a, b: pytest.fail("the solve ran"))
+    with pytest.raises(ArithmeticError) as refusal:
+        truncated_stationary(params, x_max=side, y_max=side)
+    assert str(refusal.value) == (
+        f"lattice state (0, 0, 0) loses its coordinate moves against its stay: {lost}")
+
+
+@pytest.mark.parametrize("params,x_max,y_max", [
+    (T2, 60, 60), (make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2), 40, 40),
+    (make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD), 40, 40),
+    (make_params(1e-5, 30, 0.1, 10, model=Model.MODEL2), 60, 60),
+    (make_params(1, 50, 1.9, 0.6, model=Model.MODEL2), 60, 60), (A, 300, None)],
+    ids=["T2", "tandem-p0.5", "rsrd-p0.5", "light-load", "fast-switching", "A"])
+def test_lattice_moves_are_not_lost_against_the_stay(params, x_max, y_max):
+    moves = _lattice_moves(params, _lattice_shape(params.model, x_max, y_max))
+    outflow = sum(q for offset, q in moves.items() if abs(offset) > 1)
+    assert not np.any((outflow > 0.0) & (moves[0] + outflow == moves[0]))
 
 
 @pytest.mark.parametrize("model,x_max,y_max", [

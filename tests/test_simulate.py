@@ -381,6 +381,27 @@ def test_sampler_at_thresholds_and_one_ulp_beside_them(params):
         assert np.array_equal(got, expected[1:])
 
 
+@pytest.mark.parametrize("params,share", [
+    (make_params(1, 2, 50, 50), 0.96), (make_params(1, 2, 50, 50, model=Model.MODEL2), 0.94)],
+    ids=["model1", "tandem"])
+def test_block_path_where_almost_every_step_or_none_can_change_the_phase(params, share):
+    # at alpha = beta = 50 the steps that set or swap the phase (events) take 97.1% of
+    # the unit interval for Model 1 and 95.2% for the tandem; the uniforms left over make a
+    # block without an event, along which the phase stays where it started
+    table = _phase_rows(params)
+    cuts, to_up, to_down, _ = table
+    uniforms = np.random.default_rng(17).random(20_000)
+    event = ((to_up != UP) | (to_down != DOWN))[np.searchsorted(cuts, uniforms, side="right")]
+    assert event.mean() > share
+    for block in (uniforms, uniforms[~event]):
+        for start in ((0, UP), (3, DOWN)):
+            start = start if params.model is Model.MODEL1 else (start[0], 2, start[1])
+            expected = _reference_path(params, block, start)
+            got = np.stack([np.asarray(c) for c in _block_path(table, block, start)], axis=1)
+            assert np.array_equal(got, expected[1:])
+    assert np.all(got[:, -1] == DOWN)
+
+
 def _fold_sets():
     rng = np.random.default_rng(31)
     for i in range(24):
@@ -542,6 +563,22 @@ def test_trajectory_csv_matches_fstrings(rows):
         Trajectory(params=A, seed=0, x=-1 - x, status=status).to_csv()
 
 
+def test_trajectory_csv_across_a_power_of_ten():
+    # x and y keep one digit until step 10**5, then take two: a chunk ends at 10**4,
+    # _BLOCK and 10**5, and of the four chunks the middle two hold no padding
+    rows = 10 ** 5 + 50
+    x = np.resize(np.arange(10, dtype=np.int32), rows)
+    x[10 ** 5:] += 5
+    status = np.resize(np.array([UP, DOWN], dtype=np.int8), rows)
+    for traj in (Trajectory(params=A, seed=4, x=x, status=status),
+                 Trajectory(params=T2, seed=4, x=x, status=status, y=x[::-1].copy())):
+        chunks = list(traj._csv_chunks())[1:]
+        assert [chunk.tobytes().count(b"\n") for chunk in chunks] == [
+            10 ** 4, _BLOCK - 10 ** 4, 10 ** 5 - _BLOCK, 50]
+        text = traj.to_csv()
+        _assert_same_lines(text.partition("status\n")[2], _reference_csv_rows(traj))
+
+
 @pytest.mark.parametrize("columns", [
     [np.arange(9_999_990, 10_000_010), np.arange(20, dtype=np.int32) % 3],
     [np.arange(20), np.zeros(20, dtype=np.int32), np.ones(20, dtype=np.int8)],
@@ -571,6 +608,24 @@ def test_simulate_verb_files_are_pinned(flags, tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
     assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                  for name in ("trajectory.csv", "empirical.csv")) == SIMULATE_VERB_FILES[flags]
+
+
+# SHA-256 of excursions.csv from the ldpath verb on A and B, 70,000 steps,
+# level 30 and the default seed 0, as CI runs them
+LDPATH_FILES = {
+    ("--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"):
+        "75df1e65f5e583ed613181d1e55ba325da0d7fef300306c90475bab7859ec2e3",
+    ("--lambda", "20", "--mu", "60", "--alpha", "0.01", "--beta", "1"):
+        "21edc9613fb6d326883b245839c6d206f9541f721eec1df0447931c96535ad24",
+}
+
+
+@pytest.mark.parametrize("flags", list(LDPATH_FILES), ids=["A", "B"])
+def test_ldpath_verb_files_are_pinned(flags, tmp_path, capsys):
+    assert main(["ldpath", *flags, "--steps", "70000", "--level", "30",
+                 "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "excursions.csv").read_bytes()).hexdigest()
+    assert digest == LDPATH_FILES[flags]
 
 
 def _reference_excursions(trajectory, level_k, base_level=2):
