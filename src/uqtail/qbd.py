@@ -308,10 +308,13 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
     law as the cut grows.  The solve is SuperLU on P^T - I with row 0 set to
     ones, P = `_lattice_matrix`.  The diagonals (`_lattice_moves`) are
     built once; before the solve they refuse, with ArithmeticError by name,
-    a state whose self-loop is exactly 1 and then a state whose coordinate
-    moves (every offset but 0 and the phase moves +-1), summed, are lost
-    against its stay (stay + outflow == stay in floats), since P^T - I
-    cannot see them; after it, they give the balance residual
+    a state whose self-loop is exactly 1, and then a lattice where every
+    state with coordinate moves (every offset but 0 and the phase moves
+    +-1) loses them, summed, against its stay (stay + outflow == stay in
+    floats): no state then leaves its (x, y) in floats, and the system is
+    singular.  A lattice where only some states lose them is solved, as
+    light loads need (the arrival lost at (0, 0, sigma)).  After the solve
+    the diagonals give the balance residual
     (`_lattice_inflow`).  A solve that is not finite raises ArithmeticError
     by name.
     Raises InvalidParameters unless x_max >= 1 and, off Model 1, y_max >= 1.
@@ -339,11 +342,11 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
     stay = moves[0]
     outflow = sum(q for offset, q in sorted(moves.items()) if abs(offset) > 1)
     lost = np.flatnonzero((outflow > 0.0) & (stay + outflow == stay))
-    if lost.size:
+    if lost.size and lost.size == np.count_nonzero(outflow):   # no state moves x or y in floats
         i, state = lost[0], tuple(map(int, np.unravel_index(lost[0], shape)))
-        raise ArithmeticError(f"lattice state {state} loses its coordinate moves against its "
-                              f"stay: outflow {outflow[i]:.3g} + stay {float(stay[i])!r} rounds "
-                              f"to the stay at C = {params.C!r}")
+        raise ArithmeticError(f"every lattice state with coordinate moves loses them against its "
+                              f"stay; at {state}: outflow {outflow[i]:.3g} + stay "
+                              f"{float(stay[i])!r} rounds to the stay at C = {params.C!r}")
     p = _lattice_matrix(moves)
     n = p.shape[0]
     a = sp.vstack([np.ones((1, n)), (p.T - sp.identity(n, format="csr")).tocsr()[1:]],

@@ -64,7 +64,8 @@ class Trajectory:
         # step column has one width and `_csv_lines` can skip compaction; below
         # 10**4 the extra chunks would cost more than they save
         n = len(self.x)
-        ends = sorted({*range(_BLOCK, n, _BLOCK), *(10 ** j for j in range(4, len(str(n - 1)))), n})
+        ends = sorted({*range(_BLOCK, n, _BLOCK), *(10 ** j for j in range(4, len(str(n - 1)))),
+                       n} - {0})   # an empty path writes the header alone
         for first, end in zip([0, *ends], ends):
             yield _csv_lines([np.arange(first, end)] + [column[first:end] for column in columns])
 
@@ -249,9 +250,8 @@ def _block_moves(table, u, s):
     not lead Up to Up and Down to Down.  Whether an interval leads a phase
     Down changes at a few cuts, so the xor of the comparisons at those cuts
     gives it at each uniform, for less than reading it by interval (`take`
-    turns uint8 indices into intp first).  An event whose targets agree sets
-    the phase to them; `_phase_path` scans the events only when the table
-    has an interval that swaps Up and Down.  Where the phase after an event
+    turns uint8 indices into intp first).  `_phase_path` scans the events
+    alone for the phase after each.  Where the phase after an event
     differs from the one before it, a zeroed column gets a flip, and its
     running xor is the path's phases.  The temporaries die on return, before
     the coordinates are walked: a larger heap top costs page faults.
@@ -266,11 +266,7 @@ def _block_moves(table, u, s):
         for row in np.flatnonzero(toggles):
             targets[row] ^= above
     events = np.flatnonzero(targets[0] >= targets[1])   # not Up to Up and Down to Down
-    up = targets[0].take(events).view(np.int8)
-    if np.any(to_up > to_down):
-        after = _phase_path(s, up, targets[1].take(events).view(np.int8))
-    else:
-        after = np.concatenate(([s], up), dtype=np.int8)
+    after = _phase_path(s, *targets.take(events, axis=1).view(np.int8))
     phase = np.zeros(len(u) + 1, dtype=bool)
     phase[0] = after[0]
     phase[1:][events] = after[1:] != after[:-1]
@@ -306,16 +302,22 @@ def _phase_path(s, to_up, to_down):
 
     Step k leads to to_up[k] from Up and to to_down[k] from Down.  A step
     whose two targets agree sets the phase; one that keeps Up and Down keeps
-    it, and one that swaps them (to_up > to_down) flips it.  So the phase is
-    the one set last, xor the parity of the swaps since (UP = 0, DOWN = 1).
+    it, and one that swaps them (to_up > to_down) flips it.  So after a step
+    that sets, the phase is its target, and after a step in a run of steps
+    that do not, it is the phase before the run xor the parity of the run's
+    swaps so far (UP = 0, DOWN = 1).  Past one comparison and one
+    `flatnonzero`, the work is on those runs alone: the events that
+    `_block_moves` passes all set the phase, but where an interval one ulp
+    wide swaps it.
     """
-    sets = np.concatenate(([True], to_up == to_down))
-    last = np.arange(len(sets), dtype=np.int32) * sets
-    np.maximum.accumulate(last, out=last)   # in place: a new array costs page faults
-    parity = np.concatenate(([False], to_up > to_down)).view(np.uint8)
-    np.bitwise_xor.accumulate(parity, out=parity)
-    phase = np.concatenate(([s], to_up)).astype(np.uint8) ^ parity   # as set, unflipped
-    return (phase.take(last) ^ parity).view(np.int8)
+    phase = np.concatenate(([s], to_up), dtype=np.int8)   # right after each step that sets
+    free = np.flatnonzero(to_up != to_down)   # keeps and swaps
+    swaps = to_up.take(free).view(np.uint8)   # a free step leads Up to Down where it swaps
+    parity = np.bitwise_xor.accumulate(swaps)
+    first = np.maximum.accumulate(np.where(np.diff(free, prepend=-2) != 1,
+                                           np.arange(len(free)), 0))   # of each one's run
+    phase[free + 1] = phase[free.take(first)] ^ parity ^ (parity ^ swaps).take(first)
+    return phase
 
 
 def _check_burn_in(burn_in: int, steps: int) -> None:

@@ -441,8 +441,26 @@ def test_truncated_refuses_coordinate_moves_lost_against_the_stay(monkeypatch, r
     monkeypatch.setattr(spla, "spsolve", lambda a, b: pytest.fail("the solve ran"))
     with pytest.raises(ArithmeticError) as refusal:
         truncated_stationary(params, x_max=side, y_max=side)
-    assert str(refusal.value) == (
-        f"lattice state (0, 0, 0) loses its coordinate moves against its stay: {lost}")
+    assert str(refusal.value) == ("every lattice state with coordinate moves loses them against "
+                                  f"its stay; at (0, 0, 0): {lost}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_truncated_solves_a_lattice_where_some_states_lose_their_coordinate_moves(p):
+    # coordinate moves are lost against the stay at (0, 0, Up) (the arrival 5e-21)
+    # and at 20 Down states on the edges y = 0 and x = 10, but every other state
+    # keeps them: SuperLU solves this lattice
+    params = make_params(1e-20, 1e-3, 1, 1, p=p, model=Model.MODEL2)
+    shape = _lattice_shape(Model.MODEL2, 10, 10)
+    moves = _lattice_moves(params, shape)
+    outflow = sum(q for offset, q in moves.items() if abs(offset) > 1)
+    lost = np.flatnonzero((outflow > 0.0) & (moves[0] + outflow == moves[0]))
+    assert int(np.ravel_multi_index((0, 0, UP), shape)) in lost
+    assert 0 < lost.size < np.count_nonzero(outflow)
+    table = truncated_stationary(params, x_max=10, y_max=10)
+    assert np.isfinite(table.pi).all() and table.pi.min() >= 0.0
+    assert table.residual < 1e-30 and table.pi[1, 0, UP] > 0.0
 
 
 @pytest.mark.parametrize("params,x_max,y_max", [
