@@ -13,7 +13,7 @@ import numpy as np
 
 from .kernels import level_blocks
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
-                     UnstableParameters, first_failing, holds, make_params)
+                     UnstableParameters, _require, holds, make_params)
 from .qbd import (_TAIL_ERROR, StationaryTable, TruncationError, boundary_vector,
                   first_passage, truncated_stationary)
 from .spectral import SpectralSolution, _require_stable, characteristic_roots
@@ -130,12 +130,9 @@ def _escape(twist: TwistSummary) -> EscapeProbs:
     g = np.stack([1.0 / t2, 1.0 / (t2 * w)], axis=-1)[..., None] * (1.0, 0.0)   # Down column 0
     residual = np.abs(a2 + a1 @ g + a0 @ g @ g - g).max(axis=(-2, -1))
     rows = g.sum(axis=-1)
-    ok = (residual <= _ESCAPE_RESIDUAL) & (rows < 1.0).all(axis=-1)
-    if not ok.all():
-        index, where = first_failing(~ok)
-        raise ArithmeticError(
-            f"closed-form first-passage matrix{where} fails: residual {residual[index]:.3g} "
-            f"(bound {_ESCAPE_RESIDUAL:g}), row sums {rows[index]} (must be < 1)")
+    _require([((residual <= _ESCAPE_RESIDUAL) & (rows < 1.0).all(axis=-1),
+               "closed-form first-passage matrix{where} fails: residual {:.3g} (bound {:g}), "
+               "row sums {} (must be < 1)", residual, _ESCAPE_RESIDUAL, rows)], ArithmeticError)
     scale = twist.params.lam / twist.params.C
     return EscapeProbs(up=scale * (t2 - 1.0), down=scale * (t2 - 1.0 / w), residual=residual)
 

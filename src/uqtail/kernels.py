@@ -18,7 +18,8 @@ from operator import add
 
 import numpy as np
 
-from .params import DOWN, UP, InvalidParameters, Model, ModelParams, check_state, holds, select
+from .params import (DOWN, UP, InvalidParameters, Model, ModelParams, _require, check_state,
+                     holds, select)
 
 _ROW_TOL = 1e-12
 
@@ -88,8 +89,8 @@ def _fold(moves: tuple, origin: tuple, h=None) -> list:
         kept.append((step, prob))
         used += prob
     diag = 1.0 - used
-    if not holds(diag >= -_ROW_TOL):
-        raise InvalidParameters(f"row at {origin} has negative diagonal {diag}; C too small")
+    _require([(diag >= -_ROW_TOL, "row at {} has negative diagonal {}{where}; C too small",
+               origin, diag)])
     kept.append(((0,) * len(origin), select(diag > 0.0, diag, 0.0)))
     kept.sort()
     if h is None:

@@ -7,10 +7,8 @@ integers ``UP`` / ``DOWN``.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,7 +45,7 @@ def default_uniformization(lam: float, mu: float, alpha: float, beta: float,
     It is not the smallest C keeping the rows stochastic: that is the largest
     exit rate of one phase, max(lam+mu+alpha, lam+beta) for Model 1.
     """
-    _require([(value > 0, "{} must be > 0, got {}", name, value)
+    _require([(value > 0, "{} must be > 0, got {}{where}", name, value)
               for name, value in (("lambda", lam), ("mu", mu), ("alpha", alpha), ("beta", beta))])
     return _rate_sum(lam, mu, alpha, beta, model)
 
@@ -142,21 +140,40 @@ def validate(params: ModelParams) -> ModelParams:
     c_min = _rate_sum(*map(abs, rates.values()), model)
     bound = "lambda+mu+alpha+beta" if model is Model.MODEL1 else "lambda+2*mu+alpha+beta"
     _require([*[row for label, value in rates.items()
-                for row in ((value > 0, "{} must be > 0, got {}", label, value),
-                            (value < math.inf, "{} must be finite, got {}", label, value))],
-              ((0.0 < p) & (p <= 1.0), "p must be in (0, 1], got {}", p),
-              (model is not Model.MODEL1 or p == 1.0, "Model 1 requires p = 1"),
-              (abs(C) < math.inf, "C must be finite, got {}", C),
-              (C >= c_min - 1e-12, "C below {}: {} < {}", bound, C, c_min)])
+                for row in ((value > 0, "{} must be > 0, got {}{where}", label, value),
+                            (value < math.inf, "{} must be finite, got {}{where}", label, value))],
+              ((0.0 < p) & (p <= 1.0), "p must be in (0, 1], got {}{where}", p),
+              (model is not Model.MODEL1 or p == 1.0, "Model 1 requires p = 1{where}"),
+              (abs(C) < math.inf, "C must be finite, got {}{where}", C),
+              # relative: an absolute slack would admit any C at tiny rates; 1e-14 still
+              # admits a sum taken in another order, a few ulps below
+              (C >= c_min * (1.0 - 1e-14), "C below {}: {} < {}{where}", bound, C, c_min)])
     return params
 
 
-def _require(conditions) -> None:
-    """Raise InvalidParameters(message.format(*values)) for the first row (ok, message,
-    *values) of `conditions` failing in some set, all tested first by one reduction."""
-    if not holds(functools.reduce(operator.and_, [row[0] for row in conditions])):
-        _, message, *values = next(row for row in conditions if not holds(row[0]))
-        raise InvalidParameters(message.format(*values))
+def _require(conditions, error=InvalidParameters) -> None:
+    """Unless every row (ok, message, *values) of `conditions` holds in every set,
+    all tested by one reduction, raise error(message.format(*values, where=...))
+    for the first failing set, in C order, and its first failing row.
+
+    Array values are read at that set, 0-d ones as Python scalars, and `{where}`
+    is " at stack index i[, j]", or "" for one set."""
+    ok = conditions[0][0]
+    for row in conditions[1:]:
+        ok = ok & row[0]
+    if holds(ok):
+        return
+    index = tuple(np.argwhere(np.logical_not(ok))[0].tolist())   # () for one set
+    _, message, *values = next(row for row in conditions if not _at(row[0], index))
+    where = f" at stack index {', '.join(map(str, index))}" if index else ""
+    raise error(message.format(*(_at(value, index) for value in values), where=where))
+
+
+def _at(value, index: tuple):
+    """A stacked value at one set's index; 0-d values as Python scalars."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        value = value[index]
+    return value.item() if isinstance(value, (np.ndarray, np.generic)) and not value.ndim else value
 
 
 def holds(ok) -> bool:
@@ -169,12 +186,6 @@ def select(ok, when_true, when_false):
     if isinstance(ok, bool):
         return when_true if ok else when_false
     return np.where(ok, when_true, when_false)
-
-
-def first_failing(failed) -> tuple[tuple, str]:
-    """The first index where `failed` holds (() for one set) and " at stack index i"."""
-    index = tuple(np.argwhere(failed)[0].tolist())
-    return index, f" at stack index {', '.join(map(str, index))}" if index else ""
 
 
 def elementwise(f, x):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .kernels import _fold, _moves, _origins
 from .params import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
-                     first_failing, make_params)
+                     _require, make_params)
 from .spectral import _require_stable
 
 if TYPE_CHECKING:   # scipy loads in the sparse solves only; most verbs never run one
@@ -114,8 +114,8 @@ def first_passage(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     G[i, j] is the probability of first entering the level below in phase j
     from phase i.  Blocks of shape (..., n, n) are a stack of QBDs, solved by
     the same doublings until the last step is small for all of them.  Raises
-    ArithmeticError, naming the first failing stack index, unless every
-    residual is at most 1e-12 and every row sum at most 1 + 1e-8.
+    ArithmeticError (see `_require`) unless every residual is at most 1e-12
+    and every row sum at most 1 + 1e-8.
     """
     eye = np.eye(a1.shape[-1])
     up = np.linalg.solve(eye - a1, a0)
@@ -130,15 +130,11 @@ def first_passage(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
         if np.max(step) <= _FIRST_PASSAGE_TOL:
             break
     residual = np.max(np.abs(a2 + a1 @ g + a0 @ g @ g - g), axis=(-2, -1))
-    rows = g.sum(axis=-1)
-    failed = ~((residual <= _FIRST_PASSAGE_RESIDUAL)
-               & np.all(rows <= 1.0 + _FIRST_PASSAGE_ROW_EXCESS, axis=-1))
-    if np.any(failed):
-        index, where = first_failing(failed)
-        raise ArithmeticError(
-            f"first-passage matrix{where} fails: residual {float(residual[index]):.3g} "
-            f"(bound {_FIRST_PASSAGE_RESIDUAL:g}), max row sum "
-            f"{float(rows[index].max())!r} (must be <= 1 + {_FIRST_PASSAGE_ROW_EXCESS:g})")
+    top = g.sum(axis=-1).max(axis=-1)
+    _require([((residual <= _FIRST_PASSAGE_RESIDUAL) & (top <= 1.0 + _FIRST_PASSAGE_ROW_EXCESS),
+               "first-passage matrix{where} fails: residual {:.3g} (bound {:g}), max row sum "
+               "{!r} (must be <= 1 + {:g})", residual, _FIRST_PASSAGE_RESIDUAL, top,
+               _FIRST_PASSAGE_ROW_EXCESS)], ArithmeticError)
     return g
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import level_blocks
-from .params import (InvalidParameters, Model, ModelParams, UnstableParameters, elementwise,
-                     first_failing, holds, select)
+from .params import (InvalidParameters, Model, ModelParams, UnstableParameters, _require,
+                     elementwise, holds, select)
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,13 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     t2 = mup * (lam + beta) / select(lam2 >= sys.float_info.min, lam2 * t1, lam * (lam * t1))
     # an extreme load underflows t2 to 0, where 1 / t2 would divide by 0; so does
     # lam = 5e-324, whose t1 overflows.  mu p (lam + beta) can overflow instead
-    # (mu = beta = 1e300), where 1 / t2 would read gamma_1 = 0
-    if not holds((t2 != 0.0) & (t2 < math.inf)):   # NaN fails too
-        index, where = first_failing(np.logical_not((t2 != 0.0) & (t2 < math.inf)))
-        at = f"at lambda = {np.asarray(lam)[index].item()!r}"
-        if np.asarray(t2)[index] != 0.0:
-            raise ArithmeticError(f"the smaller root t2{where} is not finite {at}")
-        if math.isinf(np.asarray(t1)[index]):
-            raise ArithmeticError(f"the larger root t1{where} overflows {at}, so the smaller "
-                                  "root t2 underflows to 0")
-        raise ArithmeticError(f"the smaller root t2{where} underflows to 0 {at}")
+    # (mu = beta = 1e300), where 1 / t2 would read gamma_1 = 0.  An inf t1 makes t2
+    # 0 or NaN, so its row, read after the one a NaN fails, fails only where t2 is 0
+    _require([(t2 < math.inf, "the smaller root t2{where} is not finite at lambda = {!r}", lam),
+              (t1 != math.inf, "the larger root t1{where} overflows at lambda = {!r}, so the "
+               "smaller root t2 underflows to 0", lam),
+              (t2 != 0.0, "the smaller root t2{where} underflows to 0 at lambda = {!r}", lam)],
+             ArithmeticError)
     # den = sqrt(s) - c = (s - c^2) / (sqrt(s) + c) = 4 alpha (lam + beta) / (sqrt(s) + c);
     # the difference cancels catastrophically when c > 0 and alpha is small
     c = mup - lam - beta + alpha
@@ -116,10 +113,7 @@ def stability(params: ModelParams) -> StabilityReport:
 
 
 def _require_stable(params: ModelParams, stage: str) -> None:
-    """UnstableParameters naming `stage` and the first unstable set, unless all are stable."""
-    stable = stability(params).stable
-    if not holds(stable):
-        index, where = first_failing(np.logical_not(stable))
-        bound = "mu p" if params.model is Model.RSRD else "beta/(alpha+beta) mu p"
-        raise UnstableParameters(f"{stage} requires a stable parameter set, lambda < {bound}; "
-                                 f"got lambda = {np.asarray(params.lam)[index].item()!r}{where}")
+    """UnstableParameters naming `stage`, unless every set is stable (see `_require`)."""
+    bound = "mu p" if params.model is Model.RSRD else "beta/(alpha+beta) mu p"
+    _require([(stability(params).stable, "{} requires a stable parameter set, lambda < {}; "
+               "got lambda = {!r}{where}", stage, bound, params.lam)], UnstableParameters)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import level_blocks
-from .params import DOWN, UP, InvalidParameters, Model, ModelParams, first_failing, holds
+from .params import DOWN, UP, InvalidParameters, Model, ModelParams, _require, holds
 from .spectral import SpectralSolution, _require_stable, characteristic_roots
 
 _DRIFT_AGREEMENT = 1e-10
@@ -100,13 +100,12 @@ class TwistSummary:
 
 
 def _harmonic(params: ModelParams, sol: SpectralSolution) -> HarmonicFunction:
-    """h from the roots; ArithmeticError names the first set whose Down weight
-    2 beta / den is not finite, where den underflows (alpha = 5e-324)."""
+    """h from the roots; ArithmeticError (see `_require`) where the Down weight
+    2 beta / den is not finite, as where den underflows (alpha = 5e-324)."""
     down_weight = 2.0 * params.beta / sol.den
-    if not holds(down_weight < math.inf):   # NaN fails too
-        index, where = first_failing(np.logical_not(down_weight < math.inf))
-        raise ArithmeticError(f"h's Down weight 2 beta / den{where} is not finite: den = "
-                              f"{np.asarray(sol.den)[index].item()!r}")
+    _require([(down_weight < math.inf,   # NaN fails too
+               "h's Down weight 2 beta / den{where} is not finite: den = {!r}", sol.den)],
+             ArithmeticError)
     return HarmonicFunction(model=params.model, base=sol.t2, down_weight=down_weight)
 
 
@@ -126,20 +125,15 @@ def twist_summary(params: ModelParams) -> TwistSummary:
     law phi (with the tandem's twisted rates), the twisted blocks and the
     drift.  The drift's closed form must agree with the phi-weighted mean x
     step A0 1 - A2 1 of the twisted blocks to 1e-10 of the larger of its two
-    terms, and be positive for the tail method to apply;
-    else ArithmeticError names the first failing stack index.
+    terms, and be positive for the tail method to apply; else ArithmeticError
+    (see `_require`).
     """
     twist, disagree, nonpositive = _twist(params)
-    failed = np.logical_or(disagree, nonpositive)
-    if failed.any():
-        index, where = first_failing(failed)
-        value, estimate = (np.asarray(x)[index].item()
-                           for x in (twist.drift.value, twist.drift.estimate))
-        if np.asarray(disagree)[index]:
-            raise ArithmeticError(
-                f"drift closed form {value!r} and aggregate {estimate!r} disagree{where}")
-        raise ArithmeticError(f"twisted chain drift{where} is not positive ({value!r}); "
-                              "tail method inapplicable for these parameters")
+    value, estimate = twist.drift.value, twist.drift.estimate
+    _require([(np.logical_not(disagree),
+               "drift closed form {!r} and aggregate {!r} disagree{where}", value, estimate),
+              (np.logical_not(nonpositive), "twisted chain drift{where} is not positive ({!r}); "
+               "tail method inapplicable for these parameters", value)], ArithmeticError)
     return twist
 
 

@@ -109,6 +109,18 @@ def test_non_finite_inputs_are_validation_errors(tmp_path, capsys, flag, value):
         assert err.startswith("validation error: ") and "must be finite" in err
 
 
+@pytest.mark.parametrize("verb,flags", [
+    ("analyze", []), ("compare-mm1", []), ("simulate", ["--steps", "100"]),
+    ("tailfit", ["--kmin", "0", "--kmax", "10"])])
+def test_c_far_below_tiny_rates_is_a_validation_error(tmp_path, capsys, verb, flags):
+    # C is 60 times below the rate sum 6e-300: the bound is relative to the sum
+    argv = [verb, *_rate_flags("1e-300", "3e-300", "1e-300", "1e-300"), "--C", "1e-301", *flags]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "validation error: C below lambda+mu+alpha+beta: 1e-301 < 6e-300\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _rate_flags(lam, mu, alpha, beta):
     return ["--lambda", lam, "--mu", mu, "--alpha", alpha, "--beta", beta]
 

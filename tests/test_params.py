@@ -1,5 +1,7 @@
+import dataclasses
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +12,12 @@ from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParam
                     default_uniformization, exact_stationary_model1, feynman_kac,
                     full_kernel, harmonic, make_params, params_from_json, prefactors,
                     truncated_stationary, twist_summary, two_term_tail)
-from uqtail.params import check_state, holds
+from uqtail import spectral
+from uqtail.asymptotics import _escape
+from uqtail.kernels import _fold, level_blocks
+from uqtail.params import UnstableParameters, check_state, holds
+from uqtail.qbd import first_passage
+from uqtail.spectral import stability
 
 A = make_params(10, 11, 0.1, 10)
 T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
@@ -98,15 +105,105 @@ def test_a_stack_names_its_first_failing_condition():
     def stack(alpha, C):
         return make_params(np.full(4, 10.0), np.full(4, 11.0), np.array(alpha), np.full(4, 10.0),
                            C=np.array(C))
-    # alpha = 0 in set 0 and too small a C in set 3: the rates are checked first
+    # alpha = 0 and too small a C in set 0: the rates are checked first within a set
     with pytest.raises(InvalidParameters) as error:
-        stack([0.0, 0.1, 0.1, 0.1], [40.0, 40.0, 40.0, 5.0])
-    assert str(error.value) == "alpha must be > 0, got [0.  0.1 0.1 0.1]"
+        stack([0.0, 0.1, 0.1, 0.1], [5.0, 40.0, 40.0, 5.0])
+    assert str(error.value) == "alpha must be > 0, got 0.0 at stack index 0"
     with pytest.raises(InvalidParameters) as error:
         stack([0.1] * 4, [40.0, 40.0, 40.0, 5.0])
-    assert str(error.value) == \
-        "C below lambda+mu+alpha+beta: [40. 40. 40.  5.] < [31.1 31.1 31.1 31.1]"
+    assert str(error.value) == "C below lambda+mu+alpha+beta: 5.0 < 31.1 at stack index 3"
+    # too small a C in set 0 and alpha = 0 in set 2: the first failing set wins
+    with pytest.raises(InvalidParameters) as error:
+        stack([0.1, 0.1, 0.0, 0.1], [5.0, 40.0, 40.0, 40.0])
+    assert str(error.value) == "C below lambda+mu+alpha+beta: 5.0 < 31.1 at stack index 0"
     assert stack([0.1] * 4, [40.0] * 4).C.tolist() == [40.0] * 4
+
+
+GOOD = (10.0, 11.0, 0.1, 10.0)
+
+
+def _sets(bad, good, wrong):
+    """`wrong` for one set; for a stack, `wrong` where `bad` holds and `good` elsewhere."""
+    if len(bad) == 1:
+        return wrong
+    return tuple(np.where(np.reshape(bad, (-1,) + (1,) * np.ndim(w)), w, g)
+                 for g, w in zip(good, wrong))
+
+
+def _params(bad, wrong):
+    return make_params(*_sets(bad, GOOD, wrong))
+
+
+def _drift_passed_off_as_stable(bad):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "stability", lambda params: dataclasses.replace(
+            stability(params), stable=np.ones_like(params.lam, dtype=bool)))
+        twist_summary(_params(bad, (12.0, 11.0, 0.1, 10.0)))
+
+
+def _escape_of_scaled_down_block(bad):
+    twist = twist_summary(_params(bad, GOOD))
+    a0, a1, a2 = twist.blocks
+    scale = np.asarray(_sets(bad, (1.0,), (1.0 + 1e-9,))[0])[..., None, None]
+    _escape(dataclasses.replace(twist, blocks=(a0, a1, a2 * scale)))
+
+
+def _first_passage_of_scaled_down_block(bad):
+    a0, a1, a2 = level_blocks(make_params(*GOOD))
+    # the good set always steps down, G = I after one doubling: the stack takes the
+    # bad set's own doublings, and so its G
+    zero = np.zeros((2, 2))
+    first_passage(*_sets(bad, (zero, zero, np.eye(2)), (a0, a1, 1.5 * a2)))
+
+
+# every set-level gate, each raising through params._require; a call fails in each bad set
+GATES = {
+    "validate": (InvalidParameters, lambda bad: _params(bad, (10.0, 11.0, 0.0, 10.0))),
+    "default-uniformization": (InvalidParameters, lambda bad: default_uniformization(
+        *_sets(bad, GOOD, (10.0, 11.0, 0.1, -1.0)), Model.MODEL1)),
+    "t2-not-finite": (ArithmeticError,
+                      lambda bad: characteristic_roots(_params(bad, (0.5, 1e300, 0.5, 1e300)))),
+    "t1-overflow": (ArithmeticError,
+                    lambda bad: characteristic_roots(_params(bad, (5e-324, 11.0, 0.1, 10.0)))),
+    "t2-underflow": (ArithmeticError,
+                     lambda bad: characteristic_roots(_params(bad, (1e150, 1e-300, 1.0, 1.0)))),
+    "stability": (UnstableParameters, lambda bad: harmonic(_params(bad, (12.0, 11.0, 0.1, 10.0)))),
+    "down-weight": (ArithmeticError, lambda bad: harmonic(_params(bad, (1.0, 2.0, 5e-324, 0.5)))),
+    "drift": (ArithmeticError, _drift_passed_off_as_stable),
+    "escape": (ArithmeticError, _escape_of_scaled_down_block),
+    "first-passage": (ArithmeticError, _first_passage_of_scaled_down_block),
+    "negative-diagonal": (InvalidParameters, lambda bad: _fold(
+        ((((1, 0), _sets(bad, (0.5,), (1.5,))[0], None),),), (1, 0))),
+}
+
+
+@pytest.mark.parametrize("gate", GATES)
+def test_every_gate_names_the_first_failing_set(gate):
+    error, call = GATES[gate]
+    with pytest.raises(error) as one:
+        call([True])
+    message = str(one.value)
+    assert type(one.value) is error
+    assert "stack index" not in message and "np." not in message
+    # sets 1 and 2 fail: the message is set 1's own, plain floats, with its index;
+    # numpy, unlike a float, warns where the failing set's value overflows or is NaN
+    with pytest.raises(error) as stacked, np.errstate(over="ignore", invalid="ignore"):
+        call([False, True, True])
+    assert type(stacked.value) is error
+    assert " at stack index 1" in str(stacked.value)
+    assert str(stacked.value).replace(" at stack index 1", "") == message
+
+
+def test_c_bound_is_relative_to_the_rate_sum():
+    # a C 60 times below the rate sum 6e-300 is refused, however small the rates
+    with pytest.raises(InvalidParameters) as error:
+        make_params(1e-300, 3e-300, 1e-300, 1e-300, C=1e-301)
+    assert str(error.value) == "C below lambda+mu+alpha+beta: 1e-301 < 6e-300"
+    # a sum taken in another order, a few ulps below, is admitted
+    c_min = default_uniformization(0.4, 0.2, 0.3, 0.1, Model.MODEL1)
+    assert 0.1 + 0.2 + 0.3 + 0.4 < c_min
+    for C in (0.1 + 0.2 + 0.3 + 0.4, math.nextafter(math.nextafter(c_min, 0.0), 0.0)):
+        assert make_params(0.4, 0.2, 0.3, 0.1, C=C).C == C
 
 
 def test_p_range():

@@ -419,6 +419,19 @@ def test_nonpositive_drift_raises_naming_the_set(monkeypatch):
                                 "parameters")
 
 
+def test_the_first_failing_set_wins_over_the_first_failing_row(monkeypatch):
+    # set 3 disagrees (the gate's first row), set 1 is not positive (its second)
+    over = make_params(12, 11, 0.1, 10)
+    monkeypatch.setattr(kernels, "_moves", _first_up_move_scaled_at(3))
+    monkeypatch.setattr(spectral, "stability", lambda params: dataclasses.replace(
+        stability(params), stable=np.ones_like(params.lam, dtype=bool)))
+    with pytest.raises(ArithmeticError) as error:
+        twist_summary(_stack([A, over, B, A]))
+    assert str(error.value) == ("twisted chain drift at stack index 1 is not positive "
+                                "(-0.03349979548720102); tail method inapplicable for these "
+                                "parameters")
+
+
 def _down_block_scaled_at(twist_pass, k):
     """The twist with its down block scaled by 1 + 1e-9, in set k of a stack
     or in a single set."""
