@@ -14,7 +14,7 @@ import numpy as np
 from .kernels import level_blocks
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      UnstableParameters, _require, holds, make_params)
-from .qbd import (_TAIL_ERROR, StationaryTable, TruncationError, boundary_vector,
+from .qbd import (_TAIL_ERROR, StationaryTable, TruncationError, _boundary, boundary_vector,
                   first_passage, truncated_stationary)
 from .spectral import SpectralSolution, _require_stable, characteristic_roots
 from .twist import TwistSummary, twist_summary
@@ -251,30 +251,33 @@ def tail_constants(twist: TwistSummary, *,
                           eta_error_bound=bound, **extra)
 
 
-def two_term_tail(params: ModelParams) -> TwoTermFit:
-    """Model 1's pi(k, Up) = w2 gamma_1^k + w3 gamma^k, both weights in closed form.
+def _two_term(params: ModelParams, roots: SpectralSolution | None = None):
+    """Model 1's pi(k, sigma) = w2 gamma_1^k + w3 gamma_2^k, as (w2, w3), each (..., 2).
 
-    w2 is the dominant prefactor C(Up).  pi(k) = pi0 R^k, and R's eigenvalues
-    are gamma_1 > gamma, so w3 is the Up entry of pi0 P with P = (R - gamma_1 I)
-    / (gamma - gamma_1), R's second spectral projector.  Its Up column is
-    (R_UU - gamma_1, R_DU) / (gamma - gamma_1), where det(R - gamma_1 I) = 0
-    gives R_UU - gamma_1 = R_UD R_DU / (R_DD - gamma_1) = -2 lambda alpha / (mu den),
-    R_DU = lambda / mu and gamma - gamma_1 = -lambda sqrt(s) / (mu (lambda + beta)),
-    with den and sqrt(s) from `characteristic_roots`.  pi0 is proportional to
-    (lambda + beta, alpha), and the two terms of pi0 P's Up entry, which have
-    opposite signs, sum to -4 lambda alpha pi0(U) / ((sqrt(s) + b) den), b =
-    lambda + mu + alpha + beta; so no step subtracts nearly equal numbers on
-    either side of mu = lambda + beta.
+    pi(k) = pi0 R^k, so w2 = pi0 (R - gamma_2 I) / d and w3 = pi0 (gamma_1 I - R) / d, d =
+    gamma_1 - gamma_2 = s sqrt(s_p) / (lambda + beta), s = lambda / mu (Neuts, 1981).  The
+    gaps R_UU - gamma_2 = s den / (2 (lambda + beta)) and R_DD - gamma_2, which is R_UD R_DU
+    over it, are positive; pi0 proportional to (lambda + beta, alpha) gives w3 = pi0(D)
+    gamma_2 (R_DU / gap_U, -1) / d.  So nothing cancels.  `roots` defaults to the set's own,
+    solved after `_boundary`'s stability gate.
     """
+    pi0, r, _ = _boundary(params)
+    sol = characteristic_roots(params) if roots is None else roots
+    s, r_ud, lam_beta = r[..., DOWN, UP], r[..., UP, DOWN], params.lam + params.beta
+    gap_up = s * sol.den / (2.0 * lam_beta)
+    d = s * sol.sqrt_s / lam_beta
+    up, down = pi0[..., UP], pi0[..., DOWN]
+    w2 = np.stack([up * gap_up + down * s, up * r_ud + down * (r_ud * s / gap_up)], axis=-1)
+    w3_down = -down * sol.gamma_secondary / d
+    return w2 / d[..., None], np.stack([-w3_down * s / gap_up, w3_down], axis=-1)
+
+
+def two_term_tail(params: ModelParams) -> TwoTermFit:
+    """Model 1's pi(k, Up) = w2 gamma_1^k + w3 gamma^k, w2 = C(Up): `_two_term`'s Up entries."""
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the two-term expansion needs a Model 1 parameter set")
-    asym = prefactors(params)
-    sol = asym.roots
-    lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
-    b = lam + mu + alpha + beta
-    w3 = (4.0 * alpha * mu * (lam + beta) * float(boundary_vector(params)[UP])
-          / (sol.sqrt_s * (sol.sqrt_s + b) * sol.den))
-    return TwoTermFit(w2=asym.prefactor_up, w3=w3)
+    w2, w3 = _two_term(params)
+    return TwoTermFit(w2=w2[..., UP], w3=w3[..., UP])
 
 
 def alpha_limits(params: ModelParams) -> AlphaLimits:

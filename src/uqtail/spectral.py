@@ -39,6 +39,7 @@ class StabilityReport:
     if_and_only_if: bool      # False only for the tandem with p < 1
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")   # the t2 gate names them
 def characteristic_roots(params: ModelParams) -> SpectralSolution:
     """Roots of lam^2 t^2 - lam(mu*p+lam+alpha+beta) t + mu*p(lam+beta).
 
@@ -53,7 +54,8 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
                                 "and the tandem only")
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
     mup = mu * p
-    s_p = (mup - lam - beta - alpha) ** 2 + 4.0 * alpha * mup
+    gap = mup - lam - beta - alpha   # squared by a product: a float's ** 2 raises on overflow
+    s_p = gap * gap + 4.0 * alpha * mup
     sqrt_s = elementwise(math.sqrt, s_p)
     b = lam + beta + mup + alpha
     t1 = (b + sqrt_s) / (2.0 * lam)

@@ -99,6 +99,7 @@ class TwistSummary:
     blocks: tuple = field(repr=False)   # `level_blocks` at y cut 0 (Model 1), 1 (tandem)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")   # the Down weight gate names them
 def _harmonic(params: ModelParams, sol: SpectralSolution) -> HarmonicFunction:
     """h from the roots; ArithmeticError (see `_require`) where the Down weight
     2 beta / den is not finite, as where den underflows (alpha = 5e-324)."""

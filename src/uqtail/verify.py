@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _escape, _escape_first_passage, prefactors, tail_constants
+from .asymptotics import (_escape, _escape_first_passage, _two_term, prefactors,
+                          tail_constants)
 from .kernels import _fold, _moves, _origins, _row, level_blocks
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, elementwise, make_params
-from .qbd import (_boundary, _model1_levels, boundary_vector, neuts_stability, rate_matrix,
+from .qbd import (_boundary, boundary_vector, neuts_stability, rate_matrix,
                   rate_matrix_closed_form, stationary_table)
 from .spectral import characteristic_roots, feynman_kac, stability
 from .twist import _twist, harmonic, twist_summary
@@ -200,19 +201,13 @@ def check_tail_reproduction() -> CheckResult:
 
 
 def check_exact_coefficient(grid: int, seed: int) -> CheckResult:
-    # pi(k) = pi0 R^k and R's eigenvalues are gamma_1 > gamma_2, so a_k = pi(k) / gamma_1^k
-    # = c + d rho^k, rho = gamma_2 / gamma_1: levels k and k + 1 give the exact gamma_1^k
-    # coefficient c, which the theorem says is C(sigma).  k = min(50, floor(600 / -ln
-    # gamma_1) - 1) keeps gamma_1^k from underflowing.  A and B lead the first stack.
+    # pi(k) = pi0 R^k = w2 gamma_1^k + w3 gamma_2^k, and the theorem says the exact gamma_1^k
+    # coefficient w2 (`_two_term`, from R's spectral projector) is C(sigma).  A and B lead
+    # the first stack.
     worst = 0.0
     for params in _reference_led(grid, seed):
         asym = tail_constants(twist_summary(params))
-        gamma, rho = asym.gamma[:, None], (asym.secondary_gamma / asym.gamma)[:, None]
-        k = np.minimum(50, np.floor(600.0 / -np.log(asym.gamma)).astype(int) - 1)
-        levels, _ = _model1_levels(params, int(k.max()))
-        sets = np.arange(len(k))
-        a_k, a_next = (levels[sets, j] / gamma ** j[:, None] for j in (k, k + 1))
-        exact = (a_next - rho * a_k) / (1.0 - rho)
+        exact, _ = _two_term(params, asym.roots)
         worst = _worst(worst, np.c_[asym.prefactor_up, asym.prefactor_down] / exact - 1.0)
     return CheckResult("prefactor-exact-coefficient", worst <= 1e-12,
                        f"max |C / c - 1| = {worst:.3g}, c the exact gamma_1^k coefficient "

@@ -15,7 +15,8 @@ from uqtail import (DOWN, UP, InvalidParameters, Model, UnstableParameters,
                     truncated_stationary, twist_summary, two_geometric_fit,
                     two_term_tail)
 from uqtail import asymptotics
-from uqtail.asymptotics import _escape, _escape_first_passage, _line, tail_constants
+from uqtail.asymptotics import (_escape, _escape_first_passage, _line, _two_term,
+                               tail_constants)
 from uqtail.cli import main
 from uqtail.kernels import full_kernel, level_blocks
 from uqtail.qbd import StationaryTable, _boundary, _model1_levels, first_passage
@@ -131,9 +132,10 @@ def test_two_term_tail_matches_eigen_oracle():
 
 
 def two_term_reference(lam, mu, alpha, beta):
-    """50-digit w3: pi0 (R - gamma_1 I) / (gamma - gamma_1) at Up, from R's
-    entries and its eigenvalues by the quadratic formula, with pi0 normalized
-    by (I - R)^-1 1; the subtractions lose at most about 12 of the 50 digits."""
+    """50-digit (w2, w3), each (Up, Down): pi0 (R - gamma I) / (gamma_1 - gamma) and
+    pi0 (R - gamma_1 I) / (gamma - gamma_1), from R's entries and its eigenvalues by the
+    quadratic formula, with pi0 normalized by (I - R)^-1 1; the subtractions lose at most
+    about 14 of the 50 digits."""
     with localcontext() as ctx:
         ctx.prec = 50
         lam, mu, alpha, beta = (Decimal(v) for v in (lam, mu, alpha, beta))
@@ -146,17 +148,28 @@ def two_term_reference(lam, mu, alpha, beta):
         inv_det = (1 - ruu) * (1 - rdd) - rud * rdu
         mass = ((lam + beta) * (1 - rdd + rud) + alpha * (1 - ruu + rdu)) / inv_det
         pi_up, pi_down = (lam + beta) / mass, alpha / mass
-        return (pi_up * (ruu - gamma1) + pi_down * rdu) / (gamma - gamma1)
+        return tuple(((pi_up * (ruu - other) + pi_down * rdu) / (own - other),
+                      (pi_up * rud + pi_down * (rdd - other)) / (own - other))
+                     for own, other in ((gamma1, gamma), (gamma, gamma1)))
 
 
-@pytest.mark.parametrize("alpha", [1e-6, 1e-12])
-@pytest.mark.parametrize("rates", [(10, 11, 10), (20, 60, 1)], ids=["below", "above"])
-def test_two_term_tail_matches_a_50_digit_reference(rates, alpha):
+# mu > lambda + beta at alpha = 2.5e-12: C(Up) = 4.9e-12, under a gamma^k term of weight 0.41
+TINY_ALPHA = (26.32, 44.89, 2.531e-12, 15.48)
+
+
+@pytest.mark.parametrize("rates", [
+    (10, 11, 1e-6, 10), (10, 11, 1e-12, 10), (20, 60, 1e-6, 1), (20, 60, 1e-12, 1),
+    (10, 11, 0.1, 10), (20, 60, 0.01, 1), TINY_ALPHA,
+], ids=["below-1e-06", "below-1e-12", "above-1e-06", "above-1e-12", "A", "B", "tiny-alpha"])
+def test_two_term_tail_matches_a_50_digit_reference(rates):
     # the split mu = lambda + beta: below it w3 vanishes with alpha, above it w2 does
-    lam, mu, beta = rates
-    fit = two_term_tail(make_params(lam, mu, alpha, beta))
-    assert abs(Decimal(fit.w3) / two_term_reference(lam, mu, alpha, beta) - 1) \
-        <= Decimal("1e-14")
+    params = make_params(*rates)
+    weights = _two_term(params)
+    for computed, exact in zip(weights, two_term_reference(*rates), strict=True):
+        for value, reference in zip(computed.tolist(), exact, strict=True):
+            assert abs(Decimal(value) / reference - 1) <= Decimal("1e-14")
+    fit = two_term_tail(params)
+    assert (fit.w2, fit.w3) == (weights[0][UP], weights[1][UP])
 
 
 def test_two_geometric_fit_recovers_synthetic_rates():
@@ -574,6 +587,8 @@ def test_model1_tail_path_of_a_stack_equals_each_sets_bit_for_bit():
     r, boundary, (levels, beyond) = (rate_matrix_closed_form(stack), _boundary(stack),
                                      _model1_levels(stack, 60))
     assert r.shape == (302, 2, 2) and levels.shape == (302, 62, 2) and beyond.shape == (302,)
+    weights = _two_term(stack)
+    assert [w.shape for w in weights] == [(302, 2), (302, 2)]
     for k, params in enumerate(sets):
         one = tail_constants(twist_summary(params))
         for name in fields:
@@ -584,6 +599,8 @@ def test_model1_tail_path_of_a_stack_equals_each_sets_bit_for_bit():
             assert many[k].tobytes() == single.tobytes()
         one_levels, one_beyond = _model1_levels(params, 60)
         assert levels[k].tobytes() == one_levels.tobytes() and beyond[k] == one_beyond
+        for many, single in zip(weights, _two_term(params), strict=True):
+            assert many[k].tobytes() == single.tobytes()
 
 
 def test_a_tandem_stack_is_refused_by_name_before_any_solve(monkeypatch):

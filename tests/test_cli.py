@@ -198,6 +198,21 @@ def test_extreme_rates_are_reported_or_refused_by_name(tmp_path, capsys, argv):
                                 "non-convergence: "))
 
 
+def test_full_range_rates_never_end_in_the_raw_overflow_text(tmp_path, capsys):
+    # stable sets with rates log-uniform on [1e-300, 1e300]: the roots' square of a float
+    # raised OverflowError, printed as "(34, 'Numerical result out of range')"
+    rates = 10.0 ** np.random.default_rng(1).uniform(-300.0, 300.0, (400, 4))
+    lam, mu, alpha, beta = rates.T
+    lines = []
+    for row in rates[lam < beta / (alpha + beta) * mu].tolist():
+        for verb in ("analyze", "compare-mm1"):
+            main([verb, *_rate_flags(*map(repr, row)), "--out", str(tmp_path)])
+            lines += capsys.readouterr().err.splitlines()
+    assert not [line for line in lines if "Numerical result out of range" in line]
+    assert any(line.startswith("verification failure: the larger root t1 overflows at lambda = ")
+               for line in lines)
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", *_rate_flags("3", "1e150", "0.1", "10"), "--model", "model2"],
     ["tailfit", *_rate_flags("3", "1e150", "0.1", "10"), "--model", "model2", "--p", "0.5",
