@@ -191,8 +191,8 @@ def test_escape_check_leads_with_the_reference_sets(monkeypatch):
 
 
 def test_exact_coefficient_check_holds_at_a_tiny_alpha(monkeypatch):
-    # alpha = 2.5e-12 after A and B: a read-out of gamma_1^k's coefficient from two levels
-    # of pi0 R^k lost six digits here, where the decomposition's closed form loses none
+    # alpha = 2.5e-12 with mu > lambda + beta, after A and B: C(Up) = 4.9e-12 lies under a
+    # gamma_2^k term of weight 0.41, which the oracle must not cancel against
     stack = make_params(*(np.r_[getattr(verify._REFERENCE, r), v]
                           for r, v in zip(verify._RATES, (26.32, 44.89, 2.531e-12, 15.48))))
     monkeypatch.setattr(verify, "_reference_led", lambda grid, seed: iter([stack]))
