@@ -13,7 +13,7 @@ import numpy as np
 
 from .kernels import level_blocks
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
-                     UnstableParameters, _require, holds, make_params)
+                     UnstableParameters, _require, make_params)
 from .qbd import (_TAIL_ERROR, StationaryTable, TruncationError, _boundary, boundary_vector,
                   first_passage, truncated_stationary)
 from .spectral import SpectralSolution, _require_stable, characteristic_roots
@@ -161,7 +161,7 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> tuple[flo
             column += (h.value((0, y, sigma)) for sigma in (UP, DOWN))
     except OverflowError:
         raise ArithmeticError(f"eta's boundary weights: h(0, y, sigma), a multiple of t2^y, "
-                              f"overflows from y = {y}, t2 = {h.base!r}") from None
+                              f"overflows from y = {y}, t2 = {float(h.base)!r}") from None
     fixed = f"eta's truncated table has the fixed size {_ETA_TABLE} x {_ETA_TABLE}"
     advice = fixed if table is None else "enlarge the truncated table"   # the caller set the size
     if table is None:
@@ -210,7 +210,7 @@ def prefactors(params: ModelParams, model: Model | None = None, *,
     """
     if model not in (None, params.model):
         raise InvalidParameters(f"model {model} does not match the parameters' {params.model}")
-    if params.model is Model.MODEL2 and holds(params.p != 1.0):
+    if params.model is Model.MODEL2 and (params.p != 1.0).all():
         _require_stable(params, "the shape-only tail")
         sol = characteristic_roots(params)
         return TailAsymptotic(model=params.model, gamma=sol.gamma_p, prefactor_up=None,

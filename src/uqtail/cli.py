@@ -39,14 +39,14 @@ def _dump(obj, indent: int = 0, path: str = "") -> str:
     """The one JSON writer of the reports: floats to 17 significant digits,
     one entry per line.  A non-finite float raises ArithmeticError naming its
     key path, before anything is printed or written."""
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):   # np.float64 too
         if not math.isfinite(obj):
             raise ArithmeticError(f"{path} is {float(obj)}")
         return _fmt(float(obj))
+    if isinstance(obj, np.generic):   # a set's verdicts, np.bool_
+        return _dump(obj.item(), indent, path)
     if isinstance(obj, enum.Enum):
         return _dump(obj.value, indent, path)
-    if isinstance(obj, np.integer):
-        return str(int(obj))
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -106,7 +106,8 @@ def _out_dir(args) -> Path:
 def _cmd_analyze(args) -> int:
     params = _resolve_params(args)
     if params.model is Model.RSRD:   # its product form decays as r^(x+y), r = lambda/(mu p)
-        head, tail = {"product_form_rate": params.lam / (params.mu * params.p)}, {}
+        with np.errstate(over="ignore", divide="ignore"):   # `_dump` names an inf rate
+            head, tail = {"product_form_rate": params.lam / (params.mu * params.p)}, {}
     else:   # the tail refuses an unstable set before its roots, whose t2 can underflow there
         asym = prefactors(params)
         head = {"spectral": asym.roots}

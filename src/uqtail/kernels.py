@@ -18,8 +18,7 @@ from operator import add
 
 import numpy as np
 
-from .params import (DOWN, UP, InvalidParameters, Model, ModelParams, _require, check_state,
-                     holds, select)
+from .params import DOWN, UP, InvalidParameters, Model, ModelParams, _require, check_state
 
 _ROW_TOL = 1e-12
 
@@ -42,7 +41,8 @@ class TransitionRow:
 def _moves(params: ModelParams) -> tuple:
     """Interior moves of each phase, indexed by sigma: (step over (x, [y,]
     sigma), probability, the coordinate the move lowers or None), in the order
-    the self-loop sums them.
+    the self-loop sums them.  A move of probability 0 in every set (the
+    tandem's feedback at p = 1) is left out.
 
     RS-RD's Up row is the tandem's.  While Down, a server-2 completion cannot
     enter server 1: the customer is rerouted by server 1's routing row, so it
@@ -54,15 +54,16 @@ def _moves(params: ModelParams) -> tuple:
     lam, mu, alpha, beta, p, C = (params.lam, params.mu, params.alpha,
                                   params.beta, params.p, params.C)
     if params.model is Model.MODEL1:
-        return ((((1, 0), lam / C, None), ((-1, 0), mu / C, 0), ((0, 1), alpha / C, None)),
-                (((1, 0), lam / C, None), ((0, -1), beta / C, None)))
-    up = (((0, 1, 0), lam / C, None), ((1, -1, 0), mu / C, 1), ((-1, 0, 0), mu * p / C, 0),
-          ((-1, 1, 0), mu * (1.0 - p) / C, 0), ((0, 0, 1), alpha / C, None))
-    if params.model is Model.RSRD:
-        return up, (((0, 1, 0), lam / C, None), ((0, 0, -1), beta / C, None),
-                    ((0, -1, 0), mu * p / C, 1))
-    return up, (((0, 1, 0), lam / C, None), ((1, -1, 0), mu / C, 1),
-                ((0, 0, -1), beta / C, None))
+        table = ((((1, 0), lam / C, None), ((-1, 0), mu / C, 0), ((0, 1), alpha / C, None)),
+                 (((1, 0), lam / C, None), ((0, -1), beta / C, None)))
+    else:
+        up = (((0, 1, 0), lam / C, None), ((1, -1, 0), mu / C, 1), ((-1, 0, 0), mu * p / C, 0),
+              ((-1, 1, 0), mu * (1.0 - p) / C, 0), ((0, 0, 1), alpha / C, None))
+        rsrd = params.model is Model.RSRD
+        down = ((((0, 0, -1), beta / C, None), ((0, -1, 0), mu * p / C, 1)) if rsrd else
+                (((1, -1, 0), mu / C, 1), ((0, 0, -1), beta / C, None)))
+        table = up, (((0, 1, 0), lam / C, None), *down)
+    return tuple(tuple(move for move in row if not (move[1] == 0.0).all()) for row in table)
 
 
 def _origins(model: Model, x0: int) -> tuple:
@@ -75,23 +76,22 @@ def _origins(model: Model, x0: int) -> tuple:
 
 def _fold(moves: tuple, origin: tuple, h=None) -> list:
     """Row at the class origin `origin` as (step, probability) pairs sorted
-    by step, folded from the interior moves: a move of probability 0 (p = 1)
-    or one that lowers a coordinate already at 0 is dropped, and the
-    self-loop, at the zero step, is 1 minus the kept moves summed in table
-    order.  Sorting the steps sorts the targets origin + step.  With a
-    harmonic function h, each probability is multiplied by
-    h(origin + step) / h(origin)."""
+    by step, folded from the interior moves: a move that lowers a coordinate
+    already at 0 is dropped, and the self-loop, at the zero step, is 1 minus
+    the kept moves summed in table order.  Sorting the steps sorts the
+    targets origin + step.  With a harmonic function h, each probability is
+    multiplied by h(origin + step) / h(origin)."""
     kept = []
     used = 0.0
     for step, prob, low in moves[origin[-1]]:
-        if (low is not None and origin[low] == 0) or holds(prob == 0.0):
+        if low is not None and origin[low] == 0:
             continue
         kept.append((step, prob))
         used += prob
     diag = 1.0 - used
     _require([(diag >= -_ROW_TOL, "row at {} has negative diagonal {}{where}; C too small",
                origin, diag)])
-    kept.append(((0,) * len(origin), select(diag > 0.0, diag, 0.0)))
+    kept.append(((0,) * len(origin), np.maximum(diag, 0.0)))
     kept.sort()
     if h is None:
         return kept

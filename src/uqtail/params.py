@@ -50,6 +50,7 @@ def default_uniformization(lam: float, mu: float, alpha: float, beta: float,
     return _rate_sum(lam, mu, alpha, beta, model)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # inf, or NaN from a rate -inf `validate` refuses
 def _rate_sum(lam, mu, alpha, beta, model: Model):
     return lam + mu + alpha + beta if model is Model.MODEL1 else lam + 2.0 * mu + alpha + beta
 
@@ -58,9 +59,10 @@ def _rate_sum(lam, mu, alpha, beta, model: Model):
 class ModelParams:
     """A validated parameter set, or a stack of sets of one model: rates as
     1-d arrays of one length, p one float or one per set, which the closed
-    forms take where they take a set.  An omitted C becomes the model's default.
+    forms take where they take a set.  A set holds numpy float64 scalars, so
+    that it meets inf and NaN as a stack does.  An omitted C becomes the model's default.
 
-    Construction raises InvalidParameters where `validate` would.
+    Construction raises InvalidParameters where `validate` would, or on an int past the doubles.
     """
     lam: float
     mu: float
@@ -71,6 +73,15 @@ class ModelParams:
     model: Model = Model.MODEL1
 
     def __post_init__(self):
+        for name in ("lam", "mu", "alpha", "beta", "p", "C"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, np.ndarray):
+                try:
+                    object.__setattr__(self, name, np.float64(value))
+                except OverflowError:
+                    key = "lambda" if name == "lam" else name
+                    raise InvalidParameters(f"{key} must be finite, got an integer too large "
+                                            "for a double") from None
         if self.C is None:
             object.__setattr__(self, "C", default_uniformization(
                 self.lam, self.mu, self.alpha, self.beta, self.model))
@@ -136,8 +147,7 @@ def validate(params: ModelParams) -> ModelParams:
     """Return params unchanged if all invariants hold (in every set of a stack), else raise."""
     model, p, C = params.model, params.p, params.C
     rates = {"lambda": params.lam, "mu": params.mu, "alpha": params.alpha, "beta": params.beta}
-    # the bound is read only where the rates pass; abs keeps numpy's inf - inf warning out
-    c_min = _rate_sum(*map(abs, rates.values()), model)
+    c_min = _rate_sum(*rates.values(), model)
     bound = "lambda+mu+alpha+beta" if model is Model.MODEL1 else "lambda+2*mu+alpha+beta"
     _require([*[row for label, value in rates.items()
                 for row in ((value > 0, "{} must be > 0, got {}{where}", label, value),
@@ -158,10 +168,10 @@ def _require(conditions, error=InvalidParameters) -> None:
 
     Array values are read at that set, 0-d ones as Python scalars, and `{where}`
     is " at stack index i[, j]", or "" for one set."""
-    ok = conditions[0][0]
-    for row in conditions[1:]:
+    ok = np.True_   # a numpy bool for a set, whatever the rows' types
+    for row in conditions:
         ok = ok & row[0]
-    if holds(ok):
+    if ok.all() if ok.ndim else ok:   # a set's bool() takes a twentieth of all()'s time
         return
     index = tuple(np.argwhere(np.logical_not(ok))[0].tolist())   # () for one set
     _, message, *values = next(row for row in conditions if not _at(row[0], index))
@@ -176,24 +186,10 @@ def _at(value, index: tuple):
     return value.item() if isinstance(value, (np.ndarray, np.generic)) and not value.ndim else value
 
 
-def holds(ok) -> bool:
-    """Whether a condition (a bool, or on a stack a bool array) holds in every set."""
-    return ok if isinstance(ok, bool) else bool(ok.all())
-
-
-def select(ok, when_true, when_false):
-    """`when_true` where `ok` holds and `when_false` elsewhere, set by set."""
-    if isinstance(ok, bool):
-        return when_true if ok else when_false
-    return np.where(ok, when_true, when_false)
-
-
 def elementwise(f, x):
-    """f, a `math` function of one float, at x or at each entry of a stack x:
-    numpy's exp and log differ from math's in the last bit on some inputs."""
-    if not isinstance(x, np.ndarray):
-        return f(x)
-    return np.array([f(v) for v in x.tolist()], dtype=float)
+    """f, `math.exp` or `math.log`, at each entry of x, a set's scalar or a stack's
+    array: numpy's exp and log differ from math's in the last bit on some inputs."""
+    return np.array([f(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))[()]
 
 
 def check_state(state: tuple, model: Model, free: bool = False) -> tuple:

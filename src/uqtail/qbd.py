@@ -173,6 +173,10 @@ def _boundary(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise InvalidParameters("the boundary vector needs a Model 1 parameter set")
     _require_stable(params, "the boundary vector")
     r = rate_matrix_closed_form(params)
+    # R >= 0, so R_DD <= gamma_1 < 1 (R's spectral radius); at 1 the solve's pivot is lost
+    _require([(r[..., DOWN, DOWN] < 1.0, "R's Down->Down entry (lambda/mu)(alpha+mu)/"
+               "(lambda+beta){where} is {!r}, not below 1, so I - R is singular in floats",
+               r[..., DOWN, DOWN])], ArithmeticError)
     pi0 = np.empty(r.shape[:-1])
     pi0[..., UP], pi0[..., DOWN] = params.lam + params.beta, params.alpha
     mass = np.linalg.solve(np.eye(2) - r, np.ones(2))
@@ -334,7 +338,7 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
         exit_mass = sum(float(q[i]) for offset, q in sorted(moves.items()) if offset)
         raise ArithmeticError(f"lattice state {state} keeps a self-loop of exactly 1: its exit "
                               f"mass {exit_mass:.3g} (its other moves, summed) is lost against 1 "
-                              f"at C = {params.C!r}")
+                              f"at C = {float(params.C)!r}")
     stay = moves[0]
     outflow = sum(q for offset, q in sorted(moves.items()) if abs(offset) > 1)
     lost = np.flatnonzero((outflow > 0.0) & (stay + outflow == stay))
@@ -342,7 +346,7 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
         i, state = lost[0], tuple(map(int, np.unravel_index(lost[0], shape)))
         raise ArithmeticError(f"every lattice state with coordinate moves loses them against its "
                               f"stay; at {state}: outflow {outflow[i]:.3g} + stay "
-                              f"{float(stay[i])!r} rounds to the stay at C = {params.C!r}")
+                              f"{float(stay[i])!r} rounds to the stay at C = {float(params.C)!r}")
     p = _lattice_matrix(moves)
     n = p.shape[0]
     a = sp.vstack([np.ones((1, n)), (p.T - sp.identity(n, format="csr")).tocsr()[1:]],
@@ -354,7 +358,7 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
         pi = spla.spsolve(a, b)
     if not np.isfinite(pi).all():
         raise ArithmeticError("truncated solve produced non-finite probabilities: the lattice's "
-                              f"linear system is singular in floats at C = {params.C!r}")
+                              f"linear system is singular in floats at C = {float(params.C)!r}")
     if not np.min(pi) >= -1e-10:   # fails on NaN, as the tail gate below does
         raise ArithmeticError("truncated solve produced negative probabilities")
     pi = np.clip(pi, 0.0, None).reshape(shape)

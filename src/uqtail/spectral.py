@@ -15,7 +15,7 @@ import numpy as np
 
 from .kernels import level_blocks
 from .params import (InvalidParameters, Model, ModelParams, UnstableParameters, _require,
-                     elementwise, holds, select)
+                     elementwise)
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,15 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
                                 "and the tandem only")
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
     mup = mu * p
-    gap = mup - lam - beta - alpha   # squared by a product: a float's ** 2 raises on overflow
+    gap = mup - lam - beta - alpha
     s_p = gap * gap + 4.0 * alpha * mup
-    sqrt_s = elementwise(math.sqrt, s_p)
+    sqrt_s = np.sqrt(s_p)
     b = lam + beta + mup + alpha
     t1 = (b + sqrt_s) / (2.0 * lam)
     # lam^2 loses bits below the smallest normal float (lam < 1.5e-154) and is 0
     # below lam = 1.5e-162; there lam (lam t1), near lam (b + sqrt_s) / 2, keeps them
     lam2 = lam * lam
-    t2 = mup * (lam + beta) / select(lam2 >= sys.float_info.min, lam2 * t1, lam * (lam * t1))
+    t2 = mup * (lam + beta) / np.where(lam2 >= sys.float_info.min, lam2 * t1, lam * (lam * t1))
     # an extreme load underflows t2 to 0, where 1 / t2 would divide by 0; so does
     # lam = 5e-324, whose t1 overflows.  mu p (lam + beta) can overflow instead
     # (mu = beta = 1e300), where 1 / t2 would read gamma_1 = 0.  An inf t1 makes t2
@@ -76,9 +76,9 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     # the difference cancels catastrophically when c > 0 and alpha is small
     c = mup - lam - beta + alpha
     # both branches are evaluated: |c| keeps the unused one's divisor from 0 at c < 0
-    den = select(c > 0.0, 4.0 * alpha * (lam + beta) / (sqrt_s + abs(c)),
-                 lam + beta - mup - alpha + sqrt_s)
-    g_constant = den / 2.0 + 2.0 * alpha * beta / den if holds(p == 1.0) else None
+    den = np.where(c > 0.0, 4.0 * alpha * (lam + beta) / (sqrt_s + abs(c)),
+                   lam + beta - mup - alpha + sqrt_s)[()]   # a set's as a scalar
+    g_constant = den / 2.0 + 2.0 * alpha * beta / den if (p == 1.0).all() else None
     # the tilt equation requires its right-hand side positive at the root
     q = 2.0 * lam * t2 * t2 - (alpha + beta + mup + 2.0 * lam) * t2 + mup
     return SpectralSolution(s_p=s_p, t1=t1, t2=t2, gamma_p=1.0 / t2,
@@ -93,10 +93,10 @@ def feynman_kac(params: ModelParams, theta: float) -> tuple[np.ndarray, float]:
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the tilted phase kernel needs a Model 1 parameter set")
     up, local, down = level_blocks(params)
-    e_down, e_up = (np.asarray(elementwise(math.exp, t))[..., None, None] for t in (-theta, theta))
+    e_down, e_up = (elementwise(math.exp, t)[..., None, None] for t in (-theta, theta))
     matrix = down * e_down + local + up * e_up
     a, b, c, d = (matrix[..., i, j] for i in (0, 1) for j in (0, 1))
-    half_gap = elementwise(math.sqrt, ((a - d) / 2.0) ** 2 + b * c)
+    half_gap = np.sqrt(((a - d) / 2.0) ** 2 + b * c)
     return matrix, (a + d) / 2.0 + half_gap
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import level_blocks
-from .params import DOWN, UP, InvalidParameters, Model, ModelParams, _require, holds
+from .params import DOWN, UP, InvalidParameters, Model, ModelParams, _require
 from .spectral import SpectralSolution, _require_stable, characteristic_roots
 
 _DRIFT_AGREEMENT = 1e-10
@@ -34,15 +34,12 @@ class HarmonicFunction:
     def _weight(self, state: tuple) -> float:
         return self.down_weight if state[-1] == DOWN else 1.0
 
+    @np.errstate(over="ignore")   # the gate below names it
     def value(self, state: tuple) -> float:
         """h(state); OverflowError where the power or its product with the Down weight is inf."""
-        try:
-            out = self.base ** self._exponent(state) * self._weight(state)
-        except OverflowError:
-            out = math.inf
-        if not holds(out < math.inf):   # a float's own comparison: a bool, no numpy call
-            raise OverflowError(f"h{state} overflows: t2 = {self.base!r} to the power "
-                                f"{self._exponent(state)}")
+        out = self.base ** self._exponent(state) * self._weight(state)
+        _require([(out < math.inf, "h{}{where} overflows: t2 = {!r} to the power {}", state,
+                   self.base, self._exponent(state))], OverflowError)
         return out
 
     def ratio(self, origin: tuple, target: tuple) -> float:
@@ -138,10 +135,11 @@ def twist_summary(params: ModelParams) -> TwistSummary:
     return twist
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")   # the drift gates name them
 def _twist(params: ModelParams):
     """`twist_summary` without its raise: the twist, and per set whether the
     drift's closed form and aggregate disagree and whether it is not positive."""
-    tandem = params.model is Model.MODEL2 and holds(params.p == 1.0)
+    tandem = params.model is Model.MODEL2 and (params.p == 1.0).all()
     if not (params.model is Model.MODEL1 or tandem):
         raise InvalidParameters("the twist is derived for Model 1 and the tandem (p = 1) only")
     _require_stable(params, "the twist")
@@ -171,9 +169,9 @@ def _twist(params: ModelParams):
     estimate = sum(shares[sigma] * steps[..., 2 * y + sigma] * factor
                    for y, factor in enumerate((phi.B, phi.ratio) if tandem else (1.0,))
                    for sigma in (UP, DOWN))
-    # relative to the larger term the closed form subtracts; both are probabilities
-    # per step, so the gate is never looser than _DRIFT_AGREEMENT absolute
-    disagree = abs(value - estimate) > _DRIFT_AGREEMENT * np.maximum(gain, loss) / C
+    # relative to the larger term the closed form subtracts (probabilities per step, so never
+    # looser than _DRIFT_AGREEMENT absolute); both gates are negated, so that NaN fails them
+    agree = abs(value - estimate) <= _DRIFT_AGREEMENT * np.maximum(gain, loss) / C
     return TwistSummary(model=params.model, harmonic=h, rates=rates, phi=phi,
                         drift=Drift(value=value, estimate=estimate, per_time=value * C),
-                        params=params, roots=sol, blocks=blocks), disagree, value <= 0.0
+                        params=params, roots=sol, blocks=blocks), ~agree, ~(value > 0.0)

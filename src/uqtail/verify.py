@@ -45,7 +45,7 @@ def _sets(u, p=1.0, stable=True, model: Model = Model.MODEL1) -> ModelParams:
     array the stack of n sets, where p and stable may hold one value per set."""
     low, high = _UNIFORMS[np.asarray(stable, np.intp)].swapaxes(0, -2)
     rates = low + (high - low) * u
-    mu, log_alpha, beta, load = rates.tolist() if rates.ndim == 1 else rates.T
+    mu, log_alpha, beta, load = rates.T
     alpha = elementwise(math.exp, log_alpha)
     bound = beta / (alpha + beta) * mu * p
     return make_params(bound * load, mu, alpha, beta, p=p, model=model)

@@ -55,8 +55,8 @@ def test_escape_closed_form_property(log_alpha, load, c_factor):
 def test_near_critical_analyze(tmp_path):
     # A's rates at 0.9999 of the stability bound: gamma_1 = 0.99990
     lam = 0.9999 * A.beta / (A.alpha + A.beta) * A.mu
-    code = main(["analyze", "--lambda", repr(lam), "--mu", repr(A.mu),
-                 "--alpha", repr(A.alpha), "--beta", repr(A.beta),
+    code = main(["analyze", "--lambda", str(lam), "--mu", str(A.mu),
+                 "--alpha", str(A.alpha), "--beta", str(A.beta),
                  "--out", str(tmp_path)])
     assert code == 0
     tail = json.loads((tmp_path / "analyze.json").read_text())["tail"]

@@ -209,8 +209,77 @@ def test_full_range_rates_never_end_in_the_raw_overflow_text(tmp_path, capsys):
             main([verb, *_rate_flags(*map(repr, row)), "--out", str(tmp_path)])
             lines += capsys.readouterr().err.splitlines()
     assert not [line for line in lines if "Numerical result out of range" in line]
+    # a float's / 0.0 raised ZeroDivisionError, and np.linalg.solve a singular I - R
+    assert not [line for line in lines
+                if "float division by zero" in line or "Singular matrix" in line]
     assert any(line.startswith("verification failure: the larger root t1 overflows at lambda = ")
                for line in lines)
+
+
+def test_compare_mm1_reads_gamma_1_where_g_constant_divides_by_zero(tmp_path, capsys):
+    # den underflows to 0, so g = den / 2 + 2 alpha beta / den is NaN; compare-mm1 does not
+    # read it
+    argv = ["compare-mm1", *_rate_flags("1e-10", "1", "1e-320", "1e-10")]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert _strict_json(capsys.readouterr().out)["comparison"]["gamma_1"] == 0.5
+
+
+@pytest.mark.parametrize("verb", ["analyze", "compare-mm1"])
+def test_all_tiny_rates_are_refused_by_the_t2_line(tmp_path, capsys, verb):
+    # mu p (lambda + beta) underflows to 0 and so does lambda (lambda t1): t2 = 0 / 0
+    out = tmp_path / "out"
+    argv = [verb, *_rate_flags("1e-300", "3e-300", "1e-300", "1e-300"), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("verification failure: the smaller root t2 is not finite at "
+                            "lambda = 1e-300\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_a_singular_i_minus_r_is_refused_by_name(tmp_path, capsys):
+    # R's Down->Down entry 1 - 1e-106 rounds to 1, where np.linalg.solve raised
+    # "Singular matrix"
+    out = tmp_path / "out"
+    argv = ["analyze", *_rate_flags("413144996.53554803", "3.122865155414661e+147",
+                                    "1.7913480599226823e-151", "4.335403015718224e-98")]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("verification failure: R's Down->Down entry (lambda/mu)(alpha+mu)/"
+                            "(lambda+beta) is 1.0, not below 1, so I - R is singular in floats\n")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("key", ["lambda", "C"])
+def test_a_json_integer_past_the_double_range_is_a_validation_error(tmp_path, capsys, key):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"lambda": 10, "mu": 11, "alpha": 0.1, "beta": 10,
+                               key: 10 ** 400}))
+    for verb in ("analyze", "compare-mm1"):
+        assert main([verb, "--params", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"validation error: {key} must be finite, got an "
+                                           "integer too large for a double\n")
+
+
+# A, B, the g_constant and all-tiny sets above, a singular I - R and a Down weight 2 beta / den
+# that overflows
+PARITY_SETS = [(10.0, 11.0, 0.1, 10.0), (20.0, 60.0, 0.01, 1.0), (1e-10, 1.0, 1e-320, 1e-10),
+               (1e-300, 3e-300, 1e-300, 1e-300),
+               (413144996.53554803, 3.122865155414661e+147, 1.7913480599226823e-151,
+                4.335403015718224e-98), (1.0, 2.0, 5e-324, 0.5)]
+
+
+@pytest.mark.parametrize("rates", PARITY_SETS, ids=["A", "B", "g-constant", "all-tiny",
+                                                    "singular-r", "down-weight"])
+def test_a_set_gives_one_outcome_from_floats_and_numpy_floats(rates):
+    def outcomes(number):
+        params = make_params(*map(number, rates))
+        for call in (asymptotics.prefactors, asymptotics.mm1_comparison):
+            try:
+                yield cli._dump(call(params))
+            except ArithmeticError as exc:
+                yield type(exc).__name__, str(exc)
+
+    assert list(outcomes(float)) == list(outcomes(np.float64))
 
 
 @pytest.mark.parametrize("argv", [

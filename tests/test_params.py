@@ -15,7 +15,7 @@ from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParam
 from uqtail import spectral
 from uqtail.asymptotics import _escape
 from uqtail.kernels import _fold, level_blocks
-from uqtail.params import UnstableParameters, check_state, holds
+from uqtail.params import UnstableParameters, check_state
 from uqtail.qbd import first_passage
 from uqtail.spectral import stability
 
@@ -69,7 +69,7 @@ def test_positive_rates_required(kwargs):
 
 
 @pytest.mark.parametrize("rates,omitted,given", [
-    ((0, 11, 0.1, 10), "lambda must be > 0, got 0", "lambda must be > 0, got 0"),
+    ((0, 11, 0.1, 10), "lambda must be > 0, got 0.0", "lambda must be > 0, got 0.0"),
     ((10, float("nan"), 0.1, 10), "mu must be > 0, got nan", "mu must be > 0, got nan"),
     ((10, 11, 0.1, float("inf")), "beta must be finite, got inf", "beta must be finite, got inf"),
     # an omitted C checks every rate's sign before any rate's finiteness
@@ -90,15 +90,6 @@ def test_small_c_raises_its_bound():
         with pytest.raises(InvalidParameters) as error:
             make_params(10, 11, 0.1, 10, model=model, C=5.0)
         assert str(error.value) == f"C below {bound}: 5.0 < {c_min}"
-
-
-@pytest.mark.parametrize("ok,expected", [
-    (True, True), (False, False), (np.True_, True), (np.False_, False),
-    (np.array(True), True), (np.array(False), False), (np.array([True, True]), True),
-    (np.array([True, False]), False), (np.array([], dtype=bool), True),
-], ids=["bool", "false", "np-bool", "np-false", "0d", "0d-false", "1d", "1d-false", "empty"])
-def test_holds(ok, expected):
-    assert holds(ok) is expected
 
 
 def test_a_stack_names_its_first_failing_condition():

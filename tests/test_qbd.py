@@ -199,6 +199,19 @@ def test_boundary_vector_normalized():
     assert pi0 @ (boundary(A) + r @ interior(A)[2]) == pytest.approx(pi0, rel=1e-12)
 
 
+def test_boundary_refuses_an_r_whose_down_down_entry_rounds_to_one():
+    # (lambda/mu)(alpha+mu)/(lambda+beta) = 1 - 1e-106 here, so I - R is singular in floats
+    rates = (413144996.53554803, 3.122865155414661e+147, 1.7913480599226823e-151,
+             4.335403015718224e-98)
+    stack = make_params(*(np.array([getattr(A, name), rate])
+                          for name, rate in zip(("lam", "mu", "alpha", "beta"), rates)))
+    for params, where in ((make_params(*rates), ""), (stack, " at stack index 1")):
+        with pytest.raises(ArithmeticError) as error:
+            boundary_vector(params)
+        assert str(error.value) == (f"R's Down->Down entry (lambda/mu)(alpha+mu)/(lambda+beta)"
+                                    f"{where} is 1.0, not below 1, so I - R is singular in floats")
+
+
 def _reference_model1_residual(params, k_max):
     """Levels pi0 R^k for k <= k_max + 1, and max |pi P - pi| over levels
     0..k_max from one `full_kernel` row per source, levels 0..k_max + 1."""

@@ -154,7 +154,7 @@ def test_stability_report():
     assert rep.stable and rep.if_and_only_if
     assert rep.effective_rate == pytest.approx(10 / 10.1 * 11)
     rep2 = stability(make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2))
-    assert rep2.stable and rep2.if_and_only_if is False
+    assert rep2.stable and not rep2.if_and_only_if
 
 
 UNSTABLE = make_params(12, 11, 0.1, 10)   # load 12 / 10.89: above the bound
@@ -176,7 +176,7 @@ def test_the_stability_gate_names_its_stage(call, stage):
     # every stage refuses an unstable set through one gate, with one text
     with pytest.raises(UnstableParameters) as refusal:
         call(UNSTABLE)
-    lam = 20 if stage == "the shape-only tail" else 12
+    lam = 20.0 if stage == "the shape-only tail" else 12.0
     assert str(refusal.value) == (f"{stage} requires a stable parameter set, {BOUND}; "
                                   f"got lambda = {lam}")
 
@@ -195,6 +195,6 @@ def test_the_stability_gate_names_the_first_unstable_set_of_a_stack():
     with pytest.raises(UnstableParameters) as refusal:
         _require_stable(rsrd, "the stationary table")
     assert str(refusal.value) == ("the stationary table requires a stable parameter set, "
-                                  "lambda < mu p; got lambda = 16")
+                                  "lambda < mu p; got lambda = 16.0")
     _require_stable(make_params(np.array([10.0, 5.0]), np.full(2, 11.0), np.full(2, 0.1),
                                 np.full(2, 10.0)), "a stage")   # stable: no refusal

@@ -432,6 +432,25 @@ def test_the_first_failing_set_wins_over_the_first_failing_row(monkeypatch):
                                 "parameters")
 
 
+def test_a_nan_drift_fails_both_drift_gates(tmp_path, capsys):
+    # lam mu den and g den_minus both underflow to 0, so the loss and the drift are NaN,
+    # which passed the gates as the comparisons |value - estimate| > bound and value <= 0
+    rates = (6.936413542212146e-180, 1.7278590859006367e-28, 5.730760007110428e-149,
+             1.868135705410208e-176)
+    stack = _stack([A, make_params(*rates)])
+    _, disagree, nonpositive = twist._twist(stack)
+    assert disagree.tolist() == nonpositive.tolist() == [False, True]
+    message = "drift closed form nan and aggregate -0.00037116356045143486 disagree"
+    for call in (twist_summary, prefactors):
+        with pytest.raises(ArithmeticError) as error:
+            call(stack)
+        assert str(error.value) == f"{message} at stack index 1"
+    flags = [v for pair in zip(("--lambda", "--mu", "--alpha", "--beta"), map(repr, rates))
+             for v in pair]
+    assert main(["analyze", *flags, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"verification failure: {message}\n"
+
+
 def _down_block_scaled_at(twist_pass, k):
     """The twist with its down block scaled by 1 + 1e-9, in set k of a stack
     or in a single set."""
