@@ -14,9 +14,9 @@ import numpy as np
 from .kernels import level_blocks
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      UnstableParameters, _require, make_params)
-from .qbd import (_TAIL_ERROR, StationaryTable, TruncationError, _boundary, boundary_vector,
-                  first_passage, truncated_stationary)
-from .spectral import SpectralSolution, _require_stable, characteristic_roots
+from .qbd import (_TAIL_ERROR, StationaryTable, TruncationError, _boundary, _pi0, first_passage,
+                  truncated_stationary)
+from .spectral import SpectralSolution, _stable_roots, characteristic_roots
 from .twist import TwistSummary, twist_summary
 
 _ESCAPE_RESIDUAL = 1e-12
@@ -41,7 +41,6 @@ class TailAsymptotic:
     escape_up: float | None
     escape_down: float | None
     secondary_gamma: float | None
-    secondary_weight: float | None
     y_ratio: float | None  # per-unit-of-y geometric factor (tandem model)
     provenance: str
     # neither reported nor compared: the pass the tail came from, and eta's bound
@@ -122,8 +121,9 @@ def _escape(twist: TwistSummary) -> EscapeProbs:
     The free chain moves down a level only by a service in Up, so under
     stability its first-passage matrix is G(sigma, U) = 1, G(sigma, D) = 0.
     The twist rescales it to G~(sigma, U) = h(0, U) / h(1, sigma), hence
-    escape(sigma) = (lambda/C) (h(1, sigma) - 1) / h(0, sigma).  G~ is checked
-    against the twist's G = A2 + A1 G + A0 G^2 and must be strictly substochastic.
+    escape(sigma) = (lambda/C) (h(1, sigma) - 1) / h(0, sigma), t2 - 1 from the
+    roots' margin.  G~ is checked against the twist's G = A2 + A1 G + A0 G^2
+    and must be strictly substochastic.
     """
     t2, w = twist.harmonic.base, twist.harmonic.down_weight
     a0, a1, a2 = twist.blocks
@@ -134,14 +134,26 @@ def _escape(twist: TwistSummary) -> EscapeProbs:
                "closed-form first-passage matrix{where} fails: residual {:.3g} (bound {:g}), "
                "row sums {} (must be < 1)", residual, _ESCAPE_RESIDUAL, rows)], ArithmeticError)
     scale = twist.params.lam / twist.params.C
-    return EscapeProbs(up=scale * (t2 - 1.0), down=scale * (t2 - 1.0 / w), residual=residual)
+    return EscapeProbs(up=scale * twist.roots.t2_minus_1, down=scale * (t2 - 1.0 / w),
+                       residual=residual)
 
 
 def _eta_model1(twist: TwistSummary, esc: EscapeProbs) -> float:
     """Boundary constant eta: the sum over the boundary of pi * h * escape
-    probability, exact on Model 1's two-state boundary."""
-    pi0 = boundary_vector(twist.params)
+    probability, exact on Model 1's two-state boundary, with pi0 from the twist's roots."""
+    pi0 = _pi0(twist.params, twist.roots)[0]
     return pi0[..., UP] * esc.up + pi0[..., DOWN] * twist.harmonic.value((0, DOWN)) * esc.down
+
+
+def _eta_weights(h, y_max: int) -> np.ndarray:
+    """h(0, y, sigma) = t2^y (1, w), (y_max + 1, 2), or ArithmeticError from its first inf;
+    each power libm's, as `h.value`'s: numpy's array power (SVML) can differ in the last bit."""
+    with np.errstate(over="ignore"):   # the gate names it
+        column = np.array([h.base ** y for y in range(y_max + 1)])[:, None] * (1.0, h.down_weight)
+    finite = (column < math.inf).all(axis=-1)
+    _require([(finite.all(), "eta's boundary weights: h(0, y, sigma), a multiple of t2^y, "
+               "overflows from y = {}, t2 = {!r}", np.argmin(finite), h.base)], ArithmeticError)
+    return column
 
 
 def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> tuple[float, float]:
@@ -155,13 +167,7 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> tuple[flo
         raise ArithmeticError("boundary sum not summable: lambda/(mu p) >= gamma_p")
     h = twist.harmonic
     y_max = _ETA_TABLE if table is None else table.pi.shape[1] - 1
-    column = []   # h(0, y, sigma) in `level_blocks` order, formed before the solve
-    try:
-        for y in range(y_max + 1):
-            column += (h.value((0, y, sigma)) for sigma in (UP, DOWN))
-    except OverflowError:
-        raise ArithmeticError(f"eta's boundary weights: h(0, y, sigma), a multiple of t2^y, "
-                              f"overflows from y = {y}, t2 = {float(h.base)!r}") from None
+    column = _eta_weights(h, y_max)   # before the solve
     fixed = f"eta's truncated table has the fixed size {_ETA_TABLE} x {_ETA_TABLE}"
     advice = fixed if table is None else "enlarge the truncated table"   # the caller set the size
     if table is None:
@@ -170,7 +176,7 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> tuple[flo
         if table.tail_mass_bound > _TAIL_ERROR:
             raise TruncationError(f"{fixed}, and its estimated tail mass "
                                   f"{table.tail_mass_bound:.3g} exceeds {_TAIL_ERROR}")
-    weights = table.pi[0].ravel() * np.array(column)   # pi(0, y, sigma) h(0, y, sigma)
+    weights = table.pi[0].ravel() * column.ravel()   # pi(0, y, sigma) h(0, y, sigma)
     # geometric-tail gate on the last min(10, y_max + 1) levels of the weights
     levels = weights.reshape(-1, 2).sum(axis=1)
     low = max(1, y_max - 8)
@@ -211,12 +217,11 @@ def prefactors(params: ModelParams, model: Model | None = None, *,
     if model not in (None, params.model):
         raise InvalidParameters(f"model {model} does not match the parameters' {params.model}")
     if params.model is Model.MODEL2 and (params.p != 1.0).all():
-        _require_stable(params, "the shape-only tail")
-        sol = characteristic_roots(params)
+        sol = _stable_roots(params, "the shape-only tail")
         return TailAsymptotic(model=params.model, gamma=sol.gamma_p, prefactor_up=None,
                               prefactor_down=None, eta=None, escape_up=None, escape_down=None,
-                              secondary_gamma=sol.gamma_secondary, secondary_weight=None,
-                              y_ratio=None, provenance="shape-only", roots=sol, twist=None,
+                              secondary_gamma=sol.gamma_secondary, y_ratio=None,
+                              provenance="shape-only", roots=sol, twist=None,
                               eta_error_bound=None)
     return tail_constants(twist_summary(params), table=table)
 
@@ -229,26 +234,26 @@ def tail_constants(twist: TwistSummary, *,
     for Model 1, of a set or a stack, and the tandem (p = 1) (Adan, Foley & McDonald).
     The tandem's eta reads one set's `table` (default: a 60 x 60 truncated solve).
     """
-    params, h = twist.params, twist.harmonic
+    params, d = twist.params, twist.drift.value
     if params.model is Model.MODEL1:
         esc = _escape(twist)
         eta, bound = _eta_model1(twist, esc), 0.0
-        phi0, origins = twist.phi, ((0, UP), (0, DOWN))
+        # phi(Up) = den / (2 g) and phi(Down) / h(0, D) = alpha / g; eta / d comes first,
+        # so that a phi below the doubles' range (7e-332 on R_DD's sets) leaves no 0
+        eta_d, g = eta / d, twist.roots.g_constant
+        c_up, c_down = eta_d * (twist.roots.den / 2.0) / g, eta_d * params.alpha / g
         extra = dict(escape_up=esc.up, escape_down=esc.down, y_ratio=None,
                      provenance="closed-form")
     else:
         eta, bound = _eta_model2(twist, table)
-        phi0 = np.array([twist.phi(0, sigma) for sigma in (UP, DOWN)])
-        origins = ((0, 0, UP), (0, 0, DOWN))
+        c_up, c_down = (eta * twist.phi(0, sigma) / (d * twist.harmonic.value((0, 0, sigma)))
+                        for sigma in (UP, DOWN))
         extra = dict(escape_up=None, escape_down=None, y_ratio=params.lam / params.mu,
                      provenance="closed-form+qbd")
-    c_up, c_down = (eta * phi0[..., origin[-1]] / (twist.drift.value * h.value(origin))
-                    for origin in origins)
     return TailAsymptotic(model=params.model, gamma=twist.roots.gamma_p,
                           prefactor_up=c_up, prefactor_down=c_down, eta=eta,
-                          secondary_gamma=twist.roots.gamma_secondary,
-                          secondary_weight=None, roots=twist.roots, twist=twist,
-                          eta_error_bound=bound, **extra)
+                          secondary_gamma=twist.roots.gamma_secondary, roots=twist.roots,
+                          twist=twist, eta_error_bound=bound, **extra)
 
 
 def _two_term(params: ModelParams, roots: SpectralSolution | None = None):
@@ -259,10 +264,10 @@ def _two_term(params: ModelParams, roots: SpectralSolution | None = None):
     gaps R_UU - gamma_2 = s den / (2 (lambda + beta)) and R_DD - gamma_2, which is R_UD R_DU
     over it, are positive; pi0 proportional to (lambda + beta, alpha) gives w3 = pi0(D)
     gamma_2 (R_DU / gap_U, -1) / d.  So nothing cancels.  `roots` defaults to the set's own,
-    solved after `_boundary`'s stability gate.
+    solved after the stability gate.
     """
-    pi0, r, _ = _boundary(params)
-    sol = characteristic_roots(params) if roots is None else roots
+    sol = _stable_roots(params, "the boundary vector") if roots is None else roots
+    pi0, r, _ = _boundary(params, sol)
     s, r_ud, lam_beta = r[..., DOWN, UP], r[..., UP, DOWN], params.lam + params.beta
     gap_up = s * sol.den / (2.0 * lam_beta)
     d = s * sol.sqrt_s / lam_beta

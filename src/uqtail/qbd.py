@@ -17,7 +17,7 @@ import numpy as np
 from .kernels import _fold, _moves, _origins
 from .params import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
                      _require, make_params)
-from .spectral import _require_stable
+from .spectral import SpectralSolution, _require_stable, _stable_roots
 
 if TYPE_CHECKING:   # scipy loads in the sparse solves only; most verbs never run one
     import scipy.sparse as sp
@@ -160,27 +160,31 @@ def boundary_vector(params: ModelParams) -> np.ndarray:
     return _boundary(params)[0]
 
 
-def _boundary(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`boundary_vector` with the closed-form R it was solved from and (I - R)^-1 1.
-
-    Level 1 is left downwards only from Up, so level 0's Down balance reads
-    pi(0, D)(lambda + beta) = alpha pi(0, U): pi0 is proportional to
-    (lambda + beta, alpha), free of the cancellation a null vector of
-    B1 + R A2 - I (B1 the level-0 local block) suffers as alpha -> 0, and
-    sums to 1 with its levels above, pi0 (I - R)^-1 1, a BLAS dot (`np.vecdot`).
-    """
+def _boundary(params: ModelParams, roots: SpectralSolution | None = None) -> tuple:
+    """`boundary_vector`, the closed-form R and (I - R)^-1 1, from the set's `roots`
+    (default: its own, after the stability gate).  The adjugate of I - R maps 1 to
+    (beta/(lambda + beta), 1), so (I - R)^-1 1 is that over det(I - R) (`_pi0`)."""
     if params.model is not Model.MODEL1:
         raise InvalidParameters("the boundary vector needs a Model 1 parameter set")
-    _require_stable(params, "the boundary vector")
-    r = rate_matrix_closed_form(params)
-    # R >= 0, so R_DD <= gamma_1 < 1 (R's spectral radius); at 1 the solve's pivot is lost
-    _require([(r[..., DOWN, DOWN] < 1.0, "R's Down->Down entry (lambda/mu)(alpha+mu)/"
-               "(lambda+beta){where} is {!r}, not below 1, so I - R is singular in floats",
-               r[..., DOWN, DOWN])], ArithmeticError)
-    pi0 = np.empty(r.shape[:-1])
-    pi0[..., UP], pi0[..., DOWN] = params.lam + params.beta, params.alpha
-    mass = np.linalg.solve(np.eye(2) - r, np.ones(2))
-    return pi0 / np.vecdot(pi0, mass)[..., None], r, mass
+    pi0, det = _pi0(params, _stable_roots(params, "the boundary vector") if roots is None
+                    else roots)
+    mass = np.empty_like(pi0)
+    mass[..., UP], mass[..., DOWN] = params.beta / (params.lam + params.beta), 1.0
+    return pi0, rate_matrix_closed_form(params), mass / det[..., None]
+
+
+def _pi0(params: ModelParams, roots: SpectralSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Level 0's law pi0 and det = det(I - R) = (1 - gamma_1)(1 - gamma_2), with no solve.
+    Level 0's Down balance, pi(0, D)(lambda + beta) = alpha pi(0, U), and pi0 (I - R)^-1 1 = 1
+    give pi0 = (lambda + beta, alpha) det / (alpha + beta) (Neuts, 1981).  No margin cancels:
+    1 - gamma_1 = (t2 - 1)/t2 from the roots, and 1 - gamma_2 = (t1 - 1)/t1 =
+    (D + sqrt(s))/(2 lambda t1), D = (mu - lambda) + alpha + beta."""
+    lam, mu, alpha, beta, sqrt_s = params.lam, params.mu, params.alpha, params.beta, roots.sqrt_s
+    det = roots.t2_minus_1 / roots.t2 * ((mu - lam + alpha + beta + sqrt_s)
+                                         / (lam + beta + mu + alpha + sqrt_s))
+    pi0 = np.empty(np.shape(lam) + (2,))
+    pi0[..., UP], pi0[..., DOWN] = lam + beta, alpha
+    return pi0 * (det / (alpha + beta))[..., None], det
 
 
 def _model1_levels(params: ModelParams, k_max: int) -> tuple[np.ndarray, float | np.ndarray]:

@@ -30,6 +30,7 @@ class SpectralSolution:
     # shared by every later stage, which never recomputes them; not reported
     sqrt_s: float = field(repr=False)
     den: float = field(repr=False)  # lam + beta - mu*p - alpha + sqrt(s_p)
+    t2_minus_1: float = field(repr=False)  # from the margin q(1): `_t2_minus_1`
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,8 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     """Roots of lam^2 t^2 - lam(mu*p+lam+alpha+beta) t + mu*p(lam+beta).
 
     The larger root is computed by the quadratic formula and the smaller one
-    from the product of roots, which keeps full precision when alpha is tiny.
+    from the product of roots, which keeps full precision when alpha is tiny;
+    t2 - 1 is taken from the margin (`_t2_minus_1`), not from t2.
     On a stack, g_constant needs p = 1 in every set.  RS-RD's product form
     decays at lambda/(mu p) instead, and raises InvalidParameters.  A t2 that
     is 0 or not finite raises ArithmeticError, naming t1 where t1 overflowed.
@@ -83,7 +85,30 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     q = 2.0 * lam * t2 * t2 - (alpha + beta + mup + 2.0 * lam) * t2 + mup
     return SpectralSolution(s_p=s_p, t1=t1, t2=t2, gamma_p=1.0 / t2,
                             gamma_secondary=1.0 / t1, g_constant=g_constant,
-                            t2_valid=q < 0.0, sqrt_s=sqrt_s, den=den)
+                            t2_valid=q < 0.0, sqrt_s=sqrt_s, den=den,
+                            t2_minus_1=_t2_minus_1(params, sqrt_s))
+
+
+def _t2_minus_1(params: ModelParams, sqrt_s):
+    """t2 - 1 = 2 q(1) / (lam (D + sqrt(s_p))), D = (mu p - lam) + alpha + beta > 0 under
+    stability.  The one subtraction, q(1) = mu p beta - lam (alpha + beta), is rounded once:
+    SumK, K = 3 (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005), of exact products
+    (Dekker, Numer. Math. 18, 1971) of factors scaled by powers of 2 to near 1."""
+    lam, alpha, beta, mup = params.lam, params.alpha, params.beta, params.mu * params.p
+    (mu_m, beta_m, lam_m, d_m), (e_mu, e_beta, e_lam, e_d) = np.frexp(
+        np.array([mup, beta, lam, mup - lam + alpha + beta + sqrt_s]))
+    shift = e_mu + e_beta - e_lam   # lam alpha and lam beta scale as mu p beta
+    a = np.array([mu_m, lam_m, lam_m])
+    b = np.array([beta_m, *-np.ldexp(np.array([alpha, beta]), -shift)])
+    (a1, a2), (b1, b2) = ((s - (s - x), x - (s - (s - x))) for x in (a, b)
+                          for s in (134217729.0 * x,))   # Veltkamp's halves, at 2^27 + 1
+    product = a * b
+    terms = [*product, *(((a1 * b1 - product) + a1 * b2 + a2 * b1) + a2 * b2)]   # exact
+    for i in [1, 2, 3, 4, 5] * 2:   # two passes, each carrying the sum to the last term
+        total = terms[i - 1] + terms[i]   # Knuth's two-sum
+        back = total - terms[i - 1]
+        terms[i - 1], terms[i] = (terms[i - 1] - (total - back)) + (terms[i] - back), total
+    return np.ldexp(2.0 * (sum(terms[:-1]) + terms[-1]) / (lam_m * d_m), shift - e_d)
 
 
 def feynman_kac(params: ModelParams, theta: float) -> tuple[np.ndarray, float]:
@@ -112,6 +137,12 @@ def stability(params: ModelParams) -> StabilityReport:
     iff = params.model is not Model.MODEL2 or p == 1.0
     return StabilityReport(stable=lam < effective * p, effective_rate=effective,
                            if_and_only_if=iff)
+
+
+def _stable_roots(params: ModelParams, stage: str) -> SpectralSolution:
+    """`characteristic_roots` of a set that `_require_stable` admits for `stage`."""
+    _require_stable(params, stage)
+    return characteristic_roots(params)
 
 
 def _require_stable(params: ModelParams, stage: str) -> None:

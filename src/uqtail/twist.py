@@ -12,7 +12,7 @@ import numpy as np
 
 from .kernels import level_blocks
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, _require
-from .spectral import SpectralSolution, _require_stable, characteristic_roots
+from .spectral import SpectralSolution, _require_stable, _stable_roots, characteristic_roots
 
 _DRIFT_AGREEMENT = 1e-10
 
@@ -112,8 +112,7 @@ def harmonic(params: ModelParams) -> HarmonicFunction:
     every set of a stack); RS-RD has no free process and raises InvalidParameters."""
     if params.model is Model.RSRD:
         raise InvalidParameters("the harmonic function is defined for Model 1 and the tandem only")
-    _require_stable(params, "the harmonic function")
-    return _harmonic(params, characteristic_roots(params))
+    return _harmonic(params, _stable_roots(params, "the harmonic function"))
 
 
 def twist_summary(params: ModelParams) -> TwistSummary:

@@ -1,6 +1,6 @@
 import json
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +21,9 @@ from uqtail.cli import main
 from uqtail.kernels import full_kernel, level_blocks
 from uqtail.qbd import StationaryTable, _boundary, _model1_levels, first_passage
 from uqtail.verify import _sets, check_tail_reproduction, random_params
+
+from reference import (DIGITS, FULL_RANGE_DIGITS, R_DOWN_DOWN_ONE, SLOW_SWITCHING, model1,
+                       relative_error)
 
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
@@ -131,28 +134,6 @@ def test_two_term_tail_matches_eigen_oracle():
                                       rel=1e-12)
 
 
-def two_term_reference(lam, mu, alpha, beta):
-    """50-digit (w2, w3), each (Up, Down): pi0 (R - gamma I) / (gamma_1 - gamma) and
-    pi0 (R - gamma_1 I) / (gamma - gamma_1), from R's entries and its eigenvalues by the
-    quadratic formula, with pi0 normalized by (I - R)^-1 1; the subtractions lose at most
-    about 14 of the 50 digits."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        lam, mu, alpha, beta = (Decimal(v) for v in (lam, mu, alpha, beta))
-        (ruu, rud), (rdu, rdd) = ((lam / mu, lam * alpha / (mu * (lam + beta))),
-                                  (lam / mu, lam * (alpha + mu) / (mu * (lam + beta))))
-        trace, det = ruu + rdd, ruu * rdd - rud * rdu
-        root = (trace * trace - 4 * det).sqrt()
-        gamma1, gamma = (trace + root) / 2, (trace - root) / 2
-        # (I - R)^-1 1 by Cramer's rule
-        inv_det = (1 - ruu) * (1 - rdd) - rud * rdu
-        mass = ((lam + beta) * (1 - rdd + rud) + alpha * (1 - ruu + rdu)) / inv_det
-        pi_up, pi_down = (lam + beta) / mass, alpha / mass
-        return tuple(((pi_up * (ruu - other) + pi_down * rdu) / (own - other),
-                      (pi_up * rud + pi_down * (rdd - other)) / (own - other))
-                     for own, other in ((gamma1, gamma), (gamma, gamma1)))
-
-
 # mu > lambda + beta at alpha = 2.5e-12: C(Up) = 4.9e-12, under a gamma^k term of weight 0.41
 TINY_ALPHA = (26.32, 44.89, 2.531e-12, 15.48)
 
@@ -165,11 +146,51 @@ def test_two_term_tail_matches_a_50_digit_reference(rates):
     # the split mu = lambda + beta: below it w3 vanishes with alpha, above it w2 does
     params = make_params(*rates)
     weights = _two_term(params)
-    for computed, exact in zip(weights, two_term_reference(*rates), strict=True):
+    ref = model1(*rates)
+    for computed, exact in zip(weights, (ref["w2"], ref["w3"]), strict=True):
         for value, reference in zip(computed.tolist(), exact, strict=True):
             assert abs(Decimal(value) / reference - 1) <= Decimal("1e-14")
     fit = two_term_tail(params)
     assert (fit.w2, fit.w3) == (weights[0][UP], weights[1][UP])
+
+
+def test_every_prefactors_success_matches_the_reference():
+    # corpus [-12, 12]: 3,000 draws of rates log-uniform on [1e-12, 1e12], whose 1,167
+    # stable Model 1 sets go through prefactors one by one, then the R_DD sets
+    rates = 10.0 ** np.random.default_rng(1).uniform(-12.0, 12.0, (3000, 4))
+    lam, mu, alpha, beta = rates.T
+    corpus = rates[lam < beta / (alpha + beta) * mu].tolist()
+    assert len(corpus) == 1167 and all(list(worst) in corpus for worst in SLOW_SWITCHING)
+    successes = 0
+    for row, digits in [*((row, DIGITS) for row in corpus),
+                        *((row, FULL_RANGE_DIGITS) for row in R_DOWN_DOWN_ONE)]:
+        params = make_params(*row)
+        try:
+            asym = prefactors(params)
+        except ArithmeticError:   # one corpus set: gamma_1 rounds to 1, by the escape gate
+            continue
+        successes += 1
+        ref = model1(*row, params.C, digits=digits)
+        pi0 = boundary_vector(params)
+        for name, value, exact in (
+                ("gamma", asym.gamma, ref["gamma1"]), ("eta", asym.eta, ref["eta"]),
+                *((f"C({key})", getattr(asym, f"prefactor_{key}"), ref["prefactor"][sigma])
+                  for sigma, key in ((UP, "up"), (DOWN, "down"))),
+                *((f"escape({key})", getattr(asym, f"escape_{key}"), ref["escape"][sigma])
+                  for sigma, key in ((UP, "up"), (DOWN, "down"))),
+                ("pi0(Up)", pi0[UP], ref["pi0"][UP]), ("pi0(Down)", pi0[DOWN], ref["pi0"][DOWN])):
+            assert relative_error(value, exact) <= Decimal("1e-13"), (row, name)
+    assert successes == 1166 + len(R_DOWN_DOWN_ONE)
+
+
+@pytest.mark.parametrize("rates", [(10, 30, 0.1, 10), (1, 50, 1.9, 0.6)],
+                         ids=["T2", "tandem-1-50"])
+def test_eta_boundary_weights_are_h_values_bit_for_bit(rates):
+    # the weights h(0, y, sigma) of eta's boundary sum, on the default 60 x 60 table's y, as
+    # one scalar h.value call per state gives them
+    h = harmonic(make_params(*rates, model=Model.MODEL2))
+    expected = [[h.value((0, y, sigma)) for sigma in (UP, DOWN)] for y in range(61)]
+    assert asymptotics._eta_weights(h, 60).tobytes() == np.array(expected).tobytes()
 
 
 def test_two_geometric_fit_recovers_synthetic_rates():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ import uqtail
 from uqtail import (Model, UnstableParameters, __version__, asymptotics, characteristic_roots,
                     cli, make_params, params_from_dict, qbd, simulate, stationary_table, verify)
 from uqtail.cli import build_parser, main
+
+from reference import FULL_RANGE_DIGITS, R_DOWN_DOWN_ONE, model1, relative_error
 
 A_FLAGS = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
 T2_FLAGS = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10"]
@@ -170,6 +173,19 @@ def test_light_load_tandem_refuses_overflowing_eta_weights_before_the_solve(tmp_
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("rates,y,t2", [
+    (("1e-5", "30", "0.1", "10"), 52, "995038.1219877049"),   # t2^y overflows
+    (("1e-5", "1e5", "1e-300", "1e-5"), 12, "1.9999999999999996"),   # t2^y times w does
+], ids=["power", "down-weight"])
+def test_overflowing_eta_weights_are_refused_by_one_line(tmp_path, capsys, rates, y, t2):
+    out = tmp_path / "out"
+    assert main(["analyze", *_rate_flags(*rates), "--model", "model2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "verification failure: eta's boundary weights: h(0, y, sigma), a multiple of t2^y, "
+        f"overflows from y = {y}, t2 = {t2}\n")
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     # mu p (lambda + beta) overflows, so t2 is inf and 1 / t2 would read gamma_1 = 0
@@ -236,17 +252,24 @@ def test_all_tiny_rates_are_refused_by_the_t2_line(tmp_path, capsys, verb):
     assert captured.out == "" and not out.exists()
 
 
-def test_a_singular_i_minus_r_is_refused_by_name(tmp_path, capsys):
-    # R's Down->Down entry 1 - 1e-106 rounds to 1, where np.linalg.solve raised
-    # "Singular matrix"
-    out = tmp_path / "out"
-    argv = ["analyze", *_rate_flags("413144996.53554803", "3.122865155414661e+147",
-                                    "1.7913480599226823e-151", "4.335403015718224e-98")]
-    assert main([*argv, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == ("verification failure: R's Down->Down entry (lambda/mu)(alpha+mu)/"
-                            "(lambda+beta) is 1.0, not below 1, so I - R is singular in floats\n")
-    assert captured.out == "" and not out.exists()
+@pytest.mark.parametrize("rates", R_DOWN_DOWN_ONE, ids=["rdd-1", "rdd-2", "rdd-3"])
+def test_an_r_whose_down_down_entry_rounds_to_one_is_analyzed(tmp_path, capsys, rates):
+    # R's Down->Down entry rounds to 1: np.linalg.solve raised "Singular matrix" on the first
+    # set, and pi0 came out negative on the other two; phi(Up) underflows on the first
+    assert main(["analyze", *_rate_flags(*map(repr, rates)), "--out", str(tmp_path)]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    ref = model1(*rates, report["meta"]["params"]["C"], digits=FULL_RANGE_DIGITS)
+    tail, twist = report["tail"], report["twist"]
+    fields = [(report["spectral"]["t1"], ref["t1"]), (report["spectral"]["t2"], ref["t2"]),
+              (tail["gamma"], ref["gamma1"]), (tail["secondary_gamma"], ref["gamma2"]),
+              (tail["eta"], ref["eta"]), (twist["drift"]["value"], ref["drift"]),
+              (twist["harmonic"]["down_weight"], ref["w"]),
+              *zip(twist["phi"], ref["phi"]), *zip((tail["escape_up"], tail["escape_down"]),
+                                                   ref["escape"]),
+              *zip((tail["prefactor_up"], tail["prefactor_down"]), ref["prefactor"])]
+    # a value below the doubles' range is right as its rounding, 0
+    assert [value == float(exact) or relative_error(value, exact) <= Decimal("1e-13")
+            for value, exact in fields] == [True] * len(fields)
 
 
 @pytest.mark.parametrize("key", ["lambda", "C"])
@@ -260,8 +283,8 @@ def test_a_json_integer_past_the_double_range_is_a_validation_error(tmp_path, ca
                                            "integer too large for a double\n")
 
 
-# A, B, the g_constant and all-tiny sets above, a singular I - R and a Down weight 2 beta / den
-# that overflows
+# A, B, the g_constant and all-tiny sets above, an R whose Down->Down entry rounds to 1 and a
+# Down weight 2 beta / den that overflows
 PARITY_SETS = [(10.0, 11.0, 0.1, 10.0), (20.0, 60.0, 0.01, 1.0), (1e-10, 1.0, 1e-320, 1e-10),
                (1e-300, 3e-300, 1e-300, 1e-300),
                (413144996.53554803, 3.122865155414661e+147, 1.7913480599226823e-151,
@@ -478,9 +501,9 @@ def test_ldpath_verdict(tmp_path, capsys):
 # of the p = 1 tandem and of RS-RD at p = 0.5, as the closed-form fit writes them
 TAILFIT_DIGESTS = {
     (*A_FLAGS, "--kmin", "100", "--kmax", "300"):
-        "3201c1821c0c6611e20f13614514d055b95f1fb6eea12ac339ee713ce5a8775c",
+        "4f3440d3cf8f04a991532b2ea9b6d93e2e51ae387bc1cd82f7079fb8d9d7fd85",
     (*T2_FLAGS, "--model", "model2", "--kmin", "20", "--kmax", "35", "--xmax", "40"):
-        "fa126419c7e82dd4b97f156f6a2a7f1604c60099aa97a3e7d6cb1fd42cff87ea",
+        "d87e5c9c620e95e2497170bfabdd0afb9d74ea1c6a339b59fcea54157ef27ea4",
     (*T2_FLAGS, "--model", "rsrd", "--p", "0.5", "--kmin", "20", "--kmax", "35", "--xmax", "40"):
         "a9d45dcb92319737a433a235b539f09fb6d4a783fe011050797c8e21f99de691",
 }
@@ -495,32 +518,40 @@ def test_tailfit_csv_is_pinned(flags, tmp_path, capsys):
 
 # SHA-256 of analyze.json: A and B, plain and with --limits, A at alpha = 1e-12, the light
 # load (1e-300, 11, 0.1, 10) and mu = 1e150 for Model 1, the p = 1 tandem (1, 50, 1.9, 0.6),
-# T2's shape-only tail at p = 0.5 and RS-RD at p = 0.5
+# T2's shape-only tail at p = 0.5, RS-RD at p = 0.5, and two Model 1 sets whose margin
+# 1 - gamma_1 is below a double's rounding of 1: slow switching (1.5e-17, C(Up) was 3.7
+# times off) and an R whose Down->Down entry rounds to 1 (phi(Up) underflows there)
 ANALYZE_DIGESTS = {
-    tuple(A_FLAGS): "03ee6f9a97158e3ebf6c3ddea802ba8728f2dde2e2e7720e2c8f2036310a05a1",
-    (*A_FLAGS, "--limits"): "bc8cd93c10b1b66d7b926225f04c6462dcd0df741c43d37b21dcf6499f527dfd",
+    tuple(A_FLAGS): "8c1b5938cb6adfc6b7208510b3b0194a1508f6a5d20f8e8c36c6232333238c79",
+    (*A_FLAGS, "--limits"): "104b79d370d838bc362e3d27ee2266ada35e2819735e9634f451621260146224",
     tuple(_rate_flags("20", "60", "0.01", "1")):
-        "9b084c5422f2adea6484df6c1d914f59b6c7a795489719cabce13e239b0fc894",
+        "ff19f79f6e616f440fd23ff9cd801f9f8381ca0d7a6e7f5d083022b8ec487334",
     (*_rate_flags("20", "60", "0.01", "1"), "--limits"):
-        "dfcff4a31f395d10835ef0dd436aff81340adef466345e1d34301b92e0181151",
+        "b08c17a4ca28a7d3b346e4a134f1026aaeb7c65cda4304a645562455a5acb895",
     tuple(_rate_flags("10", "11", "1e-12", "10")):
-        "339b70bba0fb4b97fff2866946c09a527af8df2b7ddfe39e7c1fc3e995840846",
+        "4542407e83aa7d18a785d738cc8c12f4a5a71e14b44d6a5f2d3b622539f55009",
     tuple(_rate_flags("1e-300", "11", "0.1", "10")):
-        "c3b4f550ef42d9b8614781bccbd2b07548b4398963e949abff77cc1824919bb8",
+        "b19d446646bc2da5e211e3d2626250a7b9a44dcbc98c04c3284b99dc91dd7fe3",
     tuple(_rate_flags("3", "1e150", "0.1", "10")):
-        "e6fbfd9c6294c63182954adba1070a0d30a682c9f49eb01350e38f5316232fa5",
+        "9bc71bcef9c642c7df1e44d77221972a3c09e97d27e7c2af3ec36cadb6849a49",
     (*_rate_flags("1", "50", "1.9", "0.6"), "--model", "model2"):
-        "7b29e2a7a588391ae89c3a1d5586f13531cf7b15c60220396f957b48784b2ccf",
+        "62ccccb9d5312d57e8690045afd8ce639c9a338af5435cdcccdce96f536533b8",
     (*T2_FLAGS, "--model", "model2", "--p", "0.5"):
-        "31115e0f1a63b50c0c92374c3661221ed4a644b27ab66e876916862807f69d7d",
+        "f32c4b7f10e01f58e6a4feccd0b7e4019ef77bcef59764dc5b01ec2eac1182f3",
     (*T2_FLAGS, "--model", "rsrd", "--p", "0.5"):
         "fbe3d6ff443bd93b806d9aa931a2e4886bb1a68236d091ef710c9fa1c00f914e",
+    tuple(_rate_flags("527962.3175368304", "50406465.24787929", "5.786599240714527e-11",
+                      "8.634334099278625e-12")):
+        "a0cfa2b8a562f3715dfecdb464e8c75f7fbc23085b9c343c2e3e487c0e6dae53",
+    tuple(_rate_flags("413144996.53554803", "3.122865155414661e+147", "1.7913480599226823e-151",
+                      "4.335403015718224e-98")):
+        "a9a6dd001cbe941c0f798fb70448e16e30acc084a7e1bd451cfb09d9beb70add",
 }
 
 
 @pytest.mark.parametrize("flags", list(ANALYZE_DIGESTS), ids=[
     "A", "A-limits", "B", "B-limits", "A-alpha-1e-12", "lambda-1e-300", "mu-1e150",
-    "tandem-1-50", "T2-p0.5", "rsrd"])
+    "tandem-1-50", "T2-p0.5", "rsrd", "slow-switching", "r-down-down-one"])
 def test_analyze_json_is_pinned(flags, tmp_path, capsys):
     assert main(["analyze", *flags, "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "analyze.json").read_bytes()).hexdigest()

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from uqtail.qbd import (LatticeLaw, _lattice_inflow, _lattice_matrix, _lattice_m
                         _lattice_shape, _tail_mass_estimate, first_passage)
 from uqtail.verify import (check_rate_matrix, check_stability_equivalence,
                            random_params)
+
+from reference import FULL_RANGE_DIGITS, R_DOWN_DOWN_ONE, model1, relative_error
 
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
@@ -199,17 +202,16 @@ def test_boundary_vector_normalized():
     assert pi0 @ (boundary(A) + r @ interior(A)[2]) == pytest.approx(pi0, rel=1e-12)
 
 
-def test_boundary_refuses_an_r_whose_down_down_entry_rounds_to_one():
-    # (lambda/mu)(alpha+mu)/(lambda+beta) = 1 - 1e-106 here, so I - R is singular in floats
-    rates = (413144996.53554803, 3.122865155414661e+147, 1.7913480599226823e-151,
-             4.335403015718224e-98)
+@pytest.mark.parametrize("rates", R_DOWN_DOWN_ONE, ids=["rdd-1", "rdd-2", "rdd-3"])
+def test_boundary_where_r_down_down_rounds_to_one_matches_the_reference(rates):
+    # (lambda/mu)(alpha+mu)/(lambda+beta) = 1 - 1e-106 on the first set: I - R was singular
+    # in floats, and the other two printed a negative pi0; the closed form solves nothing
+    ref = model1(*rates, digits=FULL_RANGE_DIGITS)["pi0"]
     stack = make_params(*(np.array([getattr(A, name), rate])
                           for name, rate in zip(("lam", "mu", "alpha", "beta"), rates)))
-    for params, where in ((make_params(*rates), ""), (stack, " at stack index 1")):
-        with pytest.raises(ArithmeticError) as error:
-            boundary_vector(params)
-        assert str(error.value) == (f"R's Down->Down entry (lambda/mu)(alpha+mu)/(lambda+beta)"
-                                    f"{where} is 1.0, not below 1, so I - R is singular in floats")
+    for pi0 in (boundary_vector(make_params(*rates)), boundary_vector(stack)[1]):
+        assert [relative_error(value, exact) <= Decimal("1e-13")
+                for value, exact in zip(pi0, ref)] == [True, True]
 
 
 def _reference_model1_residual(params, k_max):

@@ -1,6 +1,6 @@
 import dataclasses
 import sys
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from uqtail.asymptotics import _escape
 from uqtail.cli import main
 from uqtail.kernels import _fold, _moves, level_blocks
 from uqtail.verify import check_drift, check_harmonicity, random_params
+
+from reference import model1
 
 A = make_params(10, 11, 0.1, 10)
 T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
@@ -154,36 +156,6 @@ def test_twist_summary_shapes():
     assert s2.phi.B == pytest.approx(s2.rates.B)
 
 
-def reference(lam, mu, alpha, beta, C):
-    """50-digit values for p = 1: g by its definition; h(0, D), the phase
-    shares and the drift from the twisted rows, and Model 1's eta from the
-    level-0 null vector, not from the closed forms under test."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        lam, mu, alpha, beta, C = (Decimal(v) for v in (lam, mu, alpha, beta, C))
-        sqrt_s = ((mu - lam - beta - alpha) ** 2 + 4 * alpha * mu).sqrt()
-        den = lam + beta - mu - alpha + sqrt_s
-        t2 = (lam + beta + mu + alpha - sqrt_s) / (2 * lam)
-        w = beta / (lam + beta - lam * t2)   # h(0, D), from the Down row
-        # the twisted phase chain moves U -> D w.p. alpha w / C, D -> U w.p. beta / (w C)
-        shares = [beta / (beta + alpha * w * w), alpha * w * w / (beta + alpha * w * w)]
-        # mean x-increments of the twisted rows: +lam t2 / C in both phases (for the
-        # tandem, mu / C from y >= 1, whose phi mass is lam t2 / mu), -mu / (t2 C) in Up
-        drift = (lam * t2 - mu * shares[UP] / t2) / C
-        # Model 1: pi0 solves pi0 (P1_boundary + R P2 - I) = 0 and pi0 (I - R)^-1 1 = 1
-        r = [[lam / mu, lam * alpha / (mu * (lam + beta))],
-             [lam / mu, lam * (alpha + mu) / (mu * (lam + beta))]]
-        null = [beta / C + r[1][0] * mu / C, -(1 - (lam + alpha) / C + r[0][0] * mu / C - 1)]
-        (a, b), (c, d) = ([1 - r[0][0], -r[0][1]], [-r[1][0], 1 - r[1][1]])
-        norm = (null[0] * (d - b) + null[1] * (a - c)) / (a * d - b * c)
-        # eta = sum pi0 h(0, .) escape, escape = (lam t2 / C)(1 - G~1) for the
-        # twisted first passage G~(sigma, U) = 1 / (t2 h(0, sigma)), G~(sigma, D) = 0
-        eta = sum(pi * (lam * t2 * h0 - lam) / C
-                  for pi, h0 in zip(null, (1, w))) / norm
-        return {"g": den / 2 + 2 * alpha * beta / den, "w": w, "t2": t2,
-                "shares": shares, "drift": drift, "eta": eta}
-
-
 def synthetic_boundary(twist):
     """Tandem table whose boundary weights pi h halve with each y, so that
     eta, and C(sigma) with it, are defined at any alpha."""
@@ -204,7 +176,7 @@ def test_small_alpha_matches_a_50_digit_reference(rates, model, alpha):
     lam, mu, beta = rates
     params = make_params(lam, mu, alpha, beta, model=model)
     twist = twist_summary(params)
-    ref = reference(lam, mu, alpha, beta, params.C)
+    ref = model1(lam, mu, alpha, beta, params.C)
     tandem = model is Model.MODEL2
     table = synthetic_boundary(twist) if tandem else None
     asym = prefactors(params, table=table)
@@ -218,7 +190,7 @@ def test_small_alpha_matches_a_50_digit_reference(rates, model, alpha):
     if not tandem:
         values["eta"] = (asym.eta, ref["eta"])
     for sigma, key in ((UP, "up"), (DOWN, "down")):
-        phi = mass * ref["shares"][sigma]
+        phi = mass * ref["phi"][sigma]
         values[f"phi(0, {key})"] = (phi0[sigma], phi)
         values[f"C({key})/eta"] = (getattr(asym, f"prefactor_{key}") / asym.eta,
                                    phi / (ref["drift"] * h0[sigma]))
@@ -238,7 +210,7 @@ def test_light_load_drift_matches_a_50_digit_reference(rates, model):
     # den_minus = b - sqrt(s) taken as a difference loses up to 4.3e-7 of the drift here
     params = make_params(*rates, model=model)
     twist = twist_summary(params)
-    ref = reference(*rates, params.C)
+    ref = model1(*rates, params.C)
     values = {"drift": (twist.drift.value, ref["drift"])}
     if model is Model.MODEL2:   # lam_t = lam t2 / C, the twisted y-birth
         values["lam_t"] = (twist.rates.lam_t, Decimal(rates[0]) * ref["t2"] / Decimal(params.C))
@@ -291,11 +263,11 @@ def test_one_twist_pass_per_call(call_counts, tmp_path):
     table = truncated_stationary(T2, x_max=40, y_max=40)
     call_counts.update(dict.fromkeys(NAMES, 0))
     # analyze: one pass (a move table for its twisted blocks, which the drift and
-    # the escape check read), whose roots the report's spectral reads, the
-    # report's stability and the boundary solve, which builds no blocks
+    # the escape check read), whose roots the report's spectral and eta's boundary
+    # read, and the report's stability
     flags = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
     assert main(["analyze", *flags, "--out", str(tmp_path)]) == 0
-    assert call_counts == {"characteristic_roots": 1, "stability": 3, "_moves": 1}
+    assert call_counts == {"characteristic_roots": 1, "stability": 2, "_moves": 1}
     call_counts.update(dict.fromkeys(NAMES, 0))
     # one pass (its blocks at y cut 1 give the drift and eta's up-block mass), then
     # eta's escape blocks at the two y cuts

@@ -59,46 +59,46 @@ def test_stacked_draw_takes_p_and_stable_per_set():
 
 
 VERIFY_DIGESTS = {
-    (20, 0): "cf5e6fc6dcee28363e8b888ecf536260cdfd9a7d698c940b24805f19b4dbc8bd",
-    (20, 1): "a64a14e70063538920a1682c63747d8f2c6b922a8154b2e087fb9e743ca82a82",
-    (20, 2): "c557f811a81c7bd8c236ccd229d30f27ed29f0339d75c73be3d38d174e74cc70",
-    (20, 3): "714c77ec653bf8c86866a17b3f14a5f833f0c5eebb5b3d57d6262e4a0f548a42",
-    (20, 4): "bb2b4346d546ee56fb80fb14f2a7b6cde61785966a736285f1362565ff7fb874",
-    (20, 5): "f036990b64cd53a06ef193c1d77ecd9c1249be5e9f347c845c8d415b2563290c",
-    (20, 6): "83bf735b5ec17d4dd974b797eb86fc46ad59f7fb22c21a99b57508aeb3efe1f8",
-    (20, 7): "cccbc86aaf689279a5263e7255c11cba7889ae3eda89bd677165578105e3a0e4",
-    (20, 8): "421a0fbb81f8376a37c5947fdeb52c67ef21f682eb8941f3efe2591d173e949f",
-    (20, 9): "2bb3011e1df2ae0c00c69984cb6cec0edad8204ab1b63ae8dce566b31855c3f5",
-    (20, 10): "bea88f1f7241f08dd72a16433e581b1e4e20767b19de9de6c9270721d667207f",
-    (20, 11): "336ff6352e2efeaba559991e28e125c1bdbf7c6635f498a98c8a4fab49f1d4d2",
-    (20, 12): "9e5bf8b7209df314acc081dc37173317b4ecf6eb31f082feea9867ea7f008954",
-    (50, 0): "081c7e416011a39f5a18ac2b65a6f9c410958f7f2951a014fe7a730a75c53d91",
-    (50, 1): "eaa3a094539ea270eda2baad9d35add4746e9fc310299069149f7ef0bcd68de6",
-    (50, 2): "da5bfe6b2a9885e34c9e02ff2469a6e7a3e7670542273bf64ab7d2a28b10f65c",
-    (50, 3): "85bc47d8f1bbf6620715e6de76ec2c96b46b6188c23f31ba15f0f7b48f69405c",
-    (50, 4): "75f4faf16cdf6942c1adbb2cbe2e1592409ba0c3f502264a9f6520144dafef6b",
-    (50, 5): "35148233061752c2cd1f7ff5245ba03cb587c99d251ba655d23b684c0aac272f",
-    (50, 6): "7c713d1334272c4e6d227e20c3d479dc03a7db00a42ad525cd599e59721ee7b2",
-    (50, 7): "80424080fbc2118ef57d96495505e14f70d0cb80b0c9d0ae81e76c9d936fe5b7",
-    (50, 8): "ff74342832d64cbb942a7b7e887bd5fe120aa0a326d7a15fa1def31a16a3bcf2",
-    (50, 9): "13369d796098b29d780afa8b60ebcaa1a0cdd96f2c17e07e7a786bbe82f43b02",
-    (50, 10): "89f5bb948ba6c10a0552c1edecd03d6e2030569c7bae5b9c288563029ed887f3",
-    (50, 11): "0011bec4f2429e4ce5ebf8c4023be07aa69720864c5b0edc44b81d04a495a6c2",
-    (50, 12): "fbf75f2b2886bf99c2190fe51f277c5c4174211de7d49c6fc0309e131913bdbe",
-    (200, 0): "acf8799f3a55d84b625f0dedfb9964ccc2db0c41702ac673558752aefaee3d13",
-    (200, 1): "645364bcb55aa21499788818c5879a6389dd63901640d4dec9b547285f6973d1",
-    (200, 2): "a4c614c86394c10fb47a8b691f14e6738062c12082f23ee91633664dd6a543d0",
-    (200, 3): "d2e1bd11f0dc33be0897d1afca8a485d06bf96faadd8da29e196a4c8b9852c1b",
-    (200, 4): "57e4322f015206f3ddf872d3a6ee8bfff4c16ae03dcb5c09884ac7c3bfb4fbf7",
-    (200, 5): "6a24839c0ac249c552644e65eb8838527d44d914bdcca5f32e01564428a7f496",
-    (200, 6): "f1cfda4c997a478a6593cc4057e228a840bbfa1a868047999249056c3221b2ef",
-    (200, 7): "c8e3dd27391c621e88d8c84f466194e580c481bf713cab4d60972552af714823",
-    (200, 8): "e187aa75c2db24d1ad0712ed56395bf26fb66060e844849a65c3f9a5e2fa8354",
-    (200, 9): "d8e84ae317f1c4ba517a5db05fa284fc14a7f1c44271f2eda01e49211e58c367",
-    (200, 10): "64c107e0b7077da6ecfec5d03f5739d555d34ed85c38775b836faa3e912dc1f1",
-    (200, 11): "1a218095f4e8f7d6f4b1b1d5a137265a9ac60a7b777102960d83d228394e2638",
-    (200, 12): "e5d4d2cce2801955c4be51cdde79c1356f72f605c889e599316f460bc433b1d0",
-    (1031, 11): "8c1e445417f9f9b11af4231deab7ef63a5bf6989361dd983d06e477d143903d2",
+    (20, 0): "ae48731f0026086b336698b3e7f26d9014094d2f1498cc1505c4b7602c8b0b1b",
+    (20, 1): "b04df7e05739ae973dc643b743e60fc181230da278d2a81e6bd2b44c33073839",
+    (20, 2): "d578b2806f340c7f47873c3b812a2ed587c938ed44a502d999ed4a185be8762c",
+    (20, 3): "78301a8bfc49dc59ed97e258703aff7bd85a8327f30eba0f16912db695e35fc3",
+    (20, 4): "9a584c233caa04aae413e193571afdea0c3c4fdd7dbd1de4debe2ae78aa531d4",
+    (20, 5): "e8ea0300e9fc1af315ab17a97f35925984e09ebf33a72ca2c08356d4bb6cfbcf",
+    (20, 6): "98d9a428f0959f8c4a003cd06acb4965b76480a7faed4217770f2da38afb3543",
+    (20, 7): "01b8b755d694b9215aff54bdfeebc4a41e0e01515d4582514156758ad662a12d",
+    (20, 8): "e7778f10532660e23d01333fc89000008b3fc07c090b794ef3a94ad0b7d0d8d6",
+    (20, 9): "667b4dfaa0f882d1d44504cf38fcdbf66b0d91859fcdabb59cb419ca30c25986",
+    (20, 10): "f0dab2db54856ccaf797295d42fa269b334c222cbc2f4786241bc2d7da55fefc",
+    (20, 11): "b231aae8338263d16409b62d1c0160099a896fdee6b373769ada72c557eae5cd",
+    (20, 12): "33398d710b434f623af29c36c16a2f44e9b585741fb1580d27a8d8b2e155fbe0",
+    (50, 0): "369018749958f3174ef8f09c6b19478f63bc5fa53b1f324cc4d82259a5109b47",
+    (50, 1): "cdf8605addf3cc317d6a9fe92d371f40bf30e38b3cd0f1910e7d07d927a97a9c",
+    (50, 2): "68ef9c081e9617b5501bc9e1f24bd7725ef9a5fbd59750db7301bd5e1f7edef5",
+    (50, 3): "a54f1440bcfeb51394a44745d90e5da06025f49606775397f1855c6a7ba136fd",
+    (50, 4): "328a290a2b6e1efe7506aed5bd4d7636268ac35a54e00aaa31146b6a5485bf51",
+    (50, 5): "2cbd359e62502d784a210fb84259a62a92c33f6a548de8420c9231b074db54b9",
+    (50, 6): "1c20fbe86d161003b78eac72403f62dca9acc98f570184dddec012ab7976a44a",
+    (50, 7): "47d41558a72dd9a1da7f954d94a3dcc0d413da5854a166bb83c639e0d1c40ec1",
+    (50, 8): "561b6726751b719ee3f7feee1293a6b04c33fdca84cdaacd00d4b2e9010b0282",
+    (50, 9): "46a26dcadc343cee82bb5fd6a3c33f406bcc6637818f91625b218c71a9bad1fd",
+    (50, 10): "e7cef6cf71cb72db14143f2aaf9bb4441c9047aa494c6e2f6031ae4c0a70f52d",
+    (50, 11): "24521b7fcfed0b74bdab55612c428769a79bf17e55997aa432d7aa6e221564f8",
+    (50, 12): "6339cf5523fcae0eee83515c8ff81b1666ce6c04620528dd80602ebad7e11a9b",
+    (200, 0): "98ce4c9c1d8cecc13db70263c222a84ba6f832cae4bea2854fbce0b00928b29f",
+    (200, 1): "4198ee103c34d0ef2793a0a7f9bd766dce94fcb969a92419a38d0a5f24f283ac",
+    (200, 2): "c22d857da4d97187e872eb68e22fb7388647138bbcc79f6ab69119fc9df003e7",
+    (200, 3): "11721a33e54e34cb0c0d9c376387f23cddaf760df48480ea4840fe34d08c5ffd",
+    (200, 4): "3054a95c419e0e94fae767611ec97f6fa03bc97c4b7e998c4f6b56feb7d2b57e",
+    (200, 5): "2e7012ca8377549e71473e355184405dda8c16f92daf5a4cd4332ec6125f3c23",
+    (200, 6): "b46b51e4c31bf47331ce57c5c631e49d386b559381702ec796a06a85acfe7c77",
+    (200, 7): "007156bcc2c3784f81e24ae02401d9bda1c1ddeb33884b2682d0f052fb3cbc34",
+    (200, 8): "b61082d8960fce492af38a223f55be9755255ad8d3371b3f3fcf6647f42fc773",
+    (200, 9): "2ded93bee76d48c6900db0e2994b6030b9180e3aebc666b59d9444644a9f9073",
+    (200, 10): "3ffb6d3b222ccf6c24e8bb532df5a489fa6dc1d27fe85860280895d2558ce740",
+    (200, 11): "8f205a003e03aa2c51696f2854de8ca8d9a0358052606587b26b38dd642cb8c2",
+    (200, 12): "9438381b74a953db362c848f0dfe07543a1ce6c99fc981844bd58d41d0606c6c",
+    (1031, 11): "b07ca5d2f86e7eb944e56c3368a0c84816fa0797e7513bf49cd04f0d7c5337eb",
 }
 
 
