@@ -16,7 +16,7 @@ from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      UnstableParameters, _require, make_params)
 from .qbd import (_TAIL_ERROR, StationaryTable, TruncationError, _boundary, _pi0, first_passage,
                   truncated_stationary)
-from .spectral import SpectralSolution, _stable_roots, characteristic_roots
+from .spectral import SpectralSolution, _stable_roots, _t2_minus_1, characteristic_roots
 from .twist import TwistSummary, twist_summary
 
 _ESCAPE_RESIDUAL = 1e-12
@@ -114,34 +114,38 @@ def _escape_first_passage(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.
     return (a0 @ (1.0 - first_passage(a0, a1, a2).sum(axis=-1))[..., None])[..., 0]
 
 
-def _escape(twist: TwistSummary) -> EscapeProbs:
+def _escape(twist: TwistSummary, t2_minus_1=None) -> EscapeProbs:
     """P(twisted chain started at (0, sigma) never revisits level 0), for a
     Model 1 twist of a set or a stack (whose gates hold per set).
 
     The free chain moves down a level only by a service in Up, so under
     stability its first-passage matrix is G(sigma, U) = 1, G(sigma, D) = 0.
     The twist rescales it to G~(sigma, U) = h(0, U) / h(1, sigma), hence
-    escape(sigma) = (lambda/C) (h(1, sigma) - 1) / h(0, sigma), t2 - 1 from the
-    roots' margin.  G~ is checked against the twist's G = A2 + A1 G + A0 G^2
+    escape(sigma) = (lambda/C) (h(1, sigma) - 1) / h(0, sigma), t2 - 1 given or
+    else formed from the margin (`_t2_minus_1`).  A gamma_1 = 1/t2 that rounds to
+    1 is refused by name; G~ is checked against the twist's G = A2 + A1 G + A0 G^2
     and must be strictly substochastic.
     """
     t2, w = twist.harmonic.base, twist.harmonic.down_weight
+    margin = _t2_minus_1(twist.params, twist.roots.sqrt_s) if t2_minus_1 is None else t2_minus_1
     a0, a1, a2 = twist.blocks
     g = np.stack([1.0 / t2, 1.0 / (t2 * w)], axis=-1)[..., None] * (1.0, 0.0)   # Down column 0
     residual = np.abs(a2 + a1 @ g + a0 @ g @ g - g).max(axis=(-2, -1))
     rows = g.sum(axis=-1)
-    _require([((residual <= _ESCAPE_RESIDUAL) & (rows < 1.0).all(axis=-1),
+    _require([(twist.roots.gamma_p < 1.0, "the decay rate gamma_1 = 1/t2{where} rounds to {!r}: "
+               "1 - gamma_1 = (t2 - 1)/t2 = {!r}", twist.roots.gamma_p, margin / t2),
+              ((residual <= _ESCAPE_RESIDUAL) & (rows < 1.0).all(axis=-1),
                "closed-form first-passage matrix{where} fails: residual {:.3g} (bound {:g}), "
                "row sums {} (must be < 1)", residual, _ESCAPE_RESIDUAL, rows)], ArithmeticError)
     scale = twist.params.lam / twist.params.C
-    return EscapeProbs(up=scale * twist.roots.t2_minus_1, down=scale * (t2 - 1.0 / w),
+    return EscapeProbs(up=scale * margin, down=scale * (t2 - 1.0 / w),
                        residual=residual)
 
 
-def _eta_model1(twist: TwistSummary, esc: EscapeProbs) -> float:
+def _eta_model1(twist: TwistSummary, esc: EscapeProbs, t2_minus_1) -> float:
     """Boundary constant eta: the sum over the boundary of pi * h * escape
     probability, exact on Model 1's two-state boundary, with pi0 from the twist's roots."""
-    pi0 = _pi0(twist.params, twist.roots)[0]
+    pi0 = _pi0(twist.params, twist.roots, t2_minus_1)[0]
     return pi0[..., UP] * esc.up + pi0[..., DOWN] * twist.harmonic.value((0, DOWN)) * esc.down
 
 
@@ -236,8 +240,9 @@ def tail_constants(twist: TwistSummary, *,
     """
     params, d = twist.params, twist.drift.value
     if params.model is Model.MODEL1:
-        esc = _escape(twist)
-        eta, bound = _eta_model1(twist, esc), 0.0
+        margin = _t2_minus_1(params, twist.roots.sqrt_s)   # once, for escape(Up) and pi0
+        esc = _escape(twist, margin)
+        eta, bound = _eta_model1(twist, esc, margin), 0.0
         # phi(Up) = den / (2 g) and phi(Down) / h(0, D) = alpha / g; eta / d comes first,
         # so that a phi below the doubles' range (7e-332 on R_DD's sets) leaves no 0
         eta_d, g = eta / d, twist.roots.g_constant

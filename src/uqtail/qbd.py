@@ -17,7 +17,7 @@ import numpy as np
 from .kernels import _fold, _moves, _origins
 from .params import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
                      _require, make_params)
-from .spectral import SpectralSolution, _require_stable, _stable_roots
+from .spectral import SpectralSolution, _require_stable, _stable_roots, _t2_minus_1
 
 if TYPE_CHECKING:   # scipy loads in the sparse solves only; most verbs never run one
     import scipy.sparse as sp
@@ -173,15 +173,17 @@ def _boundary(params: ModelParams, roots: SpectralSolution | None = None) -> tup
     return pi0, rate_matrix_closed_form(params), mass / det[..., None]
 
 
-def _pi0(params: ModelParams, roots: SpectralSolution) -> tuple[np.ndarray, np.ndarray]:
+def _pi0(params: ModelParams, roots: SpectralSolution,
+         t2_minus_1=None) -> tuple[np.ndarray, np.ndarray]:
     """Level 0's law pi0 and det = det(I - R) = (1 - gamma_1)(1 - gamma_2), with no solve.
     Level 0's Down balance, pi(0, D)(lambda + beta) = alpha pi(0, U), and pi0 (I - R)^-1 1 = 1
     give pi0 = (lambda + beta, alpha) det / (alpha + beta) (Neuts, 1981).  No margin cancels:
-    1 - gamma_1 = (t2 - 1)/t2 from the roots, and 1 - gamma_2 = (t1 - 1)/t1 =
-    (D + sqrt(s))/(2 lambda t1), D = (mu - lambda) + alpha + beta."""
+    1 - gamma_1 = (t2 - 1)/t2, t2 - 1 given or else formed from the margin (`_t2_minus_1`), and
+    1 - gamma_2 = (t1 - 1)/t1 = (D + sqrt(s))/(2 lambda t1), D = (mu - lambda) + alpha + beta."""
     lam, mu, alpha, beta, sqrt_s = params.lam, params.mu, params.alpha, params.beta, roots.sqrt_s
-    det = roots.t2_minus_1 / roots.t2 * ((mu - lam + alpha + beta + sqrt_s)
-                                         / (lam + beta + mu + alpha + sqrt_s))
+    margin = _t2_minus_1(params, sqrt_s) if t2_minus_1 is None else t2_minus_1
+    det = margin / roots.t2 * ((mu - lam + alpha + beta + sqrt_s)
+                               / (lam + beta + mu + alpha + sqrt_s))
     pi0 = np.empty(np.shape(lam) + (2,))
     pi0[..., UP], pi0[..., DOWN] = lam + beta, alpha
     return pi0 * (det / (alpha + beta))[..., None], det

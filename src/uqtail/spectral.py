@@ -30,7 +30,6 @@ class SpectralSolution:
     # shared by every later stage, which never recomputes them; not reported
     sqrt_s: float = field(repr=False)
     den: float = field(repr=False)  # lam + beta - mu*p - alpha + sqrt(s_p)
-    t2_minus_1: float = field(repr=False)  # from the margin q(1): `_t2_minus_1`
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
 
     The larger root is computed by the quadratic formula and the smaller one
     from the product of roots, which keeps full precision when alpha is tiny;
-    t2 - 1 is taken from the margin (`_t2_minus_1`), not from t2.
+    its readers take t2 - 1 from the margin (`_t2_minus_1`), not from t2.
     On a stack, g_constant needs p = 1 in every set.  RS-RD's product form
     decays at lambda/(mu p) instead, and raises InvalidParameters.  A t2 that
     is 0 or not finite raises ArithmeticError, naming t1 where t1 overflowed.
@@ -85,8 +84,7 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     q = 2.0 * lam * t2 * t2 - (alpha + beta + mup + 2.0 * lam) * t2 + mup
     return SpectralSolution(s_p=s_p, t1=t1, t2=t2, gamma_p=1.0 / t2,
                             gamma_secondary=1.0 / t1, g_constant=g_constant,
-                            t2_valid=q < 0.0, sqrt_s=sqrt_s, den=den,
-                            t2_minus_1=_t2_minus_1(params, sqrt_s))
+                            t2_valid=q < 0.0, sqrt_s=sqrt_s, den=den)
 
 
 def _t2_minus_1(params: ModelParams, sqrt_s):

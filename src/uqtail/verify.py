@@ -15,8 +15,8 @@ from .asymptotics import (_escape, _escape_first_passage, _two_term, prefactors,
                           tail_constants)
 from .kernels import _fold, _moves, _origins, _row, level_blocks
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, elementwise, make_params
-from .qbd import (_boundary, boundary_vector, neuts_stability, rate_matrix,
-                  rate_matrix_closed_form, stationary_table)
+from .qbd import (_boundary, neuts_stability, rate_matrix, rate_matrix_closed_form,
+                  stationary_table)
 from .spectral import characteristic_roots, feynman_kac, stability
 from .twist import _twist, harmonic, twist_summary
 
@@ -194,7 +194,7 @@ def check_drift(grid: int, seed: int) -> CheckResult:
 def check_tail_reproduction() -> CheckResult:
     asym = prefactors(_REFERENCE)
     tail = np.c_[asym.prefactor_up, asym.prefactor_down] * asym.gamma[:, None] ** 200
-    pi0, r, _ = _boundary(_REFERENCE)
+    pi0, r, _ = _boundary(_REFERENCE, asym.roots)
     worst = _worst(0.0, (pi0[:, None] @ np.linalg.matrix_power(r, 200))[:, 0] / tail - 1.0)
     return CheckResult("closed-prefactor-tail", worst <= 1e-3,
                        f"max |pi/(C gamma^k) - 1| at k=200: {worst:.3g}")
@@ -217,7 +217,7 @@ def check_exact_coefficient(grid: int, seed: int) -> CheckResult:
 def check_eta_bounds() -> CheckResult:
     twist = twist_summary(_REFERENCE)
     asym = tail_constants(twist)
-    pi0 = boundary_vector(_REFERENCE)
+    pi0 = _boundary(_REFERENCE, twist.roots)[0]
     upper = pi0[:, UP] + pi0[:, DOWN] * twist.harmonic.value((0, DOWN))
     ok = ((0.0 < asym.eta) & (asym.eta <= upper) & (0.0 < asym.escape_up) & (asym.escape_up < 1.0)
           & (0.0 < asym.escape_down) & (asym.escape_down < 1.0)).all()

@@ -252,6 +252,20 @@ def test_all_tiny_rates_are_refused_by_the_t2_line(tmp_path, capsys, verb):
     assert captured.out == "" and not out.exists()
 
 
+def test_a_gamma_1_that_rounds_to_one_is_refused_by_name(tmp_path, capsys):
+    # corpus [-12, 12]'s one refusal: t2 rounds to 1, where the first-passage gate read row
+    # sums of 1; 1 - gamma_1 comes from the margin, the reference's 1.2705209461904292936e-19
+    # correctly rounded
+    out = tmp_path / "out"
+    rates = ("1889625955.757112", "75854362631.67838", "2.1946771549898966e-11",
+             "2.406416243864212e-10")
+    assert main(["analyze", *_rate_flags(*rates), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("verification failure: the decay rate gamma_1 = 1/t2 rounds to 1.0: "
+                            "1 - gamma_1 = (t2 - 1)/t2 = 1.2705209461904292e-19\n")
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("rates", R_DOWN_DOWN_ONE, ids=["rdd-1", "rdd-2", "rdd-3"])
 def test_an_r_whose_down_down_entry_rounds_to_one_is_analyzed(tmp_path, capsys, rates):
     # R's Down->Down entry rounds to 1: np.linalg.solve raised "Singular matrix" on the first

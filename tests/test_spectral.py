@@ -8,7 +8,7 @@ from uqtail import (InvalidParameters, Model, UnstableParameters, boundary_vecto
                     characteristic_roots, conditioned_excursion_slope, exact_stationary_model1,
                     feynman_kac, harmonic, make_params, prefactors, stability, stationary_table,
                     twist_summary)
-from uqtail.spectral import _require_stable
+from uqtail.spectral import _require_stable, _t2_minus_1
 from uqtail.verify import check_perron_root, random_params
 
 from reference import model1, relative_error
@@ -106,6 +106,38 @@ def test_light_load_t2_matches_a_50_digit_reference(model):
         lam = 10.0 ** -exponent
         t2 = characteristic_roots(make_params(lam, 11, 0.1, 10, model=model)).t2
         assert relative_error(t2, model1(lam, 11, 0.1, 10)["t2"]) <= Decimal("1e-15"), lam
+
+
+def _margin_sets():
+    """Corpus [-12, 12]'s 1,167 stable Model 1 sets (3,000 draws of rates log-uniform on
+    [1e-12, 1e12]), then A's rates at 0.99 to 0.999999 of the stability bound."""
+    rates = 10.0 ** np.random.default_rng(1).uniform(-12.0, 12.0, (3000, 4))
+    lam, mu, alpha, beta = rates.T
+    corpus = rates[lam < beta / (alpha + beta) * mu].tolist()
+    bound = float(A.beta / (A.alpha + A.beta) * A.mu)
+    near = [(load * bound, 11.0, 0.1, 10.0) for load in (0.99, 0.999, 0.9999, 0.99999, 0.999999)]
+    assert len(corpus) == 1167
+    return corpus + near
+
+
+def test_the_margin_t2_minus_1_matches_the_reference():
+    # t2 - 1 from q(1) rounded once; it measures at most 3.4e-16 on the corpus, 2.1e-16 on A's
+    # rates, and 1 - gamma_1 is 1.3e-19 on the corpus set whose gamma_1 rounds to 1
+    for row in _margin_sets():
+        params = make_params(*row)
+        margin = _t2_minus_1(params, characteristic_roots(params).sqrt_s)
+        assert relative_error(margin, model1(*row)["t2"] - 1) <= Decimal("1e-15"), row
+
+
+def test_a_stack_forms_each_sets_own_margin_bit_for_bit():
+    rows = _margin_sets()
+    stack = make_params(*np.array(rows).T)
+    margins = _t2_minus_1(stack, characteristic_roots(stack).sqrt_s)
+    assert margins.shape == (len(rows),)
+    for row, margin in zip(rows, margins, strict=True):
+        params = make_params(*row)
+        own = _t2_minus_1(params, characteristic_roots(params).sqrt_s)
+        assert margin.tobytes() == np.float64(own).tobytes(), row
 
 
 def test_unstable_set_has_gamma_above_one():

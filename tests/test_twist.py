@@ -235,7 +235,7 @@ def test_drift_gate_is_relative_to_its_terms(monkeypatch):
     assert disagree
 
 
-NAMES = ("characteristic_roots", "stability", "_moves")
+NAMES = ("characteristic_roots", "stability", "_moves", "_t2_minus_1")
 
 
 @pytest.fixture
@@ -251,7 +251,7 @@ def call_counts(monkeypatch):
 
     originals = {name: getattr(sys.modules[module], name) for name, module in (
         ("characteristic_roots", "uqtail.spectral"), ("stability", "uqtail.spectral"),
-        ("_moves", "uqtail.kernels"))}
+        ("_moves", "uqtail.kernels"), ("_t2_minus_1", "uqtail.spectral"))}
     for module in [m for name, m in sys.modules.items() if name.startswith("uqtail")]:
         for name, fn in originals.items():
             if getattr(module, name, None) is fn:
@@ -264,22 +264,29 @@ def test_one_twist_pass_per_call(call_counts, tmp_path):
     call_counts.update(dict.fromkeys(NAMES, 0))
     # analyze: one pass (a move table for its twisted blocks, which the drift and
     # the escape check read), whose roots the report's spectral and eta's boundary
-    # read, and the report's stability
+    # read, and the report's stability; the margin t2 - 1, once, for escape(Up) and pi0
     flags = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
     assert main(["analyze", *flags, "--out", str(tmp_path)]) == 0
-    assert call_counts == {"characteristic_roots": 1, "stability": 2, "_moves": 1}
+    assert call_counts == {"characteristic_roots": 1, "stability": 2, "_moves": 1,
+                           "_t2_minus_1": 1}
     call_counts.update(dict.fromkeys(NAMES, 0))
     # one pass (its blocks at y cut 1 give the drift and eta's up-block mass), then
     # eta's escape blocks at the two y cuts
     prefactors(T2, table=table)
     assert call_counts == {"characteristic_roots": 1, "stability": 1,
-                           "_moves": 3}
+                           "_moves": 3, "_t2_minus_1": 0}
     call_counts.update(dict.fromkeys(NAMES, 0))
     # the feedback tandem's analyze: the shape-only tail's gate and roots, which the
     # report's spectral reads, and the report's stability
     flags = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10", "--p", "0.5"]
     assert main(["analyze", *flags, "--model", "model2", "--out", str(tmp_path)]) == 0
-    assert call_counts == {"characteristic_roots": 1, "stability": 2, "_moves": 0}
+    assert call_counts == {"characteristic_roots": 1, "stability": 2, "_moves": 0,
+                           "_t2_minus_1": 0}
+    call_counts.update(dict.fromkeys(NAMES, 0))
+    # bare roots, through the counted namespace: the margin is left to the stages that read it
+    spectral.characteristic_roots(A)
+    assert call_counts == {"characteristic_roots": 1, "stability": 0, "_moves": 0,
+                           "_t2_minus_1": 0}
     # the tail record carries its pass: the twist and roots of A's own pass, bit for bit
     asym = prefactors(A)
     for carried, own, name in ((asym.twist, twist_summary(A), "twist"),

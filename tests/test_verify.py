@@ -223,8 +223,8 @@ def _escape_up_scaled(twist_pass):
     return dataclasses.replace(esc, up=esc.up * (1.0 + 1e-8))
 
 
-def _eta_scaled(twist_pass, esc):
-    return _eta_model1(twist_pass, esc) * (1.0 + 1e-10)
+def _eta_scaled(twist_pass, esc, t2_minus_1):
+    return _eta_model1(twist_pass, esc, t2_minus_1) * (1.0 + 1e-10)
 
 
 def _sqrt_s_scaled(twist_pass):
@@ -279,8 +279,8 @@ def test_rate_matrix_check_fails_on_a_nan(monkeypatch):
 def test_tail_reproduction_check_fails_on_a_nan(monkeypatch):
     boundary = verify._boundary
 
-    def nan_boundary(params):
-        pi0, r, mass = boundary(params)
+    def nan_boundary(params, roots):
+        pi0, r, mass = boundary(params, roots)
         return np.full_like(pi0, np.nan), r, mass
     monkeypatch.setattr(verify, "_boundary", nan_boundary)
     result = verify.check_tail_reproduction()
