@@ -132,14 +132,20 @@ def _escape(twist: TwistSummary, t2_minus_1=None) -> EscapeProbs:
     g = np.stack([1.0 / t2, 1.0 / (t2 * w)], axis=-1)[..., None] * (1.0, 0.0)   # Down column 0
     residual = np.abs(a2 + a1 @ g + a0 @ g @ g - g).max(axis=(-2, -1))
     rows = g.sum(axis=-1)
-    _require([(twist.roots.gamma_p < 1.0, "the decay rate gamma_1 = 1/t2{where} rounds to {!r}: "
-               "1 - gamma_1 = (t2 - 1)/t2 = {!r}", twist.roots.gamma_p, margin / t2),
+    _require([_decay_below_1(twist.roots, margin),
               ((residual <= _ESCAPE_RESIDUAL) & (rows < 1.0).all(axis=-1),
                "closed-form first-passage matrix{where} fails: residual {:.3g} (bound {:g}), "
                "row sums {} (must be < 1)", residual, _ESCAPE_RESIDUAL, rows)], ArithmeticError)
     scale = twist.params.lam / twist.params.C
     return EscapeProbs(up=scale * margin, down=scale * (t2 - 1.0 / w),
                        residual=residual)
+
+
+def _decay_below_1(roots: SpectralSolution, t2_minus_1):
+    """The `_require` row that refuses a gamma_1 = 1/t2 rounding to 1 or above,
+    naming 1 - gamma_1 = (t2 - 1)/t2 from t2 - 1 (`_t2_minus_1`)."""
+    return (roots.gamma_p < 1.0, "the decay rate gamma_1 = 1/t2{where} rounds to {!r}: "
+            "1 - gamma_1 = (t2 - 1)/t2 = {!r}", roots.gamma_p, t2_minus_1 / roots.t2)
 
 
 def _eta_model1(twist: TwistSummary, esc: EscapeProbs, t2_minus_1) -> float:
@@ -344,14 +350,19 @@ def mm1_comparison(params: ModelParams) -> Mm1Comparison:
     beta/(alpha+beta) mu p, and compare tails.  gamma_1 is gamma_p, or RS-RD's
     product-form rate lambda/(mu p).  Raises UnstableParameters unless that
     queue's load is below 1: the stability condition of Model 1 and the
-    tandem, and a stricter one than RS-RD's lambda < mu p."""
+    tandem, and a stricter one than RS-RD's lambda < mu p; ArithmeticError where
+    gamma_p rounds to 1, as `tail_constants` does."""
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
     mu0 = beta / (alpha + beta) * mu * p
     if not lam < mu0:
         raise UnstableParameters("the M/M/1 comparison requires a stable parameter set "
                                  f"whose matched queue has load below 1, got {lam / mu0}")
-    gamma_1 = lam / (mu * p) if params.model is Model.RSRD \
-        else characteristic_roots(params).gamma_p
+    if params.model is Model.RSRD:
+        gamma_1 = lam / (mu * p)
+    else:
+        roots = characteristic_roots(params)
+        _require([_decay_below_1(roots, _t2_minus_1(params, roots.sqrt_s))], ArithmeticError)
+        gamma_1 = roots.gamma_p
     mm1_ratio = (alpha + beta) / beta * lam / (mu * p)
     return Mm1Comparison(gamma_1=gamma_1, mm1_ratio=mm1_ratio,
                          dominance=gamma_1 >= mm1_ratio, lambda0=lam, mu0=mu0)

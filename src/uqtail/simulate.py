@@ -61,13 +61,13 @@ class Trajectory:
             head, columns = "step,x,y,status\n", (self.x, self.y, self.status)
         yield (_csv_header(self.params, seed=self.seed) + head).encode()
         # a chunk ends at each _BLOCK and where the step gains a digit, so that its
-        # step column has one width and `_csv_lines` can skip compaction; below
+        # steps have one width, written by `_csv_lines` as periodic digits; below
         # 10**4 the extra chunks would cost more than they save
         n = len(self.x)
         ends = sorted({*range(_BLOCK, n, _BLOCK), *(10 ** j for j in range(4, len(str(n - 1)))),
                        n} - {0})   # an empty path writes the header alone
         for first, end in zip([0, *ends], ends):
-            yield _csv_lines([np.arange(first, end)] + [column[first:end] for column in columns])
+            yield _csv_lines([column[first:end] for column in columns], first)
 
 
 def _csv_header(params: ModelParams, seed: int | None = None, **extra) -> str:
@@ -82,44 +82,152 @@ def _csv_header(params: ModelParams, seed: int | None = None, **extra) -> str:
                    for key, value in items)
 
 
-def _csv_lines(columns: list[np.ndarray]) -> np.ndarray:
+def _csv_lines(columns: list[np.ndarray], first: int | None = None) -> np.ndarray:
     """Lines "a,b,...\\n" of non-negative integer columns, as f-strings print
-    them: the uint8 array of their ASCII bytes.
+    them, each after its step first, first + 1, ... when `first` is given:
+    the uint8 array of their ASCII bytes.
 
-    The text is laid out byte position by line, one uint8 row per position
-    of the fixed-width line: each field's decimal digits right-aligned, with
-    byte 0 as padding, then its "," or "\\n".  Each digit is rest - 10 *
-    (rest // 10), one `//` and one subtraction in the narrowest unsigned
-    dtype that holds the column: numpy divides by a scalar on a fast path,
-    but has none for the remainder.  One transpose puts the lines in order,
-    and `bytes.translate` drops the padding, faster than a boolean mask;
-    lines without padding, where each column's values have one width, skip it.
+    The lines are laid out with no padding (`_text`), each column at its
+    narrowest width, that of its least value; steps of more than one width
+    are one more column.  The few off lines, where a value needs more
+    digits, are formatted apart at their own widths, with padding, and moved
+    into place in the same buffer, so the block is copied once.  Where they
+    form dense runs, more than one per 64 lines, or fill half the block, the
+    whole block takes the padded layout instead.
     """
+    n = len(columns[0])
+    if first is not None and len(str(first)) < len(str(first + n - 1)):
+        columns, first = [np.arange(first, first + n), *columns], None   # steps of two widths
     lows = [int(column.min()) for column in columns]
     if min(lows) < 0:
         raise ValueError("trajectory columns must be non-negative")
     tops = [int(column.max()) for column in columns]
-    widths = [len(str(top)) for top in tops]
-    text = np.empty((sum(widths) + len(columns), len(columns[0])), dtype=np.uint8)
+    narrow = [len(str(low)) for low in lows]
+    masks = [column >= 10 ** width for column, width, top in zip(columns, narrow, tops)
+             if top >= 10 ** width]
+    if not masks:
+        return _text(columns, narrow, lows, first)
+    off = masks[0]
+    for mask in masks[1:]:
+        off |= mask
+    off = np.flatnonzero(off)
+    breaks = np.flatnonzero(np.diff(off) != 1)   # the last line of each run but the last
+    if 64 * (len(breaks) + 1) > n or 2 * len(off) > n:
+        return _text(columns, [len(str(top)) for top in tops], lows, first)
+    part = [column[off] for column in columns]
+    if first is not None:
+        part.insert(0, off + first)
+    apart = _text(part, [len(str(int(column.max()))) for column in part],
+                  [int(column.min()) for column in part])
+    stops = np.flatnonzero(apart == ord("\n")) + 1   # each off line's end in apart
+    firsts, lasts = np.append(0, breaks + 1), np.append(breaks, len(off) - 1)   # in off
+    runs = zip(off[firsts].tolist(), off[lasts].tolist(),
+               np.append(0, stops[:-1])[firsts].tolist(), stops[lasts].tolist())
+    # the narrow lines, wrong on the off lines alone, with room after them for the
+    # bytes that the off lines gain; from the last run of off lines to the first,
+    # the narrow lines after the run move right by what the runs up to it gain,
+    # and the run's lines from apart go in just before them
+    text = _text(columns, narrow, lows, first, room=len(apart))
+    size = (len(text) - len(apart)) // n   # bytes per narrow line
+    end = at = len(text) - len(off) * size
+    lines, apart, after = memoryview(text), memoryview(apart), n
+    for head, tail, start, stop in reversed(list(runs)):
+        moved = (after - tail - 1) * size
+        lines[at - moved:at] = lines[(tail + 1) * size:after * size]   # a memmove
+        at -= moved + stop - start
+        lines[at:at + stop - start] = apart[start:stop]
+        after = head
+    return text[:end]
+
+
+def _text(columns: list[np.ndarray], widths: list[int], lows: list[int],
+          first: int | None = None, room: int = 0) -> np.ndarray:
+    """The lines of `_csv_lines` with each column written at `widths`, the
+    digits of values below 10 ** (width - 1) right-aligned and padding
+    dropped, as a uint8 array; where no line has padding, `room` unset
+    bytes follow the lines.
+
+    Each field's digits are made one uint8 row per byte position, then
+    copied one row to one byte column of the line-major text, with byte 0
+    as padding; its "," or "\\n" is filled in that way too.  Copying rows to
+    columns costs 40-70% of a strided transpose, which walks each line's few
+    bytes in its inner loop.  `bytes.translate` drops the padding,
+    faster than a boolean mask; where no column's least value is narrower
+    than its width, none is made.  A value too wide for its width leaves
+    garbage digits on its line.
+    """
+    n = len(columns[0])
+    fields = [] if first is None else [(None, first, len(str(first + n - 1)))]
+    fields += zip(columns, lows, widths)
+    size = sum(width + 1 for *_, width in fields)
+    text = np.empty(n * size + room, dtype=np.uint8)   # the lines, then `room` bytes unset
+    lines = text[:n * size].reshape(n, size)
+    rows = np.empty((max(width for *_, width in fields), n), dtype=np.uint8)
     end = 0
-    for column, low, top, width in zip(columns, lows, tops, widths):
-        rest = column.astype(np.min_scalar_type(top))
-        quot = np.empty_like(rest)   # two buffers in turn: a new array costs page faults
-        for k in range(width):   # rest = column // 10**k
-            row = text[end + width - 1 - k]
-            np.floor_divide(rest, 10, out=quot)
-            np.subtract(rest, quot * 10, out=row, casting="unsafe")
-            row += 48
-            if k and low < 10 ** k:   # some values have at most k digits
-                row *= rest > 0
-            rest, quot = quot, rest
+    for column, low, width in fields:
+        if column is None:   # the steps, low and on
+            _step_digits(rows[:width], low)
+        else:
+            _digits(rows[:width], column, low)
+        for k in range(width):
+            lines[:, end + k] = rows[k]
         end += width + 1
-        text[end - 1] = ord(",")
-    text[-1] = ord("\n")
-    lines = text.T.tobytes()
+        lines[:, end - 1] = ord(",")
+    lines[:, -1] = ord("\n")
     if any(len(str(low)) < width for low, width in zip(lows, widths)):
-        lines = lines.translate(None, b"\0")
-    return np.frombuffer(lines, dtype=np.uint8)
+        return np.frombuffer(lines.tobytes().translate(None, b"\0"), dtype=np.uint8)
+    return text
+
+
+def _digits(rows: np.ndarray, column: np.ndarray, low: int) -> None:
+    """The decimal digits of a non-negative integer column, right-aligned in
+    `rows`, one uint8 row per byte position, with byte 0 before a value
+    shorter than len(rows); low is the column's least value.
+
+    Each digit is rest - 10 * (rest // 10), one `//` and one subtraction in
+    the narrowest unsigned dtype that holds the width: numpy divides by a
+    scalar on a fast path, but has none for the remainder.  A one-digit
+    column is a single add of 48.
+    """
+    width = len(rows)
+    if width == 1:
+        np.add(column, 48, out=rows[0], casting="unsafe")
+        return
+    rest = column.astype(np.min_scalar_type(10 ** width - 1))
+    quot = np.empty_like(rest)   # two buffers in turn: a new array costs page faults
+    for k in range(width):   # rest = column // 10**k
+        row = rows[width - 1 - k]
+        np.floor_divide(rest, 10, out=quot)
+        np.subtract(rest, quot * 10, out=row, casting="unsafe")
+        row += 48
+        if k and low < 10 ** k:   # some values have at most k digits
+            row *= rest > 0
+        rest, quot = quot, rest
+
+
+def _step_digits(rows: np.ndarray, first: int) -> None:
+    """The digits of first, first + 1, ..., all len(rows) digits long, as
+    `_digits` lays them out.
+
+    The k-th digit from the right repeats with period 10 ** (k + 1): its row
+    is one period, rolled to start at `first`, copied over the block, or,
+    where the period is longer than the block, a few constant runs.
+    """
+    n = rows.shape[1]
+    for k, row in enumerate(rows[::-1]):   # the digit (first + i) // 10**k % 10 of line i
+        unit = 10 ** k
+        if 10 * unit <= n:
+            period = np.repeat(np.arange(48, 58, dtype=np.uint8), unit)
+            start = first % len(period)
+            # tiled to 1,000 bytes at least: a short inner loop costs more than the copy
+            period = np.tile(np.concatenate((period[start:], period[:start])), -(-100 // unit))
+            whole = n - n % len(period)
+            row[:whole].reshape(-1, len(period))[:] = period
+            row[whole:] = period[:n - whole]
+        else:
+            cuts = [first, *range((first // unit + 1) * unit, first + n, unit), first + n]
+            for a, b in zip(cuts, cuts[1:]):
+                row[a - first:b - first] = 48 + a // unit % 10
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,25 @@ def test_a_gamma_1_that_rounds_to_one_is_refused_by_name(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("rates, line", [
+    (("1889625955.757112", "75854362631.67838", "2.1946771549898966e-11",
+      "2.406416243864212e-10"), "rounds to 1.0: 1 - gamma_1 = (t2 - 1)/t2 = 1.2705209461904292e-19"),
+    (("2.954180677686959e+71", "1.9836669038071927e+72", "1.8382526609313418e-39",
+      "9.424290740222482e-26"),
+     "rounds to 1.0000000000000002: 1 - gamma_1 = (t2 - 1)/t2 = 3.190153808602326e-97"),
+], ids=["rounds-to-1", "rounds-above-1"])
+def test_compare_mm1_refuses_a_gamma_1_that_rounds_to_one_as_analyze_does(tmp_path, capsys,
+                                                                          rates, line):
+    # compare-mm1 printed "gamma_1": 1.0000000000000002 on the second set of the seed-1
+    # full-range corpus, a decay rate above 1, and exited 0
+    for verb in ("compare-mm1", "analyze"):
+        out = tmp_path / verb
+        assert main([verb, *_rate_flags(*rates), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"verification failure: the decay rate gamma_1 = 1/t2 {line}\n"
+        assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("rates", R_DOWN_DOWN_ONE, ids=["rdd-1", "rdd-2", "rdd-3"])
 def test_an_r_whose_down_down_entry_rounds_to_one_is_analyzed(tmp_path, capsys, rates):
     # R's Down->Down entry rounds to 1: np.linalg.solve raised "Singular matrix" on the first

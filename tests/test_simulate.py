@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqtail import (DOWN, UP, Excursion, InvalidParameters, Model, Trajectory,
@@ -580,6 +580,31 @@ def test_trajectory_csv_across_a_power_of_ten():
         _assert_same_lines(text.partition("status\n")[2], _reference_csv_rows(traj))
 
 
+def _lazy_walk(rng, rows, start, move):
+    """|start + S_i|, S a walk whose every step is +-1 with probability move, else 0."""
+    steps = rng.choice([-1, 1], size=rows - 1) * (rng.random(rows - 1) < move)
+    return np.abs(start + np.concatenate(([0], np.cumsum(steps)))).astype(np.int32)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), tandem=st.booleans(),
+       rows=st.sampled_from([10 ** 4, _BLOCK, 10 ** 5]).flatmap(
+           lambda n: st.integers(n - 10, n + 3000)),
+       starts=st.tuples(*[st.sampled_from([0, 9, 10, 99, 100])] * 2),
+       moves=st.tuples(*[st.sampled_from([1.0, 0.3, 0.01, 1e-3, 1e-4])] * 2))
+@example(seed=5, tandem=True, rows=10 ** 6 + 20, starts=(10, 99), moves=(1e-3, 0.01))
+def test_trajectory_csv_matches_fstrings_on_walks(seed, tandem, rows, starts, moves):
+    # x and y cross 9 <-> 10 and 99 <-> 100 every few steps (move 1) or a few times
+    # a path (move 1e-4), on paths that end just before or after 10**4, _BLOCK
+    # and 10**5; the explicit example's steps reach 7 digits
+    rng = np.random.default_rng(seed)
+    x, y = (_lazy_walk(rng, rows, start, move) for start, move in zip(starts, moves))
+    status = rng.integers(0, 2, size=rows).astype(np.int8)
+    traj = (Trajectory(params=T2, seed=seed, x=x, y=y, status=status) if tandem
+            else Trajectory(params=A, seed=seed, x=x, status=status))
+    _assert_same_lines(traj.to_csv().partition("status\n")[2], _reference_csv_rows(traj))
+
+
 @pytest.mark.parametrize("columns", [
     [np.arange(9_999_990, 10_000_010), np.arange(20, dtype=np.int32) % 3],
     [np.arange(20), np.zeros(20, dtype=np.int32), np.ones(20, dtype=np.int8)],
@@ -592,7 +617,8 @@ def test_csv_lines_match_fstrings(columns):
 
 
 # SHA-256 of trajectory.csv and empirical.csv from the simulate verb, seed 21
-# and 2 * _BLOCK + 1 steps, as the formatter that divided in int64 wrote them
+# and 2 * _BLOCK + 1 steps: B and T2 as the formatter that divided in int64 wrote
+# them, the p = 0.5 tandem and RS-RD as the one that padded every block wrote them
 SIMULATE_VERB_FILES = {
     ("--lambda", "20", "--mu", "60", "--alpha", "0.01", "--beta", "1"):
         ("f177d3412a7d333aaddc56dd69c151c0f7dd203c7a40ad304bb9d649bb806469",
@@ -600,10 +626,19 @@ SIMULATE_VERB_FILES = {
     ("--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10", "--model", "model2"):
         ("eb24917d16d5d07fb95650f25193b3156be0db1825dd37de063ec505e38f2ebb",
          "22c57560728b60fa3a752e0054850c21fef75fbf32d0b41c642e162467f0a55e"),
+    ("--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10", "--model", "model2",
+     "--p", "0.5"):
+        ("4264c441e880faec9022e8c07b55a1d56a1a31d2b0ee56a27bf5202e005b68cd",
+         "f5a0587931fc14d48ca8ef0c6a01dbb1b718b3d4279d5b31a98ff07dd99f520b"),
+    ("--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10", "--model", "rsrd",
+     "--p", "0.5"):
+        ("bd6da39c4892fffbfb8493859c6510dfc3124c90fcee8b9205de2c48e791fc52",
+         "fddf6fe03e13f32b091d75529899e48af68b9c990d3743118ce168be7cfee8b9"),
 }
 
 
-@pytest.mark.parametrize("flags", list(SIMULATE_VERB_FILES), ids=["B", "T2"])
+@pytest.mark.parametrize("flags", list(SIMULATE_VERB_FILES),
+                         ids=["B", "T2", "tandem-p0.5", "rsrd-p0.5"])
 def test_simulate_verb_files_are_pinned(flags, tmp_path, capsys):
     assert main(["simulate", *flags, "--steps", str(2 * _BLOCK + 1), "--seed", "21",
                  "--out", str(tmp_path)]) == 0
