@@ -14,9 +14,9 @@ import numpy as np
 from .kernels import level_blocks
 from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      UnstableParameters, _require, make_params)
-from .qbd import (_TAIL_ERROR, StationaryTable, TruncationError, _boundary, _pi0, first_passage,
-                  truncated_stationary)
-from .spectral import SpectralSolution, _stable_roots, _t2_minus_1, characteristic_roots
+from .qbd import (_TAIL_ERROR, StationaryTable, TruncationError, _boundary, _model1_roots, _pi0,
+                  first_passage, truncated_stationary)
+from .spectral import SpectralSolution, _stable_roots, characteristic_roots
 from .twist import TwistSummary, twist_summary
 
 _ESCAPE_RESIDUAL = 1e-12
@@ -114,45 +114,42 @@ def _escape_first_passage(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.
     return (a0 @ (1.0 - first_passage(a0, a1, a2).sum(axis=-1))[..., None])[..., 0]
 
 
-def _escape(twist: TwistSummary, t2_minus_1=None) -> EscapeProbs:
+def _escape(twist: TwistSummary) -> EscapeProbs:
     """P(twisted chain started at (0, sigma) never revisits level 0), for a
     Model 1 twist of a set or a stack (whose gates hold per set).
 
     The free chain moves down a level only by a service in Up, so under
     stability its first-passage matrix is G(sigma, U) = 1, G(sigma, D) = 0.
     The twist rescales it to G~(sigma, U) = h(0, U) / h(1, sigma), hence
-    escape(sigma) = (lambda/C) (h(1, sigma) - 1) / h(0, sigma), t2 - 1 given or
-    else formed from the margin (`_t2_minus_1`).  A gamma_1 = 1/t2 that rounds to
-    1 is refused by name; G~ is checked against the twist's G = A2 + A1 G + A0 G^2
-    and must be strictly substochastic.
+    escape(sigma) = (lambda/C) (h(1, sigma) - 1) / h(0, sigma), t2 - 1 the roots'
+    margin (`t2_minus_1`).  A gamma_1 = 1/t2 that rounds to 1 is refused by name;
+    G~ is checked against the twist's G = A2 + A1 G + A0 G^2 and must be strictly
+    substochastic.
     """
     t2, w = twist.harmonic.base, twist.harmonic.down_weight
-    margin = _t2_minus_1(twist.params, twist.roots.sqrt_s) if t2_minus_1 is None else t2_minus_1
     a0, a1, a2 = twist.blocks
     g = np.stack([1.0 / t2, 1.0 / (t2 * w)], axis=-1)[..., None] * (1.0, 0.0)   # Down column 0
     residual = np.abs(a2 + a1 @ g + a0 @ g @ g - g).max(axis=(-2, -1))
     rows = g.sum(axis=-1)
-    _require([_decay_below_1(twist.roots, margin),
+    _require([_decay_below_1(twist.roots),
               ((residual <= _ESCAPE_RESIDUAL) & (rows < 1.0).all(axis=-1),
                "closed-form first-passage matrix{where} fails: residual {:.3g} (bound {:g}), "
                "row sums {} (must be < 1)", residual, _ESCAPE_RESIDUAL, rows)], ArithmeticError)
-    scale = twist.params.lam / twist.params.C
-    return EscapeProbs(up=scale * margin, down=scale * (t2 - 1.0 / w),
-                       residual=residual)
+    scale, margin = twist.params.lam / twist.params.C, twist.roots.t2_minus_1
+    return EscapeProbs(up=scale * margin, down=scale * (t2 - 1.0 / w), residual=residual)
 
 
-def _decay_below_1(roots: SpectralSolution, t2_minus_1):
-    """The `_require` row that refuses a gamma_1 = 1/t2 rounding to 1 or above,
-    naming 1 - gamma_1 = (t2 - 1)/t2 from t2 - 1 (`_t2_minus_1`)."""
+def _decay_below_1(roots: SpectralSolution):
+    """The `_require` row refusing a gamma_1 = 1/t2 that rounds to 1 or above, by 1 - gamma_1."""
     return (roots.gamma_p < 1.0, "the decay rate gamma_1 = 1/t2{where} rounds to {!r}: "
-            "1 - gamma_1 = (t2 - 1)/t2 = {!r}", roots.gamma_p, t2_minus_1 / roots.t2)
+            "1 - gamma_1 = (t2 - 1)/t2 = {!r}", roots.gamma_p, roots.t2_minus_1 / roots.t2)
 
 
-def _eta_model1(twist: TwistSummary, esc: EscapeProbs, t2_minus_1) -> float:
-    """Boundary constant eta: the sum over the boundary of pi * h * escape
-    probability, exact on Model 1's two-state boundary, with pi0 from the twist's roots."""
-    pi0 = _pi0(twist.params, twist.roots, t2_minus_1)[0]
-    return pi0[..., UP] * esc.up + pi0[..., DOWN] * twist.harmonic.value((0, DOWN)) * esc.down
+def _eta_model1(twist: TwistSummary, esc: EscapeProbs) -> float:
+    """Boundary constant eta: the sum over the boundary of pi * h * escape probability, exact
+    on Model 1's two-state boundary, with pi0 from the twist's roots and h(0, sigma) = (1, w)."""
+    pi0 = _pi0(twist.roots)[0]
+    return pi0[..., UP] * esc.up + pi0[..., DOWN] * twist.harmonic.down_weight * esc.down
 
 
 def _eta_weights(h, y_max: int) -> np.ndarray:
@@ -246,9 +243,8 @@ def tail_constants(twist: TwistSummary, *,
     """
     params, d = twist.params, twist.drift.value
     if params.model is Model.MODEL1:
-        margin = _t2_minus_1(params, twist.roots.sqrt_s)   # once, for escape(Up) and pi0
-        esc = _escape(twist, margin)
-        eta, bound = _eta_model1(twist, esc, margin), 0.0
+        esc = _escape(twist)
+        eta, bound = _eta_model1(twist, esc), 0.0
         # phi(Up) = den / (2 g) and phi(Down) / h(0, D) = alpha / g; eta / d comes first,
         # so that a phi below the doubles' range (7e-332 on R_DD's sets) leaves no 0
         eta_d, g = eta / d, twist.roots.g_constant
@@ -257,8 +253,8 @@ def tail_constants(twist: TwistSummary, *,
                      provenance="closed-form")
     else:
         eta, bound = _eta_model2(twist, table)
-        c_up, c_down = (eta * twist.phi(0, sigma) / (d * twist.harmonic.value((0, 0, sigma)))
-                        for sigma in (UP, DOWN))
+        c_up, c_down = (eta * twist.phi(0, sigma) / (d * weight)   # h(0, 0, sigma) = (1, w)
+                        for sigma, weight in ((UP, 1.0), (DOWN, twist.harmonic.down_weight)))
         extra = dict(escape_up=None, escape_down=None, y_ratio=params.lam / params.mu,
                      provenance="closed-form+qbd")
     return TailAsymptotic(model=params.model, gamma=twist.roots.gamma_p,
@@ -267,32 +263,28 @@ def tail_constants(twist: TwistSummary, *,
                           twist=twist, eta_error_bound=bound, **extra)
 
 
-def _two_term(params: ModelParams, roots: SpectralSolution | None = None):
+def _two_term(roots: SpectralSolution):
     """Model 1's pi(k, sigma) = w2 gamma_1^k + w3 gamma_2^k, as (w2, w3), each (..., 2).
 
     pi(k) = pi0 R^k, so w2 = pi0 (R - gamma_2 I) / d and w3 = pi0 (gamma_1 I - R) / d, d =
     gamma_1 - gamma_2 = s sqrt(s_p) / (lambda + beta), s = lambda / mu (Neuts, 1981).  The
     gaps R_UU - gamma_2 = s den / (2 (lambda + beta)) and R_DD - gamma_2, which is R_UD R_DU
     over it, are positive; pi0 proportional to (lambda + beta, alpha) gives w3 = pi0(D)
-    gamma_2 (R_DU / gap_U, -1) / d.  So nothing cancels.  `roots` defaults to the set's own,
-    solved after the stability gate.
+    gamma_2 (R_DU / gap_U, -1) / d.  So nothing cancels.
     """
-    sol = _stable_roots(params, "the boundary vector") if roots is None else roots
-    pi0, r, _ = _boundary(params, sol)
-    s, r_ud, lam_beta = r[..., DOWN, UP], r[..., UP, DOWN], params.lam + params.beta
-    gap_up = s * sol.den / (2.0 * lam_beta)
-    d = s * sol.sqrt_s / lam_beta
+    pi0, r, _ = _boundary(roots)
+    s, r_ud, lam_beta = r[..., DOWN, UP], r[..., UP, DOWN], roots.params.lam + roots.params.beta
+    gap_up = s * roots.den / (2.0 * lam_beta)
+    d = s * roots.sqrt_s / lam_beta
     up, down = pi0[..., UP], pi0[..., DOWN]
     w2 = np.stack([up * gap_up + down * s, up * r_ud + down * (r_ud * s / gap_up)], axis=-1)
-    w3_down = -down * sol.gamma_secondary / d
+    w3_down = -down * roots.gamma_secondary / d
     return w2 / d[..., None], np.stack([-w3_down * s / gap_up, w3_down], axis=-1)
 
 
 def two_term_tail(params: ModelParams) -> TwoTermFit:
     """Model 1's pi(k, Up) = w2 gamma_1^k + w3 gamma^k, w2 = C(Up): `_two_term`'s Up entries."""
-    if params.model is not Model.MODEL1:
-        raise InvalidParameters("the two-term expansion needs a Model 1 parameter set")
-    w2, w3 = _two_term(params)
+    w2, w3 = _two_term(_model1_roots(params, "the two-term expansion"))
     return TwoTermFit(w2=w2[..., UP], w3=w3[..., UP])
 
 
@@ -361,7 +353,7 @@ def mm1_comparison(params: ModelParams) -> Mm1Comparison:
         gamma_1 = lam / (mu * p)
     else:
         roots = characteristic_roots(params)
-        _require([_decay_below_1(roots, _t2_minus_1(params, roots.sqrt_s))], ArithmeticError)
+        _require([_decay_below_1(roots)], ArithmeticError)
         gamma_1 = roots.gamma_p
     mm1_ratio = (alpha + beta) / beta * lam / (mu * p)
     return Mm1Comparison(gamma_1=gamma_1, mm1_ratio=mm1_ratio,

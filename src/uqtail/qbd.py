@@ -17,7 +17,7 @@ import numpy as np
 from .kernels import _fold, _moves, _origins
 from .params import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
                      _require, make_params)
-from .spectral import SpectralSolution, _require_stable, _stable_roots, _t2_minus_1
+from .spectral import SpectralSolution, _require_stable, _stable_roots
 
 if TYPE_CHECKING:   # scipy loads in the sparse solves only; most verbs never run one
     import scipy.sparse as sp
@@ -157,33 +157,36 @@ def neuts_stability(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> bool | np
 
 def boundary_vector(params: ModelParams) -> np.ndarray:
     """Stationary probabilities of level 0, (pi(0,U), pi(0,D)), of shape (..., 2) on a stack."""
-    return _boundary(params)[0]
+    return _pi0(_model1_roots(params, "the boundary vector"))[0]
 
 
-def _boundary(params: ModelParams, roots: SpectralSolution | None = None) -> tuple:
-    """`boundary_vector`, the closed-form R and (I - R)^-1 1, from the set's `roots`
-    (default: its own, after the stability gate).  The adjugate of I - R maps 1 to
-    (beta/(lambda + beta), 1), so (I - R)^-1 1 is that over det(I - R) (`_pi0`)."""
+def _model1_roots(params: ModelParams, what: str) -> SpectralSolution:
+    """InvalidParameters naming `what` off Model 1, else the roots the boundary's gate admits."""
     if params.model is not Model.MODEL1:
-        raise InvalidParameters("the boundary vector needs a Model 1 parameter set")
-    pi0, det = _pi0(params, _stable_roots(params, "the boundary vector") if roots is None
-                    else roots)
+        raise InvalidParameters(f"{what} needs a Model 1 parameter set")
+    return _stable_roots(params, "the boundary vector")
+
+
+def _boundary(roots: SpectralSolution) -> tuple:
+    """`boundary_vector`, the closed-form R and (I - R)^-1 1 from a Model 1 set's `roots`: I - R's
+    adjugate maps 1 to (beta/(lambda + beta), 1), so (I - R)^-1 1 is that over det (`_pi0`)."""
+    params = roots.params
+    pi0, det = _pi0(roots)
     mass = np.empty_like(pi0)
     mass[..., UP], mass[..., DOWN] = params.beta / (params.lam + params.beta), 1.0
     return pi0, rate_matrix_closed_form(params), mass / det[..., None]
 
 
-def _pi0(params: ModelParams, roots: SpectralSolution,
-         t2_minus_1=None) -> tuple[np.ndarray, np.ndarray]:
+def _pi0(roots: SpectralSolution) -> tuple[np.ndarray, np.ndarray]:
     """Level 0's law pi0 and det = det(I - R) = (1 - gamma_1)(1 - gamma_2), with no solve.
     Level 0's Down balance, pi(0, D)(lambda + beta) = alpha pi(0, U), and pi0 (I - R)^-1 1 = 1
     give pi0 = (lambda + beta, alpha) det / (alpha + beta) (Neuts, 1981).  No margin cancels:
-    1 - gamma_1 = (t2 - 1)/t2, t2 - 1 given or else formed from the margin (`_t2_minus_1`), and
+    1 - gamma_1 = (t2 - 1)/t2, t2 - 1 the roots' margin (`t2_minus_1`), and
     1 - gamma_2 = (t1 - 1)/t1 = (D + sqrt(s))/(2 lambda t1), D = (mu - lambda) + alpha + beta."""
-    lam, mu, alpha, beta, sqrt_s = params.lam, params.mu, params.alpha, params.beta, roots.sqrt_s
-    margin = _t2_minus_1(params, sqrt_s) if t2_minus_1 is None else t2_minus_1
-    det = margin / roots.t2 * ((mu - lam + alpha + beta + sqrt_s)
-                               / (lam + beta + mu + alpha + sqrt_s))
+    params, sqrt_s = roots.params, roots.sqrt_s
+    lam, mu, alpha, beta = params.lam, params.mu, params.alpha, params.beta
+    det = roots.t2_minus_1 / roots.t2 * ((mu - lam + alpha + beta + sqrt_s)
+                                         / (lam + beta + mu + alpha + sqrt_s))
     pi0 = np.empty(np.shape(lam) + (2,))
     pi0[..., UP], pi0[..., DOWN] = lam + beta, alpha
     return pi0 * (det / (alpha + beta))[..., None], det
@@ -192,7 +195,7 @@ def _pi0(params: ModelParams, roots: SpectralSolution,
 def _model1_levels(params: ModelParams, k_max: int) -> tuple[np.ndarray, float | np.ndarray]:
     """Levels pi0 R^k for k <= k_max + 1, one shell past k_max, (..., k_max + 2, 2) on a
     stack, and the mass beyond level k_max: level k_max + 1's sum plus the mass beyond it."""
-    pi0, r, mass = _boundary(params)
+    pi0, r, mass = _boundary(_model1_roots(params, "the boundary vector"))
     levels = np.empty(pi0.shape[:-1] + (k_max + 2, 2))
     levels[..., 0, :] = pi0
     for k in range(k_max + 1):

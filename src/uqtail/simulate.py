@@ -92,8 +92,8 @@ def _csv_lines(columns: list[np.ndarray], first: int | None = None) -> np.ndarra
     are one more column.  The few off lines, where a value needs more
     digits, are formatted apart at their own widths, with padding, and moved
     into place in the same buffer, so the block is copied once.  Where they
-    form dense runs, more than one per 64 lines, or fill half the block, the
-    whole block takes the padded layout instead.
+    form dense runs, more than one per 64 lines, or fill over a seventh of the
+    block, where padding turns faster, the whole block takes the padded layout.
     """
     n = len(columns[0])
     if first is not None and len(str(first)) < len(str(first + n - 1)):
@@ -112,7 +112,7 @@ def _csv_lines(columns: list[np.ndarray], first: int | None = None) -> np.ndarra
         off |= mask
     off = np.flatnonzero(off)
     breaks = np.flatnonzero(np.diff(off) != 1)   # the last line of each run but the last
-    if 64 * (len(breaks) + 1) > n or 2 * len(off) > n:
+    if 64 * (len(breaks) + 1) > n or 7 * len(off) > n:
         return _text(columns, [len(str(top)) for top in tops], lows, first)
     part = [column[off] for column in columns]
     if first is not None:
@@ -415,8 +415,8 @@ def _phase_path(s, to_up, to_down):
     that do not, it is the phase before the run xor the parity of the run's
     swaps so far (UP = 0, DOWN = 1).  Past one comparison and one
     `flatnonzero`, the work is on those runs alone: the events that
-    `_block_moves` passes all set the phase, but where an interval one ulp
-    wide swaps it.
+    `_block_moves` passes all set the phase, but in a swap interval, which
+    only a C below the rate sum leaves (validate admits 1e-14 below it).
     """
     phase = np.concatenate(([s], to_up), dtype=np.int8)   # right after each step that sets
     free = np.flatnonzero(to_up != to_down)   # keeps and swaps

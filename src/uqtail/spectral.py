@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,11 @@ class SpectralSolution:
     # shared by every later stage, which never recomputes them; not reported
     sqrt_s: float = field(repr=False)
     den: float = field(repr=False)  # lam + beta - mu*p - alpha + sqrt(s_p)
+    params: ModelParams = field(repr=False, compare=False)   # the set these roots solve
+
+    @cached_property   # t2 - 1 from the margin, formed on the first read only
+    def t2_minus_1(self):
+        return _t2_minus_1(self.params, self.sqrt_s)
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,7 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
 
     The larger root is computed by the quadratic formula and the smaller one
     from the product of roots, which keeps full precision when alpha is tiny;
-    its readers take t2 - 1 from the margin (`_t2_minus_1`), not from t2.
+    its readers take t2 - 1 from the margin, the cached `t2_minus_1`, not from t2.
     On a stack, g_constant needs p = 1 in every set.  RS-RD's product form
     decays at lambda/(mu p) instead, and raises InvalidParameters.  A t2 that
     is 0 or not finite raises ArithmeticError, naming t1 where t1 overflowed.
@@ -84,7 +90,7 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     q = 2.0 * lam * t2 * t2 - (alpha + beta + mup + 2.0 * lam) * t2 + mup
     return SpectralSolution(s_p=s_p, t1=t1, t2=t2, gamma_p=1.0 / t2,
                             gamma_secondary=1.0 / t1, g_constant=g_constant,
-                            t2_valid=q < 0.0, sqrt_s=sqrt_s, den=den)
+                            t2_valid=q < 0.0, sqrt_s=sqrt_s, den=den, params=params)
 
 
 def _t2_minus_1(params: ModelParams, sqrt_s):

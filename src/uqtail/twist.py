@@ -97,14 +97,14 @@ class TwistSummary:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")   # the Down weight gate names them
-def _harmonic(params: ModelParams, sol: SpectralSolution) -> HarmonicFunction:
+def _harmonic(roots: SpectralSolution) -> HarmonicFunction:
     """h from the roots; ArithmeticError (see `_require`) where the Down weight
     2 beta / den is not finite, as where den underflows (alpha = 5e-324)."""
-    down_weight = 2.0 * params.beta / sol.den
+    down_weight = 2.0 * roots.params.beta / roots.den
     _require([(down_weight < math.inf,   # NaN fails too
-               "h's Down weight 2 beta / den{where} is not finite: den = {!r}", sol.den)],
+               "h's Down weight 2 beta / den{where} is not finite: den = {!r}", roots.den)],
              ArithmeticError)
-    return HarmonicFunction(model=params.model, base=sol.t2, down_weight=down_weight)
+    return HarmonicFunction(model=roots.params.model, base=roots.t2, down_weight=down_weight)
 
 
 def harmonic(params: ModelParams) -> HarmonicFunction:
@@ -112,7 +112,7 @@ def harmonic(params: ModelParams) -> HarmonicFunction:
     every set of a stack); RS-RD has no free process and raises InvalidParameters."""
     if params.model is Model.RSRD:
         raise InvalidParameters("the harmonic function is defined for Model 1 and the tandem only")
-    return _harmonic(params, _stable_roots(params, "the harmonic function"))
+    return _harmonic(_stable_roots(params, "the harmonic function"))
 
 
 def twist_summary(params: ModelParams) -> TwistSummary:
@@ -143,7 +143,7 @@ def _twist(params: ModelParams):
         raise InvalidParameters("the twist is derived for Model 1 and the tandem (p = 1) only")
     _require_stable(params, "the twist")
     sol = characteristic_roots(params)
-    h = _harmonic(params, sol)
+    h = _harmonic(sol)
     lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
     den, g = sol.den, sol.g_constant
     # the phase chain's Up/Down shares, beta_t and alpha_t over their sum

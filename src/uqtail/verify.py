@@ -194,7 +194,7 @@ def check_drift(grid: int, seed: int) -> CheckResult:
 def check_tail_reproduction() -> CheckResult:
     asym = prefactors(_REFERENCE)
     tail = np.c_[asym.prefactor_up, asym.prefactor_down] * asym.gamma[:, None] ** 200
-    pi0, r, _ = _boundary(_REFERENCE, asym.roots)
+    pi0, r, _ = _boundary(asym.roots)
     worst = _worst(0.0, (pi0[:, None] @ np.linalg.matrix_power(r, 200))[:, 0] / tail - 1.0)
     return CheckResult("closed-prefactor-tail", worst <= 1e-3,
                        f"max |pi/(C gamma^k) - 1| at k=200: {worst:.3g}")
@@ -207,7 +207,7 @@ def check_exact_coefficient(grid: int, seed: int) -> CheckResult:
     worst = 0.0
     for params in _reference_led(grid, seed):
         asym = tail_constants(twist_summary(params))
-        exact, _ = _two_term(params, asym.roots)
+        exact, _ = _two_term(asym.roots)
         worst = _worst(worst, np.c_[asym.prefactor_up, asym.prefactor_down] / exact - 1.0)
     return CheckResult("prefactor-exact-coefficient", worst <= 1e-12,
                        f"max |C / c - 1| = {worst:.3g}, c the exact gamma_1^k coefficient "
@@ -215,10 +215,9 @@ def check_exact_coefficient(grid: int, seed: int) -> CheckResult:
 
 
 def check_eta_bounds() -> CheckResult:
-    twist = twist_summary(_REFERENCE)
-    asym = tail_constants(twist)
-    pi0 = _boundary(_REFERENCE, twist.roots)[0]
-    upper = pi0[:, UP] + pi0[:, DOWN] * twist.harmonic.value((0, DOWN))
+    asym = prefactors(_REFERENCE)
+    pi0 = _boundary(asym.roots)[0]
+    upper = pi0[:, UP] + pi0[:, DOWN] * asym.twist.harmonic.down_weight
     ok = ((0.0 < asym.eta) & (asym.eta <= upper) & (0.0 < asym.escape_up) & (asym.escape_up < 1.0)
           & (0.0 < asym.escape_down) & (asym.escape_down < 1.0)).all()
     return CheckResult("eta-in-range", bool(ok), "; ".join(

@@ -1,22 +1,6 @@
 """High-precision reference values for Model 1, shared by the tests.
 
 `model1` forms each value from its definition in stdlib `decimal`, at DIGITS = 120
-
-# the four sets of corpus [-12, 12] farthest from the reference while pi0 was normalized
-# by a float solve of I - R: gamma_1, C(sigma) or eta were off by 3.7, 0.18, 1.6e-2 and 9.2e-3
-SLOW_SWITCHING = [
-    (527962.3175368304, 50406465.24787929, 5.786599240714527e-11, 8.634334099278625e-12),
-    (6715754.253949405, 141675584551.73972, 7.814921683769449e-07, 1.8534109296012075e-09),
-    (4154791708.89984, 805313496909.1765, 0.0008475828390711052, 1.2809658792652284e-05),
-    (3720046678.7797217, 108605984602.22786, 5.4032172887814153e-11, 1.1304456357690151e-06)]
-# full-range sets whose R Down->Down entry (lambda/mu)(alpha+mu)/(lambda+beta) rounds to 1;
-# their rates span about 300 decades, so their reference takes FULL_RANGE_DIGITS: 600 digits
-# agree with 1,200 to 1e-100 relative on all three, and 400 divide by 0 on the first
-FULL_RANGE_DIGITS = 800
-R_DOWN_DOWN_ONE = [
-    (413144996.53554803, 3.122865155414661e+147, 1.7913480599226823e-151, 4.335403015718224e-98),
-    (2.651540072118115e+82, 2.3707185766988563e+105, 6.148422245907005e-125, 5.54969880970418e+56),
-    (3.48705386131297e-77, 1.6883427558262747e-34, 7.769981137272898e-146, 8.684916251596294e-150)]
 significant digits, and not from the closed forms that uqtail evaluates:
 
 - t1 > t2, the roots of lam^2 t^2 - lam (lam + mu + alpha + beta) t + mu (lam + beta),

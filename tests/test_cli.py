@@ -591,6 +591,29 @@ def test_analyze_json_is_pinned(flags, tmp_path, capsys):
     assert digest == ANALYZE_DIGESTS[flags]
 
 
+# SHA-256 of compare_mm1.json: A and B, T2 at p = 0.5, RS-RD at p = 0.5 (its product-form rate
+# lambda/(mu p)), and (1e-10, 1, 1e-320, 1e-10), whose den is 0 and gamma_1 is 0.5
+COMPARE_DIGESTS = {
+    tuple(A_FLAGS): "65955580c577e245efb16ff2607e6b546ec53be0585ff35b1ad62f074c12752b",
+    tuple(_rate_flags("20", "60", "0.01", "1")):
+        "5261382a416afdd0f126944a93324943e14307b44c3eb872d795525f102d2e3f",
+    (*T2_FLAGS, "--model", "model2", "--p", "0.5"):
+        "570c18821d6ee476d6e55ab75d4298e1a1401c07587209e08fbeeb07e44d669e",
+    (*T2_FLAGS, "--model", "rsrd", "--p", "0.5"):
+        "b64d9ae1b8162bf53e69acc89a2f6d5de43ef528f44864e0af5e1992b702f432",
+    tuple(_rate_flags("1e-10", "1", "1e-320", "1e-10")):
+        "697da32560222350c30e0b857676d40946d8c83c95865aa84a229d0e54e6cabb",
+}
+
+
+@pytest.mark.parametrize("flags", list(COMPARE_DIGESTS),
+                         ids=["A", "B", "T2-p0.5", "rsrd", "den-zero"])
+def test_compare_mm1_json_is_pinned(flags, tmp_path, capsys):
+    assert main(["compare-mm1", *flags, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "compare_mm1.json").read_bytes()).hexdigest()
+    assert digest == COMPARE_DIGESTS[flags]
+
+
 def test_tailfit_csv(tmp_path, capsys):
     code = main(["tailfit", *A_FLAGS, "--kmin", "100", "--kmax", "160",
                  "--out", str(tmp_path)])

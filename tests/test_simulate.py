@@ -714,9 +714,37 @@ def test_excursions_skip_a_start_above_base(level_k):
     assert all(traj.x[e.start_step] <= 2 and e.end_step > e.start_step for e in found)
 
 
+def test_sampler_through_a_phase_swap_interval():
+    # a step swaps Up and Down where lambda + alpha + beta > C: validate admits C down to
+    # 1 - 1e-14 of the rate sum, and mu = 1e-15 lies below that share.  x leaves 0 for good,
+    # so the set has no boundary visits to count; uniforms on every threshold, one ulp either
+    # side and inside the swap interval, and the paths must still agree
+    params = make_params(1, 1e-15, 1, 1, C=2.9999999999999707)
+    rows = _phase_rows(params)
+    cuts, to_up, to_down, _ = rows
+    swap = np.flatnonzero((to_up == DOWN) & (to_down == UP))
+    assert swap.tolist() == [2]
+    low, high = cuts[1], cuts[2]
+    assert (low, high) == (0.3333333333333268, 0.3333333333333366)
+    thresholds = [c for cum, _ in _reference_rows(params).values() for c in cum[:-1]]
+    edges = np.array(thresholds + [np.nextafter(c, d) for c in thresholds for d in (0.0, 1.0)])
+    rng = np.random.default_rng(5)
+    uniforms = rng.random(6000)
+    uniforms[::3] = rng.choice(edges, size=2000)
+    uniforms[1::3] = rng.uniform(low, high, 2000)
+    for start in ((0, UP), (0, DOWN), (4, UP)):
+        expected = _reference_path(params, uniforms, start)
+        inside = (low <= uniforms) & (uniforms < high)
+        assert np.all(expected[1:, -1][inside] != expected[:-1, -1][inside])   # each one swaps
+        assert all(np.sum(inside & (expected[:-1, -1] == s)) > 100 for s in (UP, DOWN))
+        got = np.stack([np.asarray(c) for c in _block_path(rows, uniforms, start)], axis=1)
+        assert np.array_equal(got, expected[1:])
+
+
 def test_phase_path_sets_keeps_and_swaps():
-    # a step whose targets swap Up and Down needs lambda + alpha + beta > C,
-    # which no valid C allows; the phase path still follows it
+    # a step whose targets swap Up and Down needs lambda + alpha + beta > C, which a
+    # valid C allows only within 1e-14 of the rate sum (see the test above); the
+    # phase path follows it
     rng = np.random.default_rng(8)
     to_up, to_down = (rng.integers(0, 2, 500).astype(np.int8) for _ in range(2))
     for s in (UP, DOWN):

@@ -12,7 +12,7 @@ from uqtail import kernels, spectral, twist
 from uqtail.asymptotics import _escape
 from uqtail.cli import main
 from uqtail.kernels import _fold, _moves, level_blocks
-from uqtail.verify import check_drift, check_harmonicity, random_params
+from uqtail.verify import check_drift, check_harmonicity, random_params, run_checks
 
 from reference import model1
 
@@ -287,6 +287,11 @@ def test_one_twist_pass_per_call(call_counts, tmp_path):
     spectral.characteristic_roots(A)
     assert call_counts == {"characteristic_roots": 1, "stability": 0, "_moves": 0,
                            "_t2_minus_1": 0}
+    call_counts.update(dict.fromkeys(NAMES, 0))
+    # the invariant suite's four Model 1 passes that read the margin (the tail
+    # reproduction, exact-coefficient, eta-bounds and escape checks) form it once each
+    run_checks(200, 7)
+    assert call_counts["_t2_minus_1"] == 4
     # the tail record carries its pass: the twist and roots of A's own pass, bit for bit
     asym = prefactors(A)
     for carried, own, name in ((asym.twist, twist_summary(A), "twist"),
