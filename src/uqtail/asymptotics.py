@@ -135,8 +135,9 @@ def _escape(twist: TwistSummary) -> EscapeProbs:
               ((residual <= _ESCAPE_RESIDUAL) & (rows < 1.0).all(axis=-1),
                "closed-form first-passage matrix{where} fails: residual {:.3g} (bound {:g}), "
                "row sums {} (must be < 1)", residual, _ESCAPE_RESIDUAL, rows)], ArithmeticError)
-    scale, margin = twist.params.lam / twist.params.C, twist.roots.t2_minus_1
-    return EscapeProbs(up=scale * margin, down=scale * (t2 - 1.0 / w), residual=residual)
+    roots = twist.roots
+    scale = roots.params.lam / roots.params.C
+    return EscapeProbs(up=scale * roots.t2_minus_1, down=scale * (t2 - 1.0 / w), residual=residual)
 
 
 def _decay_below_1(roots: SpectralSolution):
@@ -167,7 +168,7 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> tuple[flo
     """The tandem's (p = 1) eta and its truncation bound.  pi on its infinite
     boundary comes from `table` (default: a fixed 60 x 60 truncated solve), the escape
     probabilities from the twisted free chain's first passage with y cut at 2 y_max."""
-    params = twist.params
+    params = twist.roots.params
     if np.ndim(params.lam):
         raise InvalidParameters("the tandem's eta reads one set's truncated table, not a stack")
     if not params.lam / (params.mu * params.p) < twist.roots.gamma_p:
@@ -241,7 +242,7 @@ def tail_constants(twist: TwistSummary, *,
     for Model 1, of a set or a stack, and the tandem (p = 1) (Adan, Foley & McDonald).
     The tandem's eta reads one set's `table` (default: a 60 x 60 truncated solve).
     """
-    params, d = twist.params, twist.drift.value
+    params, d = twist.roots.params, twist.drift.value
     if params.model is Model.MODEL1:
         esc = _escape(twist)
         eta, bound = _eta_model1(twist, esc), 0.0
@@ -337,6 +338,7 @@ def alpha_limits(params: ModelParams) -> AlphaLimits:
         prefactor_up_at_eval=c_up_at, prefactor_up_limit_gap=c_up_gap)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")   # the gates name them
 def mm1_comparison(params: ModelParams) -> Mm1Comparison:
     """Match a plain M/M/1 queue with the same effective rates, service
     beta/(alpha+beta) mu p, and compare tails.  gamma_1 is gamma_p, or RS-RD's

@@ -10,7 +10,6 @@ import math
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,9 +17,6 @@ from .kernels import _fold, _moves, _origins
 from .params import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
                      _require, make_params)
 from .spectral import SpectralSolution, _require_stable, _stable_roots
-
-if TYPE_CHECKING:   # scipy loads in the sparse solves only; most verbs never run one
-    import scipy.sparse as sp
 
 _FIRST_PASSAGE_TOL = 1e-16  # largest entry of the last doubling's increment
 _FIRST_PASSAGE_DOUBLINGS = 64
@@ -164,7 +160,7 @@ def _model1_roots(params: ModelParams, what: str) -> SpectralSolution:
     """InvalidParameters naming `what` off Model 1, else the roots the boundary's gate admits."""
     if params.model is not Model.MODEL1:
         raise InvalidParameters(f"{what} needs a Model 1 parameter set")
-    return _stable_roots(params, "the boundary vector")
+    return _stable_roots(params, what)
 
 
 def _boundary(roots: SpectralSolution) -> tuple:
@@ -223,9 +219,11 @@ def _lattice_shape(model: Model, x_max: int, y_max: int | None) -> tuple:
 
 
 def _lattice_moves(params: ModelParams, shape: tuple) -> dict:
-    """The chain cut to the lattice `shape` by its diagonals, {offset: q}: the
-    state of flat C-order index i moves to index i + offset with probability
-    q[i], 0 where its class row (`kernels._fold`) lacks the move.
+    """The chain cut to the lattice `shape` by its diagonals, {offset: q} by
+    increasing offset: the state of flat C-order index i moves to index
+    i + offset with probability q[i], 0 where its class row (`kernels._fold`)
+    lacks the move.  P^T holds q on its diagonal -offset, unshifted, as
+    scipy's DIA layout stores it (`truncated_stationary`).
 
     A move whose target leaves the lattice (reflecting cut) adds into the
     stay, offset 0, in the row's sorted step order, and is left 0 at its
@@ -253,33 +251,21 @@ def _lattice_moves(params: ModelParams, shape: tuple) -> dict:
                 moves[offset][(*inside, sigma)] = prob
             else:   # the self-move adds to the folds of steps sorted before it
                 moves[0][(*inside, sigma)] += prob
-    return {offset: q.ravel() for offset, q in moves.items()}
-
-
-def _lattice_matrix(moves: dict) -> sp.csr_matrix:
-    """Transition matrix of the chain cut to a lattice, from its diagonals
-    `moves` (`_lattice_moves`): one entry per nonzero off the main diagonal,
-    and the stay at every state."""
-    import scipy.sparse as sp
-
-    entries = [(src, src + offset, q[src]) for offset, q in moves.items()
-               for src in (np.flatnonzero(q) if offset else np.arange(q.size),)]
-    rows, cols, vals = map(np.concatenate, zip(*entries))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(moves[0].size,) * 2)
+    return {offset: moves[offset].ravel() for offset in sorted(moves)}
 
 
 def _lattice_inflow(moves: dict, pi: np.ndarray) -> np.ndarray:
-    """pi P for P = `_lattice_matrix(moves)`, without building P; `moves`
-    are the diagonals of the lattice pi.shape (`_lattice_moves`).
+    """pi P, without building P; `moves` are P's diagonals on the lattice
+    pi.shape (`_lattice_moves`), in increasing offset.
 
     Each diagonal adds pi q, shifted by its offset, into the flattened
     inflow.  Diagonals are added by decreasing offset, so each target adds
-    its sources in increasing index, as P's sparse mat-vec does: the sums
-    are bit-identical.
+    its sources in increasing index, as a sparse mat-vec with P does: the
+    sums are bit-identical.
     """
     flat, n = pi.ravel(), pi.size
     inflow = np.zeros(n)
-    for offset, q in sorted(moves.items(), reverse=True):
+    for offset, q in reversed(moves.items()):
         src = slice(max(0, -offset), n - max(0, offset))
         inflow[src.start + offset:src.stop + offset] += flat[src] * q[src]
     return inflow.reshape(pi.shape)
@@ -315,17 +301,17 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
     Probability leaving the lattice is folded back into the diagonal
     (reflecting cut), which keeps rows stochastic and converges to the true
     law as the cut grows.  The solve is SuperLU on P^T - I with row 0 set to
-    ones, P = `_lattice_matrix`.  The diagonals (`_lattice_moves`) are
-    built once; before the solve they refuse, with ArithmeticError by name,
-    a state whose self-loop is exactly 1, and then a lattice where every
-    state with coordinate moves (every offset but 0 and the phase moves
-    +-1) loses them, summed, against its stay (stay + outflow == stay in
-    floats): no state then leaves its (x, y) in floats, and the system is
+    ones.  P's diagonals (`_lattice_moves`) are built once and are the
+    chain's one form: scipy's DIA layout reads them as P^T's, with 1 taken
+    off the stay.  Before the solve they refuse, with ArithmeticError by
+    name, a state whose self-loop is exactly 1, and then a lattice where
+    every state with coordinate moves (every offset but 0 and the phase
+    moves +-1) loses them, summed, against its stay (stay + outflow == stay
+    in floats): no state then leaves its (x, y) in floats, and the system is
     singular.  A lattice where only some states lose them is solved, as
     light loads need (the arrival lost at (0, 0, sigma)).  After the solve
-    the diagonals give the balance residual
-    (`_lattice_inflow`).  A solve that is not finite raises ArithmeticError
-    by name.
+    the diagonals give the balance residual (`_lattice_inflow`).  A solve
+    that is not finite raises ArithmeticError by name.
     Raises InvalidParameters unless x_max >= 1 and, off Model 1, y_max >= 1.
     `model` may be omitted; when given (perfbench/run.py passes it), it must
     be params.model.
@@ -344,22 +330,22 @@ def truncated_stationary(params: ModelParams, model: Model | None = None, *,
     stuck = np.flatnonzero(moves[0] == 1.0)
     if stuck.size:   # 1 minus its exit mass rounds to 1, so P^T - I loses that outflow
         i, state = stuck[0], tuple(map(int, np.unravel_index(stuck[0], shape)))
-        exit_mass = sum(float(q[i]) for offset, q in sorted(moves.items()) if offset)
+        exit_mass = sum(float(q[i]) for offset, q in moves.items() if offset)
         raise ArithmeticError(f"lattice state {state} keeps a self-loop of exactly 1: its exit "
                               f"mass {exit_mass:.3g} (its other moves, summed) is lost against 1 "
                               f"at C = {float(params.C)!r}")
     stay = moves[0]
-    outflow = sum(q for offset, q in sorted(moves.items()) if abs(offset) > 1)
+    outflow = sum(q for offset, q in moves.items() if abs(offset) > 1)
     lost = np.flatnonzero((outflow > 0.0) & (stay + outflow == stay))
     if lost.size and lost.size == np.count_nonzero(outflow):   # no state moves x or y in floats
         i, state = lost[0], tuple(map(int, np.unravel_index(lost[0], shape)))
         raise ArithmeticError(f"every lattice state with coordinate moves loses them against its "
                               f"stay; at {state}: outflow {outflow[i]:.3g} + stay "
                               f"{float(stay[i])!r} rounds to the stay at C = {float(params.C)!r}")
-    p = _lattice_matrix(moves)
-    n = p.shape[0]
-    a = sp.vstack([np.ones((1, n)), (p.T - sp.identity(n, format="csr")).tocsr()[1:]],
-                  format="csc")
+    n = stay.size
+    diagonals = [q - 1.0 if offset == 0 else q for offset, q in moves.items()]
+    pt_minus_i = sp.dia_matrix((diagonals, [-offset for offset in moves]), shape=(n, n))
+    a = sp.vstack([np.ones((1, n)), pt_minus_i.tocsr()[1:]], format="csc")
     b = np.zeros(n)
     b[0] = 1.0
     with warnings.catch_warnings():   # a singular system is refused below, by name

@@ -84,14 +84,13 @@ class TwistSummary:
     """One pass through the h-transform of a parameter set.
 
     The unreported fields carry what later stages (escape, eta, prefactors)
-    read instead of deriving it again: the set, its roots and its twisted blocks.
+    read instead of deriving it again: its roots, which carry the set, and its twisted blocks.
     """
     model: Model
     harmonic: HarmonicFunction
     rates: TwistRates | None
     phi: object
     drift: Drift
-    params: ModelParams = field(repr=False)
     roots: SpectralSolution = field(repr=False)
     blocks: tuple = field(repr=False)   # `level_blocks` at y cut 0 (Model 1), 1 (tandem)
 
@@ -173,4 +172,4 @@ def _twist(params: ModelParams):
     agree = abs(value - estimate) <= _DRIFT_AGREEMENT * np.maximum(gain, loss) / C
     return TwistSummary(model=params.model, harmonic=h, rates=rates, phi=phi,
                         drift=Drift(value=value, estimate=estimate, per_time=value * C),
-                        params=params, roots=sol, blocks=blocks), ~agree, ~(value > 0.0)
+                        roots=sol, blocks=blocks), ~agree, ~(value > 0.0)

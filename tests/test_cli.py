@@ -507,6 +507,29 @@ def test_bad_values_are_rejected_before_sampling(tmp_path, capsys, monkeypatch, 
     assert not sampled and not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", *A_FLAGS, "--steps", "0"], "steps must be positive"),
+    (["ldpath", *A_FLAGS, "--steps", "0", "--level", "30"], "steps must be positive"),
+    (["analyze", "--lambda", "10", "--mu", "11", "--alpha", "0.1"],
+     "provide --lambda --mu --alpha --beta or --params FILE"),
+], ids=["simulate-steps", "ldpath-steps", "analyze-no-beta"])
+def test_refusals_name_the_input_in_one_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"validation error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_simulate_notes_a_transient_path(tmp_path, capsys):
+    # load 1.1: the first queue grows, and simulate still writes its files
+    argv = ["simulate", "--lambda", "30", "--mu", "11", "--alpha", "0.1", "--beta", "10",
+            "--steps", "20000", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ("note: first-queue mean keeps growing; "
+                                       "the path looks transient\n")
+
+
 def test_simulate_outputs(tmp_path, capsys):
     code = main(["simulate", *A_FLAGS, "--steps", "2000", "--seed", "5",
                  "--out", str(tmp_path)])
@@ -738,6 +761,24 @@ def test_compare_mm1_refuses_rsrd_above_the_matched_load(tmp_path, capsys):
     assert main(["compare-mm1", *flags, "--out", str(tmp_path)]) == 1
     assert "matched queue has load below 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rates", [
+    ("5.7044345792981864e+29", "3.431373127790715e-284", "1.2819326382081938e+152",
+     "7.691090675299943e+22"),
+    ("2.1954820977704256e+201", "1.3387405515545478e-131", "1.3517621996884554e-171",
+     "3.97034311557689e+83"),
+], ids=["divide-by-zero", "overflow"])
+def test_compare_mm1_refuses_an_overloaded_matched_queue_in_one_line(tmp_path, capsys, rates):
+    # the matched service rate underflows to 0 (first set), or lambda over it overflows
+    # (second): numpy warned on the load in the refusal's text, two lines before it
+    out = tmp_path / "out"
+    assert main(["compare-mm1", *_rate_flags(*rates), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("validation error: the M/M/1 comparison requires a stable parameter "
+                            "set whose matched queue has load below 1, got inf\n")
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])

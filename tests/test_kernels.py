@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqtail import (DOWN, UP, InvalidParameters, Model, UnstableParameters, free_kernel,
-                    full_kernel, make_params, twist_summary)
+from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, UnstableParameters,
+                    free_kernel, full_kernel, make_params, twist_summary)
 from uqtail.kernels import _origins, level_blocks
 from uqtail.simulate import _phase_rows
 from uqtail.verify import check_rows_stochastic, random_params
@@ -92,6 +92,17 @@ def test_rows_stochastic_random():
 def test_mean_x_increment():
     row = free_kernel(A, (0, UP))
     assert sum(p * t[0] for t, p in row.targets) == pytest.approx((10 - 11) / 31.1)
+
+
+@pytest.mark.parametrize("params,state,message", [
+    (A, (1, 0, 0), "Model 1 states are (x, status), got (1, 0, 0)"),
+    (make_params(10, 30, 0.1, 10, model=Model.MODEL2), (1, -1, 0),
+     "y must be >= 0, got (1, -1, 0)"),
+], ids=["model1-three-coordinates", "tandem-negative-y"])
+def test_full_kernel_names_an_invalid_state(params, state, message):
+    with pytest.raises(InvalidState) as refusal:
+        full_kernel(params, state)
+    assert str(refusal.value) == message
 
 
 def test_free_kernel_rejects_rsrd():

@@ -16,8 +16,8 @@ from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, Truncation
                     rate_matrix_closed_form, simulate, stationary_table,
                     truncated_stationary, twist_summary)
 from uqtail.kernels import level_blocks
-from uqtail.qbd import (LatticeLaw, _lattice_inflow, _lattice_matrix, _lattice_moves,
-                        _lattice_shape, _tail_mass_estimate, first_passage)
+from uqtail.qbd import (LatticeLaw, _lattice_inflow, _lattice_moves, _lattice_shape,
+                        _tail_mass_estimate, first_passage)
 from uqtail.verify import (check_rate_matrix, check_stability_equivalence,
                            random_params)
 
@@ -289,9 +289,9 @@ def test_tight_cut_raises_or_warns():
     assert table.tail_mass_bound > 1e-8
 
 
-def _reference_lattice(params, model, x_max, y_max=None, tail_error=0.01):
-    """truncated_stationary as one full_kernel row per lattice state:
-    (entries, residual, tail_mass_bound), P and A."""
+def _reference_matrix(params, model, x_max, y_max=None):
+    """The lattice chain's P as one full_kernel row per lattice state, the
+    moves that leave the lattice folded into the stay: (states, P)."""
     if model is Model.MODEL1:
         states = [(x, sigma) for x in range(x_max + 1) for sigma in (UP, DOWN)]
     else:
@@ -314,7 +314,14 @@ def _reference_lattice(params, model, x_max, y_max=None, tail_error=0.01):
         rows.append(i)
         cols.append(i)
         vals.append(diag_extra)
-    p = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return states, sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _reference_lattice(params, model, x_max, y_max=None, tail_error=0.01):
+    """truncated_stationary as one full_kernel row per lattice state:
+    (entries, residual, tail_mass_bound), P and A."""
+    states, p = _reference_matrix(params, model, x_max, y_max)
+    n = len(states)
     a = (p.T - sp.identity(n, format="csr")).tolil()
     a[0, :] = 1.0
     a = a.tocsc()
@@ -323,7 +330,7 @@ def _reference_lattice(params, model, x_max, y_max=None, tail_error=0.01):
     pi = np.clip(spla.spsolve(a, b), 0.0, None)
     pi /= pi.sum()
     residual = float(np.max(np.abs(pi @ p - pi)))
-    entries = {s: float(pi[index[s]]) for s in states}
+    entries = dict(zip(states, pi.tolist()))
     tail = _tail_mass_estimate(pi.reshape(_lattice_shape(model, x_max, y_max)))
     if tail > tail_error:
         raise TruncationError("tail")
@@ -351,8 +358,13 @@ def test_lattice_matches_per_state_assembly(monkeypatch, params, model, x_max, y
                                             tail_error):
     (entries, residual, tail), p_ref, a_ref = _reference_lattice(
         params, model, x_max, y_max, tail_error)
-    p = _lattice_matrix(_lattice_moves(params, _lattice_shape(model, x_max, y_max)))
-    _assert_same_sparse(p, p_ref)
+    # the table's rows, entry for entry: each nonzero off the main diagonal and the stay at
+    # every state; this covers P's column 0, which row 0 of ones hides from the solved system
+    moves = _lattice_moves(params, _lattice_shape(model, x_max, y_max))
+    p_ref = p_ref.tocoo()
+    assert {(int(i), int(i) + offset): float(q[i]) for offset, q in moves.items()
+            for i in (np.flatnonzero(q) if offset else range(q.size))} == dict(
+        zip(zip(p_ref.row.tolist(), p_ref.col.tolist()), p_ref.data.tolist()))
     solved = []
     spsolve = spla.spsolve
     monkeypatch.setattr(spla, "spsolve", lambda a, b: solved.append(a) or spsolve(a, b))
@@ -370,7 +382,7 @@ def test_lattice_matches_per_state_assembly(monkeypatch, params, model, x_max, y
 def test_lattice_rows_are_folded_kernel_rows(seed, p):
     params = random_params(np.random.default_rng(seed), p=p, model=Model.MODEL2)
     shape = _lattice_shape(Model.MODEL2, 6, 6)
-    matrix = _lattice_matrix(_lattice_moves(params, shape))
+    moves = _lattice_moves(params, shape)
     for i, state in enumerate(np.ndindex(*shape)):
         folded = {i: 0.0}
         for target, prob in full_kernel(params, state).targets:
@@ -378,8 +390,8 @@ def test_lattice_rows_are_folded_kernel_rows(seed, p):
                 folded[i] += prob
             else:
                 folded[int(np.ravel_multi_index(target, shape))] = prob
-        row = matrix.getrow(i)
-        assert dict(zip(row.indices.tolist(), row.data.tolist())) == folded
+        row = {i + offset: float(q[i]) for offset, q in moves.items() if offset and q[i] != 0.0}
+        assert {i: float(moves[0][i]), **row} == folded
 
 
 @pytest.mark.parametrize("params", [
@@ -389,13 +401,13 @@ def test_lattice_rows_are_folded_kernel_rows(seed, p):
     ids=["A", "B", "T2", "tandem-p0.6", "rsrd-p0.5", "rsrd-p1"])
 @pytest.mark.parametrize("x_max,y_max", [(1, 1), (6, 11), (23, 9)])
 def test_lattice_inflow_is_the_sparse_mat_vec(params, x_max, y_max):
-    # every entry, the folded far edge included, equals the CSC mat-vec bit for bit;
-    # entries spread over decades, so a changed summation order shows
+    # every entry, the folded far edge included, equals the sparse mat-vec with the
+    # per-state P bit for bit; entries spread over decades, so a changed summation order shows
     shape = _lattice_shape(params.model, x_max, y_max)
     pi = np.random.default_rng(x_max).random(shape) ** 8
-    moves = _lattice_moves(params, shape)
-    assert np.array_equal(_lattice_inflow(moves, pi),
-                          (pi.ravel() @ _lattice_matrix(moves)).reshape(shape))
+    _, p_ref = _reference_matrix(params, params.model, x_max, y_max)
+    assert np.array_equal(_lattice_inflow(_lattice_moves(params, shape), pi),
+                          (pi.ravel() @ p_ref).reshape(shape))
 
 
 @pytest.mark.parametrize("params", [
@@ -499,6 +511,12 @@ def test_lattice_needs_both_sides(model, x_max, y_max):
         truncated_stationary(params, x_max=x_max, y_max=y_max)
     # the refusal names the chain's own sides: Model 1 has no y
     assert ("y_max >= 1" in str(refusal.value)) is (model is not Model.MODEL1)
+
+
+def test_the_two_server_lattice_needs_y_max():
+    with pytest.raises(InvalidParameters) as refusal:
+        truncated_stationary(T2, x_max=4)
+    assert str(refusal.value) == "y_max required for the two-server lattice"
 
 
 def _reference_prob(pi, state):

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from uqtail import (InvalidParameters, Model, UnstableParameters, boundary_vector,
                     characteristic_roots, conditioned_excursion_slope, exact_stationary_model1,
                     feynman_kac, harmonic, make_params, prefactors, stability, stationary_table,
-                    twist_summary)
+                    twist_summary, two_term_tail)
 from uqtail.spectral import _require_stable, _t2_minus_1
 from uqtail.verify import check_perron_root, random_params
 
@@ -189,12 +189,13 @@ BOUND = "lambda < beta/(alpha+beta) mu p"
     (harmonic, "the harmonic function"),
     (twist_summary, "the twist"),
     (boundary_vector, "the boundary vector"),
+    (two_term_tail, "the two-term expansion"),
     (lambda params: exact_stationary_model1(params, 5), "the boundary vector"),
     (lambda params: stationary_table(params, 5), "the stationary table"),
     (lambda params: conditioned_excursion_slope(params, 5), "the excursion slope"),
     (lambda params: prefactors(make_params(20, 30, 0.1, 10, p=0.5, model=Model.MODEL2)),
      "the shape-only tail"),
-], ids=["harmonic", "twist", "boundary", "exact-table", "stationary-table", "slope",
+], ids=["harmonic", "twist", "boundary", "two-term", "exact-table", "stationary-table", "slope",
         "shape-only"])
 def test_the_stability_gate_names_its_stage(call, stage):
     # every stage refuses an unstable set through one gate, with one text
