@@ -79,10 +79,6 @@ class Mm1Comparison:
     lambda0: float
     mu0: float
 
-    def pi0(self, level: int) -> float:
-        rho = self.lambda0 / self.mu0
-        return (1.0 - rho) * rho ** level
-
 
 @dataclass(frozen=True)
 class AlphaLimits:

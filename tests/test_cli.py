@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +14,7 @@ from uqtail import (Model, UnstableParameters, __version__, asymptotics, charact
 from uqtail.cli import build_parser, main
 
 from reference import FULL_RANGE_DIGITS, R_DOWN_DOWN_ONE, model1, relative_error
+from test_pins import pinned
 
 A_FLAGS = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
 T2_FLAGS = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10"]
@@ -553,88 +553,10 @@ def test_ldpath_verdict(tmp_path, capsys):
     assert "start,end,peak,down_fraction,slope" in lines
 
 
-# SHA-256 of tailfit.csv from A's Model 1 window 100..300 and the 40 x 40 windows 20..35
-# of the p = 1 tandem and of RS-RD at p = 0.5, as the closed-form fit writes them
-TAILFIT_DIGESTS = {
-    (*A_FLAGS, "--kmin", "100", "--kmax", "300"):
-        "4f3440d3cf8f04a991532b2ea9b6d93e2e51ae387bc1cd82f7079fb8d9d7fd85",
-    (*T2_FLAGS, "--model", "model2", "--kmin", "20", "--kmax", "35", "--xmax", "40"):
-        "d87e5c9c620e95e2497170bfabdd0afb9d74ea1c6a339b59fcea54157ef27ea4",
-    (*T2_FLAGS, "--model", "rsrd", "--p", "0.5", "--kmin", "20", "--kmax", "35", "--xmax", "40"):
-        "a9d45dcb92319737a433a235b539f09fb6d4a783fe011050797c8e21f99de691",
-}
-
-
-@pytest.mark.parametrize("flags", list(TAILFIT_DIGESTS), ids=["A", "T2", "rsrd"])
-def test_tailfit_csv_is_pinned(flags, tmp_path, capsys):
-    assert main(["tailfit", *flags, "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / "tailfit.csv").read_bytes()).hexdigest()
-    assert digest == TAILFIT_DIGESTS[flags]
-
-
-# SHA-256 of analyze.json: A and B, plain and with --limits, A at alpha = 1e-12, the light
-# load (1e-300, 11, 0.1, 10) and mu = 1e150 for Model 1, the p = 1 tandem (1, 50, 1.9, 0.6),
-# T2's shape-only tail at p = 0.5, RS-RD at p = 0.5, and two Model 1 sets whose margin
-# 1 - gamma_1 is below a double's rounding of 1: slow switching (1.5e-17, C(Up) was 3.7
-# times off) and an R whose Down->Down entry rounds to 1 (phi(Up) underflows there)
-ANALYZE_DIGESTS = {
-    tuple(A_FLAGS): "8c1b5938cb6adfc6b7208510b3b0194a1508f6a5d20f8e8c36c6232333238c79",
-    (*A_FLAGS, "--limits"): "104b79d370d838bc362e3d27ee2266ada35e2819735e9634f451621260146224",
-    tuple(_rate_flags("20", "60", "0.01", "1")):
-        "ff19f79f6e616f440fd23ff9cd801f9f8381ca0d7a6e7f5d083022b8ec487334",
-    (*_rate_flags("20", "60", "0.01", "1"), "--limits"):
-        "b08c17a4ca28a7d3b346e4a134f1026aaeb7c65cda4304a645562455a5acb895",
-    tuple(_rate_flags("10", "11", "1e-12", "10")):
-        "4542407e83aa7d18a785d738cc8c12f4a5a71e14b44d6a5f2d3b622539f55009",
-    tuple(_rate_flags("1e-300", "11", "0.1", "10")):
-        "b19d446646bc2da5e211e3d2626250a7b9a44dcbc98c04c3284b99dc91dd7fe3",
-    tuple(_rate_flags("3", "1e150", "0.1", "10")):
-        "9bc71bcef9c642c7df1e44d77221972a3c09e97d27e7c2af3ec36cadb6849a49",
-    (*_rate_flags("1", "50", "1.9", "0.6"), "--model", "model2"):
-        "62ccccb9d5312d57e8690045afd8ce639c9a338af5435cdcccdce96f536533b8",
-    (*T2_FLAGS, "--model", "model2", "--p", "0.5"):
-        "f32c4b7f10e01f58e6a4feccd0b7e4019ef77bcef59764dc5b01ec2eac1182f3",
-    (*T2_FLAGS, "--model", "rsrd", "--p", "0.5"):
-        "fbe3d6ff443bd93b806d9aa931a2e4886bb1a68236d091ef710c9fa1c00f914e",
-    tuple(_rate_flags("527962.3175368304", "50406465.24787929", "5.786599240714527e-11",
-                      "8.634334099278625e-12")):
-        "a0cfa2b8a562f3715dfecdb464e8c75f7fbc23085b9c343c2e3e487c0e6dae53",
-    tuple(_rate_flags("413144996.53554803", "3.122865155414661e+147", "1.7913480599226823e-151",
-                      "4.335403015718224e-98")):
-        "a9a6dd001cbe941c0f798fb70448e16e30acc084a7e1bd451cfb09d9beb70add",
-}
-
-
-@pytest.mark.parametrize("flags", list(ANALYZE_DIGESTS), ids=[
-    "A", "A-limits", "B", "B-limits", "A-alpha-1e-12", "lambda-1e-300", "mu-1e150",
-    "tandem-1-50", "T2-p0.5", "rsrd", "slow-switching", "r-down-down-one"])
-def test_analyze_json_is_pinned(flags, tmp_path, capsys):
-    assert main(["analyze", *flags, "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / "analyze.json").read_bytes()).hexdigest()
-    assert digest == ANALYZE_DIGESTS[flags]
-
-
-# SHA-256 of compare_mm1.json: A and B, T2 at p = 0.5, RS-RD at p = 0.5 (its product-form rate
-# lambda/(mu p)), and (1e-10, 1, 1e-320, 1e-10), whose den is 0 and gamma_1 is 0.5
-COMPARE_DIGESTS = {
-    tuple(A_FLAGS): "65955580c577e245efb16ff2607e6b546ec53be0585ff35b1ad62f074c12752b",
-    tuple(_rate_flags("20", "60", "0.01", "1")):
-        "5261382a416afdd0f126944a93324943e14307b44c3eb872d795525f102d2e3f",
-    (*T2_FLAGS, "--model", "model2", "--p", "0.5"):
-        "570c18821d6ee476d6e55ab75d4298e1a1401c07587209e08fbeeb07e44d669e",
-    (*T2_FLAGS, "--model", "rsrd", "--p", "0.5"):
-        "b64d9ae1b8162bf53e69acc89a2f6d5de43ef528f44864e0af5e1992b702f432",
-    tuple(_rate_flags("1e-10", "1", "1e-320", "1e-10")):
-        "697da32560222350c30e0b857676d40946d8c83c95865aa84a229d0e54e6cabb",
-}
-
-
-@pytest.mark.parametrize("flags", list(COMPARE_DIGESTS),
-                         ids=["A", "B", "T2-p0.5", "rsrd", "den-zero"])
-def test_compare_mm1_json_is_pinned(flags, tmp_path, capsys):
-    assert main(["compare-mm1", *flags, "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / "compare_mm1.json").read_bytes()).hexdigest()
-    assert digest == COMPARE_DIGESTS[flags]
+# each verb's report, byte for byte, as tests/pins.json pins it
+test_tailfit_csv_is_pinned = pinned("tailfit")
+test_analyze_json_is_pinned = pinned("analyze")
+test_compare_mm1_json_is_pinned = pinned("compare-mm1")
 
 
 def test_tailfit_csv(tmp_path, capsys):

@@ -18,6 +18,8 @@ from uqtail.kernels import _moves, _origins
 from uqtail.simulate import _BLOCK, _block_path, _csv_lines, _phase_path, _phase_rows
 from uqtail.verify import random_params
 
+from test_pins import pinned
+
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
 T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
@@ -616,52 +618,9 @@ def test_csv_lines_match_fstrings(columns):
     assert _csv_lines(columns).tobytes().decode() == expected
 
 
-# SHA-256 of trajectory.csv and empirical.csv from the simulate verb, seed 21
-# and 2 * _BLOCK + 1 steps: B and T2 as the formatter that divided in int64 wrote
-# them, the p = 0.5 tandem and RS-RD as the one that padded every block wrote them
-SIMULATE_VERB_FILES = {
-    ("--lambda", "20", "--mu", "60", "--alpha", "0.01", "--beta", "1"):
-        ("f177d3412a7d333aaddc56dd69c151c0f7dd203c7a40ad304bb9d649bb806469",
-         "3f9e891d8ad7929dcff504c8b686e07aea4681ab2cb80d30263bc4035aafb626"),
-    ("--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10", "--model", "model2"):
-        ("eb24917d16d5d07fb95650f25193b3156be0db1825dd37de063ec505e38f2ebb",
-         "22c57560728b60fa3a752e0054850c21fef75fbf32d0b41c642e162467f0a55e"),
-    ("--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10", "--model", "model2",
-     "--p", "0.5"):
-        ("4264c441e880faec9022e8c07b55a1d56a1a31d2b0ee56a27bf5202e005b68cd",
-         "f5a0587931fc14d48ca8ef0c6a01dbb1b718b3d4279d5b31a98ff07dd99f520b"),
-    ("--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10", "--model", "rsrd",
-     "--p", "0.5"):
-        ("bd6da39c4892fffbfb8493859c6510dfc3124c90fcee8b9205de2c48e791fc52",
-         "fddf6fe03e13f32b091d75529899e48af68b9c990d3743118ce168be7cfee8b9"),
-}
-
-
-@pytest.mark.parametrize("flags", list(SIMULATE_VERB_FILES),
-                         ids=["B", "T2", "tandem-p0.5", "rsrd-p0.5"])
-def test_simulate_verb_files_are_pinned(flags, tmp_path, capsys):
-    assert main(["simulate", *flags, "--steps", str(2 * _BLOCK + 1), "--seed", "21",
-                 "--out", str(tmp_path)]) == 0
-    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                 for name in ("trajectory.csv", "empirical.csv")) == SIMULATE_VERB_FILES[flags]
-
-
-# SHA-256 of excursions.csv from the ldpath verb on A and B, 70,000 steps,
-# level 30 and the default seed 0, as CI runs them
-LDPATH_FILES = {
-    ("--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"):
-        "75df1e65f5e583ed613181d1e55ba325da0d7fef300306c90475bab7859ec2e3",
-    ("--lambda", "20", "--mu", "60", "--alpha", "0.01", "--beta", "1"):
-        "21edc9613fb6d326883b245839c6d206f9541f721eec1df0447931c96535ad24",
-}
-
-
-@pytest.mark.parametrize("flags", list(LDPATH_FILES), ids=["A", "B"])
-def test_ldpath_verb_files_are_pinned(flags, tmp_path, capsys):
-    assert main(["ldpath", *flags, "--steps", "70000", "--level", "30",
-                 "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / "excursions.csv").read_bytes()).hexdigest()
-    assert digest == LDPATH_FILES[flags]
+# the simulate and ldpath verbs' files, byte for byte, as tests/pins.json pins them
+test_simulate_verb_files_are_pinned = pinned("simulate")
+test_ldpath_verb_files_are_pinned = pinned("ldpath")
 
 
 def _reference_excursions(trajectory, level_k, base_level=2):

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import math
 
 import numpy as np
@@ -13,7 +12,9 @@ from uqtail.verify import (_CHUNK, PARAMS_A, PARAMS_B, _sets, check_drift,
                            check_harmonicity, check_perron_root,
                            check_rows_stochastic, check_spectral_roots,
                            check_stability_equivalence, check_summability_gate,
-                           check_twisted_rows, random_params, run_checks)
+                           check_twisted_rows, random_params)
+
+from test_pins import pinned
 
 
 def _uniform_calls_params(rng, p=1.0, stable=True, model=Model.MODEL1):
@@ -58,57 +59,8 @@ def test_stacked_draw_takes_p_and_stable_per_set():
         assert getattr(stack, name).tolist() == [getattr(s, name) for s in sets]
 
 
-VERIFY_DIGESTS = {
-    (20, 0): "ae48731f0026086b336698b3e7f26d9014094d2f1498cc1505c4b7602c8b0b1b",
-    (20, 1): "b04df7e05739ae973dc643b743e60fc181230da278d2a81e6bd2b44c33073839",
-    (20, 2): "d578b2806f340c7f47873c3b812a2ed587c938ed44a502d999ed4a185be8762c",
-    (20, 3): "78301a8bfc49dc59ed97e258703aff7bd85a8327f30eba0f16912db695e35fc3",
-    (20, 4): "9a584c233caa04aae413e193571afdea0c3c4fdd7dbd1de4debe2ae78aa531d4",
-    (20, 5): "e8ea0300e9fc1af315ab17a97f35925984e09ebf33a72ca2c08356d4bb6cfbcf",
-    (20, 6): "98d9a428f0959f8c4a003cd06acb4965b76480a7faed4217770f2da38afb3543",
-    (20, 7): "01b8b755d694b9215aff54bdfeebc4a41e0e01515d4582514156758ad662a12d",
-    (20, 8): "e7778f10532660e23d01333fc89000008b3fc07c090b794ef3a94ad0b7d0d8d6",
-    (20, 9): "667b4dfaa0f882d1d44504cf38fcdbf66b0d91859fcdabb59cb419ca30c25986",
-    (20, 10): "f0dab2db54856ccaf797295d42fa269b334c222cbc2f4786241bc2d7da55fefc",
-    (20, 11): "b231aae8338263d16409b62d1c0160099a896fdee6b373769ada72c557eae5cd",
-    (20, 12): "33398d710b434f623af29c36c16a2f44e9b585741fb1580d27a8d8b2e155fbe0",
-    (50, 0): "369018749958f3174ef8f09c6b19478f63bc5fa53b1f324cc4d82259a5109b47",
-    (50, 1): "cdf8605addf3cc317d6a9fe92d371f40bf30e38b3cd0f1910e7d07d927a97a9c",
-    (50, 2): "68ef9c081e9617b5501bc9e1f24bd7725ef9a5fbd59750db7301bd5e1f7edef5",
-    (50, 3): "a54f1440bcfeb51394a44745d90e5da06025f49606775397f1855c6a7ba136fd",
-    (50, 4): "328a290a2b6e1efe7506aed5bd4d7636268ac35a54e00aaa31146b6a5485bf51",
-    (50, 5): "2cbd359e62502d784a210fb84259a62a92c33f6a548de8420c9231b074db54b9",
-    (50, 6): "1c20fbe86d161003b78eac72403f62dca9acc98f570184dddec012ab7976a44a",
-    (50, 7): "47d41558a72dd9a1da7f954d94a3dcc0d413da5854a166bb83c639e0d1c40ec1",
-    (50, 8): "561b6726751b719ee3f7feee1293a6b04c33fdca84cdaacd00d4b2e9010b0282",
-    (50, 9): "46a26dcadc343cee82bb5fd6a3c33f406bcc6637818f91625b218c71a9bad1fd",
-    (50, 10): "e7cef6cf71cb72db14143f2aaf9bb4441c9047aa494c6e2f6031ae4c0a70f52d",
-    (50, 11): "24521b7fcfed0b74bdab55612c428769a79bf17e55997aa432d7aa6e221564f8",
-    (50, 12): "6339cf5523fcae0eee83515c8ff81b1666ce6c04620528dd80602ebad7e11a9b",
-    (200, 0): "98ce4c9c1d8cecc13db70263c222a84ba6f832cae4bea2854fbce0b00928b29f",
-    (200, 1): "4198ee103c34d0ef2793a0a7f9bd766dce94fcb969a92419a38d0a5f24f283ac",
-    (200, 2): "c22d857da4d97187e872eb68e22fb7388647138bbcc79f6ab69119fc9df003e7",
-    (200, 3): "11721a33e54e34cb0c0d9c376387f23cddaf760df48480ea4840fe34d08c5ffd",
-    (200, 4): "3054a95c419e0e94fae767611ec97f6fa03bc97c4b7e998c4f6b56feb7d2b57e",
-    (200, 5): "2e7012ca8377549e71473e355184405dda8c16f92daf5a4cd4332ec6125f3c23",
-    (200, 6): "b46b51e4c31bf47331ce57c5c631e49d386b559381702ec796a06a85acfe7c77",
-    (200, 7): "007156bcc2c3784f81e24ae02401d9bda1c1ddeb33884b2682d0f052fb3cbc34",
-    (200, 8): "b61082d8960fce492af38a223f55be9755255ad8d3371b3f3fcf6647f42fc773",
-    (200, 9): "2ded93bee76d48c6900db0e2994b6030b9180e3aebc666b59d9444644a9f9073",
-    (200, 10): "3ffb6d3b222ccf6c24e8bb532df5a489fa6dc1d27fe85860280895d2558ce740",
-    (200, 11): "8f205a003e03aa2c51696f2854de8ca8d9a0358052606587b26b38dd642cb8c2",
-    (200, 12): "9438381b74a953db362c848f0dfe07543a1ce6c99fc981844bd58d41d0606c6c",
-    (1031, 11): "b07ca5d2f86e7eb944e56c3368a0c84816fa0797e7513bf49cd04f0d7c5337eb",
-}
-
-
-@pytest.mark.parametrize("grid,seed", list(VERIFY_DIGESTS))
-def test_run_checks_prints_the_pinned_lines(grid, seed):
-    # SHA-256 of the lines `uqtail verify` prints: a printed digit that moves
-    # must be re-pinned here, so that no change to them goes unnoticed
-    lines = "\n".join(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}"
-                      for res in run_checks(grid, seed))
-    assert hashlib.sha256(lines.encode()).hexdigest() == VERIFY_DIGESTS[grid, seed]
+# the lines `uqtail verify` prints, byte for byte, as tests/pins.json pins them
+test_run_checks_prints_the_pinned_lines = pinned("verify")
 
 
 def _scalar_sets(check, grid, seed):
