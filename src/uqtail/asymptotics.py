@@ -167,8 +167,8 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> tuple[flo
     params = twist.roots.params
     if np.ndim(params.lam):
         raise InvalidParameters("the tandem's eta reads one set's truncated table, not a stack")
-    if not params.lam / (params.mu * params.p) < twist.roots.gamma_p:
-        raise ArithmeticError("boundary sum not summable: lambda/(mu p) >= gamma_p")
+    if not params.lam / params.mu < twist.roots.gamma_p:   # p = 1, by the twist's own gate
+        raise ArithmeticError("boundary sum not summable: lambda/mu >= gamma_p")
     h = twist.harmonic
     y_max = _ETA_TABLE if table is None else table.pi.shape[1] - 1
     column = _eta_weights(h, y_max)   # before the solve

@@ -144,10 +144,10 @@ def rate_matrix(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
 def neuts_stability(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> bool | np.ndarray:
     """Positive recurrence by the mean-drift test on the level generator
     A0 + A1 + A2 of the 2x2 interior (up, local, down) blocks, one verdict
-    per set on a stack's blocks of shape (..., 2, 2) (`level_blocks`)."""
+    per set on a stack's blocks of shape (..., 2, 2) (`level_blocks`).  The generator's
+    phase law is proportional to (down rate, up rate); the comparison needs no normalizing."""
     gen = a0 + a1 + a2
-    up_rate, down_rate = gen[..., 0, 1], gen[..., 1, 0]
-    rho = np.stack([down_rate, up_rate], axis=-1) / (up_rate + down_rate)[..., None]
+    rho = np.stack([gen[..., 1, 0], gen[..., 0, 1]], axis=-1)
     return (rho * a0.sum(axis=-1)).sum(axis=-1) < (rho * a2.sum(axis=-1)).sum(axis=-1)
 
 

@@ -27,7 +27,6 @@ class SpectralSolution:
     gamma_p: float          # 1 / t2, the dominant decay rate under stability
     gamma_secondary: float  # 1 / t1, the subdominant rate
     g_constant: float | None  # defined for p = 1 only
-    t2_valid: bool
     # shared by every later stage, which never recomputes them; not reported
     sqrt_s: float = field(repr=False)
     den: float = field(repr=False)  # lam + beta - mu*p - alpha + sqrt(s_p)
@@ -86,11 +85,9 @@ def characteristic_roots(params: ModelParams) -> SpectralSolution:
     den = np.where(c > 0.0, 4.0 * alpha * (lam + beta) / (sqrt_s + abs(c)),
                    lam + beta - mup - alpha + sqrt_s)[()]   # a set's as a scalar
     g_constant = den / 2.0 + 2.0 * alpha * beta / den if (p == 1.0).all() else None
-    # the tilt equation requires its right-hand side positive at the root
-    q = 2.0 * lam * t2 * t2 - (alpha + beta + mup + 2.0 * lam) * t2 + mup
     return SpectralSolution(s_p=s_p, t1=t1, t2=t2, gamma_p=1.0 / t2,
                             gamma_secondary=1.0 / t1, g_constant=g_constant,
-                            t2_valid=q < 0.0, sqrt_s=sqrt_s, den=den, params=params)
+                            sqrt_s=sqrt_s, den=den, params=params)
 
 
 def _t2_minus_1(params: ModelParams, sqrt_s):

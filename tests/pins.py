@@ -1,16 +1,23 @@
-"""Run the CLI-output pins of `pins.json` and compare their SHA-256 digests.
+"""Run the CLI-output pins and refusal rows of `pins.json`.
 
     python tests/pins.py ROOT [COMMAND ...]
 
 A pin is a verb's argv, without `--out`, and the SHA-256 of each artefact
 the verb leaves: a file it writes under `--out`, or `stdout`, its printed
-lines less their final newline.  With no COMMAND every verb runs in this
-process through `uqtail.cli.main`; with one, such as `uqtail` (the console
-script), each runs as COMMAND followed by its argv.  Each pin's artefacts
-are kept under ROOT/<name>/, each `.json` one must parse as strict JSON (no
-NaN or Infinity), and the driver exits 1 if any pin fails, naming the pin,
-the artefact and the pinned and actual digests.  Stdlib only, so that it
-runs on every Python the package supports.
+lines less their final newline.  A refusal row is a verb's argv, without
+`--out`, its exit code and the one line it prints to stderr.  With no
+COMMAND every verb runs in this process through `uqtail.cli.main`, where
+every warning is shown, as a fresh process shows it; with one, such as
+`uqtail` (the console script), each runs as COMMAND followed by its argv.
+A `--params` path in an argv is relative to this file's directory.
+
+A pin must exit 0 and print nothing to stderr, its artefacts are kept
+under ROOT/<name>/, and each `.json` one must parse as strict JSON (no NaN
+or Infinity).  A row must exit with its code, print its stderr line and
+nothing else, print nothing to stdout and, on a verb that takes `--out`,
+never create its `--out`, ROOT/<name>/.  The driver exits 1 if any pin or
+row fails, naming it and what differs.  Stdlib only, so that it runs on
+every Python the package supports.
 """
 
 from __future__ import annotations
@@ -23,13 +30,17 @@ import json
 import platform
 import subprocess
 import sys
+import warnings
 from importlib import metadata
 from pathlib import Path
 
+HERE = Path(__file__).parent
+
 
 def load() -> dict:
-    """The table: `toolchain`, the versions every digest was computed under, and `pins`."""
-    return json.loads(Path(__file__).with_name("pins.json").read_text())
+    """The table: `toolchain`, the versions every digest was computed under, `pins` and
+    `refusals`."""
+    return json.loads(HERE.joinpath("pins.json").read_text())
 
 
 def _versions(table: dict) -> str:
@@ -39,16 +50,22 @@ def _versions(table: dict) -> str:
     return f"digests computed under {recorded}; running {running}"
 
 
-def _run(argv: list[str], command) -> tuple[int, str]:
-    """The verb's exit code and what it printed to stdout; stderr passes through."""
+def _run(argv: list[str], command) -> tuple[int, str, str]:
+    """The verb's exit code and what it printed to stdout and to stderr, where a warning
+    raised in process is shown."""
+    argv = [str(HERE / arg) if flag == "--params" else arg for flag, arg in zip(["", *argv], argv)]
     if command:
-        done = subprocess.run([*command, *argv], stdout=subprocess.PIPE, encoding="utf-8")
-        return done.returncode, done.stdout
+        done = subprocess.run([*command, *argv], capture_output=True, encoding="utf-8")
+        return done.returncode, done.stdout, done.stderr
     from uqtail.cli import main
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
-    return code, out.getvalue()
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
+    return code, out.getvalue(), err.getvalue() + shown
 
 
 def _refuse(token):
@@ -56,15 +73,19 @@ def _refuse(token):
 
 
 def check(pin: dict, root: Path, table: dict, command=()) -> list[str]:
-    """One line per failure of `pin`, run in process or as `command`; [] if it holds."""
+    """One line per failure of `pin` or refusal row, run in process or as `command`; [] if it
+    holds."""
     name, out = pin["name"], Path(root) / pin["name"]
+    if "stderr" in pin:
+        return _check_refusal(pin, out, command)
     files = [artefact for artefact in pin["digests"] if artefact != "stdout"]
     out.mkdir(parents=True, exist_ok=True)
-    code, stdout = _run([*pin["argv"], "--out", str(out)] if files else pin["argv"], command)
+    argv = [*pin["argv"], "--out", str(out)] if files else pin["argv"]
+    code, stdout, stderr = _run(argv, command)
     (out / "stdout").write_text(stdout, encoding="utf-8")
     if code != 0:
-        return [f"{name}: exit {code}, expected 0"]
-    failures = []
+        return [f"{name}: exit {code}, expected 0; stderr {stderr!r}"]
+    failures = [f"{name}: stderr {stderr!r}, expected none"] if stderr else []
     for artefact, pinned in pin["digests"].items():
         data = (out / artefact).read_bytes()
         if artefact == "stdout":
@@ -82,6 +103,21 @@ def check(pin: dict, root: Path, table: dict, command=()) -> list[str]:
     return failures
 
 
+def _check_refusal(row: dict, out: Path, command) -> list[str]:
+    name, argv = row["name"], row["argv"]
+    if argv[0] != "verify":   # the one verb without --out
+        argv = [*argv, "--out", str(out)]
+    code, stdout, stderr = _run(argv, command)
+    failures = [f"{name}: exit {code}, expected {row['exit']}"] if code != row["exit"] else []
+    if stderr != row["stderr"] + "\n":
+        failures.append(f"{name}: stderr {stderr!r}, expected the one line {row['stderr']!r}")
+    if stdout:
+        failures.append(f"{name}: stdout {stdout!r}, expected none")
+    if out.exists():
+        failures.append(f"{name}: --out {out} exists")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("root", type=Path, help="directory each pin's artefacts are kept under")
@@ -89,14 +125,16 @@ def main(argv=None) -> int:
                         help="command prefix the verbs run under, such as uqtail (default: in process)")
     args = parser.parse_args(argv)
     table = load()
-    failed = 0
-    for pin in table["pins"]:
-        failures = check(pin, args.root, table, args.command)
-        failed += bool(failures)
-        for line in failures:
-            print(line)
-    print(f"{len(table['pins']) - failed} of {len(table['pins'])} pins hold")
-    return 1 if failed else 0
+    failed = {"pins": 0, "refusals": 0}
+    for kind in failed:
+        for pin in table[kind]:
+            failures = check(pin, args.root, table, args.command)
+            failed[kind] += bool(failures)
+            for line in failures:
+                print(line)
+    print(" and ".join(f"{len(table[kind]) - n} of {len(table[kind])} {kind}"
+                       for kind, n in failed.items()) + " hold")
+    return 1 if any(failed.values()) else 0
 
 
 if __name__ == "__main__":

@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pins
 import uqtail
 from uqtail import (Model, UnstableParameters, __version__, asymptotics, characteristic_roots,
                     cli, make_params, params_from_dict, qbd, simulate, stationary_table, verify)
 from uqtail.cli import build_parser, main
 
 from reference import FULL_RANGE_DIGITS, R_DOWN_DOWN_ONE, model1, relative_error
-from test_pins import pinned
+from test_pins import ROWS, TABLE, pinned, refused
 
 A_FLAGS = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
 T2_FLAGS = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10"]
@@ -40,19 +41,6 @@ def test_analyze_model2_exact_eta(tmp_path):
     tail = json.loads((tmp_path / "analyze.json").read_text())["tail"]
     assert tail["provenance"] == "closed-form+qbd"
     assert abs(tail["eta"] / 0.0376655319 - 1) <= 1e-6
-
-
-@pytest.mark.parametrize("rates,message", [
-    # every weight in the gate's window is clipped to 0: say so, not "ratios []"
-    (("1", "50", "1e-6", "0.6"), "no positive weight at y = 51..59"),
-    # weights at the solve's noise floor rise again (T2)
-    (("10", "30", "0.1", "10"), "not decreasing geometrically: ratios [1.0068"),
-], ids=["all-zero-window", "rising-window"])
-def test_analyze_model2_eta_gate_message(tmp_path, capsys, rates, message):
-    flags = [v for pair in zip(["--lambda", "--mu", "--alpha", "--beta"], rates) for v in pair]
-    assert main(["analyze", *flags, "--model", "model2", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert message in err and "ratios []" not in err
 
 
 def test_analyze_with_limits(tmp_path):
@@ -112,18 +100,6 @@ def test_non_finite_inputs_are_validation_errors(tmp_path, capsys, flag, value):
         assert err.startswith("validation error: ") and "must be finite" in err
 
 
-@pytest.mark.parametrize("verb,flags", [
-    ("analyze", []), ("compare-mm1", []), ("simulate", ["--steps", "100"]),
-    ("tailfit", ["--kmin", "0", "--kmax", "10"])])
-def test_c_far_below_tiny_rates_is_a_validation_error(tmp_path, capsys, verb, flags):
-    # C is 60 times below the rate sum 6e-300: the bound is relative to the sum
-    argv = [verb, *_rate_flags("1e-300", "3e-300", "1e-300", "1e-300"), "--C", "1e-301", *flags]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == \
-        "validation error: C below lambda+mu+alpha+beta: 1e-301 < 6e-300\n"
-    assert not (tmp_path / "out").exists()
-
-
 def _rate_flags(lam, mu, alpha, beta):
     return ["--lambda", lam, "--mu", mu, "--alpha", alpha, "--beta", beta]
 
@@ -134,56 +110,14 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-ROOTS_AT_5E_324 = ("the larger root t1 overflows at lambda = 5e-324, so the smaller root t2 "
-                   "underflows to 0")
-
-
-@pytest.mark.parametrize("argv,message", [
-    # RS-RD off stability: lambda/(mu p) overflows
-    (["analyze", *_rate_flags("1e150", "1e-300", "1", "1"), "--model", "rsrd"],
-     "product_form_rate is inf"),
-    # lambda = 5e-324 overflows t1, and t2 = mu p (lam + beta) / (lam (lam t1)) with it
-    (["compare-mm1", *_rate_flags("5e-324", "10", "3", "3")], ROOTS_AT_5E_324),
-    (["analyze", *_rate_flags("5e-324", "10", "3", "3"), "--model", "model2", "--p", "0.5"],
-     ROOTS_AT_5E_324),
-], ids=["rsrd-rate", "compare-gamma", "tandem-root"])
-def test_non_finite_results_are_refused_by_name(tmp_path, capsys, argv, message):
-    out = tmp_path / "out"
-    assert main([*argv, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"verification failure: {message}\n"
-    assert captured.out == "" and not out.exists()
-
-
-def test_light_load_tandem_refuses_overflowing_eta_weights_before_the_solve(tmp_path, capsys,
+def test_light_load_tandem_refuses_overflowing_eta_weights_before_the_solve(tmp_path,
                                                                            monkeypatch):
     # t2 = 9.4e300 here, so h(0, y, sigma) = t2^y (times a weight) overflows from y = 2
     def no_solve(*args, **kwargs):
         raise AssertionError("the truncated solve ran")
 
     monkeypatch.setattr(asymptotics, "truncated_stationary", no_solve)
-    out = tmp_path / "out"
-    argv = ["analyze", *_rate_flags("1e-300", "11", "0.1", "10"), "--model", "model2"]
-    assert main([*argv, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "verification failure: eta's boundary weights: h(0, y, sigma), a multiple of t2^y, "
-        "overflows from y = 2, t2 = 9.408728778948666e+300\n")
-    assert "(34" not in captured.err
-    assert captured.out == "" and not out.exists()
-
-
-@pytest.mark.parametrize("rates,y,t2", [
-    (("1e-5", "30", "0.1", "10"), 52, "995038.1219877049"),   # t2^y overflows
-    (("1e-5", "1e5", "1e-300", "1e-5"), 12, "1.9999999999999996"),   # t2^y times w does
-], ids=["power", "down-weight"])
-def test_overflowing_eta_weights_are_refused_by_one_line(tmp_path, capsys, rates, y, t2):
-    out = tmp_path / "out"
-    assert main(["analyze", *_rate_flags(*rates), "--model", "model2", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "verification failure: eta's boundary weights: h(0, y, sigma), a multiple of t2^y, "
-        f"overflows from y = {y}, t2 = {t2}\n")
-    assert not out.exists()
+    assert pins.check(ROWS["eta-weights-y2"], tmp_path, TABLE) == []
 
 
 @pytest.mark.filterwarnings("error")
@@ -240,51 +174,6 @@ def test_compare_mm1_reads_gamma_1_where_g_constant_divides_by_zero(tmp_path, ca
     assert _strict_json(capsys.readouterr().out)["comparison"]["gamma_1"] == 0.5
 
 
-@pytest.mark.parametrize("verb", ["analyze", "compare-mm1"])
-def test_all_tiny_rates_are_refused_by_the_t2_line(tmp_path, capsys, verb):
-    # mu p (lambda + beta) underflows to 0 and so does lambda (lambda t1): t2 = 0 / 0
-    out = tmp_path / "out"
-    argv = [verb, *_rate_flags("1e-300", "3e-300", "1e-300", "1e-300"), "--out", str(out)]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err == ("verification failure: the smaller root t2 is not finite at "
-                            "lambda = 1e-300\n")
-    assert captured.out == "" and not out.exists()
-
-
-def test_a_gamma_1_that_rounds_to_one_is_refused_by_name(tmp_path, capsys):
-    # corpus [-12, 12]'s one refusal: t2 rounds to 1, where the first-passage gate read row
-    # sums of 1; 1 - gamma_1 comes from the margin, the reference's 1.2705209461904292936e-19
-    # correctly rounded
-    out = tmp_path / "out"
-    rates = ("1889625955.757112", "75854362631.67838", "2.1946771549898966e-11",
-             "2.406416243864212e-10")
-    assert main(["analyze", *_rate_flags(*rates), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == ("verification failure: the decay rate gamma_1 = 1/t2 rounds to 1.0: "
-                            "1 - gamma_1 = (t2 - 1)/t2 = 1.2705209461904292e-19\n")
-    assert captured.out == "" and not out.exists()
-
-
-@pytest.mark.parametrize("rates, line", [
-    (("1889625955.757112", "75854362631.67838", "2.1946771549898966e-11",
-      "2.406416243864212e-10"), "rounds to 1.0: 1 - gamma_1 = (t2 - 1)/t2 = 1.2705209461904292e-19"),
-    (("2.954180677686959e+71", "1.9836669038071927e+72", "1.8382526609313418e-39",
-      "9.424290740222482e-26"),
-     "rounds to 1.0000000000000002: 1 - gamma_1 = (t2 - 1)/t2 = 3.190153808602326e-97"),
-], ids=["rounds-to-1", "rounds-above-1"])
-def test_compare_mm1_refuses_a_gamma_1_that_rounds_to_one_as_analyze_does(tmp_path, capsys,
-                                                                          rates, line):
-    # compare-mm1 printed "gamma_1": 1.0000000000000002 on the second set of the seed-1
-    # full-range corpus, a decay rate above 1, and exited 0
-    for verb in ("compare-mm1", "analyze"):
-        out = tmp_path / verb
-        assert main([verb, *_rate_flags(*rates), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"verification failure: the decay rate gamma_1 = 1/t2 {line}\n"
-        assert captured.out == "" and not out.exists()
-
-
 @pytest.mark.parametrize("rates", R_DOWN_DOWN_ONE, ids=["rdd-1", "rdd-2", "rdd-3"])
 def test_an_r_whose_down_down_entry_rounds_to_one_is_analyzed(tmp_path, capsys, rates):
     # R's Down->Down entry rounds to 1: np.linalg.solve raised "Singular matrix" on the first
@@ -312,8 +201,9 @@ def test_a_json_integer_past_the_double_range_is_a_validation_error(tmp_path, ca
                                key: 10 ** 400}))
     for verb in ("analyze", "compare-mm1"):
         assert main([verb, "--params", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == (f"validation error: {key} must be finite, got an "
-                                           "integer too large for a double\n")
+        # the lambda line is the row's, which reads its file through --params
+        line = ROWS["params-integer-too-large"]["stderr"].replace("lambda", key, 1)
+        assert capsys.readouterr().err == line + "\n"
 
 
 # A, B, the g_constant and all-tiny sets above, an R whose Down->Down entry rounds to 1 and a
@@ -336,24 +226,6 @@ def test_a_set_gives_one_outcome_from_floats_and_numpy_floats(rates):
                 yield type(exc).__name__, str(exc)
 
     assert list(outcomes(float)) == list(outcomes(np.float64))
-
-
-@pytest.mark.parametrize("argv", [
-    ["analyze", *_rate_flags("3", "1e150", "0.1", "10"), "--model", "model2"],
-    ["tailfit", *_rate_flags("3", "1e150", "0.1", "10"), "--model", "model2", "--p", "0.5",
-     "--kmin", "20", "--kmax", "35", "--xmax", "40"],
-], ids=["analyze", "tailfit"])
-def test_lattice_refuses_a_self_loop_that_rounds_to_one(tmp_path, capsys, argv):
-    # lambda/C and alpha/C are below 1's rounding at C = 2e150: 122 states of analyze's
-    # 60 x 60 lattice and 82 of tailfit's 40 x 40 keep a self-loop of exactly 1, whose
-    # outflow P^T - I cannot see
-    out = tmp_path / "out"
-    assert main([*argv, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "verification failure: lattice state (0, 0, 0) keeps a self-loop of exactly 1: its "
-        "exit mass 1.55e-150 (its other moves, summed) is lost against 1 at C = 2e+150\n")
-    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -432,67 +304,6 @@ def test_unstable_sets_are_validation_errors(tmp_path, capsys, monkeypatch, argv
     assert not solved and not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("rates,mass", [
-    (("10", "11", "0.1", "10"), "0.0842"),
-    (("20", "60", "0.01", "1"), "0.0632"),
-    (("10", "11", "1e-12", "10"), "0.0169"),
-], ids=["A", "B", "tiny-alpha"])
-def test_tandem_eta_names_its_fixed_table_instead_of_advising_a_larger_one(tmp_path, capsys,
-                                                                          rates, mass):
-    # analyze has no flag to enlarge the 60 x 60 table eta builds, so the error
-    # names the fixed size instead of advising a larger lattice
-    out = tmp_path / "out"
-    argv = ["analyze", *_rate_flags(*rates), "--model", "model2"]
-    assert main([*argv, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == ("verification failure: eta's truncated table has the fixed size "
-                            f"60 x 60, and its estimated tail mass {mass} exceeds 0.01\n")
-    assert captured.out == "" and not out.exists()
-
-
-def test_tandem_eta_tail_gate_names_its_fixed_table(tmp_path, capsys):
-    # default T2: the boundary weights rise again at the solve's noise floor, and
-    # the table that would have to grow is eta's own 60 x 60 one
-    out = tmp_path / "out"
-    argv = ["analyze", *_rate_flags("10", "30", "0.1", "10"), "--model", "model2"]
-    assert main([*argv, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "verification failure: boundary sum tail is not decreasing geometrically: ratios "
-        "[1.0068, 1.1334, 1.2217, 1.2633, 1.2688, 1.2512, 1.2194, 1.1846, 1.3128] at y = "
-        "[52, 53, 54, 55, 56, 57, 58, 59, 60], first >= 1 at y = 52; eta's truncated table "
-        "has the fixed size 60 x 60\n")
-    assert captured.out == "" and not out.exists()
-
-
-def test_tailfit_keeps_its_advice_to_enlarge_the_lattice(tmp_path, capsys):
-    # tailfit's --xmax sets its lattice, so there the advice can be followed
-    argv = ["tailfit", *_rate_flags("10", "30", "0.1", "10"), "--model", "model2", "--p", "0.5",
-            "--kmin", "1", "--kmax", "6", "--xmax", "8"]
-    assert main([*argv, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == ("verification failure: estimated tail mass 0.0824 "
-                                       "exceeds 0.01; enlarge the lattice\n")
-
-
-@pytest.mark.parametrize("model,message", [
-    ("model1", "the twist requires a stable parameter set, "
-               "lambda < beta/(alpha+beta) mu p; got lambda = 1e+150"),
-    ("model2", "the twist requires a stable parameter set, "
-               "lambda < beta/(alpha+beta) mu p; got lambda = 1e+150"),
-    ("model2 --p 0.5", "the shape-only tail requires a stable parameter set, "
-                       "lambda < beta/(alpha+beta) mu p; got lambda = 1e+150"),
-], ids=["model1", "tandem-p1", "tandem-p0.5"])
-def test_underflowing_roots_of_an_unstable_set_are_a_validation_error(tmp_path, capsys,
-                                                                      model, message):
-    # load 2e450: t2 underflows to 0, so the tail refuses the set before its roots
-    out = tmp_path / "out"
-    argv = ["analyze", *_rate_flags("1e150", "1e-300", "1", "1"), "--model", *model.split()]
-    assert main([*argv, "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"validation error: {message}\n"
-    assert captured.out == "" and not out.exists()
-
-
 @pytest.mark.parametrize("argv,message", [
     (["simulate", *A_FLAGS, "--steps", "1000", "--burn-in", "1000"],
      "burn_in must fall inside the trajectory"),
@@ -505,20 +316,6 @@ def test_bad_values_are_rejected_before_sampling(tmp_path, capsys, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.err.startswith("validation error: ") and message in captured.err
     assert not sampled and not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["simulate", *A_FLAGS, "--steps", "0"], "steps must be positive"),
-    (["ldpath", *A_FLAGS, "--steps", "0", "--level", "30"], "steps must be positive"),
-    (["analyze", "--lambda", "10", "--mu", "11", "--alpha", "0.1"],
-     "provide --lambda --mu --alpha --beta or --params FILE"),
-], ids=["simulate-steps", "ldpath-steps", "analyze-no-beta"])
-def test_refusals_name_the_input_in_one_line(tmp_path, capsys, argv, message):
-    out = tmp_path / "out"
-    assert main([*argv, "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"validation error: {message}\n"
-    assert captured.out == "" and not out.exists()
 
 
 def test_simulate_notes_a_transient_path(tmp_path, capsys):
@@ -557,6 +354,41 @@ def test_ldpath_verdict(tmp_path, capsys):
 test_tailfit_csv_is_pinned = pinned("tailfit")
 test_analyze_json_is_pinned = pinned("analyze")
 test_compare_mm1_json_is_pinned = pinned("compare-mm1")
+# each refusal, its exit code and its one stderr line, as tests/pins.json pins it: a row that
+# a test has always run stays a case of that test, and test_refusal_is_pinned runs the rest
+test_c_far_below_tiny_rates_is_a_validation_error = refused({
+    "analyze-flags0": "C-below-sum-analyze", "compare-mm1-flags1": "C-below-sum-compare-mm1",
+    "simulate-flags2": "C-below-sum-simulate", "tailfit-flags3": "C-below-sum-tailfit"})
+test_non_finite_results_are_refused_by_name = refused({
+    "rsrd-rate": "rsrd-rate-inf", "compare-gamma": "t1-overflow-compare-mm1",
+    "tandem-root": "t1-overflow-tandem-p0.5"})
+test_overflowing_eta_weights_are_refused_by_one_line = refused({
+    "power": "eta-weights-power", "down-weight": "eta-weights-down-weight"})
+test_all_tiny_rates_are_refused_by_the_t2_line = refused({
+    "analyze": "t2-0-over-0-analyze", "compare-mm1": "t2-0-over-0-compare-mm1"})
+test_a_gamma_1_that_rounds_to_one_is_refused_by_name = refused("gamma-1-rounds-to-1-analyze")
+test_compare_mm1_refuses_a_gamma_1_that_rounds_to_one_as_analyze_does = refused({
+    "rounds-to-1": "gamma-1-rounds-to-1-compare-mm1",
+    "rounds-above-1": "gamma-1-above-1-compare-mm1"})
+test_lattice_refuses_a_self_loop_that_rounds_to_one = refused({
+    "analyze": "self-loop-analyze", "tailfit": "self-loop-tailfit"})
+test_tandem_eta_names_its_fixed_table_instead_of_advising_a_larger_one = refused({
+    "A": "eta-fixed-table-A", "B": "eta-fixed-table-B",
+    "tiny-alpha": "eta-fixed-table-tiny-alpha"})
+test_tandem_eta_tail_gate_names_its_fixed_table = refused("eta-tail-gate-T2")
+test_analyze_model2_eta_gate_message = refused({
+    "all-zero-window": "eta-tail-gate-zero-window", "rising-window": "eta-tail-gate-T2"})
+test_tailfit_keeps_its_advice_to_enlarge_the_lattice = refused("tailfit-enlarge-lattice")
+test_underflowing_roots_of_an_unstable_set_are_a_validation_error = refused({
+    "model1": "unstable-underflow-model1", "tandem-p1": "unstable-underflow-tandem-p1",
+    "tandem-p0.5": "unstable-underflow-tandem-p0.5"})
+test_refusals_name_the_input_in_one_line = refused({
+    "simulate-steps": "steps-0-simulate", "ldpath-steps": "steps-0-ldpath",
+    "analyze-no-beta": "no-beta-analyze"})
+test_compare_mm1_refuses_an_overloaded_matched_queue_in_one_line = refused({
+    "divide-by-zero": "matched-load-inf-divide-by-zero",
+    "overflow": "matched-load-inf-overflow"})
+test_refusal_is_pinned = refused()
 
 
 def test_tailfit_csv(tmp_path, capsys):
@@ -683,24 +515,6 @@ def test_compare_mm1_refuses_rsrd_above_the_matched_load(tmp_path, capsys):
     assert main(["compare-mm1", *flags, "--out", str(tmp_path)]) == 1
     assert "matched queue has load below 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("rates", [
-    ("5.7044345792981864e+29", "3.431373127790715e-284", "1.2819326382081938e+152",
-     "7.691090675299943e+22"),
-    ("2.1954820977704256e+201", "1.3387405515545478e-131", "1.3517621996884554e-171",
-     "3.97034311557689e+83"),
-], ids=["divide-by-zero", "overflow"])
-def test_compare_mm1_refuses_an_overloaded_matched_queue_in_one_line(tmp_path, capsys, rates):
-    # the matched service rate underflows to 0 (first set), or lambda over it overflows
-    # (second): numpy warned on the load in the refusal's text, two lines before it
-    out = tmp_path / "out"
-    assert main(["compare-mm1", *_rate_flags(*rates), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ("validation error: the M/M/1 comparison requires a stable parameter "
-                            "set whose matched queue has load below 1, got inf\n")
-    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])

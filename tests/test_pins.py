@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pins
 import uqtail
 
 TABLE = pins.load()
+ROWS = {row["name"]: row for row in TABLE["refusals"]}
+_bound = set()
 
 
 def pinned(verb):
@@ -21,9 +24,33 @@ def pinned(verb):
 
     @pytest.mark.parametrize("pin", cases, ids=[pin["name"].removeprefix(f"{verb}-") for pin in cases])
     def test(pin, tmp_path):
-        failures = pins.check(pin, tmp_path, TABLE)
-        assert not failures, "\n".join(failures)
+        _holds(pin, tmp_path)
     return test
+
+
+def refused(cases=None):
+    """The one refusal test, over the table's refusal rows.
+
+    A module binds it to the name a refusal's cases have always carried, with
+    `cases` mapping each case id to its row's name, or naming the one row of a
+    test that had one case.  With no `cases` it runs, each under its own name,
+    every row that no earlier binding runs.
+    """
+    if isinstance(cases, str):
+        _bound.add(cases)
+        return lambda tmp_path: _holds(ROWS[cases], tmp_path)
+    cases = cases or {name: name for name in ROWS if name not in _bound}
+    _bound.update(cases.values())
+
+    @pytest.mark.parametrize("name", list(cases.values()), ids=list(cases))
+    def test(name, tmp_path):
+        _holds(ROWS[name], tmp_path)
+    return test
+
+
+def _holds(pin, root):
+    failures = pins.check(pin, root, TABLE)
+    assert not failures, "\n".join(failures)
 
 
 def test_pins_hold_without_simd_dispatch(tmp_path):
@@ -35,3 +62,17 @@ def test_pins_hold_without_simd_dispatch(tmp_path):
     done = subprocess.run([sys.executable, pins.__file__, str(tmp_path)], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_readme_refusals_are_rows():
+    # every complete refusal the README quotes: a backticked span, joined across line
+    # breaks, with a documented prefix and no "..." or "<C>" placeholder ("lambda < mu p" is
+    # no placeholder)
+    readme = (pins.HERE.parent / "README.md").read_text()
+    section = readme.split("\n### Refusals\n", 1)[1].split("\n#", 1)[0]
+    quoted = {" ".join(span.split()) for span in re.findall(r"`([^`]*)`", section)}
+    prefixes = ("validation error: ", "verification failure: ")
+    lines = {line for line in quoted if line.startswith(prefixes)
+             and "..." not in line and not re.search(r"<\w+>", line)}
+    assert lines
+    assert lines - {row["stderr"] for row in ROWS.values()} == set()

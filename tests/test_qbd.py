@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, TruncationError,
                     boundary_vector, empirical_distribution, exact_stationary_model1,
-                    free_kernel, full_kernel, make_params, rate_matrix,
+                    free_kernel, full_kernel, make_params, neuts_stability, rate_matrix,
                     rate_matrix_closed_form, simulate, stationary_table,
                     truncated_stationary, twist_summary)
 from uqtail.kernels import level_blocks
@@ -191,6 +191,19 @@ def test_neuts_matches_closed_form_stability():
     # 40 Model 1 sets, about half unstable, then 40 tandem sets with p = 0.5
     result = check_stability_equivalence(40, 9)
     assert result.passed, result.detail
+
+
+def test_neuts_reads_the_whole_level_generator_of_any_2x2_qbd():
+    # up and down blocks that change phase, which Model 1's never do: the off-diagonals of
+    # A0 + A1 + A2 then hold all three blocks', and the verdict is pi A0 1 < pi A2 1 for
+    # pi, the generator's phase law, here from a solve of pi (A0 + A1 + A2 - I) = 0, pi 1 = 1
+    blocks = np.random.default_rng(3).uniform(size=(3, 2000, 2, 2))
+    a0, a1, a2 = blocks / blocks.sum(axis=(0, 3))[None, :, :, None]   # each row sums to 1
+    system = np.stack([(a0 + a1 + a2 - np.eye(2))[..., 0], np.ones((2000, 2))], axis=1)
+    pi = np.linalg.solve(system, np.broadcast_to([[0.0], [1.0]], (2000, 2, 1)))[..., 0]
+    drift_stable = (pi * a0.sum(axis=-1)).sum(axis=-1) < (pi * a2.sum(axis=-1)).sum(axis=-1)
+    assert 500 < drift_stable.sum() < 1500
+    assert (neuts_stability(a0, a1, a2) == drift_stable).all()
 
 
 def test_boundary_vector_normalized():

@@ -1,4 +1,4 @@
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from uqtail import (InvalidParameters, Model, UnstableParameters, boundary_vecto
 from uqtail.spectral import _require_stable, _t2_minus_1
 from uqtail.verify import check_perron_root, random_params
 
-from reference import model1, relative_error
+from reference import DIGITS, SLOW_SWITCHING, model1, relative_error
 
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
@@ -43,7 +43,19 @@ def test_reference_values_params_a():
     assert sol.gamma_p == pytest.approx(0.919060, abs=1e-6)
     assert sol.gamma_secondary == pytest.approx(0.494577, abs=1e-6)
     assert sol.g_constant == pytest.approx(9.228972, abs=1e-6)
-    assert sol.t2_valid
+
+
+def test_the_tilt_equation_holds_at_t2():
+    # lambda q(t2) = lambda^2 t2 (t2 - 1) - mu p beta < 0, q(t) = 2 lambda t^2 - (alpha + beta
+    # + mu p + 2 lambda) t + mu p, reads t2 < mu p (lambda + 2 beta) / (lambda (mu p + alpha +
+    # beta)): lambda t1 > max(lambda + beta, mu p + alpha) bounds t2 = mu p (lambda + beta) /
+    # (lambda^2 t1) below it for every positive set, stable or not.  On the first slow-switching
+    # set the margin is 1.6e-17 relative, below a double's rounding of t2
+    for rates in [(10, 11, 0.1, 10), (20, 60, 0.01, 1), (12, 11, 0.1, 10), *SLOW_SWITCHING]:
+        lam, mu, alpha, beta = (Decimal(float(rate)) for rate in rates)
+        with localcontext() as ctx:
+            ctx.prec = DIGITS
+            assert model1(*rates)["t2"] < mu * (lam + 2 * beta) / (lam * (mu + alpha + beta))
 
 
 def test_reference_values_params_b():
