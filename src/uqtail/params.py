@@ -82,9 +82,9 @@ class ModelParams:
                     key = "lambda" if name == "lam" else name
                     raise InvalidParameters(f"{key} must be finite, got an integer too large "
                                             "for a double") from None
-        if self.C is None:
-            object.__setattr__(self, "C", default_uniformization(
-                self.lam, self.mu, self.alpha, self.beta, self.model))
+        if self.C is None:   # `validate` refuses the rates, whether C is given or not
+            object.__setattr__(self, "C", _rate_sum(self.lam, self.mu, self.alpha, self.beta,
+                                                    self.model))
         validate(self)
 
     def to_json(self) -> str:

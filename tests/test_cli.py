@@ -62,13 +62,6 @@ def test_params_file_input(tmp_path):
     assert code == 0
 
 
-def test_validation_error_exit_code(capsys):
-    code = main(["analyze", "--lambda", "-5", "--mu", "11", "--alpha", "0.1",
-                 "--beta", "10"])
-    assert code == 1
-    assert "validation error" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("content,message", [
     (None, "cannot read --params file"),
     ('{"lambda": 10 "mu": 11}', "malformed parameter JSON: Expecting ',' delimiter"),
@@ -86,18 +79,6 @@ def test_params_file_errors_are_validation_errors(tmp_path, capsys, content, mes
     assert main(["analyze", "--params", str(cfg), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and message in err
-
-
-@pytest.mark.parametrize("flag,value", [
-    ("--lambda", "inf"), ("--mu", "inf"), ("--alpha", "inf"), ("--beta", "inf"),
-    ("--C", "inf"), ("--C", "nan")])
-def test_non_finite_inputs_are_validation_errors(tmp_path, capsys, flag, value):
-    flags = dict(zip(A_FLAGS[::2], A_FLAGS[1::2])) | {flag: value}
-    argv = [v for pair in flags.items() for v in pair]
-    for verb in ("analyze", "compare-mm1"):
-        assert main([verb, *argv, "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("validation error: ") and "must be finite" in err
 
 
 def _rate_flags(lam, mu, alpha, beta):
@@ -118,34 +99,6 @@ def test_light_load_tandem_refuses_overflowing_eta_weights_before_the_solve(tmp_
 
     monkeypatch.setattr(asymptotics, "truncated_stationary", no_solve)
     assert pins.check(ROWS["eta-weights-y2"], tmp_path, TABLE) == []
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv", [
-    # mu p (lambda + beta) overflows, so t2 is inf and 1 / t2 would read gamma_1 = 0
-    ["compare-mm1", *_rate_flags("0.5", "1e300", "0.5", "1e300")],
-    ["analyze", *_rate_flags("0.5", "1e300", "0.5", "1e300")],
-    # SuperLU finds the truncated lattice singular and returns NaN
-    ["tailfit", *_rate_flags("5e-324", "1e-300", "1e-160", "1e-160"), "--model", "model2",
-     "--p", "0.5", "--kmin", "20", "--kmax", "35", "--xmax", "40"],
-    ["analyze", *_rate_flags("0.1", "10", "1e150", "1e150"), "--model", "model2"],
-    # h(0, y, Down) = t2^y times the Down weight is inf from y = 12
-    ["analyze", *_rate_flags("1e-5", "1e5", "1e-300", "1e-5"), "--model", "model2"],
-    # den underflows to 3e-323, so the Down weight 2 beta / den is inf
-    ["analyze", *_rate_flags("1", "2", "5e-324", "0.5")],
-    ["analyze", *_rate_flags("1", "2", "5e-324", "0.5"), "--model", "model2"],
-], ids=["compare-t2-inf", "analyze-t2-inf", "tailfit-singular", "eta-singular",
-        "eta-h-inf", "model1-down-weight", "tandem-down-weight"])
-def test_extreme_rates_are_reported_or_refused_by_name(tmp_path, capsys, argv):
-    code = main([*argv, "--out", str(tmp_path / "out")])
-    captured = capsys.readouterr()
-    if code == 0:
-        assert _strict_json(captured.out).get("comparison", {}).get("gamma_1") != 0
-    else:
-        line, *rest = captured.err.splitlines()
-        assert not rest and "nan" not in line
-        assert line.startswith(("validation error: ", "verification failure: ",
-                                "non-convergence: "))
 
 
 def test_full_range_rates_never_end_in_the_raw_overflow_text(tmp_path, capsys):
@@ -256,22 +209,6 @@ def test_dump_names_the_path_of_a_non_finite_float():
                       "empty": {}, "ks": np.arange(2)})
     assert text.splitlines() == ['{', '  "gamma": 0.5,', '  "n": 3,', '  "model": "rsrd",',
                                  '  "empty": {},', '  "ks": [', '    0,', '    1', '  ]', '}']
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["simulate", *A_FLAGS, "--steps", "100", "--seed", "-1"], "seed must be >= 0, got -1"),
-    (["ldpath", *A_FLAGS, "--steps", "100", "--level", "5", "--seed", "-1"],
-     "seed must be >= 0, got -1"),
-    (["ldpath", *A_FLAGS, "--steps", "100", "--level", "5", "--base-level", "-1"],
-     "base_level must be >= 0"),
-    (["verify", "--grid", "20", "--seed", "-1"], "seed must be >= 0, got -1"),
-], ids=["simulate-seed", "ldpath-seed", "ldpath-base-level", "verify-seed"])
-def test_negative_seed_and_base_level_are_validation_errors(tmp_path, capsys, argv, message):
-    out = [] if argv[0] == "verify" else ["--out", str(tmp_path)]
-    assert main([*argv, *out]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("validation error: ") and message in captured.err
-    assert "PASS" not in captured.out and not list(tmp_path.iterdir())
 
 
 UNSTABLE_HALF = ["--lambda", "20", "--mu", "30", "--alpha", "0.1", "--beta", "10",
@@ -388,7 +325,38 @@ test_refusals_name_the_input_in_one_line = refused({
 test_compare_mm1_refuses_an_overloaded_matched_queue_in_one_line = refused({
     "divide-by-zero": "matched-load-inf-divide-by-zero",
     "overflow": "matched-load-inf-overflow"})
-test_refusal_is_pinned = refused()
+test_validation_error_exit_code = refused("lambda-negative")
+test_non_finite_inputs_are_validation_errors = refused({
+    f"{flag}-{value}": f"{flag[2:]}-{value}-compare-mm1"
+    for flag, value in (("--lambda", "inf"), ("--mu", "inf"), ("--alpha", "inf"),
+                        ("--beta", "inf"), ("--C", "inf"), ("--C", "nan"))})
+test_extreme_rates_are_reported_or_refused_by_name = refused({
+    "compare-t2-inf": "t2-inf-compare-mm1", "analyze-t2-inf": "t2-inf-analyze",
+    "tailfit-singular": "lost-outflow-tailfit", "eta-singular": "lost-outflow-analyze",
+    "eta-h-inf": "eta-weights-down-weight", "model1-down-weight": "down-weight-den-model1",
+    "tandem-down-weight": "down-weight-den-tandem"})
+test_negative_seed_and_base_level_are_validation_errors = refused({
+    "simulate-seed": "seed-negative-simulate", "ldpath-seed": "seed-negative-ldpath",
+    "ldpath-base-level": "base-level-negative-ldpath", "verify-seed": "seed-negative-verify"})
+test_verify_rejects_empty_grid = refused({"0": "grid-zero-verify", "-3": "grid-negative-verify"})
+test_rsrd_has_no_vanishing_breakdown_limits = refused("rsrd-limits")
+test_compare_mm1_refuses_rsrd_above_the_matched_load = refused("matched-load-rsrd")
+# the ids its cases have always carried: model, flags index, message fragment
+test_tailfit_rejects_bad_window = refused({
+    **{f"{model}-flags{3 * i + j}-needs kmin >= 0 and at least 5 levels": f"window-{window}-{model}"
+       for i, model in enumerate(("model1", "model2", "rsrd"))
+       for j, window in enumerate(("reversed", "short", "kmin-negative"))},
+    **{f"{model}-flags{9 + 3 * i + j}---y {y} lies outside": f"y-{y.replace('-', 'minus-')}-{model}"
+       for i, model in enumerate(("model2", "rsrd")) for j, y in enumerate(("50", "41", "-1"))},
+    **{f"model1-flags{15 + j}---y {y} given, but Model 1 states have no y": f"y-{y}-on-model1"
+       for j, y in enumerate(("50", "0"))}})
+test_tailfit_rejects_empty_lattice = refused({"model2-1": "lattice-empty-model2",
+                                              "rsrd-0.5": "lattice-empty-rsrd"})
+# these rows ran here under their own names before the tests above took them
+test_refusal_is_pinned = refused(keep={
+    "t2-inf-compare-mm1", "t2-inf-analyze", "lost-outflow-analyze", "down-weight-den-model1",
+    "down-weight-den-tandem", "seed-negative-simulate", "base-level-negative-ldpath",
+    "grid-zero-verify", "rsrd-limits", "matched-load-rsrd"})
 
 
 def test_tailfit_csv(tmp_path, capsys):
@@ -409,34 +377,6 @@ def test_tailfit_rejects_window_beyond_lattice(tmp_path, capsys, model, p):
     assert not (tmp_path / "tailfit.csv").exists()
     assert main(["tailfit", *flags, "--kmax", "40", "--xmax", "40",
                  "--out", str(tmp_path)]) == 0
-
-
-SHORT_WINDOW = "needs kmin >= 0 and at least 5 levels"
-
-
-@pytest.mark.parametrize("model,flags,message", [
-    *[(model, window, SHORT_WINDOW) for model in ("model1", "model2", "rsrd")
-      for window in (["--kmin", "30", "--kmax", "20"], ["--kmin", "20", "--kmax", "23"],
-                     ["--kmin", "-1", "--kmax", "10"])],
-    *[(model, ["--kmin", "20", "--kmax", "30", "--y", y], f"--y {y} lies outside")
-      for model in ("model2", "rsrd") for y in ("50", "41", "-1")],
-    *[("model1", ["--kmin", "20", "--kmax", "30", "--y", y],
-       f"--y {y} given, but Model 1 states have no y") for y in ("50", "0")],
-])
-def test_tailfit_rejects_bad_window(tmp_path, capsys, model, flags, message):
-    code = main(["tailfit", *T2_FLAGS, "--model", model, *flags, "--xmax", "40",
-                 "--out", str(tmp_path)])
-    assert code == 1
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "tailfit.csv").exists()
-
-
-@pytest.mark.parametrize("model,p", [("model2", "1"), ("rsrd", "0.5")])
-def test_tailfit_rejects_empty_lattice(tmp_path, capsys, model, p):
-    code = main(["tailfit", *T2_FLAGS, "--model", model, "--p", p, "--kmin", "0",
-                 "--kmax", "0", "--xmax", "0", "--out", str(tmp_path)])
-    assert code == 1
-    assert "x_max >= 1 and y_max >= 1" in capsys.readouterr().err
 
 
 def test_compare_mm1(tmp_path):
@@ -500,31 +440,6 @@ def test_compare_mm1_gives_rsrd_its_product_form_rate(tmp_path):
     assert comparison["dominance"] is False
 
 
-def test_rsrd_has_no_vanishing_breakdown_limits(tmp_path, capsys):
-    flags = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10",
-             "--model", "rsrd", "--p", "0.5"]
-    assert main(["analyze", *flags, "--limits", "--out", str(tmp_path)]) == 1
-    assert "defined for Model 1 and the tandem only" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
-
-
-def test_compare_mm1_refuses_rsrd_above_the_matched_load(tmp_path, capsys):
-    # stable RS-RD set whose matched queue (service 14.85) has load above 1
-    flags = ["--lambda", "14.9", "--mu", "30", "--alpha", "0.1", "--beta", "10",
-             "--model", "rsrd", "--p", "0.5"]
-    assert main(["compare-mm1", *flags, "--out", str(tmp_path)]) == 1
-    assert "matched queue has load below 1" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("grid", ["0", "-3"])
-def test_verify_rejects_empty_grid(capsys, grid):
-    assert main(["verify", "--grid", grid]) == 1
-    captured = capsys.readouterr()
-    assert f"grid must be >= 1, got {grid}" in captured.err
-    assert "PASS" not in captured.out
-
-
 VERIFY_CHECKS = ["kernel-rows-stochastic", "free-kernel-harmonicity", "twisted-rows-stochastic",
                  "characteristic-roots", "tilted-perron-root-one", "rate-matrix-consistency",
                  "stability-equivalences", "twisted-drift-positive", "closed-prefactor-tail",
@@ -585,11 +500,15 @@ def test_csv_header_lines(tmp_path):
     assert [line.split("=")[0] for line in tailfit[9:]] == [
         "# gamma_est", "# log_prefactor_est", "# k_min", "# k_max", "# residual",
         "# tail_mass_bound"]
-    # every chain's table states its balance residual and the mass outside it
-    for flags in (T2_FLAGS, [*T2_FLAGS, "--model", "model2", "--p", "0.5"],
-                  [*T2_FLAGS, "--model", "rsrd", "--p", "0.5"]):
-        assert main(["tailfit", *flags, "--kmin", "20", "--kmax", "30", "--xmax", "40",
-                     "--out", str(tmp_path)]) == 0
+    # every chain's table states its balance residual and the mass outside it; Model 1's
+    # exact table, on A, A at alpha = 1e-12 and T2's rates, ends at kmax
+    wide = ["--kmin", "100", "--kmax", "300"]
+    window = ["--kmin", "20", "--kmax", "30", "--xmax", "40"]
+    for flags in ([*A_FLAGS, *wide], [*_rate_flags("10", "11", "1e-12", "10"), *wide],
+                  [*T2_FLAGS, *window],
+                  *[[*T2_FLAGS, "--model", model, "--p", p, *window]
+                    for model, p in (("model2", "1"), ("model2", "0.5"), ("rsrd", "0.5"))]):
+        assert main(["tailfit", *flags, "--out", str(tmp_path)]) == 0
         values = dict(line[2:].split("=") for line in _header(tmp_path / "tailfit.csv"))
         assert 0.0 <= float(values["residual"]) <= 1e-14, flags
         assert 0.0 <= float(values["tail_mass_bound"]) <= 1e-6, flags

@@ -68,20 +68,18 @@ def test_positive_rates_required(kwargs):
         make_params(**kwargs)
 
 
-@pytest.mark.parametrize("rates,omitted,given", [
-    ((0, 11, 0.1, 10), "lambda must be > 0, got 0.0", "lambda must be > 0, got 0.0"),
-    ((10, float("nan"), 0.1, 10), "mu must be > 0, got nan", "mu must be > 0, got nan"),
-    ((10, 11, 0.1, float("inf")), "beta must be finite, got inf", "beta must be finite, got inf"),
-    # an omitted C checks every rate's sign before any rate's finiteness
-    ((float("inf"), 11, 0.0, 10), "alpha must be > 0, got 0.0", "lambda must be finite, got inf"),
+@pytest.mark.parametrize("rates,message", [
+    ((0, 11, 0.1, 10), "lambda must be > 0, got 0.0"),
+    ((10, float("nan"), 0.1, 10), "mu must be > 0, got nan"),
+    ((10, 11, 0.1, float("inf")), "beta must be finite, got inf"),
+    # each rate's sign and finiteness, in turn, before the next rate's
+    ((float("inf"), 11, 0.0, 10), "lambda must be finite, got inf"),
 ], ids=["zero", "nan", "inf", "inf-then-zero"])
-def test_bad_rates_raise_the_same_text_with_c_omitted_and_given(rates, omitted, given):
-    with pytest.raises(InvalidParameters) as error:
-        make_params(*rates)
-    assert str(error.value) == omitted
-    with pytest.raises(InvalidParameters) as error:
-        make_params(*rates, C=100.0)
-    assert str(error.value) == given
+def test_bad_rates_raise_the_same_text_with_c_omitted_and_given(rates, message):
+    for C in (None, 100.0):
+        with pytest.raises(InvalidParameters) as error:
+            make_params(*rates, C=C)
+        assert str(error.value) == message, C
 
 
 def test_small_c_raises_its_bound():
@@ -108,6 +106,11 @@ def test_a_stack_names_its_first_failing_condition():
         stack([0.1, 0.1, 0.0, 0.1], [5.0, 40.0, 40.0, 40.0])
     assert str(error.value) == "C below lambda+mu+alpha+beta: 5.0 < 31.1 at stack index 0"
     assert stack([0.1] * 4, [40.0] * 4).C.tolist() == [40.0] * 4
+    # C omitted: lambda = inf in set 0 and mu = -1 in set 1, still the first failing set
+    with pytest.raises(InvalidParameters) as error:
+        make_params(np.array([np.inf, 10.0]), np.array([11.0, -1.0]), np.full(2, 0.1),
+                    np.full(2, 10.0))
+    assert str(error.value) == "lambda must be finite, got inf at stack index 0"
 
 
 GOOD = (10.0, 11.0, 0.1, 10.0)

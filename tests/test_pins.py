@@ -28,18 +28,19 @@ def pinned(verb):
     return test
 
 
-def refused(cases=None):
+def refused(cases=None, keep=()):
     """The one refusal test, over the table's refusal rows.
 
     A module binds it to the name a refusal's cases have always carried, with
     `cases` mapping each case id to its row's name, or naming the one row of a
     test that had one case.  With no `cases` it runs, each under its own name,
-    every row that no earlier binding runs.
+    every row that no earlier binding runs, and the rows `keep` names, which
+    it ran under their own names before a binding took them.
     """
     if isinstance(cases, str):
         _bound.add(cases)
         return lambda tmp_path: _holds(ROWS[cases], tmp_path)
-    cases = cases or {name: name for name in ROWS if name not in _bound}
+    cases = cases or {name: name for name in ROWS if name not in _bound or name in keep}
     _bound.update(cases.values())
 
     @pytest.mark.parametrize("name", list(cases.values()), ids=list(cases))
@@ -76,3 +77,14 @@ def test_readme_refusals_are_rows():
              and "..." not in line and not re.search(r"<\w+>", line)}
     assert lines
     assert lines - {row["stderr"] for row in ROWS.values()} == set()
+
+
+def test_each_row_line_is_written_once():
+    # a row's line is data in pins.json alone: no test or CI file repeats it (README's
+    # quotes are tied to the rows by test_readme_refusals_are_rows)
+    root = pins.HERE.parent
+    files = [path for path in [*pins.HERE.rglob("*"), *root.joinpath(".github").rglob("*")]
+             if path.is_file() and path.name != "pins.json" and "__pycache__" not in path.parts]
+    texts = {str(path.relative_to(root)): path.read_text(errors="replace") for path in files}
+    assert [(file, name) for file, text in texts.items()
+            for name, row in ROWS.items() if row["stderr"] in text] == []
