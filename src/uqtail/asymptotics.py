@@ -124,7 +124,9 @@ def _escape(twist: TwistSummary) -> EscapeProbs:
     """
     t2, w = twist.harmonic.base, twist.harmonic.down_weight
     a0, a1, a2 = twist.blocks
-    g = np.stack([1.0 / t2, 1.0 / (t2 * w)], axis=-1)[..., None] * (1.0, 0.0)   # Down column 0
+    g = np.empty((*np.shape(t2), 2, 2))
+    g[..., UP, 0], g[..., DOWN, 0] = 1.0 / t2, 1.0 / (t2 * w)
+    g[..., 1] = g[..., 0] * 0.0   # the Down column: 0, or NaN where 1 / (t2 w) overflows
     residual = np.abs(a2 + a1 @ g + a0 @ g @ g - g).max(axis=(-2, -1))
     rows = g.sum(axis=-1)
     _require([_decay_below_1(twist.roots),

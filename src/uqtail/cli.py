@@ -13,6 +13,7 @@ import enum
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from .simulate import (_RNG_IDENTITY, _check_burn_in, _check_levels, _csv_header
 from .spectral import stability
 from .verify import run_checks
 
+_encode = json.encoder.encode_basestring_ascii   # json.dumps's, in C
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)   # a file of bytes
 _reported = functools.cache(lambda cls: tuple(f.name for f in dataclasses.fields(cls) if f.repr))
 
 
@@ -35,36 +38,57 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _dump(obj, indent: int = 0, path: str = "") -> str:
-    """The one JSON writer of the reports: floats to 17 significant digits,
-    one entry per line.  A non-finite float raises ArithmeticError naming its
-    key path, before anything is printed or written."""
+class _NonFinite(ArithmeticError):
+    """(value, keys): a non-finite float met by `_walk`, and the keys of the containers it left."""
+
+
+def _dump(obj) -> str:
+    """The one JSON writer of the reports: floats to 17 significant digits, the rest as
+    `json.dumps(obj, indent=2)` writes it.  A non-finite float raises ArithmeticError
+    naming its key path, before anything is printed or written."""
+    parts = []
+    try:
+        _walk(obj, parts, "\n")
+    except _NonFinite as exc:
+        value, keys = exc.args
+        path = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in reversed(keys))
+        raise ArithmeticError(f"{path.removeprefix('.')} is {value}") from None
+    return "".join(parts)
+
+
+def _walk(obj, parts: list, pad: str) -> None:
+    """Append obj's JSON to parts in one pass, dispatching on its type (the
+    common ones by identity); pad is a newline and the indent of obj's line."""
+    kind = type(obj)
     if isinstance(obj, float):   # np.float64 too
         if not math.isfinite(obj):
-            raise ArithmeticError(f"{path} is {float(obj)}")
-        return _fmt(float(obj))
-    if isinstance(obj, np.generic):   # a set's verdicts, np.bool_
-        return _dump(obj.item(), indent, path)
-    if isinstance(obj, enum.Enum):
-        return _dump(obj.value, indent, path)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+            raise _NonFinite(float(obj), [])
+        parts.append(f"{float(obj):.17g}")
+    elif kind is str:
+        parts.append(_encode(obj))
+    elif kind is dict or kind is list or kind is tuple:
+        mapping = kind is dict
+        inner, (sep, close) = pad + "  ", "{}" if mapping else "[]"
+        for key, value in obj.items() if mapping else enumerate(obj):
+            parts.append(f"{sep}{inner}{_encode(key)}: " if mapping else sep + inner)
+            try:
+                _walk(value, parts, inner)
+            except _NonFinite as exc:
+                exc.args[1].append(key)
+                raise
+            sep = ","
+        parts.append(pad + close if obj else sep + close)   # an empty one reads {} or []
+    elif obj is None or kind is bool or kind is int:
+        parts.append("null" if obj is None else str(obj).lower())   # True as true
+    elif isinstance(obj, (np.generic, np.ndarray)):   # a set's verdicts, np.bool_
+        _walk(obj.tolist(), parts, pad)
+    elif isinstance(obj, enum.Enum):
+        _walk(obj.value, parts, pad)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # a field declared repr=False is a value carried for later stages, not a result
-        obj = {name: getattr(obj, name) for name in _reported(type(obj))}
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{pad}  "{k}": {_dump(v, indent + 1, f"{path}.{k}" if path else str(k))}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_dump(v, indent + 1, f'{path}[{i}]')}" for i, v in enumerate(obj)]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return json.dumps(obj)
+        _walk({name: getattr(obj, name) for name in _reported(kind)}, parts, pad)
+    else:
+        parts.append(json.dumps(obj))
 
 
 def _meta(params) -> dict:
@@ -97,10 +121,24 @@ def _resolve_params(args):
                        p=args.p, C=args.c, model=Model(args.model))
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write(out: str, name: str, data) -> None:
+    """Write `data`, bytes or a callable that writes its chunks to a binary file, to
+    the file `name` in the directory `out`, made first.  An OSError refuses --out."""
+    try:
+        os.makedirs(out or os.curdir, exist_ok=True)
+        fd = os.open(os.path.join(out, name), _CREATE)
+        try:
+            if callable(data):   # a buffered file writes every byte
+                with open(fd, "wb", closefd=False) as file:
+                    data(file)
+            else:
+                view = memoryview(data)
+                while view:   # os.write may take part of it
+                    view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise InvalidParameters(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
 def _cmd_analyze(args) -> int:
@@ -116,7 +154,7 @@ def _cmd_analyze(args) -> int:
     if args.limits:
         report["alpha_limits"] = alpha_limits(params)
     text = _dump(report)
-    (_out_dir(args) / "analyze.json").write_text(text + "\n")
+    _write(args.out, "analyze.json", (text + "\n").encode())
     print(text)
     return 0
 
@@ -127,9 +165,7 @@ def _cmd_simulate(args) -> int:
     if args.steps >= 1:   # else simulate() names the step count
         _check_burn_in(burn, args.steps)   # before sampling: a bad value writes no file
     traj = simulate(params, steps=args.steps, seed=args.seed)
-    out = _out_dir(args)
-    with open(out / "trajectory.csv", "wb") as file:
-        traj.to_csv(file)
+    _write(args.out, "trajectory.csv", traj.to_csv)
     emp = empirical_distribution(traj, burn_in=burn)
     lines = [_csv_header(params, seed=args.seed, burn_in=burn, steps=args.steps)]
     lines.append("x,y,status,frequency\n" if traj.y is not None
@@ -137,10 +173,10 @@ def _cmd_simulate(args) -> int:
     states = np.argwhere(emp.pi)
     for state, frequency in zip(states.tolist(), emp.pi[tuple(states.T)].tolist()):
         lines.append(f"{','.join(map(str, state))},{_fmt(frequency)}\n")
-    (out / "empirical.csv").write_text("".join(lines))
+    _write(args.out, "empirical.csv", "".join(lines).encode())
     for note in emp.notes:
         print(f"note: {note}", file=sys.stderr)
-    print(f"wrote {out / 'trajectory.csv'} and {out / 'empirical.csv'}")
+    print(f"wrote {Path(args.out, 'trajectory.csv')} and {Path(args.out, 'empirical.csv')}")
     return 0
 
 
@@ -151,7 +187,6 @@ def _cmd_ldpath(args) -> int:
     excursions = ld_excursions(traj, level_k=args.level, base_level=args.base_level)
     predicted = regime_prediction(params)
     verdict = excursion_verdict(excursions) if excursions else "NoExcursions"
-    out = _out_dir(args)
     lines = [_csv_header(params, seed=args.seed, level=args.level,
                          base_level=args.base_level, predicted_regime=predicted,
                          excursion_verdict=verdict),
@@ -159,7 +194,7 @@ def _cmd_ldpath(args) -> int:
     for e in excursions:
         lines.append(f"{e.start_step},{e.end_step},{e.peak},"
                      f"{_fmt(e.down_fraction)},{_fmt(e.slope_estimate)}\n")
-    (out / "excursions.csv").write_text("".join(lines))
+    _write(args.out, "excursions.csv", "".join(lines).encode())
     print(f"predicted={predicted} observed={verdict} excursions={len(excursions)}")
     return 0
 
@@ -183,7 +218,6 @@ def _cmd_tailfit(args) -> int:
     x_max = max(args.kmax + 5, 50) if model is Model.MODEL1 else args.xmax
     table = stationary_table(params, x_max, args.xmax)
     fit = tail_fit(table, sigma, args.kmin, args.kmax, y=args.y)
-    out = _out_dir(args)
     lines = [_csv_header(params, gamma_est=fit.gamma_est,
                          log_prefactor_est=fit.log_prefactor_est,
                          k_min=args.kmin, k_max=args.kmax, residual=table.residual,
@@ -195,7 +229,7 @@ def _cmd_tailfit(args) -> int:
         pred = prefactor * fit.gamma_est ** k
         rel = (pi - pred) / pi if pi > 0 else float("nan")
         lines.append(f"{k},{_fmt(pi)},{_fmt(pred)},{_fmt(rel)}\n")
-    (out / "tailfit.csv").write_text("".join(lines))
+    _write(args.out, "tailfit.csv", "".join(lines).encode())
     print(f"gamma_est={_fmt(fit.gamma_est)} "
           f"max_relative_deviation={_fmt(fit.max_relative_deviation)}")
     return 0
@@ -205,7 +239,7 @@ def _cmd_compare_mm1(args) -> int:
     params = _resolve_params(args)
     report = {"meta": _meta(params), "comparison": mm1_comparison(params)}
     text = _dump(report)
-    (_out_dir(args) / "compare_mm1.json").write_text(text + "\n")
+    _write(args.out, "compare_mm1.json", (text + "\n").encode())
     print(text)
     return 0
 

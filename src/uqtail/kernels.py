@@ -63,7 +63,9 @@ def _moves(params: ModelParams) -> tuple:
         down = ((((0, 0, -1), beta / C, None), ((0, -1, 0), mu * p / C, 1)) if rsrd else
                 (((1, -1, 0), mu / C, 1), ((0, 0, -1), beta / C, None)))
         table = up, (((0, 1, 0), lam / C, None), *down)
-    return tuple(tuple(move for move in row if not (move[1] == 0.0).all()) for row in table)
+    probs = np.array([move[1] for row in table for move in row])   # one comparison for all
+    kept = iter((probs != 0.0).reshape(len(probs), -1).any(axis=1).tolist())
+    return tuple(tuple(move for move in row if next(kept)) for row in table)
 
 
 def _origins(model: Model, x0: int) -> tuple:

@@ -150,7 +150,8 @@ def _twist(params: ModelParams):
     # den_minus = b - sqrt(s) = (b^2 - s) / (b + sqrt(s)), b = lam + beta + mu + alpha, with
     # b^2 - s = 4 mu (lam + beta) at p = 1; the difference cancels at light load
     den_minus = 4.0 * mu * (lam + beta) / (lam + beta + mu + alpha + sol.sqrt_s)
-    rates, phi = None, np.stack(shares, axis=-1)
+    rates, phi = None, np.empty((*np.shape(den), 2))
+    phi[..., UP], phi[..., DOWN] = shares
     if tandem:
         # B = 1 - lam_t/mu_t, in a form free of cancellation as alpha -> 0
         rates = TwistRates(lam_t=den_minus / (2.0 * C), mu_t=mu / C,

@@ -1,5 +1,8 @@
 import dataclasses
+import enum
 import json
+import math
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -7,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import pins
 import uqtail
@@ -209,6 +214,144 @@ def test_dump_names_the_path_of_a_non_finite_float():
                       "empty": {}, "ks": np.arange(2)})
     assert text.splitlines() == ['{', '  "gamma": 0.5,', '  "n": 3,', '  "model": "rsrd",',
                                  '  "empty": {},', '  "ks": [', '    0,', '    1', '  ]', '}']
+    escape = asymptotics.EscapeProbs(up=0.5, down=float("nan"), residual=0.0)
+    with pytest.raises(ArithmeticError, match=r"^tail\[0\]\.escape\.down is nan$"):
+        cli._dump({"tail": [{"escape": escape}]})
+    # a field declared repr=False is not written, so its inf is not read
+    phi = uqtail.twist.ProductFormPhi(ratio=0.5, B=0.5, up_share=1.0, down_share=math.inf)
+    assert json.loads(cli._dump([phi])) == [{"ratio": 0.5, "B": 0.5, "up_share": 1}]
+
+
+class _Colour(enum.Enum):
+    RED = "red"
+    ONE = 1
+
+
+@dataclasses.dataclass(frozen=True)
+class _Pair:
+    first: object
+    hidden: object = dataclasses.field(repr=False)   # never written
+    second: object = None
+
+
+_EXTREME_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+_TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ü", '"\\\n\t', "\U0001f600"])
+_NO_FLOAT_LEAVES = (st.integers() | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+                    | st.booleans() | st.booleans().map(np.bool_) | st.none() | _TEXT
+                    | st.sampled_from([*_Colour, *Model]))
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EXTREME_FLOATS)
+_FLOAT_LEAVES = (_FLOATS | _FLOATS.map(np.float64)
+                 | st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32))
+
+
+def _nested(leaves):
+    return st.recursive(leaves, lambda children: (
+        st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=4)
+        | st.builds(_Pair, children, children, children)), max_leaves=16)
+
+
+def _plain(x):
+    """x as json.dumps would read it: a dataclass as the dict of its reported fields."""
+    if isinstance(x, dict):
+        return {key: _plain(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(value) for value in x]
+    if dataclasses.is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in dataclasses.fields(x) if f.repr}
+    if isinstance(x, enum.Enum):
+        return _plain(x.value)
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def _assert_exact(parsed, plain):
+    if isinstance(plain, float):
+        assert type(parsed) in (int, float) and float(parsed) == plain
+        assert math.copysign(1.0, parsed) == math.copysign(1.0, plain)
+    elif isinstance(plain, (dict, list)):
+        assert type(parsed) is type(plain) and len(parsed) == len(plain)
+        for key in plain if isinstance(plain, dict) else range(len(plain)):
+            _assert_exact(parsed[key], plain[key])
+    else:
+        assert type(parsed) is type(plain) and parsed == plain
+
+
+def _leaf_paths(x, path=()):
+    if isinstance(x, dict):
+        items = x.items()
+    elif isinstance(x, (list, tuple)):
+        items = enumerate(x)
+    elif dataclasses.is_dataclass(x):
+        items = [(f.name, getattr(x, f.name)) for f in dataclasses.fields(x) if f.repr]
+    else:
+        yield path
+        return
+    for key, value in items:
+        yield from _leaf_paths(value, (*path, key))
+
+
+def _replaced(x, path, leaf):
+    if not path:
+        return leaf
+    key, rest = path[0], path[1:]
+    if isinstance(x, dict):
+        return {**x, key: _replaced(x[key], rest, leaf)}
+    if isinstance(x, (list, tuple)):
+        return type(x)([*x[:key], _replaced(x[key], rest, leaf), *x[key + 1:]])
+    return dataclasses.replace(x, **{key: _replaced(getattr(x, key), rest, leaf)})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_nested(_NO_FLOAT_LEAVES))
+def test_the_report_walk_writes_what_json_dumps_writes(x):
+    assert cli._dump(x) == json.dumps(_plain(x), indent=2)
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-finite token {token}")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_nested(_NO_FLOAT_LEAVES | _FLOAT_LEAVES))
+def test_the_report_walk_writes_strict_json_with_every_float_exact(x):
+    # .17g writes -0.0 as -0, which json reads as the int 0: read it back as the float
+    parsed = json.loads(cli._dump(x), parse_constant=_refuse_constant,
+                        parse_int=lambda text: -0.0 if text == "-0" else int(text))
+    _assert_exact(parsed, _plain(x))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_nested(_NO_FLOAT_LEAVES | _FLOAT_LEAVES), st.data())
+def test_the_report_walk_names_the_path_of_a_non_finite_leaf(x, data):
+    paths = list(_leaf_paths(x))
+    assume(paths)
+    path = data.draw(st.sampled_from(paths))
+    bad = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]).flatmap(
+        lambda value: st.sampled_from([value, np.float64(value), np.float32(value)])))
+    where = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)
+    with pytest.raises(ArithmeticError) as caught:
+        cli._dump(_replaced(x, path, bad))
+    assert str(caught.value) == f"{where.removeprefix('.')} is {float(bad)}"
+
+
+OUT_VERBS = {"analyze": A_FLAGS, "compare-mm1": A_FLAGS,
+             "tailfit": [*A_FLAGS, "--kmin", "20", "--kmax", "30"],
+             "simulate": [*A_FLAGS, "--steps", "100"],
+             "ldpath": [*A_FLAGS, "--steps", "100", "--level", "5"]}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("verb", list(OUT_VERBS))
+def test_an_unwritable_out_is_a_one_line_refusal(tmp_path, capsys, verb, under):
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under else blocker
+    assert main([verb, *OUT_VERBS[verb], "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(rf"validation error: cannot write --out {re.escape(str(out))}: [^\n]+\n",
+                        captured.err)
+    assert captured.out == ""
+    assert blocker.read_text() == "kept\n"
 
 
 UNSTABLE_HALF = ["--lambda", "20", "--mu", "30", "--alpha", "0.1", "--beta", "10",
