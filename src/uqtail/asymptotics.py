@@ -16,7 +16,7 @@ from .params import (DOWN, UP, InvalidParameters, Model, ModelParams,
                      UnstableParameters, _require, make_params)
 from .qbd import (_TAIL_ERROR, StationaryTable, TruncationError, _boundary, _model1_roots, _pi0,
                   first_passage, truncated_stationary)
-from .spectral import SpectralSolution, _stable_roots, characteristic_roots
+from .spectral import SpectralSolution, StabilityReport, _require_stable, characteristic_roots
 from .twist import TwistSummary, twist_summary
 
 _ESCAPE_RESIDUAL = 1e-12
@@ -44,6 +44,7 @@ class TailAsymptotic:
     y_ratio: float | None  # per-unit-of-y geometric factor (tandem model)
     provenance: str
     # neither reported nor compared: the pass the tail came from, and eta's bound
+    stability: StabilityReport = field(repr=False, compare=False)   # the report its gate formed
     roots: SpectralSolution = field(repr=False, compare=False)
     twist: TwistSummary | None = field(repr=False, compare=False)   # None: shape-only
     eta_error_bound: float | None = field(repr=False, compare=False)   # 0 for Model 1
@@ -194,7 +195,7 @@ def _eta_model2(twist: TwistSummary, table: StationaryTable | None) -> tuple[flo
             "zeros there (values below its solve's accuracy, clipped), so a larger "
             "table cannot help")
     ratios = [float(levels[y] / levels[y - 1]) for y in ys]
-    if not ratios or max(ratios) >= 1.0:
+    if max(ratios) >= 1.0:
         raise ArithmeticError(
             f"boundary sum tail is not decreasing geometrically: ratios "
             f"{[round(r, 4) for r in ratios]} at y = {ys}, first >= 1 at y = "
@@ -223,11 +224,11 @@ def prefactors(params: ModelParams, model: Model | None = None, *,
     if model not in (None, params.model):
         raise InvalidParameters(f"model {model} does not match the parameters' {params.model}")
     if params.model is Model.MODEL2 and (params.p != 1.0).all():
-        sol = _stable_roots(params, "the shape-only tail")
+        report, sol = _require_stable(params, "the shape-only tail"), characteristic_roots(params)
         return TailAsymptotic(model=params.model, gamma=sol.gamma_p, prefactor_up=None,
                               prefactor_down=None, eta=None, escape_up=None, escape_down=None,
                               secondary_gamma=sol.gamma_secondary, y_ratio=None,
-                              provenance="shape-only", roots=sol, twist=None,
+                              provenance="shape-only", stability=report, roots=sol, twist=None,
                               eta_error_bound=None)
     return tail_constants(twist_summary(params), table=table)
 
@@ -258,8 +259,8 @@ def tail_constants(twist: TwistSummary, *,
                      provenance="closed-form+qbd")
     return TailAsymptotic(model=params.model, gamma=twist.roots.gamma_p,
                           prefactor_up=c_up, prefactor_down=c_down, eta=eta,
-                          secondary_gamma=twist.roots.gamma_secondary, roots=twist.roots,
-                          twist=twist, eta_error_bound=bound, **extra)
+                          secondary_gamma=twist.roots.gamma_secondary, stability=twist.stability,
+                          roots=twist.roots, twist=twist, eta_error_bound=bound, **extra)
 
 
 def _two_term(roots: SpectralSolution):

@@ -145,12 +145,13 @@ def _cmd_analyze(args) -> int:
     params = _resolve_params(args)
     if params.model is Model.RSRD:   # its product form decays as r^(x+y), r = lambda/(mu p)
         with np.errstate(over="ignore", divide="ignore"):   # `_dump` names an inf rate
-            head, tail = {"product_form_rate": params.lam / (params.mu * params.p)}, {}
+            rate = params.lam / (params.mu * params.p)
+        head, tail = {"product_form_rate": rate, "stability": stability(params)}, {}
     else:   # the tail refuses an unstable set before its roots, whose t2 can underflow there
         asym = prefactors(params)
-        head = {"spectral": asym.roots}
+        head = {"spectral": asym.roots, "stability": asym.stability}
         tail = {"tail": asym} if asym.twist is None else {"twist": asym.twist, "tail": asym}
-    report = {"meta": _meta(params), **head, "stability": stability(params), **tail}
+    report = {"meta": _meta(params), **head, **tail}
     if args.limits:
         report["alpha_limits"] = alpha_limits(params)
     text = _dump(report)
@@ -183,9 +184,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_ldpath(args) -> int:
     params = _resolve_params(args)
     _check_levels(args.level, args.base_level)   # before sampling
+    predicted = regime_prediction(params)   # before sampling too: it refuses mu p = lambda + beta
     traj = simulate(params, steps=args.steps, seed=args.seed)
     excursions = ld_excursions(traj, level_k=args.level, base_level=args.base_level)
-    predicted = regime_prediction(params)
     verdict = excursion_verdict(excursions) if excursions else "NoExcursions"
     lines = [_csv_header(params, seed=args.seed, level=args.level,
                          base_level=args.base_level, predicted_regime=predicted,

@@ -14,9 +14,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .kernels import _fold, _moves, _origins
-from .params import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
-                     _require, make_params)
-from .spectral import SpectralSolution, _require_stable, _stable_roots
+from .params import DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams, _require
+from .spectral import SpectralSolution, _require_stable, _stable_roots, characteristic_roots
 
 _FIRST_PASSAGE_TOL = 1e-16  # largest entry of the last doubling's increment
 _FIRST_PASSAGE_DOUBLINGS = 64
@@ -188,10 +187,10 @@ def _pi0(roots: SpectralSolution) -> tuple[np.ndarray, np.ndarray]:
     return pi0 * (det / (alpha + beta))[..., None], det
 
 
-def _model1_levels(params: ModelParams, k_max: int) -> tuple[np.ndarray, float | np.ndarray]:
-    """Levels pi0 R^k for k <= k_max + 1, one shell past k_max, (..., k_max + 2, 2) on a
+def _model1_levels(roots: SpectralSolution, k_max: int) -> tuple[np.ndarray, float | np.ndarray]:
+    """Levels pi0 R^k of the Model 1 `roots`' set for k <= k_max + 1, (..., k_max + 2, 2) on a
     stack, and the mass beyond level k_max: level k_max + 1's sum plus the mass beyond it."""
-    pi0, r, mass = _boundary(_model1_roots(params, "the boundary vector"))
+    pi0, r, mass = _boundary(roots)
     levels = np.empty(pi0.shape[:-1] + (k_max + 2, 2))
     levels[..., 0, :] = pi0
     for k in range(k_max + 1):
@@ -205,7 +204,8 @@ def exact_stationary_model1(params: ModelParams, k_max: int) -> StationaryTable:
     (k_max >= 0), cut by `_closed_form_table` from levels 0..k_max + 1."""
     if k_max < 0:
         raise InvalidParameters(f"k_max must be >= 0, got {k_max}")
-    return _closed_form_table(params, *_model1_levels(params, k_max), 0.0)
+    levels = _model1_levels(_model1_roots(params, "the boundary vector"), k_max)
+    return _closed_form_table(params, *levels, 0.0)
 
 
 def _lattice_shape(model: Model, x_max: int, y_max: int | None) -> tuple:
@@ -381,7 +381,7 @@ def stationary_table(params: ModelParams, x_max: int, y_max: int | None = None) 
     """Stationary law of the set's chain on x <= x_max (y <= y_max; Model 1
     does not read y_max), by the chain's own method:
 
-    - Model 1: the matrix-geometric table pi0 R^x (`exact_stationary_model1`);
+    - Model 1: the matrix-geometric table pi0 R^x, as `exact_stationary_model1` builds it;
     - RS-RD: the product form (1 - r)^2 r^(x+y) share(sigma), r = lambda/(mu p);
     - the tandem with p = 1: (1 - r) r^y pi_1(x, sigma), r = lambda/mu and
       pi_1 Model 1's law at the same rates.  Station 2 (y) is an M/M/1 queue
@@ -398,8 +398,6 @@ def stationary_table(params: ModelParams, x_max: int, y_max: int | None = None) 
     _lattice_shape(params.model, x_max, y_max)
     _require_stable(params, "the stationary table")
     lam, mu, alpha, beta, p = params.lam, params.mu, params.alpha, params.beta, params.p
-    if params.model is Model.MODEL1:
-        return exact_stationary_model1(params, x_max)
     if params.model is Model.MODEL2 and p != 1.0:
         return truncated_stationary(params, x_max=x_max, y_max=y_max)
     if params.model is Model.RSRD:
@@ -409,7 +407,9 @@ def stationary_table(params: ModelParams, x_max: int, y_max: int | None = None) 
         x, y = np.ogrid[:x_max + 2, :y_max + 2]
         pi = (1.0 - r) ** 2 * powers[x + y][..., None] * share
         return _closed_form_table(params, pi, r ** (x_max + 1), r ** (y_max + 1))
-    station1, beyond_x = _model1_levels(make_params(lam, mu, alpha, beta), x_max)
+    station1, beyond_x = _model1_levels(characteristic_roots(params), x_max)
+    if params.model is Model.MODEL1:
+        return _closed_form_table(params, station1, beyond_x, 0.0)
     r = lam / mu
     powers = np.array([r ** k for k in range(y_max + 2)])
     pi = (1.0 - r) * powers[None, :, None] * station1[:, None, :]

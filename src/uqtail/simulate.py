@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, check_state
 from .kernels import _fold, _moves, level_blocks
 from .qbd import ConvergenceError, LatticeLaw, _model1_levels
-from .spectral import _require_stable
+from .spectral import _require_stable, characteristic_roots
 
 _RNG_IDENTITY = "numpy.random.Generator(PCG64)"
 _BLOCK = 1 << 16
@@ -538,7 +538,7 @@ def conditioned_excursion_slope(params: ModelParams, level_k: int,
                                 remaining_mass=0.0, h=np.ones((0, 2)))
     levels = rise - 1
     a0, a1, a2 = level_blocks(params)
-    lift = _model1_levels(params, base_level)[0][base_level] * np.diag(a0)
+    lift = _model1_levels(characteristic_roots(params), base_level)[0][base_level] * np.diag(a0)
     # unknowns (x, sigma) -> 2 (x - base - 1) + sigma on the interior levels,
     # block-tridiagonal; moves to K feed `hit`, moves to base are killed
     q = (np.kron(np.eye(levels, k=1), a0) + np.kron(np.eye(levels), a1)

@@ -146,8 +146,10 @@ def _stable_roots(params: ModelParams, stage: str) -> SpectralSolution:
     return characteristic_roots(params)
 
 
-def _require_stable(params: ModelParams, stage: str) -> None:
-    """UnstableParameters naming `stage`, unless every set is stable (see `_require`)."""
+def _require_stable(params: ModelParams, stage: str) -> StabilityReport:
+    """The set's `stability`; UnstableParameters naming `stage` unless every set is stable."""
+    report = stability(params)
     bound = "mu p" if params.model is Model.RSRD else "beta/(alpha+beta) mu p"
-    _require([(stability(params).stable, "{} requires a stable parameter set, lambda < {}; "
+    _require([(report.stable, "{} requires a stable parameter set, lambda < {}; "
                "got lambda = {!r}{where}", stage, bound, params.lam)], UnstableParameters)
+    return report

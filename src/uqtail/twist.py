@@ -12,7 +12,8 @@ import numpy as np
 
 from .kernels import level_blocks
 from .params import DOWN, UP, InvalidParameters, Model, ModelParams, _require
-from .spectral import SpectralSolution, _require_stable, _stable_roots, characteristic_roots
+from .spectral import (SpectralSolution, StabilityReport, _require_stable, _stable_roots,
+                       characteristic_roots)
 
 _DRIFT_AGREEMENT = 1e-10
 
@@ -91,6 +92,7 @@ class TwistSummary:
     rates: TwistRates | None
     phi: object
     drift: Drift
+    stability: StabilityReport = field(repr=False)   # the report its gate formed
     roots: SpectralSolution = field(repr=False)
     blocks: tuple = field(repr=False)   # `level_blocks` at y cut 0 (Model 1), 1 (tandem)
 
@@ -140,8 +142,7 @@ def _twist(params: ModelParams):
     tandem = params.model is Model.MODEL2 and (params.p == 1.0).all()
     if not (params.model is Model.MODEL1 or tandem):
         raise InvalidParameters("the twist is derived for Model 1 and the tandem (p = 1) only")
-    _require_stable(params, "the twist")
-    sol = characteristic_roots(params)
+    report, sol = _require_stable(params, "the twist"), characteristic_roots(params)
     h = _harmonic(sol)
     lam, mu, alpha, beta, C = params.lam, params.mu, params.alpha, params.beta, params.C
     den, g = sol.den, sol.g_constant
@@ -173,4 +174,4 @@ def _twist(params: ModelParams):
     agree = abs(value - estimate) <= _DRIFT_AGREEMENT * np.maximum(gain, loss) / C
     return TwistSummary(model=params.model, harmonic=h, rates=rates, phi=phi,
                         drift=Drift(value=value, estimate=estimate, per_time=value * C),
-                        roots=sol, blocks=blocks), ~agree, ~(value > 0.0)
+                        stability=report, roots=sol, blocks=blocks), ~agree, ~(value > 0.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from decimal import Decimal
@@ -19,11 +20,12 @@ from uqtail.asymptotics import (_escape, _escape_first_passage, _line, _two_term
                                tail_constants)
 from uqtail.cli import main
 from uqtail.kernels import full_kernel, level_blocks
-from uqtail.qbd import StationaryTable, _boundary, _model1_levels, first_passage
-from uqtail.verify import _sets, check_tail_reproduction, random_params
+from uqtail.qbd import StationaryTable, first_passage
+from uqtail.verify import check_tail_reproduction, random_params
 
 from reference import (DIGITS, FULL_RANGE_DIGITS, R_DOWN_DOWN_ONE, SLOW_SWITCHING, model1,
                        relative_error)
+from test_twist import _stack, sliced
 
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
@@ -460,34 +462,13 @@ def test_model2_feedback_is_shape_only():
     assert asym.prefactor_up is None and asym.eta is None
     assert asym.twist is None and asym.eta_error_bound is None
     assert asym.gamma == pytest.approx(0.679296, abs=1e-6)
-
-
-def test_a_feedback_tandem_stack_is_shape_only_per_set():
-    # p an array below 1 in every set: each set's slice is its own shape-only
-    # tail, bit for bit; a stack that mixes p = 1 and p < 1 has no twist
-    sets = [make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2),
-            make_params(5, 30, 0.2, 10, p=0.7, model=Model.MODEL2)]
-
-    def stack(p):
-        return make_params(*(np.array([getattr(s, r) for s in sets])
-                             for r in ("lam", "mu", "alpha", "beta")),
-                           p=np.array(p), model=Model.MODEL2)
-
-    stacked = prefactors(stack([0.5, 0.7]))
-    for k, params in enumerate(sets):
-        one = prefactors(params)
-        for record, single in ((stacked, one), (stacked.roots, one.roots)):
-            for name, value in vars(single).items():
-                if name in ("roots", "params", "t2_minus_1"):
-                    continue
-                many = getattr(record, name)
-                if value is None or isinstance(value, (str, Model)):
-                    assert many == value, name
-                else:
-                    assert np.float64(many[k]).tobytes() == np.float64(value).tobytes(), (k, name)
+    # a stack that mixes p = 1 and p < 1 has no twist
     with pytest.raises(InvalidParameters) as refusal:
-        prefactors(stack([1.0, 0.5]))
+        prefactors(_stack([T2, params]))
     assert str(refusal.value) == "the twist is derived for Model 1 and the tandem (p = 1) only"
+
+
+test_a_feedback_tandem_stack_is_shape_only_per_set = sliced("shape-only")
 
 
 def test_rs_rd_closed_form():
@@ -601,36 +582,23 @@ def test_stationary_table_needs_both_sides_and_stability():
                           truncated_stationary(half, x_max=20, y_max=20).pi)
 
 
-def test_model1_tail_path_of_a_stack_equals_each_sets_bit_for_bit():
-    # A, B and 300 random stable sets as one stack: every stage from R to C(sigma)
-    # runs the body it runs for one set, so each set's slice matches bit for bit
-    sets = [A, B, *(_sets(u) for u in np.random.default_rng(5).random((300, 4)))]
-    stack = make_params(*(np.array([getattr(s, r) for s in sets], dtype=float)
-                          for r in ("lam", "mu", "alpha", "beta")))
-    fields = ("gamma", "secondary_gamma", "prefactor_up", "prefactor_down", "eta",
-              "escape_up", "escape_down")
-    stacked = tail_constants(twist_summary(stack))
-    via_prefactors = prefactors(stack)
-    for name in fields:
-        assert np.array_equal(getattr(via_prefactors, name), getattr(stacked, name)), name
-    r, boundary, (levels, beyond) = (rate_matrix_closed_form(stack),
-                                     _boundary(characteristic_roots(stack)),
-                                     _model1_levels(stack, 60))
-    assert r.shape == (302, 2, 2) and levels.shape == (302, 62, 2) and beyond.shape == (302,)
-    weights = _two_term(characteristic_roots(stack))
-    assert [w.shape for w in weights] == [(302, 2), (302, 2)]
-    for k, params in enumerate(sets):
-        one = tail_constants(twist_summary(params))
-        for name in fields:
-            assert np.float64(getattr(stacked, name)[k]).tobytes() == \
-                np.float64(getattr(one, name)).tobytes(), (k, name)
-        assert r[k].tobytes() == rate_matrix_closed_form(params).tobytes()
-        for many, single in zip(boundary, _boundary(characteristic_roots(params)), strict=True):
-            assert many[k].tobytes() == single.tobytes()
-        one_levels, one_beyond = _model1_levels(params, 60)
-        assert levels[k].tobytes() == one_levels.tobytes() and beyond[k] == one_beyond
-        for many, single in zip(weights, _two_term(characteristic_roots(params)), strict=True):
-            assert many[k].tobytes() == single.tobytes()
+test_model1_tail_path_of_a_stack_equals_each_sets_bit_for_bit = sliced("tail-path")
+
+
+def test_tandem_eta_refuses_a_boundary_sum_that_does_not_converge():
+    # lambda/mu < gamma_p on every stable p = 1 tandem (q(mu/lambda) = -mu alpha < 0 puts
+    # mu/lambda between the roots), so the pass's gamma_p is planted
+    twist = twist_summary(T2)
+    roots = dataclasses.replace(twist.roots, gamma_p=T2.lam / T2.mu)
+    with pytest.raises(ArithmeticError, match="^boundary sum not summable: lambda/mu >= gamma_p$"):
+        tail_constants(dataclasses.replace(twist, roots=roots))
+
+
+def test_two_geometric_fit_refuses_a_short_or_empty_window():
+    table = exact_stationary_model1(A, k_max=50)
+    for k_min, k_max in ((10, 14), (45, 55)):   # five levels; levels past the table read 0
+        with pytest.raises(ValueError, match="^fit window needs at least 6 strictly positive"):
+            two_geometric_fit(table, UP, k_min, k_max)
 
 
 def test_a_tandem_stack_is_refused_by_name_before_any_solve(monkeypatch):
@@ -639,8 +607,7 @@ def test_a_tandem_stack_is_refused_by_name_before_any_solve(monkeypatch):
         raise AssertionError("the truncated solve ran")
 
     monkeypatch.setattr(asymptotics, "truncated_stationary", no_solve)
-    stack = make_params(np.array([10.0, 5.0]), np.array([30.0, 30.0]), np.array([0.1, 0.2]),
-                        np.array([10.0, 10.0]), model=Model.MODEL2)
+    stack = _stack([T2, make_params(5, 30, 0.2, 10, model=Model.MODEL2)])
     for call in (prefactors, lambda params: tail_constants(twist_summary(params))):
         with pytest.raises(InvalidParameters) as refusal:
             call(stack)

@@ -14,7 +14,7 @@ from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, Truncation
                     boundary_vector, empirical_distribution, exact_stationary_model1,
                     free_kernel, full_kernel, make_params, neuts_stability, rate_matrix,
                     rate_matrix_closed_form, simulate, stationary_table,
-                    truncated_stationary, twist_summary)
+                    truncated_stationary)
 from uqtail.kernels import level_blocks
 from uqtail.qbd import (LatticeLaw, _lattice_inflow, _lattice_moves, _lattice_shape,
                         _tail_mass_estimate, first_passage)
@@ -22,6 +22,8 @@ from uqtail.verify import (check_rate_matrix, check_stability_equivalence,
                            random_params)
 
 from reference import FULL_RANGE_DIGITS, R_DOWN_DOWN_ONE, model1, relative_error
+from test_params import gates
+from test_twist import _stack, sliced
 
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
@@ -125,13 +127,7 @@ def test_rate_matrix_matches_closed_form(seed):
     assert np.max(np.abs(gap)) <= 1e-12
 
 
-def test_rate_matrix_of_a_stack_is_each_sets_bit_for_bit():
-    stack = make_params(*(np.r_[getattr(A, r), getattr(B, r)]
-                          for r in ("lam", "mu", "alpha", "beta")))
-    solved = rate_matrix(*level_blocks(stack))
-    assert solved.shape == (2, 2, 2)
-    for params, r in zip((A, B), solved):
-        assert np.array_equal(r, rate_matrix(*interior(params)))
+test_rate_matrix_of_a_stack_is_each_sets_bit_for_bit = sliced("rate-matrix")
 
 
 def test_first_passage_takes_the_stochastic_g():
@@ -145,40 +141,9 @@ def test_first_passage_takes_the_stochastic_g():
         assert np.max(np.abs(residual)) <= 1e-12
 
 
-def _stack(blocks):
-    """(A0, A1, A2) stacks from a list of (A0, A1, A2) triples."""
-    return tuple(np.stack(block) for block in zip(*blocks))
-
-
-def _tandem_blocks():
-    # twisted tandem blocks with y cut at 8: T2 and five grid sets
-    rng = np.random.default_rng(12)
-    sets = [T2] + [random_params(rng, model=Model.MODEL2) for _ in range(5)]
-    return [level_blocks(params, 8, h=twist_summary(params).harmonic) for params in sets]
-
-
-def test_first_passage_solves_a_stack_slice_by_slice():
-    # plain and twisted Model 1 blocks of A, B and 50 grid sets, then tandem blocks
-    rng = np.random.default_rng(11)
-    model1 = [A, B] + [random_params(rng) for _ in range(50)]
-    plain = list(map(interior, model1))
-    twisted = [level_blocks(params, h=twist_summary(params).harmonic) for params in model1]
-    for blocks in (plain + twisted, _tandem_blocks()):
-        g = first_passage(*_stack(blocks))
-        assert g.shape == (len(blocks),) + blocks[0][0].shape
-        for k, (a0, a1, a2) in enumerate(blocks):
-            assert np.max(np.abs(g[k] - first_passage(a0, a1, a2))) <= 1e-15, k
-
-
-def test_first_passage_names_the_failing_stack_index():
-    blocks = _tandem_blocks()
-    a0, a1, a2 = blocks[3]
-    blocks[3] = (a0, a1, 1.5 * a2)  # rows of A0 + A1 + A2 sum above 1
-    with pytest.raises(ArithmeticError, match="at stack index 3 fails: .* max row sum"):
-        first_passage(*_stack(blocks))
-    # a stack with two leading axes names the set by both indices
-    with pytest.raises(ArithmeticError, match="at stack index 1, 0 fails"):
-        first_passage(*(block.reshape(2, 3, *block.shape[1:]) for block in _stack(blocks)))
+test_first_passage_solves_a_stack_slice_by_slice = sliced("first-passage-model1",
+                                                          "first-passage-tandem")
+test_first_passage_names_the_failing_stack_index = gates("first-passage", "first-passage-two-axes")
 
 
 def test_spectrum_matches_characteristic_roots():
@@ -220,8 +185,7 @@ def test_boundary_where_r_down_down_rounds_to_one_matches_the_reference(rates):
     # (lambda/mu)(alpha+mu)/(lambda+beta) = 1 - 1e-106 on the first set: I - R was singular
     # in floats, and the other two printed a negative pi0; the closed form solves nothing
     ref = model1(*rates, digits=FULL_RANGE_DIGITS)["pi0"]
-    stack = make_params(*(np.array([getattr(A, name), rate])
-                          for name, rate in zip(("lam", "mu", "alpha", "beta"), rates)))
+    stack = _stack([A, make_params(*rates)])
     for pi0 in (boundary_vector(make_params(*rates)), boundary_vector(stack)[1]):
         assert [relative_error(value, exact) <= Decimal("1e-13")
                 for value, exact in zip(pi0, ref)] == [True, True]
@@ -458,6 +422,13 @@ def test_truncated_refuses_a_singular_solve(monkeypatch):
 
     monkeypatch.setattr(spla, "spsolve", singular)
     with pytest.raises(ArithmeticError, match="^truncated solve produced non-finite"):
+        truncated_stationary(T2, x_max=10, y_max=10)
+
+
+def test_truncated_refuses_negative_probabilities(monkeypatch):
+    # no lattice is known to solve to an entry below -1e-10: the solver's answer is planted
+    monkeypatch.setattr(spla, "spsolve", lambda a, b: np.where(np.arange(b.size) == 3, -1e-9, 1.0))
+    with pytest.raises(ArithmeticError, match="^truncated solve produced negative probabilities$"):
         truncated_stationary(T2, x_max=10, y_max=10)
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uqtail import (DOWN, UP, Excursion, InvalidParameters, Model, Trajectory,
-                    UnstableParameters, conditioned_excursion_slope,
+from uqtail import (DOWN, UP, ConvergenceError, Excursion, InvalidParameters, Model,
+                    Trajectory, UnstableParameters, conditioned_excursion_slope,
                     empirical_distribution, excursion_verdict, full_kernel,
                     ld_excursions, make_params, regime_prediction, simulate,
                     stationary_table)
@@ -258,6 +258,20 @@ def test_conditioned_slope_rejects_bad_input():
     # the one-step excursion returns before any solve, but not before the checks
     with pytest.raises(UnstableParameters):
         conditioned_excursion_slope(make_params(12, 11, 0.1, 10), level_k=3)
+
+
+def test_conditioned_slope_refuses_reach_probabilities_that_underflow():
+    # lambda/mu = lambda/beta = 0.01: level 200 lies about 1e-394 above level 3 in probability
+    with pytest.raises(ArithmeticError, match="^reach probabilities underflow below level 200$"):
+        conditioned_excursion_slope(make_params(1, 100, 0.1, 100), level_k=200)
+
+
+def test_conditioned_slope_law_left_unsummed_is_a_convergence_error(monkeypatch):
+    # no set is known to keep 1e-13 of the law past 10**6 steps: the step cap is planted
+    monkeypatch.setattr(importlib.import_module("uqtail.simulate"), "_SLOPE_MAX_STEPS", 50)
+    with pytest.raises(ConvergenceError, match=r"^conditioned excursion law keeps mass \S+ "
+                                               "beyond 50 steps$"):
+        conditioned_excursion_slope(A, level_k=30)
 
 
 def _interior(state):

@@ -8,10 +8,12 @@ from uqtail import (InvalidParameters, Model, UnstableParameters, boundary_vecto
                     characteristic_roots, conditioned_excursion_slope, exact_stationary_model1,
                     feynman_kac, harmonic, make_params, prefactors, stability, stationary_table,
                     twist_summary, two_term_tail)
-from uqtail.spectral import _require_stable, _t2_minus_1
+from uqtail.spectral import _t2_minus_1
 from uqtail.verify import check_perron_root, random_params
 
 from reference import DIGITS, SLOW_SWITCHING, model1, relative_error
+from test_params import gates
+from test_twist import _margin_sets, sliced
 
 A = make_params(10, 11, 0.1, 10)
 B = make_params(20, 60, 0.01, 1)
@@ -104,11 +106,6 @@ def test_underflowing_t2_is_refused_by_name(model):
     with pytest.raises(ArithmeticError, match=r"t2 underflows to 0 at lambda = 1e\+150") as exc:
         characteristic_roots(make_params(1e150, 1e-300, 1, 1, model=model))
     assert not isinstance(exc.value, ZeroDivisionError)
-    stack = make_params(np.array([10.0, 1e150]), np.array([11.0, 1e-300]),
-                        np.array([0.1, 1.0]), np.array([10.0, 1.0]), model=model)
-    with pytest.raises(ArithmeticError, match=r"t2 at stack index 1 underflows") as exc:
-        characteristic_roots(stack)
-    assert not isinstance(exc.value, ZeroDivisionError)
 
 
 @pytest.mark.parametrize("model", [Model.MODEL1, Model.MODEL2], ids=["model1", "tandem"])
@@ -120,18 +117,6 @@ def test_light_load_t2_matches_a_50_digit_reference(model):
         assert relative_error(t2, model1(lam, 11, 0.1, 10)["t2"]) <= Decimal("1e-15"), lam
 
 
-def _margin_sets():
-    """Corpus [-12, 12]'s 1,167 stable Model 1 sets (3,000 draws of rates log-uniform on
-    [1e-12, 1e12]), then A's rates at 0.99 to 0.999999 of the stability bound."""
-    rates = 10.0 ** np.random.default_rng(1).uniform(-12.0, 12.0, (3000, 4))
-    lam, mu, alpha, beta = rates.T
-    corpus = rates[lam < beta / (alpha + beta) * mu].tolist()
-    bound = float(A.beta / (A.alpha + A.beta) * A.mu)
-    near = [(load * bound, 11.0, 0.1, 10.0) for load in (0.99, 0.999, 0.9999, 0.99999, 0.999999)]
-    assert len(corpus) == 1167
-    return corpus + near
-
-
 def test_the_margin_t2_minus_1_matches_the_reference():
     # t2 - 1 from q(1) rounded once; it measures at most 3.4e-16 on the corpus, 2.1e-16 on A's
     # rates, and 1 - gamma_1 is 1.3e-19 on the corpus set whose gamma_1 rounds to 1
@@ -141,15 +126,7 @@ def test_the_margin_t2_minus_1_matches_the_reference():
         assert relative_error(margin, model1(*row)["t2"] - 1) <= Decimal("1e-15"), row
 
 
-def test_a_stack_forms_each_sets_own_margin_bit_for_bit():
-    rows = _margin_sets()
-    stack = make_params(*np.array(rows).T)
-    margins = _t2_minus_1(stack, characteristic_roots(stack).sqrt_s)
-    assert margins.shape == (len(rows),)
-    for row, margin in zip(rows, margins, strict=True):
-        params = make_params(*row)
-        own = _t2_minus_1(params, characteristic_roots(params).sqrt_s)
-        assert margin.tobytes() == np.float64(own).tobytes(), row
+test_a_stack_forms_each_sets_own_margin_bit_for_bit = sliced("margin")
 
 
 def test_unstable_set_has_gamma_above_one():
@@ -218,20 +195,5 @@ def test_the_stability_gate_names_its_stage(call, stage):
                                   f"got lambda = {lam}")
 
 
-def test_the_stability_gate_names_the_first_unstable_set_of_a_stack():
-    stack = make_params(np.array([10.0, 12.0, 13.0]), np.full(3, 11.0), np.full(3, 0.1),
-                        np.full(3, 10.0))
-    for call, stage in ((harmonic, "the harmonic function"), (twist_summary, "the twist"),
-                        (boundary_vector, "the boundary vector"),
-                        (lambda params: _require_stable(params, "a stage"), "a stage")):
-        with pytest.raises(UnstableParameters) as refusal:
-            call(stack)
-        assert str(refusal.value) == (f"{stage} requires a stable parameter set, {BOUND}; "
-                                      "got lambda = 12.0 at stack index 1")
-    rsrd = make_params(16, 30, 0.1, 10, p=0.5, model=Model.RSRD)
-    with pytest.raises(UnstableParameters) as refusal:
-        _require_stable(rsrd, "the stationary table")
-    assert str(refusal.value) == ("the stationary table requires a stable parameter set, "
-                                  "lambda < mu p; got lambda = 16.0")
-    _require_stable(make_params(np.array([10.0, 5.0]), np.full(2, 11.0), np.full(2, 0.1),
-                                np.full(2, 10.0)), "a stage")   # stable: no refusal
+test_the_stability_gate_names_the_first_unstable_set_of_a_stack = gates(
+    "stability", "stability-twist", "stability-boundary", "stability-rsrd")

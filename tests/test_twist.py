@@ -1,20 +1,29 @@
 import dataclasses
+import importlib
+import inspect
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from uqtail import (DOWN, UP, InvalidParameters, Model, StationaryTable,
-                    UnstableParameters, characteristic_roots, harmonic,
-                    make_params, prefactors, stability, truncated_stationary, twist_summary)
+                    UnstableParameters, characteristic_roots, conditioned_excursion_slope,
+                    exact_stationary_model1, harmonic, make_params, prefactors,
+                    rate_matrix, rate_matrix_closed_form, stationary_table,
+                    truncated_stationary, twist_summary)
 from uqtail import kernels, spectral, twist
-from uqtail.asymptotics import _escape
+from uqtail.asymptotics import _escape, _two_term
 from uqtail.cli import main
 from uqtail.kernels import _fold, _moves, level_blocks
-from uqtail.verify import check_drift, check_harmonicity, random_params, run_checks
+from uqtail.qbd import _boundary, _model1_levels, first_passage
+from uqtail.verify import _sets, check_harmonicity, random_params
 
+import pins
 from reference import model1
+from test_params import gates
+from test_pins import TABLE
 
 A = make_params(10, 11, 0.1, 10)
 T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
@@ -235,7 +244,7 @@ def test_drift_gate_is_relative_to_its_terms(monkeypatch):
     assert disagree
 
 
-NAMES = ("characteristic_roots", "stability", "_moves", "_t2_minus_1")
+NAMES = ("characteristic_roots", "stability", "validate", "_moves", "_t2_minus_1")
 
 
 @pytest.fixture
@@ -249,9 +258,8 @@ def call_counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    originals = {name: getattr(sys.modules[module], name) for name, module in (
-        ("characteristic_roots", "uqtail.spectral"), ("stability", "uqtail.spectral"),
-        ("_moves", "uqtail.kernels"), ("_t2_minus_1", "uqtail.spectral"))}
+    modules = (spectral, sys.modules["uqtail.params"], kernels)   # where each is defined
+    originals = {name: getattr(m, name) for m in modules for name in NAMES if hasattr(m, name)}
     for module in [m for name, m in sys.modules.items() if name.startswith("uqtail")]:
         for name, fn in originals.items():
             if getattr(module, name, None) is fn:
@@ -259,49 +267,56 @@ def call_counts(monkeypatch):
     return counts
 
 
-def test_one_twist_pass_per_call(call_counts, tmp_path):
-    table = truncated_stationary(T2, x_max=40, y_max=40)
-    call_counts.update(dict.fromkeys(NAMES, 0))
-    # analyze: one pass (a move table for its twisted blocks, which the drift and
-    # the escape check read), whose roots the report's spectral and eta's boundary
-    # read, and the report's stability; the margin t2 - 1, once, for escape(Up) and pi0
-    flags = ["--lambda", "10", "--mu", "11", "--alpha", "0.1", "--beta", "10"]
-    assert main(["analyze", *flags, "--out", str(tmp_path)]) == 0
-    assert call_counts == {"characteristic_roots": 1, "stability": 2, "_moves": 1,
-                           "_t2_minus_1": 1}
-    call_counts.update(dict.fromkeys(NAMES, 0))
-    # one pass (its blocks at y cut 1 give the drift and eta's up-block mass), then
-    # eta's escape blocks at the two y cuts
-    prefactors(T2, table=table)
-    assert call_counts == {"characteristic_roots": 1, "stability": 1,
-                           "_moves": 3, "_t2_minus_1": 0}
-    call_counts.update(dict.fromkeys(NAMES, 0))
-    # the feedback tandem's analyze: the shape-only tail's gate and roots, which the
-    # report's spectral reads, and the report's stability
-    flags = ["--lambda", "10", "--mu", "30", "--alpha", "0.1", "--beta", "10", "--p", "0.5"]
-    assert main(["analyze", *flags, "--model", "model2", "--out", str(tmp_path)]) == 0
-    assert call_counts == {"characteristic_roots": 1, "stability": 2, "_moves": 0,
-                           "_t2_minus_1": 0}
-    call_counts.update(dict.fromkeys(NAMES, 0))
-    # bare roots, through the counted namespace: the margin is left to the stages that read it
-    spectral.characteristic_roots(A)
-    assert call_counts == {"characteristic_roots": 1, "stability": 0, "_moves": 0,
-                           "_t2_minus_1": 0}
-    call_counts.update(dict.fromkeys(NAMES, 0))
-    # the invariant suite's four Model 1 passes that read the margin (the tail
+PINS = {pin["name"]: pin for pin in TABLE["pins"]}
+T2_TABLE = truncated_stationary(T2, x_max=40, y_max=40)
+# a call, a pin of pins.json run in process or a library call, and its counts of NAMES: one
+# pass per set.  A pass is the set's gate (`stability`, whose report analyze reports) and
+# roots, a move table for its blocks (the twisted ones give the drift and the escape check)
+# and the margin t2 - 1, once, where escape(Up) and pi0 read it
+PASSES = [
+    ("analyze-A", (1, 1, 1, 1, 1)),
+    # the p = 1 tandem: no margin; eta's escape blocks at the two y cuts and its 60 x 60 table
+    ("analyze-tandem-1-50", (1, 1, 1, 4, 0)),
+    ("analyze-T2-p0.5", (1, 1, 1, 0, 0)),   # the shape-only tail: the gate and the roots
+    # --limits evaluates a second set, at alpha = 1e-6 (the feedback tandem's: roots alone)
+    ("analyze-A-limits", (2, 2, 2, 2, 2)),
+    ("analyze-T2-p0.5-limits", (2, 1, 2, 0, 0)),
+    ("analyze-rsrd", (0, 1, 1, 0, 0)),
+    # the table's balance check reads the moves; the p = 1 tandem's roots are station 1's
+    ("tailfit-A", (1, 1, 1, 1, 1)),
+    ("tailfit-T2", (1, 1, 1, 1, 1)),
+    ("tailfit-T2-p0.5", (0, 1, 1, 1, 0)),
+    ("compare-mm1-A", (1, 0, 1, 0, 1)),
+    ("simulate-B", (0, 0, 1, 1, 0)),
+    ("ldpath-A", (0, 0, 1, 1, 0)),
+    # the invariant suite's stacks; its four Model 1 passes that read the margin (the tail
     # reproduction, exact-coefficient, eta-bounds and escape checks) form it once each
-    run_checks(200, 7)
-    assert call_counts["_t2_minus_1"] == 4
-    # the tail record carries its pass: the twist and roots of A's own pass, bit for bit
-    asym = prefactors(A)
-    for carried, own, name in ((asym.twist, twist_summary(A), "twist"),
-                               (asym.roots, twist_summary(A).roots, "roots")):
-        for (path, one), (_, other) in zip(_leaves(carried, name), _leaves(own, name),
-                                           strict=True):
-            if other is None or isinstance(other, Model):
-                assert one is other, path
-            else:
-                assert np.asarray(one, float).tobytes() == np.asarray(other, float).tobytes(), path
+    ("verify-200-7", (17, 13, 19, 16, 4)),
+    # a pass, then eta's escape blocks at the two y cuts of the given table
+    (lambda: prefactors(T2, table=T2_TABLE), (1, 1, 0, 3, 0)),
+    # bare roots, through the counted namespace: the margin is left to the stages that read it
+    (lambda: spectral.characteristic_roots(A), (1, 0, 0, 0, 0)),
+    (lambda: stationary_table(A, 50), (1, 1, 0, 1, 1)),
+    (lambda: exact_stationary_model1(A, 50), (1, 1, 0, 1, 1)),
+    (lambda: conditioned_excursion_slope(A, 30), (1, 1, 0, 1, 1)),
+]
+
+
+def test_one_twist_pass_per_call(call_counts, tmp_path):
+    for call, counts in PASSES:
+        call_counts.update(dict.fromkeys(NAMES, 0))
+        if isinstance(call, str):
+            assert pins.check(PINS[call], tmp_path, TABLE) == []
+        else:
+            call()
+        assert call_counts == dict(zip(NAMES, counts)), \
+            call if isinstance(call, str) else inspect.getsource(call)
+    # the tail record carries its pass: the stability report, twist and roots of A's own
+    # pass, bit for bit
+    asym, own = prefactors(A), twist_summary(A)
+    for carried, mine, name in ((asym.stability, own.stability, "stability"),
+                                (asym.twist, own, "twist"), (asym.roots, own.roots, "roots")):
+        _assert_set_in_stack(carried, mine, None, name)
 
 
 def _stack(sets):
@@ -323,16 +338,39 @@ def _leaves(obj, name):
         yield name, obj
 
 
-def _assert_set_in_stack(stacked, one, k, name):
-    """Every leaf of `one` equals set k of the stacked leaf, bit for bit; a
-    stack carries its sets on the leading axis."""
+def _assert_set_in_stack(stacked, one, k, name, tol=0.0):
+    """Every leaf of `one` equals set k of the stacked leaf (a stack carries its sets on the
+    leading axis; k None compares whole leaves): bit for bit, or within `tol` absolute."""
     for (path, many), (_, single) in zip(_leaves(stacked, name), _leaves(one, name), strict=True):
-        if single is None or isinstance(single, Model):
-            assert many is single, path
+        if single is None or isinstance(single, (str, Model)):
+            assert many == single if isinstance(single, str) else many is single, path
             continue
         many = np.asarray(many)
-        at = many[k] if many.ndim else many
-        assert np.asarray(at, float).tobytes() == np.asarray(single, float).tobytes(), path
+        at = many[k] if k is not None and many.ndim else many
+        if tol:
+            assert np.max(np.abs(at - single)) <= tol, path
+        else:
+            assert np.asarray(at, float).tobytes() == np.asarray(single, float).tobytes(), path
+
+
+def _margin_sets():
+    """Corpus [-12, 12]'s 1,167 stable Model 1 sets (3,000 draws of rates log-uniform on
+    [1e-12, 1e12]), then A's rates at 0.99 to 0.999999 of the stability bound."""
+    rates = 10.0 ** np.random.default_rng(1).uniform(-12.0, 12.0, (3000, 4))
+    lam, mu, alpha, beta = rates.T
+    corpus = rates[lam < beta / (alpha + beta) * mu].tolist()
+    bound = float(A.beta / (A.alpha + A.beta) * A.mu)
+    near = [(load * bound, 11.0, 0.1, 10.0) for load in (0.99, 0.999, 0.9999, 0.99999, 0.999999)]
+    assert len(corpus) == 1167
+    return corpus + near
+
+
+def _model1_tail_path(params):
+    """Every stage from R to C(sigma): the tail record, R, the boundary, the levels and the
+    two-term weights."""
+    roots = characteristic_roots(params)
+    return (prefactors(params), rate_matrix_closed_form(params), _boundary(roots),
+            _model1_levels(roots, 60), _two_term(roots))
 
 
 B = make_params(20, 60, 0.01, 1)
@@ -341,79 +379,75 @@ STACK_SETS = {
     Model.MODEL1: [A, B, *(random_params(_rng) for _ in range(40))],
     Model.MODEL2: [T2, *(random_params(_rng, model=Model.MODEL2) for _ in range(40))],
 }
+_rng11, _rng12 = np.random.default_rng(11), np.random.default_rng(12)
+# a stage, its sets and its comparison: set k of the stage's stack is the stage's own call on
+# set k, bit for bit; first_passage's doublings run until the last step is small for every
+# set of its stack, so its sets agree to 1e-15
+SLICES = {
+    "twist-model1": (twist_summary, STACK_SETS[Model.MODEL1], 0.0),
+    "twist-tandem": (twist_summary, STACK_SETS[Model.MODEL2], 0.0),
+    "escape": (lambda params: _escape(twist_summary(params)), STACK_SETS[Model.MODEL1], 0.0),
+    # each set's own p below 1: a shape-only tail
+    "shape-only": (prefactors, [make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2),
+                                make_params(5, 30, 0.2, 10, p=0.7, model=Model.MODEL2)], 0.0),
+    "tail-path": (_model1_tail_path,
+                  [A, B, *(_sets(u) for u in np.random.default_rng(5).random((300, 4)))], 0.0),
+    "rate-matrix": (lambda params: rate_matrix(*level_blocks(params)), [A, B], 0.0),
+    # plain and twisted blocks
+    "first-passage-model1": (
+        lambda params: (first_passage(*level_blocks(params)),
+                        first_passage(*level_blocks(params, h=harmonic(params)))),
+        [A, B, *(random_params(_rng11) for _ in range(50))], 1e-15),
+    # twisted blocks with y cut at 8
+    "first-passage-tandem": (
+        lambda params: first_passage(*level_blocks(params, 8, h=harmonic(params))),
+        [T2, *(random_params(_rng12, model=Model.MODEL2) for _ in range(5))], 1e-15),
+    "margin": (lambda params: characteristic_roots(params).t2_minus_1,
+               [make_params(*row) for row in _margin_sets()], 0.0),
+}
+_bound = []   # the rows bound to a test, by `sliced`
 
 
-@pytest.mark.parametrize("model", list(STACK_SETS), ids=["model1", "tandem"])
-def test_stacked_twist_equals_each_set_bit_for_bit(model):
-    sets = STACK_SETS[model]
-    stacked = twist_summary(_stack(sets))
+def sliced(*names, **cases):
+    """The one stacked-slice test, over rows of SLICES.
+
+    A module binds it to the name the rows' test has always carried: `names` for a test
+    without cases, which runs its rows in turn, or `cases` mapping each case id to its row.
+    """
+    _bound.extend([*names, *cases.values()])
+    if names:
+        def test():
+            for name in names:
+                _slices_hold(name)
+        return test
+
+    @pytest.mark.parametrize("name", list(cases.values()), ids=list(cases))
+    def test(name):
+        _slices_hold(name)
+    return test
+
+
+def _slices_hold(name):
+    stage, sets, tol = SLICES[name]
+    stacked = stage(_stack(sets))
     for k, params in enumerate(sets):
-        _assert_set_in_stack(stacked, twist_summary(params), k, "twist")
+        _assert_set_in_stack(stacked, stage(params), k, name, tol)
 
 
-def test_stacked_escape_equals_each_set_bit_for_bit():
-    sets = STACK_SETS[Model.MODEL1]
-    esc = _escape(twist_summary(_stack(sets)))
-    for k, params in enumerate(sets):
-        _assert_set_in_stack(esc, _escape(twist_summary(params)), k, "escape")
+def test_every_slice_row_is_bound_once():
+    # a row runs only under the test that binds it, in the module that imports it
+    for path in Path(__file__).parent.glob("test_*.py"):
+        importlib.import_module(path.stem)
+    assert sorted(_bound) == sorted(SLICES)
 
 
-def _first_up_move_scaled_at(k):
-    """The interior moves with the first Up move scaled by 1 + 1e-3, in set k
-    of a stack or in a single set."""
-    def moves(params):
-        (step, prob, low), *rest = _moves(params)[0]
-        bump = 1.0 + 1e-3 * (np.arange(np.size(prob)) == k) if np.ndim(prob) else 1.0 + 1e-3
-        return ((step, prob * bump, low), *rest), _moves(params)[1]
-    return moves
-
-
-def test_drift_disagreement_raises_naming_the_set(monkeypatch):
-    monkeypatch.setattr(kernels, "_moves", _first_up_move_scaled_at(3))
-    drift = twist._twist(A)[0].drift
-    with pytest.raises(ArithmeticError) as error:
-        twist_summary(A)
-    # plain floats, whatever the numpy version's scalar repr
-    assert str(error.value) == (f"drift closed form {float(drift.value)!r} and aggregate "
-                                f"{float(drift.estimate)!r} disagree")
-    assert "np." not in str(error.value)
-    sets = STACK_SETS[Model.MODEL1]
-    drift = twist._twist(_stack(sets))[0].drift
-    with pytest.raises(ArithmeticError) as error:
-        twist_summary(_stack(sets))
-    assert str(error.value) == (f"drift closed form {drift.value[3].item()!r} and aggregate "
-                                f"{drift.estimate[3].item()!r} disagree at stack index 3")
-    # check_drift counts the one set of its Model 1 stack made to fail
-    assert check_drift(50, 13).detail == "1 of 50 stable sets failed the drift contract"
-
-
-def test_nonpositive_drift_raises_naming_the_set(monkeypatch):
-    # an overloaded set passed off as stable has a negative twisted drift
-    over = make_params(12, 11, 0.1, 10)
-    monkeypatch.setattr(spectral, "stability", lambda params: dataclasses.replace(
-        stability(params), stable=np.ones_like(params.lam, dtype=bool)))
-    with pytest.raises(ArithmeticError) as error:
-        twist_summary(over)
-    assert str(error.value) == ("twisted chain drift is not positive (-0.03349979548720102); "
-                                "tail method inapplicable for these parameters")
-    with pytest.raises(ArithmeticError) as error:
-        twist_summary(_stack([A, over, B]))
-    assert str(error.value) == ("twisted chain drift at stack index 1 is not positive "
-                                "(-0.03349979548720102); tail method inapplicable for these "
-                                "parameters")
-
-
-def test_the_first_failing_set_wins_over_the_first_failing_row(monkeypatch):
-    # set 3 disagrees (the gate's first row), set 1 is not positive (its second)
-    over = make_params(12, 11, 0.1, 10)
-    monkeypatch.setattr(kernels, "_moves", _first_up_move_scaled_at(3))
-    monkeypatch.setattr(spectral, "stability", lambda params: dataclasses.replace(
-        stability(params), stable=np.ones_like(params.lam, dtype=bool)))
-    with pytest.raises(ArithmeticError) as error:
-        twist_summary(_stack([A, over, B, A]))
-    assert str(error.value) == ("twisted chain drift at stack index 1 is not positive "
-                                "(-0.03349979548720102); tail method inapplicable for these "
-                                "parameters")
+test_stacked_twist_equals_each_set_bit_for_bit = sliced(model1="twist-model1",
+                                                        tandem="twist-tandem")
+test_stacked_escape_equals_each_set_bit_for_bit = sliced("escape")
+test_drift_disagreement_raises_naming_the_set = gates("drift-disagree")
+test_nonpositive_drift_raises_naming_the_set = gates("drift")
+test_the_first_failing_set_wins_over_the_first_failing_row = gates("drift-first-set")
+test_escape_gate_raises_naming_the_set = gates("escape")
 
 
 def test_a_nan_drift_fails_both_drift_gates(tmp_path, capsys):
@@ -433,21 +467,3 @@ def test_a_nan_drift_fails_both_drift_gates(tmp_path, capsys):
              for v in pair]
     assert main(["analyze", *flags, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"verification failure: {message}\n"
-
-
-def _down_block_scaled_at(twist_pass, k):
-    """The twist with its down block scaled by 1 + 1e-9, in set k of a stack
-    or in a single set."""
-    up, local, down = twist_pass.blocks
-    bump = 1.0 + 1e-9 * (np.arange(len(down)) == k)[:, None, None] if down.ndim == 3 else 1.0 + 1e-9
-    return dataclasses.replace(twist_pass, blocks=(up, local, down * bump))
-
-
-def test_escape_gate_raises_naming_the_set():
-    with pytest.raises(ArithmeticError) as error:
-        _escape(_down_block_scaled_at(twist_summary(A), 5))
-    assert str(error.value) == ("closed-form first-passage matrix fails: residual 3.25e-10 "
-                                "(bound 1e-12), row sums [0.91905976 0.83811952] (must be < 1)")
-    with pytest.raises(ArithmeticError,
-                       match=r"^closed-form first-passage matrix at stack index 5 fails: "):
-        _escape(_down_block_scaled_at(twist_summary(_stack(STACK_SETS[Model.MODEL1])), 5))

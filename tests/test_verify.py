@@ -15,6 +15,7 @@ from uqtail.verify import (_CHUNK, PARAMS_A, PARAMS_B, _sets, check_drift,
                            check_twisted_rows, random_params)
 
 from test_pins import pinned
+from test_twist import _stack
 
 
 def _uniform_calls_params(rng, p=1.0, stable=True, model=Model.MODEL1):
@@ -145,19 +146,25 @@ def test_escape_check_leads_with_the_reference_sets(monkeypatch):
 def test_exact_coefficient_check_holds_at_a_tiny_alpha(monkeypatch):
     # alpha = 2.5e-12 with mu > lambda + beta, after A and B: C(Up) = 4.9e-12 lies under a
     # gamma_2^k term of weight 0.41, which the oracle must not cancel against
-    stack = make_params(*(np.r_[getattr(verify._REFERENCE, r), v]
-                          for r, v in zip(verify._RATES, (26.32, 44.89, 2.531e-12, 15.48))))
+    stack = _stack([PARAMS_A, PARAMS_B, make_params(26.32, 44.89, 2.531e-12, 15.48)])
     monkeypatch.setattr(verify, "_reference_led", lambda grid, seed: iter([stack]))
     result = check_exact_coefficient(20, 0)
     assert result.passed, result.detail
 
 
-def _with_first_move_scaled(moves):
+def _with_first_move_scaled(moves, at=None):
+    """`moves` with the first Up move scaled by 1 + 1e-9, or by 1 + 1e-3 in set `at` alone."""
     def scaled(params):
         up, down = moves(params)
         (step, prob, low), *rest = up
-        return ((step, prob * (1.0 + 1e-9), low), *rest), down
+        bump = 1e-9 if at is None else 1e-3 * (np.arange(np.size(prob)) == at)
+        return ((step, prob * (1.0 + bump), low), *rest), down
     return scaled
+
+
+def test_drift_check_counts_the_sets_that_fail(monkeypatch):
+    monkeypatch.setattr(kernels, "_moves", _with_first_move_scaled(kernels._moves, at=3))
+    assert check_drift(50, 13).detail == "1 of 50 stable sets failed the drift contract"
 
 
 def _roots_with(field, value):
