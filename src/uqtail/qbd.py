@@ -15,7 +15,7 @@ import numpy as np
 
 from .kernels import _fold, _moves, _origins
 from .params import DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams, _require
-from .spectral import SpectralSolution, _require_stable, _stable_roots, characteristic_roots
+from .spectral import SpectralSolution, _require_stable, characteristic_roots
 
 _FIRST_PASSAGE_TOL = 1e-16  # largest entry of the last doubling's increment
 _FIRST_PASSAGE_DOUBLINGS = 64
@@ -159,7 +159,8 @@ def _model1_roots(params: ModelParams, what: str) -> SpectralSolution:
     """InvalidParameters naming `what` off Model 1, else the roots the boundary's gate admits."""
     if params.model is not Model.MODEL1:
         raise InvalidParameters(f"{what} needs a Model 1 parameter set")
-    return _stable_roots(params, what)
+    _require_stable(params, what)
+    return characteristic_roots(params)
 
 
 def _boundary(roots: SpectralSolution) -> tuple:

@@ -140,12 +140,6 @@ def stability(params: ModelParams) -> StabilityReport:
                            if_and_only_if=iff)
 
 
-def _stable_roots(params: ModelParams, stage: str) -> SpectralSolution:
-    """`characteristic_roots` of a set that `_require_stable` admits for `stage`."""
-    _require_stable(params, stage)
-    return characteristic_roots(params)
-
-
 def _require_stable(params: ModelParams, stage: str) -> StabilityReport:
     """The set's `stability`; UnstableParameters naming `stage` unless every set is stable."""
     report = stability(params)

@@ -25,11 +25,7 @@ from uqtail.verify import check_tail_reproduction, random_params
 
 from reference import (DIGITS, FULL_RANGE_DIGITS, R_DOWN_DOWN_ONE, SLOW_SWITCHING, model1,
                        relative_error)
-from test_twist import _stack, sliced
-
-A = make_params(10, 11, 0.1, 10)
-B = make_params(20, 60, 0.01, 1)
-T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
+from tables import A, B, SLICES, T2, bound, stack_of
 
 
 def assert_escape_matches_iteration(params):
@@ -464,11 +460,11 @@ def test_model2_feedback_is_shape_only():
     assert asym.gamma == pytest.approx(0.679296, abs=1e-6)
     # a stack that mixes p = 1 and p < 1 has no twist
     with pytest.raises(InvalidParameters) as refusal:
-        prefactors(_stack([T2, params]))
+        prefactors(stack_of([T2, params]))
     assert str(refusal.value) == "the twist is derived for Model 1 and the tandem (p = 1) only"
 
 
-test_a_feedback_tandem_stack_is_shape_only_per_set = sliced("shape-only")
+test_a_feedback_tandem_stack_is_shape_only_per_set = bound(SLICES, "shape-only")
 
 
 def test_rs_rd_closed_form():
@@ -582,7 +578,7 @@ def test_stationary_table_needs_both_sides_and_stability():
                           truncated_stationary(half, x_max=20, y_max=20).pi)
 
 
-test_model1_tail_path_of_a_stack_equals_each_sets_bit_for_bit = sliced("tail-path")
+test_model1_tail_path_of_a_stack_equals_each_sets_bit_for_bit = bound(SLICES, "tail-path")
 
 
 def test_tandem_eta_refuses_a_boundary_sum_that_does_not_converge():
@@ -607,7 +603,7 @@ def test_a_tandem_stack_is_refused_by_name_before_any_solve(monkeypatch):
         raise AssertionError("the truncated solve ran")
 
     monkeypatch.setattr(asymptotics, "truncated_stationary", no_solve)
-    stack = _stack([T2, make_params(5, 30, 0.2, 10, model=Model.MODEL2)])
+    stack = stack_of([T2, make_params(5, 30, 0.2, 10, model=Model.MODEL2)])
     for call in (prefactors, lambda params: tail_constants(twist_summary(params))):
         with pytest.raises(InvalidParameters) as refusal:
             call(stack)

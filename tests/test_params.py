@@ -1,10 +1,7 @@
-import dataclasses
 import inspect
 import json
 import math
-from typing import Callable, NamedTuple
 
-import numpy as np
 import pytest
 
 import uqtail
@@ -12,16 +9,10 @@ from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParam
                     boundary_vector, characteristic_roots, conditioned_excursion_slope,
                     default_uniformization, exact_stationary_model1, feynman_kac,
                     full_kernel, harmonic, make_params, params_from_json, prefactors,
-                    stationary_table, truncated_stationary, twist_summary, two_term_tail)
-from uqtail import kernels, spectral
-from uqtail.asymptotics import _escape
-from uqtail.kernels import _fold, _moves, level_blocks
-from uqtail.params import UnstableParameters, check_state
-from uqtail.qbd import first_passage
-from uqtail.spectral import stability
+                    truncated_stationary, twist_summary, two_term_tail)
+from uqtail.params import check_state
 
-A = make_params(10, 11, 0.1, 10)
-T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
+from tables import A, GATES, T2, bound
 T2_HALF = make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2)
 RS_ONE = make_params(10, 30, 0.1, 10, model=Model.RSRD)
 
@@ -91,153 +82,12 @@ def test_small_c_raises_its_bound():
         assert str(error.value) == f"C below {bound}: 5.0 < {c_min}"
 
 
-GOOD = (10.0, 11.0, 0.1, 10.0)   # A
-OVER = (12.0, 11.0, 0.1, 10.0)   # above A's stability bound
-
-
-def _sets(bad, good, wrong):
-    """`wrong` where `bad` holds and `good` elsewhere: one set's values, or a stack's."""
-    if len(bad) == 1:
-        return wrong if bad[0] else good
-    return tuple(np.where(np.reshape(bad, (-1,) + (1,) * np.ndim(w)), w, g)
-                 for g, w in zip(good, wrong))
-
-
-def _last(bad):
-    """The last set of a stack, made to fail an earlier row of its gate as well, so that the
-    first failing set wins over the first failing row; no set of one."""
-    return [*[False] * (len(bad) - 1), len(bad) > 1]
-
-
-def _params(bad, wrong):
-    return make_params(*_sets(bad, GOOD, wrong))
-
-
-def _low_c(bad, zero_alpha):
-    """C = 5 in the bad sets and alpha = 0 in the `zero_alpha` ones."""
-    return make_params(*_sets(zero_alpha, GOOD, (10.0, 11.0, 0.0, 10.0)),
-                       C=_sets(bad, (40.0,), (5.0,))[0])
-
-
-def _twist_of(bad, wrong, scaled):
-    """twist_summary of `wrong` in the bad sets, all passed off as stable, with the first Up
-    move scaled by 1 + 1e-3 in the `scaled` sets."""
-    def moves(params):
-        (step, prob, low), *rest = _moves(params)[0]
-        bump = 1.0 + 1e-3 * np.asarray(scaled, float).reshape(np.shape(prob))
-        return ((step, prob * bump, low), *rest), _moves(params)[1]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectral, "stability", lambda params: dataclasses.replace(
-            stability(params), stable=np.ones_like(params.lam, dtype=bool)))
-        patch.setattr(kernels, "_moves", moves)
-        twist_summary(_params(bad, wrong))
-
-
-def _escape_of_scaled_down_block(bad):
-    twist = twist_summary(_params(bad, GOOD))
-    a0, a1, a2 = twist.blocks
-    scale = np.asarray(_sets(bad, (1.0,), (1.0 + 1e-9,))[0])[..., None, None]
-    _escape(dataclasses.replace(twist, blocks=(a0, a1, a2 * scale)))
-
-
-def _first_passage_of_scaled_down_block(bad, axes=1):
-    a0, a1, a2 = level_blocks(make_params(*GOOD))
-    # the good set always steps down, G = I after one doubling: the stack takes the
-    # bad set's own doublings, and so its G
-    zero = np.zeros((2, 2))
-    blocks = _sets(bad, (zero, zero, np.eye(2)), (a0, a1, 1.5 * a2))
-    if len(bad) > 1 and axes == 2:   # the stack's sets on two leading axes, (3, 1)
-        blocks = [block[:, None] for block in blocks]
-    first_passage(*blocks)
-
-
-class Gate(NamedTuple):
-    error: type
-    call: Callable   # fails in each bad set
-    line: str | None = None   # its one-set line, where a test has always pinned it
-    where: str = "1"   # the index the stack's line names: the first failing set
-
-
-_NOT_POSITIVE = ("twisted chain drift is not positive (-0.03349979548720102); tail method "
-                 "inapplicable for these parameters")
-# every set-level gate, each raising through params._require
-GATES = {
-    # the rates are checked before C within a set
-    "validate": Gate(InvalidParameters, lambda bad: _low_c(bad, bad), "alpha must be > 0, got 0.0"),
-    "validate-first-set": Gate(InvalidParameters, lambda bad: _low_c(bad, _last(bad)),
-                               "C below lambda+mu+alpha+beta: 5.0 < 31.1"),
-    "validate-c-omitted": Gate(InvalidParameters, lambda bad: _params(bad, (math.inf, *GOOD[1:])),
-                               "lambda must be finite, got inf"),
-    "default-uniformization": Gate(InvalidParameters, lambda bad: default_uniformization(
-        *_sets(bad, GOOD, (10.0, 11.0, 0.1, -1.0)), Model.MODEL1)),
-    "t2-not-finite": Gate(ArithmeticError, lambda bad: characteristic_roots(
-        _params(bad, (0.5, 1e300, 0.5, 1e300)))),
-    "t1-overflow": Gate(ArithmeticError, lambda bad: characteristic_roots(
-        _params(bad, (5e-324, 11.0, 0.1, 10.0)))),
-    "t2-underflow": Gate(ArithmeticError, lambda bad: characteristic_roots(
-        _params(bad, (1e150, 1e-300, 1.0, 1.0)))),
-    "stability": Gate(UnstableParameters, lambda bad: harmonic(_params(bad, OVER))),
-    "stability-twist": Gate(UnstableParameters, lambda bad: twist_summary(_params(bad, OVER))),
-    "stability-boundary": Gate(UnstableParameters,
-                               lambda bad: boundary_vector(_params(bad, OVER))),
-    "stability-rsrd": Gate(UnstableParameters, lambda bad: stationary_table(make_params(
-        *_sets(bad, (10.0, 30.0, 0.1, 10.0), (16.0, 30.0, 0.1, 10.0)), p=0.5, model=Model.RSRD),
-        5, 5), "the stationary table requires a stable parameter set, lambda < mu p; "
-               "got lambda = 16.0"),
-    "down-weight": Gate(ArithmeticError,
-                        lambda bad: harmonic(_params(bad, (1.0, 2.0, 5e-324, 0.5)))),
-    "drift": Gate(ArithmeticError, lambda bad: _twist_of(bad, OVER, [False] * len(bad)),
-                  _NOT_POSITIVE),
-    "drift-disagree": Gate(ArithmeticError, lambda bad: _twist_of(bad, GOOD, bad),
-                           "drift closed form 0.028654323313159143 and aggregate "
-                           "0.02900002757317067 disagree"),
-    # the disagreement is the gate's first row, a drift that is not positive its second
-    "drift-first-set": Gate(ArithmeticError, lambda bad: _twist_of(bad, OVER, _last(bad)),
-                            _NOT_POSITIVE),
-    "escape": Gate(ArithmeticError, _escape_of_scaled_down_block,
-                   "closed-form first-passage matrix fails: residual 3.25e-10 (bound 1e-12), "
-                   "row sums [0.91905976 0.83811952] (must be < 1)"),
-    "first-passage": Gate(ArithmeticError, _first_passage_of_scaled_down_block),
-    "first-passage-two-axes": Gate(
-        ArithmeticError, lambda bad: _first_passage_of_scaled_down_block(bad, axes=2),
-        where="1, 0"),
-    "negative-diagonal": Gate(InvalidParameters, lambda bad: _fold(
-        ((((1, 0), _sets(bad, (0.5,), (1.5,))[0], None),),), (1, 0))),
-}
-
-
-def _gate_holds(gate):
-    error, call, line, where = GATES[gate]
-    with pytest.raises(error) as one:
-        call([True])
-    message = str(one.value)
-    assert type(one.value) is error
-    assert "stack index" not in message and "np." not in message
-    assert line in (None, message)
-    # sets 1 and 2 fail: the message is set 1's own, plain floats, with its index; the
-    # stack's overflow or NaN raises no numpy warning before the gate (pytest's -W error)
-    with pytest.raises(error) as stacked:
-        call([False, True, True])
-    assert type(stacked.value) is error
-    assert f" at stack index {where}" in str(stacked.value)
-    assert str(stacked.value).replace(f" at stack index {where}", "") == message
-
-
-def gates(*names):
-    """The gate test over rows of GATES, run in turn, for a module to bind to the name those
-    rows' test has always carried."""
-    def test():
-        for name in names:
-            _gate_holds(name)
-    return test
-
-
-@pytest.mark.parametrize("gate", GATES)
-def test_every_gate_names_the_first_failing_set(gate):
-    _gate_holds(gate)
-
-
-test_a_stack_names_its_first_failing_condition = gates("validate", "validate-first-set",
+# the rows no other test has always run
+test_every_gate_names_the_first_failing_set = bound(GATES, **{row: row for row in (
+    "validate", "default-uniformization", "t2-not-finite", "t1-overflow", "t2-underflow",
+    "t2-underflow-tandem", "stability", "down-weight", "drift", "escape", "first-passage",
+    "negative-diagonal")})
+test_a_stack_names_its_first_failing_condition = bound(GATES, "validate-first-set",
                                                        "validate-c-omitted")
 
 

@@ -22,12 +22,7 @@ from uqtail.verify import (check_rate_matrix, check_stability_equivalence,
                            random_params)
 
 from reference import FULL_RANGE_DIGITS, R_DOWN_DOWN_ONE, model1, relative_error
-from test_params import gates
-from test_twist import _stack, sliced
-
-A = make_params(10, 11, 0.1, 10)
-B = make_params(20, 60, 0.01, 1)
-T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
+from tables import A, B, GATES, SLICES, T2, bound, stack_of
 RS = make_params(10, 30, 0.1, 10, p=0.5, model=Model.RSRD)
 
 
@@ -127,7 +122,7 @@ def test_rate_matrix_matches_closed_form(seed):
     assert np.max(np.abs(gap)) <= 1e-12
 
 
-test_rate_matrix_of_a_stack_is_each_sets_bit_for_bit = sliced("rate-matrix")
+test_rate_matrix_of_a_stack_is_each_sets_bit_for_bit = bound(SLICES, "rate-matrix")
 
 
 def test_first_passage_takes_the_stochastic_g():
@@ -141,9 +136,9 @@ def test_first_passage_takes_the_stochastic_g():
         assert np.max(np.abs(residual)) <= 1e-12
 
 
-test_first_passage_solves_a_stack_slice_by_slice = sliced("first-passage-model1",
-                                                          "first-passage-tandem")
-test_first_passage_names_the_failing_stack_index = gates("first-passage", "first-passage-two-axes")
+test_first_passage_solves_a_stack_slice_by_slice = bound(SLICES, "first-passage-model1",
+                                                         "first-passage-tandem")
+test_first_passage_names_the_failing_stack_index = bound(GATES, "first-passage-two-axes")
 
 
 def test_spectrum_matches_characteristic_roots():
@@ -185,7 +180,7 @@ def test_boundary_where_r_down_down_rounds_to_one_matches_the_reference(rates):
     # (lambda/mu)(alpha+mu)/(lambda+beta) = 1 - 1e-106 on the first set: I - R was singular
     # in floats, and the other two printed a negative pi0; the closed form solves nothing
     ref = model1(*rates, digits=FULL_RANGE_DIGITS)["pi0"]
-    stack = _stack([A, make_params(*rates)])
+    stack = stack_of([A, make_params(*rates)])
     for pi0 in (boundary_vector(make_params(*rates)), boundary_vector(stack)[1]):
         assert [relative_error(value, exact) <= Decimal("1e-13")
                 for value, exact in zip(pi0, ref)] == [True, True]

@@ -12,11 +12,7 @@ from uqtail.spectral import _t2_minus_1
 from uqtail.verify import check_perron_root, random_params
 
 from reference import DIGITS, SLOW_SWITCHING, model1, relative_error
-from test_params import gates
-from test_twist import _margin_sets, sliced
-
-A = make_params(10, 11, 0.1, 10)
-B = make_params(20, 60, 0.01, 1)
+from tables import A, B, GATES, SLICES, bound, margin_sets
 
 
 def quadratic(params, t):
@@ -120,13 +116,13 @@ def test_light_load_t2_matches_a_50_digit_reference(model):
 def test_the_margin_t2_minus_1_matches_the_reference():
     # t2 - 1 from q(1) rounded once; it measures at most 3.4e-16 on the corpus, 2.1e-16 on A's
     # rates, and 1 - gamma_1 is 1.3e-19 on the corpus set whose gamma_1 rounds to 1
-    for row in _margin_sets():
+    for row in margin_sets():
         params = make_params(*row)
         margin = _t2_minus_1(params, characteristic_roots(params).sqrt_s)
         assert relative_error(margin, model1(*row)["t2"] - 1) <= Decimal("1e-15"), row
 
 
-test_a_stack_forms_each_sets_own_margin_bit_for_bit = sliced("margin")
+test_a_stack_forms_each_sets_own_margin_bit_for_bit = bound(SLICES, "margin")
 
 
 def test_unstable_set_has_gamma_above_one():
@@ -195,5 +191,5 @@ def test_the_stability_gate_names_its_stage(call, stage):
                                   f"got lambda = {lam}")
 
 
-test_the_stability_gate_names_the_first_unstable_set_of_a_stack = gates(
-    "stability", "stability-twist", "stability-boundary", "stability-rsrd")
+test_the_stability_gate_names_the_first_unstable_set_of_a_stack = bound(
+    GATES, "stability-twist", "stability-boundary", "stability-rsrd")

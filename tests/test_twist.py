@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib
 import inspect
 import sys
@@ -11,22 +12,15 @@ import pytest
 from uqtail import (DOWN, UP, InvalidParameters, Model, StationaryTable,
                     UnstableParameters, characteristic_roots, conditioned_excursion_slope,
                     exact_stationary_model1, harmonic, make_params, prefactors,
-                    rate_matrix, rate_matrix_closed_form, stationary_table,
-                    truncated_stationary, twist_summary)
+                    stationary_table, truncated_stationary, twist_summary)
 from uqtail import kernels, spectral, twist
-from uqtail.asymptotics import _escape, _two_term
 from uqtail.cli import main
 from uqtail.kernels import _fold, _moves, level_blocks
-from uqtail.qbd import _boundary, _model1_levels, first_passage
-from uqtail.verify import _sets, check_harmonicity, random_params
+from uqtail.verify import check_harmonicity, random_params
 
 import pins
 from reference import model1
-from test_params import gates
-from test_pins import TABLE
-
-A = make_params(10, 11, 0.1, 10)
-T2 = make_params(10, 30, 0.1, 10, model=Model.MODEL2)
+from tables import A, BOUND, GATES, SLICES, T2, assert_set_in_stack, bound, stack_of
 
 
 def test_reference_harmonic_weights():
@@ -267,8 +261,9 @@ def call_counts(monkeypatch):
     return counts
 
 
-PINS = {pin["name"]: pin for pin in TABLE["pins"]}
-T2_TABLE = truncated_stationary(T2, x_max=40, y_max=40)
+_t2_table = functools.cache(lambda: truncated_stationary(T2, x_max=40, y_max=40))
+
+
 # a call, a pin of pins.json run in process or a library call, and its counts of NAMES: one
 # pass per set.  A pass is the set's gate (`stability`, whose report analyze reports) and
 # roots, a move table for its blocks (the twisted ones give the drift and the escape check)
@@ -293,7 +288,7 @@ PASSES = [
     # reproduction, exact-coefficient, eta-bounds and escape checks) form it once each
     ("verify-200-7", (17, 13, 19, 16, 4)),
     # a pass, then eta's escape blocks at the two y cuts of the given table
-    (lambda: prefactors(T2, table=T2_TABLE), (1, 1, 0, 3, 0)),
+    (lambda: prefactors(T2, table=_t2_table()), (1, 1, 0, 3, 0)),
     # bare roots, through the counted namespace: the margin is left to the stages that read it
     (lambda: spectral.characteristic_roots(A), (1, 0, 0, 0, 0)),
     (lambda: stationary_table(A, 50), (1, 1, 0, 1, 1)),
@@ -303,10 +298,12 @@ PASSES = [
 
 
 def test_one_twist_pass_per_call(call_counts, tmp_path):
+    table, _ = pins.load(), _t2_table()   # T2's table is built outside its row's counts
+    named = {pin["name"]: pin for pin in table["pins"]}
     for call, counts in PASSES:
         call_counts.update(dict.fromkeys(NAMES, 0))
         if isinstance(call, str):
-            assert pins.check(PINS[call], tmp_path, TABLE) == []
+            assert pins.check(named[call], tmp_path, table) == []
         else:
             call()
         assert call_counts == dict(zip(NAMES, counts)), \
@@ -316,138 +313,24 @@ def test_one_twist_pass_per_call(call_counts, tmp_path):
     asym, own = prefactors(A), twist_summary(A)
     for carried, mine, name in ((asym.stability, own.stability, "stability"),
                                 (asym.twist, own, "twist"), (asym.roots, own.roots, "roots")):
-        _assert_set_in_stack(carried, mine, None, name)
+        assert_set_in_stack(carried, mine, None, name)
 
 
-def _stack(sets):
-    """One stack of sets of one model, each with its own p and C."""
-    return make_params(*(np.array([getattr(s, name) for s in sets])
-                         for name in ("lam", "mu", "alpha", "beta")),
-                       p=np.array([s.p for s in sets]), model=sets[0].model,
-                       C=np.array([s.C for s in sets]))
-
-
-def _leaves(obj, name):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclasses.fields(obj):
-            yield from _leaves(getattr(obj, f.name), f"{name}.{f.name}")
-    elif isinstance(obj, tuple):
-        for i, item in enumerate(obj):
-            yield from _leaves(item, f"{name}[{i}]")
-    else:
-        yield name, obj
-
-
-def _assert_set_in_stack(stacked, one, k, name, tol=0.0):
-    """Every leaf of `one` equals set k of the stacked leaf (a stack carries its sets on the
-    leading axis; k None compares whole leaves): bit for bit, or within `tol` absolute."""
-    for (path, many), (_, single) in zip(_leaves(stacked, name), _leaves(one, name), strict=True):
-        if single is None or isinstance(single, (str, Model)):
-            assert many == single if isinstance(single, str) else many is single, path
-            continue
-        many = np.asarray(many)
-        at = many[k] if k is not None and many.ndim else many
-        if tol:
-            assert np.max(np.abs(at - single)) <= tol, path
-        else:
-            assert np.asarray(at, float).tobytes() == np.asarray(single, float).tobytes(), path
-
-
-def _margin_sets():
-    """Corpus [-12, 12]'s 1,167 stable Model 1 sets (3,000 draws of rates log-uniform on
-    [1e-12, 1e12]), then A's rates at 0.99 to 0.999999 of the stability bound."""
-    rates = 10.0 ** np.random.default_rng(1).uniform(-12.0, 12.0, (3000, 4))
-    lam, mu, alpha, beta = rates.T
-    corpus = rates[lam < beta / (alpha + beta) * mu].tolist()
-    bound = float(A.beta / (A.alpha + A.beta) * A.mu)
-    near = [(load * bound, 11.0, 0.1, 10.0) for load in (0.99, 0.999, 0.9999, 0.99999, 0.999999)]
-    assert len(corpus) == 1167
-    return corpus + near
-
-
-def _model1_tail_path(params):
-    """Every stage from R to C(sigma): the tail record, R, the boundary, the levels and the
-    two-term weights."""
-    roots = characteristic_roots(params)
-    return (prefactors(params), rate_matrix_closed_form(params), _boundary(roots),
-            _model1_levels(roots, 60), _two_term(roots))
-
-
-B = make_params(20, 60, 0.01, 1)
-_rng = np.random.default_rng(31)
-STACK_SETS = {
-    Model.MODEL1: [A, B, *(random_params(_rng) for _ in range(40))],
-    Model.MODEL2: [T2, *(random_params(_rng, model=Model.MODEL2) for _ in range(40))],
-}
-_rng11, _rng12 = np.random.default_rng(11), np.random.default_rng(12)
-# a stage, its sets and its comparison: set k of the stage's stack is the stage's own call on
-# set k, bit for bit; first_passage's doublings run until the last step is small for every
-# set of its stack, so its sets agree to 1e-15
-SLICES = {
-    "twist-model1": (twist_summary, STACK_SETS[Model.MODEL1], 0.0),
-    "twist-tandem": (twist_summary, STACK_SETS[Model.MODEL2], 0.0),
-    "escape": (lambda params: _escape(twist_summary(params)), STACK_SETS[Model.MODEL1], 0.0),
-    # each set's own p below 1: a shape-only tail
-    "shape-only": (prefactors, [make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2),
-                                make_params(5, 30, 0.2, 10, p=0.7, model=Model.MODEL2)], 0.0),
-    "tail-path": (_model1_tail_path,
-                  [A, B, *(_sets(u) for u in np.random.default_rng(5).random((300, 4)))], 0.0),
-    "rate-matrix": (lambda params: rate_matrix(*level_blocks(params)), [A, B], 0.0),
-    # plain and twisted blocks
-    "first-passage-model1": (
-        lambda params: (first_passage(*level_blocks(params)),
-                        first_passage(*level_blocks(params, h=harmonic(params)))),
-        [A, B, *(random_params(_rng11) for _ in range(50))], 1e-15),
-    # twisted blocks with y cut at 8
-    "first-passage-tandem": (
-        lambda params: first_passage(*level_blocks(params, 8, h=harmonic(params))),
-        [T2, *(random_params(_rng12, model=Model.MODEL2) for _ in range(5))], 1e-15),
-    "margin": (lambda params: characteristic_roots(params).t2_minus_1,
-               [make_params(*row) for row in _margin_sets()], 0.0),
-}
-_bound = []   # the rows bound to a test, by `sliced`
-
-
-def sliced(*names, **cases):
-    """The one stacked-slice test, over rows of SLICES.
-
-    A module binds it to the name the rows' test has always carried: `names` for a test
-    without cases, which runs its rows in turn, or `cases` mapping each case id to its row.
-    """
-    _bound.extend([*names, *cases.values()])
-    if names:
-        def test():
-            for name in names:
-                _slices_hold(name)
-        return test
-
-    @pytest.mark.parametrize("name", list(cases.values()), ids=list(cases))
-    def test(name):
-        _slices_hold(name)
-    return test
-
-
-def _slices_hold(name):
-    stage, sets, tol = SLICES[name]
-    stacked = stage(_stack(sets))
-    for k, params in enumerate(sets):
-        _assert_set_in_stack(stacked, stage(params), k, name, tol)
-
-
-def test_every_slice_row_is_bound_once():
+def test_every_row_is_bound_once():
     # a row runs only under the test that binds it, in the module that imports it
     for path in Path(__file__).parent.glob("test_*.py"):
         importlib.import_module(path.stem)
-    assert sorted(_bound) == sorted(SLICES)
+    for table in (SLICES, GATES):
+        assert sorted(row for of, row in BOUND if of is table) == sorted(table)
 
 
-test_stacked_twist_equals_each_set_bit_for_bit = sliced(model1="twist-model1",
-                                                        tandem="twist-tandem")
-test_stacked_escape_equals_each_set_bit_for_bit = sliced("escape")
-test_drift_disagreement_raises_naming_the_set = gates("drift-disagree")
-test_nonpositive_drift_raises_naming_the_set = gates("drift")
-test_the_first_failing_set_wins_over_the_first_failing_row = gates("drift-first-set")
-test_escape_gate_raises_naming_the_set = gates("escape")
+test_stacked_twist_equals_each_set_bit_for_bit = bound(SLICES, model1="twist-model1",
+                                                       tandem="twist-tandem")
+test_stacked_escape_equals_each_set_bit_for_bit = bound(SLICES, "escape")
+test_drift_disagreement_raises_naming_the_set = bound(GATES, "drift-disagree")
+test_nonpositive_drift_raises_naming_the_set = bound(GATES, "drift-tandem")
+test_the_first_failing_set_wins_over_the_first_failing_row = bound(GATES, "drift-first-set")
+test_escape_gate_raises_naming_the_set = bound(GATES, "escape-decay")
 
 
 def test_a_nan_drift_fails_both_drift_gates(tmp_path, capsys):
@@ -455,7 +338,7 @@ def test_a_nan_drift_fails_both_drift_gates(tmp_path, capsys):
     # which passed the gates as the comparisons |value - estimate| > bound and value <= 0
     rates = (6.936413542212146e-180, 1.7278590859006367e-28, 5.730760007110428e-149,
              1.868135705410208e-176)
-    stack = _stack([A, make_params(*rates)])
+    stack = stack_of([A, make_params(*rates)])
     _, disagree, nonpositive = twist._twist(stack)
     assert disagree.tolist() == nonpositive.tolist() == [False, True]
     message = "drift closed form nan and aggregate -0.00037116356045143486 disagree"

@@ -15,7 +15,7 @@ from uqtail.verify import (_CHUNK, PARAMS_A, PARAMS_B, _sets, check_drift,
                            check_twisted_rows, random_params)
 
 from test_pins import pinned
-from test_twist import _stack
+from tables import stack_of
 
 
 def _uniform_calls_params(rng, p=1.0, stable=True, model=Model.MODEL1):
@@ -146,7 +146,7 @@ def test_escape_check_leads_with_the_reference_sets(monkeypatch):
 def test_exact_coefficient_check_holds_at_a_tiny_alpha(monkeypatch):
     # alpha = 2.5e-12 with mu > lambda + beta, after A and B: C(Up) = 4.9e-12 lies under a
     # gamma_2^k term of weight 0.41, which the oracle must not cancel against
-    stack = _stack([PARAMS_A, PARAMS_B, make_params(26.32, 44.89, 2.531e-12, 15.48)])
+    stack = stack_of([PARAMS_A, PARAMS_B, make_params(26.32, 44.89, 2.531e-12, 15.48)])
     monkeypatch.setattr(verify, "_reference_led", lambda grid, seed: iter([stack]))
     result = check_exact_coefficient(20, 0)
     assert result.passed, result.detail
