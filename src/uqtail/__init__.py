@@ -8,8 +8,8 @@ solves, truncated sparse solves, and simulation.
 """
 
 from .params import (DOWN, UP, InvalidParameters, InvalidState, Model,
-                     ModelParams, UnstableParameters, default_uniformization,
-                     make_params, params_from_dict, params_from_json)
+                     ModelParams, UnstableParameters, make_params,
+                     params_from_dict, params_from_json)
 from .kernels import TransitionRow, free_kernel, full_kernel
 from .spectral import characteristic_roots, feynman_kac, stability
 from .twist import harmonic, twist_summary
@@ -18,7 +18,7 @@ from .qbd import (ConvergenceError, StationaryTable, TruncationError,
                   rate_matrix, rate_matrix_closed_form, stationary_table,
                   truncated_stationary)
 from .asymptotics import (alpha_limits, mm1_comparison, prefactors, tail_constants,
-                          tail_fit, two_geometric_fit, two_term_tail)
+                          tail_fit, two_term_tail)
 from .simulate import (EmpiricalDistribution, Excursion, Trajectory,
                        conditioned_excursion_slope, empirical_distribution,
                        excursion_verdict, ld_excursions, regime_prediction, simulate)
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DOWN", "UP", "Model", "ModelParams", "InvalidParameters", "InvalidState",
-    "UnstableParameters", "default_uniformization", "make_params",
+    "UnstableParameters", "make_params",
     "params_from_dict", "params_from_json",
     "TransitionRow", "free_kernel", "full_kernel",
     "characteristic_roots", "feynman_kac", "stability",
@@ -38,7 +38,7 @@ __all__ = [
     "rate_matrix", "rate_matrix_closed_form", "stationary_table",
     "truncated_stationary",
     "alpha_limits", "mm1_comparison", "prefactors", "tail_constants", "tail_fit",
-    "two_geometric_fit", "two_term_tail",
+    "two_term_tail",
     "EmpiricalDistribution", "Excursion", "Trajectory",
     "conditioned_excursion_slope", "empirical_distribution",
     "excursion_verdict", "ld_excursions",

@@ -28,7 +28,6 @@ _ETA_TABLE = 60      # x_max = y_max of the tandem eta's own truncated table
 class EscapeProbs:
     up: float
     down: float
-    residual: float  # max |A2 + A1 G + A0 G^2 - G| of the closed-form G
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,6 @@ class TailFit:
     gamma_est: float
     log_prefactor_est: float
     max_relative_deviation: float
-
-
-@dataclass(frozen=True)
-class TwoGeometricFit:
-    rates: tuple[float, float]
-    weights: tuple[float, float]
-    dominant_rate: float  # rate of the larger-weight term
 
 
 @dataclass(frozen=True)
@@ -136,7 +128,7 @@ def _escape(twist: TwistSummary) -> EscapeProbs:
                "row sums {} (must be < 1)", residual, _ESCAPE_RESIDUAL, rows)], ArithmeticError)
     roots = twist.roots
     scale = roots.params.lam / roots.params.C
-    return EscapeProbs(up=scale * roots.t2_minus_1, down=scale * (t2 - 1.0 / w), residual=residual)
+    return EscapeProbs(up=scale * roots.t2_minus_1, down=scale * (t2 - 1.0 / w))
 
 
 def _decay_below_1(roots: SpectralSolution):
@@ -388,32 +380,4 @@ def _line(ks: list[int], logs: list[float]) -> tuple[float, float]:
     det = (n * k2 - k1 * k1) * scale
     return (sum((n * k - k1) * v for k, v in zip(ks, scaled)) / det,
             sum((k2 - k1 * k) * v for k, v in zip(ks, scaled)) / det)
-
-
-def two_geometric_fit(table: StationaryTable, sigma: int, k_min: int,
-                      k_max: int) -> TwoGeometricFit:
-    """Model-free fit of pi(k, sigma) = w a^k + v b^k on a window of levels.
-
-    A sum of two geometrics satisfies a linear two-step recurrence; its
-    coefficients are fitted by least squares (rows scaled to equalize the
-    widely varying magnitudes) and the rates recovered as the roots.
-    """
-    ks = np.arange(k_min, k_max + 1)
-    pi = table.levels(sigma, k_min, k_max)
-    if np.any(pi <= 0.0) or len(ks) < 6:
-        raise ValueError("fit window needs at least 6 strictly positive entries")
-    rows = np.column_stack([pi[1:-1], pi[:-2]])
-    rhs = pi[2:]
-    scale = 1.0 / rhs
-    c1, c2 = np.linalg.lstsq(rows * scale[:, None], rhs * scale, rcond=None)[0]
-    roots = np.roots([1.0, -c1, -c2])
-    if np.iscomplexobj(roots) and np.max(np.abs(roots.imag)) > 1e-12 * np.max(np.abs(roots)):
-        raise ArithmeticError("recurrence roots are not real; window is not two-geometric")
-    roots = np.real(roots)
-    basis = np.column_stack([roots[0] ** ks, roots[1] ** ks])
-    weights = np.linalg.lstsq(basis / pi[:, None], np.ones_like(pi), rcond=None)[0]
-    dominant = float(roots[int(np.argmax(np.abs(weights)))])
-    return TwoGeometricFit(rates=(float(roots[0]), float(roots[1])),
-                           weights=(float(weights[0]), float(weights[1])),
-                           dominant_rate=dominant)
 

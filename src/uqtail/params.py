@@ -36,20 +36,6 @@ class InvalidState(ValueError):
     """A state tuple is outside the domain of the requested kernel."""
 
 
-def default_uniformization(lam: float, mu: float, alpha: float, beta: float,
-                           model: Model) -> float:
-    """The sum of the rates, lam+mu+alpha+beta for Model 1 and
-    lam+2*mu+alpha+beta (mu counted once per server) for the two-server
-    models; `validate` requires C to be at least this.
-
-    It is not the smallest C keeping the rows stochastic: that is the largest
-    exit rate of one phase, max(lam+mu+alpha, lam+beta) for Model 1.
-    """
-    _require([(value > 0, "{} must be > 0, got {}{where}", name, value)
-              for name, value in (("lambda", lam), ("mu", mu), ("alpha", alpha), ("beta", beta))])
-    return _rate_sum(lam, mu, alpha, beta, model)
-
-
 @np.errstate(over="ignore", invalid="ignore")   # inf, or NaN from a rate -inf `validate` refuses
 def _rate_sum(lam, mu, alpha, beta, model: Model):
     return lam + mu + alpha + beta if model is Model.MODEL1 else lam + 2.0 * mu + alpha + beta

@@ -16,14 +16,19 @@ under ROOT/<name>/, and each `.json` one must parse as strict JSON (no NaN
 or Infinity).  A row must exit with its code, print its stderr line and
 nothing else, print nothing to stdout and, on a verb that takes `--out`,
 never create its `--out`, ROOT/<name>/.  The driver exits 1 if any pin or
-row fails, naming it and what differs.  Stdlib only, so that it runs on
-every Python the package supports.
+row fails, naming it and what differs, and, on one more line, the toolchain
+the table was computed under and the running one: the versions, and the
+kernel each of numpy's and scipy's OpenBLAS runs (picked for the CPU at
+load, or forced by OPENBLAS_CORETYPE).
+Stdlib only, so that it runs on every Python the package supports.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import functools
 import hashlib
 import io
 import json
@@ -43,11 +48,42 @@ def load() -> dict:
     return json.loads(HERE.joinpath("pins.json").read_text())
 
 
+def running(table: dict) -> str:
+    """The running toolchain, entry for entry as the table's `toolchain` header names it."""
+    return ", ".join(f"{name} {_running(name)}" for name in table["toolchain"])
+
+
+def _running(name: str) -> str:
+    if name == "python":
+        return platform.python_version()
+    if name.endswith(" OpenBLAS core"):
+        return _openblas_core(name.split()[0])
+    return metadata.version(name)
+
+
+@functools.cache
+def _openblas_core(dist: str) -> str:
+    """The kernel (such as SkylakeX) that the OpenBLAS shipped in `dist`'s wheel runs, as its
+    own corename function reports it, or "none found"."""
+    for file in metadata.distribution(dist).files or ():
+        if "openblas" not in file.name or file.suffix not in (".so", ".dll", ".dylib"):
+            continue
+        try:
+            library = ctypes.CDLL(str(file.locate()))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(library, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "none found"
+
+
 def _versions(table: dict) -> str:
     recorded = ", ".join(f"{name} {version}" for name, version in table["toolchain"].items())
-    running = ", ".join(f"{name} {platform.python_version() if name == 'python' else metadata.version(name)}"
-                        for name in table["toolchain"])
-    return f"digests computed under {recorded}; running {running}"
+    return f"digests computed under {recorded}; running {running(table)}"
 
 
 def _run(argv: list[str], command) -> tuple[int, str, str]:
@@ -76,8 +112,12 @@ def check(pin: dict, root: Path, table: dict, command=()) -> list[str]:
     """One line per failure of `pin` or refusal row, run in process or as `command`; [] if it
     holds."""
     name, out = pin["name"], Path(root) / pin["name"]
-    if "stderr" in pin:
-        return _check_refusal(pin, out, command)
+    failures = _check_refusal(pin, out, command) if "stderr" in pin else _check_pin(pin, out, command)
+    return [*failures, f"{name}: {_versions(table)}"] if failures else []
+
+
+def _check_pin(pin: dict, out: Path, command) -> list[str]:
+    name = pin["name"]
     files = [artefact for artefact in pin["digests"] if artefact != "stdout"]
     out.mkdir(parents=True, exist_ok=True)
     argv = [*pin["argv"], "--out", str(out)] if files else pin["argv"]
@@ -98,8 +138,6 @@ def check(pin: dict, root: Path, table: dict, command=()) -> list[str]:
         actual = hashlib.sha256(data).hexdigest()
         if actual != pinned:
             failures.append(f"{name}: {artefact} sha256 {actual}, pinned {pinned}")
-    if failures:
-        failures.append(f"{name}: {_versions(table)}")
     return failures
 
 

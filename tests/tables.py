@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from uqtail import (InvalidParameters, Model, UnstableParameters, boundary_vector,
-                    characteristic_roots, default_uniformization, harmonic, kernels,
+                    characteristic_roots, harmonic, kernels,
                     make_params, prefactors, rate_matrix, rate_matrix_closed_form, spectral,
                     stationary_table, twist_summary, verify)
 from uqtail.asymptotics import _escape, _two_term
@@ -205,8 +205,6 @@ GATES = {
                                "C below lambda+mu+alpha+beta: 5.0 < 31.1"),
     "validate-c-omitted": Gate(InvalidParameters, lambda bad: _params(bad, (math.inf, *GOOD[1:])),
                                "lambda must be finite, got inf"),
-    "default-uniformization": Gate(InvalidParameters, lambda bad: default_uniformization(
-        *_where(bad, GOOD, (10.0, 11.0, 0.1, -1.0)), Model.MODEL1)),
     "t2-not-finite": Gate(ArithmeticError, lambda bad: characteristic_roots(
         _params(bad, (0.5, 1e300, 0.5, 1e300)))),
     "t1-overflow": Gate(ArithmeticError, lambda bad: characteristic_roots(

@@ -14,8 +14,7 @@ from uqtail import (DOWN, UP, Model, boundary_vector, characteristic_roots,
                     exact_stationary_model1, excursion_verdict, ld_excursions,
                     make_params, prefactors, rate_matrix_closed_form,
                     regime_prediction, simulate, stationary_table, tail_fit,
-                    truncated_stationary, twist_summary, two_geometric_fit,
-                    two_term_tail)
+                    truncated_stationary, twist_summary, two_term_tail)
 from uqtail.verify import (check_harmonicity, check_rate_matrix,
                            check_stability_equivalence, check_summability_gate,
                            check_tail_reproduction, random_params)
@@ -92,18 +91,20 @@ def test_criterion_05_two_regime_alpha_limit():
                       / (asym.prefactor_up * asym.gamma ** 200) - 1.0)
     ok_lo = gamma_gap <= 1e-6 and abs(fit_lo.gamma_est - sol_lo.gamma_p) <= 1e-6 \
         and single_term <= 1e-3
-    # regime mu > lam+beta: the dominant-weight rate on k in [10,60] is gamma
+    # regime mu > lam+beta: on k in [10,60] the exact table is the two-term law
+    # w2 gamma_1^k + w3 gamma^k, and the weight is gamma's
     p_hi = make_params(20, 60, 1e-6, 1)
     sol_hi = characteristic_roots(p_hi)
     table_hi = exact_stationary_model1(p_hi, k_max=80)
-    fit_hi = two_geometric_fit(table_hi, UP, 10, 60)
-    rate_gap = abs(fit_hi.dominant_rate - sol_hi.gamma_secondary)
     tt = two_term_tail(p_hi)
-    ok_hi = rate_gap <= 1e-3 and tt.w2 < 1e-4 * tt.w3
+    two_term_gap = max(abs(table_hi.prob((k, UP)) / (tt.w2 * sol_hi.gamma_p ** k
+                                                     + tt.w3 * sol_hi.gamma_secondary ** k) - 1.0)
+                       for k in range(10, 61))
+    ok_hi = two_term_gap <= 1e-13 and tt.w2 < 1e-4 * tt.w3
     report(5, ok_lo and ok_hi,
            f"low regime: |gamma_1 - lam/mu| {gamma_gap:.2e} (<=1e-6), "
            f"single-term gap {single_term:.2e} (<=1e-3); high regime: "
-           f"|dominant rate - gamma| {rate_gap:.2e} (<=1e-3), "
+           f"two-term gap {two_term_gap:.2e} (<=1e-13), "
            f"w2/w3 {tt.w2 / tt.w3:.2e} (<1e-4)")
 
 

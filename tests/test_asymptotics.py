@@ -13,8 +13,7 @@ from uqtail import (DOWN, UP, InvalidParameters, Model, UnstableParameters,
                     alpha_limits, boundary_vector, characteristic_roots,
                     exact_stationary_model1, harmonic, make_params, mm1_comparison, prefactors,
                     rate_matrix_closed_form, stationary_table, tail_fit,
-                    truncated_stationary, twist_summary, two_geometric_fit,
-                    two_term_tail)
+                    truncated_stationary, twist_summary, two_term_tail)
 from uqtail import asymptotics
 from uqtail.asymptotics import (_escape, _escape_first_passage, _line, _two_term,
                                tail_constants)
@@ -31,7 +30,6 @@ from tables import A, B, SLICES, T2, bound, stack_of
 def assert_escape_matches_iteration(params):
     twist = twist_summary(params)
     esc = _escape(twist)
-    assert esc.residual <= 1e-12
     assert 0 < esc.up < 1 and 0 < esc.down < 1
     reference = _escape_first_passage(*twist.blocks)
     assert [esc.up, esc.down] == pytest.approx(reference, rel=0, abs=1e-10)
@@ -189,23 +187,6 @@ def test_eta_boundary_weights_are_h_values_bit_for_bit(rates):
     h = harmonic(make_params(*rates, model=Model.MODEL2))
     expected = [[h.value((0, y, sigma)) for sigma in (UP, DOWN)] for y in range(61)]
     assert asymptotics._eta_weights(h, 60).tobytes() == np.array(expected).tobytes()
-
-
-def test_two_geometric_fit_recovers_synthetic_rates():
-    pi = np.array([(0.3 * 0.8 ** k + 0.05 * 0.4 ** k, 0.0) for k in range(60)])
-    table = StationaryTable(pi=pi, residual=0.0, tail_mass_bound=0.0)
-    fit = two_geometric_fit(table, UP, 2, 40)
-    assert sorted(fit.rates) == pytest.approx([0.4, 0.8], rel=1e-9)
-    assert fit.dominant_rate == pytest.approx(0.8, rel=1e-9)
-
-
-def test_two_geometric_fit_refuses_complex_recurrence_roots():
-    # 0.5^k (1 + 0.9 cos k) adds two conjugate geometrics at 0.5 e^(+-i) to 0.5^k: the
-    # two-step recurrence fitted to it has complex roots
-    pi = np.array([(0.5 ** k * (1 + 0.9 * np.cos(k)), 0.0) for k in range(41)])
-    table = StationaryTable(pi=pi, residual=0.0, tail_mass_bound=0.0)
-    with pytest.raises(ArithmeticError, match="recurrence roots are not real"):
-        two_geometric_fit(table, UP, 5, 30)
 
 
 def test_alpha_limits_below():
@@ -588,13 +569,6 @@ def test_tandem_eta_refuses_a_boundary_sum_that_does_not_converge():
     roots = dataclasses.replace(twist.roots, gamma_p=T2.lam / T2.mu)
     with pytest.raises(ArithmeticError, match="^boundary sum not summable: lambda/mu >= gamma_p$"):
         tail_constants(dataclasses.replace(twist, roots=roots))
-
-
-def test_two_geometric_fit_refuses_a_short_or_empty_window():
-    table = exact_stationary_model1(A, k_max=50)
-    for k_min, k_max in ((10, 14), (45, 55)):   # five levels; levels past the table read 0
-        with pytest.raises(ValueError, match="^fit window needs at least 6 strictly positive"):
-            two_geometric_fit(table, UP, k_min, k_max)
 
 
 def test_a_tandem_stack_is_refused_by_name_before_any_solve(monkeypatch):

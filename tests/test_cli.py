@@ -214,7 +214,7 @@ def test_dump_names_the_path_of_a_non_finite_float():
                       "empty": {}, "ks": np.arange(2)})
     assert text.splitlines() == ['{', '  "gamma": 0.5,', '  "n": 3,', '  "model": "rsrd",',
                                  '  "empty": {},', '  "ks": [', '    0,', '    1', '  ]', '}']
-    escape = asymptotics.EscapeProbs(up=0.5, down=float("nan"), residual=0.0)
+    escape = asymptotics.EscapeProbs(up=0.5, down=float("nan"))
     with pytest.raises(ArithmeticError, match=r"^tail\[0\]\.escape\.down is nan$"):
         cli._dump({"tail": [{"escape": escape}]})
     # a field declared repr=False is not written, so its inf is not read

@@ -7,7 +7,7 @@ import pytest
 import uqtail
 from uqtail import (DOWN, UP, InvalidParameters, InvalidState, Model, ModelParams,
                     boundary_vector, characteristic_roots, conditioned_excursion_slope,
-                    default_uniformization, exact_stationary_model1, feynman_kac,
+                    exact_stationary_model1, feynman_kac,
                     full_kernel, harmonic, make_params, params_from_json, prefactors,
                     truncated_stationary, twist_summary, two_term_tail)
 from uqtail.params import check_state
@@ -17,16 +17,13 @@ T2_HALF = make_params(10, 30, 0.1, 10, p=0.5, model=Model.MODEL2)
 RS_ONE = make_params(10, 30, 0.1, 10, model=Model.RSRD)
 
 
-def test_default_uniformization():
-    assert default_uniformization(10, 11, 0.1, 10, Model.MODEL1) == pytest.approx(31.1)
-    assert default_uniformization(10, 30, 0.1, 10, Model.MODEL2) == pytest.approx(80.1)
-    assert default_uniformization(10, 30, 0.1, 10, Model.RSRD) == pytest.approx(80.1)
-
-
 def test_make_params_fills_c():
     p = make_params(10, 11, 0.1, 10)
     assert p.C == pytest.approx(31.1)
     assert p.p == 1.0
+    # the two-server models count mu once per server
+    for model in (Model.MODEL2, Model.RSRD):
+        assert make_params(10, 30, 0.1, 10, model=model).C == pytest.approx(80.1)
 
 
 def test_explicit_c_validated():
@@ -84,7 +81,7 @@ def test_small_c_raises_its_bound():
 
 # the rows no other test has always run
 test_every_gate_names_the_first_failing_set = bound(GATES, **{row: row for row in (
-    "validate", "default-uniformization", "t2-not-finite", "t1-overflow", "t2-underflow",
+    "validate", "t2-not-finite", "t1-overflow", "t2-underflow",
     "t2-underflow-tandem", "stability", "down-weight", "drift", "escape", "first-passage",
     "negative-diagonal")})
 test_a_stack_names_its_first_failing_condition = bound(GATES, "validate-first-set",
@@ -97,7 +94,7 @@ def test_c_bound_is_relative_to_the_rate_sum():
         make_params(1e-300, 3e-300, 1e-300, 1e-300, C=1e-301)
     assert str(error.value) == "C below lambda+mu+alpha+beta: 1e-301 < 6e-300"
     # a sum taken in another order, a few ulps below, is admitted
-    c_min = default_uniformization(0.4, 0.2, 0.3, 0.1, Model.MODEL1)
+    c_min = make_params(0.4, 0.2, 0.3, 0.1).C
     assert 0.1 + 0.2 + 0.3 + 0.4 < c_min
     for C in (0.1 + 0.2 + 0.3 + 0.4, math.nextafter(math.nextafter(c_min, 0.0), 0.0)):
         assert make_params(0.4, 0.2, 0.3, 0.1, C=C).C == C

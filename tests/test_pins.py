@@ -55,8 +55,9 @@ def _holds(pin, root):
 
 
 def test_pins_hold_without_simd_dispatch(tmp_path):
-    # numpy's AVX2 and AVX-512 kernels off for the whole process: no pinned byte
-    # may rest on which SIMD kernels this host dispatches to
+    # numpy's own AVX2 and AVX-512 loops off for the whole process: no pinned byte may rest
+    # on which of them this host dispatches to.  The switch does not reach OpenBLAS, whose
+    # kernel (numpy's @, LAPACK's and SuperLU's BLAS) stays the one pins.json's toolchain names
     src = str(Path(uqtail.__file__).parents[1])
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
