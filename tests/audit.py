@@ -11,7 +11,7 @@ With no NAME every corpus runs.  The one corpus so far:
   decorator's line, as its code object does.
 
 Pytest does not collect this file (it is not `test_*.py`), and it uses the
-standard library and the package only.
+standard library, the package and `pins.py` only.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import ast
 import importlib.util
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import pins
@@ -60,14 +59,12 @@ def reach() -> None:
 
     table = pins.load()
     with tempfile.TemporaryDirectory() as root:
-        threading.setprofile(hook)
         sys.setprofile(hook)   # before the first import of the package, which runs under it
         try:
             failed = sum(bool(pins.check(pin, Path(root), table))
                          for kind in ("pins", "refusals") for pin in table[kind])
         finally:
             sys.setprofile(None)
-            threading.setprofile(None)
     reached = {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in called}
     unreached = sorted(value for key, value in functions.items() if key not in reached)
     for name, lines in unreached:

@@ -72,11 +72,10 @@ def _openblas_core(dist: str) -> str:
             library = ctypes.CDLL(str(file.locate()))
         except OSError:
             continue
-        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                       "openblas_get_corename64_", "openblas_get_corename"):
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
             corename = getattr(library, symbol, None)
             if corename is not None:
-                corename.restype = ctypes.c_char_p
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
                 return corename().decode()
     return "none found"
 

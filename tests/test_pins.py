@@ -66,6 +66,21 @@ def test_pins_hold_without_simd_dispatch(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
 
 
+def test_each_failure_is_followed_by_the_toolchain_line(tmp_path):
+    # a planted digest and a planted exit code: each failing pin or row ends with the recorded
+    # and the running toolchain, both OpenBLAS cores included
+    pin = {**next(pin for pin in TABLE["pins"] if pin["name"] == "analyze-A"),
+           "digests": {"analyze.json": "0" * 64}}
+    row = {**next(row for row in ROWS.values() if row["argv"][0] == "analyze"), "exit": 9}
+    line = pins._versions(TABLE)
+    assert all(f"{dist} OpenBLAS core " in line.split("; running ")[side]
+               for dist in ("numpy", "scipy") for side in (0, 1))
+    for case in (pin, row):
+        failures = pins.check(case, tmp_path, TABLE)
+        assert len(failures) == 2 and failures[-1] == f"{case['name']}: {line}"
+    assert pins._openblas_core("pytest") == "none found"
+
+
 def test_readme_refusals_are_rows():
     # every complete refusal the README quotes: a backticked span, joined across line
     # breaks, with a documented prefix and no "..." or "<C>" placeholder ("lambda < mu p" is
